@@ -63,9 +63,9 @@ class ScheduleExplorer::Policy final : public SchedulePolicy
             // Child inherits the sleeping transitions that commute with
             // the one taken; dependent ones wake up (their order
             // relative to idx matters, so they must be re-explored).
-            std::set<EventId> child;
+            std::set<uint64_t> child;
             const DepHint &taken = ready[idx].hint;
-            for (EventId z : n.sleep) {
+            for (uint64_t z : n.sleep) {
                 for (const ReadyChoice &c : ready) {
                     if (c.id == z) {
                         if (!DepHint::dependent(c.hint, taken)) {
@@ -92,7 +92,7 @@ class ScheduleExplorer::Policy final : public SchedulePolicy
     ScheduleExplorer &ex_;
     size_t depth_ = 0;
     std::vector<uint32_t> choices_;
-    std::set<EventId> inheritSleep_;
+    std::set<uint64_t> inheritSleep_;
 };
 
 ScheduleExplorer::ScheduleExplorer(Workload workload, ExplorerOptions opts)

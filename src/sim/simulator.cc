@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -29,6 +30,9 @@ envPerturbSeed()
     }();
     return seed;
 }
+
+/** Children of heap position p are 4p+1 .. 4p+4. */
+constexpr size_t kArity = 4;
 
 } // namespace
 
@@ -88,7 +92,7 @@ Simulator::setPerturbation(uint64_t seed)
 {
     // A run's whole schedule is governed by one seed; switching with
     // events pending would make the digest meaningless.
-    REMORA_ASSERT(queue_.empty());
+    REMORA_ASSERT(heap_.empty());
     if (seed == perturbSeed_) {
         return;
     }
@@ -129,6 +133,143 @@ Simulator::deadlockHalted() const
     return haltOnDeadlock_ && !graph_.deadlocks().empty();
 }
 
+uint32_t
+Simulator::allocSlot()
+{
+    if (!freeSlots_.empty()) {
+        uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+    REMORA_ASSERT(slotsUsed_ < kNotQueued);
+    if ((slotsUsed_ & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Event[]>(size_t{1} << kChunkBits));
+    }
+    return slotsUsed_++;
+}
+
+void
+Simulator::freeSlot(uint32_t slot)
+{
+    Event &ev = event(slot);
+    ev.fn.reset();
+    ++ev.gen;
+    freeSlots_.push_back(slot);
+}
+
+void
+Simulator::place(size_t pos, const HeapEntry &e)
+{
+    heap_[pos] = e;
+    event(e.slot).heapPos = static_cast<uint32_t>(pos);
+}
+
+void
+Simulator::siftUp(size_t pos, const HeapEntry &e)
+{
+    while (pos > 0) {
+        size_t parent = (pos - 1) / kArity;
+        if (!(e < heap_[parent])) {
+            break;
+        }
+        place(pos, heap_[parent]);
+        pos = parent;
+    }
+    place(pos, e);
+}
+
+void
+Simulator::siftDown(size_t pos, const HeapEntry &e)
+{
+    size_t n = heap_.size();
+    for (;;) {
+        size_t first = kArity * pos + 1;
+        if (first >= n) {
+            break;
+        }
+        size_t best = first;
+        size_t last = std::min(first + kArity, n);
+        for (size_t c = first + 1; c < last; ++c) {
+            if (heap_[c] < heap_[best]) {
+                best = c;
+            }
+        }
+        if (!(heap_[best] < e)) {
+            break;
+        }
+        place(pos, heap_[best]);
+        pos = best;
+    }
+    place(pos, e);
+}
+
+void
+Simulator::heapPush(const HeapEntry &e)
+{
+    heap_.push_back(e);
+    siftUp(heap_.size() - 1, e);
+}
+
+void
+Simulator::heapRemove(size_t pos)
+{
+    event(heap_[pos].slot).heapPos = kNotQueued;
+    HeapEntry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size()) {
+        return;
+    }
+    if (pos > 0 && last < heap_[(pos - 1) / kArity]) {
+        siftUp(pos, last);
+    } else {
+        siftDown(pos, last);
+    }
+}
+
+bool
+Simulator::tieAtTop() const
+{
+    // The runner-up is one of the root's children; the ready set has
+    // two or more events exactly when some child shares the root's time.
+    Time when = heap_[0].when;
+    size_t last = std::min(1 + kArity, heap_.size());
+    for (size_t c = 1; c < last; ++c) {
+        if (heap_[c].when == when) {
+            return true;
+        }
+    }
+    return false;
+}
+
+size_t
+Simulator::choose(Time when)
+{
+    // Collect the heap positions of every event at `when`. Heap order
+    // means a subtree whose root is later holds nothing at `when`.
+    readyPos_.assign(1, 0);
+    for (size_t i = 0; i < readyPos_.size(); ++i) {
+        size_t first = kArity * readyPos_[i] + 1;
+        size_t last = std::min(first + kArity, heap_.size());
+        for (size_t c = first; c < last; ++c) {
+            if (heap_[c].when == when) {
+                readyPos_.push_back(c);
+            }
+        }
+    }
+    std::sort(readyPos_.begin(), readyPos_.end(),
+              [this](size_t a, size_t b) { return heap_[a].seq < heap_[b].seq; });
+    ready_.clear();
+    for (size_t pos : readyPos_) {
+        ready_.push_back(ReadyChoice{heap_[pos].seq, event(heap_[pos].slot).hint});
+    }
+    size_t chosen = policy_->choose(*this, ready_);
+    REMORA_ASSERT(chosen < ready_.size());
+    // Every consulted choice lands in the digest, so a replayed choice
+    // vector reproduces the run bit-identically.
+    digest_.mixRecord(when, "choice", chosen);
+    return readyPos_[chosen];
+}
+
 EventId
 Simulator::schedule(Duration delay, Callback fn)
 {
@@ -140,32 +281,39 @@ EventId
 Simulator::scheduleAt(Time when, Callback fn)
 {
     REMORA_ASSERT(when >= now_);
-    EventId id = nextId_++;
-    queue_.push(Entry{when, id});
-    callbacks_.emplace(id, PendingEvent{std::move(fn), currentHint_});
-    digest_.mixRecord(when, "sched", id);
-    return id;
+    uint32_t slot = allocSlot();
+    Event &ev = event(slot);
+    ev.fn = std::move(fn);
+    ev.hint = currentHint_;
+    uint64_t seq = nextSeq_++;
+    heapPush(HeapEntry{when, seq, slot});
+    digest_.mixRecord(when, "sched", seq);
+    return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
 }
 
 void
 Simulator::cancel(EventId id)
 {
-    // The heap entry stays behind as a tombstone; step() skips entries
-    // whose callback has been erased.
-    if (callbacks_.erase(id) != 0) {
-        digest_.mixRecord(now_, "cancel", id);
+    uint64_t slotPlusOne = id & 0xffffffffu;
+    if (slotPlusOne == 0 || slotPlusOne > slotsUsed_) {
+        return;
     }
+    auto slot = static_cast<uint32_t>(slotPlusOne - 1);
+    Event &ev = event(slot);
+    if (ev.gen != static_cast<uint32_t>(id >> 32) ||
+        ev.heapPos == kNotQueued) {
+        return; // already ran, running, or cancelled
+    }
+    uint64_t seq = heap_[ev.heapPos].seq;
+    heapRemove(ev.heapPos);
+    freeSlot(slot);
+    digest_.mixRecord(now_, "cancel", seq);
 }
 
 bool
 Simulator::step()
 {
-    // Drop leading tombstones so emptiness checks see live state.
-    while (!queue_.empty() &&
-           callbacks_.find(queue_.top().id) == callbacks_.end()) {
-        queue_.pop();
-    }
-    if (queue_.empty()) {
+    if (heap_.empty()) {
         return false;
     }
     if (deadlockHalted()) {
@@ -176,51 +324,30 @@ Simulator::step()
         return false;
     }
 
-    // Gather the full ready set at the minimal timestamp. The heap
-    // orders by (when, id), so the batch comes out in insertion order.
-    Time when = queue_.top().when;
-    batch_.clear();
-    while (!queue_.empty() && queue_.top().when == when) {
-        Entry e = queue_.top();
-        queue_.pop();
-        if (callbacks_.find(e.id) != callbacks_.end()) {
-            batch_.push_back(e);
-        }
-    }
-    size_t chosen = 0;
-    if (batch_.size() > 1) {
+    // The default order is the heap's own (when, seq) order; only a
+    // policy needs the whole same-instant ready set.
+    size_t pos = 0;
+    if (tieAtTop()) {
         ++decisions_;
         if (policy_ != nullptr) {
-            ready_.clear();
-            for (const Entry &e : batch_) {
-                ready_.push_back(ReadyChoice{e.id, callbacks_[e.id].hint});
-            }
-            chosen = policy_->choose(*this, ready_);
-            REMORA_ASSERT(chosen < batch_.size());
-            // Every consulted choice lands in the digest, so a replayed
-            // choice vector reproduces the run bit-identically.
-            digest_.mixRecord(when, "choice", chosen);
+            pos = choose(heap_[0].when);
         }
     }
-    for (size_t i = 0; i < batch_.size(); ++i) {
-        if (i != chosen) {
-            queue_.push(batch_[i]);
-        }
-    }
-
-    Entry top = batch_[chosen];
-    auto it = callbacks_.find(top.id);
-    PendingEvent ev = std::move(it->second);
-    callbacks_.erase(it);
+    HeapEntry top = heap_[pos];
+    heapRemove(pos);
     REMORA_ASSERT(top.when >= now_);
     now_ = top.when;
     ++processed_;
-    digest_.mixRecord(now_, "exec", top.id);
+    digest_.mixRecord(now_, "exec", top.seq);
+    // The callback runs in place: chunks never move, and the slot is
+    // not reusable until freed below.
+    Event &ev = event(top.slot);
     // The executing event's hint becomes ambient so events it schedules
     // inherit their causal chain's hint (until a HintScope overrides).
     DepHint prev = std::exchange(currentHint_, ev.hint);
     ev.fn();
     currentHint_ = prev;
+    freeSlot(top.slot);
     return true;
 }
 
@@ -228,19 +355,7 @@ uint64_t
 Simulator::run(Time limit)
 {
     uint64_t count = 0;
-    while (!queue_.empty()) {
-        // Peek past tombstones without executing.
-        Entry top = queue_.top();
-        if (callbacks_.find(top.id) == callbacks_.end()) {
-            queue_.pop();
-            continue;
-        }
-        if (top.when > limit) {
-            break;
-        }
-        if (!step()) {
-            break;
-        }
+    while (!heap_.empty() && heap_[0].when <= limit && step()) {
         ++count;
     }
     return count;

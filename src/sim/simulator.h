@@ -36,12 +36,15 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <new>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/determinism.h"
@@ -50,7 +53,12 @@
 
 namespace remora::sim {
 
-/** Opaque handle identifying a scheduled event, usable for cancellation. */
+/**
+ * Opaque handle identifying a scheduled event, usable for cancellation.
+ * It tags the event's pool slot with the slot's generation, so a handle
+ * kept past its event's run or cancellation never reaches a later event
+ * that reuses the slot. Zero is never a valid handle.
+ */
 using EventId = uint64_t;
 
 class Simulator;
@@ -127,14 +135,19 @@ struct DepHint
 /** One runnable alternative offered to a SchedulePolicy. */
 struct ReadyChoice
 {
-    EventId id = 0;
+    /**
+     * The event's insertion sequence number (1 for the first event ever
+     * scheduled), not its EventId handle: sequence numbers never repeat
+     * within a run, so policies and sleep sets can key on them.
+     */
+    uint64_t id = 0;
     DepHint hint;
 };
 
 /**
  * Same-instant tie-break strategy. choose() is consulted only when two
  * or more events are ready at the minimal timestamp (a *decision
- * point*); the ready set is ordered by insertion (EventId ascending).
+ * point*); the ready set is ordered by insertion (id ascending).
  */
 class SchedulePolicy
 {
@@ -196,12 +209,153 @@ class RecordReplayPolicy final : public SchedulePolicy
     size_t depth_ = 0;
 };
 
+/**
+ * A move-only `void()` callable for event callbacks. Captures of up to
+ * kInlineBytes live inside the callable itself, so scheduling one
+ * allocates nothing; larger captures (or ones whose move may throw) are
+ * boxed on the heap. Unlike std::function it accepts move-only captures
+ * such as std::unique_ptr.
+ */
+class Callback
+{
+  public:
+    /**
+     * Inline capture budget: `[this, net::Cell]`, the capture of the
+     * per-cell link and switch events, which dominate event counts.
+     */
+    static constexpr size_t kInlineBytes = 72;
+
+    /** An empty callback (tests false; must not be invoked). */
+    Callback() noexcept = default;
+
+    /** Wrap any callable invocable as `void()` (implicit, like a lambda). */
+    template <typename F>
+        requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
+                 std::is_invocable_v<std::decay_t<F> &>)
+    Callback(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (kFitsInline<D>) {
+            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+            ops_ = &Inline<D>::kOps;
+        } else {
+            D *boxed = new D(std::forward<F>(f));
+            std::memcpy(buf_, &boxed, sizeof boxed);
+            ops_ = &Boxed<D>::kOps;
+        }
+    }
+
+    Callback(Callback &&other) noexcept { take(other); }
+
+    Callback &
+    operator=(Callback &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    Callback(const Callback &) = delete;
+    Callback &operator=(const Callback &) = delete;
+
+    ~Callback() { reset(); }
+
+    /** True when holding a callable. */
+    explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+    /** Invoke the callable; the callback must not be empty. */
+    void operator()() { ops_->invoke(buf_); }
+
+    /** Destroy the held callable, leaving the callback empty. */
+    void
+    reset() noexcept
+    {
+        if (ops_ != nullptr) {
+            if (ops_->destroy != nullptr) {
+                ops_->destroy(buf_);
+            }
+            ops_ = nullptr;
+        }
+    }
+
+  private:
+    /**
+     * Type-erased operations. A null relocate means the stored bytes
+     * move with memcpy (trivially copyable captures and boxed pointers);
+     * a null destroy means there is nothing to destroy.
+     */
+    struct Ops
+    {
+        void (*invoke)(void *self);
+        void (*relocate)(void *dst, void *src) noexcept;
+        void (*destroy)(void *self) noexcept;
+    };
+
+    template <typename D>
+    static constexpr bool kFitsInline =
+        sizeof(D) <= kInlineBytes &&
+        alignof(D) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<D>;
+
+    template <typename D>
+    struct Inline
+    {
+        static D *get(void *p) { return std::launder(static_cast<D *>(p)); }
+        static void invoke(void *p) { (*get(p))(); }
+        static void
+        relocate(void *dst, void *src) noexcept
+        {
+            ::new (dst) D(std::move(*get(src)));
+            get(src)->~D();
+        }
+        static void destroy(void *p) noexcept { get(p)->~D(); }
+        static constexpr Ops kOps{
+            &invoke,
+            std::is_trivially_copyable_v<D> ? nullptr : &relocate,
+            std::is_trivially_destructible_v<D> ? nullptr : &destroy};
+    };
+
+    template <typename D>
+    struct Boxed
+    {
+        static D *
+        get(void *p)
+        {
+            D *boxed;
+            std::memcpy(&boxed, p, sizeof boxed);
+            return boxed;
+        }
+        static void invoke(void *p) { (*get(p))(); }
+        static void destroy(void *p) noexcept { delete get(p); }
+        static constexpr Ops kOps{&invoke, nullptr, &destroy};
+    };
+
+    void
+    take(Callback &other) noexcept
+    {
+        ops_ = std::exchange(other.ops_, nullptr);
+        if (ops_ == nullptr) {
+            return;
+        }
+        if (ops_->relocate != nullptr) {
+            ops_->relocate(buf_, other.buf_);
+        } else {
+            std::memcpy(buf_, other.buf_, kInlineBytes);
+        }
+    }
+
+    alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+    const Ops *ops_ = nullptr;
+};
+
 /** Discrete-event scheduler and simulated clock. */
 class Simulator
 {
   public:
     /** Type of all event callbacks. */
-    using Callback = std::function<void()>;
+    using Callback = sim::Callback;
 
     /** Applies the REMORA_PERTURB environment seed when set. */
     Simulator();
@@ -230,10 +384,12 @@ class Simulator
     EventId scheduleAt(Time when, Callback fn);
 
     /**
-     * Cancel a previously scheduled event.
+     * Cancel a previously scheduled event: it leaves the queue and its
+     * callback is destroyed at once.
      *
-     * Cancelling an event that already ran (or was already cancelled) is
-     * a harmless no-op, which lets timeout guards race completion safely.
+     * Cancelling an event that already ran, is running, or was already
+     * cancelled is a harmless no-op, which lets timeout guards race
+     * completion safely.
      */
     void cancel(EventId id);
 
@@ -260,11 +416,14 @@ class Simulator
     /** Total events executed over the simulator's lifetime. */
     uint64_t eventsProcessed() const { return processed_; }
 
-    /** Number of events currently pending (including cancelled ones). */
-    size_t pendingEvents() const { return queue_.size(); }
+    /**
+     * Number of events currently pending. Cancellation removes events
+     * eagerly, so this always equals livePendingEvents().
+     */
+    size_t pendingEvents() const { return heap_.size(); }
 
     /** Pending events that are still live (not cancelled). */
-    size_t livePendingEvents() const { return callbacks_.size(); }
+    size_t livePendingEvents() const { return heap_.size(); }
 
     /**
      * Fold a component-level (now, kind, actor) record into the
@@ -362,7 +521,7 @@ class Simulator
     bool
     allDone() const
     {
-        return callbacks_.empty() && blockedTaskCount() == 0;
+        return heap_.empty() && blockedTaskCount() == 0;
     }
 
     /** The ambient dependency hint inherited by scheduled events. */
@@ -393,26 +552,56 @@ class Simulator
     };
 
   private:
-    struct Entry
-    {
-        Time when;
-        EventId id;
-        // Ordered min-first by (when, id): insertion order per instant.
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : id > o.id;
-        }
-    };
-
-    struct PendingEvent
+    /**
+     * One pool slot. A slot is free, queued (heapPos indexes heap_), or
+     * running; gen advances each time the slot is freed.
+     */
+    struct Event
     {
         Callback fn;
         DepHint hint;
+        uint32_t gen = 0;
+        uint32_t heapPos = kNotQueued;
     };
 
+    /** Heap entry: the (when, seq) ordering key plus the event's slot. */
+    struct HeapEntry
+    {
+        Time when;
+        uint64_t seq;
+        uint32_t slot;
+
+        bool
+        operator<(const HeapEntry &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
+    };
+
+    static constexpr uint32_t kNotQueued = UINT32_MAX;
+    // Slots live in fixed-size chunks that never move, so a callback
+    // runs in place even when the events it schedules grow the pool.
+    static constexpr uint32_t kChunkBits = 8;
+    static constexpr uint32_t kChunkMask = (1u << kChunkBits) - 1;
+
+    Event &
+    event(uint32_t slot)
+    {
+        return chunks_[slot >> kChunkBits][slot & kChunkMask];
+    }
+
+    uint32_t allocSlot();
+    void freeSlot(uint32_t slot);
+    void heapPush(const HeapEntry &e);
+    void heapRemove(size_t pos);
+    void siftUp(size_t pos, const HeapEntry &e);
+    void siftDown(size_t pos, const HeapEntry &e);
+    void place(size_t pos, const HeapEntry &e);
+    bool tieAtTop() const;
+    size_t choose(Time when);
+
     Time now_ = 0;
-    EventId nextId_ = 1;
+    uint64_t nextSeq_ = 1;
     uint64_t processed_ = 0;
     uint64_t perturbSeed_ = 0;
     uint64_t decisions_ = 0;
@@ -420,15 +609,19 @@ class Simulator
     bool budgetHit_ = false;
     bool haltOnDeadlock_ = true;
     DeterminismDigest digest_;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-    // Callbacks keyed by id; erased on execution or cancellation.
-    std::unordered_map<EventId, PendingEvent> callbacks_;
     SchedulePolicy *policy_ = nullptr;
     std::unique_ptr<PerturbPolicy> ownedPerturb_;
     DepHint currentHint_;
     WaitGraph graph_;
-    // Scratch buffers reused across step() calls.
-    std::vector<Entry> batch_;
+    // Declared after graph_ so pending callbacks are destroyed while
+    // the wait graph they may report to still exists.
+    std::vector<std::unique_ptr<Event[]>> chunks_;
+    uint32_t slotsUsed_ = 0; ///< Slots ever handed out.
+    std::vector<uint32_t> freeSlots_;
+    // Indexed 4-ary min-heap on (when, seq) over queued slots.
+    std::vector<HeapEntry> heap_;
+    // Scratch buffers reused across decision points.
+    std::vector<size_t> readyPos_;
     std::vector<ReadyChoice> ready_;
 };
 
