@@ -7,29 +7,39 @@
  * wall-clock, no platform randomness, no coroutine parameters that
  * dangle across suspension); the digest is the dynamic backstop. The
  * Simulator folds every scheduled, executed, and cancelled event into
- * an FNV-1a hash as it happens, and components fold in their own
+ * the hash as it happens, and components fold in their own
  * (time, kind, actor) records at protocol-level milestones via
  * Simulator::noteDigest(). Any divergence between two runs — a
  * reordered wakeup, an extra retry, a different random draw — yields a
  * different digest, so a test can assert replay equality with one
  * integer compare instead of diffing traces.
+ *
+ * Records fold one 64-bit word at a time, with one multiply per word:
+ * the simulator folds a record for every schedule, run and cancel, so
+ * a byte-at-a-time hash would cost as much as the event queue. Each
+ * word step is a bijection of the running state, so a divergence, once
+ * folded in, is never erased by later identical input.
  */
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
 namespace remora::sim {
 
-/** Running FNV-1a (64-bit) accumulator over simulation activity. */
+/** Running accumulator over simulation activity. */
 class DeterminismDigest
 {
   public:
-    /** FNV-1a 64-bit offset basis / prime. */
+    /** FNV-1a 64-bit offset basis / prime (byte and string folds). */
     static constexpr uint64_t kOffset = 14695981039346656037ull;
     static constexpr uint64_t kPrime = 1099511628211ull;
+    /** Odd multiplier of the word fold (2^64 divided by the golden ratio). */
+    static constexpr uint64_t kWordMul = 0x9e3779b97f4a7c15ull;
 
-    /** Fold one byte. */
+    /** Fold one byte (FNV-1a). */
     void
     mixByte(uint8_t b)
     {
@@ -37,18 +47,15 @@ class DeterminismDigest
         ++records_;
     }
 
-    /** Fold a 64-bit value, little-endian byte order. */
+    /** Fold a 64-bit value as one word. */
     void
     mixU64(uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            hash_ = (hash_ ^ (v & 0xffu)) * kPrime;
-            v >>= 8;
-        }
+        mixWord(v);
         ++records_;
     }
 
-    /** Fold a string (kind tags, actor names). */
+    /** Fold a string (FNV-1a over its bytes; actor names). */
     void
     mix(std::string_view s)
     {
@@ -58,13 +65,29 @@ class DeterminismDigest
         ++records_;
     }
 
-    /** Fold one (time, kind, actor) record. */
+    /**
+     * Fold one (time, kind, actor) record as words: the time, the kind
+     * in 8-byte chunks (its length in the first chunk's top byte), and
+     * the actor.
+     */
     void
     mixRecord(int64_t time, std::string_view kind, uint64_t actor)
     {
-        mixU64(static_cast<uint64_t>(time));
-        mix(kind);
-        mixU64(actor);
+        mixWord(static_cast<uint64_t>(time));
+        uint64_t chunk = static_cast<uint64_t>(kind.size()) << 56;
+        size_t i = 0;
+        do {
+            for (size_t j = 0; j < 8 && i + j < kind.size(); ++j) {
+                chunk ^= static_cast<uint64_t>(
+                             static_cast<uint8_t>(kind[i + j]))
+                         << (8 * j);
+            }
+            mixWord(chunk);
+            chunk = 0;
+            i += 8;
+        } while (i < kind.size());
+        mixWord(actor);
+        ++records_;
     }
 
     /** The digest so far. */
@@ -82,6 +105,12 @@ class DeterminismDigest
     }
 
   private:
+    void
+    mixWord(uint64_t w)
+    {
+        hash_ = std::rotl((hash_ ^ w) * kWordMul, 31);
+    }
+
     uint64_t hash_ = kOffset;
     uint64_t records_ = 0;
 };
