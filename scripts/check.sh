@@ -2,7 +2,7 @@
 #
 # Tier-1 verification and correctness gates.
 #
-#   scripts/check.sh            # RelWithDebInfo build + full test suite
+#   scripts/check.sh            # RelWithDebInfo -Werror build + full test suite
 #   scripts/check.sh --lint     # + remora-lint over src/, tests/, tools/, bench/
 #   scripts/check.sh --tidy     # + clang-tidy profile (.clang-tidy)
 #   scripts/check.sh --format   # + clang-format dry run (.clang-format)
@@ -75,7 +75,7 @@ run_suite() {
 export LSAN_OPTIONS="suppressions=${PWD}/scripts/lsan.supp${LSAN_OPTIONS:+:${LSAN_OPTIONS}}"
 
 echo "== tier-1: primary build and tests =="
-run_suite build
+run_suite build -DREMORA_WERROR=ON
 GATES_RUN+=("build+tests")
 
 if [[ "${DO_LINT}" == 1 ]]; then

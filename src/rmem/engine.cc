@@ -747,7 +747,7 @@ RmemEngine::serveWrite(net::NodeId src, WriteReq &&req)
                  cpu2.post(cost, sim::CpuCategory::kDataReceive,
                            [this, src, span, op,
                             req = std::move(req)]() mutable {
-                               obs::OpScope opScope(op);
+                               obs::OpScope copyScope(op);
                                // Re-validate: the segment may have been
                                // revoked while the copy was in flight.
                                auto v2 = table_.validate(
@@ -828,7 +828,7 @@ RmemEngine::serveRead(net::NodeId src, ReadReq &&req)
                  node_.cpu().post(
                      cost, sim::CpuCategory::kDataReply,
                      [this, src, span, op, req]() mutable {
-                         obs::OpScope opScope(op);
+                         obs::OpScope copyScope(op);
                          auto v2 = table_.validate(req.srcDescriptor,
                                                    req.generation,
                                                    req.srcOffset, req.count,
@@ -1025,8 +1025,8 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st,
         VectorSubOp sub = std::move(req.ops[i]);
         uint64_t segKey =
             (static_cast<uint64_t>(node_.id()) << 8) | sub.descriptor;
-        sim::Duration cost;
-        sim::CpuCategory cat;
+        sim::Duration cost = 0;
+        sim::CpuCategory cat = sim::CpuCategory::kOther;
         std::optional<sim::Simulator::HintScope> hint;
         switch (sub.kind) {
           case VecOpKind::kWrite:
