@@ -46,7 +46,10 @@ uint32_t crc32Ieee(std::span<const uint8_t> data);
 class Crc32
 {
   public:
-    /** Absorb more bytes into the running checksum. */
+    /**
+     * Absorb more bytes into the running checksum, eight at a time
+     * (slicing-by-8); a tail shorter than eight goes byte by byte.
+     */
     void update(std::span<const uint8_t> data);
 
     /** Final checksum over everything absorbed so far. */

@@ -53,6 +53,51 @@ TEST(Crc32, IncrementalEqualsOneShot)
     EXPECT_EQ(inc.value(), crc32Ieee(data));
 }
 
+/** Bit-at-a-time CRC-32, independent of the table implementation. */
+uint32_t
+crc32Bitwise(std::span<const uint8_t> data)
+{
+    uint32_t crc = 0xffffffffu;
+    for (uint8_t b : data) {
+        crc ^= b;
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+        }
+    }
+    return ~crc;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    std::vector<uint8_t> data(1024 + 8);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    for (size_t start = 0; start < 8; ++start) {
+        for (size_t len = 0; len + start <= 1024; ++len) {
+            std::span<const uint8_t> s(data.data() + start, len);
+            ASSERT_EQ(crc32Ieee(s), crc32Bitwise(s))
+                << "start " << start << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, UpdateSplitAtEveryOffsetEqualsOneCall)
+{
+    std::vector<uint8_t> data(100);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 29 + 11);
+    }
+    uint32_t whole = crc32Ieee(data);
+    std::span<const uint8_t> all(data);
+    for (size_t cut = 0; cut <= data.size(); ++cut) {
+        Crc32 c;
+        c.update(all.first(cut));
+        c.update(all.subspan(cut));
+        EXPECT_EQ(c.value(), whole) << "cut at " << cut;
+    }
+}
+
 TEST(Crc32, ResetRestartsState)
 {
     Crc32 c;
