@@ -774,8 +774,7 @@ RmemEngine::serveWrite(net::NodeId src, WriteReq &&req)
                                // *initiating* node's happens-before
                                // timeline, as does the notify release.
                                RaceDetector::ScopedActor raceScope(
-                                   src, "rmem serve_write from node " +
-                                            std::to_string(src));
+                                   src, "rmem serve_write from node", src);
                                util::Status ws = owner->space().write(
                                    d->base + req.offset, req.data);
                                REMORA_ASSERT(ws.ok());
@@ -854,8 +853,7 @@ RmemEngine::serveRead(net::NodeId src, ReadReq &&req)
                          resp.data.resize(req.count);
                          // The copy-out reads on behalf of the importer.
                          RaceDetector::ScopedActor raceScope(
-                             src, "rmem serve_read from node " +
-                                      std::to_string(src));
+                             src, "rmem serve_read from node", src);
                          util::Status rs = owner->space().read(
                              d->base + req.srcOffset, resp.data);
                          REMORA_ASSERT(rs.ok());
@@ -922,7 +920,7 @@ RmemEngine::serveCas(net::NodeId src, CasReq &&req)
                     node_.id(), req.descriptor, req.offset);
             }
             RaceDetector::ScopedActor raceScope(
-                src, "rmem serve_cas from node " + std::to_string(src));
+                src, "rmem serve_cas from node", src);
             auto word = owner->space().readWord(d->base + req.offset);
             REMORA_ASSERT(word.ok());
             CasResp resp;
@@ -1087,8 +1085,7 @@ RmemEngine::executeVectorSubOp(const std::shared_ptr<VectorServeState> &st,
     // Every sub-op store/load belongs to the initiating node's timeline
     // — the race detector sees per-sub-op byte-range accesses.
     RaceDetector::ScopedActor raceScope(
-        st->src,
-        "rmem serve_vector sub-op from node " + std::to_string(st->src));
+        st->src, "rmem serve_vector sub-op from node", st->src);
     switch (sub.kind) {
       case VecOpKind::kWrite: {
         util::Status ws = owner->space().write(d->base + sub.offset,
@@ -1162,8 +1159,7 @@ RmemEngine::finishVector(const std::shared_ptr<VectorServeState> &st)
     // dangling channel pointer.
     if (!st->notify.empty()) {
         RaceDetector::ScopedActor raceScope(
-            st->src,
-            "rmem vector notify from node " + std::to_string(st->src));
+            st->src, "rmem vector notify from node", st->src);
         for (auto &[segId, recs] : st->notify) {
             SegmentDescriptor *d = table_.get(segId);
             if (d == nullptr || !d->channel) {
@@ -1221,8 +1217,7 @@ RmemEngine::completeRead(net::NodeId src, ReadResp &&resp)
             mem::Process *proc = node_.findProcess(p.dstPid);
             if (proc != nullptr) {
                 RaceDetector::ScopedActor raceScope(
-                    node_.id(), "rmem deposit_read on node " +
-                                    std::to_string(node_.id()));
+                    node_.id(), "rmem deposit_read on node", node_.id());
                 util::Status ws = proc->space().write(p.dstVa, data);
                 REMORA_ASSERT(ws.ok());
             }
@@ -1317,8 +1312,7 @@ RmemEngine::completeVector(net::NodeId src, VectorResp &&resp)
          results = std::move(resp.results)]() mutable {
             obs::OpScope opScope(op);
             RaceDetector::ScopedActor raceScope(
-                node_.id(), "rmem deposit_vector on node " +
-                                std::to_string(node_.id()));
+                node_.id(), "rmem deposit_vector on node", node_.id());
             // Reader-side notifications coalesce per destination
             // segment, exactly like the serving side's doorbells.
             std::map<SegmentId, std::vector<Notification>> notify;

@@ -316,6 +316,16 @@ RaceDetector::ScopedActor::ScopedActor(ActorId actor, std::string site)
     }
 }
 
+RaceDetector::ScopedActor::ScopedActor(ActorId actor, const char *site,
+                                       net::NodeId node)
+    : active_(RaceDetector::on())
+{
+    if (active_) {
+        instance().actorStack_.emplace_back(
+            actor, std::string(site) + " " + std::to_string(node));
+    }
+}
+
 RaceDetector::ScopedActor::~ScopedActor()
 {
     if (active_) {

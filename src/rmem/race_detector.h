@@ -278,6 +278,13 @@ class RaceDetector
     {
       public:
         ScopedActor(ActorId actor, std::string site);
+
+        /**
+         * As above, with the label "<site> <node>" (e.g. "rmem
+         * serve_write from node 2") built only when the detector is
+         * armed. @p site must be a static string.
+         */
+        ScopedActor(ActorId actor, const char *site, net::NodeId node);
         ScopedActor(const ScopedActor &) = delete;
         ScopedActor &operator=(const ScopedActor &) = delete;
         ~ScopedActor();

@@ -130,7 +130,13 @@ WaitGraph::waitDone(Entity e)
 void
 WaitGraph::parked(const void *who, const std::string &site, bool daemon)
 {
-    parked_.insert_or_assign(who, Park{site, daemon});
+    parked_.insert_or_assign(who, Park{nullptr, site, daemon});
+}
+
+void
+WaitGraph::parked(const void *who, const char *site, bool daemon)
+{
+    parked_.insert_or_assign(who, Park{site, {}, daemon});
 }
 
 void
@@ -235,7 +241,8 @@ WaitGraph::quiescenceReports(Time now) const
         rep.kind = HangReport::Kind::kBlockedTask;
         rep.at = now;
         rep.detail = "coroutine parked forever (no wakeup pending)";
-        rep.parties.push_back(park.site);
+        rep.parties.push_back(park.staticSite != nullptr ? park.staticSite
+                                                         : park.site);
         out.push_back(std::move(rep));
     }
     return out;

@@ -119,6 +119,12 @@ class WaitGraph
      */
     void parked(const void *who, const std::string &site, bool daemon);
 
+    /**
+     * As above, for a static @p site label: nothing is built or copied,
+     * so hot park sites (every future await) stay string-free.
+     */
+    void parked(const void *who, const char *site, bool daemon);
+
     /** The wakeup keyed by @p who arrived; the park is over. */
     void unparked(const void *who);
 
@@ -178,6 +184,8 @@ class WaitGraph
     };
     struct Park
     {
+        /** The static site label, or nullptr when `site` holds it. */
+        const char *staticSite = nullptr;
         std::string site;
         bool daemon = false;
     };

@@ -375,8 +375,10 @@ TEST(RaceDetectorCluster, TwoImporterWritesCaughtUnderEverySeed)
         EXPECT_EQ(r.lo, 32u);
         EXPECT_EQ(r.hi, 64u);
         // Both sides name the initiating importer and carry clocks.
-        EXPECT_NE(r.prior.site.find("serve_write"), std::string::npos);
-        EXPECT_NE(r.current.site.find("serve_write"), std::string::npos);
+        EXPECT_EQ(r.prior.site, "rmem serve_write from node " +
+                                    std::to_string(r.prior.actor));
+        EXPECT_EQ(r.current.site, "rmem serve_write from node " +
+                                      std::to_string(r.current.actor));
         EXPECT_NE(r.prior.actor, r.current.actor);
         EXPECT_FALSE(r.prior.clock.empty());
         EXPECT_FALSE(r.current.clock.empty());
@@ -427,8 +429,10 @@ TEST(RaceDetectorCluster, OverlappingVectoredWritesCaughtPerSubOp)
         EXPECT_EQ(r.segmentName, "shared");
         EXPECT_EQ(r.lo, 32u);
         EXPECT_EQ(r.hi, 64u);
-        EXPECT_NE(r.prior.site.find("serve_vector"), std::string::npos);
-        EXPECT_NE(r.current.site.find("serve_vector"), std::string::npos);
+        EXPECT_EQ(r.prior.site, "rmem serve_vector sub-op from node " +
+                                    std::to_string(r.prior.actor));
+        EXPECT_EQ(r.current.site, "rmem serve_vector sub-op from node " +
+                                      std::to_string(r.current.actor));
         EXPECT_NE(r.prior.actor, r.current.actor);
     }
 }
@@ -609,7 +613,7 @@ TEST(RaceDetectorCluster, FlagFirstPublishIsCaught)
     EXPECT_LE(r.hi, 32u); // ...the body bytes are what race
     EXPECT_TRUE(r.prior.write);
     EXPECT_FALSE(r.current.write);
-    EXPECT_NE(r.current.site.find("serve_read"), std::string::npos);
+    EXPECT_EQ(r.current.site, "rmem serve_read from node 2");
 }
 
 /** The correct order — body, then flag — probes clean. */
