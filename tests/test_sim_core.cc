@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -123,6 +126,235 @@ TEST(Simulator, EventsCanScheduleEvents)
     EXPECT_EQ(depth, 100);
     EXPECT_EQ(sim.now(), 100);
     EXPECT_EQ(sim.eventsProcessed(), 100u);
+}
+
+// ----------------------------------------------------------------------
+// Event core: handles, eager cancel, callback storage, decision points
+// ----------------------------------------------------------------------
+
+TEST(EventCore, StaleHandleDoesNotCancelTheSlotsNextEvent)
+{
+    Simulator sim;
+    int first = 0;
+    int second = 0;
+    EventId cancelled = sim.schedule(5, [&] { ++first; });
+    sim.cancel(cancelled);
+    // The next event reuses the freed slot; the old handle must miss it.
+    EventId reused = sim.schedule(5, [&] { ++second; });
+    EXPECT_NE(cancelled, reused);
+    sim.cancel(cancelled);
+    sim.run();
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 1);
+    // A handle whose event already ran is just as stale.
+    sim.schedule(5, [&] { ++second; });
+    sim.cancel(reused);
+    sim.run();
+    EXPECT_EQ(second, 2);
+}
+
+TEST(EventCore, EventCancelsASameInstantSibling)
+{
+    Simulator sim;
+    std::vector<int> order;
+    EventId sibling = 0;
+    sim.schedule(10, [&] {
+        order.push_back(1);
+        sim.cancel(sibling);
+    });
+    sibling = sim.schedule(10, [&] { order.push_back(2); });
+    sim.schedule(10, [&] { order.push_back(3); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3}));
+    EXPECT_EQ(sim.eventsProcessed(), 2u);
+}
+
+TEST(EventCore, EventCancellingItselfIsANoOp)
+{
+    // A running event is no longer pending: cancelling its own handle
+    // neither stops it nor leaves a cancel record in the digest.
+    auto digestAfter = [](bool selfCancel) {
+        Simulator sim;
+        int runs = 0;
+        EventId self = 0;
+        self = sim.schedule(10, [&] {
+            ++runs;
+            if (selfCancel) {
+                sim.cancel(self);
+            }
+        });
+        sim.run();
+        EXPECT_EQ(runs, 1);
+        return sim.digest().value();
+    };
+    EXPECT_EQ(digestAfter(true), digestAfter(false));
+}
+
+/** Counts its own destruction; a capture holds it by unique_ptr. */
+struct LifeProbe
+{
+    explicit LifeProbe(int *destroyed) : destroyed_(destroyed) {}
+    LifeProbe(const LifeProbe &) = delete;
+    LifeProbe &operator=(const LifeProbe &) = delete;
+    ~LifeProbe() { ++*destroyed_; }
+
+  private:
+    int *destroyed_;
+};
+
+enum class Fate
+{
+    kRun,
+    kCancel,
+    kPendingAtTeardown,
+};
+
+/**
+ * Schedule the callback @p make builds under each fate and check it
+ * runs at most once and its capture is destroyed exactly once.
+ */
+template <typename Make>
+void
+checkEveryFate(Make make)
+{
+    for (Fate fate : {Fate::kRun, Fate::kCancel, Fate::kPendingAtTeardown}) {
+        int runs = 0;
+        int destroyed = 0;
+        {
+            Simulator sim;
+            EventId id = sim.schedule(10, make(&runs, &destroyed));
+            EXPECT_EQ(destroyed, 0);
+            if (fate == Fate::kRun) {
+                sim.run();
+                EXPECT_EQ(destroyed, 1);
+            } else if (fate == Fate::kCancel) {
+                sim.cancel(id);
+                EXPECT_EQ(destroyed, 1); // cancel destroys at once
+                sim.run();
+            }
+        }
+        EXPECT_EQ(runs, fate == Fate::kRun ? 1 : 0);
+        EXPECT_EQ(destroyed, 1);
+    }
+}
+
+TEST(EventCore, MoveOnlyCaptureRunsOnceAndIsDestroyedOnce)
+{
+    checkEveryFate([](int *runs, int *destroyed) {
+        return [probe = std::make_unique<LifeProbe>(destroyed), runs] {
+            ++*runs;
+        };
+    });
+}
+
+TEST(EventCore, OversizedCaptureRunsOnceAndIsDestroyedOnce)
+{
+    using Pad = std::array<uint64_t, 32>;
+    static_assert(sizeof(Pad) > Callback::kInlineBytes);
+    checkEveryFate([](int *runs, int *destroyed) {
+        Pad pad{};
+        pad.back() = 1;
+        return [pad, probe = std::make_unique<LifeProbe>(destroyed), runs] {
+            *runs += static_cast<int>(pad.back());
+        };
+    });
+}
+
+TEST(EventCore, CancelLeavesNoTombstones)
+{
+    Simulator sim;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 10; ++i) {
+        ids.push_back(sim.schedule(10 + i, [] {}));
+    }
+    for (size_t i = 0; i < ids.size(); i += 3) {
+        sim.cancel(ids[i]);
+    }
+    EXPECT_EQ(sim.pendingEvents(), 6u);
+    EXPECT_EQ(sim.pendingEvents(), sim.livePendingEvents());
+    EXPECT_EQ(sim.run(), 6u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_TRUE(sim.allDone());
+}
+
+/** Runs the last ready event; records every ready set it is offered. */
+class LastReadyPolicy final : public SchedulePolicy
+{
+  public:
+    size_t
+    choose(Simulator &, const std::vector<ReadyChoice> &ready) override
+    {
+        std::vector<uint64_t> ids;
+        for (const ReadyChoice &c : ready) {
+            ids.push_back(c.id);
+        }
+        offered.push_back(ids);
+        return ready.size() - 1;
+    }
+
+    std::vector<std::vector<uint64_t>> offered;
+};
+
+TEST(EventCore, DecisionPointsCountTiesWithAndWithoutAPolicy)
+{
+    // Ready sets: {1,2,3} then {1,2} at t=5, {4,5} at t=7, {6} at t=9.
+    auto decisions = [](SchedulePolicy *policy) {
+        Simulator sim;
+        sim.setPolicy(policy);
+        for (Time t : {5, 5, 5, 7, 7, 9}) {
+            sim.scheduleAt(t, [] {});
+        }
+        sim.run();
+        return sim.decisionPoints();
+    };
+    EXPECT_EQ(decisions(nullptr), 3u);
+    LastReadyPolicy last;
+    EXPECT_EQ(decisions(&last), 3u);
+    // Ready ids are insertion sequence numbers, in insertion order.
+    EXPECT_EQ(last.offered, (std::vector<std::vector<uint64_t>>{
+                                {1, 2, 3}, {1, 2}, {4, 5}}));
+}
+
+TEST(EventCore, PolicySeesTheWholeTieAcrossHeapLevels)
+{
+    // Later events interleaved with the tie spread it over several
+    // heap levels; the policy must still be offered every tied event.
+    Simulator sim;
+    LastReadyPolicy last;
+    sim.setPolicy(&last);
+    std::vector<int> order;
+    for (int i = 0; i < 20; ++i) {
+        sim.scheduleAt(100 + i, [] {});
+        sim.scheduleAt(50, [&order, i] { order.push_back(i); });
+    }
+    sim.run(50);
+    ASSERT_EQ(order.size(), 20u);
+    for (int i = 0; i < 20; ++i) {
+        EXPECT_EQ(order[static_cast<size_t>(i)], 19 - i);
+    }
+    ASSERT_FALSE(last.offered.empty());
+    EXPECT_EQ(last.offered.front().size(), 20u);
+    EXPECT_EQ(sim.pendingEvents(), 20u);
+}
+
+TEST(EventCore, PerturbedTieOrderIsPinned)
+{
+    // PerturbPolicy keys on ReadyChoice::id, so these orders hold only
+    // while ids stay insertion sequence numbers: perturbed schedules
+    // (race gate seeds, REMORA_PERTURB repros) keep reproducing.
+    const char *expected[] = {"cdefab", "cdeabf", "dbcaef", "cfeabd",
+                              "dbfaec", "dbcfae", "fcebda", "dbfcae"};
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        Simulator sim;
+        sim.setPerturbation(seed);
+        std::string order;
+        for (char tag : {'a', 'b', 'c', 'd', 'e', 'f'}) {
+            sim.schedule(10, [&order, tag] { order.push_back(tag); });
+        }
+        sim.run();
+        EXPECT_EQ(order, expected[seed - 1]) << "seed " << seed;
+        EXPECT_EQ(sim.decisionPoints(), 5u);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -276,6 +508,26 @@ TEST(Future, VoidSpecialization)
     sim.run();
     EXPECT_TRUE(resumed);
     EXPECT_TRUE(t.done());
+}
+
+TEST(Future, NeverSetFutureReportsItsParkSite)
+{
+    Simulator sim;
+    Promise<int> p(sim);
+    auto t = [](Future<int> f) -> Task<int> { co_return co_await f; }(
+        p.future());
+    sim.run();
+    EXPECT_EQ(sim.blockedTaskCount(), 1u);
+    auto reports = sim.waitGraph().quiescenceReports(sim.now());
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].format(),
+              "HANG (blocked-task) at t=0 — coroutine parked forever "
+              "(no wakeup pending)\n"
+              "  future.wait (one-shot rendezvous)\n");
+    p.set(1);
+    sim.run();
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(sim.blockedTaskCount(), 0u);
 }
 
 TEST(Future, ExceptionDelivery)
