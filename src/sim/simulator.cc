@@ -242,7 +242,7 @@ Simulator::tieAtTop() const
 }
 
 size_t
-Simulator::choose(Time when)
+Simulator::pickReady(Time when)
 {
     // Collect the heap positions of every event at `when`. Heap order
     // means a subtree whose root is later holds nothing at `when`.
@@ -256,11 +256,13 @@ Simulator::choose(Time when)
             }
         }
     }
-    std::sort(readyPos_.begin(), readyPos_.end(),
-              [this](size_t a, size_t b) { return heap_[a].seq < heap_[b].seq; });
+    std::sort(readyPos_.begin(), readyPos_.end(), [this](size_t a, size_t b) {
+        return heap_[a].seq < heap_[b].seq;
+    });
     ready_.clear();
     for (size_t pos : readyPos_) {
-        ready_.push_back(ReadyChoice{heap_[pos].seq, event(heap_[pos].slot).hint});
+        const HeapEntry &e = heap_[pos];
+        ready_.push_back(ReadyChoice{e.seq, event(e.slot).hint});
     }
     size_t chosen = policy_->choose(*this, ready_);
     REMORA_ASSERT(chosen < ready_.size());
@@ -330,7 +332,7 @@ Simulator::step()
     if (tieAtTop()) {
         ++decisions_;
         if (policy_ != nullptr) {
-            pos = choose(heap_[0].when);
+            pos = pickReady(heap_[0].when);
         }
     }
     HeapEntry top = heap_[pos];

@@ -598,7 +598,7 @@ class Simulator
     void siftDown(size_t pos, const HeapEntry &e);
     void place(size_t pos, const HeapEntry &e);
     bool tieAtTop() const;
-    size_t choose(Time when);
+    size_t pickReady(Time when);
 
     Time now_ = 0;
     uint64_t nextSeq_ = 1;
