@@ -55,9 +55,10 @@ namespace remora::sim {
 
 /**
  * Opaque handle identifying a scheduled event, usable for cancellation.
- * It tags the event's pool slot with the slot's generation, so a handle
- * kept past its event's run or cancellation never reaches a later event
- * that reuses the slot. Zero is never a valid handle.
+ * It tags the event's pool slot with the slot's 32-bit generation, so a
+ * handle kept past its event's run or cancellation misses later events
+ * that reuse the slot (until that slot's generation wraps, after 2^32
+ * reuses). Zero is never a valid handle.
  */
 using EventId = uint64_t;
 
@@ -220,8 +221,9 @@ class Callback
 {
   public:
     /**
-     * Inline capture budget: `[this, net::Cell]`, the capture of the
-     * per-cell link and switch events, which dominate event counts.
+     * Inline capture budget: a pointer plus a 64-byte net::Cell, the
+     * capture of the per-cell link delivery and switch forwarding
+     * events, which dominate event counts.
      */
     static constexpr size_t kInlineBytes = 72;
 
@@ -323,7 +325,7 @@ class Callback
         static D *
         get(void *p)
         {
-            D *boxed;
+            D *boxed = nullptr;
             std::memcpy(&boxed, p, sizeof boxed);
             return boxed;
         }
