@@ -15,8 +15,7 @@ constexpr sim::Duration kDxReadTimeout = sim::msec(100);
 constexpr uint32_t kScratchSlotBytes = 20480;
 constexpr uint32_t kScratchSlots = 4;
 
-// ---- Reply decoders shared by HY and RPC backends --------------------
-
+/** The reply's status word (kMalformed when the body is too short). */
 util::Status
 replyStatus(rpc::Unmarshal &u)
 {
@@ -31,81 +30,31 @@ replyStatus(rpc::Unmarshal &u)
     return {};
 }
 
-util::Result<FileAttr>
-decodeAttrReply(const std::vector<uint8_t> &body)
-{
-    rpc::Unmarshal u(body);
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    return getFileAttr(u);
-}
-
-util::Result<LookupReply>
-decodeLookupReply(const std::vector<uint8_t> &body)
-{
-    rpc::Unmarshal u(body);
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    LookupReply r;
-    r.fh = getFileHandle(u);
-    r.attr = getFileAttr(u);
-    return r;
-}
-
-util::Result<std::vector<uint8_t>>
-decodeReadReply(const std::vector<uint8_t> &body)
-{
-    rpc::Unmarshal u(body);
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    getFileAttr(u);
-    return u.getOpaque();
-}
-
+/** A status-only reply (NULL, WRITE), or the call's own failure. */
 util::Status
-decodeWriteReply(const std::vector<uint8_t> &body)
+statusReply(const util::Result<std::vector<uint8_t>> &reply)
 {
-    rpc::Unmarshal u(body);
+    if (!reply.ok()) {
+        return reply.status();
+    }
+    rpc::Unmarshal u(reply.value());
     return replyStatus(u);
 }
 
-util::Result<std::string>
-decodeReadLinkReply(const std::vector<uint8_t> &body)
+/** Decode a reply whose body @p decode reads after the status word. */
+template <typename T, typename Decode>
+util::Result<T>
+decodeReply(const util::Result<std::vector<uint8_t>> &reply, Decode decode)
 {
-    rpc::Unmarshal u(body);
+    if (!reply.ok()) {
+        return reply.status();
+    }
+    rpc::Unmarshal u(reply.value());
     util::Status s = replyStatus(u);
     if (!s.ok()) {
         return s;
     }
-    return u.getString();
-}
-
-util::Result<std::vector<DirEntry>>
-decodeReadDirReply(const std::vector<uint8_t> &body)
-{
-    rpc::Unmarshal u(body);
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    return getDirEntries(u);
-}
-
-util::Result<FsStat>
-decodeStatFsReply(const std::vector<uint8_t> &body)
-{
-    rpc::Unmarshal u(body);
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    return getFsStat(u);
+    return decode(u);
 }
 
 } // namespace
@@ -118,9 +67,11 @@ DxBackend::DxBackend(rmem::RmemEngine &engine, mem::Process &clerkProcess,
                      const ServerAreaHandles &areas,
                      const CacheGeometry &geometry,
                      rpc::Hybrid1Client *fallback)
-    : engine_(engine), process_(clerkProcess), areas_(areas), geo_(geometry),
-      fallback_(fallback)
+    : engine_(engine), process_(clerkProcess), areas_(areas), geo_(geometry)
 {
+    if (fallback != nullptr) {
+        fallback_.emplace(*fallback);
+    }
     uint32_t bytes = kScratchSlots * kScratchSlotBytes;
     scratchBase_ = process_.space().allocRegion(bytes);
     auto h = engine_.exportSegment(process_, scratchBase_, bytes,
@@ -177,12 +128,8 @@ DxBackend::getattr(FileHandle fh)
         co_return bytes.status();
     }
     ++misses_;
-    if (fallback_ != nullptr) {
-        auto reply = co_await fallback_->call(encodeGetAttrCall(fh));
-        if (!reply.ok()) {
-            co_return reply.status();
-        }
-        co_return decodeAttrReply(reply.value());
+    if (fallback_) {
+        co_return co_await fallback_->getattr(fh);
     }
     co_return util::Status(util::ErrorCode::kNotFound,
                            "attr not in server cache");
@@ -206,12 +153,8 @@ DxBackend::lookup(FileHandle dir, std::string name)
         co_return bytes.status();
     }
     ++misses_;
-    if (fallback_ != nullptr) {
-        auto reply = co_await fallback_->call(encodeLookupCall(dir, name));
-        if (!reply.ok()) {
-            co_return reply.status();
-        }
-        co_return decodeLookupReply(reply.value());
+    if (fallback_) {
+        co_return co_await fallback_->lookup(dir, std::move(name));
     }
     co_return util::Status(util::ErrorCode::kNotFound,
                            "name not in server cache");
@@ -300,13 +243,10 @@ DxBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
             if (hdr.flag != kSlotValid || hdr.fhKey != fh.key() ||
                 hdr.blockNo != b.blockNo) {
                 ++misses_;
-                if (fallback_ != nullptr) {
-                    auto reply = co_await fallback_->call(
-                        encodeReadCall(fh, offset, count));
-                    if (!reply.ok()) {
-                        co_return reply.status();
-                    }
-                    co_return decodeReadReply(reply.value());
+                if (fallback_) {
+                    // One call serves the whole read and returns.
+                    // NOLINTNEXTLINE(remora-scalar-op-loop)
+                    co_return co_await fallback_->read(fh, offset, count);
                 }
                 co_return util::Status(util::ErrorCode::kNotFound,
                                        "block not in server cache");
@@ -413,13 +353,11 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
                 // would mark a foreign prefix valid under our key. Let
                 // the server do the read-modify-write instead.
                 ++misses_;
-                if (fallback_ != nullptr) {
-                    auto reply = co_await fallback_->call(
-                        encodeWriteCall(fh, offset, data));
-                    if (!reply.ok()) {
-                        co_return reply.status();
-                    }
-                    co_return decodeWriteReply(reply.value());
+                if (fallback_) {
+                    // One call serves the whole write and returns.
+                    // NOLINTNEXTLINE(remora-scalar-op-loop)
+                    co_return co_await fallback_->write(fh, offset,
+                                                        std::move(data));
                 }
                 co_return util::Status(
                     util::ErrorCode::kNotFound,
@@ -510,12 +448,8 @@ DxBackend::readlink(FileHandle fh)
         co_return bytes.status();
     }
     ++misses_;
-    if (fallback_ != nullptr) {
-        auto reply = co_await fallback_->call(encodeReadLinkCall(fh));
-        if (!reply.ok()) {
-            co_return reply.status();
-        }
-        co_return decodeReadLinkReply(reply.value());
+    if (fallback_) {
+        co_return co_await fallback_->readlink(fh);
     }
     co_return util::Status(util::ErrorCode::kNotFound,
                            "symlink not in server cache");
@@ -541,13 +475,8 @@ DxBackend::readdir(FileHandle fh, uint32_t maxBytes)
         co_return bytes.status();
     }
     ++misses_;
-    if (fallback_ != nullptr) {
-        auto reply =
-            co_await fallback_->call(encodeReadDirCall(fh, maxBytes));
-        if (!reply.ok()) {
-            co_return reply.status();
-        }
-        co_return decodeReadDirReply(reply.value());
+    if (fallback_) {
+        co_return co_await fallback_->readdir(fh, maxBytes);
     }
     co_return util::Status(util::ErrorCode::kNotFound,
                            "directory not in server cache");
@@ -571,8 +500,72 @@ DxBackend::statfs()
 }
 
 // ----------------------------------------------------------------------
-// HyBackend
+// MarshaledBackend and its transports
 // ----------------------------------------------------------------------
+
+sim::Task<util::Status>
+MarshaledBackend::null()
+{
+    auto reply = co_await roundTrip(encodeNullCall());
+    co_return statusReply(reply);
+}
+
+sim::Task<util::Result<FileAttr>>
+MarshaledBackend::getattr(FileHandle fh)
+{
+    auto reply = co_await roundTrip(encodeGetAttrCall(fh));
+    co_return decodeReply<FileAttr>(reply, getFileAttr);
+}
+
+sim::Task<util::Result<LookupReply>>
+MarshaledBackend::lookup(FileHandle dir, std::string name)
+{
+    auto reply = co_await roundTrip(encodeLookupCall(dir, name));
+    co_return decodeReply<LookupReply>(reply, [](rpc::Unmarshal &u) {
+        FileHandle fh = getFileHandle(u);
+        return LookupReply{fh, getFileAttr(u)};
+    });
+}
+
+sim::Task<util::Result<std::vector<uint8_t>>>
+MarshaledBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
+{
+    auto reply = co_await roundTrip(encodeReadCall(fh, offset, count));
+    co_return decodeReply<std::vector<uint8_t>>(reply, [](rpc::Unmarshal &u) {
+        getFileAttr(u);
+        return u.getOpaque();
+    });
+}
+
+sim::Task<util::Status>
+MarshaledBackend::write(FileHandle fh, uint64_t offset,
+                        std::vector<uint8_t> data)
+{
+    auto reply = co_await roundTrip(encodeWriteCall(fh, offset, data));
+    co_return statusReply(reply);
+}
+
+sim::Task<util::Result<std::string>>
+MarshaledBackend::readlink(FileHandle fh)
+{
+    auto reply = co_await roundTrip(encodeReadLinkCall(fh));
+    co_return decodeReply<std::string>(
+        reply, [](rpc::Unmarshal &u) { return u.getString(); });
+}
+
+sim::Task<util::Result<std::vector<DirEntry>>>
+MarshaledBackend::readdir(FileHandle fh, uint32_t maxBytes)
+{
+    auto reply = co_await roundTrip(encodeReadDirCall(fh, maxBytes));
+    co_return decodeReply<std::vector<DirEntry>>(reply, getDirEntries);
+}
+
+sim::Task<util::Result<FsStat>>
+MarshaledBackend::statfs()
+{
+    auto reply = co_await roundTrip(encodeStatFsCall(FileHandle{}));
+    co_return decodeReply<FsStat>(reply, getFsStat);
+}
 
 sim::Task<util::Result<std::vector<uint8_t>>>
 HyBackend::roundTrip(std::vector<uint8_t> body)
@@ -581,163 +574,11 @@ HyBackend::roundTrip(std::vector<uint8_t> body)
     co_return reply;
 }
 
-sim::Task<util::Status>
-HyBackend::null()
-{
-    auto reply = co_await roundTrip(encodeNullCall());
-    co_return reply.ok() ? decodeWriteReply(reply.value()) : reply.status();
-}
-
-sim::Task<util::Result<FileAttr>>
-HyBackend::getattr(FileHandle fh)
-{
-    auto reply = co_await roundTrip(encodeGetAttrCall(fh));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeAttrReply(reply.value());
-}
-
-sim::Task<util::Result<LookupReply>>
-HyBackend::lookup(FileHandle dir, std::string name)
-{
-    auto reply = co_await roundTrip(encodeLookupCall(dir, name));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeLookupReply(reply.value());
-}
-
-sim::Task<util::Result<std::vector<uint8_t>>>
-HyBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
-{
-    auto reply = co_await roundTrip(encodeReadCall(fh, offset, count));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadReply(reply.value());
-}
-
-sim::Task<util::Status>
-HyBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
-{
-    auto reply = co_await roundTrip(encodeWriteCall(fh, offset, data));
-    co_return reply.ok() ? decodeWriteReply(reply.value()) : reply.status();
-}
-
-sim::Task<util::Result<std::string>>
-HyBackend::readlink(FileHandle fh)
-{
-    auto reply = co_await roundTrip(encodeReadLinkCall(fh));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadLinkReply(reply.value());
-}
-
-sim::Task<util::Result<std::vector<DirEntry>>>
-HyBackend::readdir(FileHandle fh, uint32_t maxBytes)
-{
-    auto reply = co_await roundTrip(encodeReadDirCall(fh, maxBytes));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadDirReply(reply.value());
-}
-
-sim::Task<util::Result<FsStat>>
-HyBackend::statfs()
-{
-    auto reply = co_await roundTrip(encodeStatFsCall(FileHandle{}));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeStatFsReply(reply.value());
-}
-
-// ----------------------------------------------------------------------
-// RpcBackend
-// ----------------------------------------------------------------------
-
 sim::Task<util::Result<std::vector<uint8_t>>>
 RpcBackend::roundTrip(std::vector<uint8_t> body)
 {
     auto reply = co_await transport_.call(server_, 1, std::move(body));
     co_return reply;
-}
-
-sim::Task<util::Status>
-RpcBackend::null()
-{
-    auto reply = co_await roundTrip(encodeNullCall());
-    co_return reply.ok() ? decodeWriteReply(reply.value()) : reply.status();
-}
-
-sim::Task<util::Result<FileAttr>>
-RpcBackend::getattr(FileHandle fh)
-{
-    auto reply = co_await roundTrip(encodeGetAttrCall(fh));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeAttrReply(reply.value());
-}
-
-sim::Task<util::Result<LookupReply>>
-RpcBackend::lookup(FileHandle dir, std::string name)
-{
-    auto reply = co_await roundTrip(encodeLookupCall(dir, name));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeLookupReply(reply.value());
-}
-
-sim::Task<util::Result<std::vector<uint8_t>>>
-RpcBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
-{
-    auto reply = co_await roundTrip(encodeReadCall(fh, offset, count));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadReply(reply.value());
-}
-
-sim::Task<util::Status>
-RpcBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
-{
-    auto reply = co_await roundTrip(encodeWriteCall(fh, offset, data));
-    co_return reply.ok() ? decodeWriteReply(reply.value()) : reply.status();
-}
-
-sim::Task<util::Result<std::string>>
-RpcBackend::readlink(FileHandle fh)
-{
-    auto reply = co_await roundTrip(encodeReadLinkCall(fh));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadLinkReply(reply.value());
-}
-
-sim::Task<util::Result<std::vector<DirEntry>>>
-RpcBackend::readdir(FileHandle fh, uint32_t maxBytes)
-{
-    auto reply = co_await roundTrip(encodeReadDirCall(fh, maxBytes));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeReadDirReply(reply.value());
-}
-
-sim::Task<util::Result<FsStat>>
-RpcBackend::statfs()
-{
-    auto reply = co_await roundTrip(encodeStatFsCall(FileHandle{}));
-    if (!reply.ok()) {
-        co_return reply.status();
-    }
-    co_return decodeStatFsReply(reply.value());
 }
 
 } // namespace remora::dfs

@@ -15,11 +15,14 @@
  *
  * All three speak the same marshaled call bodies and answer from the
  * same FileStore, so differences in latency and server load are pure
- * communication structure.
+ * communication structure. HY and RPC share one implementation of the
+ * operations (MarshaledBackend) and differ only in roundTrip(); DX sends
+ * its cache misses through a HyBackend.
  */
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,6 +82,77 @@ class FileServiceBackend
     virtual const char *name() const = 0;
 };
 
+/**
+ * A backend that speaks marshaled calls: each operation encodes its call
+ * body, hands it to roundTrip(), and decodes the reply. The Hybrid-1 and
+ * RPC backends are transports over this one implementation — they
+ * override roundTrip() only, in the spirit of Mercury's single RPC
+ * abstraction over pluggable transports.
+ */
+class MarshaledBackend : public FileServiceBackend
+{
+  public:
+    sim::Task<util::Status> null() override;
+    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
+    sim::Task<util::Result<LookupReply>> lookup(
+        FileHandle dir, std::string name) override;
+    sim::Task<util::Result<std::vector<uint8_t>>> read(
+        FileHandle fh, uint64_t offset, uint32_t count) override;
+    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
+                                  std::vector<uint8_t> data) override;
+    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
+    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
+        FileHandle fh, uint32_t maxBytes) override;
+    sim::Task<util::Result<FsStat>> statfs() override;
+
+  protected:
+    /** Issue one marshaled call and return its reply body. */
+    virtual sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
+        std::vector<uint8_t> body) = 0;
+};
+
+/** Hybrid-1 backend: marshaled calls over write-with-notification. */
+class HyBackend : public MarshaledBackend
+{
+  public:
+    /**
+     * @param client A bound Hybrid-1 client endpoint.
+     */
+    explicit HyBackend(rpc::Hybrid1Client &client) : client_(client) {}
+
+    const char *name() const override { return "hy"; }
+
+  protected:
+    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
+        std::vector<uint8_t> body) override;
+
+  private:
+    rpc::Hybrid1Client &client_;
+};
+
+/** Conventional-RPC backend (six-step thread model baseline). */
+class RpcBackend : public MarshaledBackend
+{
+  public:
+    /**
+     * @param transport The client node's RPC transport.
+     * @param server The server's node id.
+     */
+    RpcBackend(rpc::RpcTransport &transport, net::NodeId server)
+        : transport_(transport), server_(server)
+    {}
+
+    const char *name() const override { return "rpc"; }
+
+  protected:
+    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
+        std::vector<uint8_t> body) override;
+
+  private:
+    rpc::RpcTransport &transport_;
+    net::NodeId server_;
+};
+
 /** Pure-data-transfer backend over the server's exported cache areas. */
 class DxBackend : public FileServiceBackend
 {
@@ -133,77 +207,13 @@ class DxBackend : public FileServiceBackend
     mem::Process &process_;
     ServerAreaHandles areas_;
     CacheGeometry geo_;
-    rpc::Hybrid1Client *fallback_;
+    /** Where cache misses go: Hybrid-1 calls to the server process. */
+    std::optional<HyBackend> fallback_;
     mem::Vaddr scratchBase_ = 0;
     rmem::SegmentId scratchSeg_ = 0;
     uint32_t scratchCursor_ = 0;
     uint64_t misses_ = 0;
     uint64_t windowShrinks_ = 0;
-};
-
-/** Hybrid-1 backend: marshaled calls over write-with-notification. */
-class HyBackend : public FileServiceBackend
-{
-  public:
-    /**
-     * @param client A bound Hybrid-1 client endpoint.
-     */
-    explicit HyBackend(rpc::Hybrid1Client &client) : client_(client) {}
-
-    sim::Task<util::Status> null() override;
-    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
-    sim::Task<util::Result<LookupReply>> lookup(
-        FileHandle dir, std::string name) override;
-    sim::Task<util::Result<std::vector<uint8_t>>> read(
-        FileHandle fh, uint64_t offset, uint32_t count) override;
-    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
-                                  std::vector<uint8_t> data) override;
-    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
-    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
-        FileHandle fh, uint32_t maxBytes) override;
-    sim::Task<util::Result<FsStat>> statfs() override;
-    const char *name() const override { return "hy"; }
-
-  private:
-    /** Issue one marshaled call and return its reply body. */
-    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
-        std::vector<uint8_t> body);
-
-    rpc::Hybrid1Client &client_;
-};
-
-/** Conventional-RPC backend (six-step thread model baseline). */
-class RpcBackend : public FileServiceBackend
-{
-  public:
-    /**
-     * @param transport The client node's RPC transport.
-     * @param server The server's node id.
-     */
-    RpcBackend(rpc::RpcTransport &transport, net::NodeId server)
-        : transport_(transport), server_(server)
-    {}
-
-    sim::Task<util::Status> null() override;
-    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh) override;
-    sim::Task<util::Result<LookupReply>> lookup(
-        FileHandle dir, std::string name) override;
-    sim::Task<util::Result<std::vector<uint8_t>>> read(
-        FileHandle fh, uint64_t offset, uint32_t count) override;
-    sim::Task<util::Status> write(FileHandle fh, uint64_t offset,
-                                  std::vector<uint8_t> data) override;
-    sim::Task<util::Result<std::string>> readlink(FileHandle fh) override;
-    sim::Task<util::Result<std::vector<DirEntry>>> readdir(
-        FileHandle fh, uint32_t maxBytes) override;
-    sim::Task<util::Result<FsStat>> statfs() override;
-    const char *name() const override { return "rpc"; }
-
-  private:
-    sim::Task<util::Result<std::vector<uint8_t>>> roundTrip(
-        std::vector<uint8_t> body);
-
-    rpc::RpcTransport &transport_;
-    net::NodeId server_;
 };
 
 } // namespace remora::dfs

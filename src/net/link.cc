@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "net/fault.h"
 #include "util/panic.h"
@@ -93,8 +94,9 @@ Link::pump()
             }
             deliverAt += d.extraDelay;
         }
-        sim_.scheduleAt(deliverAt,
-                        [this, cell] { sink_->acceptCell(cell); });
+        auto deliver = [this, cell] { sink_->acceptCell(cell); };
+        static_assert(sim::Callback::kFitsInline<decltype(deliver)>);
+        sim_.scheduleAt(deliverAt, std::move(deliver));
     }
 }
 

@@ -1,5 +1,7 @@
 #include "net/switch.h"
 
+#include <utility>
+
 #include "obs/trace.h"
 #include "util/panic.h"
 
@@ -64,7 +66,9 @@ Switch::forward(const Cell &cell, PortState &from)
             "dst=" + std::to_string(cell.vpi) +
                 " src=" + std::to_string(cell.vci));
     }
-    sim_.schedule(fabricLatency_, [out, cell] { out->send(cell); });
+    auto cross = [out, cell] { out->send(cell); };
+    static_assert(sim::Callback::kFitsInline<decltype(cross)>);
+    sim_.schedule(fabricLatency_, std::move(cross));
 }
 
 void

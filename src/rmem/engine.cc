@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "net/aal5.h"
-#include "obs/trace.h"
 #include "rmem/race_detector.h"
 #include "sim/logger.h"
 #include "util/panic.h"
@@ -21,6 +20,8 @@ struct RmemEngine::VectorServeState
     bool wantResponse = false;
     uint64_t op = 0;
     obs::SpanId span = obs::kNoSpan;
+    /** The request's sub-ops; each stage-2 event applies its own. */
+    std::vector<VectorSubOp> ops;
     std::vector<VectorSubResult> results;
     /** Valid sub-ops whose stage-2 event has not completed yet. */
     size_t remaining = 0;
@@ -46,6 +47,171 @@ translateCost(const CostModel &costs, uint64_t offset, uint64_t count)
     uint64_t last = (offset + count - 1) / mem::kPageBytes;
     return static_cast<sim::Duration>(last - first + 1) *
            costs.translatePageCost;
+}
+
+/**
+ * What a served op touches: its kind, segment, byte range and (single-
+ * cell requests only) the request id its reply or NAK echoes.
+ */
+struct SubOpKey
+{
+    VecOpKind kind;
+    SegmentId descriptor;
+    Generation generation;
+    uint32_t offset;
+    uint32_t count;
+    ReqId reqId = 0;
+};
+
+SubOpKey
+keyOf(const VectorSubOp &s)
+{
+    return {s.kind, s.descriptor, s.generation, s.offset, subOpBytes(s)};
+}
+
+SubOpKey
+keyOf(const WriteReq &r)
+{
+    return {VecOpKind::kWrite, r.descriptor, r.generation, r.offset,
+            static_cast<uint32_t>(r.data.size())};
+}
+
+SubOpKey
+keyOf(const ReadReq &r)
+{
+    return {VecOpKind::kRead, r.srcDescriptor, r.generation, r.srcOffset,
+            r.count, r.reqId};
+}
+
+SubOpKey
+keyOf(const CasReq &r)
+{
+    return {VecOpKind::kCas, r.descriptor, r.generation, r.offset, 4,
+            r.reqId};
+}
+
+/** The sub-op a single-cell request carries (a WRITE's payload moves). */
+VectorSubOp
+asSubOp(WriteReq &&r)
+{
+    return {VecOpKind::kWrite, r.descriptor, r.generation, r.offset,
+            r.notify, std::move(r.data)};
+}
+
+VectorSubOp
+asSubOp(ReadReq &&r)
+{
+    return {VecOpKind::kRead, r.srcDescriptor, r.generation, r.srcOffset,
+            r.notify, {}, r.count};
+}
+
+VectorSubOp
+asSubOp(CasReq &&r)
+{
+    return {VecOpKind::kCas, r.descriptor, r.generation, r.offset, r.notify,
+            {}, 0, r.oldValue, r.newValue};
+}
+
+/** Labels of the single-cell serve path, indexed by VecOpKind. */
+constexpr const char *kServeSpan[] = {"serve_write", "serve_read",
+                                      "serve_cas"};
+constexpr const char *kServeSite[] = {"rmem serve_write from node",
+                                      "rmem serve_read from node",
+                                      "rmem serve_cas from node"};
+/** The request type a copy-stage NAK names, indexed by VecOpKind. */
+constexpr MsgType kScalarType[] = {MsgType::kWriteBlock, MsgType::kReadReq,
+                                   MsgType::kCasReq};
+
+/** Stage-1 verdict: the validation's error, or a misaligned CAS word. */
+util::ErrorCode
+verdict(const util::Result<SegmentDescriptor *> &v, const SubOpKey &k)
+{
+    if (!v.ok()) {
+        return v.status().code();
+    }
+    return k.kind == VecOpKind::kCas && k.offset % 4 != 0
+               ? util::ErrorCode::kInvalidArgument
+               : util::ErrorCode::kOk;
+}
+
+/** The translation + copy (or CAS execution) stage of a served op. */
+struct SubOpStage
+{
+    sim::Duration cost;
+    sim::CpuCategory category;
+    /** What the stage touches, for the schedule explorer. */
+    sim::DepHint hint;
+};
+
+SubOpStage
+stageOf(const CostModel &costs, net::NodeId node, const SubOpKey &k)
+{
+    uint64_t segKey = (static_cast<uint64_t>(node) << 8) | k.descriptor;
+    auto range = sim::DepHint::segRange(segKey, k.offset, k.offset + k.count);
+    switch (k.kind) {
+      case VecOpKind::kWrite:
+        return {translateCost(costs, k.offset, k.count) +
+                    costs.copyCost(k.count),
+                sim::CpuCategory::kDataReceive, range};
+      case VecOpKind::kRead:
+        return {translateCost(costs, k.offset, k.count) +
+                    costs.copyCost(k.count),
+                sim::CpuCategory::kDataReply, range};
+      case VecOpKind::kCas:
+        break;
+    }
+    return {translateCost(costs, k.offset, 4) + costs.casExecCost,
+            sim::CpuCategory::kDataReceive,
+            sim::DepHint::syncWord(segKey, k.offset)};
+}
+
+/**
+ * The notify policy, for both serve paths: does serving @p sub post a
+ * notification on @p d's channel? A READ's notify bit asks for
+ * reader-side notification (§3.1.1), so the exporter hears of a READ
+ * only under the always-notify policy.
+ */
+bool
+notifies(const SegmentDescriptor &d, const VectorSubOp &sub)
+{
+    bool asked = sub.notify && sub.kind != VecOpKind::kRead;
+    return d.channel && (d.policy == NotifyPolicy::kAlways ||
+                         (d.policy == NotifyPolicy::kConditional && asked));
+}
+
+/** The notification announcing @p sub, served for node @p src. */
+Notification
+noticeOf(net::NodeId src, const VectorSubOp &sub)
+{
+    static_assert(static_cast<int>(NotifyKind::kRead) ==
+                      static_cast<int>(VecOpKind::kRead) &&
+                  static_cast<int>(NotifyKind::kCas) ==
+                      static_cast<int>(VecOpKind::kCas));
+    return Notification{src, static_cast<NotifyKind>(sub.kind), sub.offset,
+                        subOpBytes(sub), obs::TraceRecorder::currentOp()};
+}
+
+/** Per-entry-point text of a pending request (read, CAS, vector). */
+struct PendingText
+{
+    const char *nak;
+    const char *timeout;
+    const char *depositSpan;
+    const char *depositSite;
+};
+
+const PendingText &
+textOf(bool vectored, VecOpKind kind)
+{
+    static constexpr PendingText kText[] = {
+        {"remote rejected read", "remote read timed out", "deposit_read",
+         "rmem deposit_read on node"},
+        {"remote rejected CAS", "remote CAS timed out", "deposit_cas",
+         "rmem deposit_cas on node"},
+        {"remote rejected vectored op", "vectored op timed out",
+         "deposit_vector", "rmem deposit_vector on node"},
+    };
+    return kText[vectored ? 2 : kind == VecOpKind::kRead ? 0 : 1];
 }
 
 } // namespace
@@ -186,38 +352,50 @@ RmemEngine::localHandle(SegmentId id) const
 // Meta-instructions (initiator side)
 // ----------------------------------------------------------------------
 
+template <typename Args>
+uint64_t
+RmemEngine::beginOp(const char *name, obs::SpanId &issueSpan, Args &&args)
+{
+    if (!obs::TraceRecorder::on()) {
+        return 0;
+    }
+    auto &rec = obs::TraceRecorder::instance();
+    uint64_t opId = rec.newAsyncId();
+    rec.asyncBegin(opId, node_.name(), "rmem", name, args());
+    // The op is passed explicitly: the issuing coroutine resumes outside
+    // any ambient scope.
+    issueSpan = rec.beginSpanFor(opId, node_.name(), "rmem", "issue");
+    return opId;
+}
+
+void
+RmemEngine::endOp(uint64_t opId, const char *name, const util::Status &status)
+{
+    if (opId != 0) {
+        obs::TraceRecorder::instance().asyncEnd(opId, node_.name(), "rmem",
+                                                name, status.message());
+    }
+}
+
 sim::Task<util::Status>
 RmemEngine::write(ImportedSegment dst, uint32_t offset,
                   std::vector<uint8_t> data, bool notify)
 {
     stats_.writesIssued.inc();
     node_.simulator().noteDigest("rmem.write", dst.node << 8 | dst.descriptor);
-    if (!hasRights(dst.rights, Rights::kWrite)) {
-        co_return util::Status(util::ErrorCode::kAccessDenied,
-                               "import lacks write right");
-    }
-    if (static_cast<uint64_t>(offset) + data.size() > dst.size) {
-        co_return util::Status(util::ErrorCode::kOutOfBounds,
-                               "write outside imported segment");
+    util::Status admitted = checkImport(dst, VecOpKind::kWrite, offset,
+                                        data.size());
+    if (!admitted.ok()) {
+        co_return admitted;
     }
 
     sim::Time start = node_.simulator().now();
-    uint64_t opId = 0;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, node_.name(), "rmem", "write",
-                       "bytes=" + std::to_string(data.size()) + " dst=" +
-                           std::to_string(dst.node));
-    }
-
-    // Sender-side emulation: trap + rights verification. Op passed
-    // explicitly: the coroutine resumes outside any ambient scope.
     obs::SpanId issueSpan = obs::kNoSpan;
-    if (opId != 0) {
-        issueSpan = obs::TraceRecorder::instance().beginSpanFor(
-            opId, node_.name(), "rmem", "issue");
-    }
+    uint64_t opId = beginOp("write", issueSpan, [&] {
+        return "bytes=" + std::to_string(data.size()) + " dst=" +
+               std::to_string(dst.node);
+    });
+    // Sender-side emulation: trap + rights verification.
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
     obs::TraceRecorder::instance().endSpan(issueSpan);
@@ -244,10 +422,7 @@ RmemEngine::write(ImportedSegment dst, uint32_t offset,
     // Local completion never waits on the wire or the remote NIC, so
     // the whole latency is software.
     recordOp(metrics_.write, start, 0, 0);
-    if (opId != 0) {
-        obs::TraceRecorder::instance().asyncEnd(opId, node_.name(), "rmem",
-                                                "write");
-    }
+    endOp(opId, "write", {});
     co_return util::Status();
 }
 
@@ -258,15 +433,9 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
 {
     stats_.readsIssued.inc();
     node_.simulator().noteDigest("rmem.read", src.node << 8 | src.descriptor);
-    if (!hasRights(src.rights, Rights::kRead)) {
-        co_return ReadOutcome{util::Status(util::ErrorCode::kAccessDenied,
-                                           "import lacks read right"),
-                              {}};
-    }
-    if (static_cast<uint64_t>(srcOff) + count > src.size) {
-        co_return ReadOutcome{util::Status(util::ErrorCode::kOutOfBounds,
-                                           "read outside imported segment"),
-                              {}};
+    util::Status admitted = checkImport(src, VecOpKind::kRead, srcOff, count);
+    if (!admitted.ok()) {
+        co_return ReadOutcome{admitted, {}};
     }
     SegmentDescriptor *dst = table_.get(dstSeg);
     if (dst == nullptr) {
@@ -282,29 +451,19 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
     }
 
     sim::Time start = node_.simulator().now();
-    uint64_t opId = 0;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, node_.name(), "rmem", "read",
-                       "count=" + std::to_string(count) + " src=" +
-                           std::to_string(src.node));
-    }
+    obs::SpanId issueSpan = obs::kNoSpan;
+    uint64_t opId = beginOp("read", issueSpan, [&] {
+        return "count=" + std::to_string(count) + " src=" +
+               std::to_string(src.node);
+    });
     // Model-derived phase estimates, accumulated per chunk.
     sim::Duration wireTime = 0;
     sim::Duration controllerTime = 0;
-
-    obs::SpanId issueSpan = obs::kNoSpan;
-    if (opId != 0) {
-        issueSpan = obs::TraceRecorder::instance().beginSpanFor(
-            opId, node_.name(), "rmem", "issue");
-    }
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
     obs::TraceRecorder::instance().endSpan(issueSpan);
 
     ReadOutcome total{util::Status(), {}};
-    total.data.reserve(count);
     mem::Pid dstPid = dst->ownerPid;
     mem::Vaddr dstBase = dst->base;
 
@@ -314,29 +473,11 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
             std::min<uint64_t>(count - pos, kBlockDataMax));
         ReqId id = allocReqId();
         bool lastChunk = (pos + chunk >= count);
-
-        auto [it, inserted] = pendingReads_.try_emplace(
-            id, PendingRead{dstPid, dstBase + dstOff + pos,
-                            sim::Promise<ReadOutcome>(node_.simulator()),
-                            0, notify && lastChunk, dstSeg});
-        REMORA_ASSERT(inserted);
-        auto fut = it->second.done.future();
-        if (timeout > 0) {
-            it->second.timeoutEvent =
-                node_.simulator().schedule(timeout, [this, id] {
-                    auto pit = pendingReads_.find(id);
-                    if (pit == pendingReads_.end()) {
-                        return;
-                    }
-                    PendingRead p = std::move(pit->second);
-                    pendingReads_.erase(pit);
-                    stats_.timeouts.inc();
-                    p.done.set(ReadOutcome{
-                        util::Status(util::ErrorCode::kTimeout,
-                                     "remote read timed out"),
-                        {}});
-                });
-        }
+        auto fut = expect(id,
+                          Deposit{VecOpKind::kRead, dstPid,
+                                  dstBase + dstOff + pos,
+                                  notify && lastChunk, dstSeg},
+                          {}, timeout);
 
         ReadReq req;
         req.srcDescriptor = src.descriptor;
@@ -359,27 +500,26 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
                                          : net::aal5CellCount(respBytes));
         controllerTime += 2 * node_.nic().interruptLatency();
 
-        ReadOutcome part = co_await fut;
+        Reply part = co_await fut;
         if (!part.status.ok()) {
-            if (opId != 0) {
-                obs::TraceRecorder::instance().asyncEnd(
-                    opId, node_.name(), "rmem", "read",
-                    part.status.message());
-            }
+            endOp(opId, "read", part.status);
             co_return ReadOutcome{part.status, std::move(total.data)};
         }
-        total.data.insert(total.data.end(), part.data.begin(),
-                          part.data.end());
+        if (pos == 0 && lastChunk) {
+            // A single-chunk READ hands its payload over whole.
+            total.data = std::move(part.one.data);
+        } else {
+            total.data.reserve(count);
+            total.data.insert(total.data.end(), part.one.data.begin(),
+                              part.one.data.end());
+        }
         pos += chunk;
         if (count == 0) {
             break;
         }
     }
     recordOp(metrics_.read, start, wireTime, controllerTime);
-    if (opId != 0) {
-        obs::TraceRecorder::instance().asyncEnd(opId, node_.name(), "rmem",
-                                                "read");
-    }
+    endOp(opId, "read", {});
     co_return total;
 }
 
@@ -390,16 +530,9 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
 {
     stats_.casIssued.inc();
     node_.simulator().noteDigest("rmem.cas", dst.node << 8 | dst.descriptor);
-    if (!hasRights(dst.rights, Rights::kCas)) {
-        co_return CasOutcome{util::Status(util::ErrorCode::kAccessDenied,
-                                          "import lacks CAS right"),
-                             false, 0};
-    }
-    if (offset % 4 != 0 ||
-        static_cast<uint64_t>(offset) + 4 > dst.size) {
-        co_return CasOutcome{util::Status(util::ErrorCode::kOutOfBounds,
-                                          "CAS target invalid"),
-                             false, 0};
+    util::Status admitted = checkImport(dst, VecOpKind::kCas, offset, 4);
+    if (!admitted.ok()) {
+        co_return CasOutcome{admitted, false, 0};
     }
     SegmentDescriptor *result = table_.get(resultSeg);
     if (result == nullptr || resultOff % 4 != 0 ||
@@ -410,44 +543,19 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
     }
 
     sim::Time start = node_.simulator().now();
-    uint64_t opId = 0;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, node_.name(), "rmem", "cas",
-                       "dst=" + std::to_string(dst.node));
-    }
-
     obs::SpanId issueSpan = obs::kNoSpan;
-    if (opId != 0) {
-        issueSpan = obs::TraceRecorder::instance().beginSpanFor(
-            opId, node_.name(), "rmem", "issue");
-    }
+    uint64_t opId = beginOp("cas", issueSpan, [&] {
+        return "dst=" + std::to_string(dst.node);
+    });
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
     obs::TraceRecorder::instance().endSpan(issueSpan);
 
     ReqId id = allocReqId();
-    auto [it, inserted] = pendingCas_.try_emplace(
-        id, PendingCas{result->ownerPid, result->base + resultOff,
-                       sim::Promise<CasOutcome>(node_.simulator()), 0});
-    REMORA_ASSERT(inserted);
-    auto fut = it->second.done.future();
-    if (timeout > 0) {
-        it->second.timeoutEvent =
-            node_.simulator().schedule(timeout, [this, id] {
-                auto pit = pendingCas_.find(id);
-                if (pit == pendingCas_.end()) {
-                    return;
-                }
-                PendingCas p = std::move(pit->second);
-                pendingCas_.erase(pit);
-                stats_.timeouts.inc();
-                p.done.set(CasOutcome{util::Status(util::ErrorCode::kTimeout,
-                                                   "remote CAS timed out"),
-                                      false, 0});
-            });
-    }
+    auto fut = expect(id,
+                      Deposit{VecOpKind::kCas, result->ownerPid,
+                              result->base + resultOff, false, resultSeg},
+                      {}, timeout);
 
     CasReq req;
     req.descriptor = dst.descriptor;
@@ -460,17 +568,16 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
     req.reqId = id;
     wire_.send(dst.node, Message(req), sim::CpuCategory::kDataReply, opId);
 
-    CasOutcome out = co_await fut;
+    Reply reply = co_await fut;
+    CasOutcome out{std::move(reply.status), reply.one.success,
+                   reply.one.observed};
     if (out.status.ok()) {
         // Single-cell exchange: one request, one response, two NIC
         // interrupts on the critical path.
         recordOp(metrics_.cas, start, modelWireTime(1, 1),
                  2 * node_.nic().interruptLatency());
     }
-    if (opId != 0) {
-        obs::TraceRecorder::instance().asyncEnd(opId, node_.name(), "rmem",
-                                                "cas", out.status.message());
-    }
+    endOp(opId, "cas", out.status);
     co_return out;
 }
 
@@ -509,7 +616,7 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
     // Resolve local deposit coordinates up front, like scalar read():
     // the destination process/address is fixed at issue time.
     bool wantResponse = false;
-    std::vector<VectorDeposit> deposits(n);
+    std::vector<Deposit> deposits(n);
     for (size_t i = 0; i < n; ++i) {
         const VectorSubOp &sub = req.ops[i];
         if (sub.kind == VecOpKind::kWrite) {
@@ -527,29 +634,19 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
                              "vector deposit location invalid"),
                 {}};
         }
-        deposits[i] =
-            VectorDeposit{true,       sub.kind,   dst->ownerPid,
-                          dst->base + loc.dstOff, loc.notify, loc.dstSeg};
+        deposits[i] = Deposit{sub.kind, dst->ownerPid, dst->base + loc.dstOff,
+                              loc.notify, loc.dstSeg};
     }
 
     sim::Time start = node_.simulator().now();
-    uint64_t opId = 0;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, node_.name(), "rmem", "vector",
-                       "ops=" + std::to_string(n) + " dst=" +
-                           std::to_string(batch.target));
-    }
-
+    obs::SpanId issueSpan = obs::kNoSpan;
+    uint64_t opId = beginOp("vector", issueSpan, [&] {
+        return "ops=" + std::to_string(n) + " dst=" +
+               std::to_string(batch.target);
+    });
     // ONE trap + header + validation for the batch; every sub-op after
     // the first pays only its marginal issue cost. This is the entire
     // amortization the vectored path exists for.
-    obs::SpanId issueSpan = obs::kNoSpan;
-    if (opId != 0) {
-        issueSpan = obs::TraceRecorder::instance().beginSpanFor(
-            opId, node_.name(), "rmem", "issue");
-    }
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost +
                                  static_cast<sim::Duration>(n) *
                                      costs_.vectorSubOpIssueCost,
@@ -567,37 +664,13 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
                                    sim::CpuCategory::kDataReply, opId);
         co_await accepted;
         recordOp(metrics_.vector, start, 0, 0);
-        if (opId != 0) {
-            obs::TraceRecorder::instance().asyncEnd(opId, node_.name(),
-                                                    "rmem", "vector");
-        }
+        endOp(opId, "vector", {});
         co_return VectorOutcome{util::Status(), {}};
     }
 
     ReqId id = allocReqId();
     req.reqId = id;
-    auto [it, inserted] = pendingVectors_.try_emplace(
-        id, PendingVector{std::move(deposits),
-                          sim::Promise<VectorOutcome>(node_.simulator()),
-                          0});
-    REMORA_ASSERT(inserted);
-    auto fut = it->second.done.future();
-    if (timeout > 0) {
-        it->second.timeoutEvent =
-            node_.simulator().schedule(timeout, [this, id] {
-                auto pit = pendingVectors_.find(id);
-                if (pit == pendingVectors_.end()) {
-                    return;
-                }
-                PendingVector p = std::move(pit->second);
-                pendingVectors_.erase(pit);
-                stats_.timeouts.inc();
-                p.done.set(VectorOutcome{
-                    util::Status(util::ErrorCode::kTimeout,
-                                 "vectored op timed out"),
-                    {}});
-            });
-    }
+    auto fut = expect(id, {}, std::move(deposits), timeout);
 
     wire_.send(batch.target, Message(std::move(req)),
                sim::CpuCategory::kDataReply, opId);
@@ -611,14 +684,12 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
             : net::aal5CellCount(respBytes));
     sim::Duration controllerTime = 2 * node_.nic().interruptLatency();
 
-    VectorOutcome out = co_await fut;
+    Reply reply = co_await fut;
+    VectorOutcome out{std::move(reply.status), std::move(reply.results)};
     if (out.status.ok()) {
         recordOp(metrics_.vector, start, wireTime, controllerTime);
     }
-    if (opId != 0) {
-        obs::TraceRecorder::instance().asyncEnd(
-            opId, node_.name(), "rmem", "vector", out.status.message());
-    }
+    endOp(opId, "vector", out.status);
     co_return out;
 }
 
@@ -675,17 +746,30 @@ RmemEngine::onMessage(net::NodeId src, Message &&msg)
     {
         RmemEngine *eng;
         net::NodeId src;
-        void operator()(WriteReq &m) { eng->serveWrite(src, std::move(m)); }
-        void operator()(ReadReq &m) { eng->serveRead(src, std::move(m)); }
-        void operator()(ReadResp &m) { eng->completeRead(src, std::move(m)); }
-        void operator()(CasReq &m) { eng->serveCas(src, std::move(m)); }
-        void operator()(CasResp &m) { eng->completeCas(src, std::move(m)); }
-        void operator()(Nak &m) { eng->handleNak(src, m); }
+        void operator()(WriteReq &m) { eng->serveScalar(src, std::move(m)); }
+        void operator()(ReadReq &m) { eng->serveScalar(src, std::move(m)); }
+        void operator()(CasReq &m) { eng->serveScalar(src, std::move(m)); }
         void operator()(VectorReq &m) { eng->serveVector(src, std::move(m)); }
-        void operator()(VectorResp &m)
+        void
+        operator()(ReadResp &m)
         {
-            eng->completeVector(src, std::move(m));
+            VectorSubResult r{util::ErrorCode::kOk, VecOpKind::kRead,
+                              std::move(m.data)};
+            eng->deposit(src, m.reqId, Reply{{}, std::move(r), {}});
         }
+        void
+        operator()(CasResp &m)
+        {
+            VectorSubResult r{util::ErrorCode::kOk, VecOpKind::kCas, {},
+                              m.success, m.observed};
+            eng->deposit(src, m.reqId, Reply{{}, std::move(r), {}});
+        }
+        void
+        operator()(VectorResp &m)
+        {
+            eng->deposit(src, m.reqId, Reply{{}, {}, std::move(m.results)});
+        }
+        void operator()(Nak &m) { eng->handleNak(src, m); }
         void operator()(RpcMsg &) {
             REMORA_PANIC("RPC message routed to rmem engine");
         }
@@ -699,244 +783,104 @@ RmemEngine::onMessage(net::NodeId src, Message &&msg)
     std::visit(Visitor{this, src}, msg);
 }
 
+template <typename Req>
 void
-RmemEngine::serveWrite(net::NodeId src, WriteReq &&req)
+RmemEngine::serveScalar(net::NodeId src, Req &&req)
 {
     stats_.requestsServed.inc();
-    // Span from dispatch to the copy's completion (or the NAK).
+    SubOpKey key = keyOf(req);
+    // Span from dispatch to the access's completion (or the NAK).
     obs::SpanId span = obs::kNoSpan;
     if (obs::TraceRecorder::on()) {
+        std::string args = "from=" + std::to_string(src);
+        if (key.kind != VecOpKind::kCas) {
+            args = (key.kind == VecOpKind::kWrite ? "bytes=" : "count=") +
+                   std::to_string(key.count) + " " + args;
+        }
         span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "serve_write",
-            "bytes=" + std::to_string(req.data.size()) + " from=" +
-                std::to_string(src));
+            node_.name(), "rmem", kServeSpan[static_cast<size_t>(key.kind)],
+            args);
     }
     // The dispatch runs under route()'s OpScope; deferred stages must
     // carry the op themselves and re-establish it, so the NAK/notify/
     // reply sends they make still join the initiator's DAG.
     uint64_t op = obs::TraceRecorder::currentOp();
-    auto &cpu = node_.cpu();
-    // The whole serve chain (validation, copy, notify) operates on this
-    // byte range; later stages inherit the hint through their events.
-    sim::Simulator::HintScope hintScope(
-        node_.simulator(),
-        sim::DepHint::segRange(
-            (static_cast<uint64_t>(node_.id()) << 8) | req.descriptor,
-            req.offset, req.offset + static_cast<uint32_t>(req.data.size())));
-    // Stage 1: demux + validation.
-    cpu.post(costs_.msgHandleCost + costs_.validateCost,
-             sim::CpuCategory::kDataReceive,
-             [this, src, span, op, req = std::move(req)]() mutable {
-                 obs::OpScope opScope(op);
-                 auto v = table_.validate(req.descriptor, req.generation,
-                                          req.offset, req.data.size(),
-                                          Rights::kWrite);
-                 if (!v.ok()) {
-                     sendNak(src, 0, v.status().code(),
-                             req.data.size() <= kSmallWriteMax
-                                 ? MsgType::kWriteSmall
-                                 : MsgType::kWriteBlock);
-                     obs::TraceRecorder::instance().endSpan(span);
-                     return;
-                 }
-                 // Stage 2: translation + copy into the owner's space.
-                 auto &cpu2 = node_.cpu();
-                 sim::Duration cost =
-                     translateCost(costs_, req.offset, req.data.size()) +
-                     costs_.copyCost(req.data.size());
-                 cpu2.post(cost, sim::CpuCategory::kDataReceive,
-                           [this, src, span, op,
-                            req = std::move(req)]() mutable {
-                               obs::OpScope copyScope(op);
-                               // Re-validate: the segment may have been
-                               // revoked while the copy was in flight.
-                               auto v2 = table_.validate(
-                                   req.descriptor, req.generation, req.offset,
-                                   req.data.size(), Rights::kWrite);
-                               if (!v2.ok()) {
-                                   sendNak(src, 0, v2.status().code(),
-                                           MsgType::kWriteBlock);
-                                   obs::TraceRecorder::instance().endSpan(
-                                       span);
-                                   return;
-                               }
-                               SegmentDescriptor *d = v2.value();
-                               mem::Process *owner = ownerOf(*d);
-                               if (owner == nullptr) {
-                                   sendNak(src, 0,
-                                           util::ErrorCode::kBadDescriptor,
-                                           MsgType::kWriteBlock);
-                                   obs::TraceRecorder::instance().endSpan(
-                                       span);
-                                   return;
-                               }
-                               // The applied store belongs to the
-                               // *initiating* node's happens-before
-                               // timeline, as does the notify release.
-                               RaceDetector::ScopedActor raceScope(
-                                   src, "rmem serve_write from node", src);
-                               util::Status ws = owner->space().write(
-                                   d->base + req.offset, req.data);
-                               REMORA_ASSERT(ws.ok());
-                               maybeNotify(
-                                   *d, req.notify,
-                                   Notification{src, NotifyKind::kWrite,
-                                                req.offset,
-                                                static_cast<uint32_t>(
-                                                    req.data.size())});
-                               obs::TraceRecorder::instance().endSpan(span);
-                           });
-             });
-}
-
-void
-RmemEngine::serveRead(net::NodeId src, ReadReq &&req)
-{
-    stats_.requestsServed.inc();
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "serve_read",
-            "count=" + std::to_string(req.count) + " from=" +
-                std::to_string(src));
+    // The whole serve chain operates on this byte range (or sync word);
+    // the copy stage inherits the hint through its event.
+    sim::Simulator::HintScope hintScope(node_.simulator(),
+                                        stageOf(costs_, node_.id(), key).hint);
+    // Stage 1: demux + validation. A CAS executes here too: one stage.
+    sim::Duration cost = costs_.msgHandleCost + costs_.validateCost;
+    if (key.kind == VecOpKind::kCas) {
+        cost += costs_.casExecCost;
     }
-    uint64_t op = obs::TraceRecorder::currentOp();
-    auto &cpu = node_.cpu();
-    sim::Simulator::HintScope hintScope(
-        node_.simulator(),
-        sim::DepHint::segRange(
-            (static_cast<uint64_t>(node_.id()) << 8) | req.srcDescriptor,
-            req.srcOffset, req.srcOffset + req.count));
-    cpu.post(costs_.msgHandleCost + costs_.validateCost,
-             sim::CpuCategory::kDataReceive,
-             [this, src, span, op, req]() mutable {
-                 obs::OpScope opScope(op);
-                 auto v = table_.validate(req.srcDescriptor, req.generation,
-                                          req.srcOffset, req.count,
-                                          Rights::kRead);
-                 if (!v.ok()) {
-                     sendNak(src, req.reqId, v.status().code(),
-                             MsgType::kReadReq);
-                     obs::TraceRecorder::instance().endSpan(span);
-                     return;
-                 }
-                 // Read-out: translation + copy, then the reply transfer.
-                 sim::Duration cost =
-                     translateCost(costs_, req.srcOffset, req.count) +
-                     costs_.copyCost(req.count);
-                 node_.cpu().post(
-                     cost, sim::CpuCategory::kDataReply,
-                     [this, src, span, op, req]() mutable {
-                         obs::OpScope copyScope(op);
-                         auto v2 = table_.validate(req.srcDescriptor,
-                                                   req.generation,
-                                                   req.srcOffset, req.count,
-                                                   Rights::kRead);
-                         if (!v2.ok()) {
-                             sendNak(src, req.reqId, v2.status().code(),
-                                     MsgType::kReadReq);
-                             obs::TraceRecorder::instance().endSpan(span);
-                             return;
-                         }
-                         SegmentDescriptor *d = v2.value();
-                         mem::Process *owner = ownerOf(*d);
-                         if (owner == nullptr) {
-                             sendNak(src, req.reqId,
-                                     util::ErrorCode::kBadDescriptor,
-                                     MsgType::kReadReq);
-                             obs::TraceRecorder::instance().endSpan(span);
-                             return;
-                         }
-                         ReadResp resp;
-                         resp.reqId = req.reqId;
-                         resp.status = util::ErrorCode::kOk;
-                         resp.data.resize(req.count);
-                         // The copy-out reads on behalf of the importer.
-                         RaceDetector::ScopedActor raceScope(
-                             src, "rmem serve_read from node", src);
-                         util::Status rs = owner->space().read(
-                             d->base + req.srcOffset, resp.data);
-                         REMORA_ASSERT(rs.ok());
-                         wire_.send(src, Message(std::move(resp)),
-                                    sim::CpuCategory::kDataReply);
-                         // Exporter-side notification only under the
-                         // always-notify policy; the request's notify bit
-                         // asks for *reader*-side notification (§3.1.1).
-                         if (d->policy == NotifyPolicy::kAlways) {
-                             maybeNotify(*d, false,
-                                         Notification{src, NotifyKind::kRead,
-                                                      req.srcOffset,
-                                                      req.count});
-                         }
-                         obs::TraceRecorder::instance().endSpan(span);
-                     });
-             });
-}
-
-void
-RmemEngine::serveCas(net::NodeId src, CasReq &&req)
-{
-    stats_.requestsServed.inc();
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "serve_cas",
-            "from=" + std::to_string(src));
-    }
-    uint64_t op = obs::TraceRecorder::currentOp();
-    auto &cpu = node_.cpu();
-    sim::Simulator::HintScope hintScope(
-        node_.simulator(),
-        sim::DepHint::syncWord(
-            (static_cast<uint64_t>(node_.id()) << 8) | req.descriptor,
-            req.offset));
-    cpu.post(
-        costs_.msgHandleCost + costs_.validateCost + costs_.casExecCost,
-        sim::CpuCategory::kDataReceive, [this, src, span, op, req]() mutable {
-            obs::OpScope opScope(op);
-            auto v = table_.validate(req.descriptor, req.generation,
-                                     req.offset, 4, Rights::kCas);
-            if (!v.ok() || req.offset % 4 != 0) {
-                sendNak(src, req.reqId,
-                        v.ok() ? util::ErrorCode::kInvalidArgument
-                               : v.status().code(),
-                        MsgType::kCasReq);
-                obs::TraceRecorder::instance().endSpan(span);
-                return;
-            }
-            SegmentDescriptor *d = v.value();
-            mem::Process *owner = ownerOf(*d);
-            if (owner == nullptr) {
-                sendNak(src, req.reqId, util::ErrorCode::kBadDescriptor,
-                        MsgType::kCasReq);
-                obs::TraceRecorder::instance().endSpan(span);
-                return;
-            }
-            // A CAS target is by definition a synchronization word:
-            // the read below acquires its clock and a successful swap
-            // releases, so CAS-success pairs chain happens-before.
-            if (RaceDetector::on()) {
-                RaceDetector::instance().markSyncWord(
-                    node_.id(), req.descriptor, req.offset);
-            }
-            RaceDetector::ScopedActor raceScope(
-                src, "rmem serve_cas from node", src);
-            auto word = owner->space().readWord(d->base + req.offset);
-            REMORA_ASSERT(word.ok());
-            CasResp resp;
-            resp.reqId = req.reqId;
-            resp.observed = word.value();
-            resp.success = (word.value() == req.oldValue);
-            if (resp.success) {
-                util::Status ws = owner->space().writeWord(
-                    d->base + req.offset, req.newValue);
-                REMORA_ASSERT(ws.ok());
-            }
-            wire_.send(src, Message(resp), sim::CpuCategory::kDataReply);
-            maybeNotify(*d, req.notify,
-                        Notification{src, NotifyKind::kCas, req.offset, 4});
+    auto validate = [this, src, span, op, req = std::move(req)]() mutable {
+        obs::OpScope opScope(op);
+        SubOpKey k = keyOf(req);
+        util::ErrorCode err = verdict(
+            table_.validate(k.descriptor, k.generation, k.offset, k.count,
+                            vecOpRights(k.kind)),
+            k);
+        if (err != util::ErrorCode::kOk) {
+            bool small = k.kind == VecOpKind::kWrite &&
+                         k.count <= kSmallWriteMax;
+            sendNak(src, k.reqId, err,
+                    small ? MsgType::kWriteSmall
+                          : kScalarType[static_cast<size_t>(k.kind)]);
             obs::TraceRecorder::instance().endSpan(span);
-        });
+            return;
+        }
+        if (k.kind == VecOpKind::kCas) {
+            applyScalar(src, span, k.reqId, asSubOp(std::move(req)));
+            return;
+        }
+        // Stage 2: translation + copy into (or out of) the owner's space.
+        SubOpStage copy = stageOf(costs_, node_.id(), k);
+        auto apply = [this, src, span, op, req = std::move(req)]() mutable {
+            obs::OpScope copyScope(op);
+            ReqId reqId = keyOf(req).reqId;
+            applyScalar(src, span, reqId, asSubOp(std::move(req)));
+        };
+        static_assert(sim::Callback::kFitsInline<decltype(apply)>);
+        node_.cpu().post(copy.cost, copy.category, std::move(apply));
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(validate)>);
+    node_.cpu().post(cost, sim::CpuCategory::kDataReceive,
+                     std::move(validate));
+}
+
+void
+RmemEngine::applyScalar(net::NodeId src, obs::SpanId span, ReqId reqId,
+                        VectorSubOp &&sub)
+{
+    VectorSubResult res;
+    auto kind = static_cast<size_t>(sub.kind);
+    applySubOp(src, kServeSite[kind], sub, res, [&](SegmentDescriptor *d) {
+        if (d == nullptr) {
+            sendNak(src, reqId, res.status, kScalarType[kind]);
+            return;
+        }
+        if (sub.kind == VecOpKind::kRead) {
+            wire_.send(src,
+                       Message(ReadResp{reqId, util::ErrorCode::kOk,
+                                        std::move(res.data)}),
+                       sim::CpuCategory::kDataReply);
+        } else if (sub.kind == VecOpKind::kCas) {
+            wire_.send(src, Message(CasResp{reqId, res.success, res.observed}),
+                       sim::CpuCategory::kDataReply);
+        }
+        if (notifies(*d, sub)) {
+            stats_.notificationsPosted.inc();
+            if (obs::TraceRecorder::on()) {
+                obs::TraceRecorder::instance().instant(
+                    node_.name(), "rmem", "notify",
+                    "offset=" + std::to_string(sub.offset) + " len=" +
+                        std::to_string(subOpBytes(sub)));
+            }
+            d->channel->post(noticeOf(src, sub));
+        }
+    });
+    obs::TraceRecorder::instance().endSpan(span);
 }
 
 void
@@ -968,34 +912,28 @@ RmemEngine::serveVector(net::NodeId src, VectorReq &&req)
         static_cast<sim::Duration>(distinctValidationKeys(req.ops)) *
             costs_.validateCost +
         static_cast<sim::Duration>(n) * costs_.vectorSubOpServeCost;
+    st->ops = std::move(req.ops);
     node_.cpu().post(stage1Cost, sim::CpuCategory::kDataReceive,
-                     [this, st, req = std::move(req)]() mutable {
+                     [this, st] {
                          obs::OpScope opScope(st->op);
-                         executeVector(st, std::move(req));
+                         executeVector(st);
                      });
 }
 
 void
-RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st,
-                          VectorReq &&req)
+RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st)
 {
-    size_t n = req.ops.size();
+    size_t n = st->ops.size();
     ValidationCache cache(table_);
-    std::vector<SegmentDescriptor *> descs(n, nullptr);
     for (size_t i = 0; i < n; ++i) {
-        const VectorSubOp &sub = req.ops[i];
-        st->results[i].kind = sub.kind;
-        uint64_t count = sub.kind == VecOpKind::kWrite ? sub.data.size()
-                         : sub.kind == VecOpKind::kRead ? sub.count
-                                                        : 4;
-        auto v = cache.validate(sub.descriptor, sub.generation, sub.offset,
-                                count, vecOpRights(sub.kind));
-        if (!v.ok()) {
-            st->results[i].status = v.status().code();
-        } else if (sub.kind == VecOpKind::kCas && sub.offset % 4 != 0) {
-            st->results[i].status = util::ErrorCode::kInvalidArgument;
-        } else {
-            descs[i] = v.value();
+        SubOpKey k = keyOf(st->ops[i]);
+        VectorSubResult &res = st->results[i];
+        res.kind = k.kind;
+        res.status = verdict(cache.validate(k.descriptor, k.generation,
+                                            k.offset, k.count,
+                                            vecOpRights(k.kind)),
+                             k);
+        if (res.status == util::ErrorCode::kOk) {
             ++st->remaining;
         }
     }
@@ -1015,137 +953,39 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st,
         return;
     }
     // Stage 2: one deferred event per valid sub-op, each carrying its
-    // own byte-range DepHint so the explorer sees sub-op granularity.
+    // own DepHint so the explorer sees sub-op granularity.
     for (size_t i = 0; i < n; ++i) {
-        if (descs[i] == nullptr) {
+        if (st->results[i].status != util::ErrorCode::kOk) {
             continue;
         }
-        VectorSubOp sub = std::move(req.ops[i]);
-        uint64_t segKey =
-            (static_cast<uint64_t>(node_.id()) << 8) | sub.descriptor;
-        sim::Duration cost = 0;
-        sim::CpuCategory cat = sim::CpuCategory::kOther;
-        std::optional<sim::Simulator::HintScope> hint;
-        switch (sub.kind) {
-          case VecOpKind::kWrite:
-            cost = translateCost(costs_, sub.offset, sub.data.size()) +
-                   costs_.copyCost(sub.data.size());
-            cat = sim::CpuCategory::kDataReceive;
-            hint.emplace(node_.simulator(),
-                         sim::DepHint::segRange(
-                             segKey, sub.offset,
-                             sub.offset +
-                                 static_cast<uint32_t>(sub.data.size())));
-            break;
-          case VecOpKind::kRead:
-            cost = translateCost(costs_, sub.offset, sub.count) +
-                   costs_.copyCost(sub.count);
-            cat = sim::CpuCategory::kDataReply;
-            hint.emplace(node_.simulator(),
-                         sim::DepHint::segRange(segKey, sub.offset,
-                                                sub.offset + sub.count));
-            break;
-          case VecOpKind::kCas:
-            cost = translateCost(costs_, sub.offset, 4) + costs_.casExecCost;
-            cat = sim::CpuCategory::kDataReceive;
-            hint.emplace(node_.simulator(),
-                         sim::DepHint::syncWord(segKey, sub.offset));
-            break;
-        }
-        node_.cpu().post(cost, cat,
-                         [this, st, i, sub = std::move(sub)]() mutable {
-                             obs::OpScope opScope(st->op);
-                             executeVectorSubOp(st, i, std::move(sub));
-                         });
-    }
-}
-
-void
-RmemEngine::executeVectorSubOp(const std::shared_ptr<VectorServeState> &st,
-                               size_t index, VectorSubOp &&sub)
-{
-    VectorSubResult &res = st->results[index];
-    // Re-validate: the slot may have been revoked while the sub-op's
-    // copy was in flight (mirrors the scalar two-stage serve).
-    uint64_t count = sub.kind == VecOpKind::kWrite ? sub.data.size()
-                     : sub.kind == VecOpKind::kRead ? sub.count
-                                                    : 4;
-    auto v = table_.validate(sub.descriptor, sub.generation, sub.offset,
-                             count, vecOpRights(sub.kind));
-    SegmentDescriptor *d = v.ok() ? v.value() : nullptr;
-    mem::Process *owner = d != nullptr ? ownerOf(*d) : nullptr;
-    if (owner == nullptr) {
-        res.status = v.ok() ? util::ErrorCode::kBadDescriptor
-                            : v.status().code();
-        if (--st->remaining == 0) {
-            finishVector(st);
-        }
-        return;
-    }
-    // Every sub-op store/load belongs to the initiating node's timeline
-    // — the race detector sees per-sub-op byte-range accesses.
-    RaceDetector::ScopedActor raceScope(
-        st->src, "rmem serve_vector sub-op from node", st->src);
-    switch (sub.kind) {
-      case VecOpKind::kWrite: {
-        util::Status ws = owner->space().write(d->base + sub.offset,
-                                               sub.data);
-        REMORA_ASSERT(ws.ok());
-        bool fire = d->policy == NotifyPolicy::kAlways ||
-                    (d->policy == NotifyPolicy::kConditional && sub.notify);
-        if (fire && d->channel) {
-            st->notify[sub.descriptor].push_back(Notification{
-                st->src, NotifyKind::kWrite, sub.offset,
-                static_cast<uint32_t>(sub.data.size()), st->op});
-        }
-        break;
-      }
-      case VecOpKind::kRead: {
-        res.data.resize(sub.count);
-        util::Status rs = owner->space().read(d->base + sub.offset,
-                                              res.data);
-        REMORA_ASSERT(rs.ok());
-        // Exporter-side notification only under always-notify; the
-        // sub-op's notify bit asks for reader-side notification.
-        if (d->policy == NotifyPolicy::kAlways && d->channel) {
-            st->notify[sub.descriptor].push_back(
-                Notification{st->src, NotifyKind::kRead, sub.offset,
-                             sub.count, st->op});
-        }
-        break;
-      }
-      case VecOpKind::kCas: {
-        if (RaceDetector::on()) {
-            RaceDetector::instance().markSyncWord(node_.id(),
-                                                  sub.descriptor,
-                                                  sub.offset);
-        }
-        auto word = owner->space().readWord(d->base + sub.offset);
-        REMORA_ASSERT(word.ok());
-        res.observed = word.value();
-        res.success = (word.value() == sub.oldValue);
-        if (res.success) {
-            util::Status ws = owner->space().writeWord(d->base + sub.offset,
-                                                       sub.newValue);
-            REMORA_ASSERT(ws.ok());
-        }
-        bool fire = d->policy == NotifyPolicy::kAlways ||
-                    (d->policy == NotifyPolicy::kConditional && sub.notify);
-        if (fire && d->channel) {
-            st->notify[sub.descriptor].push_back(Notification{
-                st->src, NotifyKind::kCas, sub.offset, 4, st->op});
-        }
-        break;
-      }
-    }
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            node_.name(), "rmem", "vector_sub",
-            "idx=" + std::to_string(index) + " kind=" +
-                std::to_string(static_cast<int>(sub.kind)));
-    }
-    if (--st->remaining == 0) {
-        finishVector(st);
+        SubOpStage stage = stageOf(costs_, node_.id(), keyOf(st->ops[i]));
+        sim::Simulator::HintScope hint(node_.simulator(), stage.hint);
+        auto apply = [this, st, i] {
+            obs::OpScope opScope(st->op);
+            VectorSubOp &sub = st->ops[i];
+            applySubOp(st->src, "rmem serve_vector sub-op from node", sub,
+                       st->results[i], [&](SegmentDescriptor *d) {
+                           if (d == nullptr) {
+                               return;
+                           }
+                           if (notifies(*d, sub)) {
+                               st->notify[sub.descriptor].push_back(
+                                   noticeOf(st->src, sub));
+                           }
+                           if (obs::TraceRecorder::on()) {
+                               obs::TraceRecorder::instance().instant(
+                                   node_.name(), "rmem", "vector_sub",
+                                   "idx=" + std::to_string(i) + " kind=" +
+                                       std::to_string(
+                                           static_cast<int>(sub.kind)));
+                           }
+                       });
+            if (--st->remaining == 0) {
+                finishVector(st);
+            }
+        };
+        static_assert(sim::Callback::kFitsInline<decltype(apply)>);
+        node_.cpu().post(stage.cost, stage.category, std::move(apply));
     }
 }
 
@@ -1187,169 +1027,154 @@ RmemEngine::finishVector(const std::shared_ptr<VectorServeState> &st)
     obs::TraceRecorder::instance().endSpan(st->span);
 }
 
+template <typename Then>
 void
-RmemEngine::completeRead(net::NodeId src, ReadResp &&resp)
+RmemEngine::applySubOp(net::NodeId src, const char *raceSite,
+                       VectorSubOp &sub, VectorSubResult &res, Then &&then)
 {
-    auto it = pendingReads_.find(resp.reqId);
-    if (it == pendingReads_.end()) {
-        return; // timed out or duplicate; drop silently
-    }
-    PendingRead p = std::move(it->second);
-    pendingReads_.erase(it);
-    if (p.timeoutEvent != 0) {
-        node_.simulator().cancel(p.timeoutEvent);
-    }
-    // Deposit: demux + copy into the reader's address space.
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "deposit_read",
-            "bytes=" + std::to_string(resp.data.size()));
-    }
-    uint64_t op = obs::TraceRecorder::currentOp();
-    sim::Duration cost =
-        costs_.msgHandleCost + costs_.copyCost(resp.data.size());
-    node_.cpu().post(
-        cost, sim::CpuCategory::kDataReceive,
-        [this, src, span, op, p = std::move(p),
-         data = std::move(resp.data)]() mutable {
-            obs::OpScope opScope(op);
-            mem::Process *proc = node_.findProcess(p.dstPid);
-            if (proc != nullptr) {
-                RaceDetector::ScopedActor raceScope(
-                    node_.id(), "rmem deposit_read on node", node_.id());
-                util::Status ws = proc->space().write(p.dstVa, data);
-                REMORA_ASSERT(ws.ok());
-            }
-            if (p.notify) {
-                if (NotificationChannel *ch = channel(p.dstSeg)) {
-                    ch->post(Notification{src, NotifyKind::kRead, 0,
-                                          static_cast<uint32_t>(data.size())});
-                }
-            }
-            obs::TraceRecorder::instance().endSpan(span);
-            p.done.set(ReadOutcome{util::Status(), std::move(data)});
-        });
-}
-
-void
-RmemEngine::completeCas(net::NodeId src, CasResp &&resp)
-{
-    (void)src;
-    auto it = pendingCas_.find(resp.reqId);
-    if (it == pendingCas_.end()) {
+    SubOpKey k = keyOf(sub);
+    auto v = table_.validate(k.descriptor, k.generation, k.offset, k.count,
+                             vecOpRights(k.kind));
+    SegmentDescriptor *d = v.ok() ? v.value() : nullptr;
+    mem::Process *owner = d != nullptr ? ownerOf(*d) : nullptr;
+    if (owner == nullptr) {
+        res.status = v.ok() ? util::ErrorCode::kBadDescriptor
+                            : v.status().code();
+        then(nullptr);
         return;
     }
-    PendingCas p = std::move(it->second);
-    pendingCas_.erase(it);
-    if (p.timeoutEvent != 0) {
-        node_.simulator().cancel(p.timeoutEvent);
-    }
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "deposit_cas",
-            resp.success ? "success" : "failure");
-    }
-    uint64_t op = obs::TraceRecorder::currentOp();
-    node_.cpu().post(
-        costs_.msgHandleCost + costs_.copyWordCost,
-        sim::CpuCategory::kDataReceive,
-        [this, span, op, p = std::move(p), resp]() mutable {
-            obs::OpScope opScope(op);
-            mem::Process *proc = node_.findProcess(p.resultPid);
-            if (proc != nullptr) {
-                util::Status ws = proc->space().writeWord(
-                    p.resultVa, resp.success ? 1u : 0u);
-                REMORA_ASSERT(ws.ok());
-            }
-            obs::TraceRecorder::instance().endSpan(span);
-            p.done.set(
-                CasOutcome{util::Status(), resp.success, resp.observed});
-        });
-}
-
-void
-RmemEngine::completeVector(net::NodeId src, VectorResp &&resp)
-{
-    auto it = pendingVectors_.find(resp.reqId);
-    if (it == pendingVectors_.end()) {
-        return; // timed out or duplicate; drop silently
-    }
-    PendingVector p = std::move(it->second);
-    pendingVectors_.erase(it);
-    if (p.timeoutEvent != 0) {
-        node_.simulator().cancel(p.timeoutEvent);
-    }
-    if (resp.results.size() != p.deposits.size()) {
-        p.done.set(VectorOutcome{
-            util::Status(util::ErrorCode::kMalformed,
-                         "vector response arity mismatch"),
-            std::move(resp.results)});
-        return;
-    }
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "deposit_vector",
-            "results=" + std::to_string(resp.results.size()));
-    }
-    uint64_t op = obs::TraceRecorder::currentOp();
-    // ONE deposit event for the whole batch: demux once, then copy each
-    // successful READ payload / CAS result word into place.
-    sim::Duration cost = costs_.msgHandleCost;
-    for (size_t i = 0; i < resp.results.size(); ++i) {
-        const VectorSubResult &r = resp.results[i];
-        if (!p.deposits[i].active || r.status != util::ErrorCode::kOk) {
-            continue;
+    // The applied access belongs to the *initiating* node's
+    // happens-before timeline, as does any notify release it makes.
+    RaceDetector::ScopedActor raceScope(src, raceSite, src);
+    mem::AddressSpace &space = owner->space();
+    mem::Vaddr va = d->base + sub.offset;
+    switch (sub.kind) {
+      case VecOpKind::kWrite:
+        REMORA_ASSERT(space.write(va, sub.data).ok());
+        break;
+      case VecOpKind::kRead:
+        res.data.resize(sub.count);
+        REMORA_ASSERT(space.read(va, res.data).ok());
+        break;
+      case VecOpKind::kCas: {
+        // A CAS target is by definition a synchronization word: the
+        // read acquires its clock and a successful swap releases, so
+        // CAS-success pairs chain happens-before.
+        if (RaceDetector::on()) {
+            RaceDetector::instance().markSyncWord(node_.id(), sub.descriptor,
+                                                  sub.offset);
         }
-        cost += r.kind == VecOpKind::kRead ? costs_.copyCost(r.data.size())
-                                           : costs_.copyWordCost;
+        auto word = space.readWord(va);
+        REMORA_ASSERT(word.ok());
+        res.observed = word.value();
+        res.success = (word.value() == sub.oldValue);
+        if (res.success) {
+            REMORA_ASSERT(space.writeWord(va, sub.newValue).ok());
+        }
+        break;
+      }
     }
-    node_.cpu().post(
-        cost, sim::CpuCategory::kDataReceive,
-        [this, src, span, op, p = std::move(p),
-         results = std::move(resp.results)]() mutable {
-            obs::OpScope opScope(op);
-            RaceDetector::ScopedActor raceScope(
-                node_.id(), "rmem deposit_vector on node", node_.id());
-            // Reader-side notifications coalesce per destination
-            // segment, exactly like the serving side's doorbells.
-            std::map<SegmentId, std::vector<Notification>> notify;
-            for (size_t i = 0; i < results.size(); ++i) {
-                const VectorDeposit &dep = p.deposits[i];
-                const VectorSubResult &r = results[i];
-                if (!dep.active || r.status != util::ErrorCode::kOk) {
-                    continue;
-                }
-                mem::Process *proc = node_.findProcess(dep.pid);
-                if (proc == nullptr) {
-                    continue;
-                }
-                if (r.kind == VecOpKind::kRead) {
-                    util::Status ws = proc->space().write(dep.va, r.data);
-                    REMORA_ASSERT(ws.ok());
-                    if (dep.notify) {
-                        notify[dep.dstSeg].push_back(Notification{
-                            src, NotifyKind::kRead, 0,
-                            static_cast<uint32_t>(r.data.size()), op});
-                    }
-                } else if (r.kind == VecOpKind::kCas) {
-                    util::Status ws = proc->space().writeWord(
-                        dep.va, r.success ? 1u : 0u);
-                    REMORA_ASSERT(ws.ok());
-                }
+    then(d);
+}
+
+// ----------------------------------------------------------------------
+// Replies, NAKs and timeouts (initiator side)
+// ----------------------------------------------------------------------
+
+void
+RmemEngine::deposit(net::NodeId src, ReqId reqId, Reply &&reply)
+{
+    auto it = pending_.find(reqId);
+    if (it == pending_.end() || it->second.reply) {
+        return; // timed out, duplicate, or already landing; drop silently
+    }
+    Pending &pending = it->second;
+    if (pending.timeoutEvent != 0) {
+        node_.simulator().cancel(pending.timeoutEvent);
+    }
+    bool vectored = !pending.deposits.empty();
+    if (vectored && reply.results.size() != pending.deposits.size()) {
+        sim::Promise<Reply> done = std::move(pending.done);
+        pending_.erase(it);
+        done.set(Reply{util::Status(util::ErrorCode::kMalformed,
+                                    "vector response arity mismatch"),
+                       {},
+                       std::move(reply.results)});
+        return;
+    }
+    obs::SpanId span = obs::kNoSpan;
+    if (obs::TraceRecorder::on()) {
+        std::string args =
+            vectored ? "results=" + std::to_string(reply.results.size())
+            : pending.one.kind == VecOpKind::kRead
+                ? "bytes=" + std::to_string(reply.one.data.size())
+                : (reply.one.success ? "success" : "failure");
+        span = obs::TraceRecorder::instance().beginSpan(
+            node_.name(), "rmem",
+            textOf(vectored, pending.one.kind).depositSpan, args);
+    }
+    uint64_t op = obs::TraceRecorder::currentOp();
+    // ONE deposit event per reply: demux once, then copy each landed
+    // READ payload / CAS result word into place.
+    sim::Duration cost = costs_.msgHandleCost;
+    for (size_t i = 0; i < reply.landed().size(); ++i) {
+        const VectorSubResult &r = reply.landed()[i];
+        if (pending.landings()[i].kind != VecOpKind::kWrite &&
+            r.status == util::ErrorCode::kOk) {
+            cost += r.kind == VecOpKind::kRead ? costs_.copyCost(r.data.size())
+                                               : costs_.copyWordCost;
+        }
+    }
+    // The reply waits in the table for its deposit event, so the event
+    // captures no payload and a late NAK or duplicate reply is dropped.
+    pending.reply = std::move(reply);
+    auto land = [this, src, span, op, reqId] {
+        obs::OpScope opScope(op);
+        auto entry = pending_.extract(reqId);
+        Pending &p = entry.mapped();
+        Reply &landed = *p.reply;
+        bool batch = !p.deposits.empty();
+        RaceDetector::ScopedActor raceScope(
+            node_.id(), textOf(batch, p.one.kind).depositSite, node_.id());
+        // Reader-side notifications coalesce per destination segment,
+        // exactly like the serving side's doorbells.
+        std::map<SegmentId, std::vector<Notification>> notify;
+        for (size_t i = 0; i < landed.landed().size(); ++i) {
+            const Deposit &dep = p.landings()[i];
+            const VectorSubResult &r = landed.landed()[i];
+            mem::Process *proc = dep.kind == VecOpKind::kWrite ||
+                                         r.status != util::ErrorCode::kOk
+                                     ? nullptr
+                                     : node_.findProcess(dep.pid);
+            if (proc == nullptr) {
+                continue;
             }
-            for (auto &[segId, recs] : notify) {
-                if (NotificationChannel *ch = channel(segId)) {
-                    stats_.notificationsPosted.inc(recs.size());
+            if (r.kind == VecOpKind::kRead) {
+                REMORA_ASSERT(proc->space().write(dep.va, r.data).ok());
+                if (dep.notify) {
+                    notify[dep.dstSeg].push_back(
+                        Notification{src, NotifyKind::kRead, 0,
+                                     static_cast<uint32_t>(r.data.size()), op});
+                }
+            } else if (r.kind == VecOpKind::kCas) {
+                REMORA_ASSERT(
+                    proc->space().writeWord(dep.va, r.success ? 1u : 0u).ok());
+            }
+        }
+        for (auto &[segId, recs] : notify) {
+            if (NotificationChannel *ch = channel(segId)) {
+                stats_.notificationsPosted.inc(recs.size());
+                if (batch) {
                     stats_.vectorDoorbells.inc();
-                    ch->postBatch(recs);
                 }
+                ch->postBatch(recs);
             }
-            obs::TraceRecorder::instance().endSpan(span);
-            p.done.set(VectorOutcome{util::Status(), std::move(results)});
-        });
+        }
+        obs::TraceRecorder::instance().endSpan(span);
+        p.done.set(std::move(landed));
+    };
+    static_assert(sim::Callback::kFitsInline<decltype(land)>);
+    node_.cpu().post(cost, sim::CpuCategory::kDataReceive, std::move(land));
 }
 
 void
@@ -1362,40 +1187,47 @@ RmemEngine::handleNak(net::NodeId src, const Nak &nak)
             std::string(util::errorCodeName(nak.error)) + " from=" +
                 std::to_string(src));
     }
-    if (auto it = pendingReads_.find(nak.reqId); it != pendingReads_.end()) {
-        PendingRead p = std::move(it->second);
-        pendingReads_.erase(it);
-        if (p.timeoutEvent != 0) {
-            node_.simulator().cancel(p.timeoutEvent);
-        }
-        p.done.set(ReadOutcome{
-            util::Status(nak.error, "remote rejected read"), {}});
-        return;
-    }
-    if (auto it = pendingCas_.find(nak.reqId); it != pendingCas_.end()) {
-        PendingCas p = std::move(it->second);
-        pendingCas_.erase(it);
-        if (p.timeoutEvent != 0) {
-            node_.simulator().cancel(p.timeoutEvent);
-        }
-        p.done.set(CasOutcome{util::Status(nak.error, "remote rejected CAS"),
-                              false, 0});
-        return;
-    }
-    if (auto it = pendingVectors_.find(nak.reqId);
-        it != pendingVectors_.end()) {
-        PendingVector p = std::move(it->second);
-        pendingVectors_.erase(it);
-        if (p.timeoutEvent != 0) {
-            node_.simulator().cancel(p.timeoutEvent);
-        }
-        p.done.set(VectorOutcome{
-            util::Status(nak.error, "remote rejected vectored op"), {}});
+    if (fail(nak.reqId, nak.error, false)) {
         return;
     }
     // NAK for a write or an already-resolved request: counted above.
     REMORA_LOG(kDebug, "rmem",
                node_.name() << ": NAK " << util::errorCodeName(nak.error));
+}
+
+sim::Future<RmemEngine::Reply>
+RmemEngine::expect(ReqId id, Deposit one, std::vector<Deposit> deposits,
+                   sim::Duration timeout)
+{
+    auto [it, inserted] = pending_.try_emplace(
+        id, Pending{one, std::move(deposits),
+                    sim::Promise<Reply>(node_.simulator()), 0});
+    REMORA_ASSERT(inserted);
+    if (timeout > 0) {
+        it->second.timeoutEvent = node_.simulator().schedule(
+            timeout, [this, id] { fail(id, util::ErrorCode::kTimeout, true); });
+    }
+    return it->second.done.future();
+}
+
+bool
+RmemEngine::fail(ReqId id, util::ErrorCode code, bool timedOut)
+{
+    auto it = pending_.find(id);
+    if (it == pending_.end() || it->second.reply) {
+        return false; // resolved, or its reply is being deposited
+    }
+    Pending p = std::move(it->second);
+    pending_.erase(it);
+    const PendingText &text = textOf(!p.deposits.empty(), p.one.kind);
+    if (timedOut) {
+        stats_.timeouts.inc();
+    } else if (p.timeoutEvent != 0) {
+        node_.simulator().cancel(p.timeoutEvent);
+    }
+    p.done.set(
+        Reply{util::Status(code, timedOut ? text.timeout : text.nak), {}, {}});
+    return true;
 }
 
 void
@@ -1416,45 +1248,13 @@ RmemEngine::sendNak(net::NodeId dst, ReqId reqId, util::ErrorCode error,
     wire_.send(dst, Message(nak), sim::CpuCategory::kDataReply);
 }
 
-void
-RmemEngine::maybeNotify(SegmentDescriptor &d, bool requestNotify,
-                        const Notification &n)
-{
-    bool fire = false;
-    switch (d.policy) {
-      case NotifyPolicy::kAlways:
-        fire = true;
-        break;
-      case NotifyPolicy::kNever:
-        fire = false;
-        break;
-      case NotifyPolicy::kConditional:
-        fire = requestNotify;
-        break;
-    }
-    if (fire && d.channel) {
-        stats_.notificationsPosted.inc();
-        if (obs::TraceRecorder::on()) {
-            obs::TraceRecorder::instance().instant(
-                node_.name(), "rmem", "notify",
-                "offset=" + std::to_string(n.offset) + " len=" +
-                    std::to_string(n.count));
-        }
-        d.channel->post(n);
-    }
-}
-
 ReqId
 RmemEngine::allocReqId()
 {
     for (;;) {
         ReqId id = nextReqId_++;
-        if (id == 0) {
-            continue; // zero is reserved for id-less NAKs
-        }
-        if (pendingReads_.find(id) == pendingReads_.end() &&
-            pendingCas_.find(id) == pendingCas_.end() &&
-            pendingVectors_.find(id) == pendingVectors_.end()) {
+        // Zero is reserved for id-less NAKs.
+        if (id != 0 && pending_.find(id) == pending_.end()) {
             return id;
         }
     }

@@ -30,11 +30,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/node.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rmem/cost_model.h"
 #include "rmem/descriptor.h"
 #include "rmem/protocol.h"
@@ -294,73 +297,121 @@ class RmemEngine
                        const std::string &prefix) const;
 
   private:
-    struct PendingRead
+    /** Where one READ/CAS result lands locally (kWrite: nothing lands). */
+    struct Deposit
     {
-        mem::Pid dstPid = 0;
-        mem::Vaddr dstVa = 0;
-        sim::Promise<ReadOutcome> done;
-        sim::EventId timeoutEvent = 0;
-        /** Reader-side notification requested for this chunk. */
-        bool notify = false;
-        /** Local destination segment (its channel gets the notification). */
-        SegmentId dstSeg = 0;
-    };
-    struct PendingCas
-    {
-        mem::Pid resultPid = 0;
-        mem::Vaddr resultVa = 0;
-        sim::Promise<CasOutcome> done;
-        sim::EventId timeoutEvent = 0;
-    };
-    /** Resolved local landing spot of one READ/CAS sub-op. */
-    struct VectorDeposit
-    {
-        bool active = false;
         VecOpKind kind = VecOpKind::kWrite;
         mem::Pid pid = 0;
         mem::Vaddr va = 0;
+        /** Post a reader-side notification when the deposit completes. */
         bool notify = false;
         SegmentId dstSeg = 0;
     };
-    struct PendingVector
+    /** What a pending request resolves with. */
+    struct Reply
     {
-        std::vector<VectorDeposit> deposits;
-        sim::Promise<VectorOutcome> done;
+        util::Status status;
+        /** A scalar READ/CAS result, held inline. */
+        VectorSubResult one;
+        /** A vectored request's per-sub-op results. */
+        std::vector<VectorSubResult> results;
+
+        /** The results, one per deposit of the request. */
+        std::span<const VectorSubResult>
+        landed() const
+        {
+            return results.empty() ? std::span(&one, 1) : std::span(results);
+        }
+    };
+    /**
+     * A request awaiting its reply, NAK or timeout. A scalar op's single
+     * deposit is held inline; a vectored op has one deposit per sub-op.
+     */
+    struct Pending
+    {
+        Deposit one;
+        std::vector<Deposit> deposits;
+        sim::Promise<Reply> done;
         sim::EventId timeoutEvent = 0;
+        /** The arrived reply, held while its deposit event is queued. */
+        std::optional<Reply> reply{};
+
+        /** The deposits, one per result of the reply. */
+        std::span<const Deposit>
+        landings() const
+        {
+            return deposits.empty() ? std::span(&one, 1)
+                                    : std::span(deposits);
+        }
     };
     /** Shared progress of one served vectored request (engine.cc). */
     struct VectorServeState;
 
+    /**
+     * Open an initiator op's async trace span, named @p name with the
+     * detail @p args() builds, and its "issue" span — only when tracing.
+     * Returns the op id, 0 when untraced.
+     */
+    template <typename Args>
+    uint64_t beginOp(const char *name, obs::SpanId &issueSpan, Args &&args);
+
+    /** Close op @p opId's async trace (no-op when untraced). */
+    void endOp(uint64_t opId, const char *name, const util::Status &status);
+
     /** Dispatch for incoming remote-memory messages. */
     void onMessage(net::NodeId src, Message &&msg);
 
-    void serveWrite(net::NodeId src, WriteReq &&req);
-    void serveRead(net::NodeId src, ReadReq &&req);
-    void serveCas(net::NodeId src, CasReq &&req);
+    /**
+     * Serve a single-cell WRITE, READ or CAS request in the paper's
+     * stages: demux + validation, then translation + copy (a CAS
+     * executes in its one stage).
+     */
+    template <typename Req>
+    void serveScalar(net::NodeId src, Req &&req);
+
+    /** The last stage of a single-cell request: apply, reply, notify. */
+    void applyScalar(net::NodeId src, obs::SpanId span, ReqId reqId,
+                     VectorSubOp &&sub);
+
     void serveVector(net::NodeId src, VectorReq &&req);
-    void completeRead(net::NodeId src, ReadResp &&resp);
-    void completeCas(net::NodeId src, CasResp &&resp);
-    void completeVector(net::NodeId src, VectorResp &&resp);
-    void handleNak(net::NodeId src, const Nak &nak);
 
     /** Stage 1 of a served vector: per-batch validation + dispatch. */
-    void executeVector(const std::shared_ptr<VectorServeState> &st,
-                       VectorReq &&req);
-
-    /** Stage 2: one sub-op's translation, copy, and notify queueing. */
-    void executeVectorSubOp(const std::shared_ptr<VectorServeState> &st,
-                            size_t index, VectorSubOp &&sub);
+    void executeVector(const std::shared_ptr<VectorServeState> &st);
 
     /** Last sub-op done: coalesced doorbells + response + span close. */
     void finishVector(const std::shared_ptr<VectorServeState> &st);
 
+    /**
+     * The sub-op executor both serve paths share: re-validate (the
+     * segment may have been revoked since stage 1), find the owner, and
+     * perform the access under @p src's race actor, filling @p res.
+     * Calls @p then with the descriptor inside that actor scope, or with
+     * nullptr (res.status set) when the sub-op was rejected.
+     */
+    template <typename Then>
+    void applySubOp(net::NodeId src, const char *raceSite, VectorSubOp &sub,
+                    VectorSubResult &res, Then &&then);
+
+    /** Land a reply's READ data / CAS words and resolve its request. */
+    void deposit(net::NodeId src, ReqId reqId, Reply &&reply);
+
+    void handleNak(net::NodeId src, const Nak &nak);
+
+    /** Track request @p id until a reply, NAK or timeout resolves it. */
+    sim::Future<Reply> expect(ReqId id, Deposit one,
+                              std::vector<Deposit> deposits,
+                              sim::Duration timeout);
+
+    /**
+     * Resolve pending request @p id with @p code: a NAK's error, or
+     * kTimeout from the request's own timeout event. False when @p id
+     * is no longer pending or its reply is already being deposited.
+     */
+    bool fail(ReqId id, util::ErrorCode code, bool timedOut);
+
     /** Send a NAK for a rejected request. */
     void sendNak(net::NodeId dst, ReqId reqId, util::ErrorCode error,
                  MsgType originalType);
-
-    /** Post a notification if policy/notify-bit ask for one. */
-    void maybeNotify(SegmentDescriptor &d, bool requestNotify,
-                     const Notification &n);
 
     /** Allocate a request id not currently pending. */
     ReqId allocReqId();
@@ -384,9 +435,7 @@ class RmemEngine
     CostModel costs_;
     Wire wire_;
     DescriptorTable table_;
-    std::unordered_map<ReqId, PendingRead> pendingReads_;
-    std::unordered_map<ReqId, PendingCas> pendingCas_;
-    std::unordered_map<ReqId, PendingVector> pendingVectors_;
+    std::unordered_map<ReqId, Pending> pending_;
     ReqId nextReqId_ = 1;
     EngineStats stats_;
     EngineMetrics metrics_;

@@ -13,8 +13,7 @@ NotificationChannel::NotificationChannel(sim::CpuResource &cpu,
     : cpu_(cpu), costs_(costs)
 {
     wgId_ = waitGraph().channelOpen("");
-    hangLabel_ = "channel#" + std::to_string(wgId_);
-    waitGraph().channelLabel(wgId_, hangLabel_);
+    setHangLabel("channel#" + std::to_string(wgId_));
 }
 
 NotificationChannel::~NotificationChannel()
@@ -22,13 +21,25 @@ NotificationChannel::~NotificationChannel()
     // Counts survive in the wait graph: a destroyed channel with
     // undelivered notifications is still a lost wakeup.
     waitGraph().channelClose(wgId_);
+    keepParkSite();
 }
 
 void
 NotificationChannel::setHangLabel(std::string label)
 {
-    hangLabel_ = std::move(label);
-    waitGraph().channelLabel(wgId_, hangLabel_);
+    keepParkSite();
+    parkSite_.assign(label).append(" blocking read");
+    waitGraph().channelLabel(wgId_, std::move(label));
+}
+
+void
+NotificationChannel::keepParkSite()
+{
+    // A parked reader's wait-graph entry points at parkSite_; hand the
+    // graph its own copy before that string changes or dies.
+    if (reader_) {
+        waitGraph().parked(this, parkSite_, daemon_);
+    }
 }
 
 sim::Task<Notification>
@@ -44,8 +55,7 @@ NotificationChannel::next()
             await_suspend(std::coroutine_handle<> h) noexcept
             {
                 ch->reader_ = h;
-                ch->waitGraph().parked(ch,
-                                       ch->hangLabel_ + " blocking read",
+                ch->waitGraph().parked(ch, ch->parkSite_.c_str(),
                                        ch->daemon_);
                 ch->waitGraph().channelReader(ch->wgId_, true);
             }

@@ -171,6 +171,9 @@ class NotificationChannel
     /** The owning simulator's wait graph. */
     sim::WaitGraph &waitGraph() { return cpu_.simulator().waitGraph(); }
 
+    /** Re-park a parked reader under a copy of parkSite_. */
+    void keepParkSite();
+
     sim::CpuResource &cpu_;
     const CostModel &costs_;
     std::deque<Notification> queue_;
@@ -183,7 +186,8 @@ class NotificationChannel
     std::string traceNode_;
     uint64_t wgId_ = 0;
     bool daemon_ = false;
-    std::string hangLabel_;
+    /** "<label> blocking read", built once per label, not per park. */
+    std::string parkSite_;
 };
 
 /**

@@ -65,6 +65,41 @@ vecOpRights(VecOpKind kind)
     return Rights::kNone;
 }
 
+uint32_t
+subOpBytes(const VectorSubOp &op)
+{
+    switch (op.kind) {
+      case VecOpKind::kWrite:
+        return static_cast<uint32_t>(op.data.size());
+      case VecOpKind::kRead:
+        return op.count;
+      case VecOpKind::kCas:
+        break;
+    }
+    return 4;
+}
+
+util::Status
+checkImport(const ImportedSegment &seg, VecOpKind kind, uint64_t offset,
+            uint64_t count)
+{
+    static constexpr const char *kNoRight[] = {"import lacks write right",
+                                               "import lacks read right",
+                                               "import lacks CAS right"};
+    static constexpr const char *kOutside[] = {
+        "write outside imported segment", "read outside imported segment",
+        "CAS target invalid"};
+    auto k = static_cast<size_t>(kind);
+    if (!hasRights(seg.rights, vecOpRights(kind))) {
+        return util::Status(util::ErrorCode::kAccessDenied, kNoRight[k]);
+    }
+    if (offset + count > seg.size ||
+        (kind == VecOpKind::kCas && offset % 4 != 0)) {
+        return util::Status(util::ErrorCode::kOutOfBounds, kOutside[k]);
+    }
+    return {};
+}
+
 size_t
 encodedVectorSize(const VectorReq &req)
 {
@@ -135,9 +170,14 @@ distinctValidationKeys(const std::vector<VectorSubOp> &ops)
 // ----------------------------------------------------------------------
 
 util::Status
-BatchBuilder::admit(const ImportedSegment &seg, size_t opBytes,
-                    size_t respBytes)
+BatchBuilder::append(const ImportedSegment &seg, VectorSubOp sub,
+                     VectorLocalDeposit local)
 {
+    util::Status admitted =
+        checkImport(seg, sub.kind, sub.offset, subOpBytes(sub));
+    if (!admitted.ok()) {
+        return admitted;
+    }
     if (batch_.ops.size() >= kMaxVectorOps) {
         return util::Status(util::ErrorCode::kResource, "vector batch full");
     }
@@ -145,108 +185,47 @@ BatchBuilder::admit(const ImportedSegment &seg, size_t opBytes,
         return util::Status(util::ErrorCode::kInvalidArgument,
                             "vector batch spans target nodes");
     }
-    if (wireBytes() + opBytes > kBlockDataMax) {
+    if (wireBytes() + subOpWireBytes(sub) > kBlockDataMax) {
         return util::Status(util::ErrorCode::kResource,
                             "vector batch exceeds frame budget");
     }
-    if (respBytes_ + respBytes > kBlockDataMax) {
+    if (respBytes_ + subOpRespBytes(sub) > kBlockDataMax) {
         return util::Status(util::ErrorCode::kResource,
                             "vector response exceeds frame budget");
     }
+    batch_.target = seg.node;
+    haveTarget_ = true;
+    respBytes_ += subOpRespBytes(sub);
+    batch_.ops.push_back(std::move(sub));
+    batch_.local.push_back(local);
     return {};
 }
 
 util::Status
 BatchBuilder::addWrite(Write op)
 {
-    if (!hasRights(op.dst.rights, Rights::kWrite)) {
-        return util::Status(util::ErrorCode::kAccessDenied,
-                            "import lacks write right");
-    }
-    if (static_cast<uint64_t>(op.offset) + op.data.size() > op.dst.size) {
-        return util::Status(util::ErrorCode::kOutOfBounds,
-                            "write outside imported segment");
-    }
-    VectorSubOp sub;
-    sub.kind = VecOpKind::kWrite;
-    sub.descriptor = op.dst.descriptor;
-    sub.generation = op.dst.generation;
-    sub.offset = op.offset;
-    sub.notify = op.notify;
-    sub.data = std::move(op.data);
-    util::Status ok = admit(op.dst, subOpWireBytes(sub), subOpRespBytes(sub));
-    if (!ok.ok()) {
-        return ok;
-    }
-    batch_.target = op.dst.node;
-    haveTarget_ = true;
-    respBytes_ += subOpRespBytes(sub);
-    batch_.ops.push_back(std::move(sub));
-    batch_.local.push_back(VectorLocalDeposit{});
-    return {};
+    return append(op.dst,
+                  {VecOpKind::kWrite, op.dst.descriptor, op.dst.generation,
+                   op.offset, op.notify, std::move(op.data)},
+                  VectorLocalDeposit{});
 }
 
 util::Status
 BatchBuilder::addRead(Read op)
 {
-    if (!hasRights(op.src.rights, Rights::kRead)) {
-        return util::Status(util::ErrorCode::kAccessDenied,
-                            "import lacks read right");
-    }
-    if (static_cast<uint64_t>(op.srcOff) + op.count > op.src.size) {
-        return util::Status(util::ErrorCode::kOutOfBounds,
-                            "read outside imported segment");
-    }
-    VectorSubOp sub;
-    sub.kind = VecOpKind::kRead;
-    sub.descriptor = op.src.descriptor;
-    sub.generation = op.src.generation;
-    sub.offset = op.srcOff;
-    sub.notify = op.notify;
-    sub.count = op.count;
-    util::Status ok = admit(op.src, subOpWireBytes(sub), subOpRespBytes(sub));
-    if (!ok.ok()) {
-        return ok;
-    }
-    batch_.target = op.src.node;
-    haveTarget_ = true;
-    respBytes_ += subOpRespBytes(sub);
-    batch_.ops.push_back(std::move(sub));
-    batch_.local.push_back(
-        VectorLocalDeposit{true, op.dstSeg, op.dstOff, op.notify});
-    return {};
+    return append(op.src,
+                  {VecOpKind::kRead, op.src.descriptor, op.src.generation,
+                   op.srcOff, op.notify, {}, op.count},
+                  VectorLocalDeposit{true, op.dstSeg, op.dstOff, op.notify});
 }
 
 util::Status
 BatchBuilder::addCas(Cas op)
 {
-    if (!hasRights(op.dst.rights, Rights::kCas)) {
-        return util::Status(util::ErrorCode::kAccessDenied,
-                            "import lacks CAS right");
-    }
-    if (op.offset % 4 != 0 ||
-        static_cast<uint64_t>(op.offset) + 4 > op.dst.size) {
-        return util::Status(util::ErrorCode::kOutOfBounds,
-                            "CAS target invalid");
-    }
-    VectorSubOp sub;
-    sub.kind = VecOpKind::kCas;
-    sub.descriptor = op.dst.descriptor;
-    sub.generation = op.dst.generation;
-    sub.offset = op.offset;
-    sub.oldValue = op.oldValue;
-    sub.newValue = op.newValue;
-    util::Status ok = admit(op.dst, subOpWireBytes(sub), subOpRespBytes(sub));
-    if (!ok.ok()) {
-        return ok;
-    }
-    batch_.target = op.dst.node;
-    haveTarget_ = true;
-    respBytes_ += subOpRespBytes(sub);
-    batch_.ops.push_back(std::move(sub));
-    batch_.local.push_back(
-        VectorLocalDeposit{true, op.resultSeg, op.resultOff, false});
-    return {};
+    return append(op.dst,
+                  {VecOpKind::kCas, op.dst.descriptor, op.dst.generation,
+                   op.offset, false, {}, 0, op.oldValue, op.newValue},
+                  VectorLocalDeposit{true, op.resultSeg, op.resultOff, false});
 }
 
 bool

@@ -137,6 +137,19 @@ struct VectorOutcome
 /** Rights a sub-op of @p kind needs at the target. */
 Rights vecOpRights(VecOpKind kind);
 
+/** Bytes a sub-op touches at the target: payload, count or one word. */
+uint32_t subOpBytes(const VectorSubOp &op);
+
+/**
+ * The import-side check of one READ/WRITE/CAS the initiating kernel runs
+ * before anything reaches the wire: the handle must carry the rights
+ * @p kind needs, [offset, offset+count) must lie inside it, and a CAS
+ * word must be aligned. Shared by the scalar meta-instructions and
+ * BatchBuilder.
+ */
+util::Status checkImport(const ImportedSegment &seg, VecOpKind kind,
+                         uint64_t offset, uint64_t count);
+
 /** Encoded wire size of a VectorReq (for frame budgeting). */
 size_t encodedVectorSize(const VectorReq &req);
 
@@ -264,9 +277,12 @@ class BatchBuilder
     sim::Task<VectorOutcome> issue(sim::Duration timeout = 0);
 
   private:
-    /** Check the batch stays single-target and within frame budget. */
-    util::Status admit(const ImportedSegment &seg, size_t opBytes,
-                       size_t respBytes);
+    /**
+     * Run the import-side check, keep the batch single-target and within
+     * its frame budgets, and append @p sub with its local deposit.
+     */
+    util::Status append(const ImportedSegment &seg, VectorSubOp sub,
+                        VectorLocalDeposit local);
 
     RmemEngine &engine_;
     VectorBatch batch_;

@@ -227,6 +227,16 @@ class Callback
      */
     static constexpr size_t kInlineBytes = 72;
 
+    /**
+     * True when a callable of type @p D is stored inline (no heap
+     * allocation). Hot event sites static_assert it on their captures.
+     */
+    template <typename D>
+    static constexpr bool kFitsInline =
+        sizeof(D) <= kInlineBytes &&
+        alignof(D) <= alignof(std::max_align_t) &&
+        std::is_nothrow_move_constructible_v<D>;
+
     /** An empty callback (tests false; must not be invoked). */
     Callback() noexcept = default;
 
@@ -294,12 +304,6 @@ class Callback
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *self) noexcept;
     };
-
-    template <typename D>
-    static constexpr bool kFitsInline =
-        sizeof(D) <= kInlineBytes &&
-        alignof(D) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<D>;
 
     template <typename D>
     struct Inline

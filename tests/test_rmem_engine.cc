@@ -312,6 +312,131 @@ TEST(RmemEngine, ReadTimeoutFiresWhenPeerSilent)
     EXPECT_EQ(c.engineA.stats().timeouts.value(), 1u);
 }
 
+/**
+ * Step @p c until node B has validated the single request it is serving
+ * and queued its copy stage (charged to @p copyCategory), then revoke
+ * @p seg so the copy stage finds the segment gone.
+ */
+void
+revokeBeforeCopyStage(TwoNodeCluster &c, const rmem::ImportedSegment &seg,
+                      sim::CpuCategory copyCategory)
+{
+    while (c.engineB.stats().requestsServed.value() == 0 && c.sim.step()) {
+    }
+    sim::Duration queued = c.nodeB.cpu().busyIn(copyCategory);
+    while (c.nodeB.cpu().busyIn(copyCategory) == queued && c.sim.step()) {
+    }
+    ASSERT_GT(c.nodeB.cpu().busyIn(copyCategory), queued);
+    ASSERT_TRUE(c.engineB.revokeSegment(seg.descriptor).ok());
+}
+
+TEST(RmemProtection, WriteRevokedBeforeItsCopyStageIsNaked)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr base = server.space().allocRegion(4096);
+    auto seg = c.engineB.exportSegment(server, base, 4096, rmem::Rights::kAll,
+                                       rmem::NotifyPolicy::kNever, "data");
+    ASSERT_TRUE(seg.ok());
+
+    auto w = c.engineA.write(seg.value(), 64, {1, 2, 3, 4});
+    revokeBeforeCopyStage(c, seg.value(), sim::CpuCategory::kDataReceive);
+    EXPECT_TRUE(runToCompletion(c.sim, w).ok()); // local completion
+    c.sim.run();
+    // Stage 1 passed; the copy stage's re-validation NAKs the write.
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 1u);
+    EXPECT_EQ(c.engineA.nakCount(), 1u);
+    std::vector<uint8_t> check(4);
+    ASSERT_TRUE(server.space().read(base + 64, check).ok());
+    EXPECT_EQ(check, std::vector<uint8_t>(4, 0));
+}
+
+TEST(RmemProtection, ReadRevokedBeforeItsCopyStageIsNaked)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto local = makeSegment(c.engineA, client, 4096);
+    auto seg = makeSegment(c.engineB, server, 4096);
+
+    auto r = c.engineA.read(seg, 0, local.descriptor, 0, 16);
+    revokeBeforeCopyStage(c, seg, sim::CpuCategory::kDataReply);
+    rmem::ReadOutcome out = runToCompletion(c.sim, r);
+    EXPECT_EQ(out.status.code(), util::ErrorCode::kBadDescriptor);
+    EXPECT_EQ(out.status.message(), "remote rejected read");
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 1u);
+}
+
+TEST(RmemEngine, LateReadReplyIsDroppedAfterTimeout)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    mem::Vaddr lbase = client.space().allocRegion(4096);
+    auto local = c.engineA.exportSegment(client, lbase, 4096,
+                                         rmem::Rights::kAll,
+                                         rmem::NotifyPolicy::kNever, "dst");
+    ASSERT_TRUE(local.ok());
+    mem::Vaddr base = server.space().allocRegion(4096);
+    std::vector<uint8_t> content(32, 0xab);
+    ASSERT_TRUE(server.space().write(base, content).ok());
+    auto seg = c.engineB.exportSegment(server, base, 4096, rmem::Rights::kAll,
+                                       rmem::NotifyPolicy::kNever, "src");
+    ASSERT_TRUE(seg.ok());
+
+    // The deadline expires long before the round trip completes.
+    auto r = c.engineA.read(seg.value(), 0, local.value().descriptor, 0, 32,
+                            false, sim::usec(1));
+    rmem::ReadOutcome out = runToCompletion(c.sim, r);
+    EXPECT_EQ(out.status.code(), util::ErrorCode::kTimeout);
+    EXPECT_EQ(out.status.message(), "remote read timed out");
+    c.sim.run();
+    // The reply was served, arrived late, and was dropped unseen.
+    EXPECT_EQ(c.engineB.stats().requestsServed.value(), 1u);
+    EXPECT_EQ(c.engineA.stats().timeouts.value(), 1u);
+    std::vector<uint8_t> landed(32);
+    ASSERT_TRUE(client.space().read(lbase, landed).ok());
+    EXPECT_EQ(landed, std::vector<uint8_t>(32, 0));
+
+    auto r2 = c.engineA.read(seg.value(), 0, local.value().descriptor, 0, 32);
+    rmem::ReadOutcome out2 = runToCompletion(c.sim, r2);
+    ASSERT_TRUE(out2.status.ok());
+    EXPECT_EQ(out2.data, content);
+    ASSERT_TRUE(client.space().read(lbase, landed).ok());
+    EXPECT_EQ(landed, content);
+}
+
+TEST(RmemProtection, ForgedCasRightResolvesWithTheNakStatus)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    mem::Vaddr lbase = client.space().allocRegion(4096);
+    auto local = c.engineA.exportSegment(client, lbase, 4096,
+                                         rmem::Rights::kAll,
+                                         rmem::NotifyPolicy::kNever, "dst");
+    ASSERT_TRUE(local.ok());
+    ASSERT_TRUE(client.space().writeWord(lbase + 8, 0xdeadbeef).ok());
+    auto seg = makeSegment(c.engineB, server, 4096,
+                           rmem::Rights::kRead | rmem::Rights::kWrite);
+
+    // The handle claims a CAS right the exporter never granted.
+    rmem::ImportedSegment forged = seg;
+    forged.rights = rmem::Rights::kAll;
+    auto t = c.engineA.cas(forged, 0, 0, 1, local.value().descriptor, 8);
+    rmem::CasOutcome out = runToCompletion(c.sim, t);
+    EXPECT_EQ(out.status.code(), util::ErrorCode::kAccessDenied);
+    EXPECT_EQ(out.status.message(), "remote rejected CAS");
+    EXPECT_FALSE(out.success);
+    c.sim.run();
+    EXPECT_EQ(c.engineB.stats().naksSent.value(), 1u);
+    EXPECT_EQ(c.engineA.nakCount(), 1u);
+    // Nothing was deposited at the result word.
+    auto word = client.space().readWord(lbase + 8);
+    ASSERT_TRUE(word.ok());
+    EXPECT_EQ(word.value(), 0xdeadbeefu);
+}
+
 TEST(RmemNotification, ConditionalPolicyFollowsNotifyBit)
 {
     TwoNodeCluster c;

@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "cluster_fixture.h"
 #include "rmem/engine.h"
 #include "util/hash.h"
@@ -137,6 +141,66 @@ TEST(Notification, ReaderSideNotifyOnReadCompletion)
     rmem::Notification n = waiter.result();
     EXPECT_EQ(n.kind, rmem::NotifyKind::kRead);
     EXPECT_EQ(n.count, 32u);
+    // The reader-side notification counts like any other; doorbells
+    // count vectored replies only.
+    EXPECT_EQ(c.engineA.stats().notificationsPosted.value(), 1u);
+    EXPECT_EQ(c.engineA.stats().vectorDoorbells.value(), 0u);
+}
+
+TEST(Notification, BlockedReaderReportsItsParkSite)
+{
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    auto seg = makeSegment(c.engineB, server, 4096);
+    auto *ch = c.engineB.channel(seg.descriptor);
+
+    auto waiter = ch->next();
+    c.sim.run();
+    EXPECT_EQ(c.sim.blockedTaskCount(), 1u);
+    const std::string hang =
+        "HANG (blocked-task) at t=" + std::to_string(c.sim.now()) +
+        " — coroutine parked forever (no wakeup pending)\n"
+        "  nodeB:seg notify fd blocking read\n";
+    auto reports = c.sim.waitGraph().quiescenceReports(c.sim.now());
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].format(), hang);
+
+    // A relabel while the reader waits (to a shorter label, so the new
+    // text lands in the old one's storage) keeps the site it parked at.
+    ch->setHangLabel("x");
+    reports = c.sim.waitGraph().quiescenceReports(c.sim.now());
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].format(), hang);
+
+    auto w = c.engineA.write(seg, 0, {1}, true);
+    runToCompletion(c.sim, w);
+    c.sim.run();
+    EXPECT_TRUE(waiter.done());
+    EXPECT_EQ(c.sim.blockedTaskCount(), 0u);
+}
+
+TEST(NotificationDeathTest, RevokedChannelKeepsItsParkedReaderSite)
+{
+    // Revoking the segment destroys its channel under the parked
+    // reader, whose frame can then never resume. The child checks the
+    // report and leaves through _Exit, so the exit-time leak check does
+    // not flag that frame.
+    EXPECT_EXIT(
+        {
+            TwoNodeCluster c;
+            mem::Process &server = c.nodeB.spawnProcess("server");
+            auto seg = makeSegment(c.engineB, server, 4096);
+            auto waiter = c.engineB.channel(seg.descriptor)->next();
+            c.sim.run();
+            bool revoked = c.engineB.revokeSegment(seg.descriptor).ok();
+            auto reports = c.sim.waitGraph().quiescenceReports(c.sim.now());
+            bool named = reports.size() == 1 &&
+                         reports[0].parties ==
+                             std::vector<std::string>{
+                                 "nodeB:seg notify fd blocking read"};
+            std::_Exit(revoked && named ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(RmemChunking, LargeReadSpansMultipleFrames)
@@ -163,7 +227,7 @@ TEST(RmemChunking, LargeReadSpansMultipleFrames)
     ASSERT_TRUE(local.ok());
 
     auto rd = c.engineA.read(remote.value(), 0, local.value().descriptor, 0,
-                             size);
+                             size, /*notify=*/true);
     auto out = runToCompletion(c.sim, rd);
     ASSERT_TRUE(out.status.ok());
     EXPECT_EQ(out.data, content);
@@ -171,6 +235,16 @@ TEST(RmemChunking, LargeReadSpansMultipleFrames)
     std::vector<uint8_t> deposited(size);
     ASSERT_TRUE(client.space().read(lbase, deposited).ok());
     EXPECT_EQ(deposited, content);
+    // Three frames (60000 + 60000 + 30000 bytes), one notification: the
+    // last chunk's.
+    c.sim.run();
+    auto *ch = c.engineA.channel(local.value().descriptor);
+    rmem::Notification n;
+    ASSERT_TRUE(ch->tryNext(n));
+    EXPECT_EQ(n.kind, rmem::NotifyKind::kRead);
+    EXPECT_EQ(n.count, 30000u);
+    EXPECT_FALSE(ch->tryNext(n));
+    EXPECT_EQ(c.engineA.stats().notificationsPosted.value(), 1u);
 }
 
 TEST(RmemBookkeeping, StatsCountOperations)
