@@ -38,17 +38,14 @@ struct Harness
 {
     bench::TwoNode cluster;
     mem::Process &server;
-    mem::Process &client;
     mem::Vaddr serverBase = 0;
     rmem::ImportedSegment remote;
     rmem::SegmentId localSeg;
 
     explicit Harness(double dropRate)
-        : server(cluster.nodeB.spawnProcess("server")),
-          client(cluster.nodeA.spawnProcess("client"))
+        : server(cluster.nodeB.spawnProcess("server"))
     {
-        cluster.engineA.wire().enableReliability();
-        cluster.engineB.wire().enableReliability();
+        cluster.enableReliability();
         serverBase = server.space().allocRegion(16384);
         auto h = cluster.engineB.exportSegment(
             server, serverBase, 16384, rmem::Rights::kAll,
@@ -56,12 +53,7 @@ struct Harness
         REMORA_ASSERT(h.ok());
         remote = h.value();
 
-        mem::Vaddr lbase = client.space().allocRegion(16384);
-        auto l = cluster.engineA.exportSegment(
-            client, lbase, 16384, rmem::Rights::kAll,
-            rmem::NotifyPolicy::kNever, "scratch");
-        REMORA_ASSERT(l.ok());
-        localSeg = l.value().descriptor;
+        localSeg = cluster.exportOn(0, "scratch", 16384).descriptor;
         cluster.sim.run();
 
         // The 0% row never installs an injector at all, so it doubles

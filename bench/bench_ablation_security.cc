@@ -32,35 +32,21 @@ Numbers
 measure(const rmem::CostModel &costs)
 {
     bench::TwoNode cluster(costs);
-    mem::Process &server = cluster.nodeB.spawnProcess("server");
-    mem::Process &client = cluster.nodeA.spawnProcess("client");
-    mem::Vaddr base = server.space().allocRegion(1 << 18);
-    auto seg = cluster.engineB.exportSegment(server, base, 1 << 18,
-                                             rmem::Rights::kAll,
-                                             rmem::NotifyPolicy::kNever,
-                                             "sec");
-    REMORA_ASSERT(seg.ok());
-    mem::Vaddr lbase = client.space().allocRegion(1 << 16);
-    auto local = cluster.engineA.exportSegment(client, lbase, 1 << 16,
-                                               rmem::Rights::kAll,
-                                               rmem::NotifyPolicy::kNever,
-                                               "sec.l");
-    REMORA_ASSERT(local.ok());
+    rmem::ImportedSegment seg = cluster.exportOn(1, "sec", 1 << 18);
+    rmem::ImportedSegment local = cluster.exportOn(0, "sec.l", 1 << 16);
     cluster.sim.run();
 
     Numbers n{};
     constexpr int kIters = 30;
     for (int i = 0; i < kIters; ++i) {
         sim::Time t0 = cluster.sim.now();
-        auto w = cluster.engineA.write(seg.value(), 0,
-                                       std::vector<uint8_t>(40, 1));
+        auto w = cluster.engineA.write(seg, 0, std::vector<uint8_t>(40, 1));
         bench::run(cluster.sim, w);
         cluster.sim.run();
         n.writeUs += sim::toUsec(cluster.nodeB.cpu().busyUntil() - t0);
 
         t0 = cluster.sim.now();
-        auto r = cluster.engineA.read(seg.value(), 0,
-                                      local.value().descriptor, 0, 40);
+        auto r = cluster.engineA.read(seg, 0, local.descriptor, 0, 40);
         bench::run(cluster.sim, r);
         n.readUs += sim::toUsec(cluster.sim.now() - t0);
         cluster.sim.run();
@@ -78,7 +64,7 @@ measure(const rmem::CostModel &costs)
         }
     };
     sim::Time t0 = cluster.sim.now();
-    auto task = streamer(&cluster, seg.value());
+    auto task = streamer(&cluster, seg);
     bench::run(cluster.sim, task);
     cluster.sim.run();
     double secs = static_cast<double>(cluster.nodeB.cpu().busyUntil() - t0) /

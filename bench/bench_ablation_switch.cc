@@ -28,47 +28,34 @@ struct Numbers
 Numbers
 measure(bool switched, sim::Duration fabricLatency)
 {
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node a(sim, 1, "client"), b(sim, 2, "server");
-    rmem::RmemEngine ea(a), eb(b);
-    network.addHost(1, a.nic());
-    network.addHost(2, b.nic());
-    if (switched) {
-        network.wireSwitched(fabricLatency);
-    } else {
-        network.wireDirect();
-    }
+    cluster::Cluster cl({.names = {"client", "server"},
+                         .switched = switched,
+                         .fabricLatency = fabricLatency});
+    sim::Simulator &sim = cl.sim;
+    rmem::RmemEngine &ea = *cl.engines[0];
+    mem::Node &b = *cl.nodes[1];
 
-    mem::Process &server = b.spawnProcess("server");
-    mem::Process &client = a.spawnProcess("client");
-    mem::Vaddr base = server.space().allocRegion(1 << 16);
-    auto seg = eb.exportSegment(server, base, 1 << 16, rmem::Rights::kAll,
-                                rmem::NotifyPolicy::kNever, "sw");
-    REMORA_ASSERT(seg.ok());
-    mem::Vaddr lbase = client.space().allocRegion(1 << 16);
-    auto local = ea.exportSegment(client, lbase, 1 << 16, rmem::Rights::kAll,
-                                  rmem::NotifyPolicy::kNever, "sw.l");
-    REMORA_ASSERT(local.ok());
+    rmem::ImportedSegment seg = cl.exportOn(1, "sw", 1 << 16);
+    rmem::ImportedSegment local = cl.exportOn(0, "sw.l", 1 << 16);
     sim.run();
 
     Numbers n{};
     constexpr int kIters = 30;
     for (int i = 0; i < kIters; ++i) {
         sim::Time t0 = sim.now();
-        auto w = ea.write(seg.value(), 0, std::vector<uint8_t>(40, 1));
+        auto w = ea.write(seg, 0, std::vector<uint8_t>(40, 1));
         bench::run(sim, w);
         sim.run();
         n.writeUs += sim::toUsec(b.cpu().busyUntil() - t0);
 
         t0 = sim.now();
-        auto r = ea.read(seg.value(), 0, local.value().descriptor, 0, 40);
+        auto r = ea.read(seg, 0, local.descriptor, 0, 40);
         bench::run(sim, r);
         n.readUs += sim::toUsec(sim.now() - t0);
         sim.run();
 
         t0 = sim.now();
-        auto c = ea.cas(seg.value(), 0, 0, 0, local.value().descriptor, 0);
+        auto c = ea.cas(seg, 0, 0, 0, local.descriptor, 0);
         bench::run(sim, c);
         n.casUs += sim::toUsec(sim.now() - t0);
         sim.run();

@@ -31,27 +31,13 @@ using namespace remora;
 
 namespace {
 
-struct Harness
+struct Harness : cluster::Cluster
 {
-    sim::Simulator sim;
-    net::Network network;
-    std::vector<std::unique_ptr<mem::Node>> nodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
     std::unique_ptr<dfs::TokenArea> area;
     std::vector<std::unique_ptr<dfs::TokenClient>> clients;
 
-    Harness() : network(sim, net::LinkParams{})
+    Harness() : Cluster({.names = {"n1", "n2", "n3"}, .switched = true})
     {
-        for (int i = 0; i < 3; ++i) {
-            nodes.push_back(std::make_unique<mem::Node>(
-                sim, static_cast<net::NodeId>(i + 1),
-                "n" + std::to_string(i + 1)));
-            engines.push_back(
-                std::make_unique<rmem::RmemEngine>(*nodes.back()));
-            network.addHost(static_cast<net::NodeId>(i + 1),
-                            nodes.back()->nic());
-        }
-        network.wireSwitched();
         mem::Process &srv = nodes[0]->spawnProcess("server");
         dfs::TokenParams params;
         params.tokenSlots = 4096; // ample: accidental slot sharing is noise

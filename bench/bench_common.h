@@ -9,11 +9,8 @@
 #include <cstdio>
 #include <string>
 
-#include "mem/node.h"
-#include "net/network.h"
+#include "cluster/cluster.h"
 #include "obs/bench_report.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/panic.h"
 #include "util/strings.h"
@@ -21,24 +18,18 @@
 namespace remora::bench {
 
 /** Two directly-linked nodes (the paper's measurement testbed). */
-struct TwoNode
+struct TwoNode : cluster::Cluster
 {
-    sim::Simulator sim;
-    net::Network network;
-    mem::Node nodeA;
-    mem::Node nodeB;
-    rmem::RmemEngine engineA;
-    rmem::RmemEngine engineB;
+    mem::Node &nodeA;
+    mem::Node &nodeB;
+    rmem::RmemEngine &engineA;
+    rmem::RmemEngine &engineB;
 
     explicit TwoNode(const rmem::CostModel &costs = {})
-        : network(sim, net::LinkParams{}),
-          nodeA(sim, 1, "client"), nodeB(sim, 2, "server"),
-          engineA(nodeA, costs), engineB(nodeB, costs)
-    {
-        network.addHost(1, nodeA.nic());
-        network.addHost(2, nodeB.nic());
-        network.wireDirect();
-    }
+        : Cluster({.names = {"client", "server"}, .costs = costs}),
+          nodeA(*nodes[0]), nodeB(*nodes[1]), engineA(*engines[0]),
+          engineB(*engines[1])
+    {}
 };
 
 /** Drive the simulator until @p task finishes; returns its result. */

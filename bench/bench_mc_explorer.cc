@@ -5,10 +5,11 @@
  * Two measurements, both over workloads small enough to explore
  * exhaustively:
  *
- *  - explore: schedules/second replaying a two-node remote-spin-lock
- *    contention workload (world construction, full run, wait-graph
- *    scan, teardown — the whole per-schedule cost the mc gate pays).
- *    Wall-clock, so the baseline carries a wide tolerance.
+ *  - explore: schedules/second replaying the registry's `sync`
+ *    workload, two-node remote-spin-lock contention (world
+ *    construction, full run, wait-graph scan, teardown — the whole
+ *    per-schedule cost the mc gate pays). Wall-clock, so the baseline
+ *    carries a wide tolerance.
  *  - reduction: brute-force vs sleep-set schedule counts on four
  *    same-instant events hinted as two dependent pairs. These counts
  *    are pure functions of the DFS, so the baseline holds them
@@ -18,50 +19,12 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "rmem/sync.h"
+#include "cluster/workloads.h"
 #include "sim/explorer.h"
 
 using namespace remora;
 
 namespace {
-
-/** Clean contention: two remote lock clients for one word, in order. */
-void
-spinLockWorkload(sim::Simulator &sim)
-{
-    // bench::TwoNode embeds its own simulator, but the explorer owns the
-    // one the workload must build on — so wire the testbed by hand.
-    net::Network network(sim, net::LinkParams{});
-    mem::Node nodeA(sim, 1, "nodeA");
-    mem::Node nodeB(sim, 2, "nodeB");
-    rmem::RmemEngine engA(nodeA);
-    rmem::RmemEngine engB(nodeB);
-    network.addHost(1, nodeA.nic());
-    network.addHost(2, nodeB.nic());
-    network.wireDirect();
-    mem::Process &home = nodeA.spawnProcess("home");
-    mem::Vaddr base = home.space().allocRegion(4096);
-    auto page = engA.exportSegment(home, base, 4096, rmem::Rights::kAll,
-                                   rmem::NotifyPolicy::kNever, "mc.locks");
-    REMORA_ASSERT(page.ok());
-    mem::Process &workers = nodeB.spawnProcess("workers");
-    mem::Vaddr sbase = workers.space().allocRegion(4096);
-    auto sc = engB.exportSegment(workers, sbase, 4096, rmem::Rights::kAll,
-                                 rmem::NotifyPolicy::kNever, "mc.scratch");
-    REMORA_ASSERT(sc.ok());
-    rmem::SpinLock la(engB, page.value(), 0, sc.value().descriptor, 0, 0x201);
-    rmem::SpinLock lb(engB, page.value(), 0, sc.value().descriptor, 4, 0x202);
-    auto hold = [](rmem::SpinLock *lock, sim::Simulator *s) -> sim::Task<void> {
-        auto a = co_await lock->acquire();
-        REMORA_ASSERT(a.ok());
-        co_await sim::delay(*s, sim::usec(40));
-        auto r = co_await lock->release();
-        REMORA_ASSERT(r.ok());
-    };
-    auto w1 = hold(&la, &sim);
-    auto w2 = hold(&lb, &sim);
-    sim.run();
-}
 
 /** Four same-instant events, hinted as two independent dependent pairs. */
 void
@@ -81,6 +44,8 @@ int
 main()
 {
     bench::banner("remora-mc: schedule exploration throughput");
+    const sim::ScheduleExplorer::Workload spinLockWorkload =
+        cluster::findWorkload("sync")->fn;
 
     // Warm-up pass keeps first-touch page faults out of the timed run.
     {

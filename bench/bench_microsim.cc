@@ -120,15 +120,10 @@ void
 BM_SimulatedRemoteWrite(benchmark::State &state)
 {
     bench::TwoNode cluster;
-    mem::Process &server = cluster.nodeB.spawnProcess("server");
-    mem::Vaddr base = server.space().allocRegion(4096);
-    auto seg = cluster.engineB.exportSegment(server, base, 4096,
-                                             rmem::Rights::kAll,
-                                             rmem::NotifyPolicy::kNever,
-                                             "bench");
+    rmem::ImportedSegment seg = cluster.exportOn(1, "bench");
     cluster.sim.run();
     for (auto _ : state) {
-        auto task = cluster.engineA.write(seg.value(), 0,
+        auto task = cluster.engineA.write(seg, 0,
                                           std::vector<uint8_t>(40, 0x7e));
         bench::run(cluster.sim, task);
         cluster.sim.run();

@@ -106,24 +106,15 @@ clientLoop(dfs::FileServiceBackend *backend, trace::WorkloadGen *gen,
 ClusterRun
 runScheme(size_t clients, bool useDx)
 {
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-
-    mem::Node serverNode(sim, 1, "server");
-    rmem::RmemEngine serverEngine(serverNode);
-    network.addHost(1, serverNode.nic());
-
-    std::vector<std::unique_ptr<mem::Node>> clientNodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> clientEngines;
+    // Node 1 is the server; client i is node i + 2.
+    cluster::ClusterSpec spec{.names = {"server"}, .switched = true};
     for (size_t i = 0; i < clients; ++i) {
-        auto id = static_cast<net::NodeId>(i + 2);
-        clientNodes.push_back(std::make_unique<mem::Node>(
-            sim, id, "client" + std::to_string(id)));
-        clientEngines.push_back(
-            std::make_unique<rmem::RmemEngine>(*clientNodes.back()));
-        network.addHost(id, clientNodes.back()->nic());
+        spec.names.push_back("client" + std::to_string(i + 2));
     }
-    network.wireSwitched();
+    cluster::Cluster c(spec);
+    sim::Simulator &sim = c.sim;
+    mem::Node &serverNode = *c.nodes[0];
+    rmem::RmemEngine &serverEngine = *c.engines[0];
 
     dfs::FileStore store;
     rpc::Hybrid1Params hp;
@@ -158,15 +149,15 @@ runScheme(size_t clients, bool useDx)
     std::vector<sim::Task<void>> loops;
     for (size_t i = 0; i < clients; ++i) {
         mem::Process &proc =
-            clientNodes[i]->spawnProcess("clerk" + std::to_string(i));
+            c.nodes[i + 1]->spawnProcess("clerk" + std::to_string(i));
         hyClients.push_back(std::make_unique<rpc::Hybrid1Client>(
-            *clientEngines[i], proc, server.hybridHandle(),
+            *c.engines[i + 1], proc, server.hybridHandle(),
             server.allocClientSlot(), hp));
         gens.push_back(std::make_unique<trace::WorkloadGen>(1000 + i));
         dfs::FileServiceBackend *backend;
         if (useDx) {
             dxBackends.push_back(std::make_unique<dfs::DxBackend>(
-                *clientEngines[i], proc, server.areaHandles(),
+                *c.engines[i + 1], proc, server.areaHandles(),
                 dfs::CacheGeometry{}, hyClients.back().get()));
             backend = dxBackends.back().get();
         } else {

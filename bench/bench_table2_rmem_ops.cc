@@ -31,28 +31,16 @@ namespace {
 struct Harness
 {
     bench::TwoNode cluster;
-    mem::Process &serverProc;
-    mem::Process &clientProc;
     rmem::ImportedSegment remote; // exported by server
     rmem::SegmentId localSeg;     // exported by client (read deposits)
 
     Harness()
-        : serverProc(cluster.nodeB.spawnProcess("server")),
-          clientProc(cluster.nodeA.spawnProcess("client"))
+        : remote(cluster.exportOn(1, "bench.remote", 1 << 20,
+                                  rmem::NotifyPolicy::kConditional)),
+          localSeg(cluster.exportOn(0, "bench.local", 1 << 16,
+                                    rmem::NotifyPolicy::kConditional)
+                       .descriptor)
     {
-        mem::Vaddr base = serverProc.space().allocRegion(1 << 20);
-        auto h = cluster.engineB.exportSegment(
-            serverProc, base, 1 << 20, rmem::Rights::kAll,
-            rmem::NotifyPolicy::kConditional, "bench.remote");
-        REMORA_ASSERT(h.ok());
-        remote = h.value();
-
-        mem::Vaddr lbase = clientProc.space().allocRegion(1 << 16);
-        auto l = cluster.engineA.exportSegment(
-            clientProc, lbase, 1 << 16, rmem::Rights::kAll,
-            rmem::NotifyPolicy::kConditional, "bench.local");
-        REMORA_ASSERT(l.ok());
-        localSeg = l.value().descriptor;
         cluster.sim.run(); // drain setup costs
     }
 };

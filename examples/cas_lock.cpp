@@ -16,10 +16,7 @@
  */
 #include <cstdio>
 
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
+#include "cluster/cluster.h"
 #include "sim/task.h"
 #include "util/bytes.h"
 #include "util/strings.h"
@@ -94,22 +91,12 @@ main()
                 "shared counter %u times each\n\n",
                 kIncrements);
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node home(sim, 1, "home");
-    mem::Node c1(sim, 2, "client1");
-    mem::Node c2(sim, 3, "client2");
-    rmem::RmemEngine homeEngine(home);
-    rmem::RmemEngine e1(c1);
-    rmem::RmemEngine e2(c2);
-    network.addHost(1, home.nic());
-    network.addHost(2, c1.nic());
-    network.addHost(3, c2.nic());
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"home", "client1", "client2"},
+                        .switched = true});
 
-    mem::Process &homeProc = home.spawnProcess("registry");
+    mem::Process &homeProc = c.nodes[0]->spawnProcess("registry");
     mem::Vaddr base = homeProc.space().allocRegion(4096);
-    auto shared = homeEngine.exportSegment(
+    auto shared = c.engines[0]->exportSegment(
         homeProc, base, 4096, rmem::Rights::kAll,
         rmem::NotifyPolicy::kNever, "lock.page");
     REMORA_ASSERT(shared.ok());
@@ -128,12 +115,12 @@ main()
         w.scratch = s.value().descriptor;
         w.lockId = tag;
     };
-    setup(w1, e1, 0x1001);
-    setup(w2, e2, 0x1002);
+    setup(w1, *c.engines[1], 0x1001);
+    setup(w2, *c.engines[2], 0x1002);
 
     auto t1 = workerLoop(&w1);
     auto t2 = workerLoop(&w2);
-    sim.run();
+    c.sim.run();
     REMORA_ASSERT(t1.done() && t2.done());
 
     auto counter = homeProc.space().readWord(base + 4);
@@ -143,7 +130,7 @@ main()
                 static_cast<unsigned long long>(w1.casRetries),
                 static_cast<unsigned long long>(w2.casRetries));
     std::printf("elapsed simulated time: %s\n",
-                util::formatDuration(sim.now()).c_str());
+                util::formatDuration(c.sim.now()).c_str());
     REMORA_ASSERT(counter.value() == 2 * kIncrements);
     std::printf("mutual exclusion held.\n");
     return 0;

@@ -15,11 +15,8 @@
  */
 #include <cstdio>
 
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
+#include "cluster/cluster.h"
 #include "rmem/sync.h"
-#include "sim/simulator.h"
 #include "util/strings.h"
 
 using namespace remora;
@@ -30,19 +27,12 @@ main()
     std::printf("remora failure-detector example: heartbeats by remote "
                 "read (no control transfer)\n\n");
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node worker(sim, 1, "worker");
-    mem::Node watcherA(sim, 2, "watcherA");
-    mem::Node watcherB(sim, 3, "watcherB");
-    rmem::RmemEngine we(worker), ea(watcherA), eb(watcherB);
-    network.addHost(1, worker.nic());
-    network.addHost(2, watcherA.nic());
-    network.addHost(3, watcherB.nic());
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"worker", "watcherA", "watcherB"},
+                        .switched = true});
+    sim::Simulator &sim = c.sim;
 
-    mem::Process &workerProc = worker.spawnProcess("service");
-    rmem::HeartbeatPublisher publisher(we, workerProc);
+    mem::Process &workerProc = c.nodes[0]->spawnProcess("service");
+    rmem::HeartbeatPublisher publisher(*c.engines[0], workerProc);
 
     auto report = [&sim](const char *who) {
         return [who, &sim](net::NodeId node) {
@@ -50,11 +40,11 @@ main()
                         util::formatDuration(sim.now()).c_str(), who, node);
         };
     };
-    mem::Process &procA = watcherA.spawnProcess("monitor");
-    mem::Process &procB = watcherB.spawnProcess("monitor");
-    rmem::HeartbeatMonitor monA(ea, procA, publisher.handle(),
+    mem::Process &procA = c.nodes[1]->spawnProcess("monitor");
+    mem::Process &procB = c.nodes[2]->spawnProcess("monitor");
+    rmem::HeartbeatMonitor monA(*c.engines[1], procA, publisher.handle(),
                                 report("watcherA"));
-    rmem::HeartbeatMonitor monB(eb, procB, publisher.handle(),
+    rmem::HeartbeatMonitor monB(*c.engines[2], procB, publisher.handle(),
                                 report("watcherB"));
 
     publisher.start();
@@ -71,7 +61,7 @@ main()
 
     // ... then the worker node crashes outright: its kernel goes dark.
     publisher.stop();
-    we.wire().setRmemHandler([](net::NodeId, rmem::Message &&) {});
+    c.engines[0]->wire().setRmemHandler([](net::NodeId, rmem::Message &&) {});
     std::printf("[%-9s] worker node crashes (kernel silent)\n",
                 util::formatDuration(sim.now()).c_str());
 

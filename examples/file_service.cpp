@@ -18,10 +18,7 @@
 #include "dfs/backend.h"
 #include "dfs/clerk.h"
 #include "dfs/server.h"
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
+#include "cluster/cluster.h"
 #include "sim/task.h"
 #include "util/strings.h"
 
@@ -95,15 +92,11 @@ main()
     std::printf("remora file-service example: client -> clerk -> pure "
                 "data transfer -> server caches\n\n");
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node clientNode(sim, 1, "client-ws");
-    mem::Node serverNode(sim, 2, "file-server");
-    rmem::RmemEngine clientEngine(clientNode);
-    rmem::RmemEngine serverEngine(serverNode);
-    network.addHost(1, clientNode.nic());
-    network.addHost(2, serverNode.nic());
-    network.wireDirect();
+    cluster::Cluster c({.names = {"client-ws", "file-server"}});
+    sim::Simulator &sim = c.sim;
+    mem::Node &clientNode = *c.nodes[0];
+    mem::Node &serverNode = *c.nodes[1];
+    rmem::RmemEngine &clientEngine = *c.engines[0];
 
     // Build the filesystem and the server over it.
     dfs::FileStore store;
@@ -120,7 +113,7 @@ main()
                                 "notes/report.txt");
     REMORA_ASSERT(latest.ok());
 
-    dfs::FileServer server(serverEngine, store);
+    dfs::FileServer server(*c.engines[1], store);
     server.warmCaches();
     server.start();
 

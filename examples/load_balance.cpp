@@ -18,11 +18,8 @@
 #include <memory>
 #include <vector>
 
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
+#include "cluster/cluster.h"
 #include "sim/random.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/bytes.h"
 #include "util/strings.h"
@@ -104,30 +101,23 @@ main()
                 "hints with pure remote writes\n\n",
                 kNodes);
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    std::vector<std::unique_ptr<mem::Node>> nodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
-    std::vector<Member> members(kNodes);
-
-    for (size_t i = 0; i < kNodes; ++i) {
-        auto id = static_cast<net::NodeId>(i + 1);
-        nodes.push_back(std::make_unique<mem::Node>(
-            sim, id, "ws" + std::to_string(id)));
-        engines.push_back(std::make_unique<rmem::RmemEngine>(*nodes.back()));
-        network.addHost(id, nodes.back()->nic());
+    cluster::ClusterSpec spec;
+    spec.switched = true;
+    for (size_t i = 1; i <= kNodes; ++i) {
+        spec.names.push_back("ws" + std::to_string(i));
     }
-    network.wireSwitched();
+    cluster::Cluster c(spec);
+    std::vector<Member> members(kNodes);
 
     // Every node exports its load board. By construction these land in
     // descriptor slot 0 with generation 1 on every node, so peers can
     // build handles without a directory (a "well-known" segment).
     for (size_t i = 0; i < kNodes; ++i) {
-        members[i].node = nodes[i].get();
-        members[i].engine = engines[i].get();
-        members[i].proc = &nodes[i]->spawnProcess("balancer");
+        members[i].node = c.nodes[i].get();
+        members[i].engine = c.engines[i].get();
+        members[i].proc = &c.nodes[i]->spawnProcess("balancer");
         members[i].board = members[i].proc->space().allocRegion(4096);
-        auto h = engines[i]->exportSegment(
+        auto h = c.engines[i]->exportSegment(
             *members[i].proc, members[i].board, 4 * kNodes,
             rmem::Rights::kWrite | rmem::Rights::kRead,
             rmem::NotifyPolicy::kNever, "load.board");
@@ -150,7 +140,7 @@ main()
         rngs.push_back(std::make_unique<sim::Random>(100 + i));
         loops.push_back(gossipLoop(&members[i], i, rngs.back().get()));
     }
-    sim.run();
+    c.sim.run();
 
     std::printf("%-6s  %-10s  %-12s  %s\n", "node", "final load",
                 "migrations", "board view (loads seen locally)");
@@ -169,7 +159,7 @@ main()
     }
 
     uint64_t notifications = 0;
-    for (auto &e : engines) {
+    for (auto &e : c.engines) {
         notifications += e->stats().notificationsPosted.value();
     }
     std::printf("\ncontrol transfers across the whole run: %llu "

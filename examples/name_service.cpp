@@ -9,11 +9,8 @@
  */
 #include <cstdio>
 
-#include "mem/node.h"
+#include "cluster/cluster.h"
 #include "names/clerk.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/strings.h"
 
@@ -115,18 +112,11 @@ main()
     std::printf("remora name-service example: three clerks, no central "
                 "server\n\n");
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node n1(sim, 1, "alpha");
-    mem::Node n2(sim, 2, "beta");
-    mem::Node n3(sim, 3, "gamma");
-    rmem::RmemEngine e1(n1), e2(n2), e3(n3);
-    network.addHost(1, n1.nic());
-    network.addHost(2, n2.nic());
-    network.addHost(3, n3.nic());
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"alpha", "beta", "gamma"},
+                        .switched = true});
 
-    names::NameClerk alpha(e1), beta(e2), gamma(e3);
+    names::NameClerk alpha(*c.engines[0]), beta(*c.engines[1]),
+        gamma(*c.engines[2]);
     alpha.addPeer(2);
     alpha.addPeer(3);
     beta.addPeer(1);
@@ -134,9 +124,9 @@ main()
     gamma.addPeer(1);
     gamma.addPeer(2);
 
-    mem::Process &owner = n1.spawnProcess("db");
-    auto t = story(&sim, &alpha, &beta, &gamma, &owner);
-    sim.run();
+    mem::Process &owner = c.nodes[0]->spawnProcess("db");
+    auto t = story(&c.sim, &alpha, &beta, &gamma, &owner);
+    c.sim.run();
     REMORA_ASSERT(t.done());
 
     std::printf("\nclerk stats: beta remote reads %llu, gamma control "

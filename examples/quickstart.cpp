@@ -26,13 +26,10 @@
 #include "dfs/backend.h"
 #include "dfs/clerk.h"
 #include "dfs/server.h"
-#include "mem/node.h"
+#include "cluster/cluster.h"
 #include "names/clerk.h"
-#include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/strings.h"
 
@@ -132,20 +129,16 @@ main()
 {
     std::printf("remora quickstart: two DECstations, one ATM link\n\n");
 
-    sim::Simulator sim;
+    cluster::Cluster testbed({.names = {"client", "server"}});
+    sim::Simulator &sim = testbed.sim;
 
     // Record everything this run does, against the simulated clock.
     obs::TraceRecorder::instance().enable(sim);
 
-    net::Network network(sim, net::LinkParams{});
-
-    mem::Node client(sim, 1, "client");
-    mem::Node server(sim, 2, "server");
-    rmem::RmemEngine clientEngine(client);
-    rmem::RmemEngine serverEngine(server);
-    network.addHost(1, client.nic());
-    network.addHost(2, server.nic());
-    network.wireDirect();
+    mem::Node &client = *testbed.nodes[0];
+    mem::Node &server = *testbed.nodes[1];
+    rmem::RmemEngine &clientEngine = *testbed.engines[0];
+    rmem::RmemEngine &serverEngine = *testbed.engines[1];
 
     names::NameClerk clientNames(clientEngine);
     names::NameClerk serverNames(serverEngine);

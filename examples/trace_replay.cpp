@@ -13,10 +13,7 @@
 
 #include "dfs/backend.h"
 #include "dfs/server.h"
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
+#include "cluster/cluster.h"
 #include "trace/workload.h"
 #include "util/strings.h"
 
@@ -110,14 +107,9 @@ main()
                 "the live file service\n\n",
                 kOps);
 
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node clientNode(sim, 1, "client");
-    mem::Node serverNode(sim, 2, "server");
-    rmem::RmemEngine ce(clientNode), se(serverNode);
-    network.addHost(1, clientNode.nic());
-    network.addHost(2, serverNode.nic());
-    network.wireDirect();
+    cluster::Cluster c({.names = {"client", "server"}});
+    sim::Simulator &sim = c.sim;
+    rmem::RmemEngine &ce = *c.engines[0];
 
     dfs::FileStore store;
     std::vector<dfs::FileHandle> files =
@@ -125,7 +117,7 @@ main()
     auto fonts = store.lookup(store.root(), "fonts");
     REMORA_ASSERT(fonts.ok());
 
-    dfs::FileServer server(se, store);
+    dfs::FileServer server(*c.engines[1], store);
     server.warmCaches();
     // Re-pin the replay targets so collisions among the filler files
     // cannot evict them (100%-hit condition).
@@ -136,14 +128,14 @@ main()
     server.start();
     sim.run();
 
-    mem::Process &clerkProc = clientNode.spawnProcess("clerk");
+    mem::Process &clerkProc = c.nodes[0]->spawnProcess("clerk");
     rpc::Hybrid1Client hyClient(ce, clerkProc, server.hybridHandle(),
                                 server.allocClientSlot());
     dfs::HyBackend hy(hyClient);
     dfs::DxBackend dx(ce, clerkProc, server.areaHandles(),
                       dfs::CacheGeometry{}, &hyClient);
 
-    auto &cpu = serverNode.cpu();
+    auto &cpu = c.nodes[1]->cpu();
 
     // Hybrid-1 pass.
     trace::WorkloadGen genHy(77, {}, 24);

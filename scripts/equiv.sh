@@ -15,14 +15,21 @@
 #     (each line folds the determinism digest over every schedule,
 #     exec and cancel, so equal lines mean equal event structure);
 #   - remora_mc --max-schedules 60 --json (per-workload schedule
-#     counts, decisions and digests);
-#   - ctest -L bench_smoke (the baselined benches' BENCH_*.json).
+#     counts, decisions and digests) and the seeded workloads,
+#     remora_mc deadlock lost-wakeup --max-schedules 60;
+#   - remora_prof --json and remora_prof --probe (critical paths);
+#   - the seven examples, from a scratch directory under build-equiv/,
+#     keeping their stdout and quickstart's trace and metrics JSON;
+#   - ctest -L bench_smoke (the baselined benches' BENCH_*.json) and
+#     the eight benches outside the smoke set, from a scratch directory
+#     under build-equiv/ (bench_microsim is left out: its Google
+#     Benchmark report is wall-clock only).
 #
-# It fails on any byte difference in the probe output, including exit
-# codes, and on any BENCH metric that differs at bench_diff --tol 0,
-# except the three wall-clock rates (explore.schedules_per_sec,
-# tree.files_per_sec, corpus.files_per_sec). Outputs are kept in
-# build-equiv/ for inspection.
+# It fails on any byte difference in the probe or example output,
+# including exit codes, and on any BENCH metric that differs at
+# bench_diff --tol 0, except the three wall-clock rates
+# (explore.schedules_per_sec, tree.files_per_sec, corpus.files_per_sec).
+# Outputs are kept in build-equiv/ for inspection.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -44,7 +51,7 @@ build_tree() {
 # Every probe line plus its exit status, in a fixed order.
 probe_outputs() {
     local tools="$1/build/tools"
-    local seed rc
+    local seed rc mode
     for seed in 0 1 2 3 4 5 6 7; do
         rc=0
         "${tools}/race_probe/race_probe" "${seed}" || rc=$?
@@ -58,11 +65,65 @@ probe_outputs() {
     rc=0
     "${tools}/remora_mc/remora_mc" --max-schedules 60 --json || rc=$?
     echo "remora_mc exit=${rc}"
+    rc=0
+    "${tools}/remora_mc/remora_mc" deadlock lost-wakeup \
+        --max-schedules 60 || rc=$?
+    echo "remora_mc deadlock lost-wakeup exit=${rc}"
+    for mode in --json --probe; do
+        rc=0
+        "${tools}/remora_prof/remora_prof" "${mode}" || rc=$?
+        echo "remora_prof ${mode} exit=${rc}"
+    done
 }
 
+EXAMPLES=(quickstart load_balance cas_lock name_service file_service
+          failure_detector trace_replay)
+
+# Each example's stdout and exit status, plus the JSON files quickstart
+# writes into its working directory, all in directory $2.
+example_outputs() {
+    local bin ex rc
+    bin="$(cd "$1/build/examples" && pwd)"
+    rm -rf "$2"
+    mkdir -p "$2"
+    for ex in "${EXAMPLES[@]}"; do
+        rc=0
+        (cd "$2" && "${bin}/${ex}") >"$2/${ex}.out" 2>&1 || rc=$?
+        echo "exit=${rc}" >>"$2/${ex}.out"
+    done
+}
+
+NONSMOKE_BENCHES=(bench_ablation_notification bench_ablation_probe_policy
+                  bench_ablation_schemes bench_ablation_security
+                  bench_ablation_switch bench_ablation_tokens
+                  bench_ablation_transport bench_table1a_nfs_mix)
+
+# Smoke reports land in $1/build/bench; the other benches' in $2.
 bench_reports() {
+    local bin b
     (cd "$1/build" && ctest -L bench_smoke -j "${JOBS}" >/dev/null) || {
         echo "equiv: bench_smoke failed in $1" >&2
+        exit 1
+    }
+    bin="$(cd "$1/build/bench" && pwd)"
+    rm -rf "$2"
+    mkdir -p "$2"
+    for b in "${NONSMOKE_BENCHES[@]}"; do
+        (cd "$2" && "${bin}/${b}" >/dev/null) || {
+            echo "equiv: ${b} failed in $1" >&2
+            exit 1
+        }
+    done
+}
+
+# Every metric of every report in $1 must match $2 exactly.
+bench_identical() {
+    ./build/tools/bench_diff/bench_diff --tol 0 \
+        --tol-metric explore.schedules_per_sec=1e12 \
+        --tol-metric tree.files_per_sec=1e12 \
+        --tol-metric corpus.files_per_sec=1e12 \
+        "$1" "$2" || {
+        echo "equiv: a BENCH metric differs from ${REF}" >&2
         exit 1
     }
 }
@@ -85,17 +146,20 @@ if ! diff -u "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt"; then
 fi
 echo "  $(wc -l <"${OUT}/probes.work.txt") probe lines identical"
 
-echo "== equiv: bench reports =="
-bench_reports "${OUT}/ref"
-bench_reports .
-./build/tools/bench_diff/bench_diff --tol 0 \
-    --tol-metric explore.schedules_per_sec=1e12 \
-    --tol-metric tree.files_per_sec=1e12 \
-    --tol-metric corpus.files_per_sec=1e12 \
-    "${OUT}/ref/build/bench" build/bench || {
-    echo "equiv: a BENCH metric differs from ${REF}" >&2
+echo "== equiv: examples =="
+example_outputs "${OUT}/ref" "${OUT}/examples.ref"
+example_outputs . "${OUT}/examples.work"
+if ! diff -r "${OUT}/examples.ref" "${OUT}/examples.work"; then
+    echo "equiv: example output differs from ${REF}" >&2
     exit 1
-}
+fi
+echo "  $(ls "${OUT}/examples.work" | wc -l) example outputs identical"
+
+echo "== equiv: bench reports =="
+bench_reports "${OUT}/ref" "${OUT}/bench.ref"
+bench_reports . "${OUT}/bench.work"
+bench_identical "${OUT}/ref/build/bench" build/bench
+bench_identical "${OUT}/bench.ref" "${OUT}/bench.work"
 
 echo
 echo "equiv.sh: behaviour identical to ${REF}"

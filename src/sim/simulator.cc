@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "util/panic.h"
+#include "util/strings.h"
 
 namespace remora::sim {
 
@@ -20,13 +22,18 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** REMORA_PERTURB, parsed once per process (0 when unset/invalid). */
+/** REMORA_PERTURB, parsed once per process (0 when unset). */
 uint64_t
 envPerturbSeed()
 {
     static const uint64_t seed = [] {
         const char *e = std::getenv("REMORA_PERTURB");
-        return e != nullptr ? std::strtoull(e, nullptr, 0) : 0ull;
+        uint64_t v = 0;
+        if (e != nullptr && !util::parseNumber(e, v)) {
+            REMORA_FATAL("REMORA_PERTURB is not a number: '" +
+                         std::string(e) + "'");
+        }
+        return v;
     }();
     return seed;
 }

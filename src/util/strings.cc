@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "util/panic.h"
@@ -94,6 +96,44 @@ formatCount(uint64_t count)
     }
     std::reverse(out.begin(), out.end());
     return out;
+}
+
+namespace {
+
+/** parseNumber's shared rules around one strto* call. */
+template <typename T, typename Parse>
+bool
+parseWhole(const char *text, T &out, Parse parse)
+{
+    if (text == nullptr || *text == '\0') {
+        return false;
+    }
+    char *end = nullptr;
+    errno = 0;
+    T value = parse(text, &end);
+    if (*end != '\0' || errno == ERANGE) {
+        return false;
+    }
+    out = value;
+    return true;
+}
+
+} // namespace
+
+bool
+parseNumber(const char *text, uint64_t &out)
+{
+    return parseWhole(text, out, [](const char *s, char **end) {
+        return std::strtoull(s, end, 0);
+    });
+}
+
+bool
+parseNumber(const char *text, double &out)
+{
+    return parseWhole(text, out, [](const char *s, char **end) {
+        return std::strtod(s, end);
+    });
 }
 
 TextTable::TextTable(std::vector<std::string> header)

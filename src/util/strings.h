@@ -20,6 +20,18 @@ std::string formatBytes(uint64_t bytes);
 std::string formatCount(uint64_t count);
 
 /**
+ * Parse all of @p text as a number from outside the program: unsigned
+ * the way strtoull(text, _, 0) reads it (decimal, 0x hex, 0 octal),
+ * floating point the way strtod does. Returns false, leaving @p out
+ * untouched, when @p text is null or empty, has anything after the
+ * number, or is out of range.
+ */
+bool parseNumber(const char *text, uint64_t &out);
+
+/** @copydoc parseNumber(const char *, uint64_t &) */
+bool parseNumber(const char *text, double &out);
+
+/**
  * Fixed-width plain-text table builder for bench output.
  *
  * Collect rows with addRow(); render() right-aligns numeric-looking

@@ -6,35 +6,22 @@
 
 #include <gtest/gtest.h>
 
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "sim/simulator.h"
+#include <string>
+
+#include "cluster/cluster.h"
 #include "sim/task.h"
 
 namespace remora::test {
 
-/** Two directly-linked nodes, as on the paper's measurement testbed. */
-struct TwoNodeCluster
+/**
+ * A cluster that, at teardown, fails the test if a coroutine is
+ * blocked forever.
+ */
+struct CheckedCluster : cluster::Cluster
 {
-    sim::Simulator sim;
-    net::Network network;
-    mem::Node nodeA;
-    mem::Node nodeB;
-    rmem::RmemEngine engineA;
-    rmem::RmemEngine engineB;
+    using Cluster::Cluster;
 
-    explicit TwoNodeCluster(const rmem::CostModel &costs = {})
-        : network(sim, net::LinkParams{}),
-          nodeA(sim, 1, "nodeA"), nodeB(sim, 2, "nodeB"),
-          engineA(nodeA, costs), engineB(nodeB, costs)
-    {
-        network.addHost(1, nodeA.nic());
-        network.addHost(2, nodeB.nic());
-        network.wireDirect();
-    }
-
-    ~TwoNodeCluster()
+    ~CheckedCluster()
     {
         // "Queue drained" must mean "all done", not "blocked forever":
         // a park at quiescence waited for a wakeup that never came.
@@ -47,36 +34,53 @@ struct TwoNodeCluster
     }
 };
 
-/** N nodes on a switch. */
-struct SwitchedCluster
+/** Two directly-linked nodes, as on the paper's measurement testbed. */
+struct TwoNodeCluster : CheckedCluster
 {
-    sim::Simulator sim;
-    net::Network network;
-    std::vector<std::unique_ptr<mem::Node>> nodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
+    mem::Node &nodeA;
+    mem::Node &nodeB;
+    rmem::RmemEngine &engineA;
+    rmem::RmemEngine &engineB;
 
+    explicit TwoNodeCluster(const rmem::CostModel &costs = {})
+        : CheckedCluster({.names = {"nodeA", "nodeB"}, .costs = costs}),
+          nodeA(*nodes[0]), nodeB(*nodes[1]), engineA(*engines[0]),
+          engineB(*engines[1])
+    {}
+};
+
+/** N nodes, "node1" to "node<N>", on a switch. */
+struct SwitchedCluster : CheckedCluster
+{
     explicit SwitchedCluster(size_t n, const rmem::CostModel &costs = {})
-        : network(sim, net::LinkParams{})
-    {
-        for (size_t i = 0; i < n; ++i) {
-            auto id = static_cast<net::NodeId>(i + 1);
-            nodes.push_back(std::make_unique<mem::Node>(
-                sim, id, "node" + std::to_string(id)));
-            engines.push_back(
-                std::make_unique<rmem::RmemEngine>(*nodes.back(), costs));
-            network.addHost(id, nodes.back()->nic());
-        }
-        network.wireSwitched();
-    }
+        : CheckedCluster(spec(n, costs))
+    {}
 
-    ~SwitchedCluster()
+  private:
+    static cluster::ClusterSpec
+    spec(size_t n, const rmem::CostModel &costs)
     {
-        if (sim.livePendingEvents() == 0) {
-            EXPECT_EQ(sim.blockedTaskCount(), 0u)
-                << "coroutine(s) blocked forever at cluster teardown";
+        cluster::ClusterSpec s;
+        s.switched = true;
+        s.costs = costs;
+        for (size_t i = 1; i <= n; ++i) {
+            s.names.push_back("node" + std::to_string(i));
         }
+        return s;
     }
 };
+
+/** Export a fresh @p size-byte segment of @p proc on @p engine. */
+inline rmem::ImportedSegment
+makeSegment(rmem::RmemEngine &engine, mem::Process &proc, uint32_t size,
+            rmem::Rights rights = rmem::Rights::kAll,
+            rmem::NotifyPolicy policy = rmem::NotifyPolicy::kConditional)
+{
+    mem::Vaddr base = proc.space().allocRegion(size);
+    auto h = engine.exportSegment(proc, base, size, rights, policy, "seg");
+    EXPECT_TRUE(h.ok()) << h.status().toString();
+    return h.value();
+}
 
 /** Drive the simulator until @p task completes (or the queue drains). */
 template <typename T>

@@ -259,8 +259,7 @@ TEST(DfsFault, FivePercentDropLosesNothingUserVisible)
     // 5% of all cells. With the reliable wire underneath, loss shows
     // up as latency, never as a failed or corrupt user-visible op.
     DfsFaultFixture f;
-    f.cluster.engineA.wire().enableReliability();
-    f.cluster.engineB.wire().enableReliability();
+    f.cluster.enableReliability();
     net::FaultPlan plan;
     plan.seed = 23;
     plan.dropRate = 0.05;

@@ -11,18 +11,11 @@
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "mem/node.h"
-#include "net/network.h"
-#include "rmem/engine.h"
-#include "rmem/notification.h"
-#include "rmem/sync.h"
+#include "cluster/workloads.h"
 #include "sim/explorer.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 #include "util/panic.h"
 
 namespace remora::test {
@@ -31,125 +24,17 @@ namespace {
 // ----------------------------------------------------------------------
 // Workload thunks. Each builds its whole world on the simulator it is
 // handed and drives it to completion (or deadlock) before returning —
-// the explorer replays them from scratch once per schedule.
+// the explorer replays them from scratch once per schedule. The lock
+// and notification workloads come from the cluster registry.
 // ----------------------------------------------------------------------
 
-/** Acquire @p first, dwell, then acquire @p second (lock-order worker). */
-sim::Task<void>
-lockOrderWorker(rmem::SpinLock *first, rmem::SpinLock *second,
-                sim::Simulator *s)
+/** The registry's thunk called @p name. */
+sim::ScheduleExplorer::Workload
+registered(const char *name)
 {
-    auto a = co_await first->acquire();
-    REMORA_ASSERT(a.ok());
-    // Dwell long enough that both workers hold their first lock before
-    // either attempts its second: the classic cross-order deadlock.
-    co_await sim::delay(*s, sim::usec(200));
-    // The seeded cross-order deadlock the explorer tests exist to detect.
-    // NOLINTNEXTLINE(remora-lock-across-suspension)
-    auto b = co_await second->acquire();
-    REMORA_ASSERT(b.ok());
-    auto rb = co_await second->release();
-    REMORA_ASSERT(rb.ok());
-    auto ra = co_await first->release();
-    REMORA_ASSERT(ra.ok());
-}
-
-/** Two-node world with two lock words on node A, contended from node B. */
-struct LockWorld
-{
-    sim::Simulator &sim;
-    net::Network network;
-    mem::Node nodeA;
-    mem::Node nodeB;
-    rmem::RmemEngine engA;
-    rmem::RmemEngine engB;
-    rmem::ImportedSegment page;
-    rmem::SegmentId scratch = 0;
-
-    explicit LockWorld(sim::Simulator &s)
-        : sim(s), network(s, net::LinkParams{}), nodeA(s, 1, "nodeA"),
-          nodeB(s, 2, "nodeB"), engA(nodeA), engB(nodeB)
-    {
-        network.addHost(1, nodeA.nic());
-        network.addHost(2, nodeB.nic());
-        network.wireDirect();
-        mem::Process &home = nodeA.spawnProcess("home");
-        mem::Vaddr base = home.space().allocRegion(4096);
-        auto exported = engA.exportSegment(home, base, 4096,
-                                           rmem::Rights::kAll,
-                                           rmem::NotifyPolicy::kNever,
-                                           "mc.locks");
-        REMORA_ASSERT(exported.ok());
-        page = exported.value();
-        mem::Process &workers = nodeB.spawnProcess("workers");
-        mem::Vaddr sbase = workers.space().allocRegion(4096);
-        auto sc = engB.exportSegment(workers, sbase, 4096, rmem::Rights::kAll,
-                                     rmem::NotifyPolicy::kNever, "mc.scratch");
-        REMORA_ASSERT(sc.ok());
-        scratch = sc.value().descriptor;
-    }
-};
-
-/**
- * Seeded deadlock: worker 1 takes word 0 then word 64; worker 2 takes
- * word 64 then word 0. Both hold their first lock through the dwell, so
- * every schedule closes the 2-party wait cycle.
- */
-void
-deadlockWorkload(sim::Simulator &sim)
-{
-    LockWorld w(sim);
-    rmem::SpinLock l0a(w.engB, w.page, 0, w.scratch, 0, 0x101);
-    rmem::SpinLock l64a(w.engB, w.page, 64, w.scratch, 0, 0x101);
-    rmem::SpinLock l64b(w.engB, w.page, 64, w.scratch, 4, 0x102);
-    rmem::SpinLock l0b(w.engB, w.page, 0, w.scratch, 4, 0x102);
-    auto w1 = lockOrderWorker(&l0a, &l64a, &sim);
-    auto w2 = lockOrderWorker(&l64b, &l0b, &sim);
-    sim.run();
-}
-
-/** Clean contention: both workers take the same single word in order. */
-void
-spinLockWorkload(sim::Simulator &sim)
-{
-    LockWorld w(sim);
-    rmem::SpinLock la(w.engB, w.page, 0, w.scratch, 0, 0x201);
-    rmem::SpinLock lb(w.engB, w.page, 0, w.scratch, 4, 0x202);
-    auto hold = [](rmem::SpinLock *lock,
-                   sim::Simulator *s) -> sim::Task<void> {
-        auto a = co_await lock->acquire();
-        REMORA_ASSERT(a.ok());
-        co_await sim::delay(*s, sim::usec(40));
-        auto r = co_await lock->release();
-        REMORA_ASSERT(r.ok());
-    };
-    auto w1 = hold(&la, &sim);
-    auto w2 = hold(&lb, &sim);
-    sim.run();
-}
-
-/**
- * Seeded lost wakeup: a notification post and a one-shot poll race at
- * the same instant. Post-then-poll consumes the token; poll-then-post
- * leaves it queued forever — whichever the schedule picks.
- */
-void
-lostWakeupWorkload(sim::Simulator &sim)
-{
-    mem::Node node(sim, 1, "node");
-    rmem::CostModel costs;
-    rmem::NotificationChannel ch(node.cpu(), costs);
-    ch.setHangLabel("mc.token");
-    sim.schedule(sim::usec(10), [&ch] {
-        rmem::Notification n;
-        n.srcNode = 2;
-        ch.post(n);
-    });
-    sim.schedule(sim::usec(10), [&ch] {
-        rmem::Notification out;
-        (void)ch.tryNext(out); // one poll, then give up
-    });
-    sim.run();
+    const cluster::Workload *w = cluster::findWorkload(name);
+    REMORA_ASSERT(w != nullptr);
+    return w->fn;
 }
 
 /**
@@ -177,7 +62,7 @@ TEST(Explorer, FindsCrossOrderLockDeadlock)
 {
     sim::ExplorerOptions opts;
     opts.maxSchedules = 32;
-    sim::ScheduleExplorer ex(deadlockWorkload, opts);
+    sim::ScheduleExplorer ex(registered("deadlock"), opts);
     sim::ExploreResult res = ex.explore();
 
     ASSERT_FALSE(res.findings.empty());
@@ -207,7 +92,7 @@ TEST(Explorer, FindsLostWakeup)
 {
     sim::ExplorerOptions opts;
     opts.maxSchedules = 16;
-    sim::ScheduleExplorer ex(lostWakeupWorkload, opts);
+    sim::ScheduleExplorer ex(registered("lost-wakeup"), opts);
     sim::ExploreResult res = ex.explore();
 
     EXPECT_TRUE(res.exhausted);
@@ -228,7 +113,7 @@ TEST(Explorer, FindsLostWakeup)
 
 TEST(Explorer, RecordedChoicesReplayBitIdentically)
 {
-    sim::ScheduleExplorer ex(lostWakeupWorkload);
+    sim::ScheduleExplorer ex(registered("lost-wakeup"));
     sim::ExploreResult res = ex.explore();
     ASSERT_EQ(res.findings.size(), 1u);
     const sim::ExplorerFinding &f = res.findings.front();
@@ -256,8 +141,8 @@ TEST(Explorer, CleanSpinLockWorkloadIsStableAcrossReruns)
 {
     sim::ExplorerOptions opts;
     opts.maxSchedules = 40;
-    sim::ScheduleExplorer ex1(spinLockWorkload, opts);
-    sim::ScheduleExplorer ex2(spinLockWorkload, opts);
+    sim::ScheduleExplorer ex1(registered("sync"), opts);
+    sim::ScheduleExplorer ex2(registered("sync"), opts);
     sim::ExploreResult r1 = ex1.explore();
     sim::ExploreResult r2 = ex2.explore();
 
@@ -303,7 +188,7 @@ TEST(Explorer, SleepSetReductionBeatsBruteForce)
 
 TEST(Explorer, CountersAccumulateAcrossExplores)
 {
-    sim::ScheduleExplorer ex(lostWakeupWorkload);
+    sim::ScheduleExplorer ex(registered("lost-wakeup"));
     (void)ex.explore();
     EXPECT_GE(ex.schedulesRun().value(), 2u);
     EXPECT_GE(ex.decisionsHit().value(), 1u);

@@ -154,8 +154,7 @@ TEST(FaultCluster, ReliableWireDeliversEveryWriteExactlyOnceUnderDrops)
 {
     auto runScenario = [](uint64_t faultSeed) -> uint64_t {
         TwoNodeCluster c;
-        c.engineA.wire().enableReliability();
-        c.engineB.wire().enableReliability();
+        c.enableReliability();
         mem::Process &server = c.nodeB.spawnProcess("server");
         mem::Vaddr base = server.space().allocRegion(8192);
         auto seg = c.engineB.exportSegment(server, base, 8192,
@@ -231,8 +230,7 @@ TEST(FaultCluster, ReliableWireDeliversEveryWriteExactlyOnceUnderDrops)
 TEST(FaultCluster, CorruptionIsDetectedAndRepairedByRetransmission)
 {
     TwoNodeCluster c;
-    c.engineA.wire().enableReliability();
-    c.engineB.wire().enableReliability();
+    c.enableReliability();
     mem::Process &server = c.nodeB.spawnProcess("server");
     mem::Vaddr base = server.space().allocRegion(16384);
     auto seg = c.engineB.exportSegment(server, base, 16384,

@@ -26,16 +26,12 @@ TEST(Integration, FileServiceLocatedThroughNameService)
     // Three nodes on a switch: a file server and two client machines.
     // The server's cache areas are published through the name service;
     // clients bootstrap everything from segment names alone.
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node serverNode(sim, 1, "server");
-    mem::Node client1(sim, 2, "c1");
-    mem::Node client2(sim, 3, "c2");
-    rmem::RmemEngine se(serverNode), e1(client1), e2(client2);
-    network.addHost(1, serverNode.nic());
-    network.addHost(2, client1.nic());
-    network.addHost(3, client2.nic());
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"server", "c1", "c2"}, .switched = true});
+    sim::Simulator &sim = c.sim;
+    mem::Node &serverNode = *c.nodes[0];
+    mem::Node &client1 = *c.nodes[1];
+    rmem::RmemEngine &se = *c.engines[0], &e1 = *c.engines[1],
+                     &e2 = *c.engines[2];
 
     // Name clerks boot first on every node (well-known slots).
     names::NameClerk names1(se), names2(e1), names3(e2);
@@ -134,15 +130,10 @@ TEST(Integration, FileServiceLocatedThroughNameService)
 
 TEST(Integration, TwoClientsShareOneServerCoherently)
 {
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node serverNode(sim, 1, "server");
-    mem::Node c1(sim, 2, "c1"), c2(sim, 3, "c2");
-    rmem::RmemEngine se(serverNode), e1(c1), e2(c2);
-    network.addHost(1, serverNode.nic());
-    network.addHost(2, c1.nic());
-    network.addHost(3, c2.nic());
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"server", "c1", "c2"}, .switched = true});
+    sim::Simulator &sim = c.sim;
+    rmem::RmemEngine &se = *c.engines[0], &e1 = *c.engines[1],
+                     &e2 = *c.engines[2];
 
     dfs::FileStore store;
     auto file = store.createFile(store.root(), "shared", 8192);
@@ -151,8 +142,8 @@ TEST(Integration, TwoClientsShareOneServerCoherently)
     server.warmCaches();
     server.start();
 
-    mem::Process &p1 = c1.spawnProcess("clerk1");
-    mem::Process &p2 = c2.spawnProcess("clerk2");
+    mem::Process &p1 = c.nodes[1]->spawnProcess("clerk1");
+    mem::Process &p2 = c.nodes[2]->spawnProcess("clerk2");
     dfs::DxBackend dx1(e1, p1, server.areaHandles());
     dfs::DxBackend dx2(e2, p2, server.areaHandles());
 
@@ -252,23 +243,11 @@ TEST(Integration, ManyConcurrentRemoteOpsComplete)
 {
     test::SwitchedCluster c(4);
     // Node 1 exports; nodes 2-4 hammer it concurrently.
-    mem::Process &owner = c.nodes[0]->spawnProcess("owner");
-    mem::Vaddr base = owner.space().allocRegion(64 * 1024);
-    auto seg = c.engines[0]->exportSegment(owner, base, 64 * 1024,
-                                           rmem::Rights::kAll,
-                                           rmem::NotifyPolicy::kNever,
-                                           "hot");
-    ASSERT_TRUE(seg.ok());
+    rmem::ImportedSegment seg = c.exportOn(0, "hot", 64 * 1024);
 
     std::vector<sim::Task<void>> tasks;
     for (size_t n = 1; n < 4; ++n) {
-        mem::Process &proc =
-            c.nodes[n]->spawnProcess("w" + std::to_string(n));
-        mem::Vaddr lbase = proc.space().allocRegion(4096);
-        auto local = c.engines[n]->exportSegment(
-            proc, lbase, 4096, rmem::Rights::kAll,
-            rmem::NotifyPolicy::kNever, "l");
-        ASSERT_TRUE(local.ok());
+        rmem::SegmentId local = c.exportOn(n, "l").descriptor;
         tasks.push_back([](rmem::RmemEngine *eng, rmem::ImportedSegment s,
                            rmem::SegmentId lseg,
                            uint32_t slot) -> sim::Task<void> {
@@ -282,8 +261,7 @@ TEST(Integration, ManyConcurrentRemoteOpsComplete)
                 REMORA_ASSERT(rd.status.ok());
                 REMORA_ASSERT(rd.data[0] == slot);
             }
-        }(c.engines[n].get(), seg.value(), local.value().descriptor,
-                           static_cast<uint32_t>(n)));
+        }(c.engines[n].get(), seg, local, static_cast<uint32_t>(n)));
     }
     c.sim.run();
     for (auto &t : tasks) {

@@ -235,17 +235,12 @@ TEST(NameClerk, CollisionsResolveByProbing)
     // A tiny registry forces collisions among a handful of names.
     names::NameClerkParams tiny;
     tiny.buckets = 8;
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node a(sim, 1, "a"), b(sim, 2, "b");
-    rmem::RmemEngine ea(a), eb(b);
-    network.addHost(1, a.nic());
-    network.addHost(2, b.nic());
-    network.wireDirect();
-    names::NameClerk clerkA(ea, tiny), clerkB(eb, tiny);
+    cluster::Cluster c({.names = {"a", "b"}});
+    names::NameClerk clerkA(*c.engines[0], tiny);
+    names::NameClerk clerkB(*c.engines[1], tiny);
     clerkA.addPeer(2);
     clerkB.addPeer(1);
-    mem::Process &user = a.spawnProcess("user");
+    mem::Process &user = c.nodes[0]->spawnProcess("user");
 
     // Export six names into eight buckets: collisions guaranteed often.
     for (int i = 0; i < 6; ++i) {
@@ -253,12 +248,12 @@ TEST(NameClerk, CollisionsResolveByProbing)
         auto t = clerkA.exportByName(&user, base, 4096, rmem::Rights::kAll,
                                      rmem::NotifyPolicy::kNever,
                                      "n" + std::to_string(i));
-        ASSERT_TRUE(runToCompletion(sim, t).ok());
+        ASSERT_TRUE(runToCompletion(c.sim, t).ok());
     }
     // Every name must be importable from B regardless of collisions.
     for (int i = 0; i < 6; ++i) {
         auto t = clerkB.import("n" + std::to_string(i), 1);
-        auto imp = runToCompletion(sim, t);
+        auto imp = runToCompletion(c.sim, t);
         ASSERT_TRUE(imp.ok()) << "n" << i << ": "
                               << imp.status().toString();
     }
@@ -296,29 +291,24 @@ TEST(NameClerk, ProbeThenControlFallsBackAfterBudget)
     p.policy = names::ProbePolicy::kProbeThenControl;
     p.probeLimit = 2;
     p.buckets = 4; // dense: long probe chains
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node a(sim, 1, "a"), b(sim, 2, "b");
-    rmem::RmemEngine ea(a), eb(b);
-    network.addHost(1, a.nic());
-    network.addHost(2, b.nic());
-    network.wireDirect();
-    names::NameClerk clerkA(ea, p), clerkB(eb, p);
+    cluster::Cluster c({.names = {"a", "b"}});
+    names::NameClerk clerkA(*c.engines[0], p);
+    names::NameClerk clerkB(*c.engines[1], p);
     clerkA.addPeer(2);
     clerkB.addPeer(1);
-    mem::Process &user = a.spawnProcess("user");
+    mem::Process &user = c.nodes[0]->spawnProcess("user");
     for (int i = 0; i < 4; ++i) {
         mem::Vaddr base = user.space().allocRegion(4096);
         auto t = clerkA.exportByName(&user, base, 4096, rmem::Rights::kAll,
                                      rmem::NotifyPolicy::kNever,
                                      "f" + std::to_string(i));
-        ASSERT_TRUE(runToCompletion(sim, t).ok());
+        ASSERT_TRUE(runToCompletion(c.sim, t).ok());
     }
     // With the table full, some lookup exhausts its 2-probe budget and
     // succeeds via control transfer instead.
     for (int i = 0; i < 4; ++i) {
         auto t = clerkB.import("f" + std::to_string(i), 1, true);
-        auto imp = runToCompletion(sim, t);
+        auto imp = runToCompletion(c.sim, t);
         ASSERT_TRUE(imp.ok());
     }
     EXPECT_GT(clerkB.stats().controlTransfers.value(), 0u);
@@ -328,22 +318,16 @@ TEST(NameClerk, RegistryFullReportsResource)
 {
     names::NameClerkParams p;
     p.buckets = 2;
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node a(sim, 1, "a"), b(sim, 2, "b");
-    rmem::RmemEngine ea(a), eb(b);
-    network.addHost(1, a.nic());
-    network.addHost(2, b.nic());
-    network.wireDirect();
-    names::NameClerk clerkA(ea, p);
-    mem::Process &user = a.spawnProcess("user");
+    cluster::Cluster c({.names = {"a", "b"}});
+    names::NameClerk clerkA(*c.engines[0], p);
+    mem::Process &user = c.nodes[0]->spawnProcess("user");
     util::Status last;
     for (int i = 0; i < 3; ++i) {
         mem::Vaddr base = user.space().allocRegion(4096);
         auto t = clerkA.exportByName(&user, base, 4096, rmem::Rights::kAll,
                                      rmem::NotifyPolicy::kNever,
                                      "r" + std::to_string(i));
-        last = runToCompletion(sim, t).status();
+        last = runToCompletion(c.sim, t).status();
     }
     EXPECT_EQ(last.code(), util::ErrorCode::kResource);
 }

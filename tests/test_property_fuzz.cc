@@ -259,8 +259,7 @@ TEST(PropertyFault, AnySeedModerateLossAppliesEveryWriteExactlyOnce)
         double dropRate = 0.20 * (meta.uniformInt(1000) / 1000.0);
 
         test::TwoNodeCluster c;
-        c.engineA.wire().enableReliability();
-        c.engineB.wire().enableReliability();
+        c.enableReliability();
         mem::Process &server = c.nodeB.spawnProcess("server");
         mem::Vaddr base = server.space().allocRegion(8192);
         auto seg = c.engineB.exportSegment(

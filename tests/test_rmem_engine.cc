@@ -13,19 +13,8 @@ namespace remora {
 namespace {
 
 using test::TwoNodeCluster;
+using test::makeSegment;
 using test::runToCompletion;
-
-/** Export a fresh segment on the given engine and return the handle. */
-rmem::ImportedSegment
-makeSegment(rmem::RmemEngine &engine, mem::Process &proc, uint32_t size,
-            rmem::Rights rights = rmem::Rights::kAll,
-            rmem::NotifyPolicy policy = rmem::NotifyPolicy::kConditional)
-{
-    mem::Vaddr base = proc.space().allocRegion(size);
-    auto h = engine.exportSegment(proc, base, size, rights, policy, "seg");
-    EXPECT_TRUE(h.ok()) << h.status().toString();
-    return h.value();
-}
 
 TEST(RmemEngine, RemoteWriteDepositsData)
 {

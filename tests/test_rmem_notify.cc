@@ -17,19 +17,9 @@
 namespace remora {
 namespace {
 
+using test::makeSegment;
 using test::runToCompletion;
 using test::TwoNodeCluster;
-
-rmem::ImportedSegment
-makeSegment(rmem::RmemEngine &engine, mem::Process &proc, uint32_t size,
-            rmem::NotifyPolicy policy = rmem::NotifyPolicy::kConditional)
-{
-    mem::Vaddr base = proc.space().allocRegion(size);
-    auto h = engine.exportSegment(proc, base, size, rmem::Rights::kAll,
-                                  policy, "seg");
-    EXPECT_TRUE(h.ok());
-    return h.value();
-}
 
 TEST(Notification, SignalHandlerStyleDelivery)
 {
@@ -126,7 +116,7 @@ TEST(Notification, ReaderSideNotifyOnReadCompletion)
     TwoNodeCluster c;
     mem::Process &server = c.nodeB.spawnProcess("server");
     mem::Process &client = c.nodeA.spawnProcess("client");
-    auto remote = makeSegment(c.engineB, server, 4096,
+    auto remote = makeSegment(c.engineB, server, 4096, rmem::Rights::kAll,
                               rmem::NotifyPolicy::kNever);
     auto local = makeSegment(c.engineA, client, 4096);
     auto *ch = c.engineA.channel(local.descriptor);

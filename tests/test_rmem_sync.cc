@@ -99,13 +99,7 @@ TEST(SpinLock, AcquireTimesOutUnderDeadlock)
 TEST(SpinLock, MutualExclusionAcrossNodes)
 {
     SwitchedCluster c(3);
-    mem::Process &home = c.nodes[0]->spawnProcess("home");
-    mem::Vaddr base = home.space().allocRegion(4096);
-    auto shared = c.engines[0]->exportSegment(home, base, 4096,
-                                              rmem::Rights::kAll,
-                                              rmem::NotifyPolicy::kNever,
-                                              "page");
-    ASSERT_TRUE(shared.ok());
+    rmem::ImportedSegment shared = c.exportOn(0, "page");
 
     struct Worker
     {
@@ -119,15 +113,9 @@ TEST(SpinLock, MutualExclusionAcrossNodes)
     int totalEntries = 0;
 
     for (size_t i = 0; i < 2; ++i) {
-        auto &eng = *c.engines[i + 1];
-        mem::Process &proc = c.nodes[i + 1]->spawnProcess("w");
-        mem::Vaddr lbase = proc.space().allocRegion(4096);
-        auto l = eng.exportSegment(proc, lbase, 4096, rmem::Rights::kAll,
-                                   rmem::NotifyPolicy::kNever, "s");
-        ASSERT_TRUE(l.ok());
-        workers[i].scratch = l.value().descriptor;
+        workers[i].scratch = c.exportOn(i + 1, "s").descriptor;
         workers[i].lock = std::make_unique<rmem::SpinLock>(
-            eng, shared.value(), 0, workers[i].scratch, 0,
+            *c.engines[i + 1], shared, 0, workers[i].scratch, 0,
             static_cast<uint32_t>(0x100 + i));
     }
     for (size_t i = 0; i < 2; ++i) {
@@ -232,23 +220,11 @@ TEST(Security, CryptoCostSlowsTheWire)
 {
     auto measureReadUs = [](const rmem::CostModel &costs) {
         TwoNodeCluster c(costs);
-        mem::Process &server = c.nodeB.spawnProcess("server");
-        mem::Process &client = c.nodeA.spawnProcess("client");
-        mem::Vaddr base = server.space().allocRegion(4096);
-        auto seg = c.engineB.exportSegment(server, base, 4096,
-                                           rmem::Rights::kAll,
-                                           rmem::NotifyPolicy::kNever, "s");
-        EXPECT_TRUE(seg.ok());
-        mem::Vaddr lbase = client.space().allocRegion(4096);
-        auto local = c.engineA.exportSegment(client, lbase, 4096,
-                                             rmem::Rights::kAll,
-                                             rmem::NotifyPolicy::kNever,
-                                             "l");
-        EXPECT_TRUE(local.ok());
+        rmem::ImportedSegment seg = c.exportOn(1, "s");
+        rmem::ImportedSegment local = c.exportOn(0, "l");
         c.sim.run();
         sim::Time t0 = c.sim.now();
-        auto t = c.engineA.read(seg.value(), 0, local.value().descriptor, 0,
-                                40);
+        auto t = c.engineA.read(seg, 0, local.descriptor, 0, 40);
         runToCompletion(c.sim, t);
         return sim::toUsec(c.sim.now() - t0);
     };

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -355,6 +356,16 @@ TEST(EventCore, PerturbedTieOrderIsPinned)
         EXPECT_EQ(order, expected[seed - 1]) << "seed " << seed;
         EXPECT_EQ(sim.decisionPoints(), 5u);
     }
+}
+
+TEST(EventCoreDeathTest, NonNumericPerturbSeedIsFatal)
+{
+    // The seed is read once per process: re-exec so the child reads it.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ::setenv("REMORA_PERTURB", "abc", 1);
+    EXPECT_EXIT({ Simulator sim; }, ::testing::ExitedWithCode(1),
+                "REMORA_PERTURB is not a number: 'abc'");
+    ::unsetenv("REMORA_PERTURB");
 }
 
 // ----------------------------------------------------------------------

@@ -16,18 +16,8 @@ namespace remora {
 namespace {
 
 using test::TwoNodeCluster;
+using test::makeSegment;
 using test::runToCompletion;
-
-rmem::ImportedSegment
-makeSegment(rmem::RmemEngine &engine, mem::Process &proc, uint32_t size,
-            rmem::Rights rights = rmem::Rights::kAll,
-            rmem::NotifyPolicy policy = rmem::NotifyPolicy::kConditional)
-{
-    mem::Vaddr base = proc.space().allocRegion(size);
-    auto h = engine.exportSegment(proc, base, size, rights, policy, "seg");
-    EXPECT_TRUE(h.ok()) << h.status().toString();
-    return h.value();
-}
 
 // ----------------------------------------------------------------------
 // Wire protocol

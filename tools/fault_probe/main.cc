@@ -18,20 +18,18 @@
  * exit status is that count clamped to 1, with wire abandonment
  * (sendFailures) and wedged coroutines folded in, so any recovery
  * regression fails the gate directly. The digest lets the driver
- * confirm each seed ran a distinct, replayable schedule.
+ * confirm each seed ran a distinct, replayable schedule. A malformed
+ * SEED, or a DROP_RATE outside [0, 1], exits 2.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "mem/node.h"
+#include "cluster/cluster.h"
 #include "net/fault.h"
-#include "net/network.h"
-#include "rmem/engine.h"
 #include "rmem/notification.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/panic.h"
+#include "util/strings.h"
 
 namespace remora {
 namespace {
@@ -52,37 +50,25 @@ readBack(rmem::RmemEngine *eng, rmem::ImportedSegment seg,
 int
 run(uint64_t seed, double dropRate)
 {
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node nodeA(sim, 1, "nodeA");
-    mem::Node nodeB(sim, 2, "nodeB");
-    rmem::RmemEngine engineA(nodeA);
-    rmem::RmemEngine engineB(nodeB);
-    network.addHost(1, nodeA.nic());
-    network.addHost(2, nodeB.nic());
-    network.wireDirect();
-    engineA.wire().enableReliability();
-    engineB.wire().enableReliability();
+    cluster::Cluster c({.names = {"nodeA", "nodeB"}});
+    sim::Simulator &sim = c.sim;
+    rmem::RmemEngine &engineA = *c.engines[0];
+    rmem::RmemEngine &engineB = *c.engines[1];
+    c.enableReliability();
 
-    mem::Process &server = nodeB.spawnProcess("server");
+    mem::Process &server = c.nodes[1]->spawnProcess("server");
     mem::Vaddr base = server.space().allocRegion(32768);
     auto seg = engineB.exportSegment(server, base, 32768, rmem::Rights::kAll,
                                      rmem::NotifyPolicy::kConditional,
                                      "probe.mem");
     REMORA_ASSERT(seg.ok());
-    mem::Process &readerProc = nodeA.spawnProcess("reader");
-    mem::Vaddr sbase = readerProc.space().allocRegion(4096);
-    auto scratch = engineA.exportSegment(readerProc, sbase, 4096,
-                                         rmem::Rights::kAll,
-                                         rmem::NotifyPolicy::kNever,
-                                         "probe.scratch");
-    REMORA_ASSERT(scratch.ok());
+    rmem::SegmentId scratch = c.exportOn(0, "probe.scratch").descriptor;
     sim.run();
 
     net::FaultPlan plan;
     plan.seed = seed;
     plan.dropRate = dropRate;
-    network.installFaults(plan);
+    c.network.installFaults(plan);
 
     // Notified writes, sizes from one raw cell up to multi-cell frames.
     constexpr int kWrites = 24;
@@ -106,8 +92,7 @@ run(uint64_t seed, double dropRate)
     for (int i = 0; i < kWrites; i += 3) {
         std::vector<uint8_t> expect(expected[i].begin(),
                                     expected[i].begin() + 16);
-        reads.push_back(readBack(&engineA, seg.value(),
-                                 scratch.value().descriptor,
+        reads.push_back(readBack(&engineA, seg.value(), scratch,
                                  static_cast<uint32_t>(i) * 1024,
                                  std::move(expect), &readMismatches));
     }
@@ -160,7 +145,7 @@ run(uint64_t seed, double dropRate)
                 "undelivered=%llu\n",
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(sim.digest().value()),
-                static_cast<unsigned long long>(network.totalFaultDrops()),
+                static_cast<unsigned long long>(c.network.totalFaultDrops()),
                 static_cast<unsigned long long>(
                     engineA.wire().retransmits() +
                     engineB.wire().retransmits()),
@@ -176,7 +161,17 @@ run(uint64_t seed, double dropRate)
 int
 main(int argc, char **argv)
 {
-    uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 0ull;
-    double dropRate = argc > 2 ? std::strtod(argv[2], nullptr) : 0.05;
+    uint64_t seed = 0;
+    double dropRate = 0.05;
+    bool ok = argc <= 3 &&
+              (argc < 2 || remora::util::parseNumber(argv[1], seed)) &&
+              (argc < 3 || remora::util::parseNumber(argv[2], dropRate)) &&
+              dropRate >= 0.0 && dropRate <= 1.0;
+    if (!ok) {
+        std::fprintf(stderr,
+                     "usage: fault_probe [SEED [DROP_RATE]]  "
+                     "(DROP_RATE in [0, 1], default 0.05)\n");
+        return 2;
+    }
     return remora::run(seed, dropRate);
 }

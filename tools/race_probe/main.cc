@@ -16,22 +16,19 @@
  * regression (a lost happens-before edge surfaces as a false positive
  * here) fails the gate directly. The digest lets the driver confirm
  * that each seed really ran a distinct schedule and that reruns of the
- * same seed replay bit-identically.
+ * same seed replay bit-identically. A malformed SEED exits 2.
  */
 #include <cstdio>
-#include <cstdlib>
 
-#include "mem/node.h"
+#include "cluster/cluster.h"
 #include "names/clerk.h"
-#include "net/network.h"
-#include "rmem/engine.h"
 #include "rmem/race_detector.h"
 #include "rmem/sync.h"
 #include "rpc/hybrid1.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/bytes.h"
 #include "util/panic.h"
+#include "util/strings.h"
 
 namespace remora {
 namespace {
@@ -91,37 +88,22 @@ run(uint64_t seed)
     auto &det = rmem::RaceDetector::instance();
     det.arm({}); // non-fatal: count, report, and exit nonzero
 
-    sim::Simulator sim;
-    sim.setPerturbation(seed);
-    net::Network network(sim, net::LinkParams{});
-    std::vector<std::unique_ptr<mem::Node>> nodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
-    for (uint32_t i = 1; i <= 3; ++i) {
-        nodes.push_back(std::make_unique<mem::Node>(
-            sim, i, "node" + std::to_string(i)));
-        engines.push_back(std::make_unique<rmem::RmemEngine>(*nodes.back()));
-        network.addHost(i, nodes.back()->nic());
-    }
-    network.wireSwitched();
+    cluster::Cluster c({.names = {"node1", "node2", "node3"},
+                        .switched = true});
+    c.sim.setPerturbation(seed);
 
     // Name service on nodes 1 and 2; node 1 publishes, node 2 imports.
-    names::NameClerk names1(*engines[0]);
-    names::NameClerk names2(*engines[1]);
+    names::NameClerk names1(*c.engines[0]);
+    names::NameClerk names2(*c.engines[1]);
     names1.addPeer(2);
     names2.addPeer(1);
-    mem::Process &pub = nodes[0]->spawnProcess("publisher");
+    mem::Process &pub = c.nodes[0]->spawnProcess("publisher");
     mem::Vaddr pubBase = pub.space().allocRegion(4096);
     auto exp = names1.exportByName(&pub, pubBase, 4096, rmem::Rights::kAll,
                                    rmem::NotifyPolicy::kNever, "probe.seg");
 
     // Spin-lock counter page on node 1; nodes 2 and 3 contend.
-    mem::Process &home = nodes[0]->spawnProcess("home");
-    mem::Vaddr pageBase = home.space().allocRegion(4096);
-    auto page = engines[0]->exportSegment(home, pageBase, 4096,
-                                          rmem::Rights::kAll,
-                                          rmem::NotifyPolicy::kNever,
-                                          "probe.page");
-    REMORA_ASSERT(page.ok());
+    rmem::ImportedSegment page = c.exportOn(0, "probe.page");
     struct Contender
     {
         std::unique_ptr<rmem::SpinLock> lock;
@@ -130,42 +112,35 @@ run(uint64_t seed)
     };
     std::vector<Contender> contenders(2);
     for (size_t i = 0; i < 2; ++i) {
-        auto &eng = *engines[i + 1];
-        mem::Process &proc = nodes[i + 1]->spawnProcess("contender");
-        mem::Vaddr lbase = proc.space().allocRegion(4096);
-        auto l = eng.exportSegment(proc, lbase, 4096, rmem::Rights::kAll,
-                                   rmem::NotifyPolicy::kNever,
-                                   "probe.scratch");
-        REMORA_ASSERT(l.ok());
-        contenders[i].scratch = l.value().descriptor;
+        contenders[i].scratch = c.exportOn(i + 1, "probe.scratch").descriptor;
         contenders[i].lock = std::make_unique<rmem::SpinLock>(
-            eng, page.value(), 0, contenders[i].scratch, 0,
+            *c.engines[i + 1], page, 0, contenders[i].scratch, 0,
             static_cast<uint32_t>(0x200 + i));
     }
 
     // Hybrid1 RPC: server on node 1, client on node 3.
-    mem::Process &serverProc = nodes[0]->spawnProcess("rpc-server");
-    rpc::Hybrid1Server server(*engines[0], serverProc);
+    mem::Process &serverProc = c.nodes[0]->spawnProcess("rpc-server");
+    rpc::Hybrid1Server server(*c.engines[0], serverProc);
     server.setHandler(
         [](net::NodeId,
            std::vector<uint8_t> args) -> sim::Task<std::vector<uint8_t>> {
             co_return args;
         });
     server.start();
-    mem::Process &clientProc = nodes[2]->spawnProcess("rpc-client");
-    rpc::Hybrid1Client client(*engines[2], clientProc,
+    mem::Process &clientProc = c.nodes[2]->spawnProcess("rpc-client");
+    rpc::Hybrid1Client client(*c.engines[2], clientProc,
                               server.requestSegmentHandle(),
                               server.allocSlot());
 
     // Drive everything to completion on one event queue.
-    auto names = namesWorker(&names2, &*engines[1]);
+    auto names = namesWorker(&names2, &*c.engines[1]);
     for (size_t i = 0; i < 2; ++i) {
         contenders[i].task =
-            counterWorker(&*engines[i + 1], contenders[i].lock.get(),
-                          page.value(), contenders[i].scratch, 4);
+            counterWorker(&*c.engines[i + 1], contenders[i].lock.get(),
+                          page, contenders[i].scratch, 4);
     }
     auto rpcs = rpcWorker(&client);
-    sim.run();
+    c.sim.run();
     REMORA_ASSERT(exp.done() && exp.result().ok());
     REMORA_ASSERT(names.done());
     REMORA_ASSERT(contenders[0].task.done() && contenders[1].task.done());
@@ -173,7 +148,7 @@ run(uint64_t seed)
 
     std::printf("seed=%llu digest=0x%016llx races=%llu checked=%llu\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(sim.digest().value()),
+                static_cast<unsigned long long>(c.sim.digest().value()),
                 static_cast<unsigned long long>(det.raceCount()),
                 static_cast<unsigned long long>(det.accessesChecked()));
     for (const auto &r : det.reports()) {
@@ -188,7 +163,10 @@ run(uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    uint64_t seed =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 0ull;
+    uint64_t seed = 0;
+    if (argc > 2 || (argc == 2 && !remora::util::parseNumber(argv[1], seed))) {
+        std::fprintf(stderr, "usage: race_probe [SEED]\n");
+        return 2;
+    }
     return remora::run(seed);
 }

@@ -79,7 +79,7 @@ layerRank(std::string_view module)
     static const std::map<std::string, int, std::less<>> kRanks = {
         {"util", 0}, {"sim", 1},   {"obs", 2},  {"net", 3},
         {"mem", 4},  {"rmem", 5},  {"rpc", 6},  {"names", 7},
-        {"dfs", 7},  {"trace", 8},
+        {"dfs", 7},  {"trace", 8}, {"cluster", 9},
     };
     auto it = kRanks.find(module);
     return it == kRanks.end() ? -1 : it->second;

@@ -8,15 +8,16 @@
  * even within one module. The enforced ranks, bottom to top:
  *
  *     util(0) < sim(1) < obs(2) < net(3) < mem(4) < rmem(5)
- *             < rpc(6) < names(7) = dfs(7) < trace(8)
+ *             < rpc(6) < names(7) = dfs(7) < trace(8) < cluster(9)
  *
  * This refines the coarse diagram in ISSUE 9 (`util → sim → mem/net →
  * rmem → rpc/names/dfs/obs`) to match the tree's reality: obs is the
  * observability *substrate* (counters, trace sinks) that net/mem/rmem
  * all instrument themselves with, so it sits just above sim rather
- * than at the top; trace is the top-layer consumer that renders other
- * modules' events. Equal-rank modules (names, dfs) may not include
- * each other.
+ * than at the top; trace is the consumer that renders other modules'
+ * events, and cluster, which assembles whole clusters out of every
+ * module below it, is the top. Equal-rank modules (names, dfs) may not
+ * include each other.
  *
  * An edge is allowed iff the includer and includee are in the same
  * module, or rank(includee) < rank(includer). Files outside `src/`

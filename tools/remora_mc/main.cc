@@ -2,16 +2,17 @@
  * @file
  * remora_mc: systematic schedule exploration over cluster workloads.
  *
- * Each registered workload is a deterministic thunk that builds a small
- * cluster on a fresh simulator and drives it to quiescence; the
- * ScheduleExplorer re-executes it once per same-instant tie-break
- * schedule (DFS with sleep-set reduction) and checks every terminal
- * state for deadlocks, lost wakeups, and blocked-forever coroutines.
+ * Explores the workloads registered in src/cluster/workloads.cc: the
+ * ScheduleExplorer re-executes each one once per same-instant
+ * tie-break schedule (DFS with sleep-set reduction) and checks every
+ * terminal state for deadlocks, lost wakeups, and blocked-forever
+ * coroutines.
  *
- * The clean registry (rpc, notify, sync, dfs-token) is the check.sh
- * --mc gate: bounded exploration must report zero findings. The seeded
- * workloads (deadlock, lost-wakeup) carry planted bugs and demonstrate
- * detection plus prefix shrinking:
+ * The clean registry (rpc, notify, vector-notify, sync, dfs-token,
+ * lossy-write, lossy-rpc) is the check.sh --mc gate: bounded
+ * exploration must report zero findings. The seeded workloads
+ * (deadlock, lost-wakeup) carry planted bugs and demonstrate detection
+ * plus prefix shrinking:
  *
  *     remora_mc                      # explore the clean registry
  *     remora_mc deadlock lost-wakeup # demo the seeded bugs
@@ -19,377 +20,22 @@
  *
  * Exit status is the total finding count clamped to 1 — except for
  * seeded workloads listed on the command line, whose findings are
- * expected and reported but do not fail the run.
+ * expected and reported but do not fail the run. A malformed or zero
+ * --max-schedules / --step-budget prints the usage and exits 2.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "dfs/token.h"
-#include "mem/node.h"
-#include "net/fault.h"
-#include "net/network.h"
+#include "cluster/workloads.h"
 #include "obs/metrics.h"
-#include "rmem/engine.h"
-#include "rmem/notification.h"
-#include "rmem/sync.h"
-#include "rpc/hybrid1.h"
-#include "rpc/transport.h"
 #include "sim/explorer.h"
-#include "sim/task.h"
-#include "util/panic.h"
+#include "util/json.h"
+#include "util/strings.h"
 
 namespace remora {
 namespace {
-
-// ----------------------------------------------------------------------
-// Shared cluster scaffolding
-// ----------------------------------------------------------------------
-
-/** N switched nodes with engines, built fresh per explored schedule. */
-struct World
-{
-    sim::Simulator &sim;
-    net::Network network;
-    std::vector<std::unique_ptr<mem::Node>> nodes;
-    std::vector<std::unique_ptr<rmem::RmemEngine>> engines;
-
-    World(sim::Simulator &s, uint32_t n) : sim(s), network(s, net::LinkParams{})
-    {
-        for (uint32_t i = 1; i <= n; ++i) {
-            nodes.push_back(std::make_unique<mem::Node>(
-                s, i, "node" + std::to_string(i)));
-            engines.push_back(
-                std::make_unique<rmem::RmemEngine>(*nodes.back()));
-            network.addHost(i, nodes.back()->nic());
-        }
-        if (n == 2) {
-            network.wireDirect();
-        } else {
-            network.wireSwitched();
-        }
-    }
-
-    rmem::ImportedSegment
-    exportOn(uint32_t nodeIdx, const std::string &name, uint32_t size = 4096,
-             rmem::NotifyPolicy policy = rmem::NotifyPolicy::kNever)
-    {
-        mem::Process &p = nodes[nodeIdx]->spawnProcess(name);
-        mem::Vaddr base = p.space().allocRegion(size);
-        auto h = engines[nodeIdx]->exportSegment(p, base, size,
-                                                 rmem::Rights::kAll, policy,
-                                                 name);
-        REMORA_ASSERT(h.ok());
-        return h.value();
-    }
-};
-
-// ----------------------------------------------------------------------
-// Clean workloads (the gate: zero findings expected)
-// ----------------------------------------------------------------------
-
-/** One Hybrid-1 client's echo calls. */
-sim::Task<void>
-rpcCalls(rpc::Hybrid1Client *c, uint8_t tag)
-{
-    for (uint8_t i = 0; i < 2; ++i) {
-        std::vector<uint8_t> args{tag, i};
-        auto reply = co_await c->call(args);
-        REMORA_ASSERT(reply.ok());
-        REMORA_ASSERT(reply.value()[0] == tag);
-    }
-}
-
-/** Hybrid-1 echo: two clients race their notified request writes. */
-void
-rpcWorkload(sim::Simulator &s)
-{
-    World w(s, 3);
-    mem::Process &serverProc = w.nodes[0]->spawnProcess("rpc-server");
-    rpc::Hybrid1Server server(*w.engines[0], serverProc);
-    server.setHandler(
-        [](net::NodeId,
-           std::vector<uint8_t> args) -> sim::Task<std::vector<uint8_t>> {
-            co_return args;
-        });
-    server.start();
-    mem::Process &p1 = w.nodes[1]->spawnProcess("rpc-client1");
-    mem::Process &p2 = w.nodes[2]->spawnProcess("rpc-client2");
-    rpc::Hybrid1Client c1(*w.engines[1], p1, server.requestSegmentHandle(),
-                          server.allocSlot());
-    rpc::Hybrid1Client c2(*w.engines[2], p2, server.requestSegmentHandle(),
-                          server.allocSlot());
-    auto t1 = rpcCalls(&c1, 0x11);
-    auto t2 = rpcCalls(&c2, 0x22);
-    s.run();
-    REMORA_ASSERT(t1.done() && t2.done());
-}
-
-/** Consume @p want notifications off a channel. */
-sim::Task<void>
-notifyReader(rmem::NotificationChannel *ch, int want)
-{
-    for (int i = 0; i < want; ++i) {
-        rmem::Notification n = co_await ch->next();
-        REMORA_ASSERT(n.count == 3);
-    }
-}
-
-/** Two racing notified writes consumed by a blocking channel reader. */
-void
-notifyWorkload(sim::Simulator &s)
-{
-    World w(s, 3);
-    auto seg = w.exportOn(0, "mc.notify", 4096,
-                          rmem::NotifyPolicy::kConditional);
-    rmem::NotificationChannel *ch = w.engines[0]->channel(seg.descriptor);
-    REMORA_ASSERT(ch != nullptr);
-    auto reader = notifyReader(ch, 2);
-    auto w1 = w.engines[1]->write(seg, 64, {1, 2, 3}, true);
-    auto w2 = w.engines[2]->write(seg, 128, {4, 5, 6}, true);
-    s.run();
-    REMORA_ASSERT(reader.done());
-    REMORA_ASSERT(w1.done() && w1.result().ok());
-    REMORA_ASSERT(w2.done() && w2.result().ok());
-}
-
-/**
- * Two racing vectored writes, each carrying notify sub-ops that
- * coalesce behind one doorbell, against a blocking channel reader.
- * Every interleaving must deliver all four records (no lost wakeup
- * from the batched post) and ring exactly one doorbell per batch.
- */
-void
-vectorNotifyWorkload(sim::Simulator &s)
-{
-    World w(s, 3);
-    auto seg = w.exportOn(0, "mc.vector", 4096,
-                          rmem::NotifyPolicy::kConditional);
-    rmem::NotificationChannel *ch = w.engines[0]->channel(seg.descriptor);
-    REMORA_ASSERT(ch != nullptr);
-    auto reader = notifyReader(ch, 4);
-    auto makeBatch = [&seg](uint32_t base) {
-        std::vector<rmem::BatchBuilder::Write> ops;
-        ops.push_back({seg, base, {1, 2, 3}, true});
-        ops.push_back({seg, base + 64, {4, 5, 6}, true});
-        return ops;
-    };
-    auto w1 = w.engines[1]->writev(makeBatch(0));
-    auto w2 = w.engines[2]->writev(makeBatch(256));
-    s.run();
-    REMORA_ASSERT(reader.done());
-    REMORA_ASSERT(w1.done() && w1.result().ok());
-    REMORA_ASSERT(w2.done() && w2.result().ok());
-    REMORA_ASSERT(w.engines[0]->stats().vectorDoorbells.value() == 2);
-    REMORA_ASSERT(w.engines[0]->stats().notificationsPosted.value() == 4);
-}
-
-/** Two nodes contending one remote spin-lock word. */
-void
-syncWorkload(sim::Simulator &s)
-{
-    World w(s, 2);
-    auto page = w.exportOn(0, "mc.locks");
-    auto scratch = w.exportOn(1, "mc.scratch");
-    rmem::SpinLock la(*w.engines[1], page, 0, scratch.descriptor, 0, 0x201);
-    rmem::SpinLock lb(*w.engines[1], page, 0, scratch.descriptor, 4, 0x202);
-    auto hold = [](rmem::SpinLock *lock, sim::Simulator *sp) -> sim::Task<void> {
-        auto a = co_await lock->acquire();
-        REMORA_ASSERT(a.ok());
-        co_await sim::delay(*sp, sim::usec(40));
-        auto r = co_await lock->release();
-        REMORA_ASSERT(r.ok());
-    };
-    auto w1 = hold(&la, &s);
-    auto w2 = hold(&lb, &s);
-    s.run();
-    REMORA_ASSERT(w1.done() && w2.done());
-}
-
-/** Token coherence with a revocation (the rare control transfer). */
-void
-dfsTokenWorkload(sim::Simulator &s)
-{
-    World w(s, 3);
-    mem::Process &serverProc = w.nodes[0]->spawnProcess("tok-server");
-    dfs::TokenArea area(*w.engines[0], serverProc);
-    mem::Process &p1 = w.nodes[1]->spawnProcess("tok-clerk1");
-    mem::Process &p2 = w.nodes[2]->spawnProcess("tok-clerk2");
-    dfs::TokenClient c1(*w.engines[1], p1, area.handle());
-    dfs::TokenClient c2(*w.engines[2], p2, area.handle());
-    auto useToken = [](dfs::TokenClient *c, sim::Simulator *sp,
-                       sim::Duration dwell) -> sim::Task<void> {
-        auto st = co_await c->acquire(42);
-        REMORA_ASSERT(st.ok());
-        c->beginUse(42);
-        co_await sim::delay(*sp, dwell);
-        c->endUse(42);
-    };
-    auto w1 = useToken(&c1, &s, sim::usec(80));
-    auto w2 = useToken(&c2, &s, sim::usec(40));
-    s.run();
-    REMORA_ASSERT(w1.done() && w2.done());
-}
-
-/**
- * Notified writes across a dropping link: the reliable wire must
- * deliver every one exactly once and wake the reader under any
- * schedule, with retransmission timers racing delivery and acks.
- */
-void
-lossyWriteWorkload(sim::Simulator &s)
-{
-    World w(s, 2);
-    w.engines[0]->wire().enableReliability();
-    w.engines[1]->wire().enableReliability();
-    auto seg = w.exportOn(0, "mc.lossy", 4096,
-                          rmem::NotifyPolicy::kConditional);
-    net::FaultPlan plan;
-    plan.seed = 7;
-    plan.dropRate = 0.25;
-    w.network.installFaults(plan);
-    rmem::NotificationChannel *ch = w.engines[0]->channel(seg.descriptor);
-    REMORA_ASSERT(ch != nullptr);
-    auto reader = notifyReader(ch, 3);
-    auto w1 = w.engines[1]->write(seg, 0, {1, 2, 3}, true);
-    auto w2 = w.engines[1]->write(seg, 64, {4, 5, 6}, true);
-    auto w3 = w.engines[1]->write(seg, 128, {7, 8, 9}, true);
-    s.run();
-    REMORA_ASSERT(reader.done());
-    REMORA_ASSERT(w1.done() && w1.result().ok());
-    REMORA_ASSERT(w2.done() && w2.result().ok());
-    REMORA_ASSERT(w3.done() && w3.result().ok());
-    REMORA_ASSERT(w.engines[1]->wire().sendFailures() == 0);
-}
-
-/** One retried RPC call; the reply must echo the tag. */
-sim::Task<void>
-lossyRpcCall(rpc::RpcTransport *c, uint8_t tag)
-{
-    std::vector<uint8_t> args(1, tag);
-    auto r = co_await c->call(1, 3, args, sim::msec(3), /*maxRetries=*/10);
-    REMORA_ASSERT(r.ok());
-    REMORA_ASSERT(r.value()[0] == tag);
-}
-
-/**
- * Retried RPC across a dropping link with wire reliability OFF: the
- * transport's at-most-once layer alone must recover — every call
- * completes, and the handler runs exactly once per logical call no
- * matter how timeouts, duplicates, and late replies interleave.
- */
-void
-lossyRpcWorkload(sim::Simulator &s)
-{
-    World w(s, 2);
-    rpc::RpcTransport server(w.engines[0]->wire());
-    rpc::RpcTransport client(w.engines[1]->wire());
-    int handlerRuns = 0;
-    server.registerProc(
-        3, [&handlerRuns](net::NodeId, std::vector<uint8_t> args)
-               -> sim::Task<std::vector<uint8_t>> {
-            ++handlerRuns;
-            co_return args;
-        });
-    net::FaultPlan plan;
-    plan.seed = 11;
-    plan.dropRate = 0.35;
-    w.network.installFaults(plan);
-    auto t1 = lossyRpcCall(&client, 0x51);
-    auto t2 = lossyRpcCall(&client, 0x52);
-    s.run();
-    REMORA_ASSERT(t1.done() && t2.done());
-    REMORA_ASSERT(handlerRuns == 2);
-}
-
-// ----------------------------------------------------------------------
-// Seeded workloads (planted bugs the explorer must find)
-// ----------------------------------------------------------------------
-
-/** Acquire @p first, dwell, then acquire @p second. */
-sim::Task<void>
-lockOrderWorker(rmem::SpinLock *first, rmem::SpinLock *second,
-                sim::Simulator *s)
-{
-    auto a = co_await first->acquire();
-    REMORA_ASSERT(a.ok());
-    co_await sim::delay(*s, sim::usec(200));
-    // The planted cross-order deadlock remora-mc must rediscover.
-    // NOLINTNEXTLINE(remora-lock-across-suspension)
-    auto b = co_await second->acquire();
-    REMORA_ASSERT(b.ok());
-    auto rb = co_await second->release();
-    REMORA_ASSERT(rb.ok());
-    auto ra = co_await first->release();
-    REMORA_ASSERT(ra.ok());
-}
-
-/** Cross-order acquisition of two lock words: a 2-party wait cycle. */
-void
-deadlockWorkload(sim::Simulator &s)
-{
-    World w(s, 2);
-    auto page = w.exportOn(0, "mc.locks");
-    auto scratch = w.exportOn(1, "mc.scratch");
-    rmem::SpinLock l0a(*w.engines[1], page, 0, scratch.descriptor, 0, 0x101);
-    rmem::SpinLock l64a(*w.engines[1], page, 64, scratch.descriptor, 0, 0x101);
-    rmem::SpinLock l64b(*w.engines[1], page, 64, scratch.descriptor, 4, 0x102);
-    rmem::SpinLock l0b(*w.engines[1], page, 0, scratch.descriptor, 4, 0x102);
-    auto w1 = lockOrderWorker(&l0a, &l64a, &s);
-    auto w2 = lockOrderWorker(&l64b, &l0b, &s);
-    s.run();
-}
-
-/** A post and a single poll race: one order strands the token. */
-void
-lostWakeupWorkload(sim::Simulator &s)
-{
-    mem::Node node(s, 1, "node");
-    rmem::CostModel costs;
-    rmem::NotificationChannel ch(node.cpu(), costs);
-    ch.setHangLabel("mc.token");
-    s.schedule(sim::usec(10), [&ch] {
-        rmem::Notification n;
-        n.srcNode = 2;
-        ch.post(n);
-    });
-    s.schedule(sim::usec(10), [&ch] {
-        rmem::Notification out;
-        (void)ch.tryNext(out);
-    });
-    s.run();
-}
-
-// ----------------------------------------------------------------------
-// Registry and driver
-// ----------------------------------------------------------------------
-
-struct WorkloadEntry
-{
-    const char *name;
-    sim::ScheduleExplorer::Workload fn;
-    bool seeded; ///< Carries a planted bug; findings are the point.
-};
-
-const std::vector<WorkloadEntry> &
-registry()
-{
-    static const std::vector<WorkloadEntry> r = {
-        {"rpc", rpcWorkload, false},
-        {"notify", notifyWorkload, false},
-        {"vector-notify", vectorNotifyWorkload, false},
-        {"sync", syncWorkload, false},
-        {"dfs-token", dfsTokenWorkload, false},
-        {"lossy-write", lossyWriteWorkload, false},
-        {"lossy-rpc", lossyRpcWorkload, false},
-        {"deadlock", deadlockWorkload, true},
-        {"lost-wakeup", lostWakeupWorkload, true},
-    };
-    return r;
-}
 
 std::string
 choiceList(const std::vector<uint32_t> &v)
@@ -402,28 +48,6 @@ choiceList(const std::vector<uint32_t> &v)
         out += std::to_string(v[i]);
     }
     return out + "]";
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
 }
 
 struct Options
@@ -461,12 +85,7 @@ run(const Options &opts)
     bool firstJson = true;
 
     for (const std::string &name : opts.workloads) {
-        const WorkloadEntry *entry = nullptr;
-        for (const WorkloadEntry &e : registry()) {
-            if (name == e.name) {
-                entry = &e;
-            }
-        }
+        const cluster::Workload *entry = cluster::findWorkload(name);
         if (entry == nullptr) {
             std::fprintf(stderr, "remora_mc: unknown workload '%s'\n",
                          name.c_str());
@@ -520,14 +139,14 @@ run(const Options &opts)
                 jsonOut += sim::HangReport::kindName(f.report.kind);
                 jsonOut += "\",\"schedule\":" + std::to_string(f.schedule);
                 jsonOut +=
-                    ",\"detail\":\"" + jsonEscape(f.report.detail) + "\"";
+                    ",\"detail\":\"" + util::jsonEscape(f.report.detail) + "\"";
                 jsonOut += ",\"parties\":[";
                 for (size_t p = 0; p < f.report.parties.size(); ++p) {
                     if (p != 0) {
                         jsonOut += ",";
                     }
                     jsonOut +=
-                        "\"" + jsonEscape(f.report.parties[p]) + "\"";
+                        "\"" + util::jsonEscape(f.report.parties[p]) + "\"";
                 }
                 jsonOut += "],\"choices\":" + choiceList(f.choices);
                 jsonOut += ",\"shrunk\":" + choiceList(f.shrunk) + "}";
@@ -585,14 +204,11 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto numArg = [&](uint64_t &out) {
-            if (i + 1 >= argc) {
-                return false;
-            }
-            out = std::strtoull(argv[++i], nullptr, 0);
-            return true;
+            return i + 1 < argc && remora::util::parseNumber(argv[++i], out) &&
+                   out >= 1;
         };
         if (arg == "--list") {
-            for (const auto &e : remora::registry()) {
+            for (const auto &e : remora::cluster::workloads()) {
                 std::printf("%s%s\n", e.name, e.seeded ? " (seeded bug)" : "");
             }
             return 0;
@@ -619,7 +235,7 @@ main(int argc, char **argv)
         }
     }
     if (opts.workloads.empty()) {
-        for (const auto &e : remora::registry()) {
+        for (const auto &e : remora::cluster::workloads()) {
             if (!e.seeded) {
                 opts.workloads.push_back(e.name);
             }

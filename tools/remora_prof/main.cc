@@ -16,24 +16,23 @@
  * --probe swaps the mixed workload for the name-service probe shape:
  * each iteration reads four directory slots one scalar read() at a
  * time, then again as a single readv() batch, so the `read` and
- * `vector` rows attribute exactly where batching reclaims time.
+ * `vector` rows attribute exactly where batching reclaims time. An N
+ * that is not a whole number of at least 1 prints the usage and exits 2.
  */
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "mem/node.h"
-#include "net/network.h"
+#include "cluster/cluster.h"
 #include "obs/critical_path.h"
 #include "obs/trace.h"
-#include "rmem/engine.h"
 #include "rpc/hybrid1.h"
 #include "rpc/transport.h"
-#include "sim/simulator.h"
 #include "sim/task.h"
 #include "util/panic.h"
+#include "util/strings.h"
 
 namespace remora {
 namespace {
@@ -102,15 +101,12 @@ probeWorkload(rmem::RmemEngine *client, rmem::ImportedSegment server,
 int
 run(int iters, bool probe, bool json, const char *tracePath)
 {
-    sim::Simulator sim;
-    net::Network network(sim, net::LinkParams{});
-    mem::Node server(sim, 1, "server");
-    mem::Node client(sim, 2, "client");
-    rmem::RmemEngine serverEng(server);
-    rmem::RmemEngine clientEng(client);
-    network.addHost(1, server.nic());
-    network.addHost(2, client.nic());
-    network.wireDirect();
+    cluster::Cluster c({.names = {"server", "client"}});
+    sim::Simulator &sim = c.sim;
+    mem::Node &server = *c.nodes[0];
+    mem::Node &client = *c.nodes[1];
+    rmem::RmemEngine &serverEng = *c.engines[0];
+    rmem::RmemEngine &clientEng = *c.engines[1];
 
     // Target segment on the server, scratch (read/cas landing) on the
     // client.
@@ -190,7 +186,7 @@ run(int iters, bool probe, bool json, const char *tracePath)
 int
 main(int argc, char **argv)
 {
-    int iters = 8;
+    uint64_t iters = 8;
     bool probe = false;
     bool json = false;
     const char *tracePath = nullptr;
@@ -199,8 +195,10 @@ main(int argc, char **argv)
             json = true;
         } else if (std::strcmp(argv[i], "--probe") == 0) {
             probe = true;
-        } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            iters = std::atoi(argv[++i]);
+        } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc &&
+                   remora::util::parseNumber(argv[i + 1], iters) &&
+                   iters >= 1 && iters <= INT_MAX) {
+            ++i;
         } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
             tracePath = argv[++i];
         } else {
@@ -210,5 +208,5 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    return remora::run(iters, probe, json, tracePath);
+    return remora::run(static_cast<int>(iters), probe, json, tracePath);
 }
