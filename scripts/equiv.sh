@@ -18,12 +18,16 @@
 #     counts, decisions and digests) and the seeded workloads,
 #     remora_mc deadlock lost-wakeup --max-schedules 60;
 #   - remora_prof --json and remora_prof --probe (critical paths);
-#   - the seven examples, from a scratch directory under build-equiv/,
-#     keeping their stdout and quickstart's trace and metrics JSON;
+#   - every example, from a scratch directory under build-equiv/,
+#     keeping its stdout and the trace and metrics JSON quickstart
+#     writes;
 #   - ctest -L bench_smoke (the baselined benches' BENCH_*.json) and
-#     the eight benches outside the smoke set, from a scratch directory
-#     under build-equiv/ (bench_microsim is left out: its Google
-#     Benchmark report is wall-clock only).
+#     every other bench, from a scratch directory under build-equiv/
+#     (bench_microsim is left out: its Google Benchmark report is
+#     wall-clock only).
+#
+# The examples and benches are those the reference's build tree holds,
+# so a new one is covered without editing this script.
 #
 # It fails on any byte difference in the probe or example output,
 # including exit codes, and on any BENCH metric that differs at
@@ -76,27 +80,34 @@ probe_outputs() {
     done
 }
 
-EXAMPLES=(quickstart load_balance cas_lock name_service file_service
-          failure_detector trace_replay)
+# The executables CMake built in directory $1, one name per line.
+executables_in() {
+    find "$1" -maxdepth 1 -type f -perm -u+x -printf '%f\n' | sort
+}
 
-# Each example's stdout and exit status, plus the JSON files quickstart
-# writes into its working directory, all in directory $2.
+# The reference's benches outside the bench_smoke set, less
+# bench_microsim.
+nonsmoke_benches() {
+    executables_in "${OUT}/ref/build/bench" | grep -vxF -f <(
+        echo bench_microsim
+        (cd "${OUT}/ref/build" && ctest -N -L bench_smoke) |
+            sed -n 's/^ *Test *#[0-9]*: \(.*\)_smoke$/\1/p')
+}
+
+# Each of the reference's examples' stdout and exit status, plus the
+# JSON files quickstart writes into its working directory, all in
+# directory $2.
 example_outputs() {
     local bin ex rc
     bin="$(cd "$1/build/examples" && pwd)"
     rm -rf "$2"
     mkdir -p "$2"
-    for ex in "${EXAMPLES[@]}"; do
+    for ex in $(executables_in "${OUT}/ref/build/examples"); do
         rc=0
         (cd "$2" && "${bin}/${ex}") >"$2/${ex}.out" 2>&1 || rc=$?
         echo "exit=${rc}" >>"$2/${ex}.out"
     done
 }
-
-NONSMOKE_BENCHES=(bench_ablation_notification bench_ablation_probe_policy
-                  bench_ablation_schemes bench_ablation_security
-                  bench_ablation_switch bench_ablation_tokens
-                  bench_ablation_transport bench_table1a_nfs_mix)
 
 # Smoke reports land in $1/build/bench; the other benches' in $2.
 bench_reports() {
@@ -108,7 +119,7 @@ bench_reports() {
     bin="$(cd "$1/build/bench" && pwd)"
     rm -rf "$2"
     mkdir -p "$2"
-    for b in "${NONSMOKE_BENCHES[@]}"; do
+    for b in $(nonsmoke_benches); do
         (cd "$2" && "${bin}/${b}" >/dev/null) || {
             echo "equiv: ${b} failed in $1" >&2
             exit 1

@@ -36,12 +36,13 @@ Cluster::build(const ClusterSpec &spec)
 
 rmem::ImportedSegment
 Cluster::exportOn(size_t node, const std::string &name, uint32_t size,
-                  rmem::NotifyPolicy policy, rmem::Rights rights)
+                  rmem::NotifyPolicy policy)
 {
     REMORA_ASSERT(node < nodes.size());
     mem::Process &p = nodes[node]->spawnProcess(name);
     mem::Vaddr base = p.space().allocRegion(size);
-    auto h = engines[node]->exportSegment(p, base, size, rights, policy, name);
+    auto h = engines[node]->exportSegment(p, base, size, rmem::Rights::kAll,
+                                          policy, name);
     REMORA_ASSERT(h.ok());
     return h.value();
 }

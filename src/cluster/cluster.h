@@ -64,12 +64,12 @@ class Cluster
 
     /**
      * Spawn a process named @p name on node index @p node and export a
-     * fresh @p size-byte region of it as segment @p name.
+     * fresh @p size-byte region of it, with all rights, as segment
+     * @p name.
      */
     rmem::ImportedSegment
     exportOn(size_t node, const std::string &name, uint32_t size = 4096,
-             rmem::NotifyPolicy policy = rmem::NotifyPolicy::kNever,
-             rmem::Rights rights = rmem::Rights::kAll);
+             rmem::NotifyPolicy policy = rmem::NotifyPolicy::kNever);
 
     /** Turn on the reliable wire on every node, in node order. */
     void enableReliability();

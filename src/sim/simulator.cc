@@ -22,14 +22,14 @@ mix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** REMORA_PERTURB, parsed once per process (0 when unset). */
+/** REMORA_PERTURB, parsed once per process (0 when unset or empty). */
 uint64_t
 envPerturbSeed()
 {
     static const uint64_t seed = [] {
         const char *e = std::getenv("REMORA_PERTURB");
         uint64_t v = 0;
-        if (e != nullptr && !util::parseNumber(e, v)) {
+        if (e != nullptr && *e != '\0' && !util::parseNumber(e, v)) {
             REMORA_FATAL("REMORA_PERTURB is not a number: '" +
                          std::string(e) + "'");
         }

@@ -100,12 +100,16 @@ formatCount(uint64_t count)
 
 namespace {
 
-/** parseNumber's shared rules around one strto* call. */
+/**
+ * parseNumber's shared rules around one strto* call. Leading space is
+ * refused here because strto* would skip it.
+ */
 template <typename T, typename Parse>
 bool
 parseWhole(const char *text, T &out, Parse parse)
 {
-    if (text == nullptr || *text == '\0') {
+    if (text == nullptr || *text == '\0' ||
+        std::isspace(static_cast<unsigned char>(*text)) != 0) {
         return false;
     }
     char *end = nullptr;
@@ -123,6 +127,11 @@ parseWhole(const char *text, T &out, Parse parse)
 bool
 parseNumber(const char *text, uint64_t &out)
 {
+    // strtoull would negate a leading '-', turning "-1" into 2^64 - 1.
+    if (text != nullptr &&
+        std::isdigit(static_cast<unsigned char>(*text)) == 0) {
+        return false;
+    }
     return parseWhole(text, out, [](const char *s, char **end) {
         return std::strtoull(s, end, 0);
     });

@@ -23,8 +23,9 @@ std::string formatCount(uint64_t count);
  * Parse all of @p text as a number from outside the program: unsigned
  * the way strtoull(text, _, 0) reads it (decimal, 0x hex, 0 octal),
  * floating point the way strtod does. Returns false, leaving @p out
- * untouched, when @p text is null or empty, has anything after the
- * number, or is out of range.
+ * untouched, when @p text is null or empty, starts with a space, has
+ * anything after the number, or is out of range. An unsigned number
+ * must start with a digit, so "-1" and "+1" are refused.
  */
 bool parseNumber(const char *text, uint64_t &out);
 

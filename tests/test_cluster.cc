@@ -113,12 +113,10 @@ TEST(Cluster, RunsOnABorrowedSimulatorOrItsOwn)
 TEST(Cluster, ExportOnReturnsAHandleWithTheGivenShape)
 {
     Cluster c({.names = {"a", "b"}});
-    rmem::ImportedSegment h = c.exportOn(
-        1, "shaped", 8192, rmem::NotifyPolicy::kConditional,
-        rmem::Rights::kRead | rmem::Rights::kWrite);
+    rmem::ImportedSegment h =
+        c.exportOn(1, "shaped", 8192, rmem::NotifyPolicy::kConditional);
     EXPECT_EQ(h.node, 2u);
     EXPECT_EQ(h.size, 8192u);
-    EXPECT_EQ(h.rights, rmem::Rights::kRead | rmem::Rights::kWrite);
     const rmem::SegmentDescriptor *d = c.engines[1]->descriptor(h.descriptor);
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->name, "shaped");
@@ -127,7 +125,6 @@ TEST(Cluster, ExportOnReturnsAHandleWithTheGivenShape)
     rmem::ImportedSegment plain = c.exportOn(0, "plain");
     EXPECT_EQ(plain.node, 1u);
     EXPECT_EQ(plain.size, 4096u);
-    EXPECT_EQ(plain.rights, rmem::Rights::kAll);
 }
 
 /** Notifications a notified WRITE into a segment of @p policy posts. */

@@ -365,6 +365,14 @@ TEST(EventCoreDeathTest, NonNumericPerturbSeedIsFatal)
     ::setenv("REMORA_PERTURB", "abc", 1);
     EXPECT_EXIT({ Simulator sim; }, ::testing::ExitedWithCode(1),
                 "REMORA_PERTURB is not a number: 'abc'");
+    // Set but empty means unset: the run is unperturbed.
+    ::setenv("REMORA_PERTURB", "", 1);
+    EXPECT_EXIT(
+        {
+            Simulator sim;
+            std::exit(sim.perturbation() == 0 ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
     ::unsetenv("REMORA_PERTURB");
 }
 

@@ -338,7 +338,8 @@ TEST(Strings, ParseNumberTakesOnlyWholeNumbers)
     EXPECT_EQ(u, 42u);
     EXPECT_TRUE(parseNumber("0x10", u));
     EXPECT_EQ(u, 16u);
-    for (const char *bad : {"", "abc", "5x", "1.5", "99999999999999999999"}) {
+    for (const char *bad : {"", "abc", "5x", "1.5", "-1", "+1", " 5",
+                            "99999999999999999999"}) {
         u = 7;
         EXPECT_FALSE(parseNumber(bad, u)) << bad;
         EXPECT_EQ(u, 7u) << bad;
@@ -350,7 +351,7 @@ TEST(Strings, ParseNumberTakesOnlyWholeNumbers)
     EXPECT_EQ(d, 0.05);
     EXPECT_TRUE(parseNumber("1e-2", d));
     EXPECT_EQ(d, 0.01);
-    for (const char *bad : {"", "abc", "0.5%", "1e999"}) {
+    for (const char *bad : {"", "abc", "0.5%", " 0.5", "1e999"}) {
         d = 3;
         EXPECT_FALSE(parseNumber(bad, d)) << bad;
         EXPECT_EQ(d, 3.0) << bad;

@@ -138,8 +138,8 @@ run(const Options &opts)
                 jsonOut += "{\"kind\":\"";
                 jsonOut += sim::HangReport::kindName(f.report.kind);
                 jsonOut += "\",\"schedule\":" + std::to_string(f.schedule);
-                jsonOut +=
-                    ",\"detail\":\"" + util::jsonEscape(f.report.detail) + "\"";
+                jsonOut += ",\"detail\":\"";
+                jsonOut += util::jsonEscape(f.report.detail) + "\"";
                 jsonOut += ",\"parties\":[";
                 for (size_t p = 0; p < f.report.parties.size(); ++p) {
                     if (p != 0) {
