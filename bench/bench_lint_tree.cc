@@ -8,8 +8,9 @@
  *
  *  - tree: wall-clock for the full real-tree pass (scrub, tokenize,
  *    line rules, CFG construction, dataflow fixpoint, include-layer
- *    DAG check over src/). Wall-clock, so the baseline carries a wide
- *    tolerance; the deterministic finding counts are shape checks.
+ *    DAG check over src/). Wall-clock, so it is a wallMetric() the
+ *    gate fails only below a tenth of baseline; the deterministic
+ *    finding counts are shape checks.
  *  - corpus: files/second over a fixed synthetic corpus of hazardous
  *    and clean coroutine fixtures. The corpus never changes with tree
  *    growth, so its finding count is held exactly by the baseline —
@@ -196,12 +197,12 @@ main()
     std::printf("corpus: %d files, %zu findings (%.0f files/s)\n",
                 kCorpusFiles, corpusFindings, corpusFilesPerSec);
 
-    // Rates only, higher-is-better with a wide tolerance: the smoke
+    // Rates only, declared wall-clock so only a collapse fails: the smoke
     // label runs under parallel ctest load, so an absolute ms-per-pass
     // figure would gate on scheduler contention, not the linter.
     bench::BenchReport report("lint_tree");
-    report.metric("tree.files_per_sec", treeFilesPerSec, "1/s");
-    report.metric("corpus.files_per_sec", corpusFilesPerSec, "1/s");
+    report.wallMetric("tree.files_per_sec", treeFilesPerSec, "1/s");
+    report.wallMetric("corpus.files_per_sec", corpusFilesPerSec, "1/s");
     report.metric("corpus.findings", static_cast<double>(corpusFindings),
                   "count");
     report.check("tree_has_no_error_findings", errors == 0);

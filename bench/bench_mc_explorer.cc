@@ -8,8 +8,8 @@
  *  - explore: schedules/second replaying the registry's `sync`
  *    workload, two-node remote-spin-lock contention (world
  *    construction, full run, wait-graph scan, teardown — the whole
- *    per-schedule cost the mc gate pays). Wall-clock, so the baseline
- *    carries a wide tolerance.
+ *    per-schedule cost the mc gate pays). Wall-clock, so it is a
+ *    wallMetric(): the gate fails it only below a tenth of baseline.
  *  - reduction: brute-force vs sleep-set schedule counts on four
  *    same-instant events hinted as two dependent pairs. These counts
  *    are pure functions of the DFS, so the baseline holds them
@@ -95,7 +95,7 @@ main()
                 static_cast<unsigned long long>(reducedRes.sleepSkips));
 
     bench::BenchReport report("mc_explorer");
-    report.metric("explore.schedules_per_sec", perSec, "1/s");
+    report.wallMetric("explore.schedules_per_sec", perSec, "1/s");
     report.metric("explore.schedules", static_cast<double>(res.schedules),
                   "count");
     report.metric("explore.decisions", static_cast<double>(res.decisions),

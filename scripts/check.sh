@@ -10,7 +10,7 @@
 #   scripts/check.sh --race     # + happens-before race gate, 8 seeds
 #   scripts/check.sh --mc       # + bounded schedule exploration gate
 #   scripts/check.sh --faults   # + lossy-link delivery gate, 8 seeds
-#   scripts/check.sh --bench    # + bench regression gate vs baselines
+#   scripts/check.sh --bench    # + exact bench gate vs bench/baselines
 #   scripts/check.sh --all      # every gate above
 #
 # Gates are additive: the primary build and test suite always run, and
@@ -48,7 +48,7 @@ for arg in "$@"; do
         --bench) DO_BENCH=1 ;;
         --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1; DO_MC=1; DO_FAULTS=1; DO_BENCH=1 ;;
         -h|--help)
-            sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,/^$/p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
@@ -207,60 +207,14 @@ if [[ "${DO_BENCH}" == 1 ]]; then
     echo
     echo "== bench: regression gate vs bench/baselines =="
     # Rerun the smoke benches (they rewrite BENCH_*.json in build/bench/,
-    # atomically), then compare every baselined report. The simulation is
-    # deterministic, so the tolerances guard against real model changes,
-    # not machine noise; an intended change is shipped by refreshing the
-    # baseline file alongside it.
+    # atomically), then compare every baselined report under bench_diff's
+    # one rule: a simulated metric equals its baseline exactly, and a
+    # wall-clock rate (declared "kind":"wall" by its bench) fails only
+    # below a tenth of its baseline. The simulation is deterministic, so
+    # an intended model change ships with its refreshed baseline file.
     cmake --build build -j "${JOBS}" --target bench_diff
     (cd build && ctest -L bench_smoke --output-on-failure -j "${JOBS}")
-    # schedules/sec is the one wall-clock metric in the baselines; give
-    # it room for machine variance while still catching order-of-
-    # magnitude explorer regressions — and it only regresses downward,
-    # so mark it higher-is-better. The vectored-ops speedup ratios get
-    # the same treatment: a batch getting even faster than baseline is
-    # a win to fold in at the next refresh, not a gate failure.
-    # The linter's tree pass is wall-clock over a tree that grows with
-    # every PR: its throughput rates get the same wide berth as the
-    # explorer rate. Its corpus.findings count is deterministic and
-    # stays at the default tolerance.
-    # The fault-ablation rows under loss measure recovery tails, which
-    # swing with any retransmit-timing change: their latencies are
-    # lower-is-better (an earlier repair is a win, not a regression)
-    # and their drop/retransmit counts get a wide berth — the bench's
-    # own delivery and repaired-by-retransmit checks carry the
-    # qualitative gate. The 0% row stays at the default tolerance: it
-    # is the machinery-off hot-path guard and must not move at all.
-    ./build/tools/bench_diff/bench_diff --tol 5 \
-        --tol-metric drop_2.write_round_us=30 \
-        --tol-metric drop_2.read_round_us=30 \
-        --tol-metric drop_5.write_round_us=30 \
-        --tol-metric drop_5.read_round_us=30 \
-        --tol-metric drop_10.write_round_us=30 \
-        --tol-metric drop_10.read_round_us=30 \
-        --tol-metric drop_2.drops=60 \
-        --tol-metric drop_2.retransmits=60 \
-        --tol-metric drop_5.drops=60 \
-        --tol-metric drop_5.retransmits=60 \
-        --tol-metric drop_10.drops=60 \
-        --tol-metric drop_10.retransmits=60 \
-        --dir-metric drop_2.write_round_us=down \
-        --dir-metric drop_2.read_round_us=down \
-        --dir-metric drop_5.write_round_us=down \
-        --dir-metric drop_5.read_round_us=down \
-        --dir-metric drop_10.write_round_us=down \
-        --dir-metric drop_10.read_round_us=down \
-        --tol-metric explore.schedules_per_sec=90 \
-        --tol-metric tree.files_per_sec=90 \
-        --tol-metric corpus.files_per_sec=90 \
-        --dir-metric explore.schedules_per_sec=up \
-        --dir-metric tree.files_per_sec=up \
-        --dir-metric corpus.files_per_sec=up \
-        --dir-metric write_x4.latency_speedup=up \
-        --dir-metric write_x8.latency_speedup=up \
-        --dir-metric write_x16.latency_speedup=up \
-        --dir-metric read_x4.latency_speedup=up \
-        --dir-metric read_x8.latency_speedup=up \
-        bench/baselines build/bench
+    ./build/tools/bench_diff/bench_diff bench/baselines build/bench
     GATES_RUN+=("bench")
 fi
 

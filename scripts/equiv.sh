@@ -22,18 +22,18 @@
 #     keeping its stdout and the trace and metrics JSON quickstart
 #     writes;
 #   - ctest -L bench_smoke (the baselined benches' BENCH_*.json) and
-#     every other bench, from a scratch directory under build-equiv/
-#     (bench_microsim is left out: its Google Benchmark report is
-#     wall-clock only).
+#     every other bench both trees build, from a scratch directory
+#     under build-equiv/.
 #
-# The examples and benches are those the reference's build tree holds,
-# so a new one is covered without editing this script.
+# The examples are those the reference's build tree holds, so a new one
+# is covered without editing this script.
 #
 # It fails on any byte difference in the probe or example output,
-# including exit codes, and on any BENCH metric that differs at
-# bench_diff --tol 0, except the three wall-clock rates
-# (explore.schedules_per_sec, tree.files_per_sec, corpus.files_per_sec).
-# Outputs are kept in build-equiv/ for inspection.
+# including exit codes, and on any BENCH report that fails
+# bench_diff REF_DIR WORK_DIR, the rule scripts/check.sh --bench
+# applies: every simulated metric equal, and each wall-clock rate
+# (marked "kind":"wall" in either report) at least a tenth of the
+# reference's. Outputs are kept in build-equiv/ for inspection.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -85,11 +85,10 @@ executables_in() {
     find "$1" -maxdepth 1 -type f -perm -u+x -printf '%f\n' | sort
 }
 
-# The reference's benches outside the bench_smoke set, less
-# bench_microsim.
+# The benches both trees build, outside the bench_smoke set.
 nonsmoke_benches() {
-    executables_in "${OUT}/ref/build/bench" | grep -vxF -f <(
-        echo bench_microsim
+    comm -12 <(executables_in "${OUT}/ref/build/bench") \
+        <(executables_in build/bench) | grep -vxF -f <(
         (cd "${OUT}/ref/build" && ctest -N -L bench_smoke) |
             sed -n 's/^ *Test *#[0-9]*: \(.*\)_smoke$/\1/p')
 }
@@ -127,13 +126,9 @@ bench_reports() {
     done
 }
 
-# Every metric of every report in $1 must match $2 exactly.
+# Every report in $1 must pass bench_diff against $2.
 bench_identical() {
-    ./build/tools/bench_diff/bench_diff --tol 0 \
-        --tol-metric explore.schedules_per_sec=1e12 \
-        --tol-metric tree.files_per_sec=1e12 \
-        --tol-metric corpus.files_per_sec=1e12 \
-        "$1" "$2" || {
+    ./build/tools/bench_diff/bench_diff "$1" "$2" || {
         echo "equiv: a BENCH metric differs from ${REF}" >&2
         exit 1
     }

@@ -2,28 +2,42 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <map>
 
 namespace remora::obs {
 
 namespace {
 
-/** Flat name -> value view of a report's "metrics" array. */
-std::map<std::string, double>
+/** One metric of a report, as the gate reads it. */
+struct Metric
+{
+    /** NaN when the report holds no number there (JsonWriter's null). */
+    double value;
+    bool wall;
+};
+
+/** Flat name -> metric view of a report's "metrics" array. */
+std::map<std::string, Metric>
 metricMap(const util::JsonValue &report, std::vector<std::string> *order)
 {
-    std::map<std::string, double> out;
+    std::map<std::string, Metric> out;
     const util::JsonValue *metrics = report.find("metrics");
     if (metrics == nullptr || !metrics->isArray()) {
         return out;
     }
     for (const util::JsonValue &m : metrics->items()) {
         const util::JsonValue *name = m.find("name");
-        const util::JsonValue *value = m.find("value");
-        if (name == nullptr || !name->isString() || value == nullptr ||
-            !value->isNumber()) {
+        if (name == nullptr || !name->isString()) {
             continue;
         }
-        if (out.emplace(name->asString(), value->asNumber()).second &&
+        const util::JsonValue *value = m.find("value");
+        const util::JsonValue *kind = m.find("kind");
+        Metric metric{value != nullptr && value->isNumber()
+                          ? value->asNumber()
+                          : std::numeric_limits<double>::quiet_NaN(),
+                      kind != nullptr && kind->asString() == "wall"};
+        if (out.emplace(name->asString(), metric).second &&
             order != nullptr) {
             order->push_back(name->asString());
         }
@@ -79,30 +93,37 @@ BenchDiffResult::render() const
         if (e.ok) {
             continue;
         }
-        const char *dirNote =
-            e.direction > 0 ? ", higher is better"
-                            : (e.direction < 0 ? ", lower is better" : "");
-        std::snprintf(line, sizeof(line),
-                      "  FAIL  %s: %.4g -> %.4g (%+.1f%%, tolerance "
-                      "%.1f%%%s)\n",
-                      e.metric.c_str(), e.baseline, e.candidate, e.deltaPct,
-                      e.tolerancePct, dirNote);
+        char delta[32] = "";
+        if (e.baseline != 0.0) {
+            std::snprintf(delta, sizeof(delta), "%+.1f%%, ",
+                          100.0 * (e.candidate - e.baseline) /
+                              std::abs(e.baseline));
+        }
+        char rule[64] = "simulated metric must equal baseline";
+        if (e.wall) {
+            std::snprintf(rule, sizeof(rule),
+                          "wall-clock rate fell below %g x baseline",
+                          kWallFloor);
+        }
+        std::snprintf(line, sizeof(line), "  FAIL  %s: %.6g -> %.6g (%s%s)\n",
+                      e.metric.c_str(), e.baseline, e.candidate, delta, rule);
         out += line;
     }
     for (const auto &name : fresh) {
         out += "  note  new metric (not in baseline): " + name + "\n";
     }
     if (out.empty()) {
-        std::snprintf(line, sizeof(line), "  ok    %zu metrics within "
-                      "tolerance\n", entries.size());
+        std::snprintf(line, sizeof(line),
+                      "  ok    %zu metrics (simulated exact, wall-clock "
+                      "above %g x baseline)\n",
+                      entries.size(), kWallFloor);
         out = line;
     }
     return out;
 }
 
 BenchDiffResult
-diffReports(const util::JsonValue &baseline, const util::JsonValue &candidate,
-            const BenchDiffOptions &opts)
+diffReports(const util::JsonValue &baseline, const util::JsonValue &candidate)
 {
     BenchDiffResult result;
     const util::JsonValue *bname = baseline.find("bench");
@@ -126,39 +147,21 @@ diffReports(const util::JsonValue &baseline, const util::JsonValue &candidate,
             result.errors.push_back("metric missing from candidate: " + name);
             continue;
         }
+        const Metric &b = base.at(name);
+        const Metric &c = it->second;
+        if (std::isnan(b.value) || std::isnan(c.value)) {
+            result.errors.push_back(
+                std::string("metric is not a number in ") +
+                (std::isnan(b.value) ? "baseline: " : "candidate: ") + name);
+            continue;
+        }
         BenchDiffEntry e;
         e.metric = name;
-        e.baseline = base[name];
-        e.candidate = it->second;
-        auto tol = opts.tolerances.find(name);
-        e.tolerancePct = tol != opts.tolerances.end()
-                             ? tol->second
-                             : opts.defaultTolerancePct;
-        auto dir = opts.directions.find(name);
-        e.direction = dir != opts.directions.end()
-                          ? (dir->second < 0 ? -1 : 1)
-                          : 0;
-        if (e.baseline == 0.0) {
-            // No relative scale; only an exact hold is meaningful —
-            // except that a directed metric moving the good way from
-            // zero is an improvement, not a regression.
-            e.deltaPct = 0.0;
-            e.ok = e.candidate == 0.0 ||
-                   (e.direction != 0 &&
-                    e.direction * (e.candidate - e.baseline) > 0.0);
-        } else {
-            e.deltaPct =
-                100.0 * (e.candidate - e.baseline) / std::abs(e.baseline);
-            if (e.direction > 0) {
-                // Higher is better: only a drop past tolerance fails.
-                e.ok = e.deltaPct >= -e.tolerancePct;
-            } else if (e.direction < 0) {
-                // Lower is better: only a rise past tolerance fails.
-                e.ok = e.deltaPct <= e.tolerancePct;
-            } else {
-                e.ok = std::abs(e.deltaPct) <= e.tolerancePct;
-            }
-        }
+        e.baseline = b.value;
+        e.candidate = c.value;
+        e.wall = b.wall || c.wall;
+        e.ok = e.wall ? e.candidate >= kWallFloor * e.baseline
+                      : e.candidate == e.baseline;
         result.entries.push_back(e);
     }
     for (const auto &[name, value] : cand) {
@@ -188,7 +191,7 @@ diffReports(const util::JsonValue &baseline, const util::JsonValue &candidate,
 
 BenchDiffResult
 diffReportText(const std::string &baselineText,
-               const std::string &candidateText, const BenchDiffOptions &opts)
+               const std::string &candidateText)
 {
     auto base = util::JsonValue::parse(baselineText);
     if (!base.ok()) {
@@ -204,7 +207,7 @@ diffReportText(const std::string &baselineText,
                            cand.status().toString());
         return r;
     }
-    return diffReports(base.value(), cand.value(), opts);
+    return diffReports(base.value(), cand.value());
 }
 
 } // namespace remora::obs

@@ -4,19 +4,23 @@
  *
  * The regression gate (scripts/check.sh --bench) re-runs the benches,
  * then compares each fresh BENCH_<name>.json against the checked-in
- * copy under bench/baselines/. A metric fails when its relative change
- * exceeds its tolerance (two-sided by default: surprise speedups want
- * the baseline refreshed, not ignored); a metric or check that
- * disappears fails structurally; a check that flips to false fails.
- * New metrics in the candidate are reported but do not fail — they are
- * what a baseline refresh is for.
+ * copy under bench/baselines/; the behaviour oracle (scripts/equiv.sh)
+ * compares two trees' reports the same way. There is one rule, and it
+ * has no settings:
  *
- * Metrics with a known direction can opt out of the two-sided rule: a
- * "higher is better" metric (throughput, speedup ratio) fails only on
- * a drop beyond tolerance, and a "lower is better" one (latency, CPU
- * busy) only on a rise. Moves in the good direction are never failures
- * for a directed metric — the gate's job there is catching
- * regressions, not celebrating wins.
+ *   - A simulated metric must equal its baseline exactly, as printed
+ *     (JsonWriter's 6 significant digits). The simulator is
+ *     deterministic, so any move is a model change, and it ships with
+ *     a refreshed baseline rather than hiding inside a tolerance.
+ *   - A wall-clock metric (BenchReport::wallMetric(), "kind":"wall" in
+ *     either report) is a host rate that moves with the machine: it
+ *     fails only when it falls below kWallFloor of its baseline, so an
+ *     order-of-magnitude slowdown is caught and noise is not.
+ *
+ * A metric or check that disappears fails structurally, as does a
+ * metric whose value is not a number (JsonWriter writes NaN as null)
+ * and a check that flips to false. New metrics in the candidate are
+ * reported but do not fail — they are what a baseline refresh is for.
  *
  * The comparison logic lives here in the library (not in the CLI) so
  * the unit tests can drive it on synthetic reports — including the
@@ -25,7 +29,6 @@
  */
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -33,22 +36,8 @@
 
 namespace remora::obs {
 
-/** Comparison knobs. */
-struct BenchDiffOptions
-{
-    /** Two-sided relative tolerance applied when no override matches. */
-    double defaultTolerancePct = 5.0;
-    /** Per-metric overrides, full dotted metric name -> tolerance pct. */
-    std::map<std::string, double> tolerances;
-    /**
-     * Per-metric direction hints, full dotted metric name -> sign.
-     * +1 means higher is better (fail only when the candidate drops
-     * more than tolerance below baseline); -1 means lower is better
-     * (fail only when it rises more than tolerance above). Metrics not
-     * listed keep the two-sided rule.
-     */
-    std::map<std::string, int> directions;
-};
+/** A wall-clock metric fails below this fraction of its baseline. */
+inline constexpr double kWallFloor = 0.1;
 
 /** One compared metric. */
 struct BenchDiffEntry
@@ -56,11 +45,8 @@ struct BenchDiffEntry
     std::string metric;
     double baseline = 0.0;
     double candidate = 0.0;
-    /** Relative change, percent (0 when baseline == 0). */
-    double deltaPct = 0.0;
-    double tolerancePct = 0.0;
-    /** Direction hint applied: +1 higher-is-better, -1 lower, 0 two-sided. */
-    int direction = 0;
+    /** Wall-clock rate (either report marks it): floor-gated, not exact. */
+    bool wall = false;
     bool ok = true;
 };
 
@@ -71,12 +57,15 @@ struct BenchDiffResult
     std::string bench;
     /** Per-metric comparisons, baseline order. */
     std::vector<BenchDiffEntry> entries;
-    /** Structural failures: missing metrics, flipped checks, bad JSON. */
+    /**
+     * Structural failures: missing or non-numeric metrics, flipped
+     * checks, bad JSON.
+     */
     std::vector<std::string> errors;
     /** Candidate-only metric names (informational). */
     std::vector<std::string> fresh;
 
-    /** True when every metric is within tolerance and errors is empty. */
+    /** True when every metric passes its rule and errors is empty. */
     bool pass() const;
 
     /** Human-readable rendering, one line per finding. */
@@ -88,15 +77,12 @@ struct BenchDiffResult
  *
  * @param baseline The checked-in reference report.
  * @param candidate The freshly generated report.
- * @param opts Tolerances.
  */
 BenchDiffResult diffReports(const util::JsonValue &baseline,
-                            const util::JsonValue &candidate,
-                            const BenchDiffOptions &opts = {});
+                            const util::JsonValue &candidate);
 
 /** diffReports() over raw JSON text; parse errors land in errors. */
 BenchDiffResult diffReportText(const std::string &baselineText,
-                               const std::string &candidateText,
-                               const BenchDiffOptions &opts = {});
+                               const std::string &candidateText);
 
 } // namespace remora::obs

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "util/json.h"
 
@@ -12,7 +13,15 @@ void
 BenchReport::metric(const std::string &name, double value,
                     const std::string &unit, double paper)
 {
-    metrics_.push_back({name, value, unit, paper});
+    metrics_.push_back({name, value, unit, paper, false});
+}
+
+void
+BenchReport::wallMetric(const std::string &name, double value,
+                        const std::string &unit)
+{
+    metrics_.push_back(
+        {name, value, unit, std::numeric_limits<double>::quiet_NaN(), true});
 }
 
 void
@@ -62,6 +71,9 @@ BenchReport::toJson() const
         w.kv("value", m.value);
         if (!m.unit.empty()) {
             w.kv("unit", m.unit);
+        }
+        if (m.wall) {
+            w.kv("kind", "wall");
         }
         if (!std::isnan(m.paper)) {
             w.kv("paper", m.paper);

@@ -8,7 +8,9 @@
  * the numbers without screen-scraping. Metric names are dotted paths
  * ("read.latency_us"); a metric with a paper value also records its
  * percentage deviation; histogram tails are published as .p50/.p90/
- * .p99/.p999 metrics.
+ * .p99/.p999 metrics. A metric read off the host clock is declared
+ * with wallMetric(), which marks it "kind":"wall": bench_diff holds
+ * every other metric to its baseline exactly.
  *
  * write() is atomic (temp file + rename), so a gate reading the report
  * concurrently — or a bench killed mid-write — never sees a torn file.
@@ -33,6 +35,14 @@ class BenchReport
     void metric(const std::string &name, double value,
                 const std::string &unit,
                 double paper = std::numeric_limits<double>::quiet_NaN());
+
+    /**
+     * Record a rate measured on the host's wall clock ("kind":"wall"),
+     * which bench_diff gates only against falling below
+     * obs::kWallFloor of its baseline.
+     */
+    void wallMetric(const std::string &name, double value,
+                    const std::string &unit);
 
     /**
      * Publish @p h's latency tail as "<name>.p50" / ".p90" / ".p99" /
@@ -69,6 +79,7 @@ class BenchReport
         double value;
         std::string unit;
         double paper;
+        bool wall;
     };
     struct Check
     {

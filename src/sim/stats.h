@@ -1,17 +1,17 @@
 /**
  * @file
- * Statistics collection: counters, accumulators, histograms, registry.
+ * Statistics collection: counters, accumulators, histograms.
  *
- * Components own their stats objects and optionally register them with a
- * StatRegistry for uniform dumping. The benches print their own tables,
- * but tests and examples use the registry to inspect simulation state.
+ * Components own their stats objects and register them with
+ * obs::MetricRegistry for uniform dumping. The benches print their own
+ * tables, but tests and examples use the registry to inspect simulation
+ * state.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace remora::sim {
@@ -149,46 +149,6 @@ class Histogram
     uint64_t total_ = 0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Name → renderer registry for dumping simulation state.
- *
- * Stats register a closure that renders their current value; dump()
- * emits "name value" lines in lexicographic name order, and dumpJson()
- * emits one JSON object keyed by name with typed value objects.
- */
-class StatRegistry
-{
-  public:
-    using Renderer = std::string (*)(const void *);
-
-    /** Register a counter under @p name; it must outlive the registry use. */
-    void add(const std::string &name, const Counter &c);
-
-    /** Register an accumulator under @p name. */
-    void add(const std::string &name, const Accumulator &a);
-
-    /** Register a histogram under @p name. */
-    void add(const std::string &name, const Histogram &h);
-
-    /** Render all registered stats, one per line, sorted by name. */
-    std::string dump() const;
-
-    /** Render all registered stats as one JSON object keyed by name. */
-    std::string dumpJson() const;
-
-    /** Number of registered stats. */
-    size_t size() const { return entries_.size(); }
-
-  private:
-    struct EntryRef
-    {
-        const void *object;
-        Renderer render;
-        Renderer renderJson;
-    };
-    std::map<std::string, EntryRef> entries_;
 };
 
 } // namespace remora::sim

@@ -6,12 +6,14 @@
  * DAGs where every slice's attribution is known in advance, and on a
  * real traced READ across the two-node fixture, where the cross-node
  * span linkage (op-id propagation through the wire) is what is under
- * test. The bench_diff section drives the comparator on synthetic
- * reports, including the injected-regression case the check.sh gate is
+ * test. The bench_diff section drives the comparator's one rule on
+ * synthetic reports: simulated metrics exact, wall-clock rates floored,
+ * including the injected-regression case the check.sh gate is
  * contractually required to catch.
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "cluster_fixture.h"
@@ -316,18 +318,31 @@ reportJson(double latencyUs, bool checkOk = true)
     return r.toJson();
 }
 
-TEST(BenchDiff, WithinTolerancePasses)
+/** A report holding one host rate, declared wall-clock or not. */
+std::string
+rateJson(double perSec, bool wall)
 {
-    auto result = obs::diffReportText(reportJson(100.0), reportJson(103.0));
+    obs::BenchReport r("synthetic");
+    if (wall) {
+        r.wallMetric("op.rate_per_sec", perSec, "1/s");
+    } else {
+        r.metric("op.rate_per_sec", perSec, "1/s");
+    }
+    return r.toJson();
+}
+
+TEST(BenchDiff, IdenticalReportsPass)
+{
+    auto result = obs::diffReportText(reportJson(100.0), reportJson(100.0));
     EXPECT_TRUE(result.pass()) << result.render();
     ASSERT_EQ(result.entries.size(), 2u);
-    EXPECT_NEAR(result.entries[0].deltaPct, 3.0, 1e-9);
+    EXPECT_FALSE(result.entries[0].wall);
 }
 
 TEST(BenchDiff, TwentyPercentRegressionFails)
 {
     // The contract of scripts/check.sh --bench: a 20% latency
-    // regression must fail at the default 5% tolerance.
+    // regression must fail, and the report names the metric and move.
     auto result = obs::diffReportText(reportJson(100.0), reportJson(120.0));
     EXPECT_FALSE(result.pass());
     std::string rendered = result.render();
@@ -342,58 +357,68 @@ TEST(BenchDiff, ImprovementsAlsoFailTwoSided)
     EXPECT_FALSE(result.pass());
 }
 
-TEST(BenchDiff, PerMetricToleranceOverrides)
+TEST(BenchDiff, SmallestPrintableChangeFailsBothWays)
 {
-    obs::BenchDiffOptions opts;
-    opts.tolerances["op.latency_us"] = 25.0;
-    auto result =
-        obs::diffReportText(reportJson(100.0), reportJson(120.0), opts);
-    EXPECT_TRUE(result.pass()) << result.render();
+    // Reports print 6 significant digits. The simulator is
+    // deterministic, so a move in the last of them is a model change.
+    for (double moved : {100.001, 99.999}) {
+        auto result =
+            obs::diffReportText(reportJson(100.0), reportJson(moved));
+        EXPECT_FALSE(result.pass()) << moved;
+        EXPECT_NE(result.render().find(
+                      "simulated metric must equal baseline"),
+                  std::string::npos)
+            << result.render();
+    }
 }
 
-TEST(BenchDiff, DirectedMetricPassesImprovementFailsRegression)
+TEST(BenchDiff, WallMetricFailsOnlyBelowTheFloor)
 {
-    // latency is "lower is better": a 20% drop is a win the gate must
-    // let through, while the same move up stays a failure.
-    obs::BenchDiffOptions opts;
-    opts.directions["op.latency_us"] = -1;
-    auto faster = obs::diffReportText(reportJson(100.0), reportJson(80.0),
-                                      opts);
-    EXPECT_TRUE(faster.pass()) << faster.render();
-    auto slower = obs::diffReportText(reportJson(100.0), reportJson(120.0),
-                                      opts);
-    EXPECT_FALSE(slower.pass());
-    ASSERT_EQ(slower.entries.size(), 2u);
-    EXPECT_EQ(slower.entries[0].direction, -1);
-    EXPECT_NE(slower.render().find("lower is better"), std::string::npos);
+    std::string base = rateJson(100.0, true);
+    ASSERT_EQ(obs::kWallFloor * 100.0, 10.0);
+    // Exactly the floor passes, and so does any rise.
+    EXPECT_TRUE(obs::diffReportText(base, rateJson(10.0, true)).pass());
+    EXPECT_TRUE(obs::diffReportText(base, rateJson(1e6, true)).pass());
+    auto slow = obs::diffReportText(base, rateJson(9.99999, true));
+    EXPECT_FALSE(slow.pass());
+    ASSERT_EQ(slow.entries.size(), 1u);
+    EXPECT_TRUE(slow.entries[0].wall);
+    EXPECT_NE(slow.render().find("wall-clock rate fell below 0.1 x baseline"),
+              std::string::npos)
+        << slow.render();
 }
 
-TEST(BenchDiff, HigherIsBetterFailsOnlyOnDrop)
+TEST(BenchDiff, WallKindHonouredFromEitherReport)
 {
-    // Throughput marked "up": the two-sided rule would flag a 20% gain;
-    // the direction hint keeps it green and reserves failure for drops.
-    std::string base = reportJson(100.0);
-    obs::BenchReport up("synthetic");
-    up.metric("op.latency_us", 100.0, "us");
-    up.metric("op.throughput_mbps", 144.0, "Mb/s");
-    up.check("shape_holds", true);
-    obs::BenchReport down("synthetic");
-    down.metric("op.latency_us", 100.0, "us");
-    down.metric("op.throughput_mbps", 96.0, "Mb/s");
-    down.check("shape_holds", true);
+    // A report from before the kind field carries no mark: a wall mark
+    // on either side selects the floor rule.
+    EXPECT_TRUE(obs::diffReportText(rateJson(100.0, false),
+                                    rateJson(50.0, true))
+                    .pass());
+    EXPECT_TRUE(obs::diffReportText(rateJson(100.0, true),
+                                    rateJson(50.0, false))
+                    .pass());
+    // Unmarked on both sides, the same move is a simulated metric's.
+    EXPECT_FALSE(obs::diffReportText(rateJson(100.0, false),
+                                     rateJson(50.0, false))
+                     .pass());
+}
 
-    obs::BenchDiffOptions opts;
-    opts.directions["op.throughput_mbps"] = 1;
-    EXPECT_TRUE(obs::diffReportText(base, up.toJson(), opts).pass());
-    EXPECT_FALSE(obs::diffReportText(base, down.toJson(), opts).pass());
-
-    // Within-tolerance drop still passes: direction narrows which side
-    // fails, it does not tighten the tolerance itself.
-    obs::BenchReport dip("synthetic");
-    dip.metric("op.latency_us", 100.0, "us");
-    dip.metric("op.throughput_mbps", 116.0, "Mb/s");
-    dip.check("shape_holds", true);
-    EXPECT_TRUE(obs::diffReportText(base, dip.toJson(), opts).pass());
+TEST(BenchDiff, NonNumericMetricIsStructuralFailure)
+{
+    // JsonWriter writes a NaN as null. A null baseline value must not
+    // leave the metric ungated, and a null candidate is not "missing".
+    double nan = std::numeric_limits<double>::quiet_NaN();
+    auto inBase = obs::diffReportText(reportJson(nan), reportJson(100.0));
+    EXPECT_FALSE(inBase.pass());
+    ASSERT_EQ(inBase.errors.size(), 1u);
+    EXPECT_EQ(inBase.errors[0],
+              "metric is not a number in baseline: op.latency_us");
+    auto inCand = obs::diffReportText(reportJson(100.0), reportJson(nan));
+    EXPECT_FALSE(inCand.pass());
+    ASSERT_EQ(inCand.errors.size(), 1u);
+    EXPECT_EQ(inCand.errors[0],
+              "metric is not a number in candidate: op.latency_us");
 }
 
 TEST(BenchDiff, MissingMetricIsStructuralFailure)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: TraceRecorder span semantics and
- * Chrome export, MetricRegistry dumps, StatRegistry histogram JSON,
- * Logger ring/level plumbing, and an end-to-end READ trace check.
+ * Chrome export, MetricRegistry dumps, Logger ring/level plumbing, and
+ * an end-to-end READ trace check.
  */
 #include <gtest/gtest.h>
 
@@ -203,17 +203,33 @@ TEST(MetricRegistryTest, TextDumpAndNestedJson)
     sim::Histogram h(0.0, 1.0, 4);
     h.sample(0.5);
     h.sample(2.5);
+    sim::Histogram tails(0.0, 10.0, 3);
+    for (double x : {5.0, 15.0, 15.0, -1.0, 99.0}) {
+        tails.sample(x); // -1 underflows, 99 overflows
+    }
 
     obs::MetricRegistry reg;
+    reg.add("zeta.writes", writes);
     reg.add("node1.rmem.writes_issued", writes);
     reg.add("node1.rmem.write.latency_us", lat);
     reg.add("node1.rmem.write.hist_us", h);
     reg.addGauge("node1.cpu.busy_us", [] { return 42.5; });
-    EXPECT_EQ(reg.size(), 4u);
+    reg.add("alpha.op.latency", tails);
+    EXPECT_EQ(reg.size(), 6u);
 
     std::string text = reg.dump();
     EXPECT_NE(text.find("node1.rmem.writes_issued"), std::string::npos);
     EXPECT_NE(text.find("node1.cpu.busy_us"), std::string::npos);
+    // One "name value" line per metric, sorted by name whatever the
+    // registration order.
+    size_t alphaPos = text.find("alpha.op.latency count=5");
+    size_t nodePos = text.find("node1.cpu.busy_us 42.500");
+    size_t zetaPos = text.find("zeta.writes 3\n");
+    ASSERT_NE(alphaPos, std::string::npos);
+    ASSERT_NE(nodePos, std::string::npos);
+    ASSERT_NE(zetaPos, std::string::npos);
+    EXPECT_LT(alphaPos, nodePos);
+    EXPECT_LT(nodePos, zetaPos);
 
     std::string json = reg.dumpJson();
     // Dotted names become nested objects.
@@ -223,6 +239,11 @@ TEST(MetricRegistryTest, TextDumpAndNestedJson)
     EXPECT_NE(json.find("\"mean\":2"), std::string::npos);
     EXPECT_NE(json.find("\"buckets\":"), std::string::npos);
     EXPECT_NE(json.find("42.5"), std::string::npos);
+    // A histogram leaf carries its count, tails and quantiles.
+    EXPECT_NE(json.find("\"count\":5"), std::string::npos);
+    EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"overflow\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"p50\""), std::string::npos);
     // The dotted names themselves must NOT appear as JSON keys.
     EXPECT_EQ(json.find("\"node1.rmem"), std::string::npos);
 }
@@ -237,27 +258,6 @@ TEST(MetricRegistryTest, RemovePrefixDropsOnlyThatSubtree)
     reg.removePrefix("x.");
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_NE(reg.dump().find("y.a"), std::string::npos);
-}
-
-TEST(StatRegistryTest, HistogramJsonRoundTrip)
-{
-    sim::Histogram h(0.0, 10.0, 3);
-    h.sample(5.0);
-    h.sample(15.0);
-    h.sample(15.0);
-    h.sample(-1.0); // underflow
-    h.sample(99.0); // overflow
-
-    sim::StatRegistry reg;
-    reg.add("op.latency", h);
-    std::string json = reg.dumpJson();
-    EXPECT_NE(json.find("\"op.latency\""), std::string::npos);
-    EXPECT_NE(json.find("\"count\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"overflow\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"buckets\":"), std::string::npos);
-    // Quantiles agree with the histogram's own interpolation.
-    EXPECT_NE(json.find("\"p50\""), std::string::npos);
 }
 
 TEST(LoggerTest, ParseLevelNamesAndRing)

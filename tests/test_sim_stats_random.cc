@@ -146,23 +146,6 @@ TEST(Histogram, TailQuantilesInterpolateIntoOverflow)
     EXPECT_DOUBLE_EQ(g.quantile(1.0), 3.25);
 }
 
-TEST(StatRegistry, DumpsSortedNameValueLines)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(3);
-    Accumulator a;
-    a.sample(1.0);
-    reg.add("zeta.counter", c);
-    reg.add("alpha.accum", a);
-    std::string dump = reg.dump();
-    size_t alphaPos = dump.find("alpha.accum");
-    size_t zetaPos = dump.find("zeta.counter 3");
-    EXPECT_NE(alphaPos, std::string::npos);
-    EXPECT_NE(zetaPos, std::string::npos);
-    EXPECT_LT(alphaPos, zetaPos);
-}
-
 // ----------------------------------------------------------------------
 // Random
 // ----------------------------------------------------------------------

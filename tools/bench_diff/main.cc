@@ -2,28 +2,23 @@
  * @file
  * bench_diff: compare fresh bench reports against checked-in baselines.
  *
- *     bench_diff [options] <baseline_dir> <candidate_dir>
- *
- *       --tol PCT          default two-sided tolerance (default 5)
- *       --tol-metric N=PCT per-metric override (repeatable; N is the
- *                          full dotted metric name)
- *       --dir-metric N=D   per-metric direction hint (repeatable; D is
- *                          "up" for higher-is-better or "down" for
- *                          lower-is-better — the metric then fails
- *                          only on moves in the bad direction)
- *       --only NAME        compare only BENCH_<NAME>.json
+ *     bench_diff <baseline_dir> <candidate_dir>
  *
  * Every BENCH_*.json in the baseline directory must exist in the
- * candidate directory, parse, carry every baseline metric within
- * tolerance, and keep every baseline check passing. Exit status is the
- * number of failing reports (clamped to 1), so scripts/check.sh can
- * gate on it directly. Candidate-only reports and metrics are noted
- * but never fail — refreshing bench/baselines/ is how they land.
+ * candidate directory, parse, and keep every baseline check passing.
+ * Each simulated metric must equal its baseline exactly; a wall-clock
+ * metric fails only below obs::kWallFloor of its baseline (see
+ * obs/bench_diff.h). There are no flags: the rule has no settings.
+ * Exit status is the number of failing reports (clamped to 1), so
+ * scripts/check.sh can gate on it directly; bad arguments exit 2.
+ *
+ * Only the baseline directory is walked: a candidate report with no
+ * baseline is not read, so a new bench is gated from the commit that
+ * checks in its baseline. Candidate-only metrics in a compared report
+ * are printed as notes and never fail.
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -53,9 +48,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: bench_diff [--tol PCT] [--tol-metric NAME=PCT]... "
-                 "[--dir-metric NAME=up|down]... [--only NAME] "
-                 "<baseline_dir> <candidate_dir>\n");
+                 "usage: bench_diff <baseline_dir> <candidate_dir>\n");
     return 2;
 }
 
@@ -64,45 +57,10 @@ usage()
 int
 main(int argc, char **argv)
 {
-    remora::obs::BenchDiffOptions opts;
-    std::string only;
-    std::vector<std::string> dirs;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) {
-            opts.defaultTolerancePct = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--tol-metric") == 0 &&
-                   i + 1 < argc) {
-            std::string arg = argv[++i];
-            size_t eq = arg.find('=');
-            if (eq == std::string::npos) {
-                return usage();
-            }
-            opts.tolerances[arg.substr(0, eq)] =
-                std::atof(arg.c_str() + eq + 1);
-        } else if (std::strcmp(argv[i], "--dir-metric") == 0 &&
-                   i + 1 < argc) {
-            std::string arg = argv[++i];
-            size_t eq = arg.find('=');
-            if (eq == std::string::npos) {
-                return usage();
-            }
-            std::string dir = arg.substr(eq + 1);
-            if (dir != "up" && dir != "down") {
-                return usage();
-            }
-            opts.directions[arg.substr(0, eq)] = dir == "up" ? 1 : -1;
-        } else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-            only = argv[++i];
-        } else if (argv[i][0] == '-') {
-            return usage();
-        } else {
-            dirs.push_back(argv[i]);
-        }
-    }
-    if (dirs.size() != 2) {
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
         return usage();
     }
-    fs::path baseDir(dirs[0]), candDir(dirs[1]);
+    fs::path baseDir(argv[1]), candDir(argv[2]);
     if (!fs::is_directory(baseDir)) {
         std::fprintf(stderr, "bench_diff: no baseline directory %s\n",
                      baseDir.string().c_str());
@@ -114,9 +72,6 @@ main(int argc, char **argv)
         std::string name = entry.path().filename().string();
         if (name.rfind("BENCH_", 0) == 0 &&
             entry.path().extension() == ".json") {
-            if (!only.empty() && name != "BENCH_" + only + ".json") {
-                continue;
-            }
             baselines.push_back(entry.path());
         }
     }
@@ -143,8 +98,7 @@ main(int argc, char **argv)
             ++failed;
             continue;
         }
-        auto result =
-            remora::obs::diffReportText(baseText, candText, opts);
+        auto result = remora::obs::diffReportText(baseText, candText);
         std::printf("%s\n%s", name.c_str(), result.render().c_str());
         if (!result.pass()) {
             ++failed;
@@ -155,7 +109,6 @@ main(int argc, char **argv)
                     baselines.size());
         return 1;
     }
-    std::printf("bench_diff: all %zu report(s) within tolerance\n",
-                baselines.size());
+    std::printf("bench_diff: all %zu report(s) pass\n", baselines.size());
     return 0;
 }
