@@ -43,7 +43,7 @@ hintedPairsWorkload(sim::Simulator &sim)
 int
 main()
 {
-    bench::banner("remora-mc: schedule exploration throughput");
+    bench::banner("remora explore: schedule exploration throughput");
     const sim::ScheduleExplorer::Workload spinLockWorkload =
         cluster::findWorkload("sync")->fn;
 

@@ -6,19 +6,20 @@
 #   scripts/check.sh --lint     # + remora-lint over src/, tests/, tools/, bench/
 #   scripts/check.sh --tidy     # + clang-tidy profile (.clang-tidy)
 #   scripts/check.sh --format   # + clang-format dry run (.clang-format)
-#   scripts/check.sh --asan     # + ASan/UBSan suite in build-asan/
-#   scripts/check.sh --race     # + happens-before race gate, 8 seeds
-#   scripts/check.sh --mc       # + bounded schedule exploration gate
-#   scripts/check.sh --faults   # + lossy-link delivery gate, 8 seeds
+#   scripts/check.sh --asan     # + ASan/UBSan/LSan suite in build-asan/
+#   scripts/check.sh --race     # + `race` tests with the detector armed, 8 seeds
 #   scripts/check.sh --bench    # + exact bench gate vs bench/baselines
 #   scripts/check.sh --all      # every gate above
 #
 # Gates are additive: the primary build and test suite always run, and
-# each flag layers one more check on top. --tidy and --format need the
-# LLVM binaries; when they are not installed the gate is skipped with a
-# notice (and counted as skipped in the summary) instead of failing, so
-# CI images without clang still get the full remora-lint pass, which
-# carries the project-specific rules.
+# each flag layers one more check on top. The suite includes the probe
+# gates, which are ctests: `remora race` and `remora faults` at seeds
+# 0-7, and `remora explore` over the clean workload registry (label
+# `mc`), so --asan runs them under the sanitizers too. --tidy and
+# --format need the LLVM binaries; when they are not installed the gate
+# is skipped with a notice (and counted as skipped in the summary)
+# instead of failing, so CI images without clang still get the full
+# remora-lint pass, which carries the project-specific rules.
 #
 # The sanitizer pass uses a separate build tree (build-asan/) so it
 # never perturbs the primary build directory.
@@ -33,8 +34,6 @@ DO_TIDY=0
 DO_FORMAT=0
 DO_ASAN=0
 DO_RACE=0
-DO_MC=0
-DO_FAULTS=0
 DO_BENCH=0
 for arg in "$@"; do
     case "${arg}" in
@@ -43,10 +42,8 @@ for arg in "$@"; do
         --format) DO_FORMAT=1 ;;
         --asan) DO_ASAN=1 ;;
         --race) DO_RACE=1 ;;
-        --mc) DO_MC=1 ;;
-        --faults) DO_FAULTS=1 ;;
         --bench) DO_BENCH=1 ;;
-        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1; DO_MC=1; DO_FAULTS=1; DO_BENCH=1 ;;
+        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1; DO_BENCH=1 ;;
         -h|--help)
             sed -n '2,/^$/p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
@@ -129,78 +126,14 @@ fi
 if [[ "${DO_RACE}" == 1 ]]; then
     echo
     echo "== race: happens-before detection over perturbed schedules =="
-    cmake --build build -j "${JOBS}" --target race_probe
+    # Every test labeled `race` must stay green with the detector fatal
+    # (REMORA_RACE=1) under each seed's perturbed schedule.
     RACE_SEEDS=(0 1 2 3 4 5 6 7)
-    RACE_TOTAL=0
-    # Per-seed probe: a race-clean workload under the armed detector.
-    # Each seed prints its digest (distinct per seed, replayable) and
-    # race count; any race fails the probe and therefore the gate.
-    for seed in "${RACE_SEEDS[@]}"; do
-        line="$(./build/tools/race_probe/race_probe "${seed}")" || {
-            echo "${line}"
-            echo "race gate: probe reported races at seed ${seed}" >&2
-            exit 1
-        }
-        echo "  ${line}"
-        races="$(sed -n 's/.*races=\([0-9]*\).*/\1/p' <<<"${line}")"
-        RACE_TOTAL=$((RACE_TOTAL + races))
-    done
-    # Per-seed armed suite: every test labeled `race` must stay green
-    # with the detector fatal (REMORA_RACE=1) under that schedule.
     for seed in "${RACE_SEEDS[@]}"; do
         (cd build && REMORA_RACE=1 REMORA_PERTURB="${seed}" \
             ctest -L race --output-on-failure -j "${JOBS}")
     done
-    GATES_RUN+=("race[seeds=${#RACE_SEEDS[@]} races=${RACE_TOTAL}]")
-fi
-
-if [[ "${DO_MC}" == 1 ]]; then
-    echo
-    echo "== mc: bounded schedule exploration over the clean registry =="
-    # The explorer's own unit tests first (seeded deadlock / lost-wakeup
-    # fixtures, replay determinism, reduction-beats-brute-force), then a
-    # bounded sweep of every clean workload in remora_mc's registry.
-    # remora_mc exits nonzero on any finding in a clean workload, so the
-    # gate fails the moment exploration uncovers a deadlock, lost
-    # wakeup, or leaked coroutine in shipping code paths.
-    cmake --build build -j "${JOBS}" --target remora_mc
-    (cd build && ctest -L mc --output-on-failure -j "${JOBS}")
-    MC_OUT="$(./build/tools/remora_mc/remora_mc --max-schedules 60)" || {
-        echo "${MC_OUT}"
-        echo "mc gate: exploration found a bug in a clean workload" >&2
-        exit 1
-    }
-    echo "${MC_OUT}"
-    MC_SUMMARY="$(grep '^mc ' <<<"${MC_OUT}" | tail -1)"
-    MC_W="$(sed -n 's/.*workloads=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    MC_S="$(sed -n 's/.*schedules=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    MC_F="$(sed -n 's/.*findings=\([0-9]*\).*/\1/p' <<<"${MC_SUMMARY}")"
-    GATES_RUN+=("mc[workloads=${MC_W} schedules=${MC_S} findings=${MC_F}]")
-fi
-
-if [[ "${DO_FAULTS}" == 1 ]]; then
-    echo
-    echo "== faults: end-to-end delivery audit under injected loss =="
-    cmake --build build -j "${JOBS}" --target fault_probe
-    FAULT_SEEDS=(0 1 2 3 4 5 6 7)
-    FAULT_DROP=0.05
-    FAULT_DROPS=0
-    # Per-seed probe: notified writes and read-backs cross a link that
-    # drops FAULT_DROP of all cells. Every user-visible op must land
-    # exactly once (undelivered=0, no abandonment, nothing wedged) or
-    # the probe exits nonzero and the gate fails. The digest confirms
-    # each seed ran a distinct, replayable lossy schedule.
-    for seed in "${FAULT_SEEDS[@]}"; do
-        line="$(./build/tools/fault_probe/fault_probe "${seed}" "${FAULT_DROP}")" || {
-            echo "${line}"
-            echo "faults gate: lost user-visible ops at seed ${seed}" >&2
-            exit 1
-        }
-        echo "  ${line}"
-        drops="$(sed -n 's/.*drops=\([0-9]*\).*/\1/p' <<<"${line}")"
-        FAULT_DROPS=$((FAULT_DROPS + drops))
-    done
-    GATES_RUN+=("faults[seeds=${#FAULT_SEEDS[@]} drops=${FAULT_DROPS} undelivered=0]")
+    GATES_RUN+=("race[seeds=${#RACE_SEEDS[@]}]")
 fi
 
 if [[ "${DO_BENCH}" == 1 ]]; then

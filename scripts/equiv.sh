@@ -11,13 +11,14 @@
 # left behind) into build-equiv/ref/, builds it there and the working
 # tree in build/ (both with -DREMORA_WERROR=ON), and in each tree runs
 #
-#   - race_probe seeds 0-7 and fault_probe seeds 0-7 at 5% cell drop
-#     (each line folds the determinism digest over every schedule,
-#     exec and cancel, so equal lines mean equal event structure);
-#   - remora_mc --max-schedules 60 --json (per-workload schedule
+#   - remora race at seeds 0-7 and remora faults at seeds 0-7 with 5%
+#     cell drop (each line folds the determinism digest over every
+#     schedule, exec and cancel, so equal lines mean equal event
+#     structure);
+#   - remora explore --max-schedules 60 --json (per-workload schedule
 #     counts, decisions and digests) and the seeded workloads,
-#     remora_mc deadlock lost-wakeup --max-schedules 60;
-#   - remora_prof --json and remora_prof --probe (critical paths);
+#     remora explore deadlock lost-wakeup --max-schedules 60;
+#   - remora prof --json and remora prof --probe (critical paths);
 #   - every example, from a scratch directory under build-equiv/,
 #     keeping its stdout and the trace and metrics JSON quickstart
 #     writes;
@@ -26,7 +27,8 @@
 #     under build-equiv/.
 #
 # The examples are those the reference's build tree holds, so a new one
-# is covered without editing this script.
+# is covered without editing this script. A reference older than the
+# remora CLI runs, for each subcommand, the program it replaced.
 #
 # It fails on any byte difference in the probe or example output,
 # including exit codes, and on any BENCH report that fails
@@ -52,31 +54,43 @@ build_tree() {
     cmake --build "${src}/build" -j "${JOBS}" >/dev/null
 }
 
+# Run `remora SUBCOMMAND ARGS` from the tree rooted at $1. A tree built
+# before the CLI existed runs the program the subcommand replaced.
+remora_in() {
+    local tools="$1/build/tools" cmd="$2"
+    shift 2
+    if [[ -x "${tools}/remora/remora" ]]; then
+        "${tools}/remora/remora" "${cmd}" "$@"
+        return
+    fi
+    case "${cmd}" in
+        race) "${tools}/race_probe/race_probe" "$@" ;;
+        faults) "${tools}/fault_probe/fault_probe" "$@" ;;
+        explore) "${tools}/remora_mc/remora_mc" "$@" ;;
+        prof) "${tools}/remora_prof/remora_prof" "$@" ;;
+    esac
+}
+
+# One probe's output, then its command line and exit status.
+probe() {
+    local rc=0
+    remora_in "$@" || rc=$?
+    echo "${*:2} exit=${rc}"
+}
+
 # Every probe line plus its exit status, in a fixed order.
 probe_outputs() {
-    local tools="$1/build/tools"
-    local seed rc mode
+    local seed mode
     for seed in 0 1 2 3 4 5 6 7; do
-        rc=0
-        "${tools}/race_probe/race_probe" "${seed}" || rc=$?
-        echo "race_probe ${seed} exit=${rc}"
+        probe "$1" race "${seed}"
     done
     for seed in 0 1 2 3 4 5 6 7; do
-        rc=0
-        "${tools}/fault_probe/fault_probe" "${seed}" 0.05 || rc=$?
-        echo "fault_probe ${seed} exit=${rc}"
+        probe "$1" faults "${seed}" 0.05
     done
-    rc=0
-    "${tools}/remora_mc/remora_mc" --max-schedules 60 --json || rc=$?
-    echo "remora_mc exit=${rc}"
-    rc=0
-    "${tools}/remora_mc/remora_mc" deadlock lost-wakeup \
-        --max-schedules 60 || rc=$?
-    echo "remora_mc deadlock lost-wakeup exit=${rc}"
+    probe "$1" explore --max-schedules 60 --json
+    probe "$1" explore deadlock lost-wakeup --max-schedules 60
     for mode in --json --probe; do
-        rc=0
-        "${tools}/remora_prof/remora_prof" "${mode}" || rc=$?
-        echo "remora_prof ${mode} exit=${rc}"
+        probe "$1" prof "${mode}"
     done
 }
 

@@ -260,7 +260,7 @@ lockOrderWorker(rmem::SpinLock *first, rmem::SpinLock *second,
     // Dwell long enough that both workers hold their first lock before
     // either attempts its second: the classic cross-order deadlock.
     co_await sim::delay(*s, sim::usec(200));
-    // The planted cross-order deadlock remora-mc must rediscover.
+    // The planted cross-order deadlock `remora explore` must rediscover.
     // NOLINTNEXTLINE(remora-lock-across-suspension)
     auto b = co_await second->acquire();
     REMORA_ASSERT(b.ok());

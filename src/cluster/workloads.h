@@ -10,8 +10,8 @@
  *
  * Clean workloads (rpc, notify, vector-notify, sync, dfs-token,
  * lossy-write, lossy-rpc) must explore to zero findings: they are the
- * `check.sh --mc` gate. Seeded workloads (deadlock, lost-wakeup) carry
- * planted bugs the explorer must find and shrink.
+ * `remora explore` ctest gate. Seeded workloads (deadlock, lost-wakeup)
+ * carry planted bugs the explorer must find and shrink.
  */
 #pragma once
 

@@ -84,9 +84,6 @@ class HostInterface : public CellSink
     /** Cells currently waiting in the RX FIFO. */
     size_t rxDepth() const { return rxFifo_.size(); }
 
-    /** Cells currently waiting in the TX FIFO. */
-    size_t txDepth() const { return txFifo_.size(); }
-
     /** RX FIFO capacity (upper bound for the incoming link's credits). */
     size_t rxCapacity() const { return params_.rxFifoCells; }
 

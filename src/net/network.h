@@ -70,13 +70,6 @@ class Network
      */
     void installFaults(const FaultPlan &plan);
 
-    /** Installed injectors (empty until installFaults). */
-    const std::vector<std::unique_ptr<FaultInjector>> &
-    faultInjectors() const
-    {
-        return injectors_;
-    }
-
     /** Sum of cells dropped across every installed injector. */
     uint64_t totalFaultDrops() const;
 

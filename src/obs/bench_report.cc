@@ -47,17 +47,6 @@ BenchReport::check(const std::string &name, bool ok)
     checks_.push_back({name, ok});
 }
 
-bool
-BenchReport::allChecksPass() const
-{
-    for (const auto &c : checks_) {
-        if (!c.ok) {
-            return false;
-        }
-    }
-    return true;
-}
-
 std::string
 BenchReport::toJson() const
 {

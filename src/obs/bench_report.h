@@ -58,9 +58,6 @@ class BenchReport
     /** Attach free-form context (conditions, caveats). */
     void note(const std::string &text) { notes_.push_back(text); }
 
-    /** True when every recorded check passed. */
-    bool allChecksPass() const;
-
     /** The report as a JSON document. */
     std::string toJson() const;
 

@@ -125,9 +125,6 @@ struct CostModel
      */
     sim::Duration byteSwapWordCost = sim::usec(0.08);
 
-    /** CPU cost of one raw (register-sourced) cell of PIO. */
-    sim::Duration cellPioCost() const { return kCellPioWords * pioWordCost; }
-
     /** CPU cost of one block-path (memory-sourced) cell of PIO. */
     sim::Duration
     blockCellPioCost() const

@@ -314,17 +314,6 @@ RmemEngine::setWriteInhibit(SegmentId id, bool inhibit)
     return {};
 }
 
-util::Status
-RmemEngine::setNotifyPolicy(SegmentId id, NotifyPolicy policy)
-{
-    SegmentDescriptor *d = table_.get(id);
-    if (d == nullptr) {
-        return util::Status(util::ErrorCode::kBadDescriptor, "no segment");
-    }
-    d->policy = policy;
-    return {};
-}
-
 NotificationChannel *
 RmemEngine::channel(SegmentId id)
 {

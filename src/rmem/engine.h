@@ -161,9 +161,6 @@ class RmemEngine
     /** Toggle the write-inhibit flag used for synchronization (§3.1.1). */
     util::Status setWriteInhibit(SegmentId id, bool inhibit);
 
-    /** Change the notification policy of a live segment. */
-    util::Status setNotifyPolicy(SegmentId id, NotifyPolicy policy);
-
     /** The segment's notification channel; nullptr for invalid ids. */
     NotificationChannel *channel(SegmentId id);
 

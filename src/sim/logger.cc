@@ -6,14 +6,12 @@
 #include <deque>
 
 #include "util/panic.h"
-#include "util/strings.h"
 
 namespace remora::sim {
 
 LogLevel Logger::level_ = LogLevel::kWarn;
 LogLevel Logger::ringLevel_ = LogLevel::kInfo;
 bool Logger::initialized_ = false;
-std::function<Time()> Logger::timeSource_;
 
 namespace {
 
@@ -98,25 +96,12 @@ Logger::setRingCapacity(size_t n)
 }
 
 void
-Logger::setTimeSource(std::function<Time()> src)
-{
-    ensureInit();
-    timeSource_ = std::move(src);
-}
-
-void
 Logger::write(LogLevel lvl, const char *tag, const std::string &msg)
 {
     ensureInit();
     char line[512];
-    if (timeSource_) {
-        std::snprintf(line, sizeof(line), "[%12s] %-5s %-10s %s",
-                      util::formatDuration(timeSource_()).c_str(),
-                      levelName(lvl), tag, msg.c_str());
-    } else {
-        std::snprintf(line, sizeof(line), "%-5s %-10s %s", levelName(lvl),
-                      tag, msg.c_str());
-    }
+    std::snprintf(line, sizeof(line), "%-5s %-10s %s", levelName(lvl), tag,
+                  msg.c_str());
     if (lvl >= level_) {
         std::fprintf(stderr, "%s\n", line);
     }

@@ -3,8 +3,7 @@
  * Leveled, component-tagged diagnostic logging.
  *
  * Logging is off (kWarn) by default so benches and tests stay quiet;
- * examples turn it up to narrate what the cluster is doing. Messages are
- * prefixed with the simulated timestamp when a time source is installed.
+ * examples turn it up to narrate what the cluster is doing.
  *
  * Two extra facilities support post-mortem debugging:
  *
@@ -18,12 +17,10 @@
  */
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include "sim/time.h"
 
 namespace remora::sim {
 
@@ -76,9 +73,6 @@ class Logger
     /** Resize the recent-event ring (0 disables capture). */
     static void setRingCapacity(size_t n);
 
-    /** Install a simulated-time source for timestamps (may be null). */
-    static void setTimeSource(std::function<Time()> src);
-
     /** True when messages at @p lvl would be emitted or ring-captured. */
     static bool
     enabled(LogLevel lvl)
@@ -113,7 +107,6 @@ class Logger
     static LogLevel level_;
     static LogLevel ringLevel_;
     static bool initialized_;
-    static std::function<Time()> timeSource_;
 };
 
 } // namespace remora::sim

@@ -134,12 +134,6 @@ Simulator::setStepBudget(uint64_t steps)
     budgetHit_ = false;
 }
 
-bool
-Simulator::deadlockHalted() const
-{
-    return haltOnDeadlock_ && !graph_.deadlocks().empty();
-}
-
 uint32_t
 Simulator::allocSlot()
 {

@@ -500,14 +500,11 @@ class Simulator
     bool budgetExhausted() const { return budgetHit_; }
 
     /**
-     * When true (the default), step() refuses to run once the wait-for
-     * graph records a deadlock cycle — spinning lock acquisitions keep
-     * the queue busy forever otherwise.
+     * True when a detected deadlock stopped execution: step() refuses
+     * to run once the wait-for graph records a deadlock cycle, since
+     * spinning lock acquisitions keep the queue busy forever otherwise.
      */
-    void setHaltOnDeadlock(bool halt) { haltOnDeadlock_ = halt; }
-
-    /** True when a detected deadlock stopped execution. */
-    bool deadlockHalted() const;
+    bool deadlockHalted() const { return !graph_.deadlocks().empty(); }
 
     /** The wait-for graph fed by the sync and notification layers. */
     WaitGraph &waitGraph() { return graph_; }
@@ -529,9 +526,6 @@ class Simulator
     {
         return heap_.empty() && blockedTaskCount() == 0;
     }
-
-    /** The ambient dependency hint inherited by scheduled events. */
-    const DepHint &currentHint() const { return currentHint_; }
 
     /**
      * Override the ambient dependency hint for a scope. Events
@@ -613,7 +607,6 @@ class Simulator
     uint64_t decisions_ = 0;
     uint64_t stepBudgetEnd_ = 0; ///< processed_ ceiling; 0 = unlimited.
     bool budgetHit_ = false;
-    bool haltOnDeadlock_ = true;
     DeterminismDigest digest_;
     SchedulePolicy *policy_ = nullptr;
     std::unique_ptr<PerturbPolicy> ownedPerturb_;

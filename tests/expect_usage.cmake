@@ -1,6 +1,6 @@
 # Run TOOL with ARGS and require what every tool does with malformed
-# input from its command line: its usage text on stderr and exit
-# status 2.
+# input from its command line: its usage text on stderr, nothing on
+# stdout and exit status 2.
 #
 #   cmake -DTOOL=<binary> "-DARGS=<arg;arg;...>" -P expect_usage.cmake
 execute_process(COMMAND ${TOOL} ${ARGS}
@@ -13,4 +13,7 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "^usage: ")
     message(FATAL_ERROR "expected the usage text on stderr, got: ${err}")
+endif()
+if(NOT out STREQUAL "")
+    message(FATAL_ERROR "expected nothing on stdout, got: ${out}")
 endif()

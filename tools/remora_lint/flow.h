@@ -12,12 +12,12 @@
  *  - remora-lock-across-suspension (error): a lock acquired by an
  *    awaited `acquire()` is still may-held when the function suspends
  *    on a *different* lock's spinning `acquire()` — the static form of
- *    the cross-order deadlocks remora-mc finds by schedule exploration
- *    — or a host-thread guard (`std::lock_guard`/`unique_lock`/
- *    `scoped_lock`) is live at *any* `co_await` (the guard blocks the
- *    host thread; an awaited lock only parks the coroutine, so awaited
- *    work under an awaited lock is the tree's core idiom and is not
- *    flagged).
+ *    the cross-order deadlocks `remora explore` finds by schedule
+ *    exploration — or a host-thread guard (`std::lock_guard`/
+ *    `unique_lock`/`scoped_lock`) is live at *any* `co_await` (the
+ *    guard blocks the host thread; an awaited lock only parks the
+ *    coroutine, so awaited work under an awaited lock is the tree's
+ *    core idiom and is not flagged).
  *  - remora-use-after-suspension (error): a local bound to borrowed
  *    data (an iterator/view/element reference into state that other
  *    coroutines can mutate during a suspension) is used after a

@@ -94,7 +94,7 @@ enum class Rule
      * Flow rule: a SpinLock/token acquired by an awaited `acquire()`
      * is still held when the function suspends on a *different* lock's
      * spinning `acquire()` — the static form of the cross-order
-     * deadlocks remora-mc finds by schedule exploration — or a
+     * deadlocks `remora explore` finds by schedule exploration — or a
      * host-thread guard (`std::lock_guard`/`unique_lock`/`scoped_lock`)
      * is live at any `co_await` (error).
      */
