@@ -6,13 +6,16 @@
  * The static side of this property is enforced by remora-lint (no
  * wall-clock, no platform randomness, no coroutine parameters that
  * dangle across suspension); the digest is the dynamic backstop. The
- * Simulator folds every scheduled, executed, and cancelled event into
- * the hash as it happens, and components fold in their own
- * (time, kind, actor) records at protocol-level milestones via
+ * Simulator keeps two: a *schedule* digest, into which it folds every
+ * scheduled, executed, and cancelled event, every policy choice and the
+ * perturbation seed, and a *semantic* digest of the (time, kind, actor)
+ * records components fold in at protocol-level milestones via
  * Simulator::noteDigest(). Any divergence between two runs — a
  * reordered wakeup, an extra retry, a different random draw — yields a
  * different digest, so a test can assert replay equality with one
- * integer compare instead of diffing traces.
+ * integer compare instead of diffing traces. A change that alters only
+ * the event structure (which events exist, not what they do) moves the
+ * schedule digest and leaves the semantic one equal.
  *
  * Records fold one 64-bit word at a time, with one multiply per word:
  * the simulator folds a record for every schedule, run and cancel, so

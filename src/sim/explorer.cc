@@ -105,7 +105,7 @@ ScheduleExplorer::ScheduleExplorer(Workload workload, ExplorerOptions opts)
 void
 ScheduleExplorer::collectReports(Simulator &sim, RunOutcome &out)
 {
-    out.digest = sim.digest().value();
+    out.digest = sim.scheduleDigest().value();
     out.steps = sim.eventsProcessed();
     out.quiescent = sim.livePendingEvents() == 0;
     for (const HangReport &d : sim.waitGraph().deadlocks()) {

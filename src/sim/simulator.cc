@@ -107,7 +107,7 @@ Simulator::setPerturbation(uint64_t seed)
     if (seed != 0) {
         // Perturbed runs are replayable per seed, but must never alias
         // an unperturbed run's digest.
-        digest_.mixRecord(now_, "perturb", seed);
+        scheduleDigest_.mixRecord(now_, "perturb", seed);
         ownedPerturb_ = std::make_unique<PerturbPolicy>(seed);
         policy_ = ownedPerturb_.get();
     } else {
@@ -269,7 +269,7 @@ Simulator::pickReady(Time when)
     REMORA_ASSERT(chosen < ready_.size());
     // Every consulted choice lands in the digest, so a replayed choice
     // vector reproduces the run bit-identically.
-    digest_.mixRecord(when, "choice", chosen);
+    scheduleDigest_.mixRecord(when, "choice", chosen);
     return readyPos_[chosen];
 }
 
@@ -290,7 +290,7 @@ Simulator::scheduleAt(Time when, Callback fn)
     ev.hint = currentHint_;
     uint64_t seq = nextSeq_++;
     heapPush(HeapEntry{when, seq, slot});
-    digest_.mixRecord(when, "sched", seq);
+    scheduleDigest_.mixRecord(when, "sched", seq);
     return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
 }
 
@@ -310,7 +310,7 @@ Simulator::cancel(EventId id)
     uint64_t seq = heap_[ev.heapPos].seq;
     heapRemove(ev.heapPos);
     freeSlot(slot);
-    digest_.mixRecord(now_, "cancel", seq);
+    scheduleDigest_.mixRecord(now_, "cancel", seq);
 }
 
 bool
@@ -341,7 +341,7 @@ Simulator::step()
     REMORA_ASSERT(top.when >= now_);
     now_ = top.when;
     ++processed_;
-    digest_.mixRecord(now_, "exec", top.seq);
+    scheduleDigest_.mixRecord(now_, "exec", top.seq);
     // The callback runs in place: chunks never move, and the slot is
     // not reusable until freed below.
     Event &ev = event(top.slot);

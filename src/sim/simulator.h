@@ -21,7 +21,7 @@
  *    at decision points, or replays a recorded choice vector — the
  *    primitive the schedule explorer (sim/explorer.h) is built on.
  *
- * Every consulted choice is folded into the DeterminismDigest, so a
+ * Every consulted choice is folded into the schedule digest, so a
  * replayed choice vector reproduces a run bit-identically.
  *
  * Events carry a dependency hint (DepHint) captured from the ambient
@@ -433,40 +433,46 @@ class Simulator
 
     /**
      * Fold a component-level (now, kind, actor) record into the
-     * determinism digest. Layers call this at protocol milestones
-     * (op issued, cell delivered, request served) so the digest covers
-     * semantic activity as well as raw event-queue churn.
+     * semantic digest. Layers call this at protocol milestones (op
+     * issued, cell delivered, request served).
      */
     void
     noteDigest(std::string_view kind, uint64_t actor)
     {
-        digest_.mixRecord(now_, kind, actor);
+        semanticDigest_.mixRecord(now_, kind, actor);
     }
 
     /** As above, for string-identified actors (names, files). */
     void
     noteDigest(std::string_view kind, std::string_view actor)
     {
-        digest_.mixU64(static_cast<uint64_t>(now_));
-        digest_.mix(kind);
-        digest_.mix(actor);
+        semanticDigest_.mixU64(static_cast<uint64_t>(now_));
+        semanticDigest_.mix(kind);
+        semanticDigest_.mix(actor);
     }
 
     /**
-     * The running digest of all activity: every schedule/cancel/execute
-     * plus every noteDigest record and every policy choice. Two runs of
-     * the same workload must produce equal values; see
+     * The digest of the event queue's churn: every schedule, execute
+     * and cancel, every policy choice, and the perturbation seed. Two
+     * runs with equal values ran the same schedule; see
      * tests/test_determinism.cc.
      */
-    const DeterminismDigest &digest() const { return digest_; }
+    const DeterminismDigest &scheduleDigest() const { return scheduleDigest_; }
+
+    /**
+     * The digest of what the simulation did: every noteDigest record
+     * and nothing else, so a change that alters only the event
+     * structure leaves it equal.
+     */
+    const DeterminismDigest &semanticDigest() const { return semanticDigest_; }
 
     /**
      * Set the schedule-perturbation seed. Zero (the default) restores
      * exact insertion-order tie-breaking — bit-identical to a simulator
      * that never called this. A non-zero seed reorders same-timestamp
      * events pseudo-randomly (deterministically per seed) and folds a
-     * "perturb" record into the digest so perturbed and unperturbed
-     * runs can never be confused.
+     * "perturb" record into the schedule digest so perturbed and
+     * unperturbed runs can never be confused.
      *
      * Must be called before any event is scheduled, so a run's whole
      * schedule is governed by one seed.
@@ -607,7 +613,8 @@ class Simulator
     uint64_t decisions_ = 0;
     uint64_t stepBudgetEnd_ = 0; ///< processed_ ceiling; 0 = unlimited.
     bool budgetHit_ = false;
-    DeterminismDigest digest_;
+    DeterminismDigest scheduleDigest_;
+    DeterminismDigest semanticDigest_;
     SchedulePolicy *policy_ = nullptr;
     std::unique_ptr<PerturbPolicy> ownedPerturb_;
     DepHint currentHint_;

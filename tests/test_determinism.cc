@@ -3,7 +3,7 @@
  * The dynamic half of the correctness-tooling layer: prove that a full
  * cluster workload — name service, DFS over DX, conventional RPC, raw
  * remote-memory ops — replays bit-identically by running it twice and
- * comparing sim::DeterminismDigest values. remora-lint statically bans
+ * comparing its schedule and semantic sim::DeterminismDigest values. remora-lint statically bans
  * the nondeterminism sources that would break this; this test is the
  * runtime witness that the ban (and the event ordering underneath)
  * actually holds.
@@ -27,10 +27,11 @@ namespace {
 
 using test::runToCompletion;
 
-/** Digest and activity count of one finished workload run. */
+/** Digests and activity count of one finished workload run. */
 struct RunResult
 {
-    uint64_t digest = 0;
+    uint64_t schedule = 0;
+    uint64_t semantic = 0;
     uint64_t records = 0;
     uint64_t events = 0;
 };
@@ -120,8 +121,10 @@ runClusterWorkload(int extraWrites,
     c.sim.run();
 
     RunResult r;
-    r.digest = c.sim.digest().value();
-    r.records = c.sim.digest().records();
+    r.schedule = c.sim.scheduleDigest().value();
+    r.semantic = c.sim.semanticDigest().value();
+    r.records = c.sim.scheduleDigest().records() +
+                c.sim.semanticDigest().records();
     r.events = c.sim.eventsProcessed();
     return r;
 }
@@ -131,9 +134,10 @@ TEST(Determinism, ClusterWorkloadReplaysBitIdentically)
     RunResult first = runClusterWorkload(0);
     RunResult second = runClusterWorkload(0);
     // The strong property: not merely the same op results, but the same
-    // digest over every scheduled/executed event and every component
+    // digests over every scheduled/executed event and every component
     // milestone, i.e. bit-identical replay.
-    EXPECT_EQ(first.digest, second.digest);
+    EXPECT_EQ(first.schedule, second.schedule);
+    EXPECT_EQ(first.semantic, second.semantic);
     EXPECT_EQ(first.records, second.records);
     EXPECT_EQ(first.events, second.events);
     // The workload must be substantial enough to mean something.
@@ -143,58 +147,62 @@ TEST(Determinism, ClusterWorkloadReplaysBitIdentically)
 
 TEST(Determinism, DistinctWorkloadsProduceDistinctDigests)
 {
-    // Sanity that the digest has discriminating power: one extra write
-    // at the tail must perturb it.
-    EXPECT_NE(runClusterWorkload(0).digest, runClusterWorkload(2).digest);
+    // Sanity that the semantic digest has discriminating power: one
+    // extra write at the tail must perturb it.
+    EXPECT_NE(runClusterWorkload(0).semantic, runClusterWorkload(2).semantic);
 }
 
 TEST(Determinism, DigestFoldsScheduleExecuteAndCancel)
 {
     sim::Simulator a;
     sim::Simulator b;
-    EXPECT_EQ(a.digest().value(), b.digest().value());
+    EXPECT_EQ(a.scheduleDigest().value(), b.scheduleDigest().value());
 
     auto id1 = a.schedule(5, [] {});
     (void)b.schedule(5, [] {});
     // Same (when, id) schedule record on both sides.
-    EXPECT_EQ(a.digest().value(), b.digest().value());
+    EXPECT_EQ(a.scheduleDigest().value(), b.scheduleDigest().value());
 
     // A cancellation is activity: it must leave a mark even though the
     // event never executes.
     a.cancel(id1);
-    EXPECT_NE(a.digest().value(), b.digest().value());
+    EXPECT_NE(a.scheduleDigest().value(), b.scheduleDigest().value());
 
     // Cancelling an id that is already gone folds nothing.
-    uint64_t afterCancel = a.digest().value();
+    uint64_t afterCancel = a.scheduleDigest().value();
     a.cancel(id1);
-    EXPECT_EQ(afterCancel, a.digest().value());
+    EXPECT_EQ(afterCancel, a.scheduleDigest().value());
 
     a.run();
     b.run();
-    EXPECT_NE(a.digest().value(), b.digest().value());
+    EXPECT_NE(a.scheduleDigest().value(), b.scheduleDigest().value());
+    // Queue churn never reaches the semantic digest.
+    EXPECT_EQ(a.semanticDigest().value(), sim::DeterminismDigest::kOffset);
 }
 
 TEST(Determinism, NoteDigestCoversComponentMilestones)
 {
     sim::Simulator s;
-    uint64_t before = s.digest().value();
+    uint64_t before = s.semanticDigest().value();
     s.noteDigest("test.kind", uint64_t{42});
-    EXPECT_NE(before, s.digest().value());
+    EXPECT_NE(before, s.semanticDigest().value());
+    // Milestones never reach the schedule digest.
+    EXPECT_EQ(s.scheduleDigest().value(), sim::DeterminismDigest::kOffset);
 
     // Kind and actor both discriminate.
     sim::Simulator s2;
     s2.noteDigest("test.kind", uint64_t{43});
-    EXPECT_NE(s.digest().value(), s2.digest().value());
+    EXPECT_NE(s.semanticDigest().value(), s2.semanticDigest().value());
 
     sim::Simulator s3;
     s3.noteDigest("test.kino", uint64_t{42});
-    EXPECT_NE(s.digest().value(), s3.digest().value());
+    EXPECT_NE(s.semanticDigest().value(), s3.semanticDigest().value());
 
     // The string-actor overload discriminates on content too.
     sim::Simulator s4, s5;
     s4.noteDigest("names.import", std::string_view("alpha"));
     s5.noteDigest("names.import", std::string_view("beta"));
-    EXPECT_NE(s4.digest().value(), s5.digest().value());
+    EXPECT_NE(s4.semanticDigest().value(), s5.semanticDigest().value());
 }
 
 // ----------------------------------------------------------------------
@@ -208,7 +216,8 @@ TEST(Determinism, PerturbationSeedZeroMatchesUnperturbedBitForBit)
     // what lets check.sh fold seed 0 into the regular gate.
     RunResult untouched = runClusterWorkload(0);
     RunResult zeroSeed = runClusterWorkload(0, uint64_t{0});
-    EXPECT_EQ(untouched.digest, zeroSeed.digest);
+    EXPECT_EQ(untouched.schedule, zeroSeed.schedule);
+    EXPECT_EQ(untouched.semantic, zeroSeed.semantic);
     EXPECT_EQ(untouched.records, zeroSeed.records);
     EXPECT_EQ(untouched.events, zeroSeed.events);
 }
@@ -219,17 +228,19 @@ TEST(Determinism, PerturbedRunReplaysBitIdentically)
     // the same seed must replay bit-for-bit.
     RunResult first = runClusterWorkload(0, uint64_t{3});
     RunResult second = runClusterWorkload(0, uint64_t{3});
-    EXPECT_EQ(first.digest, second.digest);
+    EXPECT_EQ(first.schedule, second.schedule);
+    EXPECT_EQ(first.semantic, second.semantic);
     EXPECT_EQ(first.records, second.records);
     EXPECT_EQ(first.events, second.events);
 }
 
 TEST(Determinism, DistinctSeedsProduceDistinctDigests)
 {
-    // The seed is folded into the digest (and reorders same-timestamp
-    // events), so perturbed runs are distinguishable from the baseline.
-    EXPECT_NE(runClusterWorkload(0).digest,
-              runClusterWorkload(0, uint64_t{3}).digest);
+    // The seed is folded into the schedule digest (and reorders
+    // same-timestamp events), so perturbed runs are distinguishable
+    // from the baseline.
+    EXPECT_NE(runClusterWorkload(0).schedule,
+              runClusterWorkload(0, uint64_t{3}).schedule);
 }
 
 TEST(Determinism, PerturbationReordersSameTimestampEvents)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "cluster_fixture.h"
 #include "net/aal5.h"
@@ -63,9 +64,10 @@ TEST(FaultInjector, SameSeedSameLinkReplaysIdentically)
     EXPECT_EQ(a.corrupts(), b.corrupts());
     EXPECT_EQ(a.delays(), b.delays());
     EXPECT_GT(a.drops(), 0u);
-    // Every fault decision was folded into the determinism digest, and
+    // Every fault decision was folded into the semantic digest, and
     // identically so.
-    EXPECT_EQ(simA.digest().value(), simB.digest().value());
+    EXPECT_EQ(simA.semanticDigest().value(), simB.semanticDigest().value());
+    EXPECT_EQ(simA.scheduleDigest().value(), simB.scheduleDigest().value());
 }
 
 TEST(FaultInjector, LinkNameDecorrelatesTheTwoDirections)
@@ -152,7 +154,8 @@ TEST(FaultCluster, TotalLossNeitherLeaksCreditsNorWedgesTheLink)
 
 TEST(FaultCluster, ReliableWireDeliversEveryWriteExactlyOnceUnderDrops)
 {
-    auto runScenario = [](uint64_t faultSeed) -> uint64_t {
+    // (schedule digest, semantic digest) of one run.
+    auto runScenario = [](uint64_t faultSeed) {
         TwoNodeCluster c;
         c.enableReliability();
         mem::Process &server = c.nodeB.spawnProcess("server");
@@ -217,14 +220,17 @@ TEST(FaultCluster, ReliableWireDeliversEveryWriteExactlyOnceUnderDrops)
         EXPECT_GT(c.engineB.wire().acksSent(), 0u);
         EXPECT_EQ(c.engineA.wire().sendFailures(), 0u);
         EXPECT_EQ(c.sim.blockedTaskCount(), 0u);
-        return c.sim.digest().value();
+        return std::pair(c.sim.scheduleDigest().value(),
+                         c.sim.semanticDigest().value());
     };
 
     // The faulty run replays bit-identically under the same seed.
-    uint64_t once = runScenario(42);
-    uint64_t twice = runScenario(42);
-    EXPECT_EQ(once, twice);
-    EXPECT_NE(runScenario(43), once);
+    auto once = runScenario(42);
+    auto twice = runScenario(42);
+    EXPECT_EQ(once.first, twice.first);
+    EXPECT_EQ(once.second, twice.second);
+    // Another fault seed drops other cells: the milestones differ.
+    EXPECT_NE(runScenario(43).second, once.second);
 }
 
 TEST(FaultCluster, CorruptionIsDetectedAndRepairedByRetransmission)

@@ -173,7 +173,7 @@ TEST(EventCore, EventCancelsASameInstantSibling)
 TEST(EventCore, EventCancellingItselfIsANoOp)
 {
     // A running event is no longer pending: cancelling its own handle
-    // neither stops it nor leaves a cancel record in the digest.
+    // neither stops it nor leaves a cancel record in the schedule digest.
     auto digestAfter = [](bool selfCancel) {
         Simulator sim;
         int runs = 0;
@@ -186,7 +186,7 @@ TEST(EventCore, EventCancellingItselfIsANoOp)
         });
         sim.run();
         EXPECT_EQ(runs, 1);
-        return sim.digest().value();
+        return sim.scheduleDigest().value();
     };
     EXPECT_EQ(digestAfter(true), digestAfter(false));
 }

@@ -279,12 +279,12 @@ exploreMain(int argc, char **argv)
 // CAS-pair edges), and Hybrid-1 RPC round trips (request notification
 // and reply sequence word) — under schedule perturbation, then prints
 //
-//     seed=<N> digest=0x<16 hex> races=<M> checked=<K>
+//     seed=<N> schedule=0x<16 hex> semantic=0x<16 hex> races=<M> checked=<K>
 //
 // The exit status is the race count clamped to 1, so a lost
-// happens-before edge (a false positive here) fails the run. The digest
-// shows that each seed ran a distinct schedule and that reruns of one
-// seed replay bit-identically.
+// happens-before edge (a false positive here) fails the run. The
+// schedule digest shows that each seed ran a distinct schedule, and
+// both digests show that reruns of one seed replay bit-identically.
 // ----------------------------------------------------------------------
 
 /** Locked read-modify-write increments of a shared counter. */
@@ -396,9 +396,13 @@ race(uint64_t seed)
     REMORA_ASSERT(contenders[0].task.done() && contenders[1].task.done());
     REMORA_ASSERT(rpcs.done());
 
-    std::printf("seed=%llu digest=0x%016llx races=%llu checked=%llu\n",
+    std::printf("seed=%llu schedule=0x%016llx semantic=0x%016llx "
+                "races=%llu checked=%llu\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(c.sim.digest().value()),
+                static_cast<unsigned long long>(
+                    c.sim.scheduleDigest().value()),
+                static_cast<unsigned long long>(
+                    c.sim.semanticDigest().value()),
                 static_cast<unsigned long long>(det.raceCount()),
                 static_cast<unsigned long long>(det.accessesChecked()));
     for (const auto &r : det.reports()) {
@@ -417,7 +421,8 @@ race(uint64_t seed)
 // server memory bytes, notification count and read-back contents — and
 // prints
 //
-//     seed=<N> digest=0x<16 hex> drops=<M> retransmits=<K> undelivered=<U>
+//     seed=<N> schedule=0x<16 hex> semantic=0x<16 hex> drops=<M>
+//         retransmits=<K> undelivered=<U>
 //
 // `undelivered` counts user-visible losses (a write missing from
 // memory, a missing notification, a failed or mismatched read). The
@@ -533,10 +538,11 @@ faults(uint64_t seed, double dropRate)
                      sim.blockedTaskCount());
     }
 
-    std::printf("seed=%llu digest=0x%016llx drops=%llu retransmits=%llu "
-                "undelivered=%llu\n",
+    std::printf("seed=%llu schedule=0x%016llx semantic=0x%016llx "
+                "drops=%llu retransmits=%llu undelivered=%llu\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(sim.digest().value()),
+                static_cast<unsigned long long>(sim.scheduleDigest().value()),
+                static_cast<unsigned long long>(sim.semanticDigest().value()),
                 static_cast<unsigned long long>(c.network.totalFaultDrops()),
                 static_cast<unsigned long long>(
                     engineA.wire().retransmits() +
