@@ -12,7 +12,9 @@
  * Setup: one file server on a switched cluster, N client nodes each
  * running a closed-loop Table-1a-weighted operation stream. For each N
  * and each scheme (HY = Hybrid-1, DX = pure data transfer) we measure
- * aggregate throughput and server-CPU utilization over a fixed window.
+ * aggregate throughput and server-CPU utilization over a fixed window,
+ * plus the simulator events each completed op costs (a simulated count,
+ * so any change to the event structure shows up in the gate).
  *
  * Expected shape: HY saturates the server CPU (mostly on control
  * transfer and procedure execution) at a small N; DX keeps utilization
@@ -39,6 +41,7 @@ struct ClusterRun
     double opsPerSec = 0;
     double serverUtil = 0;
     double meanLatencyMs = 0;
+    double eventsPerOp = 0;
 };
 
 /** Closed-loop client: draws ops from the Table 1a mix. */
@@ -143,6 +146,7 @@ runScheme(size_t clients, bool useDx)
     std::vector<sim::Duration> latency(clients, 0);
 
     serverNode.cpu().resetAccounting();
+    uint64_t events0 = sim.eventsProcessed();
     sim::Time start = sim.now();
     sim::Time stopAt = start + kWindow;
 
@@ -188,6 +192,10 @@ runScheme(size_t clients, bool useDx)
                    static_cast<double>(kWindow);
     r.meanLatencyMs =
         total ? sim::toMsec(latSum / static_cast<sim::Duration>(total)) : 0;
+    r.eventsPerOp = total ? static_cast<double>(sim.eventsProcessed() -
+                                                events0) /
+                                static_cast<double>(total)
+                          : 0;
     return r;
 }
 
@@ -228,6 +236,8 @@ main()
         report.metric(key + ".dx.ops_per_sec", dx.opsPerSec, "ops/s");
         report.metric(key + ".dx.server_util", dx.serverUtil, "frac");
         report.metric(key + ".dx.mean_latency_ms", dx.meanLatencyMs, "ms");
+        report.metric(key + ".hy.events_per_op", hy.eventsPerOp, "events/op");
+        report.metric(key + ".dx.events_per_op", dx.eventsPerOp, "events/op");
     }
     std::printf("%s\n", table.render().c_str());
 

@@ -23,7 +23,6 @@ HostInterface::HostInterface(sim::Simulator &simulator,
                              std::string name)
     : sim_(simulator), params_(params), name_(std::move(name))
 {
-    REMORA_ASSERT(params.txFifoCells > 0);
     REMORA_ASSERT(params.rxFifoCells > 0);
 }
 
@@ -40,32 +39,41 @@ HostInterface::setRxInterrupt(std::function<void()> handler)
     rxInterrupt_ = std::move(handler);
 }
 
-bool
-HostInterface::txSpace(size_t cells) const
-{
-    return txFifo_.size() + cells <= params_.txFifoCells;
-}
-
 void
 HostInterface::pushTx(const Cell &cell)
 {
-    REMORA_ASSERT(txSpace(1));
-    txFifo_.push_back(cell);
-    drainTx();
+    REMORA_ASSERT(txLink_ != nullptr);
+    txLink_->send(cell);
+    cellsTx_.inc();
 }
 
 void
-HostInterface::drainTx()
+HostInterface::setDraining(bool draining)
 {
-    REMORA_ASSERT(txLink_ != nullptr);
-    // The adapter moves cells from FIFO to wire as fast as the link's
-    // own serialization/credit logic accepts them; Link::send queues
-    // internally, so the TX FIFO never backs up in this model. The FIFO
-    // bound still applies to the host-facing side via txSpace().
-    while (!txFifo_.empty()) {
-        txLink_->send(txFifo_.front());
-        txFifo_.pop_front();
-        cellsTx_.inc();
+    draining_ = draining;
+    if (draining || !deferredIrq_) {
+        return;
+    }
+    sim::EventKey key = *deferredIrq_;
+    deferredIrq_.reset();
+    if (sim_.passed(key)) {
+        interruptPending_ = false;
+    } else {
+        sim_.scheduleAt(key, [this] { interrupt(); });
+    }
+}
+
+void
+HostInterface::interrupt()
+{
+    interruptPending_ = false;
+    if (obs::TraceRecorder::on()) {
+        obs::TraceRecorder::instance().instant(
+            nodeOf(name_), "net", "rx_irq",
+            "fifo=" + std::to_string(rxFifo_.size()));
+    }
+    if (rxInterrupt_) {
+        rxInterrupt_();
     }
 }
 
@@ -91,19 +99,20 @@ HostInterface::acceptCell(const Cell &cell)
             obs::kCellArrivalEvent,
             "src=" + std::to_string(cell.vci));
     }
+    if (deferredIrq_ && sim_.passed(*deferredIrq_)) {
+        // The deferred interrupt's time came while the driver drained:
+        // all it did was clear the pending flag.
+        deferredIrq_.reset();
+        interruptPending_ = false;
+    }
     if (!interruptPending_ && rxInterrupt_) {
         interruptPending_ = true;
-        sim_.schedule(params_.interruptLatency, [this] {
-            interruptPending_ = false;
-            if (obs::TraceRecorder::on()) {
-                obs::TraceRecorder::instance().instant(
-                    nodeOf(name_), "net", "rx_irq",
-                    "fifo=" + std::to_string(rxFifo_.size()));
-            }
-            if (rxInterrupt_) {
-                rxInterrupt_();
-            }
-        });
+        sim::Time at = sim_.now() + params_.interruptLatency;
+        if (draining_ && sim_.policy() == nullptr) {
+            deferredIrq_ = sim_.reserve(at);
+        } else {
+            sim_.scheduleAt(at, [this] { interrupt(); });
+        }
     }
 }
 
@@ -115,8 +124,6 @@ HostInterface::registerStats(obs::MetricRegistry &reg,
     reg.add(prefix + ".cells_rx", cellsRx_);
     reg.addGauge(prefix + ".rx_depth",
                  [this] { return static_cast<double>(rxFifo_.size()); });
-    reg.addGauge(prefix + ".tx_depth",
-                 [this] { return static_cast<double>(txFifo_.size()); });
 }
 
 std::optional<Cell>

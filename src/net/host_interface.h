@@ -6,11 +6,14 @@
  * FIFOs, one toward the network and one from it, and the host CPU moved
  * every word with programmed I/O. remora reproduces that structure:
  *
- *  - pushTx() appends a host-built cell to the TX FIFO; the interface
- *    drains it onto the outgoing Link at wire speed.
- *  - Received cells land in the bounded RX FIFO; the first cell into an
- *    empty FIFO raises the RX interrupt (after a latency), and the
- *    kernel drains with popRx(), which releases a link credit.
+ *  - pushTx() hands a host-built cell to the outgoing Link, which
+ *    queues it until wire time and credit allow. The TX FIFO never
+ *    backs up behind the link's own queue, so it is not modeled.
+ *  - Received cells land in the bounded RX FIFO; a cell arriving with
+ *    no interrupt pending raises the RX interrupt (after a latency),
+ *    and the kernel drains with popRx(), which releases a link credit.
+ *    An interrupt raised while the kernel drains is a deferred event
+ *    (see setDraining()).
  *
  * The CPU cost of the PIO transfers is charged by the *caller* (the
  * kernel emulation layer), because that is where the paper's costs live;
@@ -32,11 +35,9 @@
 
 namespace remora::net {
 
-/** FIFO capacities and timing of a host interface. */
+/** FIFO capacity and timing of a host interface. */
 struct HostInterfaceParams
 {
-    /** TX FIFO capacity in cells. */
-    size_t txFifoCells = 292;
     /** RX FIFO capacity in cells (bounds the link credit). */
     size_t rxFifoCells = 292;
     /** Delay from first cell in empty RX FIFO to interrupt delivery. */
@@ -64,14 +65,21 @@ class HostInterface : public CellSink
      */
     void setRxInterrupt(std::function<void()> handler);
 
-    /** True when the TX FIFO can take @p cells more cells. */
-    bool txSpace(size_t cells = 1) const;
-
     /**
-     * Host pushes one cell into the TX FIFO (PIO cost charged by the
-     * caller). The caller must have checked txSpace().
+     * Host pushes one cell toward the network (PIO cost charged by the
+     * caller).
      */
     void pushTx(const Cell &cell);
+
+    /**
+     * The driver says whether it is draining the RX FIFO, and ignores
+     * the RX interrupt while it is. So an interrupt raised while it
+     * drains would do nothing if it fired then, and it stays off the
+     * event queue until draining ends. Then it runs at the key it
+     * reserved (sim::Simulator::reserve) if that is still ahead;
+     * otherwise it has lapsed, and only its pending flag clears.
+     */
+    void setDraining(bool draining);
 
     /**
      * Host drains one cell from the RX FIFO (PIO cost charged by the
@@ -100,7 +108,7 @@ class HostInterface : public CellSink
     sim::Duration interruptLatency() const { return params_.interruptLatency; }
 
     /**
-     * Register this adapter's counters and FIFO-depth gauges under
+     * Register this adapter's counters and RX FIFO depth gauge under
      * "<prefix>.cells_tx" etc.
      */
     void registerStats(obs::MetricRegistry &reg,
@@ -113,17 +121,19 @@ class HostInterface : public CellSink
     void acceptCell(const Cell &cell) override;
 
   private:
-    /** Move TX FIFO cells onto the link. */
-    void drainTx();
+    /** The RX interrupt fires: clear the pending flag, run the handler. */
+    void interrupt();
 
     sim::Simulator &sim_;
     HostInterfaceParams params_;
     std::string name_;
     Link *txLink_ = nullptr;
     std::function<void()> rxInterrupt_;
-    std::deque<Cell> txFifo_;
     std::deque<Cell> rxFifo_;
     bool interruptPending_ = false;
+    bool draining_ = false;
+    /** Key of the interrupt raised while draining, if any. */
+    std::optional<sim::EventKey> deferredIrq_;
     sim::Counter cellsTx_;
     sim::Counter cellsRx_;
 };

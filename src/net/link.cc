@@ -41,8 +41,44 @@ void
 Link::returnCredit(size_t n)
 {
     // The credit indication travels back along the wire.
-    sim_.schedule(params_.propagation, [this, n] {
-        credits_ += n;
+    sim::Time at = sim_.now() + params_.propagation;
+    if (sim_.policy() != nullptr) {
+        // A policy may run a same-instant event ahead of a smaller seq,
+        // so a key cannot be known to have passed: run every arrival.
+        sim_.scheduleAt(at, [this, n] {
+            credits_ += n;
+            pump();
+        });
+        return;
+    }
+    arrivals_.push_back(CreditArrival{sim_.reserve(at), n});
+    wakeOnCredit();
+}
+
+void
+Link::absorbCredits()
+{
+    while (!arrivals_.empty() && sim_.passed(arrivals_.front().key)) {
+        credits_ += arrivals_.front().n;
+        arrivals_.pop_front();
+    }
+}
+
+void
+Link::wakeOnCredit()
+{
+    absorbCredits();
+    // Only a blocked link lets an arrival do more than count: it stays
+    // blocked until the earliest one lands, which must then pump.
+    if (creditWake_ || arrivals_.empty() || queue_.empty() || credits_ > 0 ||
+        pumpScheduled_) {
+        return;
+    }
+    creditWake_ = true;
+    sim_.scheduleAt(arrivals_.front().key, [this] {
+        creditWake_ = false;
+        credits_ += arrivals_.front().n;
+        arrivals_.pop_front();
         pump();
     });
 }
@@ -63,6 +99,7 @@ Link::pump()
     if (pumpScheduled_) {
         return;
     }
+    absorbCredits();
     while (!queue_.empty() && credits_ > 0) {
         sim::Time now = sim_.now();
         if (wireFreeAt_ > now) {
@@ -98,6 +135,7 @@ Link::pump()
         static_assert(sim::Callback::kFitsInline<decltype(deliver)>);
         sim_.scheduleAt(deliverAt, std::move(deliver));
     }
+    wakeOnCredit();
 }
 
 } // namespace remora::net

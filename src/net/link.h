@@ -13,6 +13,12 @@
  *  - Each cell consumes one credit; the receiver returns credits as it
  *    drains its bounded FIFO, and the credit signal takes a propagation
  *    delay to travel back.
+ *
+ * A credit arrival is a deferred event (sim::Simulator::reserve). It
+ * changes more than the credit count only when it lands while the link
+ * is *credit-blocked* — cells queued, no credit, no wire wake pending —
+ * so only then does it run as an event, at the key it reserved; every
+ * other arrival is added when the link next reads its credits.
  */
 #pragma once
 
@@ -131,8 +137,21 @@ class Link
     const std::string &name() const { return name_; }
 
   private:
+    /** A credit on its way back: @p n credits land at @p key. */
+    struct CreditArrival
+    {
+        sim::EventKey key;
+        size_t n;
+    };
+
     /** Transmit queued cells while wire and credit allow. */
     void pump();
+
+    /** Add every credit arrival whose key has passed. */
+    void absorbCredits();
+
+    /** When credit-blocked, run the earliest arrival as an event. */
+    void wakeOnCredit();
 
     sim::Simulator &sim_;
     LinkParams params_;
@@ -142,8 +161,10 @@ class Link
     sim::Duration cellTime_;
     std::deque<Cell> queue_;
     size_t credits_;
+    std::deque<CreditArrival> arrivals_; ///< In key order.
     sim::Time wireFreeAt_ = 0;
     bool pumpScheduled_ = false;
+    bool creditWake_ = false; ///< arrivals_.front() is queued.
     sim::Counter cellsSent_;
     size_t maxQueue_ = 0;
 };

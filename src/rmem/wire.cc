@@ -111,13 +111,21 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
                 std::to_string(cells.size()));
     }
 
-    sim::Promise<void> accepted(node_.simulator());
+    // One object per frame holds what the per-cell completions share,
+    // so each captures only an index and its event stays allocation-free.
+    struct TxFrame
+    {
+        std::vector<net::Cell> cells;
+        sim::Promise<void> accepted;
+        obs::SpanId span;
+    };
+    auto frame = std::make_shared<TxFrame>(TxFrame{
+        std::move(cells), sim::Promise<void>(node_.simulator()), txSpan});
     auto &cpu = node_.cpu();
     cpu.post(costs_.sendFormatCost, category);
-    for (size_t i = 0; i < cells.size(); ++i) {
+    for (size_t i = 0; i < frame->cells.size(); ++i) {
         // Each cell enters the TX FIFO as its PIO completes, so the wire
         // overlaps with the CPU filling subsequent cells.
-        bool last = (i + 1 == cells.size());
         sim::Duration cellCost = perCell;
         if (swap) {
             // Message bytes this cell actually carries (the tail cell
@@ -133,22 +141,17 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
             cellCost += static_cast<sim::Duration>((in + 3) / 4) *
                         costs_.byteSwapWordCost;
         }
-        cpu.post(cellCost, category,
-                 [this, cell = cells[i], last, accepted, txSpan]() mutable {
-                     if (!node_.nic().txSpace()) {
-                         // The pass-through TX FIFO cannot back up in this
-                         // model; reaching here means the invariant broke.
-                         REMORA_PANIC("TX FIFO unexpectedly full on " +
-                                      node_.name());
-                     }
-                     node_.nic().pushTx(cell);
-                     if (last) {
-                         obs::TraceRecorder::instance().endSpan(txSpan);
-                         accepted.set();
-                     }
-                 });
+        auto push = [this, frame, i] {
+            node_.nic().pushTx(frame->cells[i]);
+            if (i + 1 == frame->cells.size()) {
+                obs::TraceRecorder::instance().endSpan(frame->span);
+                frame->accepted.set();
+            }
+        };
+        static_assert(sim::Callback::kFitsInline<decltype(push)>);
+        cpu.post(cellCost, category, std::move(push));
     }
-    return accepted.future();
+    return frame->accepted.future();
 }
 
 void
@@ -158,6 +161,7 @@ Wire::onRxInterrupt()
         return;
     }
     draining_ = true;
+    node_.nic().setDraining(true);
     drainLoop().detach();
 }
 
@@ -249,6 +253,7 @@ Wire::drainLoop()
         }
     }
     draining_ = false;
+    node_.nic().setDraining(false);
     obs::TraceRecorder::instance().endSpan(drainSpan);
     // Cells that arrived during the final check raise a fresh interrupt.
 }

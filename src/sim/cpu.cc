@@ -44,14 +44,6 @@ CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
     }
 }
 
-Task<void>
-CpuResource::use(Duration cost, CpuCategory cat)
-{
-    Promise<void> done(sim_);
-    post(cost, cat, [done]() mutable { done.set(); });
-    co_await done.future();
-}
-
 Duration
 CpuResource::busyIn(CpuCategory cat) const
 {

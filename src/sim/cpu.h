@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -68,11 +69,42 @@ class CpuResource
      */
     void post(Duration cost, CpuCategory cat, Simulator::Callback fn = {});
 
+    /** Awaiter of use(); see there. */
+    class [[nodiscard]] Use
+    {
+      public:
+        Use(CpuResource &cpu, Duration cost, CpuCategory cat)
+            : cpu_(cpu), cost_(cost), cat_(cat)
+        {}
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            // The completion resumes the coroutine through a zero-delay
+            // event, as every wakeup is ordered through the queue.
+            cpu_.post(cost_, cat_, [sim = &cpu_.sim_, h] {
+                sim->schedule(0, [h] { h.resume(); });
+            });
+        }
+
+        void await_resume() const noexcept {}
+
+      private:
+        CpuResource &cpu_;
+        Duration cost_;
+        CpuCategory cat_;
+    };
+
     /**
      * Coroutine flavour of post(): `co_await cpu.use(cost, cat)` resumes
-     * once the CPU time has been consumed.
+     * once the CPU time has been consumed. Await it at once: the cost is
+     * posted when the coroutine suspends. Allocation-free: no coroutine
+     * frame and no Promise, and no wait-graph park, since the wait's
+     * completion is always queued.
      */
-    Task<void> use(Duration cost, CpuCategory cat);
+    Use use(Duration cost, CpuCategory cat) { return Use(*this, cost, cat); }
 
     /** Simulated instant at which currently queued work completes. */
     Time busyUntil() const { return busyUntil_; }

@@ -284,11 +284,23 @@ EventId
 Simulator::scheduleAt(Time when, Callback fn)
 {
     REMORA_ASSERT(when >= now_);
+    return push(when, nextSeq_++, std::move(fn));
+}
+
+EventId
+Simulator::scheduleAt(EventKey key, Callback fn)
+{
+    REMORA_ASSERT(!passed(key));
+    return push(key.when, key.seq, std::move(fn));
+}
+
+EventId
+Simulator::push(Time when, uint64_t seq, Callback fn)
+{
     uint32_t slot = allocSlot();
     Event &ev = event(slot);
     ev.fn = std::move(fn);
     ev.hint = currentHint_;
-    uint64_t seq = nextSeq_++;
     heapPush(HeapEntry{when, seq, slot});
     scheduleDigest_.mixRecord(when, "sched", seq);
     return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
@@ -340,6 +352,7 @@ Simulator::step()
     heapRemove(pos);
     REMORA_ASSERT(top.when >= now_);
     now_ = top.when;
+    runningSeq_ = top.seq;
     ++processed_;
     scheduleDigest_.mixRecord(now_, "exec", top.seq);
     // The callback runs in place: chunks never move, and the slot is
@@ -360,6 +373,15 @@ Simulator::run(Time limit)
     uint64_t count = 0;
     while (!heap_.empty() && heap_[0].when <= limit && step()) {
         ++count;
+    }
+    if (heap_.empty() || heap_[0].when > limit) {
+        // Every key up to the limit is behind us, including the
+        // reserved keys of deferred events that lapsed: the clock ends
+        // where running them would have left it.
+        if (reservedUntil_ > now_ && reservedUntil_ <= limit) {
+            now_ = reservedUntil_;
+        }
+        runningSeq_ = nextSeq_;
     }
     return count;
 }

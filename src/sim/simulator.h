@@ -36,6 +36,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -131,6 +132,16 @@ struct DepHint
         }
         return a.key == b.key && a.lo < b.hi && b.lo < a.hi;
     }
+};
+
+/**
+ * The (when, seq) key that places an event in the queue's total order:
+ * events run by time, and by seq (insertion order) within an instant.
+ */
+struct EventKey
+{
+    Time when = 0;
+    uint64_t seq = 0;
 };
 
 /** One runnable alternative offered to a SchedulePolicy. */
@@ -390,6 +401,42 @@ class Simulator
     EventId scheduleAt(Time when, Callback fn);
 
     /**
+     * Reserve the key an event scheduled now at @p when (>= now) would
+     * get, without queueing anything: a *deferred event*. Its owner
+     * queues it at exactly that key with scheduleAt(EventKey, Callback)
+     * once running it could change something, and otherwise lets it
+     * lapse, so every event that does run keeps its place in the total
+     * order and a drained run() leaves the clock where running the
+     * lapsed ones would have. Owners defer only while no SchedulePolicy
+     * is installed: a policy may run a same-instant event ahead of a
+     * smaller seq, so passed() means nothing under one.
+     */
+    EventKey
+    reserve(Time when)
+    {
+        reservedUntil_ = std::max(reservedUntil_, when);
+        return EventKey{when, nextSeq_++};
+    }
+
+    /**
+     * Queue @p fn at a key from reserve() that has not passed().
+     *
+     * @return Handle usable with cancel().
+     */
+    EventId scheduleAt(EventKey key, Callback fn);
+
+    /**
+     * True when an event at @p key would already have run: its time is
+     * before now, or it is now and its seq is below the running event's
+     * (between run() calls, every key up to now has passed).
+     */
+    bool
+    passed(EventKey key) const
+    {
+        return key.when < now_ || (key.when == now_ && key.seq < runningSeq_);
+    }
+
+    /**
      * Cancel a previously scheduled event: it leaves the queue and its
      * callback is destroyed at once.
      *
@@ -413,7 +460,8 @@ class Simulator
      * execution.
      *
      * Events at exactly @p limit still run. The clock does not advance
-     * past the last executed event.
+     * past the last executed event, or past the latest key reserve()
+     * handed out when that is later and not beyond @p limit.
      *
      * @return Number of events executed by this call.
      */
@@ -598,6 +646,7 @@ class Simulator
 
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
+    EventId push(Time when, uint64_t seq, Callback fn);
     void heapPush(const HeapEntry &e);
     void heapRemove(size_t pos);
     void siftUp(size_t pos, const HeapEntry &e);
@@ -608,6 +657,8 @@ class Simulator
 
     Time now_ = 0;
     uint64_t nextSeq_ = 1;
+    uint64_t runningSeq_ = 0; ///< Seq of the running (or last) event.
+    Time reservedUntil_ = 0;  ///< Latest time reserve() handed out.
     uint64_t processed_ = 0;
     uint64_t perturbSeed_ = 0;
     uint64_t decisions_ = 0;

@@ -12,12 +12,18 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "cluster_fixture.h"
 #include "dfs/backend.h"
 #include "dfs/file_store.h"
 #include "dfs/server.h"
 #include "names/clerk.h"
+#include "net/fault.h"
+#include "net/host_interface.h"
+#include "net/link.h"
+#include "rpc/hybrid1.h"
 #include "rpc/transport.h"
 #include "sim/determinism.h"
 #include "sim/random.h"
@@ -27,13 +33,17 @@ namespace {
 
 using test::runToCompletion;
 
-/** Digests and activity count of one finished workload run. */
+/** Digests, results and activity count of one finished workload run. */
 struct RunResult
 {
     uint64_t schedule = 0;
     uint64_t semantic = 0;
     uint64_t records = 0;
     uint64_t events = 0;
+    /** The clock at quiescence. */
+    sim::Time end = 0;
+    /** The workload's own results: op completion times and the like. */
+    std::vector<int64_t> results;
 };
 
 /**
@@ -45,14 +55,19 @@ struct RunResult
  *        produce distinct digests.
  * @param perturbSeed Schedule-perturbation seed; nullopt leaves the
  *        simulator untouched (vs. an explicit setPerturbation(0)).
+ * @param policy Schedule policy to install, if any.
  */
 RunResult
 runClusterWorkload(int extraWrites,
-                   std::optional<uint64_t> perturbSeed = std::nullopt)
+                   std::optional<uint64_t> perturbSeed = std::nullopt,
+                   sim::SchedulePolicy *policy = nullptr)
 {
     test::TwoNodeCluster c;
     if (perturbSeed) {
         c.sim.setPerturbation(*perturbSeed);
+    }
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
     }
     names::NameClerk namesA(c.engineA), namesB(c.engineB);
     namesA.addPeer(2);
@@ -86,9 +101,11 @@ runClusterWorkload(int extraWrites,
     mem::Process &clerkProc = c.nodeB.spawnProcess("clerk");
     dfs::DxBackend dx(c.engineB, clerkProc, server.areaHandles());
 
+    RunResult r;
     auto driver = [](test::TwoNodeCluster *cl, names::NameClerk *names,
                      dfs::DxBackend *backend, rpc::RpcTransport *rpc,
-                     dfs::FileHandle fh, int extra) -> sim::Task<void> {
+                     dfs::FileHandle fh, int extra,
+                     std::vector<int64_t> *done) -> sim::Task<void> {
         sim::Random rng(0x5eed);
         auto imported = co_await names->import("replay.seg", 1);
         REMORA_ASSERT(imported.ok());
@@ -106,6 +123,7 @@ runClusterWorkload(int extraWrites,
 
             auto rd = co_await backend->read(fh, 512 * i, 1024);
             REMORA_ASSERT(rd.ok());
+            done->push_back(cl->sim.now());
         }
         std::vector<uint8_t> tail(256, 0x7e);
         auto w = co_await backend->write(fh, 0, tail);
@@ -116,11 +134,12 @@ runClusterWorkload(int extraWrites,
         }
         co_return;
     };
-    auto t = driver(&c, &namesB, &dx, &clientRpc, file.value(), extraWrites);
+    auto t = driver(&c, &namesB, &dx, &clientRpc, file.value(), extraWrites,
+                    &r.results);
     runToCompletion(c.sim, t);
     c.sim.run();
 
-    RunResult r;
+    r.end = c.sim.now();
     r.schedule = c.sim.scheduleDigest().value();
     r.semantic = c.sim.semanticDigest().value();
     r.records = c.sim.scheduleDigest().records() +
@@ -291,6 +310,269 @@ TEST(Determinism, FnvReferenceValues)
     e.reset();
     EXPECT_EQ(e.value(), sim::DeterminismDigest::kOffset);
     EXPECT_EQ(e.records(), 0u);
+}
+
+// ----------------------------------------------------------------------
+// Deferred events against eager events
+//
+// By default the simulator defers the link credit returns and the RX
+// interrupts that would change nothing (sim::Simulator::reserve). An
+// insertion-order RecordReplayPolicy (empty prefix, no fallback) runs
+// the smallest seq at every tie, the plain insertion order, but as a
+// policy it makes every owner schedule every event at once. So each
+// workload below runs both ways on fresh simulators, and the two runs
+// must agree on everything but the event count.
+// ----------------------------------------------------------------------
+
+/** Run @p workload deferred and eager; require equal behaviour. */
+template <typename Workload>
+void
+expectDeferralChangesNothing(Workload workload)
+{
+    RunResult deferred = workload(nullptr);
+    sim::RecordReplayPolicy insertionOrder;
+    RunResult eager = workload(&insertionOrder);
+    EXPECT_EQ(deferred.semantic, eager.semantic);
+    EXPECT_EQ(deferred.end, eager.end);
+    EXPECT_EQ(deferred.results, eager.results);
+    EXPECT_FALSE(deferred.results.empty());
+    EXPECT_LT(deferred.events, eager.events);
+}
+
+/** Fill the digest, clock and event fields of @p r from @p s. */
+void
+finish(const sim::Simulator &s, RunResult &r)
+{
+    r.schedule = s.scheduleDigest().value();
+    r.semantic = s.semanticDigest().value();
+    r.events = s.eventsProcessed();
+    r.end = s.now();
+}
+
+TEST(DeferredEvents, TwoNodeClusterWorkloadMatchesEagerRun)
+{
+    expectDeferralChangesNothing([](sim::SchedulePolicy *policy) {
+        return runClusterWorkload(0, std::nullopt, policy);
+    });
+}
+
+/**
+ * Sixteen DX clients on a switch write and read 8 KB blocks at once:
+ * the server's downlink runs out of credits while the server drains
+ * its RX FIFO one 9 us PIO charge per cell.
+ */
+RunResult
+runSwitchedDx(sim::SchedulePolicy *policy)
+{
+    constexpr size_t kClients = 16;
+    cluster::ClusterSpec spec{.names = {"server"}, .switched = true};
+    for (size_t i = 0; i < kClients; ++i) {
+        spec.names.push_back("client" + std::to_string(i + 2));
+    }
+    cluster::Cluster c(spec);
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    dfs::FileStore store;
+    auto file = store.createFile(store.root(), "hot", 16384);
+    EXPECT_TRUE(file.ok());
+    rpc::Hybrid1Params hp;
+    hp.slots = kClients + 1;
+    dfs::FileServer server(*c.engines[0], store, dfs::CacheGeometry{},
+                           dfs::ServiceTimes{}, hp);
+    server.warmCaches();
+    server.start();
+    c.sim.run();
+
+    RunResult r;
+    std::vector<std::unique_ptr<rpc::Hybrid1Client>> hy;
+    std::vector<std::unique_ptr<dfs::DxBackend>> dx;
+    std::vector<sim::Task<void>> loops;
+    auto client = [](sim::Simulator *s, dfs::DxBackend *backend,
+                     dfs::FileHandle fh, uint8_t fill,
+                     std::vector<int64_t> *done) -> sim::Task<void> {
+        for (int round = 0; round < 2; ++round) {
+            auto w = co_await backend->write(
+                fh, 0, std::vector<uint8_t>(8192, fill));
+            done->push_back(w.ok());
+            done->push_back(s->now());
+            auto rd = co_await backend->read(fh, 0, 8192);
+            done->push_back(rd.ok() ? rd.value().front() : -1);
+            done->push_back(s->now());
+        }
+    };
+    for (size_t i = 0; i < kClients; ++i) {
+        mem::Process &proc =
+            c.nodes[i + 1]->spawnProcess("clerk" + std::to_string(i));
+        hy.push_back(std::make_unique<rpc::Hybrid1Client>(
+            *c.engines[i + 1], proc, server.hybridHandle(),
+            server.allocClientSlot(), hp));
+        dx.push_back(std::make_unique<dfs::DxBackend>(
+            *c.engines[i + 1], proc, server.areaHandles(),
+            dfs::CacheGeometry{}, hy.back().get()));
+        loops.push_back(client(&c.sim, dx.back().get(), file.value(),
+                               static_cast<uint8_t>(i), &r.results));
+    }
+    c.sim.run();
+    for (const auto &loop : loops) {
+        EXPECT_TRUE(loop.done());
+    }
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, SwitchedDxClusterMatchesEagerRun)
+{
+    expectDeferralChangesNothing(runSwitchedDx);
+}
+
+/**
+ * A direct link with two credits into a NIC whose driver marks itself
+ * draining as the Wire does. It drains the first cells in 1.5 us each,
+ * under the 2 us interrupt latency, so a drain can end before an
+ * interrupt raised during it, and the rest in 10 us each, so credits
+ * bind. The sender pushes bursts of five cells.
+ */
+RunResult
+runSlowReceiver(sim::SchedulePolicy *policy)
+{
+    sim::Simulator s;
+    if (policy != nullptr) {
+        s.setPolicy(policy);
+    }
+    net::LinkParams lp;
+    lp.credits = 2;
+    net::Link link(s, lp, "tx->rx");
+    net::HostInterface nic(s, net::HostInterfaceParams{}, "rx.nic");
+    link.connect(nic);
+
+    RunResult r;
+    bool draining = false;
+    std::function<void()> drainOne = [&] {
+        if (auto cell = nic.popRx()) {
+            r.results.push_back(cell->vci);
+            r.results.push_back(s.now());
+            s.schedule(cell->vci < 15 ? sim::usec(1.5) : sim::usec(10),
+                       drainOne);
+        } else {
+            draining = false;
+            nic.setDraining(false);
+        }
+    };
+    nic.setRxInterrupt([&] {
+        // Like the Wire, the driver ignores interrupts while it drains.
+        if (!draining) {
+            r.results.push_back(-1);
+            r.results.push_back(s.now());
+            draining = true;
+            nic.setDraining(true);
+            drainOne();
+        }
+    });
+    for (int burst = 0; burst < 6; ++burst) {
+        s.schedule(sim::usec(37) * burst, [&link, burst] {
+            for (int i = 0; i < 5; ++i) {
+                net::Cell c;
+                c.vci = static_cast<uint16_t>(burst * 5 + i);
+                link.send(c);
+            }
+        });
+    }
+    s.run();
+    finish(s, r);
+    return r;
+}
+
+TEST(DeferredEvents, CreditBoundSlowReceiverMatchesEagerRun)
+{
+    expectDeferralChangesNothing(runSlowReceiver);
+}
+
+/** Notified WRITEs over the reliable wire, 5% of cells dropped. */
+RunResult
+runReliableLossy(sim::SchedulePolicy *policy)
+{
+    test::TwoNodeCluster c;
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    c.enableReliability();
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr base = server.space().allocRegion(8192);
+    auto seg = c.engineB.exportSegment(server, base, 8192,
+                                       rmem::Rights::kAll,
+                                       rmem::NotifyPolicy::kConditional, "s");
+    EXPECT_TRUE(seg.ok());
+    c.sim.run();
+    net::FaultPlan plan;
+    plan.seed = 5;
+    plan.dropRate = 0.05;
+    c.network.installFaults(plan);
+
+    RunResult r;
+    for (int i = 0; i < 16; ++i) {
+        std::vector<uint8_t> data(40 + 24u * static_cast<unsigned>(i),
+                                  static_cast<uint8_t>(i));
+        auto w = c.engineA.write(seg.value(), static_cast<uint32_t>(i) * 512,
+                                 data, /*notify=*/true);
+        runToCompletion(c.sim, w);
+        r.results.push_back(c.sim.now());
+    }
+    c.sim.run();
+    std::vector<uint8_t> mem(8192);
+    EXPECT_TRUE(server.space().read(base, mem).ok());
+    r.results.insert(r.results.end(), mem.begin(), mem.end());
+    r.results.push_back(static_cast<int64_t>(c.engineA.wire().retransmits()));
+    EXPECT_GT(c.network.totalFaultDrops(), 0u);
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, ReliableWireUnderDropsMatchesEagerRun)
+{
+    expectDeferralChangesNothing(runReliableLossy);
+}
+
+/**
+ * Raw-cell and AAL5 messages on a link that drops cells, with no
+ * reliable wire to resend them. The last cell is dropped, so in the
+ * eager run its credit return is the last event of all: the deferred
+ * run must still end with the clock there.
+ */
+RunResult
+runUnreliableLossy(sim::SchedulePolicy *policy)
+{
+    test::TwoNodeCluster c;
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    RunResult r;
+    c.engineB.wire().setRmemHandler([&](net::NodeId, rmem::Message &&msg) {
+        r.results.push_back(c.sim.now());
+        r.results.push_back(static_cast<int64_t>(
+            std::get<rmem::WriteReq>(msg).data.size()));
+    });
+    net::FaultPlan plan;
+    plan.seed = 12; // drops the last message's last cell
+    plan.dropRate = 0.2;
+    c.network.installFaults(plan);
+    for (int i = 0; i < 24; ++i) {
+        rmem::WriteReq w;
+        w.descriptor = 1;
+        w.data.assign(i % 3 == 0 ? 200 : 16, static_cast<uint8_t>(i));
+        c.sim.schedule(sim::usec(50) * i, [&c, w] {
+            (void)c.engineA.wire().send(2, w, sim::CpuCategory::kDataReply);
+        });
+    }
+    c.sim.run();
+    EXPECT_GT(c.network.totalFaultDrops(), 0u);
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, UnreliableLossyLinkEndsOnTheEagerClock)
+{
+    expectDeferralChangesNothing(runUnreliableLossy);
 }
 
 } // namespace

@@ -345,7 +345,6 @@ TEST(HostInterface, TxPassesThroughToLink)
     HostInterfaceParams p;
     HostInterface nic(sim, p, "nic");
     nic.attachTxLink(link);
-    ASSERT_TRUE(nic.txSpace(3));
     Cell c;
     for (int i = 0; i < 3; ++i) {
         nic.pushTx(c);
