@@ -184,7 +184,7 @@ else
         "but for schedule digests"
     if ! cmp -s "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt"; then
         echo "  note: the schedule digest differs on these lines:"
-        diff "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt" |
+        { diff "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt" || true; } |
             sed -n 's/^> /    /p'
     fi
 fi
