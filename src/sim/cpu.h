@@ -70,12 +70,11 @@ class CpuResource
     void post(Duration cost, CpuCategory cat, Simulator::Callback fn = {});
 
     /** Awaiter of use(); see there. */
-    class [[nodiscard]] Use
+    struct [[nodiscard]] Use
     {
-      public:
-        Use(CpuResource &cpu, Duration cost, CpuCategory cat)
-            : cpu_(cpu), cost_(cost), cat_(cat)
-        {}
+        CpuResource &cpu;
+        Duration cost;
+        CpuCategory cat;
 
         bool await_ready() const noexcept { return false; }
 
@@ -84,17 +83,12 @@ class CpuResource
         {
             // The completion resumes the coroutine through a zero-delay
             // event, as every wakeup is ordered through the queue.
-            cpu_.post(cost_, cat_, [sim = &cpu_.sim_, h] {
+            cpu.post(cost, cat, [sim = &cpu.sim_, h] {
                 sim->schedule(0, [h] { h.resume(); });
             });
         }
 
         void await_resume() const noexcept {}
-
-      private:
-        CpuResource &cpu_;
-        Duration cost_;
-        CpuCategory cat_;
     };
 
     /**
@@ -104,7 +98,7 @@ class CpuResource
      * frame and no Promise, and no wait-graph park, since the wait's
      * completion is always queued.
      */
-    Use use(Duration cost, CpuCategory cat) { return Use(*this, cost, cat); }
+    Use use(Duration cost, CpuCategory cat) { return Use{*this, cost, cat}; }
 
     /** Simulated instant at which currently queued work completes. */
     Time busyUntil() const { return busyUntil_; }

@@ -378,12 +378,22 @@ Simulator::run(Time limit)
         // Every key up to the limit is behind us, including the
         // reserved keys of deferred events that lapsed: the clock ends
         // where running them would have left it.
-        if (reservedUntil_ > now_ && reservedUntil_ <= limit) {
-            now_ = reservedUntil_;
+        for (Time when : reserved_) {
+            if (when > now_ && when <= limit) {
+                now_ = when;
+            }
         }
         runningSeq_ = nextSeq_;
     }
     return count;
+}
+
+void
+Simulator::pruneReserved()
+{
+    // A time the clock has reached can no longer move it.
+    std::erase_if(reserved_, [this](Time when) { return when <= now_; });
+    reservedCap_ = std::max<size_t>(16, 2 * reserved_.size());
 }
 
 } // namespace remora::sim

@@ -36,7 +36,6 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -403,18 +402,19 @@ class Simulator
     /**
      * Reserve the key an event scheduled now at @p when (>= now) would
      * get, without queueing anything: a *deferred event*. Its owner
-     * queues it at exactly that key with scheduleAt(EventKey, Callback)
-     * once running it could change something, and otherwise lets it
-     * lapse, so every event that does run keeps its place in the total
-     * order and a drained run() leaves the clock where running the
-     * lapsed ones would have. Owners defer only while no SchedulePolicy
-     * is installed: a policy may run a same-instant event ahead of a
-     * smaller seq, so passed() means nothing under one.
+     * queues it at exactly that key once running it could change
+     * something, and otherwise lets it lapse, so every event that runs
+     * keeps its place in the total order. Owners defer only while no
+     * SchedulePolicy is installed: a policy may run a same-instant
+     * event ahead of a smaller seq, so passed() means nothing under one.
      */
     EventKey
     reserve(Time when)
     {
-        reservedUntil_ = std::max(reservedUntil_, when);
+        if (reserved_.size() == reservedCap_) {
+            pruneReserved();
+        }
+        reserved_.push_back(when);
         return EventKey{when, nextSeq_++};
     }
 
@@ -460,8 +460,9 @@ class Simulator
      * execution.
      *
      * Events at exactly @p limit still run. The clock does not advance
-     * past the last executed event, or past the latest key reserve()
-     * handed out when that is later and not beyond @p limit.
+     * past the last executed event, or past the latest time reserve()
+     * handed out up to @p limit when that is later: where running the
+     * lapsed deferred events would have left it.
      *
      * @return Number of events executed by this call.
      */
@@ -647,6 +648,7 @@ class Simulator
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
     EventId push(Time when, uint64_t seq, Callback fn);
+    void pruneReserved();
     void heapPush(const HeapEntry &e);
     void heapRemove(size_t pos);
     void siftUp(size_t pos, const HeapEntry &e);
@@ -658,7 +660,9 @@ class Simulator
     Time now_ = 0;
     uint64_t nextSeq_ = 1;
     uint64_t runningSeq_ = 0; ///< Seq of the running (or last) event.
-    Time reservedUntil_ = 0;  ///< Latest time reserve() handed out.
+    // Times reserve() handed out that the clock may not have reached.
+    std::vector<Time> reserved_;
+    size_t reservedCap_ = 16; ///< Size at which reserve() prunes.
     uint64_t processed_ = 0;
     uint64_t perturbSeed_ = 0;
     uint64_t decisions_ = 0;

@@ -239,6 +239,46 @@ checkEveryFate(Make make)
     }
 }
 
+TEST(EventCore, LapsedReservedKeysMoveTheClockLikeTheEventsTheyStandFor)
+{
+    // Two deferred events reserve keys at 20 and 40 and lapse; real
+    // events run at 10 and 50. Each run() must end where running the
+    // lapsed events too would have: at 20 under a limit of 30, at 40
+    // under 45, and at 50 when drained.
+    Simulator sim;
+    EventKey at20, at40;
+    sim.schedule(0, [&] {
+        at20 = sim.reserve(20);
+        at40 = sim.reserve(40);
+    });
+    sim.schedule(10, [] {});
+    sim.schedule(50, [] {});
+    sim.run(30);
+    EXPECT_EQ(sim.now(), 20);
+    EXPECT_TRUE(sim.passed(at20));
+    EXPECT_FALSE(sim.passed(at40));
+    sim.run(45);
+    EXPECT_EQ(sim.now(), 40);
+    EXPECT_TRUE(sim.passed(at40));
+    sim.run();
+    EXPECT_EQ(sim.now(), 50);
+}
+
+TEST(EventCore, EventQueuedAtAReservedKeyKeepsItsPlace)
+{
+    // A key reserved before a same-instant sibling was scheduled runs
+    // ahead of it, as it would have had it been scheduled at once.
+    Simulator sim;
+    std::string order;
+    sim.schedule(0, [&] {
+        EventKey key = sim.reserve(5);
+        sim.schedule(5, [&] { order.push_back('b'); });
+        sim.scheduleAt(key, [&] { order.push_back('a'); });
+    });
+    sim.run();
+    EXPECT_EQ(order, "ab");
+}
+
 TEST(EventCore, MoveOnlyCaptureRunsOnceAndIsDestroyedOnce)
 {
     checkEveryFate([](int *runs, int *destroyed) {
