@@ -22,7 +22,7 @@ cpuCategoryName(CpuCategory cat)
 }
 
 CpuResource::CpuResource(Simulator &sim, std::string name)
-    : sim_(sim), name_(std::move(name))
+    : sim_(sim), lane_(sim.openLane()), name_(std::move(name))
 {}
 
 void
@@ -38,9 +38,9 @@ CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
     // draining the event queue then means draining the CPU too, so
     // simulated time never lags behind committed work.
     if (fn) {
-        sim_.scheduleAt(end, std::move(fn));
+        sim_.scheduleAt(lane_, end, std::move(fn));
     } else if (cost > 0) {
-        sim_.scheduleAt(end, [] {});
+        sim_.scheduleAt(lane_, end, [] {});
     }
 }
 

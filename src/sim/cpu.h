@@ -13,8 +13,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 
 #include "sim/simulator.h"
@@ -123,6 +121,8 @@ class CpuResource
 
   private:
     Simulator &sim_;
+    /** FCFS keeps completion times non-decreasing: one lane holds them. */
+    Simulator::LaneId lane_;
     std::string name_;
     Time busyUntil_ = 0;
     Duration totalBusy_ = 0;

@@ -124,6 +124,16 @@ Simulator::setPolicy(SchedulePolicy *policy)
     policy_ = policy;
     if (policy != nullptr) {
         ownedPerturb_.reset();
+        // A policy gathers its ready set from the heap alone. Each lane's
+        // head is there already; the events behind it join as plain ones.
+        for (Lane &lane : lanes_) {
+            while (lane.size > 0) {
+                HeapEntry e = lane.pop();
+                e.lane = kNoLane;
+                heapPush(e);
+            }
+        }
+        laneBacklog_ = 0;
     }
 }
 
@@ -227,12 +237,35 @@ Simulator::heapRemove(size_t pos)
     }
 }
 
+void
+Simulator::Lane::append(const HeapEntry &e)
+{
+    if (size == ring.size()) {
+        // Unroll the full ring into one twice its size.
+        std::vector<HeapEntry> grown(std::max<size_t>(16, 2 * size));
+        for (size_t i = 0; i < size; ++i) {
+            grown[i] = ring[(first + i) & (ring.size() - 1)];
+        }
+        ring = std::move(grown);
+        first = 0;
+    }
+    ring[(first + size) & (ring.size() - 1)] = e;
+    ++size;
+}
+
 bool
 Simulator::tieAtTop() const
 {
-    // The runner-up is one of the root's children; the ready set has
-    // two or more events exactly when some child shares the root's time.
+    // The runner-up is one of the root's children, or the next event
+    // of the root's lane, which waits behind it in the lane's FIFO; the
+    // ready set has two or more events exactly when one of them shares
+    // the root's time.
     Time when = heap_[0].when;
+    LaneId lane = heap_[0].lane;
+    if (lane != kNoLane && lanes_[lane].size > 0 &&
+        lanes_[lane].front().when == when) {
+        return true;
+    }
     size_t last = std::min(1 + kArity, heap_.size());
     for (size_t c = 1; c < last; ++c) {
         if (heap_[c].when == when) {
@@ -294,14 +327,40 @@ Simulator::scheduleAt(EventKey key, Callback fn)
     return push(key.when, key.seq, std::move(fn));
 }
 
+Simulator::LaneId
+Simulator::openLane()
+{
+    lanes_.emplace_back();
+    return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void
+Simulator::scheduleAt(LaneId lane, Time when, Callback fn)
+{
+    REMORA_ASSERT(when >= now_ && when >= lanes_[lane].last);
+    lanes_[lane].last = when;
+    push(when, nextSeq_++, std::move(fn),
+         policy_ == nullptr ? lane : kNoLane);
+}
+
 EventId
-Simulator::push(Time when, uint64_t seq, Callback fn)
+Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
 {
     uint32_t slot = allocSlot();
     Event &ev = event(slot);
     ev.fn = std::move(fn);
     ev.hint = currentHint_;
-    heapPush(HeapEntry{when, seq, slot});
+    HeapEntry e{when, seq, slot, lane};
+    if (lane == kNoLane || !lanes_[lane].headQueued) {
+        if (lane != kNoLane) {
+            lanes_[lane].headQueued = true;
+        }
+        heapPush(e);
+    } else {
+        // Never earlier than the lane's head, which sits in the heap.
+        lanes_[lane].append(e);
+        ++laneBacklog_;
+    }
     scheduleDigest_.mixRecord(when, "sched", seq);
     return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
 }
@@ -349,7 +408,18 @@ Simulator::step()
         }
     }
     HeapEntry top = heap_[pos];
-    heapRemove(pos);
+    if (top.lane != kNoLane && lanes_[top.lane].size > 0) {
+        // The lane's next event takes its head's place. It sorts no
+        // earlier than the head, so one siftDown restores the heap.
+        event(top.slot).heapPos = kNotQueued;
+        --laneBacklog_;
+        siftDown(pos, lanes_[top.lane].pop());
+    } else {
+        if (top.lane != kNoLane) {
+            lanes_[top.lane].headQueued = false;
+        }
+        heapRemove(pos);
+    }
     REMORA_ASSERT(top.when >= now_);
     now_ = top.when;
     runningSeq_ = top.seq;

@@ -24,6 +24,13 @@
  * Every consulted choice is folded into the schedule digest, so a
  * replayed choice vector reproduces a run bit-identically.
  *
+ * A source whose event times never decrease, such as one CPU's
+ * first-come-first-served completions, may queue them on a *lane*
+ * (openLane): only the lane's earliest event sits in the heap, and the
+ * rest wait behind it in a FIFO. Keys still come from the one seq
+ * counter, so merging the sorted lanes through the heap yields the
+ * same total order as pushing every event.
+ *
  * Events carry a dependency hint (DepHint) captured from the ambient
  * hint at schedule time: which channel, sync word, or segment range the
  * event's causal chain is acting on. Hints never affect execution; the
@@ -399,6 +406,21 @@ class Simulator
      */
     EventId scheduleAt(Time when, Callback fn);
 
+    /** Identifies a lane opened with openLane(). */
+    using LaneId = uint32_t;
+
+    /** Open a lane for a source whose event times never decrease. */
+    LaneId openLane();
+
+    /**
+     * Schedule @p fn at @p when (>= now, and no earlier than any event
+     * scheduled on @p lane before) on @p lane. It takes its key exactly
+     * as scheduleAt(when, fn) would, but it cannot be cancelled. While a
+     * SchedulePolicy is installed it goes straight onto the heap, from
+     * which the policy's ready set is gathered.
+     */
+    void scheduleAt(LaneId lane, Time when, Callback fn);
+
     /**
      * Reserve the key an event scheduled now at @p when (>= now) would
      * get, without queueing anything: a *deferred event*. Its owner
@@ -472,13 +494,14 @@ class Simulator
     uint64_t eventsProcessed() const { return processed_; }
 
     /**
-     * Number of events currently pending. Cancellation removes events
-     * eagerly, so this always equals livePendingEvents().
+     * Number of events currently pending, lane FIFOs included.
+     * Cancellation removes events eagerly, so this always equals
+     * livePendingEvents().
      */
-    size_t pendingEvents() const { return heap_.size(); }
+    size_t pendingEvents() const { return heap_.size() + laneBacklog_; }
 
     /** Pending events that are still live (not cancelled). */
-    size_t livePendingEvents() const { return heap_.size(); }
+    size_t livePendingEvents() const { return pendingEvents(); }
 
     /**
      * Fold a component-level (now, kind, actor) record into the
@@ -534,7 +557,7 @@ class Simulator
     /**
      * Install @p policy (borrowed, not owned) as the same-instant
      * tie-break; replaces any perturbation policy. nullptr restores
-     * insertion order.
+     * insertion order. Events queued on lanes move onto the heap.
      */
     void setPolicy(SchedulePolicy *policy);
 
@@ -619,12 +642,16 @@ class Simulator
         uint32_t heapPos = kNotQueued;
     };
 
-    /** Heap entry: the (when, seq) ordering key plus the event's slot. */
+    /**
+     * Heap entry: the (when, seq) ordering key plus the event's slot and
+     * the lane it was queued on, if any.
+     */
     struct HeapEntry
     {
         Time when;
         uint64_t seq;
         uint32_t slot;
+        LaneId lane;
 
         bool
         operator<(const HeapEntry &o) const
@@ -632,8 +659,36 @@ class Simulator
             return when != o.when ? when < o.when : seq < o.seq;
         }
     };
+    static_assert(sizeof(HeapEntry) == 24);
+
+    /**
+     * A lane: the FIFO of its events behind the one in the heap, kept in
+     * a ring whose capacity is zero or a power of two.
+     */
+    struct Lane
+    {
+        std::vector<HeapEntry> ring;
+        size_t first = 0; ///< Ring index of the oldest queued entry.
+        size_t size = 0;
+        Time last = 0;           ///< Latest time scheduled on the lane.
+        bool headQueued = false; ///< Its earliest event sits in the heap.
+
+        const HeapEntry &front() const { return ring[first]; }
+
+        HeapEntry
+        pop()
+        {
+            HeapEntry e = ring[first];
+            first = (first + 1) & (ring.size() - 1);
+            --size;
+            return e;
+        }
+
+        void append(const HeapEntry &e);
+    };
 
     static constexpr uint32_t kNotQueued = UINT32_MAX;
+    static constexpr LaneId kNoLane = UINT32_MAX;
     // Slots live in fixed-size chunks that never move, so a callback
     // runs in place even when the events it schedules grow the pool.
     static constexpr uint32_t kChunkBits = 8;
@@ -647,7 +702,7 @@ class Simulator
 
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
-    EventId push(Time when, uint64_t seq, Callback fn);
+    EventId push(Time when, uint64_t seq, Callback fn, LaneId lane = kNoLane);
     void pruneReserved();
     void heapPush(const HeapEntry &e);
     void heapRemove(size_t pos);
@@ -679,8 +734,11 @@ class Simulator
     std::vector<std::unique_ptr<Event[]>> chunks_;
     uint32_t slotsUsed_ = 0; ///< Slots ever handed out.
     std::vector<uint32_t> freeSlots_;
-    // Indexed 4-ary min-heap on (when, seq) over queued slots.
+    // Indexed 4-ary min-heap on (when, seq) over queued slots: every
+    // plain event, and the earliest event of each lane.
     std::vector<HeapEntry> heap_;
+    std::vector<Lane> lanes_;
+    size_t laneBacklog_ = 0; ///< Entries in lane FIFOs.
     // Scratch buffers reused across decision points.
     std::vector<size_t> readyPos_;
     std::vector<ReadyChoice> ready_;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/cpu.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -682,6 +683,24 @@ TEST(Cpu, CoroutineUseAwaitsCompletion)
     EXPECT_EQ(t.result(), usec(25));
 }
 
+TEST(Cpu, EventDueAtTheCompletionRunsBeforeTheResume)
+{
+    // The completion (seq 1) runs at 10 us with the plain event (seq 2)
+    // still due then, so the resume it schedules (seq 3) runs last.
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    std::string order;
+    auto t = [](CpuResource *c, std::string *o) -> Task<void> {
+        co_await c->use(usec(10), CpuCategory::kOther);
+        o->push_back('r');
+    }(&cpu, &order);
+    sim.schedule(usec(10), [&order] { order.push_back('e'); });
+    sim.run();
+    EXPECT_TRUE(t.done());
+    EXPECT_EQ(order, "er");
+    EXPECT_EQ(sim.eventsProcessed(), 3u);
+}
+
 TEST(Cpu, UtilizationOverWindow)
 {
     Simulator sim;
@@ -725,6 +744,207 @@ TEST_P(CpuContention, FifoAndExactAccounting)
 
 INSTANTIATE_TEST_SUITE_P(Counts, CpuContention,
                          ::testing::Values(1, 2, 16, 128));
+
+// ----------------------------------------------------------------------
+// Lanes
+//
+// A CpuResource queues its completions on a lane, so only its earliest
+// one sits in the heap. Lanes are off while a policy is installed, so
+// an insertion-order RecordReplayPolicy (empty prefix, no fallback)
+// runs the same schedule from the heap alone: each schedule below runs
+// both ways on fresh simulators, and the runs must agree step by step.
+// ----------------------------------------------------------------------
+
+/** What one run of a lane schedule observed. */
+struct LaneRun
+{
+    std::string order;               ///< Event tags, in execution order.
+    std::vector<size_t> pending;     ///< pendingEvents() before each step.
+    std::vector<uint64_t> decisions; ///< decisionPoints() after each step.
+    uint64_t events = 0;
+    Time end = 0;
+};
+
+/**
+ * Run the schedule @p build posts on a fresh simulator with two CPUs,
+ * under @p policy (nullptr: lanes on).
+ */
+template <typename Build>
+LaneRun
+runLaneSchedule(SchedulePolicy *policy, Build build)
+{
+    Simulator sim;
+    sim.setPolicy(policy);
+    CpuResource a(sim, "a");
+    CpuResource b(sim, "b");
+    LaneRun r;
+    build(sim, a, b, r.order);
+    r.pending.push_back(sim.pendingEvents());
+    while (sim.step()) {
+        r.pending.push_back(sim.pendingEvents());
+        r.decisions.push_back(sim.decisionPoints());
+    }
+    r.events = sim.eventsProcessed();
+    r.end = sim.now();
+    return r;
+}
+
+/** Require the lane run of @p build to match its insertion-order run. */
+template <typename Build>
+void
+expectLanesKeepTheHeapOrder(Build build)
+{
+    LaneRun lanes = runLaneSchedule(nullptr, build);
+    RecordReplayPolicy insertionOrder;
+    LaneRun heap = runLaneSchedule(&insertionOrder, build);
+    EXPECT_EQ(lanes.order, heap.order);
+    EXPECT_EQ(lanes.pending, heap.pending);
+    EXPECT_EQ(lanes.decisions, heap.decisions);
+    EXPECT_EQ(lanes.events, heap.events);
+    EXPECT_EQ(lanes.end, heap.end);
+    EXPECT_FALSE(lanes.order.empty());
+}
+
+/** A callback that appends @p tag to @p order. */
+auto
+tagged(std::string &order, char tag)
+{
+    return [&order, tag] { order.push_back(tag); };
+}
+
+TEST(Lanes, CompletionsTieWithPlainEventsAndWithEachOther)
+{
+    expectLanesKeepTheHeapOrder([](Simulator &sim, CpuResource &a,
+                                   CpuResource &b, std::string &order) {
+        // p is scheduled before the posts that complete at 10 us and q
+        // after them; the zero-cost posts tie inside a's lane.
+        sim.schedule(usec(10), tagged(order, 'p'));
+        a.post(usec(10), CpuCategory::kOther, tagged(order, 'a'));
+        a.post(0, CpuCategory::kOther, tagged(order, 'b'));
+        a.post(0, CpuCategory::kOther, tagged(order, 'c'));
+        b.post(usec(10), CpuCategory::kOther, tagged(order, 'd'));
+        sim.schedule(usec(10), tagged(order, 'q'));
+        a.post(usec(5), CpuCategory::kOther, tagged(order, 'e'));
+        sim.schedule(usec(15), tagged(order, 'r'));
+        b.post(usec(5), CpuCategory::kOther, tagged(order, 'f'));
+    });
+}
+
+TEST(Lanes, ZeroCostPostsTieInsideOneLane)
+{
+    // Nothing but the lane's own FIFO ties with its head, so only the
+    // lane check in the tie test sees these decision points.
+    expectLanesKeepTheHeapOrder(
+        [](Simulator &, CpuResource &a, CpuResource &, std::string &order) {
+            for (char tag : {'a', 'b', 'c'}) {
+                a.post(0, CpuCategory::kOther, tagged(order, tag));
+            }
+            a.post(usec(1), CpuCategory::kOther, tagged(order, 'd'));
+        });
+    LaneRun r = runLaneSchedule(
+        nullptr,
+        [](Simulator &, CpuResource &a, CpuResource &, std::string &order) {
+            a.post(0, CpuCategory::kOther, tagged(order, 'a'));
+            a.post(0, CpuCategory::kOther, tagged(order, 'b'));
+        });
+    EXPECT_EQ(r.decisions, (std::vector<uint64_t>{1, 1}));
+}
+
+/**
+ * A seeded chain of events: each one records its tag and spawns two
+ * more until the count runs out. A spawn is a plain event 0, 5 or 10 us
+ * later, or a post costing 0, 5 or 10 us on either CPU.
+ */
+class Spawner : public std::enable_shared_from_this<Spawner>
+{
+  public:
+    Spawner(Simulator &sim, CpuResource &a, CpuResource &b,
+            std::string &order, uint64_t seed, int count)
+        : sim_(sim), cpus_{&a, &b}, order_(order), rng_(seed), left_(count)
+    {}
+
+    void
+    spawn()
+    {
+        if (left_ == 0) {
+            return;
+        }
+        --left_;
+        auto tag = static_cast<char>('!' + left_ % 90);
+        auto fn = [self = shared_from_this(), tag] {
+            self->order_.push_back(tag);
+            self->spawn();
+            self->spawn();
+        };
+        Duration d = usec(5) * rng_.uniformInt(3);
+        uint32_t where = rng_.uniformInt(3);
+        if (where == 2) {
+            sim_.schedule(d, fn);
+        } else {
+            cpus_[where]->post(d, CpuCategory::kOther, fn);
+        }
+    }
+
+  private:
+    Simulator &sim_;
+    CpuResource *cpus_[2];
+    std::string &order_;
+    Random rng_;
+    int left_;
+};
+
+/** A lane schedule of @p count spawned events from @p seed. */
+auto
+spawning(uint64_t seed, int count)
+{
+    return [seed, count](Simulator &sim, CpuResource &a, CpuResource &b,
+                         std::string &order) {
+        auto s = std::make_shared<Spawner>(sim, a, b, order, seed, count);
+        s->spawn();
+        s->spawn();
+    };
+}
+
+TEST(Lanes, SeededSchedulesRunInTheHeapsOrder)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        expectLanesKeepTheHeapOrder(spawning(seed, 200));
+    }
+}
+
+TEST(Lanes, InstallingAPolicyMovesQueuedLaneEventsOntoTheHeap)
+{
+    // Three completions tie at 10 us, two of them queued behind the
+    // lane's head. A policy installed then is offered every tied event,
+    // including one posted under it.
+    Simulator sim;
+    CpuResource cpu(sim, "cpu");
+    std::string order;
+    cpu.post(usec(10), CpuCategory::kOther, tagged(order, 'a'));
+    cpu.post(0, CpuCategory::kOther, tagged(order, 'b'));
+    cpu.post(0, CpuCategory::kOther, tagged(order, 'c'));
+    sim.schedule(usec(10), tagged(order, 'p'));
+    LastReadyPolicy last;
+    sim.setPolicy(&last);
+    EXPECT_EQ(sim.pendingEvents(), 4u);
+    cpu.post(0, CpuCategory::kOther, tagged(order, 'd'));
+    EXPECT_EQ(sim.pendingEvents(), 5u);
+    sim.run();
+    EXPECT_EQ(order, "dpcba");
+    EXPECT_EQ(last.offered, (std::vector<std::vector<uint64_t>>{
+                                {1, 2, 3, 4, 5}, {1, 2, 3, 4}, {1, 2, 3},
+                                {1, 2}}));
+    // Without the policy the lane queues again.
+    sim.setPolicy(nullptr);
+    order.clear();
+    cpu.post(usec(1), CpuCategory::kOther, tagged(order, 'e'));
+    cpu.post(0, CpuCategory::kOther, tagged(order, 'f'));
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.run();
+    EXPECT_EQ(order, "ef");
+    EXPECT_EQ(sim.decisionPoints(), 5u);
+}
 
 } // namespace
 } // namespace remora::sim
