@@ -34,13 +34,18 @@ CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
     busyUntil_ = end;
     totalBusy_ += cost;
     byCategory_[static_cast<size_t>(cat)] += cost;
-    // Always schedule the completion instant, even without a callback:
-    // draining the event queue then means draining the CPU too, so
-    // simulated time never lags behind committed work.
     if (fn) {
         sim_.scheduleAt(lane_, end, std::move(fn));
     } else if (cost > 0) {
-        sim_.scheduleAt(lane_, end, [] {});
+        // The completion instant still counts without a callback, so
+        // simulated time never lags behind committed work: run() ends
+        // the clock at a reserved key as the event would have. Under a
+        // policy, which keeps every event eager, queue an empty one.
+        if (sim_.policy() == nullptr) {
+            sim_.reserve(end);
+        } else {
+            sim_.scheduleAt(lane_, end, [] {});
+        }
     }
 }
 

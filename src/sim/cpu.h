@@ -79,10 +79,11 @@ class CpuResource
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            // The completion resumes the coroutine through a zero-delay
-            // event, as every wakeup is ordered through the queue.
+            // The completion resumes the coroutine as a zero-delay event
+            // would, as every wakeup is ordered through the queue; in
+            // place when that event would run next anyway.
             cpu.post(cost, cat, [sim = &cpu.sim_, h] {
-                sim->schedule(0, [h] { h.resume(); });
+                sim->runNext([h] { h.resume(); });
             });
         }
 

@@ -459,6 +459,26 @@ class Simulator
     }
 
     /**
+     * Run @p fn as schedule(0, fn) would, in place when that event would
+     * run next anyway: no policy or step budget is set and nothing else
+     * is due now. It then takes the seq the event would have taken as
+     * the running seq, so passed() answers as before. Only the last act
+     * of a running event may call this.
+     */
+    template <typename F>
+    void
+    runNext(F &&fn)
+    {
+        if (policy_ == nullptr && stepBudgetEnd_ == 0 &&
+            (heap_.empty() || heap_[0].when > now_)) {
+            runningSeq_ = nextSeq_++;
+            fn();
+        } else {
+            schedule(0, std::forward<F>(fn));
+        }
+    }
+
+    /**
      * Cancel a previously scheduled event: it leaves the queue and its
      * callback is destroyed at once.
      *

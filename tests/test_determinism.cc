@@ -577,5 +577,72 @@ TEST(DeferredEvents, UnreliableLossyLinkEndsOnTheEagerClock)
     expectDeferralChangesNothing(runUnreliableLossy);
 }
 
+/**
+ * The `remora faults 5` workload: 24 notified WRITEs of 16 to 495
+ * bytes, then eight READs back, over the reliable wire with 5% of cells
+ * dropped both ways. Its CPU waits often complete with another event
+ * due at the same instant, so a resume run in place out of turn shows.
+ */
+RunResult
+runFaultsProbe(sim::SchedulePolicy *policy)
+{
+    test::TwoNodeCluster c;
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    c.enableReliability();
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Vaddr base = server.space().allocRegion(32768);
+    auto seg = c.engineB.exportSegment(server, base, 32768,
+                                       rmem::Rights::kAll,
+                                       rmem::NotifyPolicy::kConditional,
+                                       "probe.mem");
+    EXPECT_TRUE(seg.ok());
+    rmem::SegmentId scratch = c.exportOn(0, "probe.scratch").descriptor;
+    c.sim.run();
+    net::FaultPlan plan;
+    plan.seed = 5;
+    plan.dropRate = 0.05;
+    c.network.installFaults(plan);
+
+    RunResult r;
+    std::vector<sim::Task<util::Status>> writes;
+    for (int i = 0; i < 24; ++i) {
+        std::vector<uint8_t> data(16 + static_cast<size_t>(i * 53) % 480);
+        for (size_t j = 0; j < data.size(); ++j) {
+            data[j] = static_cast<uint8_t>(static_cast<size_t>(i) * 17 + j);
+        }
+        writes.push_back(c.engineA.write(
+            seg.value(), static_cast<uint32_t>(i) * 1024, data, true));
+    }
+    c.sim.run();
+    std::vector<sim::Task<rmem::ReadOutcome>> reads;
+    for (int i = 0; i < 24; i += 3) {
+        reads.push_back(c.engineA.read(seg.value(),
+                                       static_cast<uint32_t>(i) * 1024,
+                                       scratch, 0, 16));
+    }
+    c.sim.run();
+    for (auto &w : writes) {
+        r.results.push_back(w.done() && w.result().ok());
+    }
+    for (auto &rd : reads) {
+        EXPECT_TRUE(rd.done());
+        const rmem::ReadOutcome &out = rd.result();
+        r.results.push_back(out.status.ok());
+        r.results.insert(r.results.end(), out.data.begin(), out.data.end());
+    }
+    r.results.push_back(static_cast<int64_t>(c.engineA.wire().retransmits() +
+                                             c.engineB.wire().retransmits()));
+    EXPECT_GT(c.network.totalFaultDrops(), 0u);
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, FaultsProbeWorkloadMatchesEagerRun)
+{
+    expectDeferralChangesNothing(runFaultsProbe);
+}
+
 } // namespace
 } // namespace remora

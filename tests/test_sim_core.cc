@@ -701,6 +701,29 @@ TEST(Cpu, EventDueAtTheCompletionRunsBeforeTheResume)
     EXPECT_EQ(sim.eventsProcessed(), 3u);
 }
 
+TEST(Cpu, ResumeRunsInPlaceUnlessAPolicyOrBudgetIsSet)
+{
+    // Nothing else is due at the completion, so its resume would run
+    // next: it runs in place unless a policy or a step budget is set.
+    auto events = [](SchedulePolicy *policy, uint64_t budget) {
+        Simulator sim;
+        sim.setPolicy(policy);
+        sim.setStepBudget(budget);
+        CpuResource cpu(sim, "cpu");
+        auto t = [](CpuResource *c) -> Task<void> {
+            co_await c->use(usec(10), CpuCategory::kOther);
+        }(&cpu);
+        sim.run();
+        EXPECT_TRUE(t.done());
+        EXPECT_EQ(sim.now(), usec(10));
+        return sim.eventsProcessed();
+    };
+    RecordReplayPolicy insertionOrder;
+    EXPECT_EQ(events(nullptr, 0), 1u);
+    EXPECT_EQ(events(&insertionOrder, 0), 2u);
+    EXPECT_EQ(events(nullptr, 100), 2u);
+}
+
 TEST(Cpu, UtilizationOverWindow)
 {
     Simulator sim;
