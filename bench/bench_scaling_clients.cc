@@ -14,12 +14,15 @@
  * and each scheme (HY = Hybrid-1, DX = pure data transfer) we measure
  * aggregate throughput and server-CPU utilization over a fixed window,
  * plus the simulator events each completed op costs (a simulated count,
- * so any change to the event structure shows up in the gate).
+ * so any change to the event structure shows up in the gate). Only ops
+ * that complete inside the window count, and only the CPU time and the
+ * events that fall inside it, so no utilization can exceed 1.
  *
  * Expected shape: HY saturates the server CPU (mostly on control
  * transfer and procedure execution) at a small N; DX keeps utilization
  * low and throughput scaling well past HY's knee.
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -100,8 +103,11 @@ clientLoop(dfs::FileServiceBackend *backend, trace::WorkloadGen *gen,
           default:
             break;
         }
-        ++*completed;
-        *latencySum += sim->now() - t0;
+        // Only ops that complete inside the window count.
+        if (sim->now() < stopAt) {
+            ++*completed;
+            *latencySum += sim->now() - t0;
+        }
     }
 }
 
@@ -174,7 +180,12 @@ runScheme(size_t clients, bool useDx)
                                    &completed[i], &latency[i]));
     }
 
-    sim.run(stopAt + sim::msec(200)); // let in-flight ops drain
+    // Measure at the window's edge: run(limit) runs the events at the
+    // limit, so stop one tick short, then let in-flight ops drain.
+    sim.run(stopAt - 1);
+    sim::Duration serverBusy = serverNode.cpu().busyAt(stopAt);
+    uint64_t events = sim.eventsProcessed() - events0;
+    sim.run(stopAt + sim::msec(200));
     for (auto &loop : loops) {
         loop.detach();
     }
@@ -188,14 +199,12 @@ runScheme(size_t clients, bool useDx)
     }
     double secs = static_cast<double>(kWindow) / 1e9;
     r.opsPerSec = static_cast<double>(total) / secs;
-    r.serverUtil = static_cast<double>(serverNode.cpu().totalBusy()) /
-                   static_cast<double>(kWindow);
+    r.serverUtil =
+        static_cast<double>(serverBusy) / static_cast<double>(kWindow);
     r.meanLatencyMs =
         total ? sim::toMsec(latSum / static_cast<sim::Duration>(total)) : 0;
-    r.eventsPerOp = total ? static_cast<double>(sim.eventsProcessed() -
-                                                events0) /
-                                static_cast<double>(total)
-                          : 0;
+    r.eventsPerOp =
+        total ? static_cast<double>(events) / static_cast<double>(total) : 0;
     return r;
 }
 
@@ -211,13 +220,14 @@ main()
                            "DX/HY thr"});
 
     bench::BenchReport report("scaling_clients");
-    double hyKnee = 0, dxAt16 = 0, hyAt16 = 0;
+    double hyKnee = 0, dxAt16 = 0, hyAt16 = 0, maxUtil = 0;
     for (size_t n : {1, 2, 4, 8, 16, 24}) {
         ClusterRun hy = runScheme(n, false);
         ClusterRun dx = runScheme(n, true);
         if (hy.serverUtil > 0.9 && hyKnee == 0) {
             hyKnee = static_cast<double>(n);
         }
+        maxUtil = std::max({maxUtil, hy.serverUtil, dx.serverUtil});
         if (n == 16) {
             hyAt16 = hy.opsPerSec;
             dxAt16 = dx.opsPerSec;
@@ -250,6 +260,7 @@ main()
     report.metric("hy_saturation_knee_clients", hyKnee, "clients");
     report.metric("dx_over_hy_throughput_at_16", dxAt16 / hyAt16, "x");
     report.check("dx_gt_1.5x_hy_at_16", dxAt16 > 1.5 * hyAt16);
+    report.check("server_util_at_most_1", maxUtil <= 1.0);
     report.write();
     return 0;
 }

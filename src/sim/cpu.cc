@@ -55,14 +55,11 @@ CpuResource::busyIn(CpuCategory cat) const
     return byCategory_[static_cast<size_t>(cat)];
 }
 
-double
-CpuResource::utilizationSince(Time since) const
+Duration
+CpuResource::busyAt(Time edge) const
 {
-    Time now = sim_.now();
-    if (now <= since) {
-        return 0.0;
-    }
-    return static_cast<double>(totalBusy_) / static_cast<double>(now - since);
+    REMORA_ASSERT(edge >= sim_.now());
+    return totalBusy_ - std::max<Duration>(0, busyUntil_ - edge);
 }
 
 void

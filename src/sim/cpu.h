@@ -108,8 +108,13 @@ class CpuResource
     /** CPU time consumed in @p cat since construction / last reset. */
     Duration busyIn(CpuCategory cat) const;
 
-    /** Utilization over [since, now]: busy time / wall time. */
-    double utilizationSince(Time since) const;
+    /**
+     * CPU time consumed up to @p edge (>= now): everything posted so far
+     * less what is still queued past the edge. FCFS keeps the CPU busy
+     * without a gap from now until busyUntil, so that is exactly the
+     * overhang.
+     */
+    Duration busyAt(Time edge) const;
 
     /** Clear the accounting counters (busyUntil is unaffected). */
     void resetAccounting();

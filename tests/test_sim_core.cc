@@ -726,12 +726,22 @@ TEST(Cpu, ResumeRunsInPlaceUnlessAPolicyOrBudgetIsSet)
 
 TEST(Cpu, UtilizationOverWindow)
 {
+    // 50 us of work from 0, then 30 us posted at 90 us that runs past
+    // the 100 us window's edge: 60 us of it fall inside the window.
     Simulator sim;
     CpuResource cpu(sim, "cpu");
     cpu.post(usec(50), CpuCategory::kOther);
-    sim.schedule(usec(100), [] {});
-    sim.run();
-    EXPECT_NEAR(cpu.utilizationSince(0), 0.5, 1e-9);
+    sim.schedule(usec(90), [&cpu] {
+        cpu.post(usec(30), CpuCategory::kOther);
+    });
+    sim.run(usec(100) - 1);
+    EXPECT_EQ(cpu.totalBusy(), usec(80));
+    EXPECT_EQ(cpu.busyAt(usec(100)), usec(60));
+    EXPECT_EQ(cpu.busyAt(usec(120)), usec(80));
+    EXPECT_EQ(cpu.busyAt(usec(150)), usec(80));
+    EXPECT_NEAR(static_cast<double>(cpu.busyAt(usec(100))) /
+                    static_cast<double>(usec(100)),
+                0.6, 1e-9);
 }
 
 TEST(Cpu, CategoryNamesAreStable)
