@@ -8,18 +8,20 @@
 #   scripts/check.sh --format   # + clang-format dry run (.clang-format)
 #   scripts/check.sh --asan     # + ASan/UBSan/LSan suite in build-asan/
 #   scripts/check.sh --race     # + `race` tests with the detector armed, 8 seeds
-#   scripts/check.sh --bench    # + exact bench gate vs bench/baselines
 #   scripts/check.sh --all      # every gate above
 #
 # Gates are additive: the primary build and test suite always run, and
 # each flag layers one more check on top. The suite includes the probe
 # gates, which are ctests: `remora race` and `remora faults` at seeds
 # 0-7, and `remora explore` over the clean workload registry (label
-# `mc`), so --asan runs them under the sanitizers too. --tidy and
-# --format need the LLVM binaries; when they are not installed the gate
-# is skipped with a notice (and counted as skipped in the summary)
-# instead of failing, so CI images without clang still get the full
-# remora-lint pass, which carries the project-specific rules.
+# `mc`), so --asan runs them under the sanitizers too. The primary
+# suite also runs the exact bench gate: the smoke benches (label
+# `bench_smoke`), then bench_diff against bench/baselines (the
+# `bench_baselines_match` test); the sanitizer tree builds no benches.
+# --tidy and --format need the LLVM binaries; when they are not
+# installed the gate is skipped with a notice (and counted as skipped in
+# the summary) instead of failing, so CI images without clang still get
+# the full remora-lint pass, which carries the project-specific rules.
 #
 # The sanitizer pass uses a separate build tree (build-asan/) so it
 # never perturbs the primary build directory.
@@ -34,7 +36,6 @@ DO_TIDY=0
 DO_FORMAT=0
 DO_ASAN=0
 DO_RACE=0
-DO_BENCH=0
 for arg in "$@"; do
     case "${arg}" in
         --lint) DO_LINT=1 ;;
@@ -42,8 +43,7 @@ for arg in "$@"; do
         --format) DO_FORMAT=1 ;;
         --asan) DO_ASAN=1 ;;
         --race) DO_RACE=1 ;;
-        --bench) DO_BENCH=1 ;;
-        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1; DO_BENCH=1 ;;
+        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1 ;;
         -h|--help)
             sed -n '2,/^$/p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
@@ -134,21 +134,6 @@ if [[ "${DO_RACE}" == 1 ]]; then
             ctest -L race --output-on-failure -j "${JOBS}")
     done
     GATES_RUN+=("race[seeds=${#RACE_SEEDS[@]}]")
-fi
-
-if [[ "${DO_BENCH}" == 1 ]]; then
-    echo
-    echo "== bench: regression gate vs bench/baselines =="
-    # Rerun the smoke benches (they rewrite BENCH_*.json in build/bench/,
-    # atomically), then compare every baselined report under bench_diff's
-    # one rule: a simulated metric equals its baseline exactly, and a
-    # wall-clock rate (declared "kind":"wall" by its bench) fails only
-    # below a tenth of its baseline. The simulation is deterministic, so
-    # an intended model change ships with its refreshed baseline file.
-    cmake --build build -j "${JOBS}" --target bench_diff
-    (cd build && ctest -L bench_smoke --output-on-failure -j "${JOBS}")
-    ./build/tools/bench_diff/bench_diff bench/baselines build/bench
-    GATES_RUN+=("bench")
 fi
 
 echo
