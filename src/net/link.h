@@ -130,9 +130,6 @@ class Link
      */
     void setFaultInjector(FaultInjector *injector) { faults_ = injector; }
 
-    /** The installed fault injector, if any. */
-    FaultInjector *faultInjector() const { return faults_; }
-
     /** Diagnostic name. */
     const std::string &name() const { return name_; }
 

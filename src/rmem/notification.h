@@ -161,9 +161,6 @@ class NotificationChannel
      */
     void setHangLabel(std::string label);
 
-    /** Wait-graph channel id; doubles as the channel dependency key. */
-    uint64_t waitGraphId() const { return wgId_; }
-
   private:
     /** Wake the blocked reader / watchers after the dispatch cost. */
     void wakeConsumers();
@@ -184,6 +181,7 @@ class NotificationChannel
     uint64_t delivered_ = 0;
     uint32_t raceOwner_ = 0;
     std::string traceNode_;
+    /** Wait-graph channel id; doubles as the channel dependency key. */
     uint64_t wgId_ = 0;
     bool daemon_ = false;
     /** "<label> blocking read", built once per label, not per park. */
