@@ -33,8 +33,8 @@
 #
 # It fails on any byte difference in the probe or example output,
 # including exit codes, and on any BENCH report that fails
-# bench_diff REF_DIR WORK_DIR, the rule scripts/check.sh --bench
-# applies: every simulated metric equal, and each wall-clock rate
+# bench_diff REF_DIR WORK_DIR, the rule the bench_baselines_match
+# ctest applies: every simulated metric equal, and each wall-clock rate
 # (marked "kind":"wall" in either report) at least a tenth of the
 # reference's. The one exception is a probe line's `schedule=` digest:
 # a change may alter the event structure on purpose (defer an event

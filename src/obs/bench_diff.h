@@ -2,11 +2,11 @@
  * @file
  * Bench regression comparison: baseline report vs candidate report.
  *
- * The regression gate (scripts/check.sh --bench) re-runs the benches,
- * then compares each fresh BENCH_<name>.json against the checked-in
- * copy under bench/baselines/; the behaviour oracle (scripts/equiv.sh)
- * compares two trees' reports the same way. There is one rule, and it
- * has no settings:
+ * The regression gate (the bench_baselines_match ctest, run after the
+ * bench_smoke benches) compares each fresh BENCH_<name>.json against
+ * the checked-in copy under bench/baselines/; the behaviour oracle
+ * (scripts/equiv.sh) compares two trees' reports the same way. There
+ * is one rule, and it has no settings:
  *
  *   - A simulated metric must equal its baseline exactly, as printed
  *     (JsonWriter's 6 significant digits). The simulator is

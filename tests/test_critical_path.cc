@@ -341,7 +341,7 @@ TEST(BenchDiff, IdenticalReportsPass)
 
 TEST(BenchDiff, TwentyPercentRegressionFails)
 {
-    // The contract of scripts/check.sh --bench: a 20% latency
+    // The contract of the bench gate: a 20% latency
     // regression must fail, and the report names the metric and move.
     auto result = obs::diffReportText(reportJson(100.0), reportJson(120.0));
     EXPECT_FALSE(result.pass());
