@@ -351,15 +351,12 @@ Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
     ev.fn = std::move(fn);
     ev.hint = currentHint_;
     HeapEntry e{when, seq, slot, lane};
-    if (lane == kNoLane || !lanes_[lane].headQueued) {
-        if (lane != kNoLane) {
-            lanes_[lane].headQueued = true;
-        }
-        heapPush(e);
-    } else {
+    if (lane != kNoLane && std::exchange(lanes_[lane].headQueued, true)) {
         // Never earlier than the lane's head, which sits in the heap.
         lanes_[lane].append(e);
         ++laneBacklog_;
+    } else {
+        heapPush(e);
     }
     scheduleDigest_.mixRecord(when, "sched", seq);
     return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
