@@ -17,27 +17,9 @@ nodeOfCpu(const std::string &cpuName)
 
 } // namespace
 
-ServerClerk::ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend,
-                         const ClerkParams &params)
-    : cpu_(cpu), backend_(backend), params_(params),
-      lrpc_(cpu, params.localRpc)
+ServerClerk::ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend)
+    : cpu_(cpu), backend_(backend), lrpc_(cpu)
 {}
-
-sim::Task<void>
-ServerClerk::enter()
-{
-    if (params_.chargeLocalRpc) {
-        co_await lrpc_.enterCallee();
-    }
-}
-
-sim::Task<void>
-ServerClerk::leave()
-{
-    if (params_.chargeLocalRpc) {
-        co_await lrpc_.returnToCaller();
-    }
-}
 
 ServerClerk::ClerkOp
 ServerClerk::beginOp(const char *op)
@@ -79,13 +61,13 @@ ServerClerk::null()
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_null");
-    co_await enter();
+    co_await lrpc_.enterCallee();
     stats_.backendCalls.inc();
     util::Status s = co_await [&] {
         obs::OpScope traceScope(op.op);
         return backend_.null();
     }();
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_null");
     co_return s;
 }
@@ -95,25 +77,23 @@ ServerClerk::getattr(FileHandle fh)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_getattr");
-    co_await enter();
-    if (params_.enableLocalCache) {
-        if (auto it = attrCache_.find(fh.key()); it != attrCache_.end()) {
-            stats_.localHits.inc();
-            FileAttr attr = it->second;
-            co_await leave();
-            endOp(op, "clerk_getattr");
-            co_return attr;
-        }
+    co_await lrpc_.enterCallee();
+    if (auto it = attrCache_.find(fh.key()); it != attrCache_.end()) {
+        stats_.localHits.inc();
+        FileAttr attr = it->second;
+        co_await lrpc_.returnToCaller();
+        endOp(op, "clerk_getattr");
+        co_return attr;
     }
     stats_.backendCalls.inc();
     auto result = co_await [&] {
         obs::OpScope traceScope(op.op);
         return backend_.getattr(fh);
     }();
-    if (result.ok() && params_.enableLocalCache) {
+    if (result.ok()) {
         attrCache_[fh.key()] = result.value();
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_getattr");
     co_return result;
 }
@@ -123,27 +103,25 @@ ServerClerk::lookup(FileHandle dir, std::string name)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_lookup");
-    co_await enter();
+    co_await lrpc_.enterCallee();
     auto key = std::make_pair(dir.key(), name);
-    if (params_.enableLocalCache) {
-        if (auto it = nameCache_.find(key); it != nameCache_.end()) {
-            stats_.localHits.inc();
-            LookupReply reply = it->second;
-            co_await leave();
-            endOp(op, "clerk_lookup");
-            co_return reply;
-        }
+    if (auto it = nameCache_.find(key); it != nameCache_.end()) {
+        stats_.localHits.inc();
+        LookupReply reply = it->second;
+        co_await lrpc_.returnToCaller();
+        endOp(op, "clerk_lookup");
+        co_return reply;
     }
     stats_.backendCalls.inc();
     auto result = co_await [&] {
         obs::OpScope traceScope(op.op);
         return backend_.lookup(dir, name);
     }();
-    if (result.ok() && params_.enableLocalCache) {
+    if (result.ok()) {
         nameCache_[key] = result.value();
         attrCache_[result.value().fh.key()] = result.value().attr;
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_lookup");
     co_return result;
 }
@@ -153,13 +131,13 @@ ServerClerk::read(FileHandle fh, uint64_t offset, uint32_t count)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_read");
-    co_await enter();
+    co_await lrpc_.enterCallee();
 
     std::vector<uint8_t> out;
     out.reserve(count);
     uint64_t pos = offset;
     uint64_t end = offset + count;
-    bool allLocal = params_.enableLocalCache;
+    bool allLocal = true;
 
     // Try to assemble the whole range from locally cached blocks.
     while (allLocal && pos < end) {
@@ -183,7 +161,7 @@ ServerClerk::read(FileHandle fh, uint64_t offset, uint32_t count)
     }
     if (allLocal) {
         stats_.localHits.inc();
-        co_await leave();
+        co_await lrpc_.returnToCaller();
         endOp(op, "clerk_read");
         co_return out;
     }
@@ -193,8 +171,7 @@ ServerClerk::read(FileHandle fh, uint64_t offset, uint32_t count)
         obs::OpScope traceScope(op.op);
         return backend_.read(fh, offset, count);
     }();
-    if (result.ok() && params_.enableLocalCache &&
-        offset % kBlockBytes == 0) {
+    if (result.ok() && offset % kBlockBytes == 0) {
         // Cache whole blocks from block-aligned reads.
         const auto &data = result.value();
         for (uint64_t p = 0; p < data.size(); p += kBlockBytes) {
@@ -205,7 +182,7 @@ ServerClerk::read(FileHandle fh, uint64_t offset, uint32_t count)
                                          static_cast<long>(p + len));
         }
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_read");
     co_return result;
 }
@@ -215,8 +192,8 @@ ServerClerk::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_write");
-    co_await enter();
-    if (params_.enableLocalCache && offset % kBlockBytes == 0) {
+    co_await lrpc_.enterCallee();
+    if (offset % kBlockBytes == 0) {
         for (uint64_t p = 0; p < data.size(); p += kBlockBytes) {
             size_t len = std::min<size_t>(kBlockBytes, data.size() - p);
             blockCache_[{fh.key(), offset / kBlockBytes + p / kBlockBytes}] =
@@ -231,7 +208,7 @@ ServerClerk::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
         obs::OpScope traceScope(op.op);
         return backend_.write(fh, offset, std::move(data));
     }();
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_write");
     co_return s;
 }
@@ -241,25 +218,23 @@ ServerClerk::readlink(FileHandle fh)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_readlink");
-    co_await enter();
-    if (params_.enableLocalCache) {
-        if (auto it = linkCache_.find(fh.key()); it != linkCache_.end()) {
-            stats_.localHits.inc();
-            std::string target = it->second;
-            co_await leave();
-            endOp(op, "clerk_readlink");
-            co_return target;
-        }
+    co_await lrpc_.enterCallee();
+    if (auto it = linkCache_.find(fh.key()); it != linkCache_.end()) {
+        stats_.localHits.inc();
+        std::string target = it->second;
+        co_await lrpc_.returnToCaller();
+        endOp(op, "clerk_readlink");
+        co_return target;
     }
     stats_.backendCalls.inc();
     auto result = co_await [&] {
         obs::OpScope traceScope(op.op);
         return backend_.readlink(fh);
     }();
-    if (result.ok() && params_.enableLocalCache) {
+    if (result.ok()) {
         linkCache_[fh.key()] = result.value();
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_readlink");
     co_return result;
 }
@@ -269,25 +244,23 @@ ServerClerk::readdir(FileHandle fh, uint32_t maxBytes)
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_readdir");
-    co_await enter();
-    if (params_.enableLocalCache) {
-        if (auto it = dirCache_.find(fh.key()); it != dirCache_.end()) {
-            stats_.localHits.inc();
-            std::vector<DirEntry> entries = it->second;
-            co_await leave();
-            endOp(op, "clerk_readdir");
-            co_return entries;
-        }
+    co_await lrpc_.enterCallee();
+    if (auto it = dirCache_.find(fh.key()); it != dirCache_.end()) {
+        stats_.localHits.inc();
+        std::vector<DirEntry> entries = it->second;
+        co_await lrpc_.returnToCaller();
+        endOp(op, "clerk_readdir");
+        co_return entries;
     }
     stats_.backendCalls.inc();
     auto result = co_await [&] {
         obs::OpScope traceScope(op.op);
         return backend_.readdir(fh, maxBytes);
     }();
-    if (result.ok() && params_.enableLocalCache) {
+    if (result.ok()) {
         dirCache_[fh.key()] = result.value();
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_readdir");
     co_return result;
 }
@@ -297,11 +270,11 @@ ServerClerk::statfs()
 {
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_statfs");
-    co_await enter();
-    if (params_.enableLocalCache && statValid_) {
+    co_await lrpc_.enterCallee();
+    if (statValid_) {
         stats_.localHits.inc();
         FsStat s = statCache_;
-        co_await leave();
+        co_await lrpc_.returnToCaller();
         endOp(op, "clerk_statfs");
         co_return s;
     }
@@ -310,11 +283,11 @@ ServerClerk::statfs()
         obs::OpScope traceScope(op.op);
         return backend_.statfs();
     }();
-    if (result.ok() && params_.enableLocalCache) {
+    if (result.ok()) {
         statCache_ = result.value();
         statValid_ = true;
     }
-    co_await leave();
+    co_await lrpc_.returnToCaller();
     endOp(op, "clerk_statfs");
     co_return result;
 }

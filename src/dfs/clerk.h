@@ -27,17 +27,6 @@
 
 namespace remora::dfs {
 
-/** Clerk behaviour knobs. */
-struct ClerkParams
-{
-    /** Serve repeat requests from the clerk's local caches. */
-    bool enableLocalCache = true;
-    /** Local RPC transition costs (client <-> clerk). */
-    rpc::LocalRpcCosts localRpc;
-    /** Charge the client<->clerk local RPC on each operation. */
-    bool chargeLocalRpc = true;
-};
-
 /** Clerk statistics. */
 struct ClerkStats
 {
@@ -53,10 +42,8 @@ class ServerClerk
     /**
      * @param cpu The client node's CPU (local RPC costs land here).
      * @param backend The clerk-to-server transfer path (not owned).
-     * @param params Behaviour knobs.
      */
-    ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend,
-                const ClerkParams &params = {});
+    ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend);
 
     /** NULL ping straight through to the backend. */
     sim::Task<util::Status> null();
@@ -104,12 +91,6 @@ class ServerClerk
     FileServiceBackend &backend() { return backend_; }
 
   private:
-    /** Charge the client->clerk local RPC call path. */
-    sim::Task<void> enter();
-
-    /** Charge the clerk->client local RPC return path. */
-    sim::Task<void> leave();
-
     /** One in-flight clerk operation's trace context. */
     struct ClerkOp
     {
@@ -131,7 +112,7 @@ class ServerClerk
 
     sim::CpuResource &cpu_;
     FileServiceBackend &backend_;
-    ClerkParams params_;
+    /** The client <-> clerk local RPC, charged on every operation. */
     rpc::LocalRpc lrpc_;
 
     // The clerk-side cache areas (§5.1), keyed like the server's.

@@ -9,6 +9,13 @@
 
 namespace remora::dfs {
 
+namespace {
+
+/** Retry backoff after a failed acquire while revocation runs. */
+constexpr sim::Duration kRetryBackoff = sim::usec(200);
+
+} // namespace
+
 uint32_t
 tokenSlotOf(uint64_t key, uint32_t slots)
 {
@@ -70,7 +77,7 @@ TokenClient::TokenClient(rmem::RmemEngine &engine, mem::Process &owner,
     : engine_(engine), owner_(owner), area_(area), params_(params),
       myTag_(static_cast<uint32_t>(engine.node().id()) + 1)
 {
-    REMORA_ASSERT(engine.node().id() < params_.maxNodes);
+    REMORA_ASSERT(engine.node().id() < kMaxTokenNodes);
 
     scratchBase_ = owner_.space().allocRegion(mem::kPageBytes);
     auto scratch = engine_.exportSegment(owner_, scratchBase_, 256,
@@ -206,7 +213,7 @@ TokenClient::acquire(uint64_t key)
             co_return util::Status(util::ErrorCode::kTimeout,
                                    "token acquisition timed out");
         }
-        co_await sim::delay(sim, params_.retryBackoff);
+        co_await sim::delay(sim, kRetryBackoff);
     }
 }
 

@@ -46,10 +46,6 @@ struct TokenParams
 {
     /** Slots in the server's token table (direct-mapped by key). */
     uint32_t tokenSlots = 256;
-    /** Maximum node id representable in the holder directory. */
-    uint32_t maxNodes = 64;
-    /** Retry backoff after a failed acquire while revocation runs. */
-    sim::Duration retryBackoff = sim::usec(200);
     /** Give up acquiring after this long (0 = forever). */
     sim::Duration acquireTimeout = sim::msec(50);
 };
@@ -58,13 +54,15 @@ struct TokenParams
 inline constexpr uint32_t kTokenSlotBytes = 16;
 /** Bytes per holder-directory entry: desc, pad, generation, size. */
 inline constexpr uint32_t kHolderEntryBytes = 8;
+/** Maximum node id representable in the holder directory. */
+inline constexpr uint32_t kMaxTokenNodes = 64;
 
 /** Token-area byte size for @p params. */
 constexpr uint32_t
 tokenAreaBytes(const TokenParams &params)
 {
     return params.tokenSlots * kTokenSlotBytes +
-           params.maxNodes * kHolderEntryBytes;
+           kMaxTokenNodes * kHolderEntryBytes;
 }
 
 /** Direct-mapped token slot of a resource key. */

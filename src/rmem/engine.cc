@@ -5,7 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "net/aal5.h"
 #include "rmem/race_detector.h"
 #include "sim/logger.h"
 #include "util/panic.h"
@@ -378,7 +377,6 @@ RmemEngine::write(ImportedSegment dst, uint32_t offset,
         co_return admitted;
     }
 
-    sim::Time start = node_.simulator().now();
     obs::SpanId issueSpan = obs::kNoSpan;
     uint64_t opId = beginOp("write", issueSpan, [&] {
         return "bytes=" + std::to_string(data.size()) + " dst=" +
@@ -408,9 +406,6 @@ RmemEngine::write(ImportedSegment dst, uint32_t offset,
             break;
         }
     } while (true);
-    // Local completion never waits on the wire or the remote NIC, so
-    // the whole latency is software.
-    recordOp(metrics_.write, start, 0, 0);
     endOp(opId, "write", {});
     co_return util::Status();
 }
@@ -439,15 +434,11 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
             {}};
     }
 
-    sim::Time start = node_.simulator().now();
     obs::SpanId issueSpan = obs::kNoSpan;
     uint64_t opId = beginOp("read", issueSpan, [&] {
         return "count=" + std::to_string(count) + " src=" +
                std::to_string(src.node);
     });
-    // Model-derived phase estimates, accumulated per chunk.
-    sim::Duration wireTime = 0;
-    sim::Duration controllerTime = 0;
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
     obs::TraceRecorder::instance().endSpan(issueSpan);
@@ -480,15 +471,6 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
         wire_.send(src.node, Message(req), sim::CpuCategory::kDataReply,
                    opId);
 
-        // One request cell out; the response is one raw cell when it
-        // fits, otherwise an AAL5 frame. Each chunk also pays a server
-        // RX interrupt and a local RX interrupt (the controller phase).
-        size_t respBytes = chunk + 6;
-        wireTime += modelWireTime(1, respBytes <= net::Cell::kPayloadBytes
-                                         ? 1
-                                         : net::aal5CellCount(respBytes));
-        controllerTime += 2 * node_.nic().interruptLatency();
-
         Reply part = co_await fut;
         if (!part.status.ok()) {
             endOp(opId, "read", part.status);
@@ -507,7 +489,6 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
             break;
         }
     }
-    recordOp(metrics_.read, start, wireTime, controllerTime);
     endOp(opId, "read", {});
     co_return total;
 }
@@ -531,7 +512,6 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
                              false, 0};
     }
 
-    sim::Time start = node_.simulator().now();
     obs::SpanId issueSpan = obs::kNoSpan;
     uint64_t opId = beginOp("cas", issueSpan, [&] {
         return "dst=" + std::to_string(dst.node);
@@ -560,12 +540,6 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
     Reply reply = co_await fut;
     CasOutcome out{std::move(reply.status), reply.one.success,
                    reply.one.observed};
-    if (out.status.ok()) {
-        // Single-cell exchange: one request, one response, two NIC
-        // interrupts on the critical path.
-        recordOp(metrics_.cas, start, modelWireTime(1, 1),
-                 2 * node_.nic().interruptLatency());
-    }
     endOp(opId, "cas", out.status);
     co_return out;
 }
@@ -627,7 +601,6 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
                               loc.notify, loc.dstSeg};
     }
 
-    sim::Time start = node_.simulator().now();
     obs::SpanId issueSpan = obs::kNoSpan;
     uint64_t opId = beginOp("vector", issueSpan, [&] {
         return "ops=" + std::to_string(n) + " dst=" +
@@ -642,9 +615,6 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
                              sim::CpuCategory::kOther);
     obs::TraceRecorder::instance().endSpan(issueSpan);
 
-    size_t reqBytes = encodedVectorSize(req);
-    size_t respBytes = encodedVectorRespSize(req);
-
     if (!wantResponse) {
         // Pure-write batch: local completion when the frame is accepted
         // by the network; target-side failures NAK like scalar writes.
@@ -652,7 +622,6 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
         auto accepted = wire_.send(batch.target, Message(std::move(req)),
                                    sim::CpuCategory::kDataReply, opId);
         co_await accepted;
-        recordOp(metrics_.vector, start, 0, 0);
         endOp(opId, "vector", {});
         co_return VectorOutcome{util::Status(), {}};
     }
@@ -663,21 +632,9 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
 
     wire_.send(batch.target, Message(std::move(req)),
                sim::CpuCategory::kDataReply, opId);
-    // One request frame out, one response frame back, two NIC
-    // interrupts on the critical path — for the whole batch.
-    sim::Duration wireTime = modelWireTime(
-        reqBytes <= net::Cell::kPayloadBytes ? 1
-                                             : net::aal5CellCount(reqBytes),
-        respBytes <= net::Cell::kPayloadBytes
-            ? 1
-            : net::aal5CellCount(respBytes));
-    sim::Duration controllerTime = 2 * node_.nic().interruptLatency();
 
     Reply reply = co_await fut;
     VectorOutcome out{std::move(reply.status), std::move(reply.results)};
-    if (out.status.ok()) {
-        recordOp(metrics_.vector, start, wireTime, controllerTime);
-    }
     endOp(opId, "vector", out.status);
     co_return out;
 }
@@ -1255,43 +1212,6 @@ RmemEngine::ownerOf(const SegmentDescriptor &d)
     return node_.findProcess(d.ownerPid);
 }
 
-sim::Duration
-RmemEngine::modelWireTime(size_t cellsOut, size_t cellsBack) const
-{
-    net::Link *l = node_.nic().txLink();
-    if (l == nullptr) {
-        return 0;
-    }
-    // Symmetric-cluster assumption: the return path has the same rate
-    // and propagation as the local TX link.
-    sim::Duration t = static_cast<sim::Duration>(cellsOut + cellsBack) *
-                      l->cellTime();
-    if (cellsOut > 0) {
-        t += l->propagation();
-    }
-    if (cellsBack > 0) {
-        t += l->propagation();
-    }
-    return t;
-}
-
-void
-RmemEngine::recordOp(OpPhaseStats &op, sim::Time start,
-                     sim::Duration wireTime, sim::Duration controllerTime)
-{
-    sim::Duration total = node_.simulator().now() - start;
-    double totalUs = sim::toUsec(total);
-    op.latencyUs.sample(totalUs);
-    op.totalUs.sample(totalUs);
-    // Software is whatever the modeled wire and controller phases do
-    // not account for; clamp against model over-estimates.
-    sim::Duration software =
-        std::max<sim::Duration>(0, total - wireTime - controllerTime);
-    op.softwareUs.sample(sim::toUsec(software));
-    op.wireUs.sample(sim::toUsec(wireTime));
-    op.controllerUs.sample(sim::toUsec(controllerTime));
-}
-
 void
 RmemEngine::registerStats(obs::MetricRegistry &reg,
                           const std::string &prefix) const
@@ -1310,18 +1230,6 @@ RmemEngine::registerStats(obs::MetricRegistry &reg,
     reg.add(prefix + ".vector.sub_ops_served", stats_.vectorSubOpsServed);
     reg.add(prefix + ".vector.doorbells", stats_.vectorDoorbells);
     reg.add(prefix + ".vector.validate_hits", stats_.vectorValidateHits);
-    auto addOp = [&reg, &prefix](const char *name, const OpPhaseStats &op) {
-        std::string base = prefix + "." + name;
-        reg.add(base + ".latency_us", op.latencyUs);
-        reg.add(base + ".total_us", op.totalUs);
-        reg.add(base + ".software_us", op.softwareUs);
-        reg.add(base + ".wire_us", op.wireUs);
-        reg.add(base + ".controller_us", op.controllerUs);
-    };
-    addOp("write", metrics_.write);
-    addOp("read", metrics_.read);
-    addOp("cas", metrics_.cas);
-    addOp("vector", metrics_.vector);
     wire_.registerStats(reg, prefix + ".wire");
 }
 

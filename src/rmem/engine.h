@@ -93,34 +93,6 @@ struct EngineStats
     sim::Counter vectorValidateHits;
 };
 
-/**
- * Latency decomposition of one meta-instruction class, reproducing
- * Table 2's phase breakdown. The wire and controller phases are derived
- * from the topology model (cell serialization + propagation, NIC
- * interrupt latencies on the critical path); software is the remainder
- * — kernel emulation, PIO, validation, and copies.
- */
-struct OpPhaseStats
-{
-    /** End-to-end latency, 5 us buckets up to 400 us. */
-    sim::Histogram latencyUs{0.0, 5.0, 80};
-    sim::Accumulator totalUs;
-    sim::Accumulator softwareUs;
-    sim::Accumulator wireUs;
-    sim::Accumulator controllerUs;
-};
-
-/** Per-meta-instruction phase stats (successful ops only). */
-struct EngineMetrics
-{
-    /** WRITE latency is to local completion, so it is all software. */
-    OpPhaseStats write;
-    OpPhaseStats read;
-    OpPhaseStats cas;
-    /** Vectored meta-instructions (whole-batch latency). */
-    OpPhaseStats vector;
-};
-
 /** Per-node remote-memory kernel layer. */
 class RmemEngine
 {
@@ -280,15 +252,12 @@ class RmemEngine
     /** Counters. */
     const EngineStats &stats() const { return stats_; }
 
-    /** Per-op latency/phase decomposition. */
-    const EngineMetrics &metrics() const { return metrics_; }
-
     /** NAKs received for writes (fire-and-forget failures). */
     uint64_t nakCount() const { return stats_.naksReceived.value(); }
 
     /**
-     * Register this engine's counters, per-op phase stats, and the
-     * underlying Wire's counters under @p prefix (e.g. "nodeA.rmem").
+     * Register this engine's counters and the underlying Wire's
+     * counters under @p prefix (e.g. "nodeA.rmem").
      */
     void registerStats(obs::MetricRegistry &reg,
                        const std::string &prefix) const;
@@ -416,18 +385,6 @@ class RmemEngine
     /** The owning process of a descriptor, or nullptr if it died. */
     mem::Process *ownerOf(const SegmentDescriptor &d);
 
-    /**
-     * Modeled wire time of an exchange: @p cellsOut request cells and
-     * @p cellsBack response cells serialized at the local link's rate,
-     * plus one propagation delay per direction used. Zero when no link
-     * is attached.
-     */
-    sim::Duration modelWireTime(size_t cellsOut, size_t cellsBack) const;
-
-    /** Record one completed op's latency and phase decomposition. */
-    void recordOp(OpPhaseStats &op, sim::Time start, sim::Duration wireTime,
-                  sim::Duration controllerTime);
-
     mem::Node &node_;
     CostModel costs_;
     Wire wire_;
@@ -435,7 +392,6 @@ class RmemEngine
     std::unordered_map<ReqId, Pending> pending_;
     ReqId nextReqId_ = 1;
     EngineStats stats_;
-    EngineMetrics metrics_;
 };
 
 } // namespace remora::rmem

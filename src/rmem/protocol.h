@@ -140,7 +140,7 @@ struct RpcMsg
  * Reliability envelope (Wire::enableReliability): one fragment of an
  * inner encoded message, sequenced per (sender, receiver) pair. Large
  * inner messages are split across consecutive envelopes
- * (ReliabilityParams::maxFragmentBytes) so the retransmission unit
+ * (kMaxFragmentBytes in wire.cc) so the retransmission unit
  * stays a handful of cells — a single lost cell must not force a
  * multi-hundred-cell frame to be resent whole, or a lossy link could
  * never deliver it. The inner CRC covers raw single-cell messages too,

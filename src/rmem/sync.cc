@@ -9,6 +9,27 @@
 
 namespace remora::rmem {
 
+namespace {
+
+/** SpinLock: first retry delay after a failed CAS. */
+constexpr sim::Duration kInitialBackoff = sim::usec(50);
+/** SpinLock: backoff cap. */
+constexpr sim::Duration kMaxBackoff = sim::usec(800);
+
+/** Heartbeat publisher bump period. */
+constexpr sim::Duration kPublishPeriod = sim::msec(10);
+/** Heartbeat monitor probe period. */
+constexpr sim::Duration kProbePeriod = sim::msec(25);
+/** Per-probe read deadline. */
+constexpr sim::Duration kProbeTimeout = sim::msec(10);
+/**
+ * Declare failure after this many consecutive probes that either timed
+ * out or observed no counter progress.
+ */
+constexpr uint32_t kMissesAllowed = 3;
+
+} // namespace
+
 // ----------------------------------------------------------------------
 // SpinLock
 // ----------------------------------------------------------------------
@@ -49,7 +70,7 @@ SpinLock::acquire()
     sim::Time deadline = params_.acquireTimeout > 0
                              ? sim.now() + params_.acquireTimeout
                              : sim::kTimeMax;
-    sim::Duration backoff = params_.initialBackoff;
+    sim::Duration backoff = kInitialBackoff;
     for (;;) {
         CasOutcome out = co_await engine_.cas(segment_, offset_, 0,
                                               ownerTag_, resultSeg_,
@@ -74,7 +95,7 @@ SpinLock::acquire()
                                    "lock acquisition timed out");
         }
         co_await sim::delay(sim, backoff);
-        backoff = std::min(backoff * 2, params_.maxBackoff);
+        backoff = std::min(backoff * 2, kMaxBackoff);
     }
 }
 
@@ -120,9 +141,8 @@ SpinLock::release()
 // ----------------------------------------------------------------------
 
 HeartbeatPublisher::HeartbeatPublisher(RmemEngine &engine,
-                                       mem::Process &owner,
-                                       const HeartbeatParams &params)
-    : engine_(engine), owner_(owner), params_(params)
+                                       mem::Process &owner)
+    : engine_(engine), owner_(owner)
 {
     base_ = owner_.space().allocRegion(mem::kPageBytes);
     auto h = engine_.exportSegment(owner_, base_, 64, Rights::kRead,
@@ -159,16 +179,14 @@ HeartbeatPublisher::publishLoop()
         // single-word guarantee keeps readers consistent.
         util::Status s = owner_.space().writeWord(base_, beats_);
         REMORA_ASSERT(s.ok());
-        co_await sim::delay(sim, params_.publishPeriod);
+        co_await sim::delay(sim, kPublishPeriod);
     }
 }
 
 HeartbeatMonitor::HeartbeatMonitor(RmemEngine &engine, mem::Process &owner,
                                    const ImportedSegment &peer,
-                                   FailureCallback onFailure,
-                                   const HeartbeatParams &params)
-    : engine_(engine), params_(params), peer_(peer),
-      onFailure_(std::move(onFailure))
+                                   FailureCallback onFailure)
+    : engine_(engine), peer_(peer), onFailure_(std::move(onFailure))
 {
     mem::Vaddr scratch = owner.space().allocRegion(mem::kPageBytes);
     auto h = engine_.exportSegment(owner, scratch, 64, Rights::kRead,
@@ -195,13 +213,13 @@ HeartbeatMonitor::probeLoop()
     uint32_t lastSeen = 0;
     uint32_t misses = 0;
     while (running_ && !failed_) {
-        co_await sim::delay(sim, params_.probePeriod);
+        co_await sim::delay(sim, kProbePeriod);
         if (!running_) {
             break;
         }
         ++probes_;
         ReadOutcome out = co_await engine_.read(
-            peer_, 0, scratchSeg_, 0, 4, false, params_.probeTimeout);
+            peer_, 0, scratchSeg_, 0, 4, false, kProbeTimeout);
         bool progress = false;
         if (out.status.ok() && out.data.size() == 4) {
             util::ByteReader r(out.data);
@@ -211,7 +229,7 @@ HeartbeatMonitor::probeLoop()
         }
         if (progress) {
             misses = 0;
-        } else if (++misses >= params_.missesAllowed) {
+        } else if (++misses >= kMissesAllowed) {
             failed_ = true;
             if (onFailure_) {
                 onFailure_(peer_.node);

@@ -37,10 +37,6 @@ namespace remora::rmem {
 /** Tuning for SpinLock acquisition. */
 struct SpinLockParams
 {
-    /** First retry delay after a failed CAS. */
-    sim::Duration initialBackoff = sim::usec(50);
-    /** Backoff cap. */
-    sim::Duration maxBackoff = sim::usec(800);
     /** Give up after this long (0 = forever). */
     sim::Duration acquireTimeout = 0;
 };
@@ -62,7 +58,7 @@ class SpinLock
      * @param resultSeg Local segment for CAS result deposits.
      * @param resultOff Word-aligned offset within @p resultSeg.
      * @param ownerTag Non-zero tag identifying this holder.
-     * @param params Backoff tuning.
+     * @param params Acquisition tuning.
      */
     SpinLock(RmemEngine &engine, const ImportedSegment &segment,
              uint32_t offset, SegmentId resultSeg, uint32_t resultOff,
@@ -102,22 +98,6 @@ class SpinLock
     uint64_t contention_ = 0;
 };
 
-/** Tuning for the Heartbeat failure detector. */
-struct HeartbeatParams
-{
-    /** Publisher bump period. */
-    sim::Duration publishPeriod = sim::msec(10);
-    /** Monitor probe period. */
-    sim::Duration probePeriod = sim::msec(25);
-    /** Per-probe read deadline. */
-    sim::Duration probeTimeout = sim::msec(10);
-    /**
-     * Declare failure after this many consecutive probes that either
-     * timed out or observed no counter progress.
-     */
-    uint32_t missesAllowed = 3;
-};
-
 /** Publishing half: bumps a monotonically increasing counter word. */
 class HeartbeatPublisher
 {
@@ -126,8 +106,7 @@ class HeartbeatPublisher
      * @param engine This node's engine.
      * @param owner Process whose memory backs the counter segment.
      */
-    HeartbeatPublisher(RmemEngine &engine, mem::Process &owner,
-                       const HeartbeatParams &params = {});
+    HeartbeatPublisher(RmemEngine &engine, mem::Process &owner);
 
     /** Handle monitors import to read the counter. */
     ImportedSegment handle() const { return handle_; }
@@ -146,7 +125,6 @@ class HeartbeatPublisher
 
     RmemEngine &engine_;
     mem::Process &owner_;
-    HeartbeatParams params_;
     mem::Vaddr base_ = 0;
     ImportedSegment handle_;
     uint32_t beats_ = 0;
@@ -167,8 +145,7 @@ class HeartbeatMonitor
      * @param onFailure Failure upcall.
      */
     HeartbeatMonitor(RmemEngine &engine, mem::Process &owner,
-                     const ImportedSegment &peer, FailureCallback onFailure,
-                     const HeartbeatParams &params = {});
+                     const ImportedSegment &peer, FailureCallback onFailure);
 
     /** Start probing (runs until failure is declared or stop()). */
     void start();
@@ -186,7 +163,6 @@ class HeartbeatMonitor
     sim::Task<void> probeLoop();
 
     RmemEngine &engine_;
-    HeartbeatParams params_;
     ImportedSegment peer_;
     FailureCallback onFailure_;
     SegmentId scratchSeg_ = 0;

@@ -323,15 +323,24 @@ TEST(Determinism, FnvReferenceValues)
 // the smallest seq at every tie, the plain insertion order, but as a
 // policy it makes every owner schedule every event at once. So each
 // workload below runs both ways on fresh simulators, and the two runs
-// must agree on everything but the event count.
+// must agree on everything but the event count. A change that moved
+// both runs alike would pass that comparison, so the deferred run must
+// also land on the semantic digest and end clock pinned for it.
 // ----------------------------------------------------------------------
 
-/** Run @p workload deferred and eager; require equal behaviour. */
+/**
+ * Run @p workload deferred and eager; require equal behaviour, and the
+ * deferred run's semantic digest and end clock to equal @p semantic and
+ * @p end.
+ */
 template <typename Workload>
 void
-expectDeferralChangesNothing(Workload workload)
+expectDeferralChangesNothing(Workload workload, uint64_t semantic,
+                             sim::Time end)
 {
     RunResult deferred = workload(nullptr);
+    EXPECT_EQ(deferred.semantic, semantic);
+    EXPECT_EQ(deferred.end, end);
     sim::RecordReplayPolicy insertionOrder;
     RunResult eager = workload(&insertionOrder);
     EXPECT_EQ(deferred.semantic, eager.semantic);
@@ -353,9 +362,11 @@ finish(const sim::Simulator &s, RunResult &r)
 
 TEST(DeferredEvents, TwoNodeClusterWorkloadMatchesEagerRun)
 {
-    expectDeferralChangesNothing([](sim::SchedulePolicy *policy) {
-        return runClusterWorkload(0, std::nullopt, policy);
-    });
+    expectDeferralChangesNothing(
+        [](sim::SchedulePolicy *policy) {
+            return runClusterWorkload(0, std::nullopt, policy);
+        },
+        0x7cf2c021d783c4cdull, 19133673);
 }
 
 /**
@@ -425,7 +436,8 @@ runSwitchedDx(sim::SchedulePolicy *policy)
 
 TEST(DeferredEvents, SwitchedDxClusterMatchesEagerRun)
 {
-    expectDeferralChangesNothing(runSwitchedDx);
+    expectDeferralChangesNothing(runSwitchedDx, 0xe9829a71c8d491b9ull,
+                                 118946516);
 }
 
 /**
@@ -487,7 +499,8 @@ runSlowReceiver(sim::SchedulePolicy *policy)
 
 TEST(DeferredEvents, CreditBoundSlowReceiverMatchesEagerRun)
 {
-    expectDeferralChangesNothing(runSlowReceiver);
+    expectDeferralChangesNothing(runSlowReceiver, 0x135871f57437135bull,
+                                 267029);
 }
 
 /** Notified WRITEs over the reliable wire, 5% of cells dropped. */
@@ -532,7 +545,8 @@ runReliableLossy(sim::SchedulePolicy *policy)
 
 TEST(DeferredEvents, ReliableWireUnderDropsMatchesEagerRun)
 {
-    expectDeferralChangesNothing(runReliableLossy);
+    expectDeferralChangesNothing(runReliableLossy, 0x64683b945bf1151bull,
+                                 2284038);
 }
 
 /**
@@ -574,7 +588,8 @@ runUnreliableLossy(sim::SchedulePolicy *policy)
 
 TEST(DeferredEvents, UnreliableLossyLinkEndsOnTheEagerClock)
 {
-    expectDeferralChangesNothing(runUnreliableLossy);
+    expectDeferralChangesNothing(runUnreliableLossy, 0x80aa24538329844cull,
+                                 1154400);
 }
 
 /**
@@ -641,7 +656,8 @@ runFaultsProbe(sim::SchedulePolicy *policy)
 
 TEST(DeferredEvents, FaultsProbeWorkloadMatchesEagerRun)
 {
-    expectDeferralChangesNothing(runFaultsProbe);
+    expectDeferralChangesNothing(runFaultsProbe, 0x415925a19828faf2ull,
+                                 6505227);
 }
 
 } // namespace

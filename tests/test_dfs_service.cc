@@ -390,9 +390,7 @@ TEST(DfsServer, WriteThroughHyRefreshesExportedCaches)
 TEST(ServerClerk, CachesEveryAreaLocally)
 {
     DfsFixture f;
-    dfs::ClerkParams params;
-    params.chargeLocalRpc = false;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
 
     // First touch goes to the backend; second is a local hit.
     auto a1 = clerk.getattr(f.file);
@@ -424,9 +422,7 @@ TEST(ServerClerk, CachesEveryAreaLocally)
 TEST(ServerClerk, LookupPrimesAttrCache)
 {
     DfsFixture f;
-    dfs::ClerkParams params;
-    params.chargeLocalRpc = false;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
     auto l = clerk.lookup(f.dir, "paper.ps");
     runToCompletion(f.cluster.sim, l);
     auto a = clerk.getattr(f.file);
@@ -437,9 +433,7 @@ TEST(ServerClerk, LookupPrimesAttrCache)
 TEST(ServerClerk, WriteInvalidatesAttrAndUpdatesBlocks)
 {
     DfsFixture f;
-    dfs::ClerkParams params;
-    params.chargeLocalRpc = false;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
 
     auto r1 = clerk.read(f.file, 0, 8192);
     runToCompletion(f.cluster.sim, r1);
@@ -458,9 +452,7 @@ TEST(ServerClerk, WriteInvalidatesAttrAndUpdatesBlocks)
 TEST(ServerClerk, InvalidateAllForcesRefetch)
 {
     DfsFixture f;
-    dfs::ClerkParams params;
-    params.chargeLocalRpc = false;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
     auto a1 = clerk.getattr(f.file);
     runToCompletion(f.cluster.sim, a1);
     clerk.invalidateAll();
@@ -470,27 +462,10 @@ TEST(ServerClerk, InvalidateAllForcesRefetch)
     EXPECT_EQ(clerk.stats().localHits.value(), 0u);
 }
 
-TEST(ServerClerk, DisabledCacheAlwaysGoesToBackend)
-{
-    DfsFixture f;
-    dfs::ClerkParams params;
-    params.enableLocalCache = false;
-    params.chargeLocalRpc = false;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
-    for (int i = 0; i < 3; ++i) {
-        auto t = clerk.getattr(f.file);
-        runToCompletion(f.cluster.sim, t);
-    }
-    EXPECT_EQ(clerk.stats().backendCalls.value(), 3u);
-    EXPECT_EQ(clerk.stats().localHits.value(), 0u);
-}
-
 TEST(ServerClerk, LocalRpcChargedWhenEnabled)
 {
     DfsFixture f;
-    dfs::ClerkParams params;
-    params.chargeLocalRpc = true;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx, params);
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
     f.cluster.sim.run();
     sim::Duration before =
         f.cluster.nodeA.cpu().busyIn(sim::CpuCategory::kProcInvoke);

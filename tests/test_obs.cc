@@ -389,17 +389,6 @@ TEST_F(TraceTest, RemoteReadEmitsTheFullSpanSequence)
     EXPECT_LE(tServe, tDeposit);
     EXPECT_LE(tDeposit, tEnd);
 
-    // Phase metrics recorded the same operation.
-    const rmem::OpPhaseStats &rd = c.engineA.metrics().read;
-    EXPECT_EQ(rd.totalUs.count(), 1u);
-    EXPECT_GT(rd.totalUs.mean(), 0.0);
-    EXPECT_GT(rd.wireUs.mean(), 0.0);
-    EXPECT_GT(rd.controllerUs.mean(), 0.0);
-    // software + wire + controller == total (clamped decomposition).
-    EXPECT_NEAR(rd.softwareUs.mean() + rd.wireUs.mean() +
-                    rd.controllerUs.mean(),
-                rd.totalUs.mean(), 0.01);
-
     // And the export names both nodes as processes.
     std::string json = tr.toChromeJson();
     EXPECT_NE(json.find("nodeA"), std::string::npos);
