@@ -19,7 +19,10 @@
 #   - remora explore --max-schedules 60 --json (per-workload schedule
 #     counts, decisions and digests) and the seeded workloads,
 #     remora explore deadlock lost-wakeup --max-schedules 60;
-#   - remora prof --json and remora prof --probe (critical paths);
+#   - remora prof --json and remora prof --probe (critical paths), each
+#     with --trace, run from build-equiv/prof.{ref,work}/ with a relative
+#     trace path so the printed command lines match; the two Chrome
+#     trace files are compared byte for byte too;
 #   - every example, from a scratch directory under build-equiv/,
 #     keeping its stdout and the trace and metrics JSON quickstart
 #     writes;
@@ -31,8 +34,8 @@
 # is covered without editing this script. A reference older than the
 # remora CLI runs, for each subcommand, the program it replaced.
 #
-# It fails on any byte difference in the probe or example output,
-# including exit codes, and on any BENCH report that fails
+# It fails on any byte difference in the probe, prof trace or example
+# output, including exit codes, and on any BENCH report that fails
 # bench_diff REF_DIR WORK_DIR, the rule the bench_baselines_match
 # ctest applies: every simulated metric equal, and each wall-clock rate
 # (marked "kind":"wall" in either report) at least a tenth of the
@@ -86,9 +89,11 @@ probe() {
     echo "${*:2} exit=${rc}"
 }
 
-# Every probe line plus its exit status, in a fixed order.
+# Every probe line plus its exit status, in a fixed order. remora prof
+# runs from directory $2 and writes its Chrome traces there.
 probe_outputs() {
-    local seed mode
+    local seed mode root
+    root="$(cd "$1" && pwd)"
     for seed in 0 1 2 3 4 5 6 7; do
         probe "$1" race "${seed}"
     done
@@ -97,8 +102,11 @@ probe_outputs() {
     done
     probe "$1" explore --max-schedules 60 --json
     probe "$1" explore deadlock lost-wakeup --max-schedules 60
-    for mode in --json --probe; do
-        probe "$1" prof "${mode}"
+    rm -rf "$2"
+    mkdir -p "$2"
+    for mode in json probe; do
+        (cd "$2" && probe "${root}" prof "--${mode}" \
+            --trace "prof-${mode}.trace.json")
     done
 }
 
@@ -173,8 +181,8 @@ build_tree "${OUT}/ref"
 build_tree .
 
 echo "== equiv: probes =="
-probe_outputs "${OUT}/ref" >"${OUT}/probes.ref.txt" 2>&1
-probe_outputs . >"${OUT}/probes.work.txt" 2>&1
+probe_outputs "${OUT}/ref" "${OUT}/prof.ref" >"${OUT}/probes.ref.txt" 2>&1
+probe_outputs . "${OUT}/prof.work" >"${OUT}/probes.work.txt" 2>&1
 if ! diff -u <(without_schedule "${OUT}/probes.ref.txt") \
     <(without_schedule "${OUT}/probes.work.txt"); then
     echo "equiv: probe output differs from ${REF}" >&2
@@ -188,6 +196,17 @@ else
             sed -n 's/^> /    /p'
     fi
 fi
+
+echo "== equiv: prof traces =="
+for mode in json probe; do
+    trace="prof-${mode}.trace.json"
+    if cmp "${OUT}/prof.ref/${trace}" "${OUT}/prof.work/${trace}"; then
+        echo "  ${trace} identical"
+    else
+        echo "equiv: ${trace} differs from ${REF}" >&2
+        FAILED+=("${trace}")
+    fi
+done
 
 echo "== equiv: examples =="
 example_outputs "${OUT}/ref" "${OUT}/examples.ref"

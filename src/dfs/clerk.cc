@@ -4,19 +4,6 @@
 
 namespace remora::dfs {
 
-namespace {
-
-/** Node scope for traces: "client.cpu" belongs to node "client". */
-std::string_view
-nodeOfCpu(const std::string &cpuName)
-{
-    size_t dot = cpuName.find('.');
-    return std::string_view(cpuName).substr(
-        0, dot == std::string::npos ? cpuName.size() : dot);
-}
-
-} // namespace
-
 ServerClerk::ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend)
     : cpu_(cpu), backend_(backend), lrpc_(cpu)
 {}
@@ -24,27 +11,19 @@ ServerClerk::ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend)
 ServerClerk::ClerkOp
 ServerClerk::beginOp(const char *op)
 {
-    if (!obs::TraceRecorder::on()) {
-        return {};
-    }
-    auto &rec = obs::TraceRecorder::instance();
     ClerkOp out;
     // Runs eagerly at call time, so an enclosing OpScope (a workload
     // driving several file ops under one umbrella op) becomes parent.
-    out.op = rec.newAsyncId();
-    rec.asyncBegin(out.op, nodeOfCpu(cpu_.name()), "dfs", op);
-    out.span = rec.beginSpanFor(out.op, nodeOfCpu(cpu_.name()), "dfs", op);
+    out.op = obs::asyncBegin(obs::nodeOf(cpu_.name()), "dfs", op);
+    out.span = obs::beginSpan(out.op, obs::nodeOf(cpu_.name()), "dfs", op);
     return out;
 }
 
 void
 ServerClerk::endOp(const ClerkOp &op, const char *name)
 {
-    auto &rec = obs::TraceRecorder::instance();
-    rec.endSpan(op.span);
-    if (op.op != 0) {
-        rec.asyncEnd(op.op, nodeOfCpu(cpu_.name()), "dfs", name);
-    }
+    obs::endSpan(op.span);
+    obs::asyncEnd(op.op, obs::nodeOf(cpu_.name()), "dfs", name);
 }
 
 void

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "sim/logger.h"
 #include "util/panic.h"
 
 namespace remora::dfs {
@@ -103,12 +102,8 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         "dfs.serve",
         static_cast<uint64_t>(src) << 32 | static_cast<uint32_t>(proc));
     // Explicit span: the procedure body suspends on the CPU resource.
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            engine_.node().name(), "dfs", nfsProcName(proc),
-            "from=" + std::to_string(src));
-    }
+    obs::SpanId span = obs::beginSpan(0, engine_.node().name(), "dfs",
+                                      nfsProcName(proc), obs::kv("from", src));
     auto &cpu = engine_.node().cpu();
 
     rpc::Marshal reply;
@@ -242,7 +237,7 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         break;
       }
     }
-    obs::TraceRecorder::instance().endSpan(span);
+    obs::endSpan(span);
     co_return reply.take();
 }
 

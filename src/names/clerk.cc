@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "rmem/race_detector.h"
-#include "sim/logger.h"
 #include "util/bytes.h"
 #include "util/panic.h"
 
@@ -30,12 +29,32 @@ constexpr uint32_t kRequestBytes = 128;
 constexpr uint32_t kCtReplyHeader = 8;
 constexpr uint32_t kCtReplyBytes = 20;
 
+// Calibrated costs of the name-service software path (Table 3).
+
+/** User -> kernel system call (trap + argument copy). */
+constexpr sim::Duration kKernelCall = sim::usec(35);
+/** Clerk-side registry insertion (hash, probe, record write). */
+constexpr sim::Duration kClerkInsert = sim::usec(30);
+/** Clerk-side lookup (hash, probe, compare). */
+constexpr sim::Duration kClerkLookup = sim::usec(40);
+/** Kernel-side export work: pinning, tables, generation assignment. */
+constexpr sim::Duration kExportKernelWork = sim::usec(455);
+/** Kernel-side revoke work: unpin, table teardown. */
+constexpr sim::Duration kRevokeKernelWork = sim::usec(110);
+/** Parsing/validating one fetched record (on a hit). */
+constexpr sim::Duration kRecordParse = sim::usec(15);
+/** Flag/name comparison per probe (miss path). */
+constexpr sim::Duration kProbeCompare = sim::usec(4);
+
+/** Poll interval while spin-waiting on control-transfer replies. */
+constexpr sim::Duration kPollInterval = sim::usec(2);
+
 } // namespace
 
 NameClerk::NameClerk(rmem::RmemEngine &engine, const NameClerkParams &params)
     : engine_(engine), params_(params),
       process_(engine.node().spawnProcess("name-clerk")),
-      lrpc_(engine.node().cpu(), params.localRpc)
+      lrpc_(engine.node().cpu())
 {
     uint32_t registryBytes = params_.buckets * NameRecord::kBytes;
     registryBase_ = process_.space().allocRegion(registryBytes);
@@ -119,7 +138,7 @@ NameClerk::exportByName(mem::Process *owner, mem::Vaddr base, uint32_t size,
     auto &cpu = engine_.node().cpu();
 
     // User -> kernel.
-    co_await cpu.use(params_.costs.kernelCall, sim::CpuCategory::kOther);
+    co_await cpu.use(kKernelCall, sim::CpuCategory::kOther);
 
     // Kernel: descriptor slot, generation, page pinning.
     auto handle = engine_.exportSegment(*owner, base, size, rights, policy,
@@ -127,12 +146,11 @@ NameClerk::exportByName(mem::Process *owner, mem::Vaddr base, uint32_t size,
     if (!handle.ok()) {
         co_return handle.status();
     }
-    co_await cpu.use(params_.costs.exportKernelWork,
-                     sim::CpuCategory::kOther);
+    co_await cpu.use(kExportKernelWork, sim::CpuCategory::kOther);
 
     // Kernel -> clerk: ADDNAME local RPC.
     co_await lrpc_.enterCallee();
-    co_await cpu.use(params_.costs.clerkInsert, sim::CpuCategory::kProcExec);
+    co_await cpu.use(kClerkInsert, sim::CpuCategory::kProcExec);
     NameRecord rec;
     rec.flag = RecordFlag::kValid;
     rec.node = engine_.node().id();
@@ -161,14 +179,13 @@ NameClerk::import(std::string name, std::optional<net::NodeId> hint,
     engine_.node().simulator().noteDigest("names.import", name);
     auto &cpu = engine_.node().cpu();
 
-    co_await cpu.use(params_.costs.kernelCall, sim::CpuCategory::kOther);
+    co_await cpu.use(kKernelCall, sim::CpuCategory::kOther);
 
     // Kernel -> clerk: LOOKUPNAME local RPC. A forced remote lookup
     // bypasses the local registry/cache inspection entirely.
     co_await lrpc_.enterCallee();
     if (!forceRemote) {
-        co_await cpu.use(params_.costs.clerkLookup,
-                         sim::CpuCategory::kProcExec);
+        co_await cpu.use(kClerkLookup, sim::CpuCategory::kProcExec);
     }
 
     // 1. Names exported from this very node.
@@ -226,12 +243,12 @@ NameClerk::revoke(std::string name)
     stats_.deletesServed.inc();
     auto &cpu = engine_.node().cpu();
 
-    co_await cpu.use(params_.costs.kernelCall, sim::CpuCategory::kOther);
+    co_await cpu.use(kKernelCall, sim::CpuCategory::kOther);
 
     // Kernel -> clerk: DELETENAME local RPC ("a delete operation merely
     // marks the entry invalid in the local cache", §4.1).
     co_await lrpc_.enterCallee();
-    co_await cpu.use(params_.costs.clerkInsert, sim::CpuCategory::kProcExec);
+    co_await cpu.use(kClerkInsert, sim::CpuCategory::kProcExec);
     bool deleted = localDelete(name);
     co_await lrpc_.returnToCaller();
     if (!deleted) {
@@ -240,8 +257,7 @@ NameClerk::revoke(std::string name)
     }
 
     // Kernel: revoke the segment so stale remote handles NAK.
-    co_await cpu.use(params_.costs.revokeKernelWork,
-                     sim::CpuCategory::kOther);
+    co_await cpu.use(kRevokeKernelWork, sim::CpuCategory::kOther);
     auto it = localExports_.find(name);
     if (it != localExports_.end()) {
         engine_.revokeSegment(it->second);
@@ -477,8 +493,7 @@ NameClerk::probeRemote(net::NodeId node, std::string name,
                 co_return util::Status(res.status,
                                        "probe read rejected at peer");
             }
-            co_await cpu.use(params_.costs.probeCompare,
-                             sim::CpuCategory::kProcExec);
+            co_await cpu.use(kProbeCompare, sim::CpuCategory::kProcExec);
             uint64_t hash = 0;
             NameRecord rec = NameRecord::decodePrefix(res.data, &hash);
             if (rec.flag == RecordFlag::kEmpty) {
@@ -487,8 +502,7 @@ NameClerk::probeRemote(net::NodeId node, std::string name,
             }
             if (rec.flag == RecordFlag::kValid && hash == wanted) {
                 // Hit: full record parse/validation before installing it.
-                co_await cpu.use(params_.costs.recordParse,
-                                 sim::CpuCategory::kProcExec);
+                co_await cpu.use(kRecordParse, sim::CpuCategory::kProcExec);
                 rec.name = name;
                 co_return rec;
             }
@@ -553,7 +567,7 @@ NameClerk::controlTransferLookup(net::NodeId node, std::string name)
             co_return util::Status(util::ErrorCode::kTimeout,
                                    "control-transfer lookup timed out");
         }
-        co_await sim::delay(sim, params_.pollInterval);
+        co_await sim::delay(sim, kPollInterval);
     }
 
     std::vector<uint8_t> reply(kCtReplyBytes);
@@ -606,8 +620,7 @@ NameClerk::onLookupRequest(const rmem::Notification &n)
         std::string name(reinterpret_cast<const char *>(nameBytes.data()),
                          len);
 
-        co_await cpu.use(self->params_.costs.clerkLookup,
-                         sim::CpuCategory::kProcExec);
+        co_await cpu.use(kClerkLookup, sim::CpuCategory::kProcExec);
         std::optional<NameRecord> rec = self->localFind(name);
 
         util::ByteWriter w(kCtReplyBytes);

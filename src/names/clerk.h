@@ -54,25 +54,6 @@ enum class ProbePolicy : uint8_t
     kControlOnly,
 };
 
-/** Calibrated costs of the name-service software path (Table 3). */
-struct NameServiceCosts
-{
-    /** User -> kernel system call (trap + argument copy). */
-    sim::Duration kernelCall = sim::usec(35);
-    /** Clerk-side registry insertion (hash, probe, record write). */
-    sim::Duration clerkInsert = sim::usec(30);
-    /** Clerk-side lookup (hash, probe, compare). */
-    sim::Duration clerkLookup = sim::usec(40);
-    /** Kernel-side export work: pinning, tables, generation assignment. */
-    sim::Duration exportKernelWork = sim::usec(455);
-    /** Kernel-side revoke work: unpin, table teardown. */
-    sim::Duration revokeKernelWork = sim::usec(110);
-    /** Parsing/validating one fetched record (on a hit). */
-    sim::Duration recordParse = sim::usec(15);
-    /** Flag/name comparison per probe (miss path). */
-    sim::Duration probeCompare = sim::usec(4);
-};
-
 /** Behaviour knobs of a clerk. */
 struct NameClerkParams
 {
@@ -84,12 +65,6 @@ struct NameClerkParams
     uint32_t probeLimit = 7;
     /** Deadline for each remote read (0 = forever). */
     sim::Duration readTimeout = sim::msec(50);
-    /** Poll interval while spin-waiting on control-transfer replies. */
-    sim::Duration pollInterval = sim::usec(2);
-    /** Software-path costs. */
-    NameServiceCosts costs;
-    /** Local RPC transition costs (client/kernel <-> clerk domain). */
-    rpc::LocalRpcCosts localRpc;
 };
 
 /** Per-clerk statistics. */

@@ -5,23 +5,11 @@
 
 namespace remora::net {
 
-namespace {
-
-/** Node scope for traces: "nodeA.nic" belongs to node "nodeA". */
-std::string_view
-nodeOf(const std::string &nicName)
-{
-    size_t dot = nicName.find('.');
-    return std::string_view(nicName).substr(
-        0, dot == std::string::npos ? nicName.size() : dot);
-}
-
-} // namespace
-
 HostInterface::HostInterface(sim::Simulator &simulator,
                              const HostInterfaceParams &params,
                              std::string name)
-    : sim_(simulator), params_(params), name_(std::move(name))
+    : sim_(simulator), params_(params), name_(std::move(name)),
+      traceNode_(obs::nodeOf(name_))
 {
     REMORA_ASSERT(params.rxFifoCells > 0);
 }
@@ -67,11 +55,8 @@ void
 HostInterface::interrupt()
 {
     interruptPending_ = false;
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            nodeOf(name_), "net", "rx_irq",
-            "fifo=" + std::to_string(rxFifo_.size()));
-    }
+    obs::instant(0, traceNode_, "net", "rx_irq",
+                 obs::kv("fifo", rxFifo_.size()));
     if (rxInterrupt_) {
         rxInterrupt_();
     }
@@ -90,14 +75,12 @@ HostInterface::acceptCell(const Cell &cell)
     cellsRx_.inc();
     sim_.noteDigest("net.rx",
                     static_cast<uint64_t>(cell.vpi) << 16 | cell.vci);
-    if (cell.traceOp != 0 && cell.lastOfFrame() && obs::TraceRecorder::on()) {
+    if (cell.traceOp != 0 && cell.lastOfFrame()) {
         // Arrival anchor for the critical-path analyzer: this is the
         // moment the op's frame has fully crossed the wire; everything
         // between here and the drain span is controller + queueing.
-        obs::TraceRecorder::instance().instantFor(
-            cell.traceOp, nodeOf(name_), "net",
-            obs::kCellArrivalEvent,
-            "src=" + std::to_string(cell.vci));
+        obs::instant(cell.traceOp, traceNode_, "net", obs::kCellArrivalEvent,
+                     obs::kv("src", cell.vci));
     }
     if (deferredIrq_ && sim_.passed(*deferredIrq_)) {
         // The deferred interrupt's time came while the driver drained:

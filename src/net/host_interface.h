@@ -127,6 +127,8 @@ class HostInterface : public CellSink
     sim::Simulator &sim_;
     HostInterfaceParams params_;
     std::string name_;
+    /** The node this NIC belongs to, as traces name it. */
+    std::string traceNode_;
     Link *txLink_ = nullptr;
     std::function<void()> rxInterrupt_;
     std::deque<Cell> rxFifo_;

@@ -60,12 +60,8 @@ Switch::forward(const Cell &cell, PortState &from)
     }
     Link *out = ports_[it->second]->output;
     forwarded_.inc();
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            name_, "net", "hop",
-            "dst=" + std::to_string(cell.vpi) +
-                " src=" + std::to_string(cell.vci));
-    }
+    obs::instant(0, name_, "net", "hop", obs::kv("dst", cell.vpi),
+                 obs::kv("src", cell.vci));
     auto cross = [out, cell] { out->send(cell); };
     static_assert(sim::Callback::kFitsInline<decltype(cross)>);
     sim_.schedule(fabricLatency_, std::move(cross));

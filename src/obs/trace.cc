@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -8,6 +9,25 @@
 #include "util/json.h"
 
 namespace remora::obs {
+
+void
+Field::appendTo(std::string &out) const
+{
+    if (!key_.empty()) {
+        out += key_;
+        out += '=';
+    }
+    if (kind_ == kText) {
+        out += text_;
+        return;
+    }
+    char buf[24];
+    std::to_chars_result r =
+        kind_ == kSigned
+            ? std::to_chars(buf, buf + sizeof buf, static_cast<int64_t>(bits_))
+            : std::to_chars(buf, buf + sizeof buf, bits_);
+    out.append(buf, r.ptr);
+}
 
 bool TraceRecorder::on_ = false;
 uint64_t TraceRecorder::currentOp_ = 0;
@@ -46,7 +66,9 @@ TraceRecorder::setCapacity(size_t maxEvents)
 }
 
 SpanId
-TraceRecorder::push(TraceEvent &&ev)
+TraceRecorder::record(TracePhase phase, uint64_t op, std::string_view node,
+                      std::string_view comp, std::string_view name,
+                      std::initializer_list<Field> fields)
 {
     if (!on_ || sim_ == nullptr) {
         return kNoSpan;
@@ -55,40 +77,24 @@ TraceRecorder::push(TraceEvent &&ev)
         ++dropped_;
         return kNoSpan;
     }
+    TraceEvent &ev = events_.emplace_back();
+    ev.phase = phase;
     ev.ts = sim_->now();
-    if (ev.op == 0) {
-        ev.op = currentOp_;
+    bool async =
+        phase == TracePhase::kAsyncBegin || phase == TracePhase::kAsyncEnd;
+    ev.id = async ? op : 0;
+    ev.op = op != 0 ? op : currentOp_;
+    ev.parent = phase == TracePhase::kAsyncBegin ? currentOp_ : 0;
+    ev.node = node;
+    ev.comp = comp;
+    ev.name = name;
+    for (const Field &f : fields) {
+        if (&f != fields.begin()) {
+            ev.detail += ' ';
+        }
+        f.appendTo(ev.detail);
     }
-    events_.push_back(std::move(ev));
     return events_.size() - 1;
-}
-
-SpanId
-TraceRecorder::beginSpan(std::string_view node, std::string_view comp,
-                         std::string_view name, std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kSpan;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    return push(std::move(ev));
-}
-
-SpanId
-TraceRecorder::beginSpanFor(uint64_t op, std::string_view node,
-                            std::string_view comp, std::string_view name,
-                            std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kSpan;
-    ev.op = op;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    return push(std::move(ev));
 }
 
 void
@@ -102,67 +108,6 @@ TraceRecorder::endSpan(SpanId span)
         return; // stale handle after clear(), or double end
     }
     ev.dur = sim_->now() - ev.ts;
-}
-
-void
-TraceRecorder::instant(std::string_view node, std::string_view comp,
-                       std::string_view name, std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kInstant;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    push(std::move(ev));
-}
-
-void
-TraceRecorder::instantFor(uint64_t op, std::string_view node,
-                          std::string_view comp, std::string_view name,
-                          std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kInstant;
-    ev.op = op;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    push(std::move(ev));
-}
-
-void
-TraceRecorder::asyncBegin(uint64_t id, std::string_view node,
-                          std::string_view comp, std::string_view name,
-                          std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kAsyncBegin;
-    ev.id = id;
-    ev.op = id;
-    ev.parent = currentOp_;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    push(std::move(ev));
-}
-
-void
-TraceRecorder::asyncEnd(uint64_t id, std::string_view node,
-                        std::string_view comp, std::string_view name,
-                        std::string detail)
-{
-    TraceEvent ev;
-    ev.phase = TracePhase::kAsyncEnd;
-    ev.id = id;
-    ev.op = id;
-    ev.node = node;
-    ev.comp = comp;
-    ev.name = name;
-    ev.detail = std::move(detail);
-    push(std::move(ev));
 }
 
 std::string

@@ -10,20 +10,25 @@
  * operation crossing nodes, correlated by id) against the simulated
  * clock, scoped by node and component.
  *
- * Recording is off by default and the instrumentation fast-path is a
- * single static bool, so benches pay nothing. When enabled, a run can
+ * Instrumented code records through five calls: beginSpan(), endSpan(),
+ * instant(), asyncBegin() and asyncEnd(). Each tests one static bool
+ * before it builds anything, so a run with recording off formats no
+ * detail, and takes its detail as typed fields (kv("dst", dst), or bare
+ * text) that the recorder alone formats. When enabled, a run can
  * be exported as Chrome trace_event JSON (open in chrome://tracing or
  * https://ui.perfetto.dev): nodes render as processes, components as
  * threads, and async ops as arrows across them.
  *
- * One recorder per process, matching the one-simulation-per-process
- * model the Logger already assumes.
+ * One recorder per process, as there is one simulation per process.
  */
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -56,10 +61,9 @@ struct TraceEvent
     uint64_t id = 0;
     /**
      * The async op this event belongs to (0 = unattributed). For async
-     * phases this equals @ref id; for spans and instants it is adopted
-     * from the ambient OpScope or passed explicitly via the *For()
-     * variants. This is what stitches per-node events into one
-     * cross-node DAG.
+     * phases this equals @ref id; spans and instants take it from the
+     * recording call, or from the ambient OpScope when that passes 0.
+     * This is what stitches per-node events into one cross-node DAG.
      */
     uint64_t op = 0;
     /**
@@ -74,7 +78,7 @@ struct TraceEvent
     std::string comp;
     /** Event name, e.g. "serve_read". */
     std::string name;
-    /** Free-form detail, rendered as the event's args. */
+    /** The event's detail fields, space-joined; rendered as its args. */
     std::string detail;
 };
 
@@ -92,17 +96,66 @@ inline constexpr SpanId kNoSpan = static_cast<SpanId>(-1);
  */
 inline constexpr std::string_view kCellArrivalEvent = "cell_rx";
 
-/** The process-wide trace recorder. */
+/**
+ * One piece of an event's detail: `key=value` (see kv()) or bare text,
+ * such as a message-type name. It holds views, so it lives only for
+ * the recording call that formats it.
+ */
+class Field
+{
+  public:
+    /** Bare text. */
+    explicit Field(std::string_view text) : text_(text) {}
+
+    /** `key=text`. */
+    Field(std::string_view key, std::string_view text)
+        : key_(key), text_(text)
+    {}
+
+    /** `key=number`, in decimal. */
+    template <std::integral V>
+    Field(std::string_view key, V value)
+        : key_(key), kind_(std::is_signed_v<V> ? kSigned : kUnsigned),
+          bits_(static_cast<uint64_t>(value))
+    {}
+
+    /** Append the field's text to @p out. */
+    void appendTo(std::string &out) const;
+
+  private:
+    enum Kind : uint8_t
+    {
+        kText,
+        kSigned,
+        kUnsigned,
+    };
+
+    std::string_view key_;
+    std::string_view text_;
+    Kind kind_ = kText;
+    uint64_t bits_ = 0;
+};
+
+/** The detail field `key=value`; @p value is an integer or text. */
+template <typename V>
+Field
+kv(std::string_view key, const V &value)
+{
+    return Field(key, value);
+}
+
+/**
+ * The process-wide trace recorder. Instrumented code records through
+ * the obs:: entry points below (beginSpan, endSpan, instant,
+ * asyncBegin, asyncEnd), which test on() before they build anything.
+ */
 class TraceRecorder
 {
   public:
     /** The process-wide instance. */
     static TraceRecorder &instance();
 
-    /**
-     * Cheapest possible "is tracing on" check, for instrumentation
-     * fast paths.
-     */
+    /** Whether recording is on: one static bool. */
     static bool on() { return on_; }
 
     /**
@@ -132,47 +185,31 @@ class TraceRecorder
     /**
      * The async op ambient in the current synchronous call chain
      * (0 = none). Established by OpScope; spans and instants recorded
-     * while a scope is live are stamped with it automatically.
+     * with op 0 while a scope is live are stamped with it.
      *
      * Ambient context does NOT survive coroutine suspension — a
      * coroutine resumed from the event queue runs outside the scope it
-     * was created under. Coroutine code must capture the op id and use
-     * the explicit *For() variants instead.
+     * was created under. Coroutine code must capture the op id and
+     * pass it to beginSpan()/instant() instead.
      */
     static uint64_t currentOp() { return currentOp_; }
 
     /**
-     * Open a span on (node, comp) starting now.
+     * Append one event of @p phase at the current sim time, its detail
+     * @p fields joined by single spaces. @p op is the event's async op
+     * (its id, for the async phases); 0 adopts currentOp(). An
+     * asyncBegin also records currentOp() as its parent. The obs::
+     * entry points call this once on() holds.
      *
-     * @return Handle for endSpan(), or kNoSpan when disabled/full.
+     * @return The event's index (a span's handle), or kNoSpan when
+     *     recording is off or the capacity is reached.
      */
-    SpanId beginSpan(std::string_view node, std::string_view comp,
-                     std::string_view name, std::string detail = {});
-
-    /** beginSpan() attributed to async op @p op (for coroutine code). */
-    SpanId beginSpanFor(uint64_t op, std::string_view node,
-                        std::string_view comp, std::string_view name,
-                        std::string detail = {});
+    SpanId record(TracePhase phase, uint64_t op, std::string_view node,
+                  std::string_view comp, std::string_view name,
+                  std::initializer_list<Field> fields);
 
     /** Close a span; kNoSpan and stale handles are ignored. */
     void endSpan(SpanId span);
-
-    /** Record a point event. */
-    void instant(std::string_view node, std::string_view comp,
-                 std::string_view name, std::string detail = {});
-
-    /** instant() attributed to async op @p op (for coroutine code). */
-    void instantFor(uint64_t op, std::string_view node,
-                    std::string_view comp, std::string_view name,
-                    std::string detail = {});
-
-    /** Open async op @p id (correlates across nodes). */
-    void asyncBegin(uint64_t id, std::string_view node, std::string_view comp,
-                    std::string_view name, std::string detail = {});
-
-    /** Close async op @p id. Name and comp must match the begin. */
-    void asyncEnd(uint64_t id, std::string_view node, std::string_view comp,
-                  std::string_view name, std::string detail = {});
 
     /** All recorded events, in record order. */
     const std::vector<TraceEvent> &events() const { return events_; }
@@ -196,9 +233,6 @@ class TraceRecorder
   private:
     TraceRecorder() = default;
 
-    /** Append an event if recording; returns its index or kNoSpan. */
-    SpanId push(TraceEvent &&ev);
-
     static bool on_;
     static uint64_t currentOp_;
     sim::Simulator *sim_ = nullptr;
@@ -209,6 +243,88 @@ class TraceRecorder
 
     friend class OpScope;
 };
+
+/**
+ * Open a span on (node, comp) starting now, attributed to async op
+ * @p op (0 = the ambient OpScope's op; coroutine code passes its op).
+ *
+ * @return Handle for endSpan(), or kNoSpan when recording is off.
+ */
+template <typename... Fields>
+inline SpanId
+beginSpan(uint64_t op, std::string_view node, std::string_view comp,
+          std::string_view name, const Fields &...fields)
+{
+    if (!TraceRecorder::on()) {
+        return kNoSpan;
+    }
+    return TraceRecorder::instance().record(TracePhase::kSpan, op, node,
+                                            comp, name, {Field(fields)...});
+}
+
+/** Close a span; kNoSpan is ignored. */
+inline void
+endSpan(SpanId span)
+{
+    if (span != kNoSpan) {
+        TraceRecorder::instance().endSpan(span);
+    }
+}
+
+/** Record a point event, attributed like beginSpan(). */
+template <typename... Fields>
+inline void
+instant(uint64_t op, std::string_view node, std::string_view comp,
+        std::string_view name, const Fields &...fields)
+{
+    if (TraceRecorder::on()) {
+        TraceRecorder::instance().record(TracePhase::kInstant, op, node, comp,
+                                         name, {Field(fields)...});
+    }
+}
+
+/**
+ * Open an async op, one logical operation that may end on another
+ * node; the ambient op becomes its parent.
+ *
+ * @return The op's fresh id, or 0 when recording is off.
+ */
+template <typename... Fields>
+inline uint64_t
+asyncBegin(std::string_view node, std::string_view comp, std::string_view name,
+           const Fields &...fields)
+{
+    if (!TraceRecorder::on()) {
+        return 0;
+    }
+    TraceRecorder &rec = TraceRecorder::instance();
+    uint64_t id = rec.newAsyncId();
+    rec.record(TracePhase::kAsyncBegin, id, node, comp, name,
+               {Field(fields)...});
+    return id;
+}
+
+/** Close async op @p id (0 is ignored). Name and comp match the begin. */
+template <typename... Fields>
+inline void
+asyncEnd(uint64_t id, std::string_view node, std::string_view comp,
+         std::string_view name, const Fields &...fields)
+{
+    if (id != 0 && TraceRecorder::on()) {
+        TraceRecorder::instance().record(TracePhase::kAsyncEnd, id, node, comp,
+                                         name, {Field(fields)...});
+    }
+}
+
+/**
+ * The trace node of a per-node component named "<node>.<part>":
+ * "nodeA.nic" and "client.cpu" belong to nodes "nodeA" and "client".
+ */
+inline std::string_view
+nodeOf(std::string_view component)
+{
+    return component.substr(0, component.find('.'));
+}
 
 /**
  * RAII ambient op context: while alive, spans and instants recorded in
@@ -237,36 +353,6 @@ class OpScope
 
   private:
     uint64_t saved_;
-};
-
-/**
- * RAII span for straight-line (non-suspending) code. Coroutines that
- * suspend across the span should use explicit beginSpan()/endSpan()
- * so the span closes at completion time, not frame destruction.
- */
-class TraceScope
-{
-  public:
-    TraceScope(std::string_view node, std::string_view comp,
-               std::string_view name, std::string detail = {})
-        : span_(TraceRecorder::on()
-                    ? TraceRecorder::instance().beginSpan(node, comp, name,
-                                                          std::move(detail))
-                    : kNoSpan)
-    {}
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-    ~TraceScope()
-    {
-        if (span_ != kNoSpan) {
-            TraceRecorder::instance().endSpan(span_);
-        }
-    }
-
-  private:
-    SpanId span_;
 };
 
 } // namespace remora::obs

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "rmem/race_detector.h"
-#include "sim/logger.h"
 #include "util/panic.h"
 
 namespace remora::rmem {
@@ -340,29 +339,22 @@ RmemEngine::localHandle(SegmentId id) const
 // Meta-instructions (initiator side)
 // ----------------------------------------------------------------------
 
-template <typename Args>
+template <typename... Fields>
 uint64_t
-RmemEngine::beginOp(const char *name, obs::SpanId &issueSpan, Args &&args)
+RmemEngine::beginOp(const char *name, obs::SpanId &issueSpan,
+                    const Fields &...fields)
 {
-    if (!obs::TraceRecorder::on()) {
-        return 0;
-    }
-    auto &rec = obs::TraceRecorder::instance();
-    uint64_t opId = rec.newAsyncId();
-    rec.asyncBegin(opId, node_.name(), "rmem", name, args());
+    uint64_t opId = obs::asyncBegin(node_.name(), "rmem", name, fields...);
     // The op is passed explicitly: the issuing coroutine resumes outside
     // any ambient scope.
-    issueSpan = rec.beginSpanFor(opId, node_.name(), "rmem", "issue");
+    issueSpan = obs::beginSpan(opId, node_.name(), "rmem", "issue");
     return opId;
 }
 
 void
 RmemEngine::endOp(uint64_t opId, const char *name, const util::Status &status)
 {
-    if (opId != 0) {
-        obs::TraceRecorder::instance().asyncEnd(opId, node_.name(), "rmem",
-                                                name, status.message());
-    }
+    obs::asyncEnd(opId, node_.name(), "rmem", name, status.message());
 }
 
 sim::Task<util::Status>
@@ -378,14 +370,12 @@ RmemEngine::write(ImportedSegment dst, uint32_t offset,
     }
 
     obs::SpanId issueSpan = obs::kNoSpan;
-    uint64_t opId = beginOp("write", issueSpan, [&] {
-        return "bytes=" + std::to_string(data.size()) + " dst=" +
-               std::to_string(dst.node);
-    });
+    uint64_t opId = beginOp("write", issueSpan, obs::kv("bytes", data.size()),
+                            obs::kv("dst", dst.node));
     // Sender-side emulation: trap + rights verification.
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
-    obs::TraceRecorder::instance().endSpan(issueSpan);
+    obs::endSpan(issueSpan);
 
     size_t pos = 0;
     do {
@@ -435,13 +425,11 @@ RmemEngine::read(ImportedSegment src, uint32_t srcOff, SegmentId dstSeg,
     }
 
     obs::SpanId issueSpan = obs::kNoSpan;
-    uint64_t opId = beginOp("read", issueSpan, [&] {
-        return "count=" + std::to_string(count) + " src=" +
-               std::to_string(src.node);
-    });
+    uint64_t opId = beginOp("read", issueSpan, obs::kv("count", count),
+                            obs::kv("src", src.node));
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
-    obs::TraceRecorder::instance().endSpan(issueSpan);
+    obs::endSpan(issueSpan);
 
     ReadOutcome total{util::Status(), {}};
     mem::Pid dstPid = dst->ownerPid;
@@ -513,12 +501,10 @@ RmemEngine::cas(ImportedSegment dst, uint32_t offset, uint32_t oldValue,
     }
 
     obs::SpanId issueSpan = obs::kNoSpan;
-    uint64_t opId = beginOp("cas", issueSpan, [&] {
-        return "dst=" + std::to_string(dst.node);
-    });
+    uint64_t opId = beginOp("cas", issueSpan, obs::kv("dst", dst.node));
     co_await node_.cpu().use(costs_.trapOverhead + costs_.validateCost,
                              sim::CpuCategory::kOther);
-    obs::TraceRecorder::instance().endSpan(issueSpan);
+    obs::endSpan(issueSpan);
 
     ReqId id = allocReqId();
     auto fut = expect(id,
@@ -602,10 +588,8 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
     }
 
     obs::SpanId issueSpan = obs::kNoSpan;
-    uint64_t opId = beginOp("vector", issueSpan, [&] {
-        return "ops=" + std::to_string(n) + " dst=" +
-               std::to_string(batch.target);
-    });
+    uint64_t opId = beginOp("vector", issueSpan, obs::kv("ops", n),
+                            obs::kv("dst", batch.target));
     // ONE trap + header + validation for the batch; every sub-op after
     // the first pays only its marginal issue cost. This is the entire
     // amortization the vectored path exists for.
@@ -613,7 +597,7 @@ RmemEngine::issueVector(VectorBatch batch, sim::Duration timeout)
                                  static_cast<sim::Duration>(n) *
                                      costs_.vectorSubOpIssueCost,
                              sim::CpuCategory::kOther);
-    obs::TraceRecorder::instance().endSpan(issueSpan);
+    obs::endSpan(issueSpan);
 
     if (!wantResponse) {
         // Pure-write batch: local completion when the frame is accepted
@@ -736,17 +720,16 @@ RmemEngine::serveScalar(net::NodeId src, Req &&req)
     stats_.requestsServed.inc();
     SubOpKey key = keyOf(req);
     // Span from dispatch to the access's completion (or the NAK).
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        std::string args = "from=" + std::to_string(src);
-        if (key.kind != VecOpKind::kCas) {
-            args = (key.kind == VecOpKind::kWrite ? "bytes=" : "count=") +
-                   std::to_string(key.count) + " " + args;
-        }
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", kServeSpan[static_cast<size_t>(key.kind)],
-            args);
-    }
+    const char *spanName = kServeSpan[static_cast<size_t>(key.kind)];
+    obs::SpanId span =
+        key.kind == VecOpKind::kCas
+            ? obs::beginSpan(0, node_.name(), "rmem", spanName,
+                             obs::kv("from", src))
+            : obs::beginSpan(
+                  0, node_.name(), "rmem", spanName,
+                  obs::kv(key.kind == VecOpKind::kWrite ? "bytes" : "count",
+                          key.count),
+                  obs::kv("from", src));
     // The dispatch runs under route()'s OpScope; deferred stages must
     // carry the op themselves and re-establish it, so the NAK/notify/
     // reply sends they make still join the initiator's DAG.
@@ -773,7 +756,7 @@ RmemEngine::serveScalar(net::NodeId src, Req &&req)
             sendNak(src, k.reqId, err,
                     small ? MsgType::kWriteSmall
                           : kScalarType[static_cast<size_t>(k.kind)]);
-            obs::TraceRecorder::instance().endSpan(span);
+            obs::endSpan(span);
             return;
         }
         if (k.kind == VecOpKind::kCas) {
@@ -817,16 +800,13 @@ RmemEngine::applyScalar(net::NodeId src, obs::SpanId span, ReqId reqId,
         }
         if (notifies(*d, sub)) {
             stats_.notificationsPosted.inc();
-            if (obs::TraceRecorder::on()) {
-                obs::TraceRecorder::instance().instant(
-                    node_.name(), "rmem", "notify",
-                    "offset=" + std::to_string(sub.offset) + " len=" +
-                        std::to_string(subOpBytes(sub)));
-            }
+            obs::instant(0, node_.name(), "rmem", "notify",
+                         obs::kv("offset", sub.offset),
+                         obs::kv("len", subOpBytes(sub)));
             d->channel->post(noticeOf(src, sub));
         }
     });
-    obs::TraceRecorder::instance().endSpan(span);
+    obs::endSpan(span);
 }
 
 void
@@ -836,12 +816,8 @@ RmemEngine::serveVector(net::NodeId src, VectorReq &&req)
     stats_.requestsServed.inc();
     stats_.vectorServed.inc();
     stats_.vectorSubOpsServed.inc(n);
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem", "serve_vector",
-            "ops=" + std::to_string(n) + " from=" + std::to_string(src));
-    }
+    obs::SpanId span = obs::beginSpan(0, node_.name(), "rmem", "serve_vector",
+                                      obs::kv("ops", n), obs::kv("from", src));
     auto st = std::make_shared<VectorServeState>();
     st->src = src;
     st->reqId = req.reqId;
@@ -894,7 +870,7 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st)
                                     ? util::ErrorCode::kInvalidArgument
                                     : st->results.front().status,
                     MsgType::kVectorOp);
-            obs::TraceRecorder::instance().endSpan(st->span);
+            obs::endSpan(st->span);
         }
         return;
     }
@@ -918,13 +894,10 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st)
                                st->notify[sub.descriptor].push_back(
                                    noticeOf(st->src, sub));
                            }
-                           if (obs::TraceRecorder::on()) {
-                               obs::TraceRecorder::instance().instant(
-                                   node_.name(), "rmem", "vector_sub",
-                                   "idx=" + std::to_string(i) + " kind=" +
-                                       std::to_string(
-                                           static_cast<int>(sub.kind)));
-                           }
+                           obs::instant(0, node_.name(), "rmem", "vector_sub",
+                                        obs::kv("idx", i),
+                                        obs::kv("kind",
+                                                static_cast<int>(sub.kind)));
                        });
             if (--st->remaining == 0) {
                 finishVector(st);
@@ -953,11 +926,8 @@ RmemEngine::finishVector(const std::shared_ptr<VectorServeState> &st)
             }
             stats_.notificationsPosted.inc(recs.size());
             stats_.vectorDoorbells.inc();
-            if (obs::TraceRecorder::on()) {
-                obs::TraceRecorder::instance().instant(
-                    node_.name(), "rmem", "notify_batch",
-                    "records=" + std::to_string(recs.size()));
-            }
+            obs::instant(0, node_.name(), "rmem", "notify_batch",
+                         obs::kv("records", recs.size()));
             d->channel->postBatch(recs);
         }
         st->notify.clear();
@@ -970,7 +940,7 @@ RmemEngine::finishVector(const std::shared_ptr<VectorServeState> &st)
         wire_.send(st->src, Message(std::move(resp)),
                    sim::CpuCategory::kDataReply);
     }
-    obs::TraceRecorder::instance().endSpan(st->span);
+    obs::endSpan(st->span);
 }
 
 template <typename Then>
@@ -1048,17 +1018,12 @@ RmemEngine::deposit(net::NodeId src, ReqId reqId, Reply &&reply)
                        std::move(reply.results)});
         return;
     }
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        std::string args =
-            vectored ? "results=" + std::to_string(reply.results.size())
-            : pending.one.kind == VecOpKind::kRead
-                ? "bytes=" + std::to_string(reply.one.data.size())
-                : (reply.one.success ? "success" : "failure");
-        span = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "rmem",
-            textOf(vectored, pending.one.kind).depositSpan, args);
-    }
+    obs::SpanId span = obs::beginSpan(
+        0, node_.name(), "rmem", textOf(vectored, pending.one.kind).depositSpan,
+        vectored ? obs::kv("results", reply.results.size())
+        : pending.one.kind == VecOpKind::kRead
+            ? obs::kv("bytes", reply.one.data.size())
+            : obs::Field(reply.one.success ? "success" : "failure"));
     uint64_t op = obs::TraceRecorder::currentOp();
     // ONE deposit event per reply: demux once, then copy each landed
     // READ payload / CAS result word into place.
@@ -1116,7 +1081,7 @@ RmemEngine::deposit(net::NodeId src, ReqId reqId, Reply &&reply)
                 ch->postBatch(recs);
             }
         }
-        obs::TraceRecorder::instance().endSpan(span);
+        obs::endSpan(span);
         p.done.set(std::move(landed));
     };
     static_assert(sim::Callback::kFitsInline<decltype(land)>);
@@ -1127,18 +1092,10 @@ void
 RmemEngine::handleNak(net::NodeId src, const Nak &nak)
 {
     stats_.naksReceived.inc();
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            node_.name(), "rmem", "nak_rx",
-            std::string(util::errorCodeName(nak.error)) + " from=" +
-                std::to_string(src));
-    }
-    if (fail(nak.reqId, nak.error, false)) {
-        return;
-    }
-    // NAK for a write or an already-resolved request: counted above.
-    REMORA_LOG(kDebug, "rmem",
-               node_.name() << ": NAK " << util::errorCodeName(nak.error));
+    obs::instant(0, node_.name(), "rmem", "nak_rx",
+                 util::errorCodeName(nak.error), obs::kv("from", src));
+    // A NAK for a write or an already-resolved request is only counted.
+    fail(nak.reqId, nak.error, false);
 }
 
 sim::Future<RmemEngine::Reply>
@@ -1156,12 +1113,12 @@ RmemEngine::expect(ReqId id, Deposit one, std::vector<Deposit> deposits,
     return it->second.done.future();
 }
 
-bool
+void
 RmemEngine::fail(ReqId id, util::ErrorCode code, bool timedOut)
 {
     auto it = pending_.find(id);
     if (it == pending_.end() || it->second.reply) {
-        return false; // resolved, or its reply is being deposited
+        return; // resolved, or its reply is being deposited
     }
     Pending p = std::move(it->second);
     pending_.erase(it);
@@ -1173,7 +1130,6 @@ RmemEngine::fail(ReqId id, util::ErrorCode code, bool timedOut)
     }
     p.done.set(
         Reply{util::Status(code, timedOut ? text.timeout : text.nak), {}, {}});
-    return true;
 }
 
 void
@@ -1181,12 +1137,8 @@ RmemEngine::sendNak(net::NodeId dst, ReqId reqId, util::ErrorCode error,
                     MsgType originalType)
 {
     stats_.naksSent.inc();
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            node_.name(), "rmem", "nak_tx",
-            std::string(util::errorCodeName(error)) + " dst=" +
-                std::to_string(dst));
-    }
+    obs::instant(0, node_.name(), "rmem", "nak_tx", util::errorCodeName(error),
+                 obs::kv("dst", dst));
     Nak nak;
     nak.reqId = reqId;
     nak.error = error;

@@ -315,11 +315,12 @@ class RmemEngine
 
     /**
      * Open an initiator op's async trace span, named @p name with the
-     * detail @p args() builds, and its "issue" span — only when tracing.
+     * detail @p fields, and its "issue" span — only when tracing.
      * Returns the op id, 0 when untraced.
      */
-    template <typename Args>
-    uint64_t beginOp(const char *name, obs::SpanId &issueSpan, Args &&args);
+    template <typename... Fields>
+    uint64_t beginOp(const char *name, obs::SpanId &issueSpan,
+                     const Fields &...fields);
 
     /** Close op @p opId's async trace (no-op when untraced). */
     void endOp(uint64_t opId, const char *name, const util::Status &status);
@@ -370,10 +371,10 @@ class RmemEngine
 
     /**
      * Resolve pending request @p id with @p code: a NAK's error, or
-     * kTimeout from the request's own timeout event. False when @p id
+     * kTimeout from the request's own timeout event. A no-op when @p id
      * is no longer pending or its reply is already being deposited.
      */
-    bool fail(ReqId id, util::ErrorCode code, bool timedOut);
+    void fail(ReqId id, util::ErrorCode code, bool timedOut);
 
     /** Send a NAK for a rejected request. */
     void sendNak(net::NodeId dst, ReqId reqId, util::ErrorCode error,

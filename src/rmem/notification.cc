@@ -73,10 +73,10 @@ NotificationChannel::next()
         // Consuming the record is the acquire side of the delivery edge.
         RaceDetector::instance().acquireToken(this, raceOwner_);
     }
-    if (obs::TraceRecorder::on() && n.traceOp != 0 && !traceNode_.empty()) {
+    if (n.traceOp != 0 && !traceNode_.empty()) {
         // Adoption at consumption: links the reader to the op's DAG.
-        obs::TraceRecorder::instance().instantFor(
-            n.traceOp, traceNode_, "notify", "notify_consume", "kind=read");
+        obs::instant(n.traceOp, traceNode_, "notify", "notify_consume",
+                     obs::kv("kind", "read"));
     }
     co_return n;
 }
@@ -93,11 +93,9 @@ NotificationChannel::tryNext(Notification &out)
     if (RaceDetector::on()) {
         RaceDetector::instance().acquireToken(this, raceOwner_);
     }
-    if (obs::TraceRecorder::on() && out.traceOp != 0 &&
-        !traceNode_.empty()) {
-        obs::TraceRecorder::instance().instantFor(
-            out.traceOp, traceNode_, "notify", "notify_consume",
-            "kind=poll");
+    if (out.traceOp != 0 && !traceNode_.empty()) {
+        obs::instant(out.traceOp, traceNode_, "notify", "notify_consume",
+                     obs::kv("kind", "poll"));
     }
     return true;
 }
@@ -143,10 +141,10 @@ NotificationChannel::post(const Notification &n)
                                                                 raceOwner_);
                       }
                       obs::OpScope opScope(rec.traceOp);
-                      if (obs::TraceRecorder::on() && !traceNode_.empty()) {
-                          obs::TraceRecorder::instance().instant(
-                              traceNode_, "notify", "notify_deliver",
-                              "kind=signal");
+                      if (!traceNode_.empty()) {
+                          obs::instant(0, traceNode_, "notify",
+                                       "notify_deliver",
+                                       obs::kv("kind", "signal"));
                       }
                       signalHandler_(rec);
                   });
@@ -197,12 +195,11 @@ NotificationChannel::postBatch(std::span<const Notification> batch)
                       }
                       for (const Notification &rec : recs) {
                           obs::OpScope opScope(rec.traceOp);
-                          if (obs::TraceRecorder::on() &&
-                              !traceNode_.empty()) {
-                              obs::TraceRecorder::instance().instant(
-                                  traceNode_, "notify", "notify_deliver",
-                                  "kind=signal batch=" +
-                                      std::to_string(recs.size()));
+                          if (!traceNode_.empty()) {
+                              obs::instant(0, traceNode_, "notify",
+                                           "notify_deliver",
+                                           obs::kv("kind", "signal"),
+                                           obs::kv("batch", recs.size()));
                           }
                           signalHandler_(rec);
                       }

@@ -489,11 +489,8 @@ RaceDetector::report(const SegInfo &si, uint32_t lo, uint32_t hi,
     r.hi = hi;
     r.prior = prior;
     r.current = current;
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            "node" + std::to_string(si.node), "race", "data-race",
-            r.format());
-    }
+    obs::instant(0, "node" + std::to_string(si.node), "race", "data-race",
+                 r.format());
     if (opts_.fatal) {
         REMORA_FATAL(r.format());
     }

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "obs/trace.h"
-#include "sim/logger.h"
 #include "util/crc.h"
 #include "util/panic.h"
 
@@ -117,14 +116,9 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
 
     // Span covering header format + per-cell PIO until the last cell
     // enters the TX FIFO (the "accepted by the network" point).
-    obs::SpanId txSpan = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        txSpan = obs::TraceRecorder::instance().beginSpanFor(
-            traceOp, node_.name(), "net", "tx_frame",
-            std::string(what) + " dst=" + std::to_string(dst) + " bytes=" +
-                std::to_string(bytes.size()) + " cells=" +
-                std::to_string(cells.size()));
-    }
+    obs::SpanId txSpan = obs::beginSpan(
+        traceOp, node_.name(), "net", "tx_frame", what, obs::kv("dst", dst),
+        obs::kv("bytes", bytes.size()), obs::kv("cells", cells.size()));
 
     // One object per frame holds what the per-cell completions share,
     // so each captures only an index and its event stays allocation-free.
@@ -159,7 +153,7 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
         auto push = [this, frame, i] {
             node_.nic().pushTx(frame->cells[i]);
             if (i + 1 == frame->cells.size()) {
-                obs::TraceRecorder::instance().endSpan(frame->span);
+                obs::endSpan(frame->span);
                 frame->accepted.set();
             }
         };
@@ -183,15 +177,11 @@ Wire::onRxInterrupt()
 sim::Task<void>
 Wire::drainLoop()
 {
-    // Explicit begin/end (not TraceScope): the coroutine suspends, and
-    // the span should close when the drain finishes, not when the frame
-    // unwinds.
-    obs::SpanId drainSpan = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        drainSpan = obs::TraceRecorder::instance().beginSpan(
-            node_.name(), "net", "rx_drain",
-            "fifo=" + std::to_string(node_.nic().rxDepth()));
-    }
+    // The span closes when the drain finishes, across the suspensions
+    // below.
+    obs::SpanId drainSpan = obs::beginSpan(
+        0, node_.name(), "net", "rx_drain",
+        obs::kv("fifo", node_.nic().rxDepth()));
     auto &cpu = node_.cpu();
     co_await cpu.use(costs_.rxInterruptCost, sim::CpuCategory::kDataReceive);
     while (auto cell = node_.nic().popRx()) {
@@ -211,13 +201,12 @@ Wire::drainLoop()
             // than leaving a gap (we're inside a coroutine, so the op
             // must be passed explicitly — ambient scope won't survive).
             obs::SpanId msgSpan = obs::kNoSpan;
-            if (obs::TraceRecorder::on() && cell->traceOp != 0) {
-                msgSpan = obs::TraceRecorder::instance().beginSpanFor(
-                    cell->traceOp, node_.name(), "net", "rx_msg_pio",
-                    "src=" + std::to_string(cell->vci));
+            if (cell->traceOp != 0) {
+                msgSpan = obs::beginSpan(cell->traceOp, node_.name(), "net",
+                                         "rx_msg_pio", obs::kv("src", cell->vci));
             }
             co_await cpu.use(drainCost, sim::CpuCategory::kDataReceive);
-            obs::TraceRecorder::instance().endSpan(msgSpan);
+            obs::endSpan(msgSpan);
             if (!decoded.ok()) {
                 decodeErrors_.inc();
                 continue;
@@ -232,13 +221,13 @@ Wire::drainLoop()
                 costs_.blockCellPioCost() +
                 costs_.cryptoCost(net::Cell::kPayloadBytes);
             obs::SpanId cellSpan = obs::kNoSpan;
-            if (obs::TraceRecorder::on() && cell->traceOp != 0) {
-                cellSpan = obs::TraceRecorder::instance().beginSpanFor(
-                    cell->traceOp, node_.name(), "net", "rx_cell_pio",
-                    "src=" + std::to_string(cell->vci));
+            if (cell->traceOp != 0) {
+                cellSpan = obs::beginSpan(cell->traceOp, node_.name(), "net",
+                                          "rx_cell_pio",
+                                          obs::kv("src", cell->vci));
             }
             co_await cpu.use(drainCost, sim::CpuCategory::kDataReceive);
-            obs::TraceRecorder::instance().endSpan(cellSpan);
+            obs::endSpan(cellSpan);
             if (auto frame = reassembler_.feed(*cell)) {
                 size_t consumed = 0;
                 auto decoded = decodeMessage(frame->payload, &consumed);
@@ -250,18 +239,16 @@ Wire::drainLoop()
                     // One swap pass over the message's payload words —
                     // same total the sender charged on its way out.
                     obs::SpanId swapSpan = obs::kNoSpan;
-                    if (obs::TraceRecorder::on() && frame->traceOp != 0) {
-                        swapSpan =
-                            obs::TraceRecorder::instance().beginSpanFor(
-                                frame->traceOp, node_.name(), "net",
-                                "rx_swap_pio",
-                                "bytes=" + std::to_string(consumed));
+                    if (frame->traceOp != 0) {
+                        swapSpan = obs::beginSpan(frame->traceOp, node_.name(),
+                                                  "net", "rx_swap_pio",
+                                                  obs::kv("bytes", consumed));
                     }
                     co_await cpu.use(
                         static_cast<sim::Duration>((consumed + 3) / 4) *
                             costs_.byteSwapWordCost,
                         sim::CpuCategory::kDataReceive);
-                    obs::TraceRecorder::instance().endSpan(swapSpan);
+                    obs::endSpan(swapSpan);
                 }
                 dispatch(frame->srcVci, decoded.take(), frame->traceOp);
             }
@@ -269,7 +256,7 @@ Wire::drainLoop()
     }
     draining_ = false;
     node_.nic().setDraining(false);
-    obs::TraceRecorder::instance().endSpan(drainSpan);
+    obs::endSpan(drainSpan);
     // Cells that arrived during the final check raise a fresh interrupt.
 }
 
@@ -377,10 +364,6 @@ Wire::onRetransmitTimeout(net::NodeId dst, uint32_t seq)
         sendFailures_.inc();
         node_.simulator().noteDigest(
             "wire.send_failure", (static_cast<uint64_t>(dst) << 32) | seq);
-        REMORA_LOG(kWarn, "wire",
-                   node_.name() << ": abandoning seq " << seq << " to node "
-                                << dst << " after " << u.attempts
-                                << " attempts");
         txIt->second.unacked.erase(it);
         return;
     }
@@ -388,11 +371,9 @@ Wire::onRetransmitTimeout(net::NodeId dst, uint32_t seq)
     retransmits_.inc();
     node_.simulator().noteDigest("wire.retransmit",
                                  (static_cast<uint64_t>(dst) << 32) | seq);
-    if (obs::TraceRecorder::on() && u.traceOp != 0) {
-        obs::TraceRecorder::instance().instant(
-            node_.name(), "net", "retransmit",
-            "dst=" + std::to_string(dst) + " seq=" + std::to_string(seq) +
-                " attempt=" + std::to_string(u.attempts));
+    if (u.traceOp != 0) {
+        obs::instant(0, node_.name(), "net", "retransmit", obs::kv("dst", dst),
+                     obs::kv("seq", seq), obs::kv("attempt", u.attempts));
     }
     u.nextTimeout *= 2;
     transmitBytes(dst, u.bytes, "seq_data", u.category, u.traceOp);
@@ -500,19 +481,13 @@ Wire::route(net::NodeId src, Message &&msg, uint64_t traceOp)
     // spans (serve_*, deposit_*) and any deferred work it schedules
     // adopt the op from this scope and join the cross-node DAG.
     obs::OpScope opScope(traceOp);
-    bool isRpc = messageType(msg) == MsgType::kRpc;
-    if (obs::TraceRecorder::on()) {
-        obs::TraceRecorder::instance().instant(
-            node_.name(), "net", "rx_msg",
-            std::string(msgTypeName(messageType(msg))) + " src=" +
-                std::to_string(src));
-    }
-    Handler &h = isRpc ? rpcHandler_ : rmemHandler_;
+    MsgType type = messageType(msg);
+    obs::instant(0, node_.name(), "net", "rx_msg", msgTypeName(type),
+                 obs::kv("src", src));
+    Handler &h = type == MsgType::kRpc ? rpcHandler_ : rmemHandler_;
     if (!h) {
-        REMORA_LOG(kWarn, "wire",
-                   node_.name() << ": no handler for message type "
-                                << static_cast<int>(messageType(msg)));
-        return;
+        REMORA_PANIC(node_.name() + ": no handler for " + msgTypeName(type) +
+                     " messages");
     }
     h(src, std::move(msg));
 }

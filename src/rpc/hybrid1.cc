@@ -84,12 +84,9 @@ sim::Task<void>
 Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
 {
     // Explicit span: the coroutine suspends across the procedure body.
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        span = obs::TraceRecorder::instance().beginSpanFor(
-            traceOp, engine_.node().name(), "rpc", "serve_one",
-            "slot=" + std::to_string(slot) + " from=" + std::to_string(src));
-    }
+    obs::SpanId span =
+        obs::beginSpan(traceOp, engine_.node().name(), "rpc", "serve_one",
+                       obs::kv("slot", slot), obs::kv("from", src));
     auto &cpu = engine_.node().cpu();
     mem::Vaddr slotVa = segBase_ + slot * params_.slotBytes;
 
@@ -106,7 +103,7 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
     uint32_t replySize = r.getU32();
 
     if (kReqHeader + argLen > params_.slotBytes) {
-        obs::TraceRecorder::instance().endSpan(span);
+        obs::endSpan(span);
         co_return; // malformed request; nothing sane to reply to
     }
     std::vector<uint8_t> args(argLen);
@@ -155,7 +152,7 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
     parentScope.reset();
     util::Status ws = co_await writeTask;
     REMORA_ASSERT(ws.ok());
-    obs::TraceRecorder::instance().endSpan(span);
+    obs::endSpan(span);
 }
 
 // ----------------------------------------------------------------------
@@ -199,18 +196,11 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     // Async op for the whole call (request write, server work, reply
     // write, spin-wait): runs eagerly here, so the caller's ambient
     // scope becomes the parent.
-    uint64_t opId = 0;
-    obs::SpanId span = obs::kNoSpan;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, engine_.node().name(), "rpc", "hy_call",
-                       "seq=" + std::to_string(seq));
-        span = rec.beginSpanFor(
-            opId, engine_.node().name(), "rpc", "call",
-            "args=" + std::to_string(args.size()) + " seq=" +
-                std::to_string(seq));
-    }
+    uint64_t opId = obs::asyncBegin(engine_.node().name(), "rpc", "hy_call",
+                                    obs::kv("seq", seq));
+    obs::SpanId span =
+        obs::beginSpan(opId, engine_.node().name(), "rpc", "call",
+                       obs::kv("args", args.size()), obs::kv("seq", seq));
 
     util::ByteWriter w(kReqHeader + args.size());
     w.putU32(seq);
@@ -231,11 +221,8 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     parentScope.reset();
     util::Status ws = co_await writeTask;
     if (!ws.ok()) {
-        auto &rec = obs::TraceRecorder::instance();
-        rec.endSpan(span);
-        if (opId != 0) {
-            rec.asyncEnd(opId, engine_.node().name(), "rpc", "hy_call");
-        }
+        obs::endSpan(span);
+        obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call");
         co_return ws;
     }
 
@@ -252,12 +239,9 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
             break;
         }
         if (sim.now() >= deadline) {
-            auto &rec = obs::TraceRecorder::instance();
-            rec.endSpan(span);
-            if (opId != 0) {
-                rec.asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
-                             "timeout");
-            }
+            obs::endSpan(span);
+            obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
+                          "timeout");
             co_return util::Status(util::ErrorCode::kTimeout,
                                    "hybrid1 reply timed out");
         }
@@ -273,25 +257,17 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     uint32_t status = r.getU32();
     uint32_t len = r.getU32();
     if (status != 0) {
-        auto &rec = obs::TraceRecorder::instance();
-        rec.endSpan(span);
-        if (opId != 0) {
-            rec.asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
-                         "remote failure");
-        }
+        obs::endSpan(span);
+        obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
+                      "remote failure");
         co_return util::Status(util::ErrorCode::kInternal,
                                "hybrid1 remote failure");
     }
     std::vector<uint8_t> data(len);
     rs = process_.space().read(replyBase_ + kRespHeader, data);
     REMORA_ASSERT(rs.ok());
-    {
-        auto &rec = obs::TraceRecorder::instance();
-        rec.endSpan(span);
-        if (opId != 0) {
-            rec.asyncEnd(opId, engine_.node().name(), "rpc", "hy_call");
-        }
-    }
+    obs::endSpan(span);
+    obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call");
     co_return data;
 }
 

@@ -4,7 +4,6 @@
 
 #include "obs/trace.h"
 #include "rpc/marshal.h"
-#include "sim/logger.h"
 #include "util/panic.h"
 
 namespace remora::rpc {
@@ -42,24 +41,15 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
 
     // Runs eagerly at call time, so asyncBegin sees the caller's
     // ambient OpScope and records it as this op's parent.
-    uint64_t opId = 0;
-    if (obs::TraceRecorder::on()) {
-        auto &rec = obs::TraceRecorder::instance();
-        opId = rec.newAsyncId();
-        rec.asyncBegin(opId, wire_.node().name(), "rpc", "call",
-                       "proc=" + std::to_string(proc) + " dst=" +
-                           std::to_string(dst));
-    }
+    uint64_t opId = obs::asyncBegin(wire_.node().name(), "rpc", "call",
+                                    obs::kv("proc", proc), obs::kv("dst", dst));
 
     // Step 1: block the client thread and reschedule its processor.
     // Paid once — the thread stays blocked across retransmissions.
-    obs::SpanId blockSpan = obs::kNoSpan;
-    if (opId != 0) {
-        blockSpan = obs::TraceRecorder::instance().beginSpanFor(
-            opId, wire_.node().name(), "rpc", "client_block");
-    }
+    obs::SpanId blockSpan =
+        obs::beginSpan(opId, wire_.node().name(), "rpc", "client_block");
     co_await cpu.use(costs_.clientBlock, sim::CpuCategory::kControlTransfer);
-    obs::TraceRecorder::instance().endSpan(blockSpan);
+    obs::endSpan(blockSpan);
 
     // Marshal the request body once: every attempt sends it verbatim.
     Marshal m;
@@ -120,9 +110,8 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
         stats_.retries.inc();
         sim.noteDigest("rpc.retry", static_cast<uint64_t>(dst) << 32 | xid);
         if (opId != 0) {
-            obs::TraceRecorder::instance().instantFor(
-                opId, wire_.node().name(), "rpc", "retry",
-                "attempt=" + std::to_string(attempt + 2));
+            obs::instant(opId, wire_.node().name(), "rpc", "retry",
+                         obs::kv("attempt", attempt + 2));
         }
         curTimeout *= 2;
     }
@@ -182,10 +171,9 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
     // before the first suspension loses the ambient context.
     uint64_t op = obs::TraceRecorder::currentOp();
     obs::SpanId serveSpan = obs::kNoSpan;
-    if (obs::TraceRecorder::on() && op != 0) {
-        serveSpan = obs::TraceRecorder::instance().beginSpanFor(
-            op, wire_.node().name(), "rpc", "serve",
-            "xid=" + std::to_string(xid));
+    if (op != 0) {
+        serveSpan = obs::beginSpan(op, wire_.node().name(), "rpc", "serve",
+                                   obs::kv("xid", xid));
     }
 
     // Step 2: request-packet processing in the destination OS. The
@@ -244,7 +232,7 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
     co_await cpu.use(costs_.serverReturn +
                          2 * wire_.costs().copyCost(msg.body.size()),
                      sim::CpuCategory::kControlTransfer);
-    obs::TraceRecorder::instance().endSpan(serveSpan);
+    obs::endSpan(serveSpan);
     wire_.send(src, rmem::Message(std::move(msg)),
                sim::CpuCategory::kDataReply, op);
 }
@@ -258,11 +246,8 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
         // fresh xid); count the drop instead of hiding it.
         stats_.lateReplies.inc();
         wire_.node().simulator().noteDigest("rpc.late_reply", xid);
-        if (obs::TraceRecorder::on()) {
-            obs::TraceRecorder::instance().instant(
-                wire_.node().name(), "rpc", "late_reply",
-                "xid=" + std::to_string(xid));
-        }
+        obs::instant(0, wire_.node().name(), "rpc", "late_reply",
+                     obs::kv("xid", xid));
         return;
     }
     PendingCall p = std::move(it->second);
@@ -275,20 +260,17 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
     // the original client thread.
     auto &cpu = wire_.node().cpu();
     obs::SpanId resumeSpan = obs::kNoSpan;
-    if (obs::TraceRecorder::on() && p.traceOp != 0) {
-        resumeSpan = obs::TraceRecorder::instance().beginSpanFor(
-            p.traceOp, wire_.node().name(), "rpc", "client_resume");
+    if (p.traceOp != 0) {
+        resumeSpan = obs::beginSpan(p.traceOp, wire_.node().name(), "rpc",
+                                    "client_resume");
     }
-    std::string nodeName = wire_.node().name();
+    // The completion runs on this node's CPU, so the node outlives it.
     cpu.post(costs_.clientPacket + costs_.clientResume,
              sim::CpuCategory::kControlTransfer,
              [p = std::move(p), body = std::move(body), resumeSpan,
-              nodeName = std::move(nodeName)]() mutable {
-                 auto &rec = obs::TraceRecorder::instance();
-                 rec.endSpan(resumeSpan);
-                 if (p.traceOp != 0) {
-                     rec.asyncEnd(p.traceOp, nodeName, "rpc", "call");
-                 }
+              node = &wire_.node()]() mutable {
+                 obs::endSpan(resumeSpan);
+                 obs::asyncEnd(p.traceOp, node->name(), "rpc", "call");
                  Unmarshal u(body);
                  uint32_t status = u.getU32();
                  std::vector<uint8_t> results = u.getOpaque();

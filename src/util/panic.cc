@@ -5,35 +5,10 @@
 
 namespace remora::util {
 
-namespace {
-
-void (*gPanicHook)() = nullptr;
-
-/** Run the hook at most once, even if the hook itself panics. */
-void
-runPanicHook()
-{
-    static bool ran = false;
-    if (ran || gPanicHook == nullptr) {
-        return;
-    }
-    ran = true;
-    gPanicHook();
-}
-
-} // namespace
-
-void
-setPanicHook(void (*hook)())
-{
-    gPanicHook = hook;
-}
-
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "remora panic: %s:%d: %s\n", file, line, msg.c_str());
-    runPanicHook();
     std::fflush(stderr);
     std::abort();
 }
@@ -42,7 +17,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "remora fatal: %s:%d: %s\n", file, line, msg.c_str());
-    runPanicHook();
     std::fflush(stderr);
     std::exit(1);
 }

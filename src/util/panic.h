@@ -34,14 +34,6 @@ namespace remora::util {
  */
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 
-/**
- * Install a hook run (once, reentrancy-guarded) before panic()/fatal()
- * terminate the process. Higher layers use it to flush diagnostic state
- * — e.g. sim::Logger registers its recent-event ring — without util
- * depending on them. Pass nullptr to clear.
- */
-void setPanicHook(void (*hook)());
-
 } // namespace remora::util
 
 /** Report an internal invariant violation and abort. */

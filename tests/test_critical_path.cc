@@ -252,8 +252,7 @@ TEST_F(CriticalPathTest, TracedReadLinksAcrossNodes)
 
     // An umbrella op makes the read's asyncBegin record a parent link
     // (the read task starts eagerly, inside the scope).
-    uint64_t umbrella = rec.newAsyncId();
-    rec.asyncBegin(umbrella, "nodeA", "test", "umbrella");
+    uint64_t umbrella = obs::asyncBegin("nodeA", "test", "umbrella");
     std::optional<obs::OpScope> scope;
     scope.emplace(umbrella);
     auto task = c.engineA.read(seg.value(), 0,
@@ -261,7 +260,7 @@ TEST_F(CriticalPathTest, TracedReadLinksAcrossNodes)
     scope.reset();
     rmem::ReadOutcome out = runToCompletion(c.sim, task);
     ASSERT_TRUE(out.status.ok());
-    rec.asyncEnd(umbrella, "nodeA", "test", "umbrella");
+    obs::asyncEnd(umbrella, "nodeA", "test", "umbrella");
     rec.disable();
 
     auto paths = obs::CriticalPathAnalyzer().analyze(rec.events());

@@ -1,16 +1,25 @@
 /**
  * @file
- * Tests for the observability layer: TraceRecorder span semantics and
- * Chrome export, MetricRegistry dumps and histogram JSON, Logger
- * ring/level plumbing, and an end-to-end READ trace check.
+ * Tests for the observability layer: the trace entry points' gating,
+ * span semantics, detail fields and Chrome export, MetricRegistry dumps
+ * and histogram JSON, an end-to-end READ trace check, and the pinned
+ * recordings of the registry workloads.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <string_view>
+
+#include "cluster/workloads.h"
 #include "cluster_fixture.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/logger.h"
 #include "sim/stats.h"
+#include "util/hash.h"
 
 namespace remora::test {
 namespace {
@@ -46,10 +55,14 @@ TEST_F(TraceTest, DisabledRecorderIsFreeAndSafe)
 {
     auto &tr = obs::TraceRecorder::instance();
     EXPECT_FALSE(obs::TraceRecorder::on());
-    obs::SpanId span = tr.beginSpan("n", "c", "ignored");
+    obs::SpanId span =
+        obs::beginSpan(0, "n", "c", "ignored", obs::kv("bytes", 40));
     EXPECT_EQ(span, obs::kNoSpan);
-    tr.endSpan(span); // must be a no-op, not a crash
-    tr.instant("n", "c", "ignored");
+    obs::endSpan(span); // must be a no-op, not a crash
+    obs::instant(0, "n", "c", "ignored");
+    uint64_t op = obs::asyncBegin("n", "c", "ignored");
+    EXPECT_EQ(op, 0u); // no id is drawn
+    obs::asyncEnd(op, "n", "c", "ignored");
     EXPECT_EQ(tr.eventCount(), 0u);
 }
 
@@ -59,13 +72,14 @@ TEST_F(TraceTest, SpanNestingAndSimTimeOrdering)
     auto &tr = obs::TraceRecorder::instance();
     tr.enable(sim);
 
-    obs::SpanId outer = tr.beginSpan("node1", "rmem", "outer");
+    obs::SpanId outer = obs::beginSpan(0, "node1", "rmem", "outer");
     advanceTo(sim, 100);
-    obs::SpanId inner = tr.beginSpan("node1", "rmem", "inner", "k=v");
+    obs::SpanId inner =
+        obs::beginSpan(0, "node1", "rmem", "inner", obs::kv("k", "v"));
     advanceTo(sim, 250);
-    tr.endSpan(inner);
+    obs::endSpan(inner);
     advanceTo(sim, 400);
-    tr.endSpan(outer);
+    obs::endSpan(outer);
     tr.disable();
 
     ASSERT_EQ(tr.eventCount(), 2u);
@@ -89,12 +103,13 @@ TEST_F(TraceTest, AsyncPairsAndInstants)
     auto &tr = obs::TraceRecorder::instance();
     tr.enable(sim);
 
-    uint64_t id = tr.newAsyncId();
-    tr.asyncBegin(id, "client", "rmem", "read");
+    uint64_t id = obs::asyncBegin("client", "rmem", "read");
+    EXPECT_NE(id, 0u);
     advanceTo(sim, 50);
-    tr.instant("server", "net", "hop");
+    obs::instant(0, "server", "net", "hop");
+    obs::asyncEnd(0, "client", "rmem", "read"); // no op: ignored
     advanceTo(sim, 90);
-    tr.asyncEnd(id, "client", "rmem", "read");
+    obs::asyncEnd(id, "client", "rmem", "read");
     tr.disable();
 
     ASSERT_EQ(tr.eventCount(), 3u);
@@ -120,7 +135,7 @@ TEST_F(TraceTest, CapacityBoundsEventsAndCountsDrops)
     tr.setCapacity(4);
     tr.enable(sim);
     for (int i = 0; i < 10; ++i) {
-        tr.instant("n", "c", "tick");
+        obs::instant(0, "n", "c", "tick");
     }
     tr.disable();
     EXPECT_EQ(tr.eventCount(), 4u);
@@ -137,34 +152,68 @@ TEST_F(TraceTest, OpScopeStampsSpansAndInstants)
     tr.enable(sim);
 
     uint64_t outer = tr.newAsyncId();
-    uint64_t inner = tr.newAsyncId();
+    uint64_t inner = 0;
     EXPECT_EQ(obs::TraceRecorder::currentOp(), 0u);
     {
         obs::OpScope scope(outer);
         EXPECT_EQ(obs::TraceRecorder::currentOp(), outer);
-        obs::SpanId span = tr.beginSpan("n", "c", "work");
-        tr.instant("n", "c", "point");
+        obs::SpanId span = obs::beginSpan(0, "n", "c", "work");
+        obs::instant(0, "n", "c", "point");
         {
             // A child op begun under the outer scope records it as its
             // parent; the nested scope then saves and restores like a
             // stack variable.
-            tr.asyncBegin(inner, "n", "c", "child");
+            inner = obs::asyncBegin("n", "c", "child");
             obs::OpScope nested(inner);
             EXPECT_EQ(obs::TraceRecorder::currentOp(), inner);
         }
         EXPECT_EQ(obs::TraceRecorder::currentOp(), outer);
-        tr.endSpan(span);
+        obs::endSpan(span);
     }
     EXPECT_EQ(obs::TraceRecorder::currentOp(), 0u);
-    tr.instant("n", "c", "outside");
+    obs::instant(0, "n", "c", "outside");
+    // An explicit op wins over the ambient one.
+    {
+        obs::OpScope scope(outer);
+        obs::instant(inner, "n", "c", "explicit");
+    }
     tr.disable();
 
-    ASSERT_EQ(tr.eventCount(), 4u);
+    ASSERT_EQ(tr.eventCount(), 5u);
     EXPECT_EQ(tr.events()[0].op, outer); // span, stamped by the scope
     EXPECT_EQ(tr.events()[1].op, outer); // instant, likewise
     EXPECT_EQ(tr.events()[2].op, inner); // the child op itself...
     EXPECT_EQ(tr.events()[2].parent, outer); // ...with its parent link
     EXPECT_EQ(tr.events()[3].op, 0u); // outside any scope
+    EXPECT_EQ(tr.events()[4].op, inner);
+}
+
+TEST_F(TraceTest, DetailJoinsTypedFieldsWithSpaces)
+{
+    sim::Simulator sim;
+    auto &tr = obs::TraceRecorder::instance();
+    tr.enable(sim);
+    std::string status = "remote failure";
+    obs::instant(0, "n", "c", "mixed", "seq_data",
+                 obs::kv("dst", uint16_t{7}),
+                 obs::kv("bytes", ~uint64_t{0}), obs::kv("kind", -3),
+                 obs::kv("state", status), status);
+    obs::instant(0, "n", "c", "bare");
+    tr.disable();
+
+    ASSERT_EQ(tr.eventCount(), 2u);
+    EXPECT_EQ(tr.events()[0].detail,
+              "seq_data dst=7 bytes=18446744073709551615 kind=-3 "
+              "state=remote failure remote failure");
+    EXPECT_EQ(tr.events()[1].detail, "");
+}
+
+TEST(TraceNode, NodeOfStripsTheComponentSuffix)
+{
+    EXPECT_EQ(obs::nodeOf("nodeA.nic"), "nodeA");
+    EXPECT_EQ(obs::nodeOf("client.cpu"), "client");
+    EXPECT_EQ(obs::nodeOf("sw0"), "sw0");
+    EXPECT_EQ(obs::nodeOf("a.b.c"), "a");
 }
 
 TEST_F(TraceTest, ChromeExportCarriesOpArgsAndSortIndices)
@@ -173,13 +222,12 @@ TEST_F(TraceTest, ChromeExportCarriesOpArgsAndSortIndices)
     auto &tr = obs::TraceRecorder::instance();
     tr.enable(sim);
 
-    uint64_t id = tr.newAsyncId();
-    tr.asyncBegin(id, "client", "rmem", "read");
+    uint64_t id = obs::asyncBegin("client", "rmem", "read");
     {
         obs::OpScope scope(id);
-        tr.instant("client", "net", "hop");
+        obs::instant(0, "client", "net", "hop");
     }
-    tr.asyncEnd(id, "client", "rmem", "read");
+    obs::asyncEnd(id, "client", "rmem", "read");
     tr.disable();
 
     std::string json = tr.toChromeJson();
@@ -282,39 +330,6 @@ TEST(StatRegistryTest, HistogramJsonRoundTrip)
     EXPECT_NE(json.find("\"p50\""), std::string::npos);
 }
 
-TEST(LoggerTest, ParseLevelNamesAndRing)
-{
-    sim::LogLevel lvl;
-    EXPECT_TRUE(sim::Logger::parseLevel("trace", &lvl));
-    EXPECT_EQ(lvl, sim::LogLevel::kTrace);
-    EXPECT_TRUE(sim::Logger::parseLevel("WARN", &lvl));
-    EXPECT_EQ(lvl, sim::LogLevel::kWarn);
-    EXPECT_FALSE(sim::Logger::parseLevel("loud", &lvl));
-    EXPECT_FALSE(sim::Logger::parseLevel(nullptr, &lvl));
-
-    // Ring capture is independent of the emit level.
-    sim::Logger::setLevel(sim::LogLevel::kError);
-    sim::Logger::setRingLevel(sim::LogLevel::kInfo);
-    sim::Logger::clearRecent();
-    REMORA_LOG(kInfo, "test", "captured " << 123);
-    auto recent = sim::Logger::recent();
-    ASSERT_EQ(recent.size(), 1u);
-    EXPECT_NE(recent[0].find("captured 123"), std::string::npos);
-
-    sim::Logger::setRingCapacity(2);
-    REMORA_LOG(kInfo, "test", "one");
-    REMORA_LOG(kInfo, "test", "two");
-    REMORA_LOG(kInfo, "test", "three");
-    recent = sim::Logger::recent();
-    ASSERT_EQ(recent.size(), 2u);
-    EXPECT_NE(recent[0].find("two"), std::string::npos);
-    EXPECT_NE(recent[1].find("three"), std::string::npos);
-
-    sim::Logger::clearRecent();
-    sim::Logger::setRingCapacity(64);
-    sim::Logger::setLevel(sim::LogLevel::kWarn);
-}
-
 /** Find the first event matching (phase, comp, name); -1 when absent. */
 int
 findEvent(const std::vector<obs::TraceEvent> &evs, obs::TracePhase phase,
@@ -393,6 +408,92 @@ TEST_F(TraceTest, RemoteReadEmitsTheFullSpanSequence)
     std::string json = tr.toChromeJson();
     EXPECT_NE(json.find("nodeA"), std::string::npos);
     EXPECT_NE(json.find("nodeB"), std::string::npos);
+}
+
+/**
+ * FNV-1a over a recording: every event's phase, ts, dur, node, comp,
+ * name and detail, with its id, op and parent renumbered by first
+ * appearance so the async ids earlier recordings drew cannot move it.
+ */
+uint64_t
+traceDigest(const std::vector<obs::TraceEvent> &evs)
+{
+    std::map<uint64_t, uint64_t> ids{{0, 0}};
+    auto renumber = [&ids](uint64_t id) {
+        return ids.try_emplace(id, ids.size()).first->second;
+    };
+    uint64_t h = util::fnv1a(std::string_view());
+    for (const obs::TraceEvent &e : evs) {
+        uint64_t id = renumber(e.id);
+        uint64_t op = renumber(e.op);
+        uint64_t parent = renumber(e.parent);
+        std::string line = std::to_string(static_cast<int>(e.phase)) + ' ' +
+                           std::to_string(e.ts) + ' ' +
+                           std::to_string(e.dur) + ' ' +
+                           std::to_string(id) + ' ' + std::to_string(op) +
+                           ' ' + std::to_string(parent) + ' ' + e.node +
+                           ' ' + e.comp + ' ' + e.name + ' ' + e.detail +
+                           '\n';
+        h = util::fnv1a(line, h);
+    }
+    return h;
+}
+
+TEST_F(TraceTest, RegistryWorkloadTracesArePinned)
+{
+    // Each clean registry workload's recording, pinned event for event.
+    // These reach what neither quickstart's trace nor `remora prof`
+    // records: switch hops, retransmits, reliable seq_data frames, RPC
+    // retries and batched notification delivery.
+    struct Pin
+    {
+        const char *name;
+        size_t events;
+        uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"rpc", 118, 0x2d1487314fbf6695ull},
+        {"notify", 24, 0xaa38664e77e91ec1ull},
+        {"vector-notify", 30, 0xe3a119f8b33dd574ull},
+        {"sync", 67, 0x2c7fa8a90cc057adull},
+        {"dfs-token", 195, 0xaf4f747c0e698a2full},
+        {"lossy-write", 48, 0x6e4a1724bae3021aull},
+        {"lossy-rpc", 50, 0xee7632aa35aad29full},
+    };
+    auto &tr = obs::TraceRecorder::instance();
+    std::set<std::string> names;
+    size_t checked = 0;
+    for (const cluster::Workload &w : cluster::workloads()) {
+        if (w.seeded) {
+            continue;
+        }
+        const Pin *pin = std::find_if(
+            std::begin(pins), std::end(pins),
+            [&w](const Pin &p) { return std::string_view(p.name) == w.name; });
+        ASSERT_NE(pin, std::end(pins)) << w.name;
+        sim::Simulator sim;
+        tr.clear();
+        tr.enable(sim);
+        w.fn(sim);
+        tr.disable();
+        uint64_t digest = traceDigest(tr.events());
+        EXPECT_EQ(tr.eventCount(), pin->events) << w.name;
+        EXPECT_EQ(digest, pin->digest)
+            << w.name << " digest 0x" << std::hex << digest;
+        for (const obs::TraceEvent &e : tr.events()) {
+            names.insert(e.name);
+            if (e.name == "tx_frame" && e.detail.rfind("seq_data ", 0) == 0) {
+                names.insert("tx_frame seq_data");
+            }
+        }
+        tr.clear();
+        ++checked;
+    }
+    EXPECT_EQ(checked, std::size(pins));
+    for (const char *name : {"hop", "retransmit", "notify_batch",
+                             "notify_deliver", "retry", "tx_frame seq_data"}) {
+        EXPECT_EQ(names.count(name), 1u) << name;
+    }
 }
 
 } // namespace

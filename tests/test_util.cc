@@ -5,7 +5,6 @@
  */
 #include <gtest/gtest.h>
 
-#include "sim/logger.h"
 #include "util/bytes.h"
 #include "util/crc.h"
 #include "util/hash.h"
@@ -445,13 +444,6 @@ TEST(JsonValue, RoundTripsJsonWriterOutput)
 // Panic / fatal termination paths
 // ----------------------------------------------------------------------
 
-/** A hook that panics: only the reentrancy guard stops the recursion. */
-void
-reentrantHook()
-{
-    REMORA_PANIC("hook reentered");
-}
-
 TEST(PanicDeathTest, AssertFailurePrintsConditionText)
 {
     EXPECT_DEATH(REMORA_ASSERT(2 + 2 == 5),
@@ -477,33 +469,6 @@ TEST(PanicDeathTest, FatalExitsWithStatusOne)
     EXPECT_EXIT(REMORA_FATAL("impossible topology"),
                 ::testing::ExitedWithCode(1),
                 "remora fatal: .*impossible topology");
-}
-
-TEST(PanicDeathTest, HookFiresAtMostOnce)
-{
-    // A hook that itself panics would recurse forever without the
-    // single-fire guard; the guarded path prints the inner message once
-    // and still aborts.
-    EXPECT_DEATH(
-        {
-            setPanicHook(reentrantHook);
-            REMORA_PANIC("outer failure");
-        },
-        "hook reentered");
-}
-
-TEST(PanicDeathTest, LogRingFlushesOnPanic)
-{
-    // Messages captured at ring level (even below the emit level) must
-    // appear in the panic output via the Logger-installed hook.
-    EXPECT_DEATH(
-        {
-            sim::Logger::setRingCapacity(16);
-            sim::Logger::setRingLevel(sim::LogLevel::kDebug);
-            REMORA_LOG(kDebug, "test", "breadcrumb " << 42);
-            REMORA_PANIC("with breadcrumbs");
-        },
-        "breadcrumb 42");
 }
 
 } // namespace
