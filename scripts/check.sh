@@ -7,14 +7,16 @@
 #   scripts/check.sh --tidy     # + clang-tidy profile (.clang-tidy)
 #   scripts/check.sh --format   # + clang-format dry run (.clang-format)
 #   scripts/check.sh --asan     # + ASan/UBSan/LSan suite in build-asan/
-#   scripts/check.sh --race     # + `race` tests with the detector armed, 8 seeds
 #   scripts/check.sh --all      # every gate above
 #
 # Gates are additive: the primary build and test suite always run, and
 # each flag layers one more check on top. The suite includes the probe
 # gates, which are ctests: `remora race` and `remora faults` at seeds
 # 0-7, and `remora explore` over the clean workload registry (label
-# `mc`), so --asan runs them under the sanitizers too. The primary
+# `mc`), so --asan runs them under the sanitizers too. It also runs the
+# armed race sweep (label `race`): every test of the race-clean
+# binaries again with the detector fatal (REMORA_RACE=1) under each of
+# the perturbed schedules 0-7 (REMORA_PERTURB=<seed>). The primary
 # suite also runs the exact bench gate: the smoke benches (label
 # `bench_smoke`), then bench_diff against bench/baselines (the
 # `bench_baselines_match` test); the sanitizer tree builds no benches.
@@ -35,15 +37,13 @@ DO_LINT=0
 DO_TIDY=0
 DO_FORMAT=0
 DO_ASAN=0
-DO_RACE=0
 for arg in "$@"; do
     case "${arg}" in
         --lint) DO_LINT=1 ;;
         --tidy) DO_TIDY=1 ;;
         --format) DO_FORMAT=1 ;;
         --asan) DO_ASAN=1 ;;
-        --race) DO_RACE=1 ;;
-        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1; DO_RACE=1 ;;
+        --all) DO_LINT=1; DO_TIDY=1; DO_FORMAT=1; DO_ASAN=1 ;;
         -h|--help)
             sed -n '2,/^$/p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
@@ -121,19 +121,6 @@ if [[ "${DO_ASAN}" == 1 ]]; then
     echo "== sanitizer pass: ASan + UBSan + LSan =="
     run_suite build-asan -DREMORA_SANITIZE=ON -DREMORA_BUILD_BENCH=OFF
     GATES_RUN+=("asan")
-fi
-
-if [[ "${DO_RACE}" == 1 ]]; then
-    echo
-    echo "== race: happens-before detection over perturbed schedules =="
-    # Every test labeled `race` must stay green with the detector fatal
-    # (REMORA_RACE=1) under each seed's perturbed schedule.
-    RACE_SEEDS=(0 1 2 3 4 5 6 7)
-    for seed in "${RACE_SEEDS[@]}"; do
-        (cd build && REMORA_RACE=1 REMORA_PERTURB="${seed}" \
-            ctest -L race --output-on-failure -j "${JOBS}")
-    done
-    GATES_RUN+=("race[seeds=${#RACE_SEEDS[@]}]")
 fi
 
 echo

@@ -131,9 +131,7 @@ Link::pump()
             }
             deliverAt += d.extraDelay;
         }
-        auto deliver = [this, cell] { sink_->acceptCell(cell); };
-        static_assert(sim::Callback::kFitsInline<decltype(deliver)>);
-        sim_.scheduleAt(deliverAt, std::move(deliver));
+        sim_.scheduleAt(deliverAt, [this, cell] { sink_->acceptCell(cell); });
     }
     wakeOnCredit();
 }

@@ -62,9 +62,7 @@ Switch::forward(const Cell &cell, PortState &from)
     forwarded_.inc();
     obs::instant(0, name_, "net", "hop", obs::kv("dst", cell.vpi),
                  obs::kv("src", cell.vci));
-    auto cross = [out, cell] { out->send(cell); };
-    static_assert(sim::Callback::kFitsInline<decltype(cross)>);
-    sim_.schedule(fabricLatency_, std::move(cross));
+    sim_.schedule(fabricLatency_, [out, cell] { out->send(cell); });
 }
 
 void

@@ -41,22 +41,6 @@ struct OpEvents
 
 } // namespace
 
-const char *
-pathPhaseName(PathPhase phase)
-{
-    switch (phase) {
-      case PathPhase::kSoftware:
-        return "software";
-      case PathPhase::kWire:
-        return "wire";
-      case PathPhase::kController:
-        return "controller";
-      case PathPhase::kQueueing:
-        return "queueing";
-    }
-    return "unknown";
-}
-
 void
 PhaseTotals::add(PathPhase phase, sim::Duration d)
 {

@@ -3,13 +3,12 @@
  * Critical-path latency attribution over a trace recording.
  *
  * The paper's Table 2 decomposes each meta-instruction's latency into
- * software, wire, and controller microseconds — but those are *model*
- * numbers, computed from constants. This analyzer derives the same
- * decomposition empirically, by walking the cross-node event DAG the
- * op-id propagation stitches together, and adds the phase the static
- * counters cannot see: **queueing**, the time an op spends ready but
- * not running (CPU busy with other work, drain loop not yet at our
- * message, notification not yet dispatched).
+ * software, wire, and controller microseconds. This analyzer derives
+ * that decomposition from a recording, by walking the cross-node event
+ * DAG the op-id propagation stitches together, and adds the phase a
+ * static cost model cannot see: **queueing**, the time an op spends
+ * ready but not running (CPU busy with other work, drain loop not yet
+ * at our message, notification not yet dispatched).
  *
  * The walk is a cursor sweep over the op's window [asyncBegin ts,
  * asyncEnd ts]:
@@ -22,10 +21,11 @@
  *  - an uncovered gap with no arrival is queueing, attributed to the
  *    node that runs next.
  *
- * Software plus queueing here corresponds to the engine's "software"
- * phase (the engine folds queueing into software because its model
- * can't separate them); wire and controller correspond directly. The
- * bench gate checks that agreement to within 1%.
+ * The four phases tile the window, so they sum to the op's latency.
+ * bench_table2_rmem_ops checks that exactly for READ and CAS, whose ops
+ * end where its latency loops stop the clock: the mean phase total
+ * must equal the measured latency to half a nanosecond
+ * (`read.critpath.sums_to_latency`, `cas.critpath.sums_to_latency`).
  */
 #pragma once
 
@@ -51,9 +51,6 @@ enum class PathPhase : uint8_t
     /** Ready but not running: CPU busy, drain backlog, dispatch delay. */
     kQueueing,
 };
-
-/** Printable name of @p phase. */
-const char *pathPhaseName(PathPhase phase);
 
 /** One attributed slice of an op's timeline. */
 struct PathSlice

@@ -770,10 +770,8 @@ RmemEngine::serveScalar(net::NodeId src, Req &&req)
             ReqId reqId = keyOf(req).reqId;
             applyScalar(src, span, reqId, asSubOp(std::move(req)));
         };
-        static_assert(sim::Callback::kFitsInline<decltype(apply)>);
         node_.cpu().post(copy.cost, copy.category, std::move(apply));
     };
-    static_assert(sim::Callback::kFitsInline<decltype(validate)>);
     node_.cpu().post(cost, sim::CpuCategory::kDataReceive,
                      std::move(validate));
 }
@@ -903,7 +901,6 @@ RmemEngine::executeVector(const std::shared_ptr<VectorServeState> &st)
                 finishVector(st);
             }
         };
-        static_assert(sim::Callback::kFitsInline<decltype(apply)>);
         node_.cpu().post(stage.cost, stage.category, std::move(apply));
     }
 }
@@ -1084,7 +1081,6 @@ RmemEngine::deposit(net::NodeId src, ReqId reqId, Reply &&reply)
         obs::endSpan(span);
         p.done.set(std::move(landed));
     };
-    static_assert(sim::Callback::kFitsInline<decltype(land)>);
     node_.cpu().post(cost, sim::CpuCategory::kDataReceive, std::move(land));
 }
 

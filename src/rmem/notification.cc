@@ -108,20 +108,28 @@ NotificationChannel::setSignalHandler(
 }
 
 void
-NotificationChannel::post(const Notification &n)
+NotificationChannel::postBatch(std::span<const Notification> batch)
 {
-    Notification rec = n;
-    if (rec.traceOp == 0) {
-        // The serving engine posts under the initiator op's OpScope.
-        rec.traceOp = obs::TraceRecorder::currentOp();
+    if (batch.empty()) {
+        return;
     }
-    ++delivered_;
+    // The serving engine posts under the initiator op's OpScope; a
+    // record without its own op carries that one.
+    uint64_t ambientOp = obs::TraceRecorder::currentOp();
+    auto stamped = [ambientOp](Notification rec) {
+        if (rec.traceOp == 0) {
+            rec.traceOp = ambientOp;
+        }
+        return rec;
+    };
+    delivered_ += batch.size();
     if (RaceDetector::on()) {
         // Posting releases the poster's clock into the channel: a
         // serve path posts on behalf of the initiating node (the
         // engine's ScopedActor is live here), so everything that node
-        // did — including the store this notification announces —
-        // happens-before the handler/reader that consumes it.
+        // did before the doorbell — including every store the records
+        // announce — happens-before each handler/reader that consumes
+        // them. One release covers the whole batch.
         auto &det = RaceDetector::instance();
         det.releaseToken(this, det.currentActor(raceOwner_));
     }
@@ -131,61 +139,15 @@ NotificationChannel::post(const Notification &n)
     sim::Simulator::HintScope hintScope(simulator(),
                                         sim::DepHint::channel(wgId_));
     if (signalHandler_) {
-        // Signal delivery: dispatch cost, then the handler upcall. The
-        // op rides in the record and is re-established for the upcall
-        // (adoption at notification delivery).
-        cpu_.post(costs_.notifyDispatchCost,
-                  sim::CpuCategory::kControlTransfer, [this, rec] {
-                      if (RaceDetector::on()) {
-                          RaceDetector::instance().acquireToken(this,
-                                                                raceOwner_);
-                      }
-                      obs::OpScope opScope(rec.traceOp);
-                      if (!traceNode_.empty()) {
-                          obs::instant(0, traceNode_, "notify",
-                                       "notify_deliver",
-                                       obs::kv("kind", "signal"));
-                      }
-                      signalHandler_(rec);
-                  });
-        return;
-    }
-    queue_.push_back(rec);
-    waitGraph().channelPosted(wgId_);
-    wakeConsumers();
-}
-
-void
-NotificationChannel::postBatch(std::span<const Notification> batch)
-{
-    if (batch.empty()) {
-        return;
-    }
-    if (batch.size() == 1) {
-        // Degenerate batch: identical to a scalar post (same cost, same
-        // digest), so callers can batch unconditionally.
-        post(batch.front());
-        return;
-    }
-    uint64_t ambientOp = obs::TraceRecorder::currentOp();
-    std::vector<Notification> recs(batch.begin(), batch.end());
-    for (Notification &rec : recs) {
-        if (rec.traceOp == 0) {
-            rec.traceOp = ambientOp;
+        // Signal delivery: ONE dispatch cost for the batch, then the
+        // handler upcall per record. Each op rides in its record and is
+        // re-established for its upcall (adoption at notification
+        // delivery).
+        std::vector<Notification> recs;
+        recs.reserve(batch.size());
+        for (const Notification &n : batch) {
+            recs.push_back(stamped(n));
         }
-    }
-    delivered_ += recs.size();
-    if (RaceDetector::on()) {
-        // One release covers the whole batch: everything the posting
-        // actor did before the doorbell — including every sub-op store
-        // the records announce — happens-before each consumption.
-        auto &det = RaceDetector::instance();
-        det.releaseToken(this, det.currentActor(raceOwner_));
-    }
-    sim::Simulator::HintScope hintScope(simulator(),
-                                        sim::DepHint::channel(wgId_));
-    if (signalHandler_) {
-        // ONE dispatch cost for the batch, then the upcall per record.
         cpu_.post(costs_.notifyDispatchCost,
                   sim::CpuCategory::kControlTransfer,
                   [this, recs = std::move(recs)] {
@@ -195,7 +157,12 @@ NotificationChannel::postBatch(std::span<const Notification> batch)
                       }
                       for (const Notification &rec : recs) {
                           obs::OpScope opScope(rec.traceOp);
-                          if (!traceNode_.empty()) {
+                          // Only a batch of several records says batch=N.
+                          if (!traceNode_.empty() && recs.size() == 1) {
+                              obs::instant(0, traceNode_, "notify",
+                                           "notify_deliver",
+                                           obs::kv("kind", "signal"));
+                          } else if (!traceNode_.empty()) {
                               obs::instant(0, traceNode_, "notify",
                                            "notify_deliver",
                                            obs::kv("kind", "signal"),
@@ -206,8 +173,8 @@ NotificationChannel::postBatch(std::span<const Notification> batch)
                   });
         return;
     }
-    for (const Notification &rec : recs) {
-        queue_.push_back(rec);
+    for (const Notification &n : batch) {
+        queue_.push_back(stamped(n));
         waitGraph().channelPosted(wgId_);
     }
     // One doorbell: wakeConsumers charges a single notifyDispatchCost

@@ -106,9 +106,9 @@ class NotificationChannel
 
     /**
      * Deliver a notification (called by the engine when an incoming
-     * request warrants control transfer). Charges the dispatch cost.
+     * request warrants control transfer): a batch of one.
      */
-    void post(const Notification &n);
+    void post(const Notification &n) { postBatch({&n, 1}); }
 
     /**
      * Deliver several notifications behind ONE doorbell: every record

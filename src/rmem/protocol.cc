@@ -79,38 +79,6 @@ messageType(const Message &msg)
     return std::visit(Visitor{}, msg);
 }
 
-const char *
-msgTypeName(MsgType type)
-{
-    switch (type) {
-      case MsgType::kWriteSmall:
-        return "write_small";
-      case MsgType::kWriteBlock:
-        return "write_block";
-      case MsgType::kReadReq:
-        return "read_req";
-      case MsgType::kReadResp:
-        return "read_resp";
-      case MsgType::kCasReq:
-        return "cas_req";
-      case MsgType::kCasResp:
-        return "cas_resp";
-      case MsgType::kNak:
-        return "nak";
-      case MsgType::kRpc:
-        return "rpc";
-      case MsgType::kVectorOp:
-        return "vector_op";
-      case MsgType::kVectorResp:
-        return "vector_resp";
-      case MsgType::kSeqData:
-        return "seq_data";
-      case MsgType::kAck:
-        return "ack";
-    }
-    return "unknown";
-}
-
 std::vector<uint8_t>
 encodeMessage(const Message &msg)
 {

@@ -21,6 +21,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <variant>
 #include <vector>
@@ -179,8 +180,24 @@ using Message = std::variant<WriteReq, ReadReq, ReadResp, CasReq, CasResp,
 /** The discriminator a Message encodes as. */
 MsgType messageType(const Message &msg);
 
-/** Human-readable name of a message type ("write_small", "read_req"...). */
-const char *msgTypeName(MsgType type);
+/** Message type names indexed by MsgType value; 0 is no type. */
+inline constexpr std::array<const char *, 13> kMsgTypeNames = {
+    "unknown",
+    "write_small", "write_block", "read_req",  "read_resp",
+    "cas_req",     "cas_resp",    "nak",       "rpc",
+    "vector_op",   "vector_resp", "seq_data",  "ack"};
+static_assert(kMsgTypeNames.size() == static_cast<size_t>(MsgType::kAck) + 1);
+
+/**
+ * Human-readable name of a message type ("write_small", "read_req"...),
+ * or "unknown" for a value outside the enum.
+ */
+constexpr const char *
+msgTypeName(MsgType type)
+{
+    auto i = static_cast<size_t>(type);
+    return i < kMsgTypeNames.size() ? kMsgTypeNames[i] : kMsgTypeNames[0];
+}
 
 /** Serialize @p msg to wire bytes. */
 std::vector<uint8_t> encodeMessage(const Message &msg);

@@ -157,7 +157,6 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
                 frame->accepted.set();
             }
         };
-        static_assert(sim::Callback::kFitsInline<decltype(push)>);
         cpu.post(cellCost, category, std::move(push));
     }
     return frame->accepted.future();

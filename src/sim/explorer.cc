@@ -183,11 +183,14 @@ ScheduleExplorer::advance()
     return false;
 }
 
+/** Extra replays allowed per finding while shrinking. */
+constexpr uint64_t kMaxShrinkRuns = 128;
+
 std::vector<uint32_t>
 ScheduleExplorer::shrinkPrefix(const std::vector<uint32_t> &full,
                                const std::string &sig)
 {
-    uint64_t budget = opts_.maxShrinkRuns;
+    uint64_t budget = kMaxShrinkRuns;
     for (size_t k = 0; k <= full.size(); ++k) {
         if (budget == 0) {
             break;
@@ -204,6 +207,9 @@ ScheduleExplorer::shrinkPrefix(const std::vector<uint32_t> &full,
     }
     return full;
 }
+
+/** Stop recording findings past this many (dedup continues). */
+constexpr size_t kMaxFindings = 8;
 
 ExploreResult
 ScheduleExplorer::explore()
@@ -230,7 +236,7 @@ ScheduleExplorer::explore()
                 continue;
             }
             findings_.inc();
-            if (res.findings.size() >= opts_.maxFindings) {
+            if (res.findings.size() >= kMaxFindings) {
                 continue;
             }
             ExplorerFinding f;

@@ -56,10 +56,6 @@ struct ExplorerOptions
     bool reduction = true;
     /** Shrink each finding to its minimal failing choice prefix. */
     bool shrink = true;
-    /** Extra replays allowed per finding while shrinking. */
-    uint64_t maxShrinkRuns = 128;
-    /** Stop recording findings past this many (dedup continues). */
-    size_t maxFindings = 8;
 };
 
 /** One deduped finding with its reproducer. */

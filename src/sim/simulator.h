@@ -228,11 +228,11 @@ class RecordReplayPolicy final : public SchedulePolicy
 };
 
 /**
- * A move-only `void()` callable for event callbacks. Captures of up to
- * kInlineBytes live inside the callable itself, so scheduling one
- * allocates nothing; larger captures (or ones whose move may throw) are
- * boxed on the heap. Unlike std::function it accepts move-only captures
- * such as std::unique_ptr.
+ * A move-only `void()` callable for event callbacks. Every capture lives
+ * inside the callable itself, so scheduling one allocates nothing; a
+ * capture over kInlineBytes, or one whose move may throw, does not
+ * compile. Unlike std::function it accepts move-only captures such as
+ * std::unique_ptr.
  */
 class Callback
 {
@@ -245,8 +245,8 @@ class Callback
     static constexpr size_t kInlineBytes = 72;
 
     /**
-     * True when a callable of type @p D is stored inline (no heap
-     * allocation). Hot event sites static_assert it on their captures.
+     * True when a callable of type @p D fits the inline buffer; the
+     * constructor accepts no other.
      */
     template <typename D>
     static constexpr bool kFitsInline =
@@ -260,18 +260,13 @@ class Callback
     /** Wrap any callable invocable as `void()` (implicit, like a lambda). */
     template <typename F>
         requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
-                 std::is_invocable_v<std::decay_t<F> &>)
+                 std::is_invocable_v<std::decay_t<F> &> &&
+                 kFitsInline<std::decay_t<F>>)
     Callback(F &&f)
     {
         using D = std::decay_t<F>;
-        if constexpr (kFitsInline<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &Inline<D>::kOps;
-        } else {
-            D *boxed = new D(std::forward<F>(f));
-            std::memcpy(buf_, &boxed, sizeof boxed);
-            ops_ = &Boxed<D>::kOps;
-        }
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &Inline<D>::kOps;
     }
 
     Callback(Callback &&other) noexcept { take(other); }
@@ -312,8 +307,8 @@ class Callback
   private:
     /**
      * Type-erased operations. A null relocate means the stored bytes
-     * move with memcpy (trivially copyable captures and boxed pointers);
-     * a null destroy means there is nothing to destroy.
+     * move with memcpy (trivially copyable captures); a null destroy
+     * means there is nothing to destroy.
      */
     struct Ops
     {
@@ -338,21 +333,6 @@ class Callback
             &invoke,
             std::is_trivially_copyable_v<D> ? nullptr : &relocate,
             std::is_trivially_destructible_v<D> ? nullptr : &destroy};
-    };
-
-    template <typename D>
-    struct Boxed
-    {
-        static D *
-        get(void *p)
-        {
-            D *boxed = nullptr;
-            std::memcpy(&boxed, p, sizeof boxed);
-            return boxed;
-        }
-        static void invoke(void *p) { (*get(p))(); }
-        static void destroy(void *p) noexcept { delete get(p); }
-        static constexpr Ops kOps{&invoke, nullptr, &destroy};
     };
 
     void

@@ -24,7 +24,9 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "sim/simulator.h"
 #include "util/panic.h"
@@ -238,16 +240,18 @@ TaskPromise<void>::get_return_object()
         std::coroutine_handle<TaskPromise<void>>::from_promise(*this));
 }
 
+/** What a one-shot rendezvous stores: std::monostate for T = void. */
+template <typename T>
+using OneShotValue =
+    std::conditional_t<std::is_void_v<T>, std::monostate, T>;
+
 /** Shared state of a one-shot Promise/Future pair. */
 template <typename T>
 struct OneShotState
 {
     Simulator *sim = nullptr;
-    std::optional<T> value;
-    std::exception_ptr exception;
+    std::optional<OneShotValue<T>> value;
     std::coroutine_handle<> waiter;
-
-    bool ready() const { return value.has_value() || exception; }
 
     void
     park(std::coroutine_handle<> h)
@@ -271,41 +275,11 @@ struct OneShotState
     }
 };
 
-/** Specialization for valueless rendezvous. */
-template <>
-struct OneShotState<void>
-{
-    Simulator *sim = nullptr;
-    bool done = false;
-    std::exception_ptr exception;
-    std::coroutine_handle<> waiter;
-
-    bool ready() const { return done || exception; }
-
-    void
-    park(std::coroutine_handle<> h)
-    {
-        waiter = h;
-        sim->waitGraph().parked(this, "future.wait (one-shot rendezvous)",
-                                false);
-    }
-
-    void
-    wake()
-    {
-        if (!waiter) {
-            return;
-        }
-        sim->waitGraph().unparked(this);
-        auto h = std::exchange(waiter, {});
-        sim->schedule(0, [h] { h.resume(); });
-    }
-};
-
 } // namespace detail
 
 /**
- * Awaitable one-shot value, completed by the matching Promise<T>.
+ * Awaitable one-shot value, completed by the matching Promise<T>
+ * (T = void signals completion only).
  *
  * A Future may be awaited by at most one coroutine. Awaiting after
  * completion resumes immediately; awaiting before completion suspends
@@ -321,14 +295,11 @@ class Future
         : state_(std::move(st))
     {}
 
-    /** True once a value (or error) has been delivered. */
-    bool ready() const { return state_ && state_->ready(); }
-
     struct Awaiter
     {
         detail::OneShotState<T> *st;
 
-        bool await_ready() const noexcept { return st->ready(); }
+        bool await_ready() const noexcept { return st->value.has_value(); }
 
         void
         await_suspend(std::coroutine_handle<> h) noexcept
@@ -340,10 +311,9 @@ class Future
         T
         await_resume()
         {
-            if (st->exception) {
-                std::rethrow_exception(st->exception);
+            if constexpr (!std::is_void_v<T>) {
+                return std::move(*st->value);
             }
-            return std::move(*st->value);
         }
     };
 
@@ -379,116 +349,21 @@ class Promise
     /** The awaitable consumer side. */
     Future<T> future() const { return Future<T>(state_); }
 
-    /** Deliver the value; must be called at most once. */
+    /**
+     * Deliver the value, built from @p args (none for T = void); must
+     * be called at most once.
+     */
+    template <typename... Args>
     void
-    set(T value)
+    set(Args &&...args)
     {
-        REMORA_ASSERT(!state_->ready());
-        state_->value.emplace(std::move(value));
+        REMORA_ASSERT(!state_->value);
+        state_->value.emplace(std::forward<Args>(args)...);
         state_->wake();
     }
-
-    /** Deliver an error instead of a value; must be called at most once. */
-    void
-    setException(std::exception_ptr e)
-    {
-        REMORA_ASSERT(!state_->ready());
-        state_->exception = e;
-        state_->wake();
-    }
-
-    /** True once set/setException has run. */
-    bool fulfilled() const { return state_->ready(); }
 
   private:
     std::shared_ptr<detail::OneShotState<T>> state_;
-};
-
-/** Valueless Future: completion-only signalling. */
-template <>
-class Future<void>
-{
-  public:
-    Future() = default;
-    explicit Future(std::shared_ptr<detail::OneShotState<void>> st)
-        : state_(std::move(st))
-    {}
-
-    /** True once completion (or error) has been delivered. */
-    bool ready() const { return state_ && state_->ready(); }
-
-    struct Awaiter
-    {
-        detail::OneShotState<void> *st;
-
-        bool await_ready() const noexcept { return st->ready(); }
-
-        void
-        await_suspend(std::coroutine_handle<> h) noexcept
-        {
-            REMORA_ASSERT(!st->waiter);
-            st->park(h);
-        }
-
-        void
-        await_resume()
-        {
-            if (st->exception) {
-                std::rethrow_exception(st->exception);
-            }
-        }
-    };
-
-    /** Await completion. */
-    Awaiter
-    operator co_await() const noexcept
-    {
-        REMORA_ASSERT(state_);
-        return Awaiter{state_.get()};
-    }
-
-  private:
-    std::shared_ptr<detail::OneShotState<void>> state_;
-};
-
-/** Valueless Promise: completion-only signalling. */
-template <>
-class Promise<void>
-{
-  public:
-    /** Create a fresh one-shot channel on @p sim. */
-    explicit Promise(Simulator &sim)
-        : state_(std::make_shared<detail::OneShotState<void>>())
-    {
-        state_->sim = &sim;
-    }
-
-    /** The awaitable consumer side. */
-    Future<void> future() const { return Future<void>(state_); }
-
-    /** Signal completion; must be called at most once. */
-    void
-    set()
-    {
-        REMORA_ASSERT(!state_->ready());
-        state_->done = true;
-        state_->wake();
-    }
-
-    /** Deliver an error instead; must be called at most once. */
-    void
-    setException(std::exception_ptr e)
-    {
-        REMORA_ASSERT(!state_->ready());
-        state_->exception = e;
-        state_->wake();
-    }
-
-    /** True once set/setException has run. */
-    bool fulfilled() const { return state_->ready(); }
-
-  private:
-    std::shared_ptr<detail::OneShotState<void>> state_;
 };
 
 /** Awaitable that suspends a coroutine for simulated time. */

@@ -117,7 +117,10 @@ ByteReader::getBytes(std::span<uint8_t> out)
         std::fill(out.begin(), out.end(), uint8_t{0});
         return;
     }
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
+    if (!out.empty()) {
+        // An empty span's data() may be null, which memcpy must not get.
+        std::memcpy(out.data(), data_.data() + pos_, out.size());
+    }
     pos_ += out.size();
 }
 
