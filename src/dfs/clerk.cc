@@ -35,48 +35,6 @@ ServerClerk::registerStats(obs::MetricRegistry &reg,
     reg.add(prefix + ".backend_calls", stats_.backendCalls);
 }
 
-sim::Task<util::Status>
-ServerClerk::null()
-{
-    stats_.requests.inc();
-    ClerkOp op = beginOp("clerk_null");
-    co_await lrpc_.enterCallee();
-    stats_.backendCalls.inc();
-    util::Status s = co_await [&] {
-        obs::OpScope traceScope(op.op);
-        return backend_.null();
-    }();
-    co_await lrpc_.returnToCaller();
-    endOp(op, "clerk_null");
-    co_return s;
-}
-
-sim::Task<util::Result<FileAttr>>
-ServerClerk::getattr(FileHandle fh)
-{
-    stats_.requests.inc();
-    ClerkOp op = beginOp("clerk_getattr");
-    co_await lrpc_.enterCallee();
-    if (auto it = attrCache_.find(fh.key()); it != attrCache_.end()) {
-        stats_.localHits.inc();
-        FileAttr attr = it->second;
-        co_await lrpc_.returnToCaller();
-        endOp(op, "clerk_getattr");
-        co_return attr;
-    }
-    stats_.backendCalls.inc();
-    auto result = co_await [&] {
-        obs::OpScope traceScope(op.op);
-        return backend_.getattr(fh);
-    }();
-    if (result.ok()) {
-        attrCache_[fh.key()] = result.value();
-    }
-    co_await lrpc_.returnToCaller();
-    endOp(op, "clerk_getattr");
-    co_return result;
-}
-
 sim::Task<util::Result<LookupReply>>
 ServerClerk::lookup(FileHandle dir, std::string name)
 {
@@ -98,7 +56,6 @@ ServerClerk::lookup(FileHandle dir, std::string name)
     }();
     if (result.ok()) {
         nameCache_[key] = result.value();
-        attrCache_[result.value().fh.key()] = result.value().attr;
     }
     co_await lrpc_.returnToCaller();
     endOp(op, "clerk_lookup");
@@ -181,7 +138,6 @@ ServerClerk::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
                                          static_cast<long>(p + len));
         }
     }
-    attrCache_.erase(fh.key()); // size/mtime changed
     stats_.backendCalls.inc();
     util::Status s = co_await [&] {
         obs::OpScope traceScope(op.op);
@@ -242,66 +198,6 @@ ServerClerk::readdir(FileHandle fh, uint32_t maxBytes)
     co_await lrpc_.returnToCaller();
     endOp(op, "clerk_readdir");
     co_return result;
-}
-
-sim::Task<util::Result<FsStat>>
-ServerClerk::statfs()
-{
-    stats_.requests.inc();
-    ClerkOp op = beginOp("clerk_statfs");
-    co_await lrpc_.enterCallee();
-    if (statValid_) {
-        stats_.localHits.inc();
-        FsStat s = statCache_;
-        co_await lrpc_.returnToCaller();
-        endOp(op, "clerk_statfs");
-        co_return s;
-    }
-    stats_.backendCalls.inc();
-    auto result = co_await [&] {
-        obs::OpScope traceScope(op.op);
-        return backend_.statfs();
-    }();
-    if (result.ok()) {
-        statCache_ = result.value();
-        statValid_ = true;
-    }
-    co_await lrpc_.returnToCaller();
-    endOp(op, "clerk_statfs");
-    co_return result;
-}
-
-void
-ServerClerk::invalidateAll()
-{
-    attrCache_.clear();
-    nameCache_.clear();
-    blockCache_.clear();
-    linkCache_.clear();
-    dirCache_.clear();
-    statValid_ = false;
-}
-
-void
-ServerClerk::invalidate(FileHandle fh)
-{
-    attrCache_.erase(fh.key());
-    linkCache_.erase(fh.key());
-    dirCache_.erase(fh.key());
-    for (auto it = blockCache_.begin(); it != blockCache_.end();) {
-        if (it->first.first == fh.key()) {
-            it = blockCache_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto it = nameCache_.begin(); it != nameCache_.end();) {
-        if (it->first.first == fh.key()) {
-            it = nameCache_.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 } // namespace remora::dfs

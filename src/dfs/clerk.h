@@ -5,11 +5,12 @@
  * "Each distributed service has server clerks that execute on the
  * client machines. All client-server interactions are done through
  * local cross-address-space communication between the client and the
- * server clerk." The clerk keeps the four local cache areas of §5.1
- * (file data, name lookup, file attributes, directory entries — plus
- * symlinks) and goes to the server through whichever transfer backend
- * it was built with, so the identical caching clerk runs over DX, HY,
- * or conventional RPC.
+ * server clerk." The clerk keeps the local cache areas of §5.1 that its
+ * operations read (file data, name lookup and directory entries, plus
+ * symlinks; it serves no getattr, so it keeps no attribute area) and
+ * goes to the server through whichever transfer backend it was built
+ * with, so the identical caching clerk runs over DX, HY, or
+ * conventional RPC.
  */
 #pragma once
 
@@ -45,12 +46,6 @@ class ServerClerk
      */
     ServerClerk(sim::CpuResource &cpu, FileServiceBackend &backend);
 
-    /** NULL ping straight through to the backend. */
-    sim::Task<util::Status> null();
-
-    /** Attributes of @p fh (attribute cache area). */
-    sim::Task<util::Result<FileAttr>> getattr(FileHandle fh);
-
     /** Resolve @p name under @p dir (name-lookup cache area). */
     sim::Task<util::Result<LookupReply>> lookup(FileHandle dir,
                                                 std::string name);
@@ -71,24 +66,12 @@ class ServerClerk
     sim::Task<util::Result<std::vector<DirEntry>>> readdir(
         FileHandle fh, uint32_t maxBytes);
 
-    /** Filesystem statistics (cached briefly). */
-    sim::Task<util::Result<FsStat>> statfs();
-
-    /** Drop every locally cached datum. */
-    void invalidateAll();
-
-    /** Drop cached state for one file handle. */
-    void invalidate(FileHandle fh);
-
     /** Counters. */
     const ClerkStats &stats() const { return stats_; }
 
     /** Register clerk counters under "<prefix>.requests" etc. */
     void registerStats(obs::MetricRegistry &reg,
                        const std::string &prefix) const;
-
-    /** The transfer backend in use. */
-    FileServiceBackend &backend() { return backend_; }
 
   private:
     /** One in-flight clerk operation's trace context. */
@@ -116,14 +99,11 @@ class ServerClerk
     rpc::LocalRpc lrpc_;
 
     // The clerk-side cache areas (§5.1), keyed like the server's.
-    std::unordered_map<uint64_t, FileAttr> attrCache_;
     std::map<std::pair<uint64_t, std::string>, LookupReply> nameCache_;
     std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>>
         blockCache_;
     std::unordered_map<uint64_t, std::string> linkCache_;
     std::unordered_map<uint64_t, std::vector<DirEntry>> dirCache_;
-    bool statValid_ = false;
-    FsStat statCache_;
 
     ClerkStats stats_;
 };

@@ -158,9 +158,6 @@ class FileServer
     /** Run scavengeDirtyBlocks() every @p interval forever. */
     void startScavenger(sim::Duration interval);
 
-    /** The filesystem behind the service. */
-    FileStore &store() { return store_; }
-
     /** Procedure-time table in force. */
     const ServiceTimes &serviceTimes() const { return times_; }
 
@@ -170,9 +167,6 @@ class FileServer
     /** Register server counters under "<prefix>.calls_served" etc. */
     void registerStats(obs::MetricRegistry &reg,
                        const std::string &prefix) const;
-
-    /** The server node's engine. */
-    rmem::RmemEngine &engine() { return engine_; }
 
     /**
      * Execute one marshaled call body ([proc][args]) against the store,

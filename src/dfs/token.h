@@ -87,9 +87,6 @@ class TokenArea
     /** Handle clerks use to reach the table. */
     rmem::ImportedSegment handle() const { return handle_; }
 
-    /** Parameters in force. */
-    const TokenParams &params() const { return params_; }
-
     /** Direct inspection for tests: current holder tag of @p key. */
     uint32_t holderOf(uint64_t key) const;
 

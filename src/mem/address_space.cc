@@ -63,19 +63,6 @@ AddressSpace::allocRegion(size_t bytes, bool writable)
     return base;
 }
 
-void
-AddressSpace::freeRegion(Vaddr base, size_t bytes)
-{
-    size_t pages = (bytes + kPageBytes - 1) / kPageBytes;
-    for (size_t i = 0; i < pages; ++i) {
-        Vaddr va = base + i * kPageBytes;
-        if (const Pte *pte = pageTable_.lookup(va)) {
-            phys_.freeFrame(pte->frame);
-            pageTable_.unmap(va);
-        }
-    }
-}
-
 util::Status
 AddressSpace::read(Vaddr va, std::span<uint8_t> out) const
 {

@@ -45,9 +45,6 @@ class AddressSpace
      */
     Vaddr allocRegion(size_t bytes, bool writable = true);
 
-    /** Unmap and free the pages of a region returned by allocRegion. */
-    void freeRegion(Vaddr base, size_t bytes);
-
     /**
      * Copy bytes out of the address space.
      *
@@ -83,9 +80,6 @@ class AddressSpace
 
     /** The translation structure (walked by the kernel emulation). */
     PageTable &pageTable() { return pageTable_; }
-
-    /** Const access to translations. */
-    const PageTable &pageTable() const { return pageTable_; }
 
     /**
      * Observer invoked after every successful read/write (word accesses

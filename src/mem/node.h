@@ -43,17 +43,12 @@ class Process
     /** Node-unique process id. */
     Pid pid() const { return pid_; }
 
-    /** Diagnostic name. */
-    const std::string &name() const { return name_; }
-
     /** The process's virtual memory. */
     AddressSpace &space() { return space_; }
 
-    /** Const access to the process's virtual memory. */
-    const AddressSpace &space() const { return space_; }
-
   private:
     Pid pid_;
+    /** Diagnostic name, for reading in a debugger. */
     std::string name_;
     AddressSpace space_;
 };

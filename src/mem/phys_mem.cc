@@ -46,11 +46,4 @@ PhysMem::frameData(Frame f)
     return {frames_[f].get(), kPageBytes};
 }
 
-std::span<const uint8_t>
-PhysMem::frameData(Frame f) const
-{
-    REMORA_ASSERT(f < frames_.size());
-    return {frames_[f].get(), kPageBytes};
-}
-
 } // namespace remora::mem

@@ -44,14 +44,8 @@ class PhysMem
     /** Mutable view of a frame's bytes. */
     std::span<uint8_t> frameData(Frame f);
 
-    /** Read-only view of a frame's bytes. */
-    std::span<const uint8_t> frameData(Frame f) const;
-
     /** Frames currently allocated. */
     size_t framesInUse() const { return framesInUse_; }
-
-    /** Maximum frames this node can hold. */
-    size_t capacity() const { return maxFrames_; }
 
   private:
     size_t maxFrames_;

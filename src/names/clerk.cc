@@ -297,18 +297,6 @@ NameClerk::refresh()
     }
 }
 
-void
-NameClerk::startPeriodicRefresh(sim::Duration interval)
-{
-    engine_.node().simulator().schedule(interval, [this, interval] {
-        [](NameClerk *self, sim::Duration ivl) -> sim::Task<void> {
-            co_await self->refresh();
-            self->startPeriodicRefresh(ivl);
-        }(this, interval)
-                                .detach();
-    });
-}
-
 // ----------------------------------------------------------------------
 // Local registry memory operations
 // ----------------------------------------------------------------------

@@ -14,8 +14,8 @@
  *  - satisfies lookups of remote names with *remote reads* of the
  *    exporting clerk's registry, probing the identical hash sequence
  *    (usually one read suffices);
- *  - caches imported name information and refreshes the cache
- *    periodically, purging stale entries;
+ *  - caches imported name information and refreshes the cache on
+ *    request (refresh()), purging stale entries;
  *  - optionally resolves lookups by control transfer (a remote write
  *    with notification served by the remote clerk's signal handler) —
  *    the fallback §4.2 weighs against probing and finds worthwhile
@@ -158,17 +158,11 @@ class NameClerk
      */
     sim::Task<void> refresh();
 
-    /** Run refresh() every @p interval forever. */
-    void startPeriodicRefresh(sim::Duration interval);
-
     /** Counters. */
     const NameClerkStats &stats() const { return stats_; }
 
     /** The engine this clerk runs over. */
     rmem::RmemEngine &engine() { return engine_; }
-
-    /** Parameters in force. */
-    const NameClerkParams &params() const { return params_; }
 
   private:
     /** Find a name in the local registry memory; nullopt if absent. */

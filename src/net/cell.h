@@ -2,24 +2,23 @@
  * @file
  * The ATM cell: the unit of transmission on every remora wire.
  *
- * A cell is 53 octets: a 5-octet header (VPI, VCI, PTI, CLP, HEC) and a
- * 48-octet payload. remora uses the header fields the way the FORE
- * testbed's driver did:
+ * A cell is 53 octets on the wire: a 5-octet header (VPI, VCI, PTI,
+ * CLP, HEC) and a 48-octet payload. remora models the header fields the
+ * FORE testbed's driver used, and charges links for all 53 octets:
  *
  *  - VPI carries the *destination* node id (the switch routes on it),
  *  - VCI carries the *source* node id (receivers demultiplex AAL5
  *    reassembly per source),
- *  - PTI bit 0 is the AAL5 "end of CS-PDU" marker,
- *  - HEC is a real CRC-8 over the first four header octets (ITU-T I.432
- *    polynomial with coset 0x55), verified on decode.
+ *  - PTI bit 0 is the AAL5 "end of CS-PDU" marker.
+ *
+ * Cells travel as this struct, never as 53 serialized octets, so CLP
+ * and the HEC are not modelled (DESIGN.md §7).
  */
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <span>
-
-#include "util/status.h"
 
 namespace remora::net {
 
@@ -42,15 +41,13 @@ struct Cell
     uint16_t vci = 0;
     /** Payload type indicator; bit 0 set marks the last cell of a frame. */
     uint8_t pti = 0;
-    /** Cell loss priority (unused by remora; kept for format fidelity). */
-    bool clp = false;
     /**
      * Trace correlation id riding alongside the cell (0 = untraced).
      * Models the op tag a real adapter would carry in a proprietary
-     * header extension; it is NOT part of the 53 wire octets (encode()
-     * ignores it, decode() leaves it 0) so the calibrated single-cell
-     * size properties are untouched. Cells travel by value through the
-     * FIFOs, links, and switch, so the tag survives end to end.
+     * header extension; it is NOT one of the 53 wire octets, so the
+     * calibrated single-cell size properties are untouched. Cells
+     * travel by value through the FIFOs, links, and switch, so the tag
+     * survives end to end.
      */
     uint64_t traceOp = 0;
     /** Payload octets. */
@@ -65,21 +62,6 @@ struct Cell
     {
         pti = last ? (pti | 0x1) : (pti & ~0x1);
     }
-
-    /**
-     * Serialize to 53 wire octets, computing the HEC.
-     *
-     * @param out Destination buffer of exactly kCellBytes.
-     */
-    void encode(std::span<uint8_t, kCellBytes> out) const;
-
-    /**
-     * Parse 53 wire octets, verifying the HEC.
-     *
-     * @param in Source buffer of exactly kCellBytes.
-     * @return The cell, or kMalformed if the HEC does not verify.
-     */
-    static util::Result<Cell> decode(std::span<const uint8_t, kCellBytes> in);
 };
 
 } // namespace remora::net

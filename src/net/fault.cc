@@ -7,9 +7,8 @@
 namespace remora::net {
 
 FaultInjector::FaultInjector(sim::Simulator &simulator, const FaultPlan &plan,
-                             std::string linkName)
-    : sim_(simulator), plan_(plan), linkName_(std::move(linkName)),
-      linkHash_(util::fnv1a(linkName_)),
+                             const std::string &linkName)
+    : sim_(simulator), plan_(plan), linkHash_(util::fnv1a(linkName)),
       rng_(plan.seed ^ util::mix64(linkHash_))
 {}
 
@@ -41,7 +40,6 @@ FaultInjector::decide(Cell &cell, sim::Time nominalArrival,
         sim::Duration hold =
             static_cast<sim::Duration>(1 + rng_.uniformInt(4)) * cellTime;
         d.extraDelay += hold;
-        reorders_.inc();
         sim_.noteDigest("fault.reorder", linkHash_ ^ ordinal);
     }
     if (plan_.delayRate > 0.0 && rng_.bernoulli(plan_.delayRate)) {
@@ -64,17 +62,6 @@ FaultInjector::decide(Cell &cell, sim::Time nominalArrival,
         }
     }
     return d;
-}
-
-void
-FaultInjector::registerStats(obs::MetricRegistry &reg,
-                             const std::string &prefix) const
-{
-    reg.add(prefix + ".drops", drops_);
-    reg.add(prefix + ".corrupts", corrupts_);
-    reg.add(prefix + ".reorders", reorders_);
-    reg.add(prefix + ".delays", delays_);
-    reg.add(prefix + ".paused", paused_);
 }
 
 } // namespace remora::net

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "net/cell.h"
-#include "obs/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -63,14 +62,6 @@ struct FaultPlan
         sim::Time until = 0;
     };
     std::vector<Pause> pauses;
-
-    /** True when the plan can perturb anything at all. */
-    bool
-    enabled() const
-    {
-        return dropRate > 0.0 || corruptRate > 0.0 || reorderRate > 0.0 ||
-               delayRate > 0.0 || !pauses.empty();
-    }
 };
 
 /** Per-link fault source; installed via Link::setFaultInjector. */
@@ -97,7 +88,7 @@ class FaultInjector
      * @param linkName Name of the carrying link; folded into the seed.
      */
     FaultInjector(sim::Simulator &simulator, const FaultPlan &plan,
-                  std::string linkName);
+                  const std::string &linkName);
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
@@ -118,38 +109,21 @@ class FaultInjector
     /** Cells with a payload bit flipped. */
     uint64_t corrupts() const { return corrupts_.value(); }
 
-    /** Cells held for overtake. */
-    uint64_t reorders() const { return reorders_.value(); }
-
     /** Cells given extra latency. */
     uint64_t delays() const { return delays_.value(); }
 
     /** Cells deferred past a pause window. */
     uint64_t pausedDeliveries() const { return paused_.value(); }
 
-    /** Cells examined. */
-    uint64_t decisions() const { return decisions_; }
-
-    /** Register "<prefix>.drops" etc. */
-    void registerStats(obs::MetricRegistry &reg,
-                       const std::string &prefix) const;
-
-    /** The plan in force. */
-    const FaultPlan &plan() const { return plan_; }
-
-    /** Name of the link this injector perturbs. */
-    const std::string &linkName() const { return linkName_; }
-
   private:
     sim::Simulator &sim_;
     FaultPlan plan_;
-    std::string linkName_;
     uint64_t linkHash_;
     sim::Random rng_;
+    /** Cells examined; the ordinal folded into each fault's digest. */
     uint64_t decisions_ = 0;
     sim::Counter drops_;
     sim::Counter corrupts_;
-    sim::Counter reorders_;
     sim::Counter delays_;
     sim::Counter paused_;
 };

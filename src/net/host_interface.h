@@ -98,15 +98,6 @@ class HostInterface : public CellSink
     /** Total cells transmitted. */
     uint64_t cellsTx() const { return cellsTx_.value(); }
 
-    /** Total cells received. */
-    uint64_t cellsRx() const { return cellsRx_.value(); }
-
-    /** The attached outgoing link; nullptr before attachTxLink(). */
-    Link *txLink() const { return txLink_; }
-
-    /** Delay from first RX cell to interrupt delivery. */
-    sim::Duration interruptLatency() const { return params_.interruptLatency; }
-
     /**
      * Register this adapter's counters and RX FIFO depth gauge under
      * "<prefix>.cells_tx" etc.

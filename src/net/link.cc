@@ -1,6 +1,5 @@
 #include "net/link.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "net/fault.h"
@@ -33,7 +32,6 @@ Link::send(const Cell &cell)
 {
     REMORA_ASSERT(sink_ != nullptr);
     queue_.push_back(cell);
-    maxQueue_ = std::max(maxQueue_, queue_.size());
     pump();
 }
 
@@ -81,16 +79,6 @@ Link::wakeOnCredit()
         arrivals_.pop_front();
         pump();
     });
-}
-
-void
-Link::registerStats(obs::MetricRegistry &reg, const std::string &prefix) const
-{
-    reg.add(prefix + ".cells_sent", cellsSent_);
-    reg.addGauge(prefix + ".queue_depth",
-                 [this] { return static_cast<double>(queue_.size()); });
-    reg.addGauge(prefix + ".max_queue_depth",
-                 [this] { return static_cast<double>(maxQueue_); });
 }
 
 void

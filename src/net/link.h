@@ -27,7 +27,6 @@
 #include <string>
 
 #include "net/cell.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 
@@ -104,23 +103,11 @@ class Link
     /** Wire time for one cell at this link's bandwidth. */
     sim::Duration cellTime() const { return cellTime_; }
 
-    /** One-way propagation delay. */
-    sim::Duration propagation() const { return params_.propagation; }
-
     /** Cells transmitted since construction. */
     uint64_t cellsSent() const { return cellsSent_.value(); }
 
-    /** Largest sender-side queue depth observed. */
-    size_t maxQueueDepth() const { return maxQueue_; }
-
     /** Cells currently waiting for wire or credit. */
     size_t queueDepth() const { return queue_.size(); }
-
-    /**
-     * Register cell/queue metrics under "<prefix>.cells_sent" etc.
-     */
-    void registerStats(obs::MetricRegistry &reg,
-                       const std::string &prefix) const;
 
     /**
      * Install (or clear, with nullptr) a fault injector consulted for
@@ -163,7 +150,6 @@ class Link
     bool pumpScheduled_ = false;
     bool creditWake_ = false; ///< arrivals_.front() is queued.
     sim::Counter cellsSent_;
-    size_t maxQueue_ = 0;
 };
 
 } // namespace remora::net

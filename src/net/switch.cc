@@ -54,7 +54,6 @@ Switch::forward(const Cell &cell, PortState &from)
     (void)from;
     auto it = routes_.find(cell.vpi);
     if (it == routes_.end()) {
-        routeMisses_.inc();
         REMORA_PANIC("switch " + name_ + ": no route for node " +
                      std::to_string(cell.vpi));
     }
@@ -63,14 +62,6 @@ Switch::forward(const Cell &cell, PortState &from)
     obs::instant(0, name_, "net", "hop", obs::kv("dst", cell.vpi),
                  obs::kv("src", cell.vci));
     sim_.schedule(fabricLatency_, [out, cell] { out->send(cell); });
-}
-
-void
-Switch::registerStats(obs::MetricRegistry &reg,
-                      const std::string &prefix) const
-{
-    reg.add(prefix + ".cells_forwarded", forwarded_);
-    reg.add(prefix + ".route_misses", routeMisses_);
 }
 
 } // namespace remora::net

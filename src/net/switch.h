@@ -16,7 +16,8 @@
  *    serialization and downstream credit).
  *  - Input ports return upstream credit as soon as a cell is forwarded
  *    into the fabric, so input never blocks (buffering concentrates at
- *    outputs, observable via Link::maxQueueDepth()).
+ *    outputs, observable via Link::queueDepth()).
+ *  - A cell with no route is a configuration error and panics.
  */
 #pragma once
 
@@ -28,7 +29,6 @@
 
 #include "net/cell.h"
 #include "net/link.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 
@@ -63,13 +63,6 @@ class Switch
     /** Cells forwarded since construction. */
     uint64_t cellsForwarded() const { return forwarded_.value(); }
 
-    /** Cells that arrived with no route (counted, then dropped loudly). */
-    uint64_t routeMisses() const { return routeMisses_.value(); }
-
-    /** Register fabric counters under "<prefix>.cells_forwarded" etc. */
-    void registerStats(obs::MetricRegistry &reg,
-                       const std::string &prefix) const;
-
   private:
     /** One attachment point. */
     struct PortState;
@@ -96,7 +89,6 @@ class Switch
     std::vector<std::unique_ptr<PortState>> ports_;
     std::unordered_map<NodeId, size_t> routes_;
     sim::Counter forwarded_;
-    sim::Counter routeMisses_;
 };
 
 } // namespace remora::net

@@ -6,9 +6,13 @@
  * exactly as before; MetricRegistry holds *references* under
  * hierarchical dotted names ("node3.rmem.writes_issued") so a whole
  * cluster's state renders as one sorted text dump or one nested JSON
- * document. Each instrumented class provides a registerStats(registry,
- * prefix) method that registers everything it owns, so wiring a node
- * into the registry is one call per layer.
+ * document. The layers a run wires in provide a registerStats(registry,
+ * prefix) method that registers everything they own: mem::Node (with its
+ * NIC), rmem::RmemEngine (with its Wire and AAL5 reassembler),
+ * dfs::ServerClerk and dfs::FileServer, one call per layer, and the
+ * armed RaceDetector under "race". Links, switches, fault injectors
+ * and the RPC transport keep counters that accessors read, but
+ * register none.
  *
  * Gauges cover values that are not stored in a stats object (queue
  * depths, CPU busy time): they are sampled through a callback at dump

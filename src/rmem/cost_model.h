@@ -115,16 +115,6 @@ struct CostModel
      */
     sim::Duration cryptoWordCost = 0;
 
-    /**
-     * Per-word byte-swap cost on the PIO path when a peer of opposite
-     * byte order is involved (§3.6): "since we use programmed I/O to
-     * move data between the controller FIFO and memory, byte swapping
-     * can be readily performed". A rotate folded into the existing PIO
-     * loop costs a few cycles per word on an R3000; hardware swap (as
-     * on the Ethernet LANCE) makes it free.
-     */
-    sim::Duration byteSwapWordCost = sim::usec(0.08);
-
     /** CPU cost of one block-path (memory-sourced) cell of PIO. */
     sim::Duration
     blockCellPioCost() const

@@ -35,7 +35,6 @@ DescriptorTable::allocate(mem::Pid owner, mem::Vaddr base, uint32_t size,
         d.rights = rights;
         d.generation = slotGeneration_[idx];
         d.policy = policy;
-        d.writeInhibited = false;
         d.channel = std::make_unique<NotificationChannel>(cpu_, costs_);
         d.name = name;
         ++live_;
@@ -68,13 +67,6 @@ DescriptorTable::get(SegmentId id)
     return d.valid ? &d : nullptr;
 }
 
-const SegmentDescriptor *
-DescriptorTable::get(SegmentId id) const
-{
-    const SegmentDescriptor &d = slots_[id];
-    return d.valid ? &d : nullptr;
-}
-
 util::Result<SegmentDescriptor *>
 DescriptorTable::validate(SegmentId id, Generation generation,
                           uint64_t offset, uint64_t count, Rights needed)
@@ -96,10 +88,6 @@ DescriptorTable::validate(SegmentId id, Generation generation,
     if (offset > d.size || count > d.size - offset) {
         return util::Status(util::ErrorCode::kOutOfBounds,
                             "request outside segment bounds");
-    }
-    if (d.writeInhibited && hasRights(needed, Rights::kWrite)) {
-        return util::Status(util::ErrorCode::kWriteInhibited,
-                            "segment is write-inhibited");
     }
     return &d;
 }

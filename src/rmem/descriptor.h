@@ -6,10 +6,10 @@
  * memory segments; each descriptor includes the destination segment
  * size, remote node address, and protection information". On the
  * exporting side, a descriptor binds a slot id to (owner process, base
- * virtual address, size, rights, generation, notification policy,
- * write-inhibit flag) plus the segment's notification channel. The
- * table holds 256 slots — descriptor ids are one octet on the wire,
- * mirroring the scarcity of real descriptor registers.
+ * virtual address, size, rights, generation, notification policy)
+ * plus the segment's notification channel. The table holds 256 slots —
+ * descriptor ids are one octet on the wire, mirroring the scarcity of
+ * real descriptor registers.
  */
 #pragma once
 
@@ -42,8 +42,6 @@ struct SegmentDescriptor
     Generation generation = 0;
     /** Notification policy (§3.1.1: always / never / conditional). */
     NotifyPolicy policy = NotifyPolicy::kConditional;
-    /** When set, incoming writes NAK with kWriteInhibited (§3.1.1). */
-    bool writeInhibited = false;
     /** The segment's fd-style notification channel. */
     std::unique_ptr<NotificationChannel> channel;
     /** Diagnostic/export name. */
@@ -85,15 +83,11 @@ class DescriptorTable
     /** Live descriptor for @p id, or nullptr when invalid. */
     SegmentDescriptor *get(SegmentId id);
 
-    /** Const lookup. */
-    const SegmentDescriptor *get(SegmentId id) const;
-
     /**
      * Validate an incoming request against slot @p id.
      *
-     * Checks: slot validity, generation match, rights, bounds and, for
-     * writes, the write-inhibit flag. This is the protection boundary
-     * of the whole model.
+     * Checks: slot validity, generation match, rights and bounds. This
+     * is the protection boundary of the whole model.
      *
      * @param id Slot the request names.
      * @param generation Generation the request carries.

@@ -301,17 +301,6 @@ RmemEngine::revokeSegment(SegmentId id)
     return table_.release(id);
 }
 
-util::Status
-RmemEngine::setWriteInhibit(SegmentId id, bool inhibit)
-{
-    SegmentDescriptor *d = table_.get(id);
-    if (d == nullptr) {
-        return util::Status(util::ErrorCode::kBadDescriptor, "no segment");
-    }
-    d->writeInhibited = inhibit;
-    return {};
-}
-
 NotificationChannel *
 RmemEngine::channel(SegmentId id)
 {
@@ -323,16 +312,6 @@ SegmentDescriptor *
 RmemEngine::descriptor(SegmentId id)
 {
     return table_.get(id);
-}
-
-util::Result<ImportedSegment>
-RmemEngine::localHandle(SegmentId id) const
-{
-    const SegmentDescriptor *d = table_.get(id);
-    if (d == nullptr) {
-        return util::Status(util::ErrorCode::kBadDescriptor, "no segment");
-    }
-    return ImportedSegment{node_.id(), id, d->generation, d->size, d->rights};
 }
 
 // ----------------------------------------------------------------------
@@ -643,20 +622,6 @@ RmemEngine::readv(std::vector<BatchBuilder::Read> ops, sim::Duration timeout)
     BatchBuilder b(*this);
     for (const BatchBuilder::Read &op : ops) {
         util::Status s = b.addRead(op);
-        if (!s.ok()) {
-            co_return VectorOutcome{s, {}};
-        }
-    }
-    VectorOutcome out = co_await b.issue(timeout);
-    co_return out;
-}
-
-sim::Task<VectorOutcome>
-RmemEngine::casv(std::vector<BatchBuilder::Cas> ops, sim::Duration timeout)
-{
-    BatchBuilder b(*this);
-    for (const BatchBuilder::Cas &op : ops) {
-        util::Status s = b.addCas(op);
         if (!s.ok()) {
             co_return VectorOutcome{s, {}};
         }

@@ -19,8 +19,7 @@
  *
  * Target-side semantics:
  *  - every request is validated against the descriptor table (slot,
- *    generation, rights, bounds, write-inhibit) — protection is
- *    enforced, failures NAK;
+ *    generation, rights, bounds) — protection is enforced, failures NAK;
  *  - data lands in (or is read from) the owning process's address
  *    space through its page table;
  *  - notification fires only when the segment's policy combined with
@@ -130,20 +129,11 @@ class RmemEngine
      */
     util::Status revokeSegment(SegmentId id);
 
-    /** Toggle the write-inhibit flag used for synchronization (§3.1.1). */
-    util::Status setWriteInhibit(SegmentId id, bool inhibit);
-
     /** The segment's notification channel; nullptr for invalid ids. */
     NotificationChannel *channel(SegmentId id);
 
     /** Kernel descriptor state; nullptr for invalid ids. */
     SegmentDescriptor *descriptor(SegmentId id);
-
-    /**
-     * An ImportedSegment handle for a locally exported segment (what
-     * the name service hands to importers on other nodes).
-     */
-    util::Result<ImportedSegment> localHandle(SegmentId id) const;
 
     // ------------------------------------------------------------------
     // Meta-instructions (initiator side)
@@ -231,10 +221,6 @@ class RmemEngine
     /** Vectored READ: one request, one response, N deposits. */
     sim::Task<VectorOutcome> readv(std::vector<BatchBuilder::Read> ops,
                                    sim::Duration timeout = 0);
-
-    /** Vectored CAS: one request, one response, N result words. */
-    sim::Task<VectorOutcome> casv(std::vector<BatchBuilder::Cas> ops,
-                                  sim::Duration timeout = 0);
 
     // ------------------------------------------------------------------
     // Introspection

@@ -1,6 +1,7 @@
 #include "rmem/notification.h"
 
 #include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "rmem/race_detector.h"
@@ -183,23 +184,11 @@ NotificationChannel::postBatch(std::span<const Notification> batch)
 }
 
 void
-NotificationChannel::watchOnce(std::function<void()> watcher)
-{
-    if (readable()) {
-        // Already readable: fire on the spot (select returns immediately).
-        watcher();
-        return;
-    }
-    watchers_.push_back(std::move(watcher));
-}
-
-void
 NotificationChannel::wakeConsumers()
 {
     // Mark-readable plus wakeup is the control-transfer cost; charge it
     // once per delivery that actually unblocks someone.
-    bool someone = reader_ || !watchers_.empty();
-    if (!someone) {
+    if (!reader_) {
         return; // consumer will poll; no control transfer happens
     }
     cpu_.post(costs_.notifyDispatchCost, sim::CpuCategory::kControlTransfer,
@@ -208,37 +197,7 @@ NotificationChannel::wakeConsumers()
                       auto h = std::exchange(reader_, {});
                       h.resume();
                   }
-                  auto watchers = std::move(watchers_);
-                  watchers_.clear();
-                  for (auto &w : watchers) {
-                      w();
-                  }
               });
-}
-
-sim::Task<size_t>
-ChannelSelector::selectAny(std::vector<NotificationChannel *> channels)
-{
-    REMORA_ASSERT(!channels.empty());
-    for (size_t i = 0; i < channels.size(); ++i) {
-        if (channels[i]->readable()) {
-            co_return i;
-        }
-    }
-
-    sim::Promise<size_t> winner(channels.front()->simulator());
-    auto fired = std::make_shared<bool>(false);
-    for (size_t i = 0; i < channels.size(); ++i) {
-        channels[i]->watchOnce([fired, winner, i]() mutable {
-            if (*fired) {
-                return;
-            }
-            *fired = true;
-            winner.set(i);
-        });
-    }
-    size_t idx = co_await winner.future();
-    co_return idx;
 }
 
 } // namespace remora::rmem

@@ -6,13 +6,13 @@
  * each exported segment has an associated descriptor that becomes
  * readable (with a small amount of control information) when an
  * incoming operation requests notification; processes use select/read/
- * signal to consume them (§3.1.2). NotificationChannel reproduces that
- * interface:
+ * signal to consume them (§3.1.2). NotificationChannel reproduces the
+ * read and signal halves of that interface (select across several
+ * channels is not modelled, DESIGN.md §7):
  *
  *  - next()    — blocking read of the next notification record;
  *  - readable() / tryNext() — non-blocking poll;
- *  - setSignalHandler() — SIGIO-style asynchronous upcall;
- *  - ChannelSelector — select() across several channels.
+ *  - setSignalHandler() — SIGIO-style asynchronous upcall.
  *
  * Delivering a notification charges the notifyDispatchCost (scheduler
  * wakeup + context switches + select dispatch) to the node's CPU under
@@ -26,7 +26,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "net/cell.h"
 #include "rmem/cost_model.h"
@@ -120,12 +119,6 @@ class NotificationChannel
      */
     void postBatch(std::span<const Notification> batch);
 
-    /**
-     * Register a readability watcher (used by ChannelSelector).
-     * Invoked once, next time the channel becomes readable.
-     */
-    void watchOnce(std::function<void()> watcher);
-
     /** Total notifications delivered through this channel. */
     uint64_t delivered() const { return delivered_; }
 
@@ -162,7 +155,7 @@ class NotificationChannel
     void setHangLabel(std::string label);
 
   private:
-    /** Wake the blocked reader / watchers after the dispatch cost. */
+    /** Wake the blocked reader after the dispatch cost. */
     void wakeConsumers();
 
     /** The owning simulator's wait graph. */
@@ -175,7 +168,6 @@ class NotificationChannel
     const CostModel &costs_;
     std::deque<Notification> queue_;
     std::function<void(const Notification &)> signalHandler_;
-    std::vector<std::function<void()>> watchers_;
     // Blocked reader rendezvous (at most one).
     std::coroutine_handle<> reader_;
     uint64_t delivered_ = 0;
@@ -186,27 +178,6 @@ class NotificationChannel
     bool daemon_ = false;
     /** "<label> blocking read", built once per label, not per park. */
     std::string parkSite_;
-};
-
-/**
- * select() over several notification channels: resolves with the index
- * of the first channel to become readable (or one that already is).
- */
-class ChannelSelector
-{
-  public:
-    /**
-     * Wait for any of @p channels to become readable.
-     *
-     * The set is taken by value: the coroutine frame keeps its own copy
-     * across suspension, so callers may pass temporaries. The pointed-to
-     * channels must outlive the wait.
-     *
-     * @param channels The polled set (non-empty, same node).
-     * @return Index into @p channels of a readable channel.
-     */
-    static sim::Task<size_t>
-    selectAny(std::vector<NotificationChannel *> channels);
 };
 
 } // namespace remora::rmem

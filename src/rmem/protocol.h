@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 

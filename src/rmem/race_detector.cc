@@ -217,12 +217,6 @@ RaceDetector::disarm()
 }
 
 void
-RaceDetector::reset()
-{
-    clearState();
-}
-
-void
 RaceDetector::clearState()
 {
     segments_.clear();
@@ -231,7 +225,6 @@ RaceDetector::clearState()
     tokens_.clear();
     actorStack_.clear();
     reports_.clear();
-    fenceClock_ = VectorClock();
 }
 
 void
@@ -300,9 +293,6 @@ RaceDetector::actorClock(ActorId a)
 {
     VectorClock &c = clocks_[a];
     if (c.get(a) == 0) {
-        // A newly seen actor starts after the last fence, so fenced
-        // setup is ordered before it even though it had no clock yet.
-        c.join(fenceClock_);
         c.set(a, 1); // epoch 0 is "before everything"
     }
     return c;
@@ -517,36 +507,6 @@ RaceDetector::acquireToken(const void *token, ActorId actor)
     }
     actorClock(actor).join(it->second);
     acquires_.inc();
-}
-
-void
-RaceDetector::fence()
-{
-    VectorClock all;
-    for (auto &[a, c] : clocks_) {
-        all.join(c);
-    }
-    for (auto &[t, c] : tokens_) {
-        all.join(c);
-    }
-    for (auto &[k, si] : segments_) {
-        for (auto &[w, c] : si.syncClocks) {
-            all.join(c);
-        }
-    }
-    fenceClock_.join(all); // seeds actors first seen after the fence
-    for (auto &[a, c] : clocks_) {
-        c.join(all);
-        c.bump(a);
-    }
-    for (auto &[t, c] : tokens_) {
-        c.join(all);
-    }
-    for (auto &[k, si] : segments_) {
-        for (auto &[w, c] : si.syncClocks) {
-            c.join(all);
-        }
-    }
 }
 
 } // namespace remora::rmem

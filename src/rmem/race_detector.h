@@ -220,11 +220,6 @@ class RaceDetector
     /** Disarm and drop all state. */
     void disarm();
 
-    /** Drop clocks/shadows/reports but stay armed (per-seed loops). */
-    void reset();
-
-    const RaceDetectorOptions &options() const { return opts_; }
-
     // ---- Topology (called by the rmem engine) ----------------------
 
     /** A segment was exported; begin shadowing [base, base+size). */
@@ -262,13 +257,6 @@ class RaceDetector
     void acquireToken(const void *token, ActorId actor);
 
     /**
-     * Order everything so far before everything after: joins every
-     * actor/sync/token clock into every actor. Test scaffolding for
-     * "setup is complete; only check the traffic that follows".
-     */
-    void fence();
-
-    /**
      * Attribute accesses inside the scope to @p actor with @p site as
      * the report label. The engine wraps exporter-side application of
      * remote requests so they attribute to the *initiating* node.
@@ -298,7 +286,7 @@ class RaceDetector
 
     // ---- Results ---------------------------------------------------
 
-    /** Recorded reports (capped at options().maxReports). */
+    /** Recorded reports (capped at RaceDetectorOptions::maxReports). */
     const std::vector<RaceReport> &reports() const { return reports_; }
 
     /** Total conflicting range-pairs found (not capped). */
@@ -348,8 +336,6 @@ class RaceDetector
     std::map<std::pair<uint32_t, uint32_t>, std::map<mem::Vaddr, uint32_t>>
         byVa_;
     std::map<ActorId, VectorClock> clocks_;
-    /** Union taken at the last fence(); seeds actors seen after it. */
-    VectorClock fenceClock_;
     std::map<const void *, VectorClock> tokens_;
     std::vector<std::pair<ActorId, std::string>> actorStack_;
     std::vector<RaceReport> reports_;

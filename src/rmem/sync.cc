@@ -100,26 +100,6 @@ SpinLock::acquire()
 }
 
 sim::Task<util::Status>
-SpinLock::tryAcquire()
-{
-    CasOutcome out = co_await engine_.cas(segment_, offset_, 0, ownerTag_,
-                                          resultSeg_, resultOff_);
-    if (!out.status.ok()) {
-        co_return out.status;
-    }
-    if (!out.success) {
-        ++contention_;
-        co_return util::Status(util::ErrorCode::kResource, "lock held");
-    }
-    auto &graph = engine_.node().simulator().waitGraph();
-    graph.acquired(ownerTag_,
-                   sim::WaitGraph::packResource(segment_.node,
-                                                segment_.descriptor, offset_),
-                   waitSite());
-    co_return util::Status();
-}
-
-sim::Task<util::Status>
 SpinLock::release()
 {
     engine_.node().simulator().waitGraph().released(

@@ -71,13 +71,6 @@ class SpinLock
      */
     sim::Task<util::Status> acquire();
 
-    /**
-     * Try once without spinning.
-     *
-     * @return kOk if acquired, kResource if the lock was held.
-     */
-    sim::Task<util::Status> tryAcquire();
-
     /** Release the lock (must be held by this tag). */
     sim::Task<util::Status> release();
 

@@ -134,12 +134,10 @@ ValidationCache::validate(SegmentId id, Generation generation,
     auto it = seen_.find(key);
     if (it != seen_.end()) {
         ++hits_;
-    } else {
-        ++misses_;
     }
-    // The walk always runs for semantics (bounds, write-inhibit, and
-    // revocation are per-sub-op concerns); the hit/miss split drives
-    // the engine's validateCost accounting only.
+    // The walk always runs for semantics (bounds and revocation are
+    // per-sub-op concerns); the hit/miss split drives the engine's
+    // validateCost accounting only.
     auto v = table_.validate(id, generation, offset, count, needed);
     if (it == seen_.end()) {
         seen_.emplace(key, v.ok() ? v.value() : nullptr);
@@ -217,26 +215,6 @@ BatchBuilder::addRead(Read op)
                   {VecOpKind::kRead, op.src.descriptor, op.src.generation,
                    op.srcOff, op.notify, {}, op.count},
                   VectorLocalDeposit{true, op.dstSeg, op.dstOff, op.notify});
-}
-
-util::Status
-BatchBuilder::addCas(Cas op)
-{
-    return append(op.dst,
-                  {VecOpKind::kCas, op.dst.descriptor, op.dst.generation,
-                   op.offset, false, {}, 0, op.oldValue, op.newValue},
-                  VectorLocalDeposit{true, op.resultSeg, op.resultOff, false});
-}
-
-bool
-BatchBuilder::wantsResponse() const
-{
-    for (const VectorSubOp &op : batch_.ops) {
-        if (op.kind != VecOpKind::kWrite) {
-            return true;
-        }
-    }
-    return false;
 }
 
 size_t

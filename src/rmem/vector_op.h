@@ -163,11 +163,11 @@ size_t encodedVectorRespSize(const VectorReq &req);
 /**
  * Per-batch validation cache: N sub-ops naming the same (slot,
  * generation, rights) triple validate once. The full descriptor-table
- * walk still runs for every sub-op (bounds and write-inhibit are
- * per-sub-op properties and revocation must never be missed); what the
- * cache elides is the modeled *cost* — the engine charges validateCost
- * per miss, not per sub-op, exactly as a hardware translation cache
- * would elide the table walk's cycles.
+ * walk still runs for every sub-op (bounds are a per-sub-op property
+ * and revocation must never be missed); what the cache elides is the
+ * modeled *cost* — the engine charges validateCost per miss, not per
+ * sub-op, exactly as a hardware translation cache would elide the
+ * table walk's cycles.
  */
 class ValidationCache
 {
@@ -183,15 +183,11 @@ class ValidationCache
     /** Sub-ops whose key had already validated successfully. */
     uint64_t hits() const { return hits_; }
 
-    /** Distinct keys walked (each charged one validateCost). */
-    uint64_t misses() const { return misses_; }
-
   private:
     DescriptorTable &table_;
     /** (slot | generation<<8 | rights<<24) -> validated descriptor. */
     std::unordered_map<uint32_t, SegmentDescriptor *> seen_;
     uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 };
 
 /**
@@ -234,18 +230,6 @@ class BatchBuilder
         bool notify = false;
     };
 
-    /** Parameters of one batched CAS. */
-    struct Cas
-    {
-        ImportedSegment dst;
-        uint32_t offset = 0;
-        uint32_t oldValue = 0;
-        uint32_t newValue = 0;
-        /** Locally exported segment/offset for the result word. */
-        SegmentId resultSeg = 0;
-        uint32_t resultOff = 0;
-    };
-
     explicit BatchBuilder(RmemEngine &engine) : engine_(engine) {}
 
     /** Append one WRITE sub-op (checked against the import handle). */
@@ -254,16 +238,10 @@ class BatchBuilder
     /** Append one READ sub-op. */
     util::Status addRead(Read op);
 
-    /** Append one CAS sub-op. */
-    util::Status addCas(Cas op);
-
     /** Sub-ops gathered so far. */
     size_t size() const { return batch_.ops.size(); }
 
     bool empty() const { return batch_.ops.empty(); }
-
-    /** True when the batch holds a READ or CAS (a response will come). */
-    bool wantsResponse() const;
 
     /** Current encoded request size in bytes. */
     size_t wireBytes() const;

@@ -107,12 +107,6 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
     // Optional link encryption (§3.5): every outgoing word is ciphered.
     perCell += raw ? costs_.cryptoCost(bytes.size())
                    : costs_.cryptoCost(net::Cell::kPayloadBytes);
-    // Heterogeneity (§3.6): byte-swap folded into the PIO loop when the
-    // destination has the opposite byte order. Only message-payload
-    // words are swapped — the AAL5 trailer and pad of the final cell
-    // are order-neutral — so the charge is per payload word of the
-    // frame, applied below cell by cell.
-    bool swap = peerByteSwapped(dst);
 
     // Span covering header format + per-cell PIO until the last cell
     // enters the TX FIFO (the "accepted by the network" point).
@@ -135,21 +129,6 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
     for (size_t i = 0; i < frame->cells.size(); ++i) {
         // Each cell enters the TX FIFO as its PIO completes, so the wire
         // overlaps with the CPU filling subsequent cells.
-        sim::Duration cellCost = perCell;
-        if (swap) {
-            // Message bytes this cell actually carries (the tail cell
-            // may be mostly trailer/pad). Summed over the frame this is
-            // exactly ceil(bytes/4) swapped words, charged once.
-            size_t start = i * net::Cell::kPayloadBytes;
-            size_t in = raw ? bytes.size()
-                            : (start < bytes.size()
-                                   ? std::min<size_t>(
-                                         net::Cell::kPayloadBytes,
-                                         bytes.size() - start)
-                                   : 0);
-            cellCost += static_cast<sim::Duration>((in + 3) / 4) *
-                        costs_.byteSwapWordCost;
-        }
         auto push = [this, frame, i] {
             node_.nic().pushTx(frame->cells[i]);
             if (i + 1 == frame->cells.size()) {
@@ -157,7 +136,7 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
                 frame->accepted.set();
             }
         };
-        cpu.post(cellCost, category, std::move(push));
+        cpu.post(perCell, category, std::move(push));
     }
     return frame->accepted.future();
 }
@@ -191,10 +170,6 @@ Wire::drainLoop()
             auto decoded = decodeMessage(cell->payload, &consumed);
             sim::Duration drainCost = costs_.rawSendPioCost(consumed) +
                                       costs_.cryptoCost(consumed);
-            if (peerByteSwapped(cell->vci)) {
-                drainCost += static_cast<sim::Duration>((consumed + 3) / 4) *
-                             costs_.byteSwapWordCost;
-            }
             // Op-attributed span over this message's own drain PIO, so
             // the critical-path analyzer books it as software rather
             // than leaving a gap (we're inside a coroutine, so the op
@@ -212,10 +187,7 @@ Wire::drainLoop()
             }
             dispatch(cell->vci, decoded.take(), cell->traceOp);
         } else {
-            // Memory-bound block path: whole cells, word at a time. The
-            // byte-swap is NOT charged here — pad and trailer words are
-            // order-neutral, so the swap bills once per message-payload
-            // word after reassembly, below.
+            // Memory-bound block path: whole cells, word at a time.
             sim::Duration drainCost =
                 costs_.blockCellPioCost() +
                 costs_.cryptoCost(net::Cell::kPayloadBytes);
@@ -228,26 +200,10 @@ Wire::drainLoop()
             co_await cpu.use(drainCost, sim::CpuCategory::kDataReceive);
             obs::endSpan(cellSpan);
             if (auto frame = reassembler_.feed(*cell)) {
-                size_t consumed = 0;
-                auto decoded = decodeMessage(frame->payload, &consumed);
+                auto decoded = decodeMessage(frame->payload);
                 if (!decoded.ok()) {
                     decodeErrors_.inc();
                     continue;
-                }
-                if (peerByteSwapped(frame->srcVci)) {
-                    // One swap pass over the message's payload words —
-                    // same total the sender charged on its way out.
-                    obs::SpanId swapSpan = obs::kNoSpan;
-                    if (frame->traceOp != 0) {
-                        swapSpan = obs::beginSpan(frame->traceOp, node_.name(),
-                                                  "net", "rx_swap_pio",
-                                                  obs::kv("bytes", consumed));
-                    }
-                    co_await cpu.use(
-                        static_cast<sim::Duration>((consumed + 3) / 4) *
-                            costs_.byteSwapWordCost,
-                        sim::CpuCategory::kDataReceive);
-                    obs::endSpan(swapSpan);
                 }
                 dispatch(frame->srcVci, decoded.take(), frame->traceOp);
             }

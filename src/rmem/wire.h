@@ -16,7 +16,6 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "mem/node.h"
 #include "net/aal5.h"
@@ -49,29 +48,6 @@ class Wire
 
     /** Install the handler for RPC envelope messages (transport). */
     void setRpcHandler(Handler handler) { rpcHandler_ = std::move(handler); }
-
-    /**
-     * Mark a peer as having the opposite byte order (§3.6): traffic to
-     * and from it pays the per-word swap cost during PIO. Requests from
-     * such peers carry an implicit swap indication (the paper's "bit in
-     * each incoming request").
-     */
-    void
-    setPeerByteSwapped(net::NodeId peer, bool swapped)
-    {
-        if (swapped) {
-            swappedPeers_.insert(peer);
-        } else {
-            swappedPeers_.erase(peer);
-        }
-    }
-
-    /** True when @p peer was marked opposite-byte-order. */
-    bool
-    peerByteSwapped(net::NodeId peer) const
-    {
-        return swappedPeers_.count(peer) != 0;
-    }
 
     /**
      * Encode and transmit @p msg to @p dst.
@@ -120,9 +96,6 @@ class Wire
 
     /** Envelope retransmissions performed. */
     uint64_t retransmits() const { return retransmits_.value(); }
-
-    /** Duplicate envelopes discarded before reaching a handler. */
-    uint64_t dupsDropped() const { return dupsDropped_.value(); }
 
     /** Envelopes abandoned after kMaxAttempts (receiver unreachable). */
     uint64_t sendFailures() const { return sendFailures_.value(); }
@@ -252,7 +225,6 @@ class Wire
     Handler rmemHandler_;
     Handler rpcHandler_;
     net::Aal5Reassembler reassembler_;
-    std::unordered_set<net::NodeId> swappedPeers_;
     bool draining_ = false;
     bool reliable_ = false;
     std::unordered_map<net::NodeId, PeerTx> peerTx_;

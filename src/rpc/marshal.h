@@ -31,12 +31,6 @@ class Marshal
     /** Append a 64-bit unsigned integer (as two XDR words). */
     void putU64(uint64_t v) { w_.putU64(v); }
 
-    /** Append a 32-bit signed integer. */
-    void putI32(int32_t v) { w_.putU32(static_cast<uint32_t>(v)); }
-
-    /** Append a boolean as an XDR word. */
-    void putBool(bool v) { w_.putU32(v ? 1 : 0); }
-
     /** Append a length-prefixed string, padded to 4 bytes. */
     void putString(const std::string &s) { w_.putString(s); }
 
@@ -68,12 +62,6 @@ class Unmarshal
 
     /** Decode a 64-bit unsigned integer. */
     uint64_t getU64() { return r_.getU64(); }
-
-    /** Decode a 32-bit signed integer. */
-    int32_t getI32() { return static_cast<int32_t>(r_.getU32()); }
-
-    /** Decode a boolean. */
-    bool getBool() { return r_.getU32() != 0; }
 
     /** Decode a length-prefixed string. */
     std::string getString() { return r_.getString(); }

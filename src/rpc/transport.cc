@@ -283,17 +283,4 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
              });
 }
 
-void
-RpcTransport::registerStats(obs::MetricRegistry &reg,
-                            const std::string &prefix) const
-{
-    reg.add(prefix + ".calls_issued", stats_.callsIssued);
-    reg.add(prefix + ".calls_served", stats_.callsServed);
-    reg.add(prefix + ".timeouts", stats_.timeouts);
-    reg.add(prefix + ".bad_proc", stats_.badProc);
-    reg.add(prefix + ".retries", stats_.retries);
-    reg.add(prefix + ".late_replies", stats_.lateReplies);
-    reg.add(prefix + ".dedup_hits", stats_.dedupHits);
-}
-
 } // namespace remora::rpc

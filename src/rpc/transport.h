@@ -21,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "rmem/wire.h"
 #include "sim/stats.h"
 #include "sim/task.h"
@@ -123,10 +122,6 @@ class RpcTransport
 
     /** Counters. */
     const RpcStats &stats() const { return stats_; }
-
-    /** Register "<prefix>.calls_issued", "<prefix>.retries" etc. */
-    void registerStats(obs::MetricRegistry &reg,
-                       const std::string &prefix) const;
 
   private:
     struct PendingCall

@@ -36,19 +36,11 @@ namespace remora::sim {
 class DeterminismDigest
 {
   public:
-    /** FNV-1a 64-bit offset basis / prime (byte and string folds). */
+    /** FNV-1a 64-bit offset basis / prime (string folds). */
     static constexpr uint64_t kOffset = 14695981039346656037ull;
     static constexpr uint64_t kPrime = 1099511628211ull;
     /** Odd multiplier of the word fold (2^64 divided by the golden ratio). */
     static constexpr uint64_t kWordMul = 0x9e3779b97f4a7c15ull;
-
-    /** Fold one byte (FNV-1a). */
-    void
-    mixByte(uint8_t b)
-    {
-        hash_ = (hash_ ^ b) * kPrime;
-        ++records_;
-    }
 
     /** Fold a 64-bit value as one word. */
     void
@@ -98,14 +90,6 @@ class DeterminismDigest
 
     /** Number of records folded in (diagnostic; not part of the hash). */
     uint64_t records() const { return records_; }
-
-    /** Restart from the offset basis. */
-    void
-    reset()
-    {
-        hash_ = kOffset;
-        records_ = 0;
-    }
 
   private:
     void

@@ -45,40 +45,11 @@ Random::uniformInt(uint32_t bound)
     }
 }
 
-int64_t
-Random::uniformRange(int64_t lo, int64_t hi)
-{
-    REMORA_ASSERT(lo <= hi);
-    uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    if (span == 0) { // full 64-bit range
-        return static_cast<int64_t>(nextU64());
-    }
-    // 64-bit rejection sampling.
-    uint64_t threshold = (0ull - span) % span;
-    for (;;) {
-        uint64_t r = nextU64();
-        if (r >= threshold) {
-            return lo + static_cast<int64_t>(r % span);
-        }
-    }
-}
-
 double
 Random::uniformReal()
 {
     // 53 random bits into [0,1).
     return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
-}
-
-double
-Random::exponential(double mean)
-{
-    REMORA_ASSERT(mean > 0.0);
-    double u;
-    do {
-        u = uniformReal();
-    } while (u <= 0.0);
-    return -mean * std::log(u);
 }
 
 bool

@@ -29,14 +29,8 @@ class Random
     /** Uniform integer in [0, bound), bound > 0, unbiased. */
     uint32_t uniformInt(uint32_t bound);
 
-    /** Uniform integer in [lo, hi], inclusive, lo <= hi. */
-    int64_t uniformRange(int64_t lo, int64_t hi);
-
     /** Uniform double in [0, 1). */
     double uniformReal();
-
-    /** Exponential variate with the given mean (> 0). */
-    double exponential(double mean);
 
     /** True with probability @p p (clamped to [0,1]). */
     bool bernoulli(double p);

@@ -114,9 +114,6 @@ struct DepHint
         return DepHint{Kind::kSegRange, key, lo, hi};
     }
 
-    /** True when the hint names a specific object. */
-    bool known() const { return kind != Kind::kNone; }
-
     /**
      * May the two hinted operations fail to commute? Unknown hints are
      * always dependent; channel ops conflict on the same channel; memory
@@ -216,9 +213,6 @@ class RecordReplayPolicy final : public SchedulePolicy
 
     /** Every choice made so far (prefix + fallback choices). */
     const std::vector<uint32_t> &recorded() const { return recorded_; }
-
-    /** Decision points consumed so far. */
-    size_t depth() const { return depth_; }
 
   private:
     std::vector<uint32_t> prefix_;
@@ -586,7 +580,6 @@ class Simulator
 
     /** The wait-for graph fed by the sync and notification layers. */
     WaitGraph &waitGraph() { return graph_; }
-    const WaitGraph &waitGraph() const { return graph_; }
 
     /**
      * Coroutines parked with no wakeup pending, excluding daemon

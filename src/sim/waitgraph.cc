@@ -248,16 +248,4 @@ WaitGraph::quiescenceReports(Time now) const
     return out;
 }
 
-void
-WaitGraph::reset()
-{
-    held_.clear();
-    waiting_.clear();
-    parked_.clear();
-    channels_.clear();
-    nextChannelId_ = 1;
-    deadlocks_.clear();
-    seenCycles_.clear();
-}
-
 } // namespace remora::sim

@@ -168,9 +168,6 @@ class WaitGraph
      */
     std::vector<HangReport> quiescenceReports(Time now) const;
 
-    /** Drop all state (fresh workload in the same simulator). */
-    void reset();
-
   private:
     struct LockState
     {

@@ -1,8 +1,5 @@
 #include "util/bytes.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace remora::util {
 
 void
@@ -108,20 +105,6 @@ ByteReader::getU64()
     }
     pos_ += 8;
     return v;
-}
-
-void
-ByteReader::getBytes(std::span<uint8_t> out)
-{
-    if (!ensure(out.size())) {
-        std::fill(out.begin(), out.end(), uint8_t{0});
-        return;
-    }
-    if (!out.empty()) {
-        // An empty span's data() may be null, which memcpy must not get.
-        std::memcpy(out.data(), data_.data() + pos_, out.size());
-    }
-    pos_ += out.size();
 }
 
 std::span<const uint8_t>

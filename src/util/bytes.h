@@ -2,13 +2,13 @@
  * @file
  * Endian-explicit byte cursors used for all wire formats.
  *
- * Every on-wire structure in remora (ATM cells, remote-memory protocol
- * headers, RPC marshaling) is encoded through these cursors rather than
- * by casting structs, so layouts are identical on every host and every
- * field width is explicit at the encode site. Wire order is
- * little-endian (the DECstation R3000 ran little-endian Ultrix; the
- * paper's heterogeneity section treats byte-swap on PIO as the
- * accommodation for other orders).
+ * Every on-wire structure in remora (remote-memory protocol headers,
+ * AAL5 trailers, RPC marshaling) is encoded through these cursors
+ * rather than by casting structs, so layouts are identical on every
+ * host and every field width is explicit at the encode site. Wire
+ * order is little-endian (the DECstation R3000 ran little-endian
+ * Ultrix; the paper's heterogeneity section treats byte-swap on PIO as
+ * the accommodation for other orders, which remora does not model).
  */
 #pragma once
 
@@ -90,9 +90,6 @@ class ByteReader
 
     /** Decode a little-endian 64-bit value. */
     uint64_t getU64();
-
-    /** Copy @p count raw bytes into @p out. */
-    void getBytes(std::span<uint8_t> out);
 
     /** View (without copying) @p count bytes and advance. */
     std::span<const uint8_t> viewBytes(size_t count);

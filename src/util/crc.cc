@@ -5,22 +5,6 @@
 namespace remora::util {
 namespace {
 
-/** Build the 256-entry table for the (non-reflected) CRC-8 poly 0x07. */
-constexpr std::array<uint8_t, 256>
-makeCrc8Table()
-{
-    std::array<uint8_t, 256> table{};
-    for (int i = 0; i < 256; ++i) {
-        uint8_t crc = static_cast<uint8_t>(i);
-        for (int bit = 0; bit < 8; ++bit) {
-            crc = (crc & 0x80) ? static_cast<uint8_t>((crc << 1) ^ 0x07)
-                               : static_cast<uint8_t>(crc << 1);
-        }
-        table[static_cast<size_t>(i)] = crc;
-    }
-    return table;
-}
-
 using Crc32Table = std::array<uint32_t, 256>;
 
 /**
@@ -57,21 +41,9 @@ loadLe32(const uint8_t *p)
            static_cast<uint32_t>(p[3]) << 24;
 }
 
-constexpr auto kCrc8Table = makeCrc8Table();
 constexpr auto kCrc32Tables = makeCrc32Tables();
 
 } // namespace
-
-uint8_t
-crc8Hec(std::span<const uint8_t> data)
-{
-    uint8_t crc = 0;
-    for (uint8_t b : data) {
-        crc = kCrc8Table[crc ^ b];
-    }
-    // ITU-T I.432 coset addition.
-    return static_cast<uint8_t>(crc ^ 0x55);
-}
 
 uint32_t
 crc32Ieee(std::span<const uint8_t> data)

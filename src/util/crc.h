@@ -2,10 +2,8 @@
  * @file
  * Cyclic-redundancy checks used by the simulated ATM substrate.
  *
- * CRC-8 implements the ATM Header Error Control (HEC) polynomial
- * x^8 + x^2 + x + 1 (0x07) over the first four header octets, as defined
- * by ITU-T I.432. CRC-32 implements the IEEE 802.3 polynomial used by the
- * AAL5 trailer.
+ * CRC-32 implements the IEEE 802.3 polynomial used by the AAL5 trailer
+ * (and by the reliable wire's envelopes).
  */
 #pragma once
 
@@ -14,18 +12,6 @@
 #include <span>
 
 namespace remora::util {
-
-/**
- * Compute the ATM HEC CRC-8 (polynomial 0x07, init 0) over a byte span.
- *
- * The ATM standard additionally XORs the result with 0x55 ("coset"
- * addition) to improve cell delineation; we follow that convention so the
- * values match real HEC bytes.
- *
- * @param data Bytes covered by the check (the four non-HEC header octets).
- * @return The HEC byte to place in (or compare against) octet 5.
- */
-uint8_t crc8Hec(std::span<const uint8_t> data);
 
 /**
  * Compute the IEEE 802.3 CRC-32 (reflected, init ~0, final xor ~0).
@@ -54,9 +40,6 @@ class Crc32
 
     /** Final checksum over everything absorbed so far. */
     uint32_t value() const { return ~state_; }
-
-    /** Reset to the empty-input state. */
-    void reset() { state_ = 0xffffffffu; }
 
   private:
     uint32_t state_ = 0xffffffffu;

@@ -138,7 +138,6 @@ class JsonValue
 
     JsonValue() = default;
 
-    Type type() const { return type_; }
     bool isNull() const { return type_ == Type::kNull; }
     bool isBool() const { return type_ == Type::kBool; }
     bool isNumber() const { return type_ == Type::kNumber; }

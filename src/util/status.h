@@ -29,8 +29,6 @@ enum class ErrorCode : uint8_t
     kOutOfBounds,
     /** Operation not permitted by the segment's rights mask. */
     kAccessDenied,
-    /** Segment is write-inhibited for synchronization. */
-    kWriteInhibited,
     /** Name not present in a registry. */
     kNotFound,
     /** Name already present in a registry. */
@@ -62,15 +60,8 @@ class Status
         : code_(code), message_(std::move(message))
     {}
 
-    /** Named constructor for success, for symmetry with error(). */
+    /** Named constructor for success. */
     static Status okStatus() { return Status(); }
-
-    /** Named constructor for failure. */
-    static Status
-    error(ErrorCode code, std::string message = {})
-    {
-        return Status(code, std::move(message));
-    }
 
     /** True when no error occurred. */
     bool ok() const { return code_ == ErrorCode::kOk; }

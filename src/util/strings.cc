@@ -21,7 +21,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::kStaleGeneration: return "stale_generation";
       case ErrorCode::kOutOfBounds: return "out_of_bounds";
       case ErrorCode::kAccessDenied: return "access_denied";
-      case ErrorCode::kWriteInhibited: return "write_inhibited";
       case ErrorCode::kNotFound: return "not_found";
       case ErrorCode::kAlreadyExists: return "already_exists";
       case ErrorCode::kMalformed: return "malformed";
@@ -60,24 +59,6 @@ formatDuration(int64_t nanos)
         std::snprintf(buf, sizeof(buf), "%.2f ms", v / 1e6);
     } else {
         std::snprintf(buf, sizeof(buf), "%.3f s", v / 1e9);
-    }
-    return buf;
-}
-
-std::string
-formatBytes(uint64_t bytes)
-{
-    char buf[64];
-    double v = static_cast<double>(bytes);
-    if (bytes < 1024) {
-        std::snprintf(buf, sizeof(buf), "%llu B",
-                      static_cast<unsigned long long>(bytes));
-    } else if (bytes < 1024ull * 1024) {
-        std::snprintf(buf, sizeof(buf), "%.1f KB", v / 1024.0);
-    } else if (bytes < 1024ull * 1024 * 1024) {
-        std::snprintf(buf, sizeof(buf), "%.1f MB", v / (1024.0 * 1024.0));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.2f GB", v / (1024.0 * 1024.0 * 1024.0));
     }
     return buf;
 }

@@ -13,9 +13,6 @@ namespace remora::util {
 /** Render nanoseconds as a human-friendly "12.3 us" style string. */
 std::string formatDuration(int64_t nanos);
 
-/** Render a byte count as "4.0 KB" style string. */
-std::string formatBytes(uint64_t bytes);
-
 /** Render a count with thousands separators, e.g. 28,860,744. */
 std::string formatCount(uint64_t count);
 

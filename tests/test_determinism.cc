@@ -304,14 +304,7 @@ TEST(Determinism, FnvReferenceValues)
     EXPECT_EQ(d.value(), 14695981039346656037ull);
     d.mix("a");
     EXPECT_EQ(d.value(), 0xaf63dc4c8601ec8cull);
-
-    sim::DeterminismDigest e;
-    e.mixByte('a');
-    EXPECT_EQ(e.value(), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(e.records(), 1u);
-    e.reset();
-    EXPECT_EQ(e.value(), sim::DeterminismDigest::kOffset);
-    EXPECT_EQ(e.records(), 0u);
+    EXPECT_EQ(d.records(), 1u);
 }
 
 // ----------------------------------------------------------------------

@@ -393,10 +393,6 @@ TEST(ServerClerk, CachesEveryAreaLocally)
     dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
 
     // First touch goes to the backend; second is a local hit.
-    auto a1 = clerk.getattr(f.file);
-    runToCompletion(f.cluster.sim, a1);
-    auto a2 = clerk.getattr(f.file);
-    runToCompletion(f.cluster.sim, a2);
     auto l1 = clerk.lookup(f.dir, "paper.ps");
     runToCompletion(f.cluster.sim, l1);
     auto l2 = clerk.lookup(f.dir, "paper.ps");
@@ -414,23 +410,12 @@ TEST(ServerClerk, CachesEveryAreaLocally)
     auto s2 = clerk.readlink(f.link);
     runToCompletion(f.cluster.sim, s2);
 
-    EXPECT_EQ(clerk.stats().requests.value(), 10u);
-    EXPECT_EQ(clerk.stats().backendCalls.value(), 5u);
-    EXPECT_EQ(clerk.stats().localHits.value(), 5u);
+    EXPECT_EQ(clerk.stats().requests.value(), 8u);
+    EXPECT_EQ(clerk.stats().backendCalls.value(), 4u);
+    EXPECT_EQ(clerk.stats().localHits.value(), 4u);
 }
 
-TEST(ServerClerk, LookupPrimesAttrCache)
-{
-    DfsFixture f;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
-    auto l = clerk.lookup(f.dir, "paper.ps");
-    runToCompletion(f.cluster.sim, l);
-    auto a = clerk.getattr(f.file);
-    runToCompletion(f.cluster.sim, a);
-    EXPECT_EQ(clerk.stats().localHits.value(), 1u); // attr came with lookup
-}
-
-TEST(ServerClerk, WriteInvalidatesAttrAndUpdatesBlocks)
+TEST(ServerClerk, WriteUpdatesCachedBlocks)
 {
     DfsFixture f;
     dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
@@ -449,19 +434,6 @@ TEST(ServerClerk, WriteInvalidatesAttrAndUpdatesBlocks)
     EXPECT_EQ(clerk.stats().backendCalls.value(), calls);
 }
 
-TEST(ServerClerk, InvalidateAllForcesRefetch)
-{
-    DfsFixture f;
-    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
-    auto a1 = clerk.getattr(f.file);
-    runToCompletion(f.cluster.sim, a1);
-    clerk.invalidateAll();
-    auto a2 = clerk.getattr(f.file);
-    runToCompletion(f.cluster.sim, a2);
-    EXPECT_EQ(clerk.stats().backendCalls.value(), 2u);
-    EXPECT_EQ(clerk.stats().localHits.value(), 0u);
-}
-
 TEST(ServerClerk, LocalRpcChargedWhenEnabled)
 {
     DfsFixture f;
@@ -469,7 +441,7 @@ TEST(ServerClerk, LocalRpcChargedWhenEnabled)
     f.cluster.sim.run();
     sim::Duration before =
         f.cluster.nodeA.cpu().busyIn(sim::CpuCategory::kProcInvoke);
-    auto t = clerk.null();
+    auto t = clerk.lookup(f.dir, "paper.ps");
     runToCompletion(f.cluster.sim, t);
     sim::Duration after =
         f.cluster.nodeA.cpu().busyIn(sim::CpuCategory::kProcInvoke);

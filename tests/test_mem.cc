@@ -177,18 +177,6 @@ TEST(AddressSpace, PinUnpinSetsPteBits)
     EXPECT_FALSE(as.pin(r + 10 * kPageBytes, 8).ok());
 }
 
-TEST(AddressSpace, FreeRegionReleasesFrames)
-{
-    PhysMem pm;
-    AddressSpace as(pm);
-    size_t before = pm.framesInUse();
-    Vaddr r = as.allocRegion(4 * kPageBytes);
-    EXPECT_EQ(pm.framesInUse(), before + 4);
-    as.freeRegion(r, 4 * kPageBytes);
-    EXPECT_EQ(pm.framesInUse(), before);
-    EXPECT_FALSE(as.isMapped(r, 1));
-}
-
 TEST(AddressSpace, DestructorReturnsAllFrames)
 {
     PhysMem pm;

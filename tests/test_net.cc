@@ -21,40 +21,6 @@ namespace {
 // Cell
 // ----------------------------------------------------------------------
 
-TEST(Cell, EncodeDecodeRoundTrip)
-{
-    Cell c;
-    c.vpi = 0x5a5;
-    c.vci = 0xbeef;
-    c.pti = 0x3;
-    c.clp = true;
-    for (size_t i = 0; i < c.payload.size(); ++i) {
-        c.payload[i] = static_cast<uint8_t>(i);
-    }
-    uint8_t wire[Cell::kCellBytes];
-    c.encode(wire);
-    auto decoded = Cell::decode(wire);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().vpi, c.vpi);
-    EXPECT_EQ(decoded.value().vci, c.vci);
-    EXPECT_EQ(decoded.value().pti, c.pti);
-    EXPECT_EQ(decoded.value().clp, c.clp);
-    EXPECT_EQ(decoded.value().payload, c.payload);
-}
-
-TEST(Cell, HecCorruptionIsDetected)
-{
-    Cell c;
-    c.vpi = 7;
-    c.vci = 9;
-    uint8_t wire[Cell::kCellBytes];
-    c.encode(wire);
-    wire[1] ^= 0x40; // corrupt a header bit
-    auto decoded = Cell::decode(wire);
-    EXPECT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), util::ErrorCode::kMalformed);
-}
-
 TEST(Cell, LastOfFrameFlag)
 {
     Cell c;
@@ -64,32 +30,6 @@ TEST(Cell, LastOfFrameFlag)
     c.setLastOfFrame(false);
     EXPECT_FALSE(c.lastOfFrame());
 }
-
-class CellFieldSweep
-    : public ::testing::TestWithParam<std::tuple<uint16_t, uint16_t, uint8_t>>
-{};
-
-TEST_P(CellFieldSweep, AllFieldWidthsSurvive)
-{
-    auto [vpi, vci, pti] = GetParam();
-    Cell c;
-    c.vpi = vpi;
-    c.vci = vci;
-    c.pti = pti;
-    uint8_t wire[Cell::kCellBytes];
-    c.encode(wire);
-    auto d = Cell::decode(wire);
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(d.value().vpi, vpi);
-    EXPECT_EQ(d.value().vci, vci);
-    EXPECT_EQ(d.value().pti, pti);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Fields, CellFieldSweep,
-    ::testing::Combine(::testing::Values<uint16_t>(0, 1, 0xfff),
-                       ::testing::Values<uint16_t>(0, 255, 0xffff),
-                       ::testing::Values<uint8_t>(0, 3, 7)));
 
 // ----------------------------------------------------------------------
 // AAL5

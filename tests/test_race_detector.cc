@@ -298,17 +298,6 @@ TEST(RaceDetector, TokenEdgesOrderAccesses)
     EXPECT_EQ(det.raceCount(), 0u);
 }
 
-TEST(RaceDetector, FenceOrdersEverythingSoFar)
-{
-    Armed armed;
-    auto &det = RaceDetector::instance();
-    det.registerSegment(7, 1, 0, 0x1000, 64, "unit");
-    unitAccess(1, true, 0x1030, 4, 10, "setup");
-    det.fence();
-    unitAccess(2, true, 0x1030, 4, 20, "after fence");
-    EXPECT_EQ(det.raceCount(), 0u);
-}
-
 TEST(RaceDetector, GranularityWidensTheCheckedRange)
 {
     rmem::RaceDetectorOptions opts;

@@ -231,31 +231,25 @@ TEST(RmemProtection, OutOfBoundsIsRejected)
     EXPECT_EQ(out.status.code(), util::ErrorCode::kOutOfBounds);
 }
 
-TEST(RmemProtection, WriteInhibitBlocksWritesOnly)
+TEST(RmemProtection, MisalignedCasFailsImportCheck)
 {
     TwoNodeCluster c;
     mem::Process &server = c.nodeB.spawnProcess("server");
     mem::Process &client = c.nodeA.spawnProcess("client");
     auto local = makeSegment(c.engineA, client, 4096);
     auto seg = makeSegment(c.engineB, server, 4096);
-
-    ASSERT_TRUE(c.engineB.setWriteInhibit(seg.descriptor, true).ok());
-
-    auto w = c.engineA.write(seg, 0, {1});
-    EXPECT_TRUE(runToCompletion(c.sim, w).ok()); // local accept
     c.sim.run();
-    EXPECT_EQ(c.engineA.nakCount(), 1u); // remote write-inhibit NAK
 
-    // Reads still work while write-inhibited.
-    auto r = c.engineA.read(seg, 0, local.descriptor, 0, 8);
-    EXPECT_TRUE(runToCompletion(c.sim, r).status.ok());
-
-    // Lifting the inhibit restores writes.
-    ASSERT_TRUE(c.engineB.setWriteInhibit(seg.descriptor, false).ok());
-    auto w2 = c.engineA.write(seg, 0, {1});
-    EXPECT_TRUE(runToCompletion(c.sim, w2).ok());
+    // The handle grants CAS and the word lies inside it, so alignment is
+    // the check that fires, on node A, before anything is sent.
+    uint64_t cellsBefore = c.nodeA.nic().cellsTx();
+    auto t = c.engineA.cas(seg, 2, 0, 1, local.descriptor, 8);
+    rmem::CasOutcome out = runToCompletion(c.sim, t);
+    EXPECT_EQ(out.status.code(), util::ErrorCode::kOutOfBounds);
+    EXPECT_FALSE(out.success);
     c.sim.run();
-    EXPECT_EQ(c.engineA.nakCount(), 1u); // unchanged
+    EXPECT_EQ(c.nodeA.nic().cellsTx(), cellsBefore);
+    EXPECT_EQ(c.engineB.stats().requestsServed.value(), 0u);
 }
 
 TEST(RmemProtection, BadDescriptorIsRejected)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Control-transfer mechanism tests: notification channels, signal
- * handlers, select across channels, reader-side read notification,
- * chunked transfers, and engine bookkeeping.
+ * handlers, reader-side read notification, chunked transfers, and
+ * engine bookkeeping.
  */
 #include <gtest/gtest.h>
 
@@ -85,30 +85,6 @@ TEST(Notification, QueuedDeliveriesPreserveOrder)
         EXPECT_EQ(n.offset, i * 64u);
     }
     EXPECT_FALSE(ch->tryNext(n));
-}
-
-TEST(Notification, SelectAcrossChannels)
-{
-    TwoNodeCluster c;
-    mem::Process &server = c.nodeB.spawnProcess("server");
-    auto seg1 = makeSegment(c.engineB, server, 4096);
-    auto seg2 = makeSegment(c.engineB, server, 4096);
-    auto *ch1 = c.engineB.channel(seg1.descriptor);
-    auto *ch2 = c.engineB.channel(seg2.descriptor);
-
-    // Select before anything is readable; a write to seg2 resolves it.
-    auto sel = rmem::ChannelSelector::selectAny({ch1, ch2});
-    EXPECT_FALSE(sel.done());
-    auto w = c.engineA.write(seg2, 0, {9}, true);
-    runToCompletion(c.sim, w);
-    c.sim.run();
-    ASSERT_TRUE(sel.done());
-    EXPECT_EQ(sel.result(), 1u);
-
-    // Select with an already-readable channel resolves immediately.
-    auto sel2 = rmem::ChannelSelector::selectAny({ch1, ch2});
-    ASSERT_TRUE(sel2.done());
-    EXPECT_EQ(sel2.result(), 1u);
 }
 
 TEST(Notification, ReaderSideNotifyOnReadCompletion)
@@ -305,19 +281,6 @@ TEST(RmemBookkeeping, ExportPinsAndRevokeUnpins)
                     ->pinned);
     ASSERT_TRUE(c.engineB.revokeSegment(h.value().descriptor).ok());
     EXPECT_FALSE(server.space().pageTable().lookup(base)->pinned);
-}
-
-TEST(RmemBookkeeping, LocalHandleMatchesExport)
-{
-    TwoNodeCluster c;
-    mem::Process &server = c.nodeB.spawnProcess("server");
-    auto h = makeSegment(c.engineB, server, 8192);
-    auto lh = c.engineB.localHandle(h.descriptor);
-    ASSERT_TRUE(lh.ok());
-    EXPECT_EQ(lh.value().node, 2);
-    EXPECT_EQ(lh.value().generation, h.generation);
-    EXPECT_EQ(lh.value().size, 8192u);
-    EXPECT_FALSE(c.engineB.localHandle(200).ok());
 }
 
 } // namespace

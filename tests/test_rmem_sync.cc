@@ -62,22 +62,6 @@ TEST(SpinLock, AcquireReleaseCycle)
     EXPECT_EQ(lock.contentionCount(), 0u);
 }
 
-TEST(SpinLock, TryAcquireFailsWhenHeld)
-{
-    LockFixture f;
-    rmem::SpinLock a(f.cluster.engineA, f.shared, 0, f.scratch, 0, 0xA1);
-    rmem::SpinLock b(f.cluster.engineA, f.shared, 0, f.scratch, 4, 0xB2);
-    auto t1 = a.acquire();
-    ASSERT_TRUE(runToCompletion(f.cluster.sim, t1).ok());
-    auto t2 = b.tryAcquire();
-    EXPECT_EQ(runToCompletion(f.cluster.sim, t2).code(),
-              util::ErrorCode::kResource);
-    auto t3 = a.release();
-    ASSERT_TRUE(runToCompletion(f.cluster.sim, t3).ok());
-    auto t4 = b.tryAcquire();
-    EXPECT_TRUE(runToCompletion(f.cluster.sim, t4).ok());
-}
-
 TEST(SpinLock, AcquireTimesOutUnderDeadlock)
 {
     LockFixture f;

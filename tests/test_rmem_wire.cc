@@ -1,8 +1,7 @@
 /**
  * @file
  * Wire-layer unit tests: framing decisions, malformed-message
- * handling, descriptor-table internals, and the §3.5/§3.6 per-word
- * cost hooks (crypto, byte swap).
+ * handling and descriptor-table internals.
  */
 #include <gtest/gtest.h>
 
@@ -153,103 +152,6 @@ TEST(DescriptorTable, LiveCountTracksAllocations)
     ASSERT_TRUE(table.release(a.value()).ok());
     EXPECT_EQ(table.liveCount(), 1u);
     EXPECT_FALSE(table.release(a.value()).ok()); // double release
-}
-
-// ----------------------------------------------------------------------
-// §3.6 heterogeneity: byte-swap cost on the PIO path
-// ----------------------------------------------------------------------
-
-TEST(Wire, ByteSwappedPeerPaysPerWordCost)
-{
-    auto measureWriteUs = [](bool swapped) {
-        TwoNodeCluster c;
-        if (swapped) {
-            // Both kernels treat the other as opposite-byte-order.
-            c.engineA.wire().setPeerByteSwapped(2, true);
-            c.engineB.wire().setPeerByteSwapped(1, true);
-        }
-        mem::Process &server = c.nodeB.spawnProcess("server");
-        mem::Vaddr base = server.space().allocRegion(4096);
-        auto seg = c.engineB.exportSegment(server, base, 4096,
-                                           rmem::Rights::kAll,
-                                           rmem::NotifyPolicy::kNever, "x");
-        EXPECT_TRUE(seg.ok());
-        c.sim.run();
-        sim::Time t0 = c.sim.now();
-        auto w = c.engineA.write(seg.value(), 0,
-                                 std::vector<uint8_t>(40, 1));
-        runToCompletion(c.sim, w);
-        c.sim.run();
-        return sim::toUsec(c.nodeB.cpu().busyUntil() - t0);
-    };
-
-    double plain = measureWriteUs(false);
-    double hetero = measureWriteUs(true);
-    // A small, bounded surcharge: "straightforward to accommodate".
-    EXPECT_GT(hetero, plain);
-    EXPECT_LT(hetero, plain * 1.15);
-}
-
-TEST(Wire, ByteSwapChargesExactlyPayloadWordsPerFrame)
-{
-    // Pin the charged duration: the swap bills once per message-payload
-    // word on each side of the link — not once per cell-capacity word,
-    // which would also bill the AAL5 trailer and tail-cell padding.
-    // The flags are one-sided: A swaps on TX when it marks peer 2,
-    // B swaps on RX when it marks peer 1 — so each direction can be
-    // measured in isolation, keeping the other CPU's timing (and its
-    // data-dependent rx-interrupt batching) identical across runs.
-    struct Busy
-    {
-        sim::Duration a;
-        sim::Duration b;
-    };
-    auto run = [](bool swapTx, bool swapRx, uint32_t payloadBytes) {
-        TwoNodeCluster c;
-        c.engineA.wire().setPeerByteSwapped(2, swapTx);
-        c.engineB.wire().setPeerByteSwapped(1, swapRx);
-        mem::Process &server = c.nodeB.spawnProcess("server");
-        mem::Vaddr base = server.space().allocRegion(8192);
-        auto seg = c.engineB.exportSegment(server, base, 8192,
-                                           rmem::Rights::kAll,
-                                           rmem::NotifyPolicy::kNever, "x");
-        EXPECT_TRUE(seg.ok());
-        c.sim.run();
-        auto w = c.engineA.write(seg.value(), 0,
-                                 std::vector<uint8_t>(payloadBytes, 1));
-        runToCompletion(c.sim, w);
-        c.sim.run();
-        return Busy{c.nodeA.cpu().totalBusy(), c.nodeB.cpu().totalBusy()};
-    };
-    rmem::CostModel costs;
-
-    // Raw path: 40B payload + 8B header encode to 48 bytes = 12 words,
-    // swapped once on TX and once on RX.
-    Busy rawPlain = run(false, false, 40);
-    Busy rawSwap = run(true, true, 40);
-    EXPECT_EQ((rawSwap.a + rawSwap.b) - (rawPlain.a + rawPlain.b),
-              2 * 12 * costs.byteSwapWordCost);
-
-    // Block path: 4096B + 10B header = 4106 bytes = 1027 payload words
-    // per direction — NOT the 12 * aal5CellCount(4106) words of cell
-    // capacity the frame occupies (trailer and pad are order-neutral).
-    sim::Duration wordsCharged = 1027 * costs.byteSwapWordCost;
-    ASSERT_LT(wordsCharged,
-              12 * static_cast<sim::Duration>(net::aal5CellCount(4106)) *
-                  costs.byteSwapWordCost);
-    Busy blockPlain = run(false, false, 4096);
-    EXPECT_EQ(run(true, false, 4096).a - blockPlain.a, wordsCharged);
-    EXPECT_EQ(run(false, true, 4096).b - blockPlain.b, wordsCharged);
-}
-
-TEST(Wire, ByteSwapFlagIsPerPeer)
-{
-    TwoNodeCluster c;
-    c.engineA.wire().setPeerByteSwapped(2, true);
-    EXPECT_TRUE(c.engineA.wire().peerByteSwapped(2));
-    EXPECT_FALSE(c.engineA.wire().peerByteSwapped(3));
-    c.engineA.wire().setPeerByteSwapped(2, false);
-    EXPECT_FALSE(c.engineA.wire().peerByteSwapped(2));
 }
 
 } // namespace

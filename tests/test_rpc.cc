@@ -25,8 +25,6 @@ TEST(Marshal, ScalarsAndStringsRoundTrip)
 {
     rpc::Marshal m;
     m.putU32(7);
-    m.putI32(-9);
-    m.putBool(true);
     m.putU64(1ull << 40);
     m.putString("xyzzy");
     auto buf = m.take();
@@ -34,8 +32,6 @@ TEST(Marshal, ScalarsAndStringsRoundTrip)
 
     rpc::Unmarshal u(buf);
     EXPECT_EQ(u.getU32(), 7u);
-    EXPECT_EQ(u.getI32(), -9);
-    EXPECT_TRUE(u.getBool());
     EXPECT_EQ(u.getU64(), 1ull << 40);
     EXPECT_EQ(u.getString(), "xyzzy");
     EXPECT_TRUE(u.ok());

@@ -1,7 +1,7 @@
 /**
  * @file
  * Vectored meta-instructions: wire protocol round-trips, batch
- * building, end-to-end writev/readv/casv across two nodes, single-frame
+ * building, end-to-end writev/readv across two nodes, single-frame
  * accounting, per-batch validation caching, and doorbell coalescing.
  */
 #include <gtest/gtest.h>
@@ -185,11 +185,6 @@ TEST(BatchBuilder, RejectsCrossNodeAndRightsAndBounds)
     // Out of bounds.
     s = b.addWrite({onB, 4090, std::vector<uint8_t>(16, 1), false});
     EXPECT_EQ(s.code(), util::ErrorCode::kOutOfBounds);
-    // Misaligned CAS (on a segment with both rights, so alignment is
-    // the check that fires).
-    rmem::ImportedSegment rw{2, 1, 1, 4096, rmem::Rights::kAll};
-    s = b.addCas({rw, 2, 0, 1, 0, 0});
-    EXPECT_EQ(s.code(), util::ErrorCode::kOutOfBounds);
     EXPECT_EQ(b.size(), 1u);
 }
 
@@ -316,51 +311,13 @@ TEST(VectorOps, ReadvGathersAndDepositsLocally)
     EXPECT_EQ(c.engineB.stats().vectorValidateHits.value(), 3u);
 }
 
-TEST(VectorOps, CasvSwapsEachWordIndependently)
-{
-    TwoNodeCluster c;
-    mem::Process &server = c.nodeB.spawnProcess("server");
-    mem::Vaddr base = server.space().allocRegion(4096);
-    ASSERT_TRUE(server.space().writeWord(base + 0, 10).ok());
-    ASSERT_TRUE(server.space().writeWord(base + 4, 20).ok());
-    auto seg = c.engineB.exportSegment(server, base, 4096,
-                                       rmem::Rights::kAll,
-                                       rmem::NotifyPolicy::kNever, "sync");
-    ASSERT_TRUE(seg.ok());
-
-    mem::Process &client = c.nodeA.spawnProcess("client");
-    auto local = makeSegment(c.engineA, client, 4096);
-
-    std::vector<rmem::BatchBuilder::Cas> ops;
-    ops.push_back({seg.value(), 0, 10, 11, local.descriptor, 0});  // hits
-    ops.push_back({seg.value(), 4, 99, 100, local.descriptor, 4}); // misses
-    auto task = c.engineA.casv(std::move(ops));
-    rmem::VectorOutcome out = runToCompletion(c.sim, task);
-    ASSERT_TRUE(out.status.ok()) << out.status.toString();
-    c.sim.run();
-
-    ASSERT_EQ(out.results.size(), 2u);
-    EXPECT_TRUE(out.results[0].success);
-    EXPECT_EQ(out.results[0].observed, 10u);
-    EXPECT_FALSE(out.results[1].success);
-    EXPECT_EQ(out.results[1].observed, 20u);
-    EXPECT_EQ(server.space().readWord(base + 0).value(), 11u);
-    EXPECT_EQ(server.space().readWord(base + 4).value(), 20u);
-
-    // Success words deposited at the requested local offsets.
-    auto *desc = c.engineA.descriptor(local.descriptor);
-    EXPECT_EQ(client.space().readWord(desc->base + 0).value(), 1u);
-    EXPECT_EQ(client.space().readWord(desc->base + 4).value(), 0u);
-}
-
-TEST(VectorOps, MixedBatchCarriesAllThreeKinds)
+TEST(VectorOps, MixedBatchCarriesWritesAndReads)
 {
     TwoNodeCluster c;
     mem::Process &server = c.nodeB.spawnProcess("server");
     mem::Vaddr base = server.space().allocRegion(4096);
     std::vector<uint8_t> content(32, 0x5A);
     ASSERT_TRUE(server.space().write(base + 512, content).ok());
-    ASSERT_TRUE(server.space().writeWord(base + 1024, 7).ok());
     auto seg = c.engineB.exportSegment(server, base, 4096,
                                        rmem::Rights::kAll,
                                        rmem::NotifyPolicy::kNever, "mix");
@@ -375,22 +332,38 @@ TEST(VectorOps, MixedBatchCarriesAllThreeKinds)
             .ok());
     ASSERT_TRUE(
         b.addRead({seg.value(), 512, local.descriptor, 0, 32, false}).ok());
-    ASSERT_TRUE(b.addCas({seg.value(), 1024, 7, 8, local.descriptor, 64})
-                    .ok());
-    EXPECT_TRUE(b.wantsResponse());
+    ASSERT_TRUE(
+        b.addWrite({seg.value(), 64, std::vector<uint8_t>(8, 0xDD), false})
+            .ok());
+    ASSERT_TRUE(
+        b.addRead({seg.value(), 0, local.descriptor, 64, 16, false}).ok());
+    EXPECT_EQ(b.size(), 4u);
     auto task = b.issue();
     rmem::VectorOutcome out = runToCompletion(c.sim, task);
     ASSERT_TRUE(out.status.ok()) << out.status.toString();
     c.sim.run();
 
-    ASSERT_EQ(out.results.size(), 3u);
+    // Sub-ops apply in issue order: the last read sees the first write.
+    ASSERT_EQ(out.results.size(), 4u);
     EXPECT_EQ(out.results[0].kind, rmem::VecOpKind::kWrite);
+    EXPECT_EQ(out.results[1].kind, rmem::VecOpKind::kRead);
     EXPECT_EQ(out.results[1].data, content);
-    EXPECT_TRUE(out.results[2].success);
+    EXPECT_EQ(out.results[2].kind, rmem::VecOpKind::kWrite);
+    EXPECT_EQ(out.results[3].data, std::vector<uint8_t>(16, 0xEE));
     std::vector<uint8_t> applied(16);
     ASSERT_TRUE(server.space().read(base + 0, applied).ok());
     EXPECT_EQ(applied, std::vector<uint8_t>(16, 0xEE));
-    EXPECT_EQ(server.space().readWord(base + 1024).value(), 8u);
+    std::vector<uint8_t> second(8);
+    ASSERT_TRUE(server.space().read(base + 64, second).ok());
+    EXPECT_EQ(second, std::vector<uint8_t>(8, 0xDD));
+    // Both reads were deposited at their local offsets.
+    auto *desc = c.engineA.descriptor(local.descriptor);
+    std::vector<uint8_t> first(32);
+    ASSERT_TRUE(client.space().read(desc->base + 0, first).ok());
+    EXPECT_EQ(first, content);
+    std::vector<uint8_t> landed(16);
+    ASSERT_TRUE(client.space().read(desc->base + 64, landed).ok());
+    EXPECT_EQ(landed, std::vector<uint8_t>(16, 0xEE));
     // The builder resets after issue and can be reused.
     EXPECT_TRUE(b.empty());
 }
