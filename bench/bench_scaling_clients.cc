@@ -16,13 +16,16 @@
  * plus the simulator events each completed op costs (a simulated count,
  * so any change to the event structure shows up in the gate). Only ops
  * that complete inside the window count, and only the CPU time and the
- * events that fall inside it, so no utilization can exceed 1.
+ * events that fall inside it, so no utilization can exceed 1. At N = 16
+ * it also records the simulator's own speed over the window, events per
+ * host second, as a wall-clock metric.
  *
  * Expected shape: HY saturates the server CPU (mostly on control
  * transfer and procedure execution) at a small N; DX keeps utilization
  * low and throughput scaling well past HY's knee.
  */
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 
@@ -45,6 +48,7 @@ struct ClusterRun
     double serverUtil = 0;
     double meanLatencyMs = 0;
     double eventsPerOp = 0;
+    double hostEventsPerSec = 0;
 };
 
 /** Closed-loop client: draws ops from the Table 1a mix. */
@@ -182,7 +186,11 @@ runScheme(size_t clients, bool useDx)
 
     // Measure at the window's edge: run(limit) runs the events at the
     // limit, so stop one tick short, then let in-flight ops drain.
+    auto hostStart = std::chrono::steady_clock::now();
     sim.run(stopAt - 1);
+    double hostSecs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - hostStart)
+                          .count();
     sim::Duration serverBusy = serverNode.cpu().busyAt(stopAt);
     uint64_t events = sim.eventsProcessed() - events0;
     sim.run(stopAt + sim::msec(200));
@@ -205,6 +213,8 @@ runScheme(size_t clients, bool useDx)
         total ? sim::toMsec(latSum / static_cast<sim::Duration>(total)) : 0;
     r.eventsPerOp =
         total ? static_cast<double>(events) / static_cast<double>(total) : 0;
+    r.hostEventsPerSec =
+        hostSecs > 0 ? static_cast<double>(events) / hostSecs : 0;
     return r;
 }
 
@@ -228,10 +238,6 @@ main()
             hyKnee = static_cast<double>(n);
         }
         maxUtil = std::max({maxUtil, hy.serverUtil, dx.serverUtil});
-        if (n == 16) {
-            hyAt16 = hy.opsPerSec;
-            dxAt16 = dx.opsPerSec;
-        }
         table.addRow({std::to_string(n), bench::fmt(hy.opsPerSec, 0),
                       bench::fmt(hy.serverUtil, 2),
                       bench::fmt(hy.meanLatencyMs, 2),
@@ -248,6 +254,14 @@ main()
         report.metric(key + ".dx.mean_latency_ms", dx.meanLatencyMs, "ms");
         report.metric(key + ".hy.events_per_op", hy.eventsPerOp, "events/op");
         report.metric(key + ".dx.events_per_op", dx.eventsPerOp, "events/op");
+        if (n == 16) {
+            hyAt16 = hy.opsPerSec;
+            dxAt16 = dx.opsPerSec;
+            report.wallMetric("n16.hy.host_events_per_sec",
+                              hy.hostEventsPerSec, "events/s");
+            report.wallMetric("n16.dx.host_events_per_sec",
+                              dx.hostEventsPerSec, "events/s");
+        }
     }
     std::printf("%s\n", table.render().c_str());
 

@@ -222,7 +222,11 @@ echo "== equiv: bench reports =="
 bench_reports "${OUT}/ref" "${OUT}/bench.ref"
 bench_reports . "${OUT}/bench.work"
 bench_identical "${OUT}/ref/build/bench" build/bench
-bench_identical "${OUT}/bench.ref" "${OUT}/bench.work"
+# bench_diff refuses two empty directories, so compare the other benches'
+# reports only when there are other benches.
+if [[ -n "$(nonsmoke_benches)" ]]; then
+    bench_identical "${OUT}/bench.ref" "${OUT}/bench.work"
+fi
 
 echo
 if [[ ${#FAILED[@]} -gt 0 ]]; then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/panic.h"
 
@@ -107,6 +108,9 @@ AddressSpace::write(Vaddr va, std::span<const uint8_t> data)
         std::memcpy(frame.data() + pageOff, data.data() + done, chunk);
         done += chunk;
     }
+    if (watchFire_ && va < watchVa_ + 4 && watchVa_ < va + data.size()) {
+        watchFire_();
+    }
     if (observer_ && !data.empty()) {
         observer_(true, va, data.size());
     }
@@ -144,6 +148,18 @@ AddressSpace::writeWord(Vaddr va, uint32_t value)
         static_cast<uint8_t>(value >> 24),
     };
     return write(va, buf);
+}
+
+bool
+AddressSpace::watchWord(Vaddr va, sim::Callback fire)
+{
+    REMORA_ASSERT(va % 4 == 0);
+    if (watchFire_) {
+        return false;
+    }
+    watchVa_ = va;
+    watchFire_ = std::move(fire);
+    return true;
 }
 
 util::Status

@@ -18,6 +18,7 @@
 
 #include "mem/page_table.h"
 #include "mem/phys_mem.h"
+#include "sim/simulator.h"
 #include "util/status.h"
 
 namespace remora::mem {
@@ -99,12 +100,26 @@ class AddressSpace
     /** True when an observer is installed. */
     bool hasAccessObserver() const { return static_cast<bool>(observer_); }
 
+    /**
+     * Arm the space's one-word write watch: after any successful store
+     * that writes a byte of the aligned word at @p va, write() calls
+     * @p fire. A space holds one watch, apart from the access observer.
+     *
+     * @return False, arming nothing, when a watch is already armed.
+     */
+    bool watchWord(Vaddr va, sim::Callback fire);
+
+    /** Disarm the write watch. */
+    void unwatchWord() { watchFire_.reset(); }
+
   private:
     PhysMem &phys_;
     PageTable pageTable_;
     Vaddr nextRegion_;
     // Mutable: reads are logically const but still observable events.
     mutable AccessObserver observer_;
+    Vaddr watchVa_ = 0;
+    sim::Callback watchFire_;
 };
 
 } // namespace remora::mem

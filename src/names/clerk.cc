@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mem/spin_wait.h"
 #include "rmem/race_detector.h"
 #include "util/bytes.h"
 #include "util/panic.h"
@@ -540,22 +541,18 @@ NameClerk::controlTransferLookup(net::NodeId node, std::string name)
         co_return sent;
     }
 
-    // Spin-wait on the reply sequence word (§4.3).
+    // Spin-wait on the reply sequence word (§4.3), at a fixed interval.
     auto &sim = engine_.node().simulator();
     sim::Time deadline = params_.readTimeout > 0
                              ? sim.now() + params_.readTimeout
                              : sim::kTimeMax;
-    for (;;) {
-        auto word = process_.space().readWord(scratchBase_ + replyOff);
-        REMORA_ASSERT(word.ok());
-        if (word.value() == seq) {
-            break;
-        }
-        if (sim.now() >= deadline) {
-            co_return util::Status(util::ErrorCode::kTimeout,
-                                   "control-transfer lookup timed out");
-        }
-        co_await sim::delay(sim, kPollInterval);
+    bool replied = co_await mem::SpinWait(sim, process_.space(),
+                                          scratchBase_ + replyOff, seq,
+                                          deadline, kPollInterval,
+                                          kPollInterval);
+    if (!replied) {
+        co_return util::Status(util::ErrorCode::kTimeout,
+                               "control-transfer lookup timed out");
     }
 
     std::vector<uint8_t> reply(kCtReplyBytes);

@@ -1,8 +1,8 @@
 #include "rpc/hybrid1.h"
 
-#include <algorithm>
 #include <optional>
 
+#include "mem/spin_wait.h"
 #include "obs/trace.h"
 #include "rmem/race_detector.h"
 #include "util/bytes.h"
@@ -226,27 +226,21 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
         co_return ws;
     }
 
-    // Spin-wait at user level on the reply sequence word (§4.3), with a
-    // gentle backoff so the simulation stays event-efficient.
+    // Spin-wait at user level on the reply sequence word (§4.3). The
+    // interval between polls doubles up to 16 poll intervals, so a long
+    // wait behind a busy server reads the word less often.
     auto &sim = engine_.node().simulator();
     sim::Time deadline =
         timeout > 0 ? sim.now() + timeout : sim::kTimeMax;
-    sim::Duration poll = params_.pollInterval;
-    for (;;) {
-        auto word = process_.space().readWord(replyBase_);
-        REMORA_ASSERT(word.ok());
-        if (word.value() == seq) {
-            break;
-        }
-        if (sim.now() >= deadline) {
-            obs::endSpan(span);
-            obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
-                          "timeout");
-            co_return util::Status(util::ErrorCode::kTimeout,
-                                   "hybrid1 reply timed out");
-        }
-        co_await sim::delay(sim, poll);
-        poll = std::min<sim::Duration>(poll * 2, params_.pollInterval * 16);
+    bool replied = co_await mem::SpinWait(sim, process_.space(), replyBase_,
+                                          seq, deadline, params_.pollInterval,
+                                          params_.pollInterval * 16);
+    if (!replied) {
+        obs::endSpan(span);
+        obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
+                      "timeout");
+        co_return util::Status(util::ErrorCode::kTimeout,
+                               "hybrid1 reply timed out");
     }
 
     std::vector<uint8_t> header(kRespHeader);

@@ -99,7 +99,7 @@ Simulator::setPerturbation(uint64_t seed)
 {
     // A run's whole schedule is governed by one seed; switching with
     // events pending would make the digest meaningless.
-    REMORA_ASSERT(heap_.empty());
+    REMORA_ASSERT(heap_.empty() && chains_.empty());
     if (seed == perturbSeed_) {
         return;
     }
@@ -134,6 +134,14 @@ Simulator::setPolicy(SchedulePolicy *policy)
             }
         }
         laneBacklog_ = 0;
+        // So do the elided polls: each becomes the event it stands for.
+        for (size_t i = chainHead_; i < chains_.size(); ++i) {
+            const ChainEntry &e = chains_[i];
+            e.chain->live = false;
+            queuePoll(*e.chain, e.when, e.seq);
+        }
+        chains_.clear();
+        chainHead_ = 0;
     }
 }
 
@@ -235,6 +243,50 @@ Simulator::heapRemove(size_t pos)
     } else {
         siftDown(pos, last);
     }
+}
+
+void
+Simulator::insertPoll(const ChainEntry &e)
+{
+    // Search from the back: a poll at its chain's cap interval sorts
+    // after every pending one, as no poll is queued further ahead, so
+    // most polls append.
+    e.chain->live = true;
+    chains_.push_back(e);
+    size_t pos = chains_.size() - 1;
+    while (pos > chainHead_ && e < chains_[pos - 1]) {
+        chains_[pos] = chains_[pos - 1];
+        --pos;
+    }
+    chains_[pos] = e;
+}
+
+void
+Simulator::dropPoll(size_t pos)
+{
+    chains_[pos].chain->live = false;
+    if (pos == chainHead_) {
+        ++chainHead_;
+        // Reclaim the dead prefix once it outgrows the live entries, so
+        // the vector is empty exactly when no chain is live.
+        if (chainHead_ >= liveChains()) {
+            chains_.erase(chains_.begin(),
+                          chains_.begin() + static_cast<ptrdiff_t>(chainHead_));
+            chainHead_ = 0;
+        }
+    } else {
+        chains_.erase(chains_.begin() + static_cast<ptrdiff_t>(pos));
+    }
+}
+
+size_t
+Simulator::pollPos(const PollChain &c) const
+{
+    size_t pos = chainHead_;
+    while (chains_[pos].chain != &c) {
+        ++pos;
+    }
+    return pos;
 }
 
 void
@@ -343,13 +395,15 @@ Simulator::scheduleAt(LaneId lane, Time when, Callback fn)
          policy_ == nullptr ? lane : kNoLane);
 }
 
-EventId
-Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
+// Inline into push(), which every scheduled event takes.
+inline EventId
+Simulator::enqueue(Time when, uint64_t seq, Callback &&fn, const DepHint &hint,
+                   LaneId lane)
 {
     uint32_t slot = allocSlot();
     Event &ev = event(slot);
     ev.fn = std::move(fn);
-    ev.hint = currentHint_;
+    ev.hint = hint;
     HeapEntry e{when, seq, slot, lane};
     if (lane != kNoLane && std::exchange(lanes_[lane].headQueued, true)) {
         // Never earlier than the lane's head, which sits in the heap.
@@ -358,8 +412,68 @@ Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
     } else {
         heapPush(e);
     }
-    scheduleDigest_.mixRecord(when, "sched", seq);
     return (static_cast<uint64_t>(ev.gen) << 32) | (slot + 1u);
+}
+
+EventId
+Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
+{
+    EventId id = enqueue(when, seq, std::move(fn), currentHint_, lane);
+    scheduleDigest_.mixRecord(when, "sched", seq);
+    return id;
+}
+
+void
+Simulator::schedulePoll(PollChain &c, bool elide)
+{
+    c.hint = currentHint_;
+    queueNextPoll(c, elide && policy_ == nullptr);
+}
+
+void
+Simulator::queueNextPoll(PollChain &c, bool elide)
+{
+    Time when = now_ + c.interval;
+    c.interval = std::min(2 * c.interval, c.cap);
+    uint64_t seq = nextSeq_++;
+    scheduleDigest_.mixRecord(when, "sched", seq);
+    if (elide && when < c.deadline) {
+        insertPoll(ChainEntry{when, seq, &c});
+    } else {
+        // A poll at or after the deadline may time the wait out.
+        queuePoll(c, when, seq);
+    }
+}
+
+void
+Simulator::queuePoll(PollChain &c, Time when, uint64_t seq)
+{
+    c.event = enqueue(when, seq, [&c] { c.fn(); }, c.hint, kNoLane);
+}
+
+void
+Simulator::wake(PollChain &c)
+{
+    if (!c.live) {
+        return;
+    }
+    size_t pos = pollPos(c);
+    ChainEntry e = chains_[pos];
+    dropPoll(pos);
+    queuePoll(c, e.when, e.seq);
+}
+
+void
+Simulator::cancel(PollChain &c)
+{
+    if (!c.live) {
+        cancel(c.event);
+        return;
+    }
+    size_t pos = pollPos(c);
+    uint64_t seq = chains_[pos].seq;
+    dropPoll(pos);
+    scheduleDigest_.mixRecord(now_, "cancel", seq);
 }
 
 void
@@ -384,7 +498,7 @@ Simulator::cancel(EventId id)
 bool
 Simulator::step()
 {
-    if (heap_.empty()) {
+    if (heap_.empty() && chains_.empty()) {
         return false;
     }
     if (deadlockHalted()) {
@@ -395,10 +509,19 @@ Simulator::step()
         return false;
     }
 
+    if (!chains_.empty() &&
+        (heap_.empty() ||
+         chains_[chainHead_] <
+             ChainEntry{heap_[0].when, heap_[0].seq, nullptr})) {
+        stepPoll();
+        return true;
+    }
+
     // The default order is the heap's own (when, seq) order; only a
     // policy needs the whole same-instant ready set.
     size_t pos = 0;
-    if (tieAtTop()) {
+    if (tieAtTop() ||
+        (!chains_.empty() && chains_[chainHead_].when == heap_[0].when)) {
         ++decisions_;
         if (policy_ != nullptr) {
             pos = pickReady(heap_[0].when);
@@ -434,14 +557,34 @@ Simulator::step()
     return true;
 }
 
+void
+Simulator::stepPoll()
+{
+    // The poll the first entry stands for would read the word, find it
+    // unchanged (a store would have woken the chain) and queue the next
+    // poll: take its records and the next poll's key, and run nothing.
+    ChainEntry top = chains_[chainHead_];
+    if ((!heap_.empty() && heap_[0].when == top.when) ||
+        (liveChains() > 1 && chains_[chainHead_ + 1].when == top.when)) {
+        ++decisions_;
+    }
+    REMORA_ASSERT(top.when >= now_);
+    now_ = top.when;
+    runningSeq_ = top.seq;
+    ++processed_;
+    scheduleDigest_.mixRecord(now_, "exec", top.seq);
+    dropPoll(chainHead_);
+    queueNextPoll(*top.chain, true);
+}
+
 uint64_t
 Simulator::run(Time limit)
 {
     uint64_t count = 0;
-    while (!heap_.empty() && heap_[0].when <= limit && step()) {
+    while (dueBy(limit) && step()) {
         ++count;
     }
-    if (heap_.empty() || heap_[0].when > limit) {
+    if (!dueBy(limit)) {
         // Every key up to the limit is behind us, including the
         // reserved keys of deferred events that lapsed: the clock ends
         // where running them would have left it.

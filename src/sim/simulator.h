@@ -31,6 +31,11 @@
  * counter, so merging the sorted lanes through the heap yields the
  * same total order as pushing every event.
  *
+ * A spin-wait's polls, which change nothing until a store touches the
+ * polled word, may run as a *poll chain* (PollChain): each poll keeps
+ * the key, records and count of the event it stands for but runs
+ * nothing, until a wake() puts the pending one on the heap.
+ *
  * Events carry a dependency hint (DepHint) captured from the ambient
  * hint at schedule time: which channel, sync word, or segment range the
  * event's causal chain is acting on. Hints never affect execution; the
@@ -347,6 +352,30 @@ class Callback
     const Ops *ops_ = nullptr;
 };
 
+/**
+ * A spin-wait's poll chain: the eager loop `wait(interval); interval =
+ * min(2 * interval, cap)` of a coroutine polling a word for a change.
+ * Simulator::schedulePoll queues its next poll. While the owner watches
+ * the word, a poll that would find it unchanged is *elided*: it takes
+ * the seq, the `sched` and `exec` records and the count of the event it
+ * stands for, at that event's instant, but runs nothing and queues the
+ * next poll itself. When a store changes the word, Simulator::wake turns
+ * the pending poll into an event at the key it already holds, so no
+ * event's key moves.
+ */
+struct PollChain
+{
+    Duration interval = 0;    ///< Delay to the next poll queued.
+    Duration cap = 0;         ///< Ceiling of the doubling interval.
+    Time deadline = kTimeMax; ///< Polls at or after it run as events.
+    Callback fn;              ///< What a poll does when it runs as an event.
+
+    // Kept by the simulator.
+    DepHint hint;             ///< Ambient hint when the chain started.
+    bool live = false;        ///< Its pending poll is elided.
+    EventId event = 0;        ///< The pending poll, when an event.
+};
+
 /** Discrete-event scheduler and simulated clock. */
 class Simulator
 {
@@ -443,8 +472,7 @@ class Simulator
     void
     runNext(F &&fn)
     {
-        if (policy_ == nullptr && stepBudgetEnd_ == 0 &&
-            (heap_.empty() || heap_[0].when > now_)) {
+        if (policy_ == nullptr && stepBudgetEnd_ == 0 && !dueBy(now_)) {
             runningSeq_ = nextSeq_++;
             fn();
         } else {
@@ -461,6 +489,29 @@ class Simulator
      * completion safely.
      */
     void cancel(EventId id);
+
+    /**
+     * Queue @p c's next poll @p c.interval from now, taking its seq and
+     * `sched` record as schedule() would, then double @p c.interval up
+     * to @p c.cap. With @p elide set, no policy installed and the poll
+     * before @p c.deadline, the poll is elided and the chain is *live*;
+     * otherwise it is an event that runs @p c.fn. The caller sets
+     * @p elide only while a store to the polled word is sure to wake()
+     * the chain: every poll of a live chain runs nothing, and each one
+     * queues the next, until one would fall at or after the deadline
+     * and runs as an event instead.
+     */
+    void schedulePoll(PollChain &c, bool elide);
+
+    /**
+     * Turn the pending poll of live chain @p c into an event at the key
+     * it holds, with the hint captured when the chain started; a no-op
+     * when @p c is not live.
+     */
+    void wake(PollChain &c);
+
+    /** Drop @p c's pending poll, elided or an event, as cancel() does. */
+    void cancel(PollChain &c);
 
     /**
      * Run the next pending event, if any.
@@ -488,11 +539,15 @@ class Simulator
     uint64_t eventsProcessed() const { return processed_; }
 
     /**
-     * Number of events currently pending, lane FIFOs included.
-     * Cancellation removes events eagerly, so this always equals
-     * livePendingEvents().
+     * Number of events currently pending: the heap's, those in lane
+     * FIFOs, and one per live poll chain (its elided poll). Cancellation
+     * removes events eagerly, so this always equals livePendingEvents().
      */
-    size_t pendingEvents() const { return heap_.size() + laneBacklog_; }
+    size_t
+    pendingEvents() const
+    {
+        return heap_.size() + laneBacklog_ + liveChains();
+    }
 
     /** Pending events that are still live (not cancelled). */
     size_t livePendingEvents() const { return pendingEvents(); }
@@ -551,7 +606,8 @@ class Simulator
     /**
      * Install @p policy (borrowed, not owned) as the same-instant
      * tie-break; replaces any perturbation policy. nullptr restores
-     * insertion order. Events queued on lanes move onto the heap.
+     * insertion order. Events queued on lanes, and the pending polls of
+     * live chains, move onto the heap.
      */
     void setPolicy(SchedulePolicy *policy);
 
@@ -595,7 +651,7 @@ class Simulator
     bool
     allDone() const
     {
-        return heap_.empty() && blockedTaskCount() == 0;
+        return heap_.empty() && chains_.empty() && blockedTaskCount() == 0;
     }
 
     /**
@@ -655,6 +711,24 @@ class Simulator
     static_assert(sizeof(HeapEntry) == 24);
 
     /**
+     * An elided poll: its key, inline so polls sort without touching
+     * their chains, and its chain.
+     */
+    struct ChainEntry
+    {
+        Time when;
+        uint64_t seq;
+        PollChain *chain;
+
+        bool
+        operator<(const ChainEntry &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
+    };
+    static_assert(sizeof(ChainEntry) == 24);
+
+    /**
      * A lane: the FIFO of its events behind the one in the heap, kept in
      * a ring whose capacity is zero or a power of two.
      */
@@ -693,15 +767,34 @@ class Simulator
         return chunks_[slot >> kChunkBits][slot & kChunkMask];
     }
 
+    /** True when an event or an elided poll is due at or before @p limit. */
+    bool
+    dueBy(Time limit) const
+    {
+        return (!heap_.empty() && heap_[0].when <= limit) ||
+               (!chains_.empty() && chains_[chainHead_].when <= limit);
+    }
+
+    /** Live chains: elided polls pending. */
+    size_t liveChains() const { return chains_.size() - chainHead_; }
+
     uint32_t allocSlot();
     void freeSlot(uint32_t slot);
     EventId push(Time when, uint64_t seq, Callback fn, LaneId lane = kNoLane);
+    EventId enqueue(Time when, uint64_t seq, Callback &&fn,
+                    const DepHint &hint, LaneId lane);
     void pruneReserved();
     void heapPush(const HeapEntry &e);
     void heapRemove(size_t pos);
     void siftUp(size_t pos, const HeapEntry &e);
     void siftDown(size_t pos, const HeapEntry &e);
     void place(size_t pos, const HeapEntry &e);
+    void insertPoll(const ChainEntry &e);
+    void dropPoll(size_t pos);
+    size_t pollPos(const PollChain &c) const;
+    void queueNextPoll(PollChain &c, bool elide);
+    void queuePoll(PollChain &c, Time when, uint64_t seq);
+    void stepPoll();
     bool tieAtTop() const;
     size_t pickReady(Time when);
 
@@ -732,6 +825,11 @@ class Simulator
     std::vector<HeapEntry> heap_;
     std::vector<Lane> lanes_;
     size_t laneBacklog_ = 0; ///< Entries in lane FIFOs.
+    // The elided polls of live chains, one per chain, sorted on (when,
+    // seq) from chainHead_; the entries before it have run. Empty when
+    // no chain is live.
+    std::vector<ChainEntry> chains_;
+    size_t chainHead_ = 0;
     // Scratch buffers reused across decision points.
     std::vector<size_t> readyPos_;
     std::vector<ReadyChoice> ready_;

@@ -42,6 +42,7 @@ struct RunResult
     uint64_t semantic = 0;
     uint64_t records = 0;
     uint64_t events = 0;
+    uint64_t decisions = 0;
     /** The clock at quiescence. */
     sim::Time end = 0;
     /** The workload's own results: op completion times and the like. */
@@ -311,7 +312,9 @@ TEST(Determinism, FnvReferenceValues)
 // Deferred events against eager events
 //
 // By default the simulator defers the link credit returns and the RX
-// interrupts that would change nothing (sim::Simulator::reserve). An
+// interrupts that would change nothing (sim::Simulator::reserve), and
+// elides the spin-wait polls that would find their word unchanged
+// (sim::PollChain). An
 // insertion-order RecordReplayPolicy (empty prefix, no fallback) runs
 // the smallest seq at every tie, the plain insertion order, but as a
 // policy it makes every owner schedule every event at once. So each
@@ -343,13 +346,14 @@ expectDeferralChangesNothing(Workload workload, uint64_t semantic,
     EXPECT_LT(deferred.events, eager.events);
 }
 
-/** Fill the digest, clock and event fields of @p r from @p s. */
+/** Fill the digest, clock, event and decision fields of @p r from @p s. */
 void
 finish(const sim::Simulator &s, RunResult &r)
 {
     r.schedule = s.scheduleDigest().value();
     r.semantic = s.semanticDigest().value();
     r.events = s.eventsProcessed();
+    r.decisions = s.decisionPoints();
     r.end = s.now();
 }
 
@@ -651,6 +655,87 @@ TEST(DeferredEvents, FaultsProbeWorkloadMatchesEagerRun)
 {
     expectDeferralChangesNothing(runFaultsProbe, 0x415925a19828faf2ull,
                                  6505227);
+}
+
+/**
+ * Sixteen Hybrid-1 clients on a switch, as perfbench's dfs_hy but for
+ * three rounds of five calls each: every client's calls queue behind the
+ * others' at the one server, so most of each spin-wait is elided polls
+ * at the 64 us cap.
+ */
+RunResult
+runSwitchedHy(sim::SchedulePolicy *policy)
+{
+    constexpr size_t kClients = 16;
+    cluster::ClusterSpec spec{.names = {"server"}, .switched = true};
+    for (size_t i = 0; i < kClients; ++i) {
+        spec.names.push_back("client" + std::to_string(i + 2));
+    }
+    cluster::Cluster c(spec);
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    dfs::FileStore store;
+    auto file = store.createFile(store.root(), "hot", 16384);
+    EXPECT_TRUE(file.ok());
+    rpc::Hybrid1Params hp;
+    hp.slots = kClients + 1;
+    hp.pollInterval = sim::usec(4);
+    dfs::FileServer server(*c.engines[0], store, dfs::CacheGeometry{},
+                           dfs::ServiceTimes{}, hp);
+    server.warmCaches();
+    server.start();
+    c.sim.run();
+
+    RunResult r;
+    std::vector<std::unique_ptr<rpc::Hybrid1Client>> hy;
+    std::vector<std::unique_ptr<dfs::HyBackend>> backends;
+    std::vector<sim::Task<void>> loops;
+    auto client = [](sim::Simulator *s, dfs::HyBackend *backend,
+                     dfs::FileHandle root, dfs::FileHandle fh, uint8_t fill,
+                     std::vector<int64_t> *done) -> sim::Task<void> {
+        for (int round = 0; round < 3; ++round) {
+            auto a = co_await backend->getattr(fh);
+            done->push_back(a.ok() ? s->now() : -1);
+            auto rd = co_await backend->read(fh, 0, 8192);
+            done->push_back(rd.ok() ? s->now() : -1);
+            auto w = co_await backend->write(
+                fh, 0, std::vector<uint8_t>(4096, fill));
+            done->push_back(w.ok() ? s->now() : -1);
+            auto l = co_await backend->lookup(root, "hot");
+            done->push_back(l.ok() ? s->now() : -1);
+            auto n = co_await backend->null();
+            done->push_back(n.ok() ? s->now() : -1);
+        }
+    };
+    for (size_t i = 0; i < kClients; ++i) {
+        mem::Process &proc =
+            c.nodes[i + 1]->spawnProcess("clerk" + std::to_string(i));
+        hy.push_back(std::make_unique<rpc::Hybrid1Client>(
+            *c.engines[i + 1], proc, server.hybridHandle(),
+            server.allocClientSlot(), hp));
+        backends.push_back(std::make_unique<dfs::HyBackend>(*hy.back()));
+        loops.push_back(client(&c.sim, backends.back().get(), store.root(),
+                               file.value(), static_cast<uint8_t>(i),
+                               &r.results));
+    }
+    c.sim.run();
+    for (const auto &loop : loops) {
+        EXPECT_TRUE(loop.done());
+    }
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, SwitchedHyClusterKeepsTheEagerPollsKeys)
+{
+    // The elided run keeps the eager poll loop's schedule: its digests,
+    // end clock, event count and decision points are pinned from it.
+    expectDeferralChangesNothing(runSwitchedHy, 0xb6815b0d0b44f962ull, 212034680);
+    RunResult r = runSwitchedHy(nullptr);
+    EXPECT_EQ(r.schedule, 0x0b9b0bfd2d54ef94ull);
+    EXPECT_EQ(r.events, 126982u);
+    EXPECT_EQ(r.decisions, 45845u);
 }
 
 } // namespace

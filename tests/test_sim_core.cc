@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation engine: event ordering, cancellation,
- * coroutine tasks, one-shot promises, and the CPU resource model.
+ * coroutine tasks, one-shot promises, the CPU resource model, and the
+ * poll chains behind the spin-wait on a word of memory.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "mem/address_space.h"
+#include "mem/phys_mem.h"
+#include "mem/spin_wait.h"
 #include "sim/cpu.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -967,6 +971,285 @@ TEST(Lanes, InstallingAPolicyMovesQueuedLaneEventsOntoTheHeap)
     sim.run();
     EXPECT_EQ(order, "ef");
     EXPECT_EQ(sim.decisionPoints(), 5u);
+}
+
+// ----------------------------------------------------------------------
+// Poll chains
+//
+// mem::SpinWait polls a word after 2, 4, 8, 16 and then every 32 us
+// here, as the eager loop `co_await delay(poll); poll = min(2 * poll,
+// cap)` did. Without a policy its polls are elided, and a store to the
+// word wakes the pending one. Each schedule below runs both ways: the
+// elided run must land on the schedule digest, semantic digest, end
+// clock, event count and decision points pinned from the eager loop,
+// and agree with its own insertion-order run, in which every poll is an
+// event.
+// ----------------------------------------------------------------------
+
+TEST(PollChains, ElidedPollsRunNothingUntilWoken)
+{
+    Simulator sim;
+    int polls = 0;
+    PollChain c;
+    c.interval = usec(2);
+    c.cap = usec(8);
+    c.fn = [&polls] { ++polls; };
+    sim.schedulePoll(c, true);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    // Elided polls at 2, 6, 14 and 22 us.
+    EXPECT_EQ(sim.run(usec(25)), 4u);
+    EXPECT_EQ(polls, 0);
+    EXPECT_EQ(sim.now(), usec(22));
+    EXPECT_EQ(c.interval, usec(8));
+    EXPECT_FALSE(sim.allDone());
+    // The wake queues the poll at 30 us as an event; its fn runs once.
+    sim.wake(c);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(polls, 1);
+    EXPECT_EQ(sim.now(), usec(30));
+    EXPECT_TRUE(sim.allDone());
+    EXPECT_EQ(sim.eventsProcessed(), 5u);
+}
+
+/** What one spin-wait schedule observed. */
+struct SpinRun
+{
+    uint64_t schedule = 0;
+    uint64_t semantic = 0;
+    uint64_t events = 0;
+    uint64_t decisions = 0;
+    Time end = 0;
+    /** (time, value) of every store and every wait's end, and probes. */
+    std::vector<int64_t> results;
+};
+
+/** The schedule a build lays out on one word of a fresh space. */
+struct SpinWorld
+{
+    Simulator &sim;
+    mem::AddressSpace &space;
+    mem::Vaddr word;
+    std::vector<int64_t> &results;
+    /** An insertion-order policy a build may install mid-run. */
+    SchedulePolicy &later;
+};
+
+/**
+ * Wait for @p want at @p va, polling after 2, 4, 8, 16 and then every
+ * 32 us, and note when the wait ended and how (-1: timed out).
+ */
+Task<void>
+spinner(SpinWorld *w, mem::Vaddr va, uint32_t want, Time deadline)
+{
+    bool replied = co_await mem::SpinWait(w->sim, w->space, va, want,
+                                          deadline, usec(2), usec(32));
+    w->sim.noteDigest(replied ? "replied" : "timed out", want);
+    w->results.push_back(w->sim.now());
+    w->results.push_back(replied ? want : -1);
+}
+
+/** Store @p value into @p va @p after from now, and note it. */
+void
+storeAfter(SpinWorld *w, Duration after, mem::Vaddr va, uint32_t value)
+{
+    w->sim.schedule(after, [w, va, value] {
+        EXPECT_TRUE(w->space.writeWord(va, value).ok());
+        w->sim.noteDigest("store", value);
+        w->results.push_back(w->sim.now());
+        w->results.push_back(value);
+    });
+}
+
+/** Note the clock and the pending count. */
+void
+probe(SpinWorld *w)
+{
+    w->results.push_back(w->sim.now());
+    w->results.push_back(static_cast<int64_t>(w->sim.pendingEvents()));
+}
+
+/** Run the schedule @p build lays out, under @p policy (nullptr: elided). */
+template <typename Build>
+SpinRun
+runSpin(SchedulePolicy *policy, Build build)
+{
+    Simulator sim;
+    sim.setPolicy(policy);
+    mem::PhysMem phys(4);
+    mem::AddressSpace space(phys);
+    SpinRun r;
+    RecordReplayPolicy later;
+    SpinWorld w{sim, space, space.allocRegion(mem::kPageBytes), r.results,
+                later};
+    std::vector<Task<void>> tasks;
+    build(&w, tasks);
+    sim.run();
+    for (const auto &t : tasks) {
+        EXPECT_TRUE(t.done());
+    }
+    r.schedule = sim.scheduleDigest().value();
+    r.semantic = sim.semanticDigest().value();
+    r.events = sim.eventsProcessed();
+    r.decisions = sim.decisionPoints();
+    r.end = sim.now();
+    return r;
+}
+
+/**
+ * Require the elided run of @p build to equal the eager loop's pinned
+ * @p schedule, @p semantic, @p events, @p decisions and @p end, and its
+ * own insertion-order run.
+ */
+template <typename Build>
+void
+expectSpinMatchesEagerLoop(Build build, uint64_t schedule, uint64_t semantic,
+                           uint64_t events, uint64_t decisions, Time end)
+{
+    SpinRun elided = runSpin(nullptr, build);
+    EXPECT_EQ(elided.schedule, schedule);
+    EXPECT_EQ(elided.semantic, semantic);
+    EXPECT_EQ(elided.events, events);
+    EXPECT_EQ(elided.decisions, decisions);
+    EXPECT_EQ(elided.end, end);
+    RecordReplayPolicy insertionOrder;
+    SpinRun eager = runSpin(&insertionOrder, build);
+    EXPECT_EQ(elided.semantic, eager.semantic);
+    EXPECT_EQ(elided.events, eager.events);
+    EXPECT_EQ(elided.decisions, eager.decisions);
+    EXPECT_EQ(elided.end, eager.end);
+    EXPECT_EQ(elided.results, eager.results);
+    EXPECT_FALSE(elided.results.empty());
+}
+
+TEST(PollChains, StoreAtAPollInstantWithASeqBelowThePolls)
+{
+    // The store at 14 us was scheduled before the poll at 14 us, so it
+    // runs first and that poll sees the reply.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            storeAfter(w, usec(14), w->word, 7);
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+        },
+        0xb20bb3cb02fe3594ull, 0xdd1f6e710f68686full, 4, 1, usec(14));
+}
+
+TEST(PollChains, StoreAtAPollInstantWithASeqAboveThePolls)
+{
+    // Scheduled at 10 us, after the poll at 14 us: that poll misses the
+    // store, and the next one, at 30 us, sees it.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            w->sim.schedule(usec(10),
+                            [w] { storeAfter(w, usec(4), w->word, 7); });
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+        },
+        0x8030ff29d24f0e9bull, 0x0876ef6e65322029ull, 6, 1, usec(30));
+}
+
+TEST(PollChains, UnrelatedEventsShareTheResumeInstant)
+{
+    // The store at 20 us wakes the poll at 30 us, which ties with one
+    // event scheduled before it and one after.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            auto other = [w] {
+                w->sim.noteDigest("other", 0);
+                w->results.push_back(w->sim.now());
+            };
+            w->sim.schedule(usec(30), other);
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            storeAfter(w, usec(20), w->word, 7);
+            w->sim.schedule(usec(25),
+                            [w, other] { w->sim.schedule(usec(5), other); });
+        },
+        0x883a84091aaede48ull, 0x44a27a6a5578f799ull, 8, 2, usec(30));
+}
+
+TEST(PollChains, DeadlineMidChainTimesTheWaitOut)
+{
+    // Polls at 2, 6 and 14 us miss; the one at 30 us is past the 20 us
+    // deadline, runs as an event and times out. The late store finds no
+    // one waiting.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            tasks.push_back(spinner(w, w->word, 7, usec(20)));
+            storeAfter(w, usec(40), w->word, 7);
+        },
+        0x15232656dc8122beull, 0x52cfa30bce133afbull, 5, 0, usec(40));
+}
+
+TEST(PollChains, StaleStoreWakesTheWaitWhichWaitsAgain)
+{
+    // The stale 6 at 10 us wakes the poll at 14 us, which misses; the
+    // wait goes on at the interval it had reached, and the 7 stored at
+    // 40 us wakes the poll at 62 us.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            storeAfter(w, usec(10), w->word, 6);
+            storeAfter(w, usec(40), w->word, 7);
+        },
+        0x4f7a561a148e2d70ull, 0x36f8570604406f15ull, 7, 0, usec(62));
+}
+
+TEST(PollChains, RunLimitStopsBetweenElidedPolls)
+{
+    // run(10 us) stops between the polls at 6 and 14 us with the chain
+    // standing for one pending event; the run then goes on.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            storeAfter(w, usec(50), w->word, 7);
+            EXPECT_EQ(w->sim.run(usec(10)), 2u);
+            probe(w);
+            EXPECT_EQ(w->sim.run(usec(29)), 1u);
+            probe(w);
+        },
+        0xb36b3d9e2942cb1aull, 0xf4ba167052e1ad87ull, 6, 0, usec(62));
+}
+
+TEST(PollChains, PolicyInstalledWhileAChainIsLive)
+{
+    // At 10 us the pending poll at 14 us joins the heap for the new
+    // policy, keeping its key; the rest of the wait polls eagerly.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            storeAfter(w, usec(20), w->word, 7);
+            w->sim.run(usec(10));
+            probe(w);
+            w->sim.setPolicy(&w->later);
+            probe(w);
+        },
+        0x7bc7fd0ad81bda52ull, 0x4000f41af7481febull, 5, 0, usec(30));
+}
+
+TEST(PollChains, WaitsWithoutTheWatchPollAsEvents)
+{
+    // A second wait on the space finds the watch taken, and a wait on a
+    // space with an access observer must show it every poll: both poll
+    // eagerly beside a chain on the first word.
+    expectSpinMatchesEagerLoop(
+        [](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            tasks.push_back(spinner(w, w->word + 4, 8, kTimeMax));
+            storeAfter(w, usec(100), w->word + 4, 8);
+            storeAfter(w, usec(200), w->word, 7);
+        },
+        0xb732c057ec524a31ull, 0xabbddcac5db1e2dbull, 19, 7, usec(222));
+    int reads = 0;
+    SpinRun observed = runSpin(
+        nullptr, [&reads](SpinWorld *w, std::vector<Task<void>> &tasks) {
+            w->space.setAccessObserver(
+                [&reads](bool write, mem::Vaddr, size_t) { reads += !write; });
+            tasks.push_back(spinner(w, w->word, 7, kTimeMax));
+            storeAfter(w, usec(100), w->word, 7);
+        });
+    // The first read, and one per poll at 2, 6, 14, 30, 62, 94 and 126
+    // us, the last of which sees the store at 100 us.
+    EXPECT_EQ(reads, 8);
+    EXPECT_EQ(observed.end, usec(126));
 }
 
 } // namespace
