@@ -187,14 +187,14 @@ if ! diff -u <(without_schedule "${OUT}/probes.ref.txt") \
     <(without_schedule "${OUT}/probes.work.txt"); then
     echo "equiv: probe output differs from ${REF}" >&2
     FAILED+=("probes")
+elif cmp -s "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt"; then
+    echo "  $(wc -l <"${OUT}/probes.work.txt") probe lines identical"
 else
     echo "  $(wc -l <"${OUT}/probes.work.txt") probe lines identical" \
         "but for schedule digests"
-    if ! cmp -s "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt"; then
-        echo "  note: the schedule digest differs on these lines:"
-        { diff "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt" || true; } |
-            sed -n 's/^> /    /p'
-    fi
+    echo "  note: the schedule digest differs on these lines:"
+    { diff "${OUT}/probes.ref.txt" "${OUT}/probes.work.txt" || true; } |
+        sed -n 's/^> /    /p'
 fi
 
 echo "== equiv: prof traces =="

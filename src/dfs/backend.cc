@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rpc/marshal.h"
 #include "util/panic.h"
 
 namespace remora::dfs {
@@ -514,7 +515,7 @@ sim::Task<util::Result<FileAttr>>
 MarshaledBackend::getattr(FileHandle fh)
 {
     auto reply = co_await roundTrip(encodeGetAttrCall(fh));
-    co_return decodeReply<FileAttr>(reply, getFileAttr);
+    co_return decodeReply<FileAttr>(reply, util::get<FileAttr>);
 }
 
 sim::Task<util::Result<LookupReply>>
@@ -522,8 +523,8 @@ MarshaledBackend::lookup(FileHandle dir, std::string name)
 {
     auto reply = co_await roundTrip(encodeLookupCall(dir, name));
     co_return decodeReply<LookupReply>(reply, [](rpc::Unmarshal &u) {
-        FileHandle fh = getFileHandle(u);
-        return LookupReply{fh, getFileAttr(u)};
+        FileHandle fh = util::get<FileHandle>(u);
+        return LookupReply{fh, util::get<FileAttr>(u)};
     });
 }
 
@@ -532,7 +533,7 @@ MarshaledBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
 {
     auto reply = co_await roundTrip(encodeReadCall(fh, offset, count));
     co_return decodeReply<std::vector<uint8_t>>(reply, [](rpc::Unmarshal &u) {
-        getFileAttr(u);
+        util::get<FileAttr>(u);
         return u.getOpaque();
     });
 }
@@ -557,14 +558,15 @@ sim::Task<util::Result<std::vector<DirEntry>>>
 MarshaledBackend::readdir(FileHandle fh, uint32_t maxBytes)
 {
     auto reply = co_await roundTrip(encodeReadDirCall(fh, maxBytes));
-    co_return decodeReply<std::vector<DirEntry>>(reply, getDirEntries);
+    co_return decodeReply<std::vector<DirEntry>>(
+        reply, util::get<std::vector<DirEntry>>);
 }
 
 sim::Task<util::Result<FsStat>>
 MarshaledBackend::statfs()
 {
     auto reply = co_await roundTrip(encodeStatFsCall(FileHandle{}));
-    co_return decodeReply<FsStat>(reply, getFsStat);
+    co_return decodeReply<FsStat>(reply, util::get<FsStat>);
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>

@@ -23,6 +23,10 @@
  * guarantees remote readers a consistent view. Areas are direct-mapped
  * caches: a tag mismatch at the clerk is a miss, answered by falling
  * back to control transfer.
+ *
+ * Each record's bytes are its one two-way layout below, which both the
+ * server's writes and the clerks' reads go through; the attribute and
+ * statistics blocks inside them are the NFS replies' (nfs_proto.h).
  */
 #pragma once
 
@@ -32,6 +36,8 @@
 #include <string>
 
 #include "dfs/file_store.h"
+#include "dfs/nfs_proto.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 
 namespace remora::dfs {
@@ -66,6 +72,10 @@ inline constexpr uint32_t kDirHeaderBytes = 32;
 inline constexpr uint32_t kLinkRecBytes = 128;
 /** Bytes of the statistics record. */
 inline constexpr uint32_t kStatRecBytes = 64;
+/** Longest name a name-lookup record holds. */
+inline constexpr size_t kMaxCachedNameLen = 79;
+/** Longest target a symlink record holds. */
+inline constexpr size_t kMaxLinkTargetLen = 107;
 
 // ----------------------------------------------------------------------
 // Bucket functions — identical on server and every clerk.
@@ -111,80 +121,122 @@ linkSlot(uint64_t fhKey, uint32_t slots)
 }
 
 // ----------------------------------------------------------------------
-// Record encode/decode
+// Records: each encode()s into and decode()s from its fixed slot through
+// its layout, zero-filled past the last field.
 // ----------------------------------------------------------------------
 
 /** Attribute record: flag, handle tag, attributes. */
-struct AttrRecord
+struct AttrRecord : util::FixedRecord<AttrRecord, kAttrRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t fhKey = 0;
     FileAttr attr;
-
-    /** Serialize into exactly kAttrRecBytes. */
-    void encode(std::span<uint8_t> out) const;
-
-    /** Parse from at least kAttrRecBytes. */
-    static AttrRecord decode(std::span<const uint8_t> in);
 };
 
+template <typename Io, util::MaybeConst<AttrRecord> T>
+void
+layout(Io &io, T &rec)
+{
+    io.u32(rec.flag);
+    io.pad(4);
+    io.u64(rec.fhKey);
+    layout(io, rec.attr);
+}
+
 /** Name-lookup record: flag, (dir, name) tag, child handle + attrs. */
-struct NameLookupRecord
+struct NameLookupRecord : util::FixedRecord<NameLookupRecord, kNameRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
     uint64_t childKey = 0;
     FileAttr childAttr;
-    std::string name; // <= 79 chars
-
-    void encode(std::span<uint8_t> out) const;
-    static NameLookupRecord decode(std::span<const uint8_t> in);
+    std::string name;
 };
 
+template <typename Io, util::MaybeConst<NameLookupRecord> T>
+void
+layout(Io &io, T &rec)
+{
+    io.u32(rec.flag);
+    io.pad(4);
+    io.u64(rec.dirKey);
+    io.u64(rec.childKey);
+    layout(io, rec.childAttr);
+    io.bytes8(rec.name, kMaxCachedNameLen);
+}
+
 /** Data-slot header: flag, dirty, (handle, block) tag, valid bytes. */
-struct DataSlotHeader
+struct DataSlotHeader : util::FixedRecord<DataSlotHeader, kDataHeaderBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint32_t dirty = 0;
     uint64_t fhKey = 0;
     uint64_t blockNo = 0;
     uint32_t validBytes = 0;
-
-    void encode(std::span<uint8_t> out) const;
-    static DataSlotHeader decode(std::span<const uint8_t> in);
 };
 
+template <typename Io, util::MaybeConst<DataSlotHeader> T>
+void
+layout(Io &io, T &hdr)
+{
+    io.u32(hdr.flag);
+    io.u32(hdr.dirty);
+    io.u64(hdr.fhKey);
+    io.u64(hdr.blockNo);
+    io.u32(hdr.validBytes);
+}
+
 /** Directory-slot header: flag, dir tag, packed-entry byte count. */
-struct DirSlotHeader
+struct DirSlotHeader : util::FixedRecord<DirSlotHeader, kDirHeaderBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
     uint32_t bytes = 0;
     uint32_t entryCount = 0;
-
-    void encode(std::span<uint8_t> out) const;
-    static DirSlotHeader decode(std::span<const uint8_t> in);
 };
 
+template <typename Io, util::MaybeConst<DirSlotHeader> T>
+void
+layout(Io &io, T &hdr)
+{
+    io.u32(hdr.flag);
+    io.pad(4);
+    io.u64(hdr.dirKey);
+    io.u32(hdr.bytes);
+    io.u32(hdr.entryCount);
+}
+
 /** Symlink record: flag, handle tag, target path. */
-struct LinkRecord
+struct LinkRecord : util::FixedRecord<LinkRecord, kLinkRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     uint64_t fhKey = 0;
-    std::string target; // <= 107 chars
-
-    void encode(std::span<uint8_t> out) const;
-    static LinkRecord decode(std::span<const uint8_t> in);
+    std::string target;
 };
 
+template <typename Io, util::MaybeConst<LinkRecord> T>
+void
+layout(Io &io, T &rec)
+{
+    io.u32(rec.flag);
+    io.u64(rec.fhKey);
+    io.bytes32(rec.target, kMaxLinkTargetLen);
+}
+
 /** Statistics record. */
-struct StatRecord
+struct StatRecord : util::FixedRecord<StatRecord, kStatRecBytes>
 {
     uint32_t flag = kSlotEmpty;
     FsStat stat;
-
-    void encode(std::span<uint8_t> out) const;
-    static StatRecord decode(std::span<const uint8_t> in);
 };
+
+template <typename Io, util::MaybeConst<StatRecord> T>
+void
+layout(Io &io, T &rec)
+{
+    io.u32(rec.flag);
+    io.pad(4);
+    layout(io, rec.stat);
+}
 
 } // namespace remora::dfs

@@ -1,6 +1,8 @@
 #include "dfs/nfs_proto.h"
 
-#include "util/bytes.h"
+#include <algorithm>
+
+#include "rpc/marshal.h"
 
 namespace remora::dfs {
 
@@ -20,123 +22,32 @@ nfsProcName(NfsProc proc)
     return "unknown";
 }
 
-void
-putFileHandle(rpc::Marshal &m, FileHandle fh)
-{
-    uint8_t buf[kWireFileHandleBytes] = {};
-    util::ByteWriter w(kWireFileHandleBytes);
-    w.putU32(fh.inode);
-    w.putU32(fh.generation);
-    auto bytes = w.bytes();
-    std::copy(bytes.begin(), bytes.end(), buf);
-    m.putFixed(std::span<const uint8_t>(buf, kWireFileHandleBytes));
-}
-
-FileHandle
-getFileHandle(rpc::Unmarshal &u)
-{
-    std::vector<uint8_t> buf = u.getFixed(kWireFileHandleBytes);
-    if (buf.size() < 8) {
-        return {};
-    }
-    util::ByteReader r(buf);
-    FileHandle fh;
-    fh.inode = r.getU32();
-    fh.generation = r.getU32();
-    return fh;
-}
-
-void
-putFileAttr(rpc::Marshal &m, const FileAttr &attr)
-{
-    m.putU32(static_cast<uint32_t>(attr.type));
-    m.putU32(attr.mode);
-    m.putU32(attr.nlink);
-    m.putU32(attr.uid);
-    m.putU32(attr.gid);
-    m.putU64(attr.size);
-    m.putU64(attr.bytesUsed);
-    m.putU64(attr.fileid);
-    m.putU32(attr.atime);
-    m.putU32(attr.mtime);
-    m.putU32(attr.ctime);
-}
-
-FileAttr
-getFileAttr(rpc::Unmarshal &u)
-{
-    FileAttr a;
-    a.type = static_cast<FileType>(u.getU32());
-    a.mode = u.getU32();
-    a.nlink = u.getU32();
-    a.uid = u.getU32();
-    a.gid = u.getU32();
-    a.size = u.getU64();
-    a.bytesUsed = u.getU64();
-    a.fileid = u.getU64();
-    a.atime = u.getU32();
-    a.mtime = u.getU32();
-    a.ctime = u.getU32();
-    return a;
-}
-
-void
-putFsStat(rpc::Marshal &m, const FsStat &s)
-{
-    m.putU64(s.totalBytes);
-    m.putU64(s.freeBytes);
-    m.putU64(s.totalFiles);
-    m.putU32(s.blockSize);
-}
-
-FsStat
-getFsStat(rpc::Unmarshal &u)
-{
-    FsStat s;
-    s.totalBytes = u.getU64();
-    s.freeBytes = u.getU64();
-    s.totalFiles = u.getU64();
-    s.blockSize = u.getU32();
-    return s;
-}
-
-void
-putDirEntries(rpc::Marshal &m, const std::vector<DirEntry> &entries)
-{
-    m.putU32(static_cast<uint32_t>(entries.size()));
-    for (const DirEntry &e : entries) {
-        m.putU64(e.fileid);
-        m.putString(e.name);
-    }
-}
-
-std::vector<DirEntry>
-getDirEntries(rpc::Unmarshal &u)
-{
-    uint32_t count = u.getU32();
-    std::vector<DirEntry> out;
-    out.reserve(count);
-    for (uint32_t i = 0; i < count && u.ok(); ++i) {
-        DirEntry e;
-        e.fileid = u.getU64();
-        e.name = u.getString();
-        out.push_back(std::move(e));
-    }
-    return out;
-}
-
 std::vector<uint8_t>
 packDirEntries(const std::vector<DirEntry> &entries)
 {
     util::ByteWriter w;
+    util::Put io(w);
     for (const DirEntry &e : entries) {
-        w.putU64(e.fileid);
-        w.putU8(static_cast<uint8_t>(e.name.size()));
-        w.putBytes(std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t *>(e.name.data()),
-            e.name.size()));
+        packedLayout(io, e);
     }
     return w.take();
+}
+
+std::vector<DirEntry>
+unpackDirEntries(std::span<const uint8_t> bytes, size_t maxBytes)
+{
+    util::ByteReader r(bytes.first(std::min(bytes.size(), maxBytes)));
+    util::Get io(r);
+    std::vector<DirEntry> out;
+    while (r.remaining() > 0) {
+        DirEntry e;
+        packedLayout(io, e);
+        if (!io.ok()) {
+            break;
+        }
+        out.push_back(std::move(e));
+    }
+    return out;
 }
 
 namespace {
@@ -161,7 +72,7 @@ std::vector<uint8_t>
 encodeGetAttrCall(FileHandle fh)
 {
     rpc::Marshal m = callHeader(NfsProc::kGetAttr);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     return m.take();
 }
 
@@ -169,7 +80,7 @@ std::vector<uint8_t>
 encodeLookupCall(FileHandle dir, const std::string &name)
 {
     rpc::Marshal m = callHeader(NfsProc::kLookup);
-    putFileHandle(m, dir);
+    util::put(m, dir);
     m.putString(name);
     return m.take();
 }
@@ -178,7 +89,7 @@ std::vector<uint8_t>
 encodeReadLinkCall(FileHandle fh)
 {
     rpc::Marshal m = callHeader(NfsProc::kReadLink);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     return m.take();
 }
 
@@ -186,7 +97,7 @@ std::vector<uint8_t>
 encodeReadCall(FileHandle fh, uint64_t offset, uint32_t count)
 {
     rpc::Marshal m = callHeader(NfsProc::kRead);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     m.putU64(offset);
     m.putU32(count);
     return m.take();
@@ -197,7 +108,7 @@ encodeWriteCall(FileHandle fh, uint64_t offset,
                 std::span<const uint8_t> data)
 {
     rpc::Marshal m = callHeader(NfsProc::kWrite);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     m.putU64(offset);
     m.putOpaque(data);
     return m.take();
@@ -207,7 +118,7 @@ std::vector<uint8_t>
 encodeReadDirCall(FileHandle fh, uint32_t maxBytes)
 {
     rpc::Marshal m = callHeader(NfsProc::kReadDir);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     m.putU32(maxBytes);
     return m.take();
 }
@@ -216,27 +127,8 @@ std::vector<uint8_t>
 encodeStatFsCall(FileHandle fh)
 {
     rpc::Marshal m = callHeader(NfsProc::kStatFs);
-    putFileHandle(m, fh);
+    util::put(m, fh);
     return m.take();
-}
-
-std::vector<DirEntry>
-unpackDirEntries(std::span<const uint8_t> bytes, size_t maxBytes)
-{
-    util::ByteReader r(bytes.first(std::min(bytes.size(), maxBytes)));
-    std::vector<DirEntry> out;
-    while (r.remaining() >= 9) {
-        DirEntry e;
-        e.fileid = r.getU64();
-        uint8_t len = r.getU8();
-        if (r.remaining() < len) {
-            break;
-        }
-        auto nameBytes = r.viewBytes(len);
-        e.name.assign(reinterpret_cast<const char *>(nameBytes.data()), len);
-        out.push_back(std::move(e));
-    }
-    return out;
 }
 
 } // namespace remora::dfs

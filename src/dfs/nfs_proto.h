@@ -4,10 +4,12 @@
  *
  * The file service "presents an interface similar to NFS, i.e., it
  * implements operations like those shown earlier in Table 1a" (§5.2).
- * These procedure numbers and encoders are shared by every access path
- * (Hybrid-1 backend, conventional-RPC backend, server dispatch) and by
- * the traffic classifier, which measures the exact bytes these encoders
- * produce.
+ * These procedure numbers, call encoders and the layouts of the records
+ * a reply carries (file handle, attributes, statistics, directory
+ * entries) are shared by every access path (Hybrid-1 backend,
+ * conventional-RPC backend, server dispatch) and by the traffic
+ * classifier, which measures the exact bytes they produce. Each record
+ * is one two-way layout: util::put() encodes it, util::get() decodes it.
  *
  * Wire fidelity note: a file handle is marshaled as 32 opaque bytes,
  * matching NFS v2, even though only 8 are meaningful here — Table 1b's
@@ -20,7 +22,7 @@
 #include <vector>
 
 #include "dfs/file_store.h"
-#include "rpc/marshal.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace remora::dfs {
@@ -44,37 +46,78 @@ const char *nfsProcName(NfsProc proc);
 /** Marshaled size of a file handle on the wire (NFS v2: 32 bytes). */
 inline constexpr size_t kWireFileHandleBytes = 32;
 
-/** Append a file handle as 32 opaque bytes. */
-void putFileHandle(rpc::Marshal &m, FileHandle fh);
+/** A file handle: inode and generation in 32 opaque bytes. */
+template <typename Io, util::MaybeConst<FileHandle> T>
+void
+layout(Io &io, T &fh)
+{
+    io.block(kWireFileHandleBytes, [&] {
+        io.u32(fh.inode);
+        io.u32(fh.generation);
+    });
+}
 
-/** Decode a 32-byte file handle. */
-FileHandle getFileHandle(rpc::Unmarshal &u);
+/** File attributes: 17 XDR words, like NFS v2 fattr. */
+template <typename Io, util::MaybeConst<FileAttr> T>
+void
+layout(Io &io, T &a)
+{
+    io.u32(a.type);
+    io.u32(a.mode);
+    io.u32(a.nlink);
+    io.u32(a.uid);
+    io.u32(a.gid);
+    io.u64(a.size);
+    io.u64(a.bytesUsed);
+    io.u64(a.fileid);
+    io.u32(a.atime);
+    io.u32(a.mtime);
+    io.u32(a.ctime);
+}
 
-/** Append file attributes (17 XDR words, like NFS v2 fattr). */
-void putFileAttr(rpc::Marshal &m, const FileAttr &attr);
+/** Filesystem statistics. */
+template <typename Io, util::MaybeConst<FsStat> T>
+void
+layout(Io &io, T &s)
+{
+    io.u64(s.totalBytes);
+    io.u64(s.freeBytes);
+    io.u64(s.totalFiles);
+    io.u32(s.blockSize);
+}
 
-/** Decode file attributes. */
-FileAttr getFileAttr(rpc::Unmarshal &u);
-
-/** Append filesystem statistics. */
-void putFsStat(rpc::Marshal &m, const FsStat &s);
-
-/** Decode filesystem statistics. */
-FsStat getFsStat(rpc::Unmarshal &u);
-
-/** Serialize directory entries: count, then (fileid, name) pairs. */
-void putDirEntries(rpc::Marshal &m, const std::vector<DirEntry> &entries);
-
-/** Decode directory entries. */
-std::vector<DirEntry> getDirEntries(rpc::Unmarshal &u);
+/** READDIR's entries: a u32 count, then (fileid, XDR name) pairs. */
+template <typename Io, util::MaybeConst<std::vector<DirEntry>> T>
+void
+layout(Io &io, T &entries)
+{
+    auto n = static_cast<uint32_t>(entries.size());
+    io.u32(n);
+    io.each(entries, n, [&io](auto &e) {
+        io.u64(e.fileid);
+        io.string(e.name);
+    });
+}
 
 /**
- * Flatten directory entries into the compact fixed layout stored in the
- * server's directory cache area: [fileid u64][len u8][name bytes]...
+ * A directory entry as the server's directory cache area stores it:
+ * [fileid u64][len u8][name bytes].
  */
+template <typename Io, util::MaybeConst<DirEntry> T>
+void
+packedLayout(Io &io, T &e)
+{
+    io.u64(e.fileid);
+    io.bytes8(e.name);
+}
+
+/** Flatten directory entries into the directory cache area's form. */
 std::vector<uint8_t> packDirEntries(const std::vector<DirEntry> &entries);
 
-/** Parse the compact directory layout (inverse of packDirEntries). */
+/**
+ * The whole entries packDirEntries wrote into the first @p maxBytes of
+ * @p bytes.
+ */
 std::vector<DirEntry> unpackDirEntries(std::span<const uint8_t> bytes,
                                        size_t maxBytes);
 

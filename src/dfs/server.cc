@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/trace.h"
+#include "rpc/marshal.h"
 #include "util/panic.h"
 
 namespace remora::dfs {
@@ -121,7 +122,7 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         break;
       }
       case NfsProc::kGetAttr: {
-        FileHandle fh = getFileHandle(u);
+        FileHandle fh = util::get<FileHandle>(u);
         co_await cpu.use(times_.timeFor(proc, 0),
                          sim::CpuCategory::kProcExec);
         auto attr = store_.getattr(fh);
@@ -130,11 +131,11 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
             break;
         }
         reply.putU32(0);
-        putFileAttr(reply, attr.value());
+        util::put(reply, attr.value());
         break;
       }
       case NfsProc::kLookup: {
-        FileHandle dir = getFileHandle(u);
+        FileHandle dir = util::get<FileHandle>(u);
         std::string name = u.getString();
         co_await cpu.use(times_.timeFor(proc, 0),
                          sim::CpuCategory::kProcExec);
@@ -145,12 +146,12 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         }
         auto attr = store_.getattr(child.value());
         reply.putU32(0);
-        putFileHandle(reply, child.value());
-        putFileAttr(reply, attr.ok() ? attr.value() : FileAttr{});
+        util::put(reply, child.value());
+        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
         break;
       }
       case NfsProc::kReadLink: {
-        FileHandle fh = getFileHandle(u);
+        FileHandle fh = util::get<FileHandle>(u);
         co_await cpu.use(times_.timeFor(proc, 0),
                          sim::CpuCategory::kProcExec);
         auto target = store_.readlink(fh);
@@ -163,7 +164,7 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         break;
       }
       case NfsProc::kRead: {
-        FileHandle fh = getFileHandle(u);
+        FileHandle fh = util::get<FileHandle>(u);
         uint64_t offset = u.getU64();
         uint32_t count = u.getU32();
         co_await cpu.use(times_.timeFor(proc, count),
@@ -175,12 +176,12 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         }
         auto attr = store_.getattr(fh);
         reply.putU32(0);
-        putFileAttr(reply, attr.ok() ? attr.value() : FileAttr{});
+        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
         reply.putOpaque(data.value());
         break;
       }
       case NfsProc::kWrite: {
-        FileHandle fh = getFileHandle(u);
+        FileHandle fh = util::get<FileHandle>(u);
         uint64_t offset = u.getU64();
         std::vector<uint8_t> data = u.getOpaque();
         co_await cpu.use(times_.timeFor(proc, data.size()),
@@ -200,11 +201,11 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
         }
         auto attr = store_.getattr(fh);
         reply.putU32(0);
-        putFileAttr(reply, attr.ok() ? attr.value() : FileAttr{});
+        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
         break;
       }
       case NfsProc::kReadDir: {
-        FileHandle fh = getFileHandle(u);
+        FileHandle fh = util::get<FileHandle>(u);
         uint32_t maxBytes = u.getU32();
         auto entries = store_.readdir(fh);
         if (!entries.ok()) {
@@ -221,15 +222,15 @@ FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
                                                   packed.size(), maxBytes)),
                          sim::CpuCategory::kProcExec);
         reply.putU32(0);
-        putDirEntries(reply, trimmed);
+        util::put(reply, trimmed);
         break;
       }
       case NfsProc::kStatFs: {
-        getFileHandle(u);
+        util::get<FileHandle>(u);
         co_await cpu.use(times_.timeFor(proc, 0),
                          sim::CpuCategory::kProcExec);
         reply.putU32(0);
-        putFsStat(reply, store_.statfs());
+        util::put(reply, store_.statfs());
         break;
       }
       default: {
@@ -303,7 +304,7 @@ void
 FileServer::cacheName(FileHandle dir, const std::string &name)
 {
     auto child = store_.lookup(dir, name);
-    if (!child.ok() || name.size() > 79) {
+    if (!child.ok() || name.size() > kMaxCachedNameLen) {
         return;
     }
     auto attr = store_.getattr(child.value());
@@ -401,7 +402,7 @@ void
 FileServer::cacheLink(FileHandle fh)
 {
     auto target = store_.readlink(fh);
-    if (!target.ok() || target.value().size() > 107) {
+    if (!target.ok() || target.value().size() > kMaxLinkTargetLen) {
         return;
     }
     uint32_t slot = linkSlot(fh.key(), geo_.linkSlots);

@@ -103,17 +103,11 @@ TokenClient::TokenClient(rmem::RmemEngine &engine, mem::Process &owner,
     // contend before this lands — in practice, before the first
     // event-queue drain after construction.
     util::ByteWriter w(kHolderEntryBytes);
-    w.putU8(revokeHandle_.descriptor);
-    w.putU8(0);
-    w.putU16(revokeHandle_.generation);
-    w.putU32(revokeHandle_.size);
+    util::put(w, revokeHandle_);
     uint32_t dirOff = params_.tokenSlots * kTokenSlotBytes +
                       static_cast<uint32_t>(engine_.node().id()) *
                           kHolderEntryBytes;
-    engine_
-        .write(area_, dirOff,
-               std::vector<uint8_t>(w.bytes().begin(), w.bytes().end()))
-        .detach();
+    engine_.write(area_, dirOff, w.take()).detach();
 }
 
 uint32_t
@@ -183,12 +177,8 @@ TokenClient::acquire(uint64_t key)
                     co_return dir.status;
                 }
                 util::ByteReader r(dir.data);
-                rmem::ImportedSegment seg;
+                auto seg = util::get<rmem::ImportedSegment>(r);
                 seg.node = static_cast<net::NodeId>(holder - 1);
-                seg.descriptor = r.getU8();
-                r.skip(1);
-                seg.generation = r.getU16();
-                seg.size = r.getU32();
                 seg.rights = rmem::Rights::kWrite;
                 peer = peerRevoke_.emplace(holder, seg).first;
             }

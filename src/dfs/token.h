@@ -52,7 +52,7 @@ struct TokenParams
 
 /** Bytes per token-table slot: holder tag, pad, resource key. */
 inline constexpr uint32_t kTokenSlotBytes = 16;
-/** Bytes per holder-directory entry: desc, pad, generation, size. */
+/** Bytes per holder-directory entry: a revocation segment's handle record. */
 inline constexpr uint32_t kHolderEntryBytes = 8;
 /** Maximum node id representable in the holder directory. */
 inline constexpr uint32_t kMaxTokenNodes = 64;

@@ -6,7 +6,7 @@ Node::Node(sim::Simulator &simulator, net::NodeId id, std::string name,
            const NodeParams &params)
     : sim_(simulator), id_(id), name_(std::move(name)),
       mem_(params.memFrames), cpu_(simulator, name_ + ".cpu"),
-      nic_(simulator, params.nic, name_ + ".nic")
+      nic_(simulator, name_ + ".nic")
 {}
 
 Process &

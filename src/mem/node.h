@@ -58,8 +58,6 @@ struct NodeParams
 {
     /** Physical memory size in frames. */
     size_t memFrames = 16384;
-    /** Network adapter parameters. */
-    net::HostInterfaceParams nic;
 };
 
 /** One workstation in the cluster. */

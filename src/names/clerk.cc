@@ -21,13 +21,56 @@ constexpr uint32_t kCtSlotBytes = 128;
 /** Request-segment size (one in-flight lookup request record). */
 constexpr uint32_t kRequestBytes = 128;
 
+/** Bytes of a control-transfer request's NUL-padded name field. */
+constexpr uint32_t kCtNameBytes = 48;
+
+/** A control-transfer lookup request, written to the peer's segment. */
+struct CtRequest
+{
+    uint32_t seq = 0;
+    /** Where the reply goes: the requester's scratch segment... */
+    rmem::ImportedSegment reply;
+    /** ...at this offset. */
+    uint32_t replyOff = 0;
+    std::string name;
+};
+
+template <typename Io, util::MaybeConst<CtRequest> T>
+void
+layout(Io &io, T &req)
+{
+    io.u32(req.seq);
+    io.u8(req.reply.descriptor);
+    io.pad(1);
+    io.u16(req.reply.generation);
+    io.u32(req.replyOff);
+    io.u32(req.reply.size);
+    io.text(req.name, kCtNameBytes);
+}
+
 /**
- * Control-transfer reply layout: seq(4), found(4), then a compact
- * record — node(2), descriptor(1), rights(1), generation(2), pad(2),
- * size(4) — 20 bytes total. The name is omitted: the requester asked
- * for it, so echoing it back would only push the reply past one cell.
+ * A control-transfer reply: the request's seq, whether the name was
+ * found, and the record's handle fields (zeros when not found). The
+ * name is omitted: the requester asked for it, so echoing it back
+ * would only push the reply past one cell.
  */
-constexpr uint32_t kCtReplyHeader = 8;
+struct CtReply
+{
+    uint32_t seq = 0;
+    bool found = false;
+    NameRecord rec;
+};
+
+template <typename Io, util::MaybeConst<CtReply> T>
+void
+layout(Io &io, T &reply)
+{
+    io.u32(reply.seq);
+    io.u32(reply.found);
+    handleLayout(io, reply.rec);
+}
+
+/** Encoded bytes of a CtReply. */
 constexpr uint32_t kCtReplyBytes = 20;
 
 // Calibrated costs of the name-service software path (Table 3).
@@ -177,6 +220,10 @@ NameClerk::import(std::string name, std::optional<net::NodeId> hint,
 {
     ProbePolicy policy = policyOverride.value_or(params_.policy);
     stats_.importsServed.inc();
+    if (name.size() > kMaxNameLen) {
+        co_return util::Status(util::ErrorCode::kInvalidArgument,
+                               "segment name too long");
+    }
     engine_.node().simulator().noteDigest("names.import", name);
     auto &cpu = engine_.node().cpu();
 
@@ -523,17 +570,8 @@ NameClerk::controlTransferLookup(net::NodeId node, std::string name)
         process_.space().write(scratchBase_ + replyOff, zeros);
     REMORA_ASSERT(ws.ok());
 
-    // Request record: seq, reply coordinates, the queried name.
     util::ByteWriter w(64);
-    w.putU32(seq);
-    w.putU8(scratchHandle_.descriptor);
-    w.putU8(0);
-    w.putU16(scratchHandle_.generation);
-    w.putU32(replyOff);
-    w.putU32(scratchHandle_.size);
-    std::vector<uint8_t> nameBytes(48, 0);
-    std::copy(name.begin(), name.end(), nameBytes.begin());
-    w.putBytes(nameBytes);
+    util::put(w, CtRequest{seq, scratchHandle_, replyOff, name});
 
     util::Status sent =
         co_await engine_.write(peer.request, 0, w.take(), true);
@@ -555,27 +593,19 @@ NameClerk::controlTransferLookup(net::NodeId node, std::string name)
                                "control-transfer lookup timed out");
     }
 
-    std::vector<uint8_t> reply(kCtReplyBytes);
+    std::vector<uint8_t> bytes(kCtReplyBytes);
     util::Status rs =
-        process_.space().read(scratchBase_ + replyOff, reply);
+        process_.space().read(scratchBase_ + replyOff, bytes);
     REMORA_ASSERT(rs.ok());
-    util::ByteReader r(reply);
-    r.skip(4); // seq
-    bool found = r.getU32() != 0;
-    if (!found) {
+    util::ByteReader r(bytes);
+    CtReply reply = util::get<CtReply>(r);
+    if (!reply.found) {
         co_return util::Status(util::ErrorCode::kNotFound,
                                "name absent at peer: " + name);
     }
-    NameRecord rec;
-    rec.flag = RecordFlag::kValid;
-    rec.node = r.getU16();
-    rec.descriptor = r.getU8();
-    rec.rights = static_cast<rmem::Rights>(r.getU8());
-    rec.generation = r.getU16();
-    r.skip(2);
-    rec.size = r.getU32();
-    rec.name = name;
-    co_return rec;
+    reply.rec.flag = RecordFlag::kValid;
+    reply.rec.name = name;
+    co_return reply.rec;
 }
 
 void
@@ -586,50 +616,25 @@ NameClerk::onLookupRequest(const rmem::Notification &n)
     [](NameClerk *self, net::NodeId src) -> sim::Task<void> {
         auto &cpu = self->engine_.node().cpu();
 
-        std::vector<uint8_t> req(64);
+        std::vector<uint8_t> bytes(64);
         util::Status rs =
-            self->process_.space().read(self->requestBase_, req);
+            self->process_.space().read(self->requestBase_, bytes);
         REMORA_ASSERT(rs.ok());
-        util::ByteReader r(req);
-        uint32_t seq = r.getU32();
-        uint8_t replyDesc = r.getU8();
-        r.skip(1);
-        uint16_t replyGen = r.getU16();
-        uint32_t replyOff = r.getU32();
-        uint32_t replySize = r.getU32();
-        auto nameBytes = r.viewBytes(48);
-        size_t len = 0;
-        while (len < nameBytes.size() && nameBytes[len] != 0) {
-            ++len;
-        }
-        std::string name(reinterpret_cast<const char *>(nameBytes.data()),
-                         len);
+        util::ByteReader r(bytes);
+        CtRequest req = util::get<CtRequest>(r);
 
         co_await cpu.use(kClerkLookup, sim::CpuCategory::kProcExec);
-        std::optional<NameRecord> rec = self->localFind(name);
+        std::optional<NameRecord> rec = self->localFind(req.name);
 
         util::ByteWriter w(kCtReplyBytes);
-        w.putU32(seq);
-        w.putU32(rec ? 1 : 0);
-        if (rec) {
-            w.putU16(rec->node);
-            w.putU8(rec->descriptor);
-            w.putU8(static_cast<uint8_t>(rec->rights));
-            w.putU16(rec->generation);
-            w.putU16(0);
-            w.putU32(rec->size);
-        } else {
-            w.putZeros(kCtReplyBytes - kCtReplyHeader);
-        }
+        util::put(w, CtReply{req.seq, rec.has_value(),
+                             rec.value_or(NameRecord{})});
 
-        rmem::ImportedSegment reply;
+        rmem::ImportedSegment reply = req.reply;
         reply.node = src;
-        reply.descriptor = replyDesc;
-        reply.generation = replyGen;
-        reply.size = replySize;
         reply.rights = rmem::Rights::kWrite;
-        util::Status ws =
-            co_await self->engine_.write(reply, replyOff, w.take(), false);
+        util::Status ws = co_await self->engine_.write(reply, req.replyOff,
+                                                       w.take(), false);
         REMORA_ASSERT(ws.ok());
     }(this, n.srcNode)
                         .detach();

@@ -1,67 +1,20 @@
 #include "names/name_record.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "util/bytes.h"
 #include "util/hash.h"
 #include "util/panic.h"
 
 namespace remora::names {
 
-void
-NameRecord::encode(std::span<uint8_t> out) const
-{
-    REMORA_ASSERT(out.size() >= kBytes);
-    REMORA_ASSERT(name.size() <= kMaxNameLen);
-    util::ByteWriter w(kBytes);
-    // Probe prefix (24 bytes).
-    w.putU32(static_cast<uint32_t>(flag));
-    w.putU16(node);
-    w.putU8(descriptor);
-    w.putU8(static_cast<uint8_t>(rights));
-    w.putU16(generation);
-    w.putU16(0); // pad
-    w.putU32(size);
-    w.putU64(nameHashOf(name));
-    // Full name (40 bytes, NUL padded).
-    w.putBytes(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t *>(name.data()), name.size()));
-    w.putZeros(kBytes - kPrefixBytes - name.size());
-    auto bytes = w.bytes();
-    REMORA_ASSERT(bytes.size() == kBytes);
-    std::memcpy(out.data(), bytes.data(), kBytes);
-}
-
-NameRecord
-NameRecord::decode(std::span<const uint8_t> in)
-{
-    REMORA_ASSERT(in.size() >= kBytes);
-    uint64_t hash = 0;
-    NameRecord rec = decodePrefix(in, &hash);
-    auto nameBytes = in.subspan(kPrefixBytes, kBytes - kPrefixBytes);
-    size_t len = 0;
-    while (len < nameBytes.size() && nameBytes[len] != 0) {
-        ++len;
-    }
-    rec.name.assign(reinterpret_cast<const char *>(nameBytes.data()), len);
-    return rec;
-}
-
 NameRecord
 NameRecord::decodePrefix(std::span<const uint8_t> in, uint64_t *nameHash)
 {
     REMORA_ASSERT(in.size() >= kPrefixBytes);
     util::ByteReader r(in);
+    util::Get io(r);
     NameRecord rec;
-    rec.flag = static_cast<RecordFlag>(r.getU32());
-    rec.node = r.getU16();
-    rec.descriptor = r.getU8();
-    rec.rights = static_cast<rmem::Rights>(r.getU8());
-    rec.generation = r.getU16();
-    r.skip(2);
-    rec.size = r.getU32();
-    uint64_t hash = r.getU64();
+    uint64_t hash = 0;
+    prefixLayout(io, rec, hash);
     if (nameHash != nullptr) {
         *nameHash = hash;
     }

@@ -3,7 +3,8 @@
  * The name-registry record: the unit of the name service's shared state.
  *
  * Each clerk's well-known exported segment is an open-addressed hash
- * table of these fixed 64-byte records. The layout is identical on all
+ * table of these fixed 64-byte records, each written and read through
+ * its one layout below. The layout is identical on all
  * clerks and every clerk uses the identical hash function, so an
  * importer can compute the bucket a name should occupy on a *remote*
  * clerk and fetch it with a single remote read (§4.2).
@@ -23,6 +24,7 @@
 
 #include "net/cell.h"
 #include "rmem/segment.h"
+#include "util/bytes.h"
 
 namespace remora::names {
 
@@ -47,11 +49,8 @@ inline constexpr size_t kMaxNameLen = 39;
  * fits in a single ATM cell"). The full name follows for local
  * operations and control-transfer lookups.
  */
-struct NameRecord
+struct NameRecord : util::FixedRecord<NameRecord, 64>
 {
-    /** Encoded size of a record. */
-    static constexpr uint32_t kBytes = 64;
-
     /** Bytes a remote probe fetches (single-cell reply). */
     static constexpr uint32_t kPrefixBytes = 24;
 
@@ -68,12 +67,6 @@ struct NameRecord
     uint32_t size = 0;
     /** The segment's name (<= kMaxNameLen chars). */
     std::string name;
-
-    /** Serialize into exactly kBytes at @p out. */
-    void encode(std::span<uint8_t> out) const;
-
-    /** Parse a record from exactly kBytes at @p in. */
-    static NameRecord decode(std::span<const uint8_t> in);
 
     /**
      * Parse just the probe prefix (kPrefixBytes); the name field is
@@ -93,6 +86,42 @@ struct NameRecord
                                      rights};
     }
 };
+
+/**
+ * The import-handle fields a record and a control-transfer reply both
+ * carry: node, descriptor, rights, generation, two pad bytes, size.
+ */
+template <typename Io, util::MaybeConst<NameRecord> T>
+void
+handleLayout(Io &io, T &rec)
+{
+    io.u16(rec.node);
+    io.u8(rec.descriptor);
+    io.u8(rec.rights);
+    io.u16(rec.generation);
+    io.pad(2);
+    io.u32(rec.size);
+}
+
+/** The probe prefix: flag, the handle fields, the name's hash. */
+template <typename Io, util::MaybeConst<NameRecord> T>
+void
+prefixLayout(Io &io, T &rec, uint64_t &nameHash)
+{
+    io.u32(rec.flag);
+    handleLayout(io, rec);
+    io.u64(nameHash);
+}
+
+/** A registry record: the probe prefix, then the name NUL-padded. */
+template <typename Io, util::MaybeConst<NameRecord> T>
+void
+layout(Io &io, T &rec)
+{
+    uint64_t hash = Io::kDecoding ? 0 : NameRecord::nameHashOf(rec.name);
+    prefixLayout(io, rec, hash);
+    io.text(rec.name, NameRecord::kBytes - NameRecord::kPrefixBytes);
+}
 
 /** The cluster-wide registry hash: identical on every clerk (FNV-1a). */
 uint64_t registryHash(const std::string &name);

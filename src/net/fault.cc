@@ -1,7 +1,5 @@
 #include "net/fault.h"
 
-#include <algorithm>
-
 #include "util/hash.h"
 
 namespace remora::net {
@@ -13,14 +11,13 @@ FaultInjector::FaultInjector(sim::Simulator &simulator, const FaultPlan &plan,
 {}
 
 FaultInjector::Decision
-FaultInjector::decide(Cell &cell, sim::Time nominalArrival,
-                      sim::Duration cellTime)
+FaultInjector::decide(Cell &cell, sim::Time nominalArrival)
 {
     Decision d;
     uint64_t ordinal = decisions_++;
-    // The draw order below is fixed (drop, corrupt, reorder, delay) so
-    // a plan's decision stream depends only on the cell sequence the
-    // link carries, never on which faults actually fire.
+    // The draw order below is fixed (drop, corrupt, delay) so a plan's
+    // decision stream depends only on the cell sequence the link
+    // carries, never on which faults actually fire.
     if (plan_.dropRate > 0.0 && rng_.bernoulli(plan_.dropRate)) {
         drops_.inc();
         sim_.noteDigest("fault.drop", linkHash_ ^ ordinal);
@@ -34,18 +31,9 @@ FaultInjector::decide(Cell &cell, sim::Time nominalArrival,
         corrupts_.inc();
         sim_.noteDigest("fault.corrupt", linkHash_ ^ ordinal);
     }
-    if (plan_.reorderRate > 0.0 && rng_.bernoulli(plan_.reorderRate)) {
-        // Hold the cell 1..4 cell-times: cells transmitted behind it
-        // land first, so the receiver observes genuine reordering.
-        sim::Duration hold =
-            static_cast<sim::Duration>(1 + rng_.uniformInt(4)) * cellTime;
-        d.extraDelay += hold;
-        sim_.noteDigest("fault.reorder", linkHash_ ^ ordinal);
-    }
     if (plan_.delayRate > 0.0 && rng_.bernoulli(plan_.delayRate)) {
         d.extraDelay += static_cast<sim::Duration>(
-            1 + rng_.uniformInt(static_cast<uint64_t>(
-                    std::max<sim::Duration>(plan_.maxDelay, 1))));
+            1 + rng_.uniformInt(static_cast<uint64_t>(kMaxFaultDelay)));
         delays_.inc();
         sim_.noteDigest("fault.delay", linkHash_ ^ ordinal);
     }

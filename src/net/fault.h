@@ -13,8 +13,7 @@
  *    control, exactly like a cell dying in a switch fabric),
  *  - corrupt a payload bit (CRC-visible: AAL5 frames fail reassembly,
  *    reliability envelopes fail their inner checksum),
- *  - reorder (hold a cell a few cell-times so successors overtake it),
- *  - delay (add bounded extra propagation latency), or
+ *  - delay (add up to kMaxFaultDelay of extra propagation latency), or
  *  - pause delivery inside configured [from, until) windows, modelling
  *    a receiver that stalls and then resumes.
  *
@@ -38,6 +37,9 @@
 
 namespace remora::net {
 
+/** Upper bound on the extra latency a delayed cell picks up. */
+inline constexpr sim::Duration kMaxFaultDelay = sim::usec(50);
+
 /** What to inject, with what probability. All rates are per cell. */
 struct FaultPlan
 {
@@ -48,12 +50,8 @@ struct FaultPlan
     double dropRate = 0.0;
     /** Probability one payload bit is flipped. */
     double corruptRate = 0.0;
-    /** Probability a cell is held so later cells overtake it. */
-    double reorderRate = 0.0;
     /** Probability a cell picks up extra delivery latency. */
     double delayRate = 0.0;
-    /** Upper bound on the extra latency a delayed cell picks up. */
-    sim::Duration maxDelay = sim::usec(50);
 
     /** Delivery blackout window: cells landing inside are deferred. */
     struct Pause
@@ -97,11 +95,9 @@ class FaultInjector
      * Decide the fate of @p cell. @p nominalArrival is when the cell
      * would reach the sink unperturbed (extraDelay adds to it, and the
      * pause windows compare against it). Corruption mutates the cell
-     * payload in place. @p cellTime scales the reorder hold so "a few
-     * cells overtake" holds at any bandwidth.
+     * payload in place.
      */
-    Decision decide(Cell &cell, sim::Time nominalArrival,
-                    sim::Duration cellTime);
+    Decision decide(Cell &cell, sim::Time nominalArrival);
 
     /** Cells dropped in flight. */
     uint64_t drops() const { return drops_.value(); }

@@ -5,14 +5,9 @@
 
 namespace remora::net {
 
-HostInterface::HostInterface(sim::Simulator &simulator,
-                             const HostInterfaceParams &params,
-                             std::string name)
-    : sim_(simulator), params_(params), name_(std::move(name)),
-      traceNode_(obs::nodeOf(name_))
-{
-    REMORA_ASSERT(params.rxFifoCells > 0);
-}
+HostInterface::HostInterface(sim::Simulator &simulator, std::string name)
+    : sim_(simulator), name_(std::move(name)), traceNode_(obs::nodeOf(name_))
+{}
 
 void
 HostInterface::attachTxLink(Link &link)
@@ -65,7 +60,7 @@ HostInterface::interrupt()
 void
 HostInterface::acceptCell(const Cell &cell)
 {
-    if (rxFifo_.size() >= params_.rxFifoCells) {
+    if (rxFifo_.size() >= kRxFifoCells) {
         // Credit flow control should make this unreachable; a drop here
         // is "catastrophic" per the paper's reliability assumption.
         REMORA_PANIC("RX FIFO overflow on " + name_ +
@@ -90,7 +85,7 @@ HostInterface::acceptCell(const Cell &cell)
     }
     if (!interruptPending_ && rxInterrupt_) {
         interruptPending_ = true;
-        sim::Time at = sim_.now() + params_.interruptLatency;
+        sim::Time at = sim_.now() + kInterruptLatency;
         if (draining_ && sim_.policy() == nullptr) {
             deferredIrq_ = sim_.reserve(at);
         } else {

@@ -35,14 +35,11 @@
 
 namespace remora::net {
 
-/** FIFO capacity and timing of a host interface. */
-struct HostInterfaceParams
-{
-    /** RX FIFO capacity in cells (bounds the link credit). */
-    size_t rxFifoCells = 292;
-    /** Delay from first cell in empty RX FIFO to interrupt delivery. */
-    sim::Duration interruptLatency = sim::usec(2);
-};
+/** RX FIFO capacity in cells (bounds the link credit). */
+inline constexpr size_t kRxFifoCells = 292;
+
+/** Delay from first cell in an empty RX FIFO to interrupt delivery. */
+inline constexpr sim::Duration kInterruptLatency = sim::usec(2);
 
 /** The node's network adapter: bounded FIFOs, PIO access, RX interrupt. */
 class HostInterface : public CellSink
@@ -50,11 +47,9 @@ class HostInterface : public CellSink
   public:
     /**
      * @param simulator Owning simulator.
-     * @param params FIFO sizes and interrupt latency.
      * @param name Diagnostic name, e.g. "nodeA.nic".
      */
-    HostInterface(sim::Simulator &simulator,
-                  const HostInterfaceParams &params, std::string name);
+    HostInterface(sim::Simulator &simulator, std::string name);
 
     /** Attach the outgoing link (toward switch or peer). */
     void attachTxLink(Link &link);
@@ -93,7 +88,7 @@ class HostInterface : public CellSink
     size_t rxDepth() const { return rxFifo_.size(); }
 
     /** RX FIFO capacity (upper bound for the incoming link's credits). */
-    size_t rxCapacity() const { return params_.rxFifoCells; }
+    size_t rxCapacity() const { return kRxFifoCells; }
 
     /** Total cells transmitted. */
     uint64_t cellsTx() const { return cellsTx_.value(); }
@@ -116,7 +111,6 @@ class HostInterface : public CellSink
     void interrupt();
 
     sim::Simulator &sim_;
-    HostInterfaceParams params_;
     std::string name_;
     /** The node this NIC belongs to, as traces name it. */
     std::string traceNode_;

@@ -108,8 +108,7 @@ Link::pump()
         // after transmission starts.
         sim::Time deliverAt = wireFreeAt_ + params_.propagation;
         if (faults_ != nullptr) {
-            FaultInjector::Decision d =
-                faults_->decide(cell, deliverAt, cellTime_);
+            FaultInjector::Decision d = faults_->decide(cell, deliverAt);
             if (d.action == FaultInjector::Action::kDrop) {
                 // The cell dies in flight. Its credit still comes back
                 // after a propagation delay, as if the receiver had

@@ -112,7 +112,7 @@ struct CriticalPathParams
 {
     /**
      * NIC interrupt latency: the controller share of a post-arrival
-     * gap. Should match HostInterfaceParams::interruptLatency.
+     * gap. Should match net::kInterruptLatency.
      */
     sim::Duration interruptLatency = sim::usec(2);
 };

@@ -18,6 +18,11 @@
  *
  * The RPC baseline shares this envelope (kRpc) so both communication
  * models run over an identical substrate.
+ *
+ * Each type's bytes are written once, as the two-way layout in
+ * protocol.cc that both encodeMessage() and decodeMessage() run (the
+ * vectored bodies are vector_op.h's), so the encoder and the decoder
+ * cannot drift apart.
  */
 #pragma once
 

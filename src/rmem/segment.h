@@ -14,6 +14,7 @@
 #include <string>
 
 #include "net/cell.h"
+#include "util/bytes.h"
 
 namespace remora::rmem {
 
@@ -79,5 +80,20 @@ struct ImportedSegment
     /** Rights the exporter granted. */
     Rights rights = Rights::kNone;
 };
+
+/**
+ * The 8-byte record that tells a peer which of the sender's segments to
+ * write back into: descriptor, a pad octet, generation, size. The node
+ * and rights come from context.
+ */
+template <typename Io, util::MaybeConst<ImportedSegment> T>
+void
+layout(Io &io, T &seg)
+{
+    io.u8(seg.descriptor);
+    io.pad(1);
+    io.u16(seg.generation);
+    io.u32(seg.size);
+}
 
 } // namespace remora::rmem

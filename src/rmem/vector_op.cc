@@ -10,34 +10,16 @@ namespace remora::rmem {
 
 namespace {
 
-/** Wire bytes of one encoded sub-op (8-byte common header + tail). */
-size_t
-subOpWireBytes(const VectorSubOp &op)
-{
-    switch (op.kind) {
-      case VecOpKind::kWrite:
-        return 8 + 2 + op.data.size();
-      case VecOpKind::kRead:
-        return 8 + 2;
-      case VecOpKind::kCas:
-        return 8 + 8;
-    }
-    return 8;
-}
+/** Bytes before a vector message's first sub-op or result. */
+constexpr size_t kVectorHeaderBytes = 4; // first octet + reqId + count
 
-/** Worst-case response bytes one sub-op contributes. */
+/** Worst-case response bytes of one sub-op: its result, READ data full. */
 size_t
 subOpRespBytes(const VectorSubOp &op)
 {
-    switch (op.kind) {
-      case VecOpKind::kWrite:
-        return 2;
-      case VecOpKind::kRead:
-        return 2 + 2 + op.count;
-      case VecOpKind::kCas:
-        return 2 + 5;
-    }
-    return 2;
+    VectorSubResult res;
+    res.kind = op.kind;
+    return util::sizeOf(res) + (op.kind == VecOpKind::kRead ? op.count : 0);
 }
 
 /** The (slot, generation, rights-needed) validation key of a sub-op. */
@@ -103,9 +85,9 @@ checkImport(const ImportedSegment &seg, VecOpKind kind, uint64_t offset,
 size_t
 encodedVectorSize(const VectorReq &req)
 {
-    size_t bytes = 4; // first octet + reqId + opCount
+    size_t bytes = kVectorHeaderBytes;
     for (const VectorSubOp &op : req.ops) {
-        bytes += subOpWireBytes(op);
+        bytes += util::sizeOf(op);
     }
     return bytes;
 }
@@ -113,7 +95,7 @@ encodedVectorSize(const VectorReq &req)
 size_t
 encodedVectorRespSize(const VectorReq &req)
 {
-    size_t bytes = 4;
+    size_t bytes = kVectorHeaderBytes;
     for (const VectorSubOp &op : req.ops) {
         bytes += subOpRespBytes(op);
     }
@@ -183,7 +165,7 @@ BatchBuilder::append(const ImportedSegment &seg, VectorSubOp sub,
         return util::Status(util::ErrorCode::kInvalidArgument,
                             "vector batch spans target nodes");
     }
-    if (wireBytes() + subOpWireBytes(sub) > kBlockDataMax) {
+    if (wireBytes() + util::sizeOf(sub) > kBlockDataMax) {
         return util::Status(util::ErrorCode::kResource,
                             "vector batch exceeds frame budget");
     }
@@ -220,9 +202,9 @@ BatchBuilder::addRead(Read op)
 size_t
 BatchBuilder::wireBytes() const
 {
-    size_t bytes = 4;
+    size_t bytes = kVectorHeaderBytes;
     for (const VectorSubOp &op : batch_.ops) {
-        bytes += subOpWireBytes(op);
+        bytes += util::sizeOf(op);
     }
     return bytes;
 }

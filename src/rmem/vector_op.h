@@ -12,22 +12,12 @@
  * per-op software overhead the paper identifies as the binding
  * constraint — the wire was never the bottleneck.
  *
- * Wire format (first octet = kVectorOp, then):
- *
- *   u16 reqId      0 when no response is expected (pure-write batch)
- *   u8  opCount
- *   per sub-op:
- *     u8  kind (low 2 bits) | 0x80 notify
- *     u8  descriptor
- *     u16 generation
- *     u32 offset
- *     WRITE: u16 len, len data bytes
- *     READ : u16 count
- *     CAS  : u32 oldValue, u32 newValue
- *
- * The response (kVectorResp) carries per-sub-op status plus READ data /
- * CAS outcome; pure-write batches get no response (local completion,
- * like scalar WRITE), and an all-invalid pure-write batch NAKs once.
+ * The wire formats follow the first octet (kVectorOp, kVectorResp) and
+ * are the layouts below: a u16 reqId (0 when no response is expected,
+ * a pure-write batch), a u8 count, then each sub-op or result. The
+ * response carries per-sub-op status plus READ data / CAS outcome;
+ * pure-write batches get no response (local completion, like scalar
+ * WRITE), and an all-invalid pure-write batch NAKs once.
  */
 #pragma once
 
@@ -37,6 +27,7 @@
 
 #include "rmem/segment.h"
 #include "sim/task.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace remora::rmem {
@@ -104,6 +95,91 @@ struct VectorResp
     std::vector<VectorSubResult> results;
 };
 
+/**
+ * A sub-op's or result's kind octet: the kind in the low two bits and
+ * @p flag (a sub-op's notify, a result's success) in bit 7. Kind 3
+ * names no sub-op.
+ */
+template <typename Io, typename K, typename F>
+void
+kindOctet(Io &io, K &kind, F &flag)
+{
+    auto v = static_cast<uint8_t>(static_cast<uint8_t>(kind) |
+                                  (flag ? 0x80 : 0));
+    io.u8(v);
+    io.check((v & 0x03) <= 2);
+    if constexpr (Io::kDecoding) {
+        kind = static_cast<VecOpKind>(v & 0x03);
+        flag = (v & 0x80) != 0;
+    }
+}
+
+/** A sub-op: kind, target, then the WRITE payload, READ count or CAS words. */
+template <typename Io, util::MaybeConst<VectorSubOp> T>
+void
+layout(Io &io, T &op)
+{
+    kindOctet(io, op.kind, op.notify);
+    io.u8(op.descriptor);
+    io.u16(op.generation);
+    io.u32(op.offset);
+    switch (op.kind) {
+      case VecOpKind::kWrite:
+        io.bytes16(op.data);
+        break;
+      case VecOpKind::kRead:
+        io.u16(op.count);
+        break;
+      case VecOpKind::kCas:
+        io.u32(op.oldValue);
+        io.u32(op.newValue);
+        break;
+    }
+}
+
+/** A kVectorOp body: reqId, then 1..kMaxVectorOps sub-ops. */
+template <typename Io, util::MaybeConst<VectorReq> T>
+void
+layout(Io &io, T &req)
+{
+    io.u16(req.reqId);
+    auto n = static_cast<uint8_t>(req.ops.size());
+    io.u8(n);
+    io.check(n >= 1 && n <= kMaxVectorOps);
+    io.each(req.ops, n, [&io](auto &op) { layout(io, op); });
+}
+
+/** A result: status, kind, then the READ data or the CAS word. */
+template <typename Io, util::MaybeConst<VectorSubResult> T>
+void
+layout(Io &io, T &res)
+{
+    io.u8(res.status);
+    kindOctet(io, res.kind, res.success);
+    switch (res.kind) {
+      case VecOpKind::kWrite:
+        break;
+      case VecOpKind::kRead:
+        io.bytes16(res.data);
+        break;
+      case VecOpKind::kCas:
+        io.u32(res.observed);
+        break;
+    }
+}
+
+/** A kVectorResp body: reqId, then up to kMaxVectorOps results. */
+template <typename Io, util::MaybeConst<VectorResp> T>
+void
+layout(Io &io, T &resp)
+{
+    io.u16(resp.reqId);
+    auto n = static_cast<uint8_t>(resp.results.size());
+    io.u8(n);
+    io.check(n <= kMaxVectorOps);
+    io.each(resp.results, n, [&io](auto &res) { layout(io, res); });
+}
+
 /** Initiator-side deposit coordinates of one READ/CAS sub-op. */
 struct VectorLocalDeposit
 {
@@ -150,10 +226,13 @@ uint32_t subOpBytes(const VectorSubOp &op);
 util::Status checkImport(const ImportedSegment &seg, VecOpKind kind,
                          uint64_t offset, uint64_t count);
 
-/** Encoded wire size of a VectorReq (for frame budgeting). */
+/** Encoded wire size of a VectorReq (for frame budgeting), by its layout. */
 size_t encodedVectorSize(const VectorReq &req);
 
-/** Worst-case encoded wire size of the response to @p req. */
+/**
+ * Worst-case encoded wire size of the response to @p req: each result
+ * by its layout, with a READ's full count of data.
+ */
 size_t encodedVectorRespSize(const VectorReq &req);
 
 // ----------------------------------------------------------------------

@@ -12,9 +12,45 @@ namespace remora::rpc {
 
 namespace {
 
-/** Bytes of the request record header: seq, argLen, reply coordinates. */
+/** A request record's header; the arguments follow it. */
+struct RequestHeader
+{
+    uint32_t seq = 0;
+    uint32_t argLen = 0;
+    /** The client's reply segment. */
+    rmem::ImportedSegment reply;
+};
+
+template <typename Io, util::MaybeConst<RequestHeader> T>
+void
+layout(Io &io, T &hdr)
+{
+    io.u32(hdr.seq);
+    io.u32(hdr.argLen);
+    layout(io, hdr.reply);
+}
+
+/** Encoded bytes of a RequestHeader. */
 constexpr uint32_t kReqHeader = 16;
-/** Bytes of the reply record header: seq, status, length. */
+
+/** A reply record's header; the results follow it. */
+struct ReplyHeader
+{
+    uint32_t seq = 0;
+    uint32_t status = 0;
+    uint32_t len = 0;
+};
+
+template <typename Io, util::MaybeConst<ReplyHeader> T>
+void
+layout(Io &io, T &hdr)
+{
+    io.u32(hdr.seq);
+    io.u32(hdr.status);
+    io.u32(hdr.len);
+}
+
+/** Encoded bytes of a ReplyHeader. */
 constexpr uint32_t kRespHeader = 12;
 
 } // namespace
@@ -28,7 +64,7 @@ Hybrid1Server::Hybrid1Server(rmem::RmemEngine &engine,
                              const Hybrid1Params &params)
     : engine_(engine), process_(serverProcess), params_(params)
 {
-    uint32_t segBytes = params_.slotBytes * params_.slots;
+    uint32_t segBytes = kHybrid1SlotBytes * params_.slots;
     segBase_ = process_.space().allocRegion(segBytes);
     auto exported = engine_.exportSegment(
         process_, segBase_, segBytes,
@@ -72,7 +108,7 @@ Hybrid1Server::serveLoop()
         // Control transfer: the blocked server thread is woken for each
         // notified request (the cost HY pays and DX avoids).
         rmem::Notification n = co_await ch->next();
-        uint32_t slot = n.offset / params_.slotBytes;
+        uint32_t slot = n.offset / kHybrid1SlotBytes;
         if (slot >= params_.slots) {
             continue; // stray write outside any slot
         }
@@ -88,30 +124,25 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
         obs::beginSpan(traceOp, engine_.node().name(), "rpc", "serve_one",
                        obs::kv("slot", slot), obs::kv("from", src));
     auto &cpu = engine_.node().cpu();
-    mem::Vaddr slotVa = segBase_ + slot * params_.slotBytes;
+    mem::Vaddr slotVa = segBase_ + slot * kHybrid1SlotBytes;
 
     // Parse the request record out of the segment memory.
     std::vector<uint8_t> header(kReqHeader);
     util::Status rs = process_.space().read(slotVa, header);
     REMORA_ASSERT(rs.ok());
     util::ByteReader r(header);
-    uint32_t seq = r.getU32();
-    uint32_t argLen = r.getU32();
-    uint8_t replyDesc = r.getU8();
-    r.skip(1);
-    uint16_t replyGen = r.getU16();
-    uint32_t replySize = r.getU32();
+    auto req = util::get<RequestHeader>(r);
 
-    if (kReqHeader + argLen > params_.slotBytes) {
+    if (kReqHeader + req.argLen > kHybrid1SlotBytes) {
         obs::endSpan(span);
         co_return; // malformed request; nothing sane to reply to
     }
-    std::vector<uint8_t> args(argLen);
+    std::vector<uint8_t> args(req.argLen);
     rs = process_.space().read(slotVa + kReqHeader, args);
     REMORA_ASSERT(rs.ok());
 
     // Procedure invocation overhead (stub dispatch).
-    co_await cpu.use(engine_.costs().copyCost(kReqHeader + argLen) +
+    co_await cpu.use(engine_.costs().copyCost(kReqHeader + req.argLen) +
                          sim::usec(25),
                      sim::CpuCategory::kProcInvoke);
 
@@ -120,17 +151,13 @@ Hybrid1Server::serveOne(net::NodeId src, uint32_t slot, uint64_t traceOp)
 
     // Return write(s): pure data transfer back to the client's reply
     // segment; the client spin-waits, so no notify bit.
-    rmem::ImportedSegment reply;
+    rmem::ImportedSegment reply = req.reply;
     reply.node = src;
-    reply.descriptor = replyDesc;
-    reply.generation = replyGen;
-    reply.size = replySize;
     reply.rights = rmem::Rights::kWrite;
 
     util::ByteWriter w(kRespHeader);
-    w.putU32(seq);
-    w.putU32(0); // status ok
-    w.putU32(static_cast<uint32_t>(results.size()));
+    util::put(w, ReplyHeader{req.seq, 0 /* ok */,
+                             static_cast<uint32_t>(results.size())});
     // Scatter the return as ONE vectored WRITE: the result bytes land
     // at their final offset and the header lands at 0, in that order —
     // the serving CPU's FIFO keeps the seq word (the reply's release
@@ -166,7 +193,7 @@ Hybrid1Client::Hybrid1Client(rmem::RmemEngine &engine,
     : engine_(engine), process_(clientProcess), server_(server), slot_(slot),
       params_(params)
 {
-    uint32_t replyBytes = params_.slotBytes;
+    uint32_t replyBytes = kHybrid1SlotBytes;
     replyBase_ = process_.space().allocRegion(replyBytes);
     auto exported = engine_.exportSegment(
         process_, replyBase_, replyBytes, rmem::Rights::kWrite,
@@ -191,7 +218,7 @@ Hybrid1Client::Hybrid1Client(rmem::RmemEngine &engine,
 sim::Task<util::Result<std::vector<uint8_t>>>
 Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
 {
-    REMORA_ASSERT(kReqHeader + args.size() <= params_.slotBytes);
+    REMORA_ASSERT(kReqHeader + args.size() <= kHybrid1SlotBytes);
     uint32_t seq = ++seq_;
     // Async op for the whole call (request write, server work, reply
     // write, spin-wait): runs eagerly here, so the caller's ambient
@@ -203,12 +230,8 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
                        obs::kv("args", args.size()), obs::kv("seq", seq));
 
     util::ByteWriter w(kReqHeader + args.size());
-    w.putU32(seq);
-    w.putU32(static_cast<uint32_t>(args.size()));
-    w.putU8(replyHandle_.descriptor);
-    w.putU8(0);
-    w.putU16(replyHandle_.generation);
-    w.putU32(replyHandle_.size);
+    util::put(w, RequestHeader{seq, static_cast<uint32_t>(args.size()),
+                               replyHandle_});
     w.putBytes(args);
 
     // The single write request, with notification: this is the one
@@ -217,7 +240,7 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     std::optional<obs::OpScope> parentScope;
     parentScope.emplace(opId);
     auto writeTask = engine_.write(
-        server_, slot_ * params_.slotBytes, w.take(), true);
+        server_, slot_ * kHybrid1SlotBytes, w.take(), true);
     parentScope.reset();
     util::Status ws = co_await writeTask;
     if (!ws.ok()) {
@@ -247,17 +270,15 @@ Hybrid1Client::call(std::vector<uint8_t> args, sim::Duration timeout)
     util::Status rs = process_.space().read(replyBase_, header);
     REMORA_ASSERT(rs.ok());
     util::ByteReader r(header);
-    r.skip(4); // seq already checked
-    uint32_t status = r.getU32();
-    uint32_t len = r.getU32();
-    if (status != 0) {
+    auto hdr = util::get<ReplyHeader>(r); // seq already checked
+    if (hdr.status != 0) {
         obs::endSpan(span);
         obs::asyncEnd(opId, engine_.node().name(), "rpc", "hy_call",
                       "remote failure");
         co_return util::Status(util::ErrorCode::kInternal,
                                "hybrid1 remote failure");
     }
-    std::vector<uint8_t> data(len);
+    std::vector<uint8_t> data(hdr.len);
     rs = process_.space().read(replyBase_ + kRespHeader, data);
     REMORA_ASSERT(rs.ok());
     obs::endSpan(span);

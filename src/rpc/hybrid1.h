@@ -29,11 +29,16 @@
 
 namespace remora::rpc {
 
+/**
+ * Bytes per client request slot in the server's request segment, and of
+ * each client's reply segment: a call's header plus arguments, or a
+ * reply's header plus results, must fit.
+ */
+inline constexpr uint32_t kHybrid1SlotBytes = 16384;
+
 /** Sizing/behaviour knobs for a Hybrid-1 endpoint pair. */
 struct Hybrid1Params
 {
-    /** Bytes per client request slot in the server's request segment. */
-    uint32_t slotBytes = 16384;
     /** Number of client slots. */
     uint32_t slots = 16;
     /** Client spin-wait poll interval for the reply word. */

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "dfs/nfs_proto.h"
-#include "rpc/marshal.h"
 
 namespace remora::trace {
 
@@ -12,24 +11,6 @@ namespace {
 
 /** RPC communication identifier (xid), present on call and reply. */
 constexpr uint64_t kXidBytes = 4;
-
-/** Encoded size of the flat attribute block (semantic data). */
-uint64_t
-attrBytes()
-{
-    rpc::Marshal m;
-    dfs::putFileAttr(m, dfs::FileAttr{});
-    return m.size();
-}
-
-/** Encoded size of the statfs block (semantic data). */
-uint64_t
-statBytes()
-{
-    rpc::Marshal m;
-    dfs::putFsStat(m, dfs::FsStat{});
-    return m.size();
-}
 
 /** Wire size of a string marshaled by XDR. */
 uint64_t
@@ -50,7 +31,8 @@ xdrOpaque(uint64_t len)
 Traffic
 classifyOp(OpClass cls, const OpShape &shape)
 {
-    const uint64_t attr = attrBytes();
+    const uint64_t attr = util::sizeOf(dfs::FileAttr{});
+    const uint64_t statBlock = util::sizeOf(dfs::FsStat{});
     const uint64_t fh = dfs::kWireFileHandleBytes;
     const uint64_t proc = 4;   // procedure number word
     const uint64_t status = 4; // reply status word
@@ -100,8 +82,8 @@ classifyOp(OpClass cls, const OpShape &shape)
       }
       case OpClass::kStatFs:
         req = proc + fh;
-        resp = status + statBytes();
-        data = statBytes();
+        resp = status + statBlock;
+        data = statBlock;
         break;
       case OpClass::kWrite:
         req = proc + fh + 8 /*offset*/ + xdrOpaque(shape.payloadBytes);

@@ -40,16 +40,29 @@ ByteWriter::putZeros(size_t count)
 void
 ByteWriter::putString(const std::string &s)
 {
-    putU32(static_cast<uint32_t>(s.size()));
-    putBytes(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t *>(s.data()), s.size()));
-    size_t pad = (4 - (s.size() % 4)) % 4;
-    putZeros(pad);
+    putOpaque(asBytes(s));
+}
+
+void
+ByteWriter::putOpaque(std::span<const uint8_t> data)
+{
+    putU32(static_cast<uint32_t>(data.size()));
+    putFixed(data);
+}
+
+void
+ByteWriter::putFixed(std::span<const uint8_t> data)
+{
+    putBytes(data);
+    putZeros((4 - (data.size() % 4)) % 4);
 }
 
 bool
 ByteReader::ensure(size_t count)
 {
+    if (overflow_) {
+        return false;
+    }
     if (pos_ + count > data_.size()) {
         overflow_ = true;
         pos_ = data_.size();
@@ -129,6 +142,21 @@ ByteReader::getString()
     std::string s(reinterpret_cast<const char *>(view.data()), view.size());
     skip((4 - (len % 4)) % 4);
     return s;
+}
+
+std::vector<uint8_t>
+ByteReader::getOpaque()
+{
+    return getFixed(getU32());
+}
+
+std::vector<uint8_t>
+ByteReader::getFixed(size_t len)
+{
+    auto view = viewBytes(len);
+    std::vector<uint8_t> out(view.begin(), view.end());
+    skip((4 - (len % 4)) % 4);
+    return out;
 }
 
 void

@@ -1,12 +1,16 @@
 /**
  * @file
- * Shared test fixtures: canned clusters and coroutine helpers.
+ * Shared test fixtures: canned clusters, coroutine helpers, and the hex
+ * form golden-byte tests compare encodings in.
  */
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "sim/task.h"
@@ -101,6 +105,31 @@ runToCompletion(sim::Simulator &sim, sim::Task<void> &task)
     }
     EXPECT_TRUE(task.done()) << "task did not complete; event queue drained";
     task.result();
+}
+
+/** Lower-case hex of @p bytes, two digits per byte. */
+inline std::string
+hexOf(std::span<const uint8_t> bytes)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t b : bytes) {
+        out += kDigits[b >> 4];
+        out += kDigits[b & 0x0f];
+    }
+    return out;
+}
+
+/** The bytes a hexOf() string spells. */
+inline std::vector<uint8_t>
+bytesOf(const std::string &hex)
+{
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+        out.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2),
+                                                      nullptr, 16)));
+    }
+    return out;
 }
 
 } // namespace remora::test

@@ -454,7 +454,7 @@ runSlowReceiver(sim::SchedulePolicy *policy)
     net::LinkParams lp;
     lp.credits = 2;
     net::Link link(s, lp, "tx->rx");
-    net::HostInterface nic(s, net::HostInterfaceParams{}, "rx.nic");
+    net::HostInterface nic(s, "rx.nic");
     link.connect(nic);
 
     RunResult r;

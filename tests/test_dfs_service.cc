@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "cluster_fixture.h"
 #include "dfs/backend.h"
 #include "dfs/cache_layout.h"
@@ -97,6 +99,91 @@ TEST(CacheLayout, DataDirLinkStatHeadersRoundTrip)
     std::vector<uint8_t> sbuf(dfs::kStatRecBytes);
     st.encode(sbuf);
     EXPECT_EQ(dfs::StatRecord::decode(sbuf).stat.totalFiles, 42u);
+}
+
+TEST(CacheLayout, EveryRecordKeepsItsBytes)
+{
+    using test::bytesOf;
+    using test::hexOf;
+    dfs::FileAttr attr;
+    attr.type = dfs::FileType::kDirectory;
+    attr.mode = 0755;
+    attr.nlink = 3;
+    attr.uid = 100;
+    attr.gid = 20;
+    attr.size = 0x0102030405;
+    attr.bytesUsed = 0x2000;
+    attr.fileid = 0xabcdef;
+    attr.atime = 11;
+    attr.mtime = 22;
+    attr.ctime = 33;
+
+    // Encode @p rec, compare with @p hex, and decode the golden bytes back.
+    auto check = [](const auto &rec, const std::string &hex) {
+        using Rec = std::remove_cvref_t<decltype(rec)>;
+        std::vector<uint8_t> buf(hex.size() / 2, 0xee);
+        rec.encode(buf);
+        EXPECT_EQ(hexOf(buf), hex);
+        std::vector<uint8_t> again(buf.size(), 0xee);
+        Rec::decode(bytesOf(hex)).encode(again);
+        EXPECT_EQ(hexOf(again), hex);
+    };
+
+    dfs::AttrRecord a;
+    a.flag = dfs::kSlotValid;
+    a.fhKey = 0x1122334455667788ull;
+    a.attr = attr;
+    check(a,
+          "0100000000000000887766554433221102000000ed0100000300000064000000"
+          "1400000005040302010000000020000000000000efcdab00000000000b000000"
+          "16000000210000000000000000000000");
+
+    dfs::NameLookupRecord n;
+    n.flag = dfs::kSlotValid;
+    n.dirKey = 0x0a0b;
+    n.childKey = 0x0c0d;
+    n.childAttr = attr;
+    n.name = "report.txt";
+    check(n,
+          "01000000000000000b0a0000000000000d0c00000000000002000000ed010000"
+          "03000000640000001400000005040302010000000020000000000000efcdab00"
+          "000000000b00000016000000210000000a7265706f72742e7478740000000000"
+          "0000000000000000000000000000000000000000000000000000000000000000"
+          "0000000000000000000000000000000000000000000000000000000000000000");
+
+    dfs::DataSlotHeader d;
+    d.flag = dfs::kSlotValid;
+    d.dirty = 1;
+    d.fhKey = 0x55;
+    d.blockNo = 9;
+    d.validBytes = 8192;
+    check(d,
+          "0100000001000000550000000000000009000000000000000020000000000000");
+
+    dfs::DirSlotHeader dir;
+    dir.flag = dfs::kSlotValid;
+    dir.dirKey = 0x33;
+    dir.bytes = 123;
+    dir.entryCount = 7;
+    check(dir,
+          "010000000000000033000000000000007b000000070000000000000000000000");
+
+    dfs::LinkRecord link;
+    link.flag = dfs::kSlotValid;
+    link.fhKey = 0x88;
+    link.target = "../somewhere/else";
+    check(link,
+          "010000008800000000000000110000002e2e2f736f6d6577686572652f656c73"
+          "6500000000000000000000000000000000000000000000000000000000000000"
+          "0000000000000000000000000000000000000000000000000000000000000000"
+          "0000000000000000000000000000000000000000000000000000000000000000");
+
+    dfs::StatRecord st;
+    st.flag = dfs::kSlotValid;
+    st.stat = {0x10000000, 0x08000000, 4242, 8192};
+    check(st,
+          "0100000000000000000000100000000000000008000000009210000000000000"
+          "0020000000000000000000000000000000000000000000000000000000000000");
 }
 
 TEST(CacheLayout, BucketFunctionsAreDeterministic)

@@ -36,8 +36,7 @@ drawDecisions(sim::Simulator &sim, net::FaultInjector &inj, int cells)
         cell.vpi = 2;
         cell.vci = 1;
         cell.payload.fill(static_cast<uint8_t>(i));
-        auto d = inj.decide(cell, sim.now() + sim::usec(2u * i + 2),
-                            sim::usec(2));
+        auto d = inj.decide(cell, sim.now() + sim::usec(2u * i + 2));
         actions.push_back(d.action);
     }
     return actions;
@@ -98,7 +97,7 @@ TEST(FaultInjector, PauseWindowDefersDeliveryPastItsEnd)
     for (int i = 0; i < 150; ++i) {
         net::Cell cell;
         sim::Time nominal = sim::usec(2u * i); // 0 .. 298 us
-        auto d = inj.decide(cell, nominal, sim::usec(2));
+        auto d = inj.decide(cell, nominal);
         ASSERT_EQ(d.action, net::FaultInjector::Action::kDeliver);
         if (nominal >= sim::usec(100) && nominal < sim::usec(200)) {
             ++deferred;

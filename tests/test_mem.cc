@@ -208,7 +208,7 @@ TEST(Node, SpawnsProcessesWithUniquePids)
 TEST(Node, ProcessesShareNodeMemoryPool)
 {
     sim::Simulator sim;
-    Node node(sim, 1, "ws", NodeParams{.memFrames = 32, .nic = {}});
+    Node node(sim, 1, "ws", NodeParams{.memFrames = 32});
     Process &a = node.spawnProcess("a");
     Process &b = node.spawnProcess("b");
     a.space().allocRegion(4 * kPageBytes);

@@ -63,6 +63,27 @@ TEST(RecordCodec, PrefixFitsOneCellReply)
     EXPECT_LE(6u + names::NameRecord::kPrefixBytes, 48u);
 }
 
+TEST(RecordCodec, RecordKeepsItsBytes)
+{
+    names::NameRecord rec;
+    rec.flag = names::RecordFlag::kValid;
+    rec.node = 0x0102;
+    rec.descriptor = 7;
+    rec.rights = rmem::Rights::kRead | rmem::Rights::kWrite;
+    rec.generation = 0x0a0b;
+    rec.size = 0x00100000;
+    rec.name = "db.index";
+    const std::string hex =
+        "01000000020107030b0a0000000010005df477db7767145a64622e696e646578"
+        "0000000000000000000000000000000000000000000000000000000000000000";
+    std::vector<uint8_t> buf(names::NameRecord::kBytes, 0xee);
+    rec.encode(buf);
+    EXPECT_EQ(test::hexOf(buf), hex);
+    std::vector<uint8_t> again(names::NameRecord::kBytes, 0xee);
+    names::NameRecord::decode(test::bytesOf(hex)).encode(again);
+    EXPECT_EQ(test::hexOf(again), hex);
+}
+
 // ----------------------------------------------------------------------
 // Clerk fixture
 // ----------------------------------------------------------------------
@@ -174,6 +195,22 @@ TEST(NameClerk, NameTooLongRejected)
     auto r = f.exportOnA(std::string(names::kMaxNameLen + 1, 'z'));
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidArgument);
+}
+
+TEST(NameClerk, OverLongImportRejectedWithoutWire)
+{
+    // A control-transfer lookup would copy the name into its fixed
+    // request field, so an over-long name must stop at the import.
+    names::NameClerkParams p;
+    p.policy = names::ProbePolicy::kControlOnly;
+    NamesFixture f(p);
+    uint64_t cellsB = f.cluster.nodeB.nic().cellsTx();
+    auto t = f.clerkB.import(std::string(200, 'x'), 1);
+    auto imp = runToCompletion(f.cluster.sim, t);
+    EXPECT_FALSE(imp.ok());
+    EXPECT_EQ(imp.status().code(), util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(f.cluster.nodeB.nic().cellsTx(), cellsB);
+    EXPECT_EQ(f.clerkB.stats().controlTransfers.value(), 0u);
 }
 
 TEST(NameClerk, RevokeMakesHandleStaleAndNameGone)

@@ -227,8 +227,7 @@ TEST(Link, OrderPreservedAcrossCreditStalls)
 TEST(HostInterface, RaisesOneInterruptPerBatch)
 {
     sim::Simulator sim;
-    HostInterfaceParams p;
-    HostInterface nic(sim, p, "nic");
+    HostInterface nic(sim, "nic");
     int interrupts = 0;
     nic.setRxInterrupt([&] { ++interrupts; });
 
@@ -253,8 +252,7 @@ TEST(HostInterface, PopReturnsCreditUpstream)
     LinkParams lp;
     lp.credits = 1;
     Link link(sim, lp, "up");
-    HostInterfaceParams p;
-    HostInterface nic(sim, p, "nic");
+    HostInterface nic(sim, "nic");
     link.connect(nic);
 
     Cell c;
@@ -282,8 +280,7 @@ TEST(HostInterface, TxPassesThroughToLink)
     sink.sim = &sim;
     link.connect(sink);
 
-    HostInterfaceParams p;
-    HostInterface nic(sim, p, "nic");
+    HostInterface nic(sim, "nic");
     nic.attachTxLink(link);
     Cell c;
     for (int i = 0; i < 3; ++i) {
@@ -302,8 +299,7 @@ TEST(Network, SwitchedClusterRoutesByDestination)
 {
     sim::Simulator sim;
     Network net(sim, LinkParams{});
-    HostInterfaceParams p;
-    HostInterface a(sim, p, "a"), b(sim, p, "b"), c(sim, p, "c");
+    HostInterface a(sim, "a"), b(sim, "b"), c(sim, "c");
     net.addHost(1, a);
     net.addHost(2, b);
     net.addHost(3, c);
@@ -332,8 +328,7 @@ TEST(Network, DirectPairDelivers)
 {
     sim::Simulator sim;
     Network net(sim, LinkParams{});
-    HostInterfaceParams p;
-    HostInterface a(sim, p, "a"), b(sim, p, "b");
+    HostInterface a(sim, "a"), b(sim, "b");
     net.addHost(1, a);
     net.addHost(2, b);
     net.wireDirect();
@@ -351,8 +346,7 @@ TEST(Network, SwitchedFrameSurvivesReassembly)
 {
     sim::Simulator sim;
     Network net(sim, LinkParams{});
-    HostInterfaceParams p;
-    HostInterface a(sim, p, "a"), b(sim, p, "b"), c(sim, p, "c");
+    HostInterface a(sim, "a"), b(sim, "b"), c(sim, "c");
     net.addHost(1, a);
     net.addHost(2, b);
     net.addHost(3, c);

@@ -157,25 +157,90 @@ TEST(PropertyProtocol, RandomBytesNeverCrashDecoder)
     (void)decoded;
 }
 
+/** A message of a random type (of 12), every field drawn from @p rng. */
+rmem::Message
+randomMessage(sim::Random &rng)
+{
+    auto bytes = [&rng](size_t max) {
+        std::vector<uint8_t> v(rng.uniformInt(max + 1));
+        for (auto &b : v) {
+            b = static_cast<uint8_t>(rng.nextU32());
+        }
+        return v;
+    };
+    auto u8 = [&rng] { return static_cast<uint8_t>(rng.nextU32()); };
+    auto u16 = [&rng] { return static_cast<uint16_t>(rng.nextU32()); };
+    auto flip = [&rng] { return rng.bernoulli(0.5); };
+    switch (rng.uniformInt(12)) {
+      case 0:
+        return rmem::WriteReq{u8(), u16(), rng.nextU32() & 0x00ffffff, flip(),
+                              bytes(rmem::kSmallWriteMax)};
+      case 1:
+        return rmem::WriteReq{u8(), u16(), rng.nextU32() | 0x01000000,
+                              flip(), bytes(2000)};
+      case 2:
+        return rmem::ReadReq{u8(), u16(), rng.nextU32(), u8(),
+                             rng.nextU32(), u16(), u16(), flip()};
+      case 3:
+        return rmem::ReadResp{u16(), static_cast<util::ErrorCode>(u8()),
+                              bytes(2000)};
+      case 4:
+        return rmem::CasReq{u8(), u16(), rng.nextU32(), rng.nextU32(),
+                            rng.nextU32(), u8(), rng.nextU32(), u16(),
+                            flip()};
+      case 5:
+        return rmem::CasResp{u16(), flip(), rng.nextU32()};
+      case 6:
+        return rmem::Nak{u16(), static_cast<util::ErrorCode>(u8()),
+                         static_cast<rmem::MsgType>(u8())};
+      case 7:
+        return rmem::RpcMsg{rng.nextU32(), flip(),
+                            flip() ? rng.nextU64() : 0, bytes(2000)};
+      case 8: {
+        rmem::VectorReq m{u16(), {}};
+        m.ops.resize(1 + rng.uniformInt(rmem::kMaxVectorOps));
+        for (rmem::VectorSubOp &op : m.ops) {
+            op = {static_cast<rmem::VecOpKind>(rng.uniformInt(3)), u8(),
+                  u16(), rng.nextU32(), flip(), bytes(50), u16(),
+                  rng.nextU32(), rng.nextU32()};
+        }
+        return m;
+      }
+      case 9: {
+        rmem::VectorResp m{u16(), {}};
+        m.results.resize(rng.uniformInt(rmem::kMaxVectorOps + 1));
+        for (rmem::VectorSubResult &res : m.results) {
+            res = {static_cast<util::ErrorCode>(u8()),
+                   static_cast<rmem::VecOpKind>(rng.uniformInt(3)),
+                   bytes(50), flip(), rng.nextU32()};
+        }
+        return m;
+      }
+      case 10:
+        return rmem::SeqMsg{rng.nextU32(), rng.nextU32(), u8(), bytes(2000)};
+      default:
+        return rmem::AckMsg{rng.nextU32()};
+    }
+}
+
 TEST(PropertyProtocol, EncodeDecodeIdempotentOnRandomMessages)
 {
     sim::Random rng(19);
-    for (int trial = 0; trial < 500; ++trial) {
-        rmem::WriteReq req;
-        req.descriptor = static_cast<uint8_t>(rng.uniformInt(256));
-        req.generation = static_cast<uint16_t>(rng.uniformInt(65536));
-        req.offset = rng.nextU32() & 0x00ffffff;
-        req.notify = rng.bernoulli(0.5);
-        req.data.resize(rng.uniformInt(2000));
-        for (auto &b : req.data) {
-            b = static_cast<uint8_t>(rng.nextU32());
-        }
-        auto once = rmem::encodeMessage(rmem::Message(req));
-        auto decoded = rmem::decodeMessage(once);
-        ASSERT_TRUE(decoded.ok());
+    std::map<rmem::MsgType, int> seen;
+    for (int trial = 0; trial < 1200; ++trial) {
+        rmem::Message msg = randomMessage(rng);
+        ++seen[rmem::messageType(msg)];
+        auto once = rmem::encodeMessage(msg);
+        size_t consumed = 0;
+        auto decoded = rmem::decodeMessage(once, &consumed);
+        ASSERT_TRUE(decoded.ok()) << "trial " << trial << ": "
+                                  << decoded.status().toString();
+        EXPECT_EQ(consumed, once.size()) << "trial " << trial;
+        EXPECT_EQ(rmem::messageType(decoded.value()), rmem::messageType(msg));
         auto twice = rmem::encodeMessage(decoded.take());
         EXPECT_EQ(once, twice) << "trial " << trial;
     }
+    EXPECT_EQ(seen.size(), 12u);
 }
 
 // ----------------------------------------------------------------------

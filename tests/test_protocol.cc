@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "cluster_fixture.h"
 #include "net/cell.h"
 #include "rmem/protocol.h"
 
@@ -283,6 +284,96 @@ TEST(Protocol, ConsumedReportsMeaningfulBytes)
     auto r = decodeMessage(bytes, &consumed);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(consumed, 8u); // type + reqId + success + observed
+}
+
+// ----------------------------------------------------------------------
+// Golden bytes: one fixed encoding of every message type
+// ----------------------------------------------------------------------
+
+TEST(Protocol, EveryMessageTypeKeepsItsBytes)
+{
+    using test::bytesOf;
+    using test::hexOf;
+    struct Golden
+    {
+        MsgType type;
+        Message msg;
+        const char *hex;
+    };
+    const Golden cases[] = {
+        {MsgType::kWriteSmall,
+         WriteReq{.descriptor = 7, .generation = 0x1234, .offset = 0xabcdef,
+                  .notify = true, .data = {0xde, 0xad, 0xbe, 0xef}},
+         "11073412efcdab04deadbeef"},
+        {MsgType::kWriteBlock,
+         WriteReq{.descriptor = 9, .generation = 0x0102,
+                  .offset = 0x01020304, .data = {1, 2, 3, 4, 5}},
+         "020902010403020105000102030405"},
+        {MsgType::kReadReq,
+         ReadReq{.srcDescriptor = 3, .generation = 0x0a0b,
+                 .srcOffset = 0x11223344, .dstDescriptor = 4,
+                 .dstOffset = 0x55667788, .count = 0x99aa, .reqId = 0xbbcc,
+                 .notify = true},
+         "13030b0a443322110488776655aa99ccbb"},
+        {MsgType::kReadResp,
+         ReadResp{.reqId = 0x1357, .status = util::ErrorCode::kOutOfBounds,
+                  .data = {0x42, 0x43}},
+         "0457130302004243"},
+        {MsgType::kCasReq,
+         CasReq{.descriptor = 5, .generation = 6, .offset = 0x100,
+                .oldValue = 0xcafef00d, .newValue = 0x8badf00d,
+                .resultDescriptor = 2, .resultOffset = 0x40, .reqId = 0x2468,
+                .notify = true},
+         "15050600000100000df0feca0df0ad8b02400000006824"},
+        {MsgType::kCasResp,
+         CasResp{.reqId = 0x2468, .success = true, .observed = 0xcafef00d},
+         "066824010df0feca"},
+        {MsgType::kNak,
+         Nak{.reqId = 0x0bad, .error = util::ErrorCode::kStaleGeneration,
+             .originalType = MsgType::kCasReq},
+         "07ad0b0205"},
+        {MsgType::kRpc,
+         RpcMsg{.xid = 0x01020304, .isResponse = true,
+                .idemKey = 0x1122334455667788, .body = {9, 8, 7}},
+         "6804030201887766554433221103000000090807"},
+        {MsgType::kVectorOp,
+         VectorReq{.reqId = 0x4321,
+                   .ops = {{VecOpKind::kWrite, 1, 2, 3, true,
+                            {0xa1, 0xa2, 0xa3}, 0, 0, 0},
+                           {VecOpKind::kRead, 4, 5, 6, false, {}, 0x30, 0, 0},
+                           {VecOpKind::kCas, 7, 8, 12, false, {}, 0,
+                            0x01020304, 0x05060708}}},
+         "0921430380010200030000000300a1a2a30104050006000000300002"
+         "0708000c0000000403020108070605"},
+        {MsgType::kVectorResp,
+         VectorResp{.reqId = 0x4321,
+                    .results = {{util::ErrorCode::kOk, VecOpKind::kWrite, {},
+                                 false, 0},
+                                {util::ErrorCode::kOk, VecOpKind::kRead,
+                                 {5, 6}, false, 0},
+                                {util::ErrorCode::kOk, VecOpKind::kCas, {},
+                                 true, 0x77},
+                                {util::ErrorCode::kBadDescriptor,
+                                 VecOpKind::kRead, {}, false, 0}}},
+         "0a214304000000010200050600827700000001010000"},
+        {MsgType::kSeqData,
+         SeqMsg{.seq = 0x01000002, .innerCrc = 0xdeadbeef, .lastFrag = 0,
+                .inner = {0x11, 0x22, 0x33}},
+         "0b02000001efbeadde0003000000112233"},
+        {MsgType::kAck, AckMsg{.cumSeq = 0x00c0ffee}, "0ceeffc000b40a8662"},
+    };
+    for (const Golden &g : cases) {
+        SCOPED_TRACE(msgTypeName(g.type));
+        EXPECT_EQ(messageType(g.msg), g.type);
+        std::vector<uint8_t> bytes = encodeMessage(g.msg);
+        EXPECT_EQ(hexOf(bytes), g.hex);
+        // The golden bytes decode, whole, to a message that keeps them.
+        size_t consumed = 0;
+        auto back = decodeMessage(bytesOf(g.hex), &consumed);
+        ASSERT_TRUE(back.ok()) << back.status().toString();
+        EXPECT_EQ(consumed, bytes.size());
+        EXPECT_EQ(hexOf(encodeMessage(back.value())), g.hex);
+    }
 }
 
 } // namespace

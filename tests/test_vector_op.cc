@@ -56,6 +56,16 @@ TEST(VectorProtocol, RequestRoundTripPreservesEverySubOp)
 
     std::vector<uint8_t> bytes = rmem::encodeMessage(rmem::Message(req));
     EXPECT_EQ(bytes.size(), rmem::encodedVectorSize(req));
+    // The worst-case response carries each sub-op's full result.
+    rmem::VectorResp resp;
+    for (const rmem::VectorSubOp &op : req.ops) {
+        rmem::VectorSubResult res;
+        res.kind = op.kind;
+        res.data.resize(op.kind == rmem::VecOpKind::kRead ? op.count : 0);
+        resp.results.push_back(res);
+    }
+    EXPECT_EQ(rmem::encodeMessage(rmem::Message(resp)).size(),
+              rmem::encodedVectorRespSize(req));
 
     auto decoded = rmem::decodeMessage(bytes);
     ASSERT_TRUE(decoded.ok()) << decoded.status().toString();
