@@ -28,15 +28,22 @@
 #     writes;
 #   - ctest -L bench_smoke (the baselined benches' BENCH_*.json) and
 #     every other bench both trees build, from a scratch directory
-#     under build-equiv/.
+#     under build-equiv/;
+#   - build/perfbench/perfbench_driver on each of the four perfbench
+#     workloads at seeds 1 and 9001 (--seconds 1 --trace 0), keeping
+#     only the fields pooled over its fixed stream seeds: the digest=
+#     and window_ops= values, the op_fail_frac line, the verdict
+#     (`correct`) and the four simulated end-to-end metrics. Trial
+#     counts and host metrics depend on the host and are left out. A
+#     reference without the driver skips this stage with a note.
 #
 # The examples are those the reference's build tree holds, so a new one
 # is covered without editing this script. A reference older than the
 # remora CLI runs, for each subcommand, the program it replaced.
 #
-# It fails on any byte difference in the probe, prof trace or example
-# output, including exit codes, and on any BENCH report that fails
-# bench_diff REF_DIR WORK_DIR, the rule the bench_baselines_match
+# It fails on any byte difference in the probe, prof trace, example or
+# perfbench output, including exit codes, and on any BENCH report that
+# fails bench_diff REF_DIR WORK_DIR, the rule the bench_baselines_match
 # ctest applies: every simulated metric equal, and each wall-clock rate
 # (marked "kind":"wall" in either report) at least a tenth of the
 # reference's. The one exception is a probe line's `schedule=` digest:
@@ -164,6 +171,33 @@ bench_identical() {
     }
 }
 
+# The pooled fields of the perfbench report on stdin (see the top).
+pooled_fields() {
+    sed -n -E \
+        -e 's/^trials=.* (window_ops=[0-9]+) .* (digest=[0-9a-f]+)$/\1 \2/p' \
+        -e '/^op_fail_frac=/p' \
+        -e 's/^\{"correct": (true|false),.*/correct=\1/p' \
+        -e '/^  (sim_ops_per_s|sim_lat_p(50|99)_us|server_cpu_util) /p'
+}
+
+# Each perfbench run's pooled fields and exit status, from the driver
+# the tree rooted at $1 built; the full reports go to directory $2.
+perfbench_outputs() {
+    local driver="$1/build/perfbench/perfbench_driver" w seed rc report
+    rm -rf "$2"
+    mkdir -p "$2"
+    for w in rmem_small dfs_dx dfs_hy dfs_dx_lossy; do
+        for seed in 1 9001; do
+            report="$2/${w}.${seed}.txt"
+            rc=0
+            "${driver}" --workload "${w}" --seed "${seed}" --seconds 1 \
+                --trace 0 >"${report}" 2>&1 || rc=$?
+            echo "perfbench ${w} seed=${seed} exit=${rc}"
+            pooled_fields <"${report}"
+        done
+    done
+}
+
 # Probe output $1 with its schedule digests blanked.
 without_schedule() {
     sed -E 's/schedule=0x[0-9a-f]+/schedule=*/' "$1"
@@ -226,6 +260,21 @@ bench_identical "${OUT}/ref/build/bench" build/bench
 # reports only when there are other benches.
 if [[ -n "$(nonsmoke_benches)" ]]; then
     bench_identical "${OUT}/bench.ref" "${OUT}/bench.work"
+fi
+
+echo "== equiv: perfbench simulated results =="
+if [[ -x "${OUT}/ref/build/perfbench/perfbench_driver" ]]; then
+    perfbench_outputs "${OUT}/ref" "${OUT}/perfbench.ref" \
+        >"${OUT}/perfbench.ref.txt"
+    perfbench_outputs . "${OUT}/perfbench.work" >"${OUT}/perfbench.work.txt"
+    if ! diff -u "${OUT}/perfbench.ref.txt" "${OUT}/perfbench.work.txt"; then
+        echo "equiv: perfbench simulated results differ from ${REF}" >&2
+        FAILED+=("perfbench")
+    else
+        echo "  $(wc -l <"${OUT}/perfbench.work.txt") perfbench lines identical"
+    fi
+else
+    echo "  note: ${REF} builds no perfbench_driver; stage skipped"
 fi
 
 echo

@@ -1068,7 +1068,7 @@ RmemEngine::expect(ReqId id, Deposit one, std::vector<Deposit> deposits,
                     sim::Promise<Reply>(node_.simulator()), 0});
     REMORA_ASSERT(inserted);
     if (timeout > 0) {
-        it->second.timeoutEvent = node_.simulator().schedule(
+        it->second.timeoutEvent = node_.simulator().scheduleTimer(
             timeout, [this, id] { fail(id, util::ErrorCode::kTimeout, true); });
     }
     return it->second.done.future();

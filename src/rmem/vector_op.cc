@@ -10,9 +10,6 @@ namespace remora::rmem {
 
 namespace {
 
-/** Bytes before a vector message's first sub-op or result. */
-constexpr size_t kVectorHeaderBytes = 4; // first octet + reqId + count
-
 /** Worst-case response bytes of one sub-op: its result, READ data full. */
 size_t
 subOpRespBytes(const VectorSubOp &op)
@@ -218,7 +215,7 @@ BatchBuilder::issue(sim::Duration timeout)
     VectorBatch batch = std::move(batch_);
     batch_ = VectorBatch{};
     haveTarget_ = false;
-    respBytes_ = 0;
+    respBytes_ = kVectorHeaderBytes;
     VectorOutcome out =
         co_await engine_.issueVector(std::move(batch), timeout);
     co_return out;

@@ -47,6 +47,9 @@ enum class VecOpKind : uint8_t
 /** Most sub-ops one kVectorOp message may carry. */
 inline constexpr size_t kMaxVectorOps = 64;
 
+/** Bytes before a vector message's first sub-op or result. */
+inline constexpr size_t kVectorHeaderBytes = 4; // first octet + reqId + count
+
 /** One sub-op as it travels on the wire. */
 struct VectorSubOp
 {
@@ -344,7 +347,8 @@ class BatchBuilder
     RmemEngine &engine_;
     VectorBatch batch_;
     bool haveTarget_ = false;
-    size_t respBytes_ = 0;
+    /** Encoded size of the batch's worst-case response. */
+    size_t respBytes_ = kVectorHeaderBytes;
 };
 
 } // namespace remora::rmem

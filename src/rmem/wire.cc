@@ -296,7 +296,7 @@ void
 Wire::armRetransmit(net::NodeId dst, uint32_t seq)
 {
     PeerTx::Unacked &u = peerTx_[dst].unacked[seq];
-    u.timer = node_.simulator().schedule(
+    u.timer = node_.simulator().scheduleTimer(
         u.nextTimeout, [this, dst, seq] { onRetransmitTimeout(dst, seq); });
 }
 

@@ -77,17 +77,18 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
         REMORA_ASSERT(inserted);
         auto fut = it->second.done.future();
         if (curTimeout > 0) {
-            it->second.timeoutEvent = sim.schedule(curTimeout, [this, xid] {
-                auto pit = pending_.find(xid);
-                if (pit == pending_.end()) {
-                    return;
-                }
-                PendingCall p = std::move(pit->second);
-                pending_.erase(pit);
-                stats_.timeouts.inc();
-                p.done.set(util::Status(util::ErrorCode::kTimeout,
-                                        "RPC timed out"));
-            });
+            it->second.timeoutEvent =
+                sim.scheduleTimer(curTimeout, [this, xid] {
+                    auto pit = pending_.find(xid);
+                    if (pit == pending_.end()) {
+                        return;
+                    }
+                    PendingCall p = std::move(pit->second);
+                    pending_.erase(pit);
+                    stats_.timeouts.inc();
+                    p.done.set(util::Status(util::ErrorCode::kTimeout,
+                                            "RPC timed out"));
+                });
         }
 
         rmem::RpcMsg msg;

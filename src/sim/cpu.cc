@@ -25,18 +25,21 @@ CpuResource::CpuResource(Simulator &sim, std::string name)
     : sim_(sim), lane_(sim.openLane()), name_(std::move(name))
 {}
 
-void
-CpuResource::post(Duration cost, CpuCategory cat, Simulator::Callback fn)
+Time
+CpuResource::charge(Duration cost, CpuCategory cat)
 {
     REMORA_ASSERT(cost >= 0);
-    Time start = std::max(sim_.now(), busyUntil_);
-    Time end = start + cost;
-    busyUntil_ = end;
+    busyUntil_ = std::max(sim_.now(), busyUntil_) + cost;
     totalBusy_ += cost;
     byCategory_[static_cast<size_t>(cat)] += cost;
-    if (fn) {
-        sim_.scheduleAt(lane_, end, std::move(fn));
-    } else if (cost > 0) {
+    return busyUntil_;
+}
+
+void
+CpuResource::post(Duration cost, CpuCategory cat)
+{
+    Time end = charge(cost, cat);
+    if (cost > 0) {
         // The completion instant still counts without a callback, so
         // simulated time never lags behind committed work: run() ends
         // the clock at a reserved key as the event would have. Under a

@@ -63,9 +63,17 @@ class CpuResource
      *
      * @param cost CPU time consumed; must be >= 0.
      * @param cat Accounting bucket the time is charged to.
-     * @param fn Invoked at completion time; may be empty.
+     * @param fn Invoked at completion time, built in its event's slot.
      */
-    void post(Duration cost, CpuCategory cat, Simulator::Callback fn = {});
+    template <EventFn F>
+    void
+    post(Duration cost, CpuCategory cat, F &&fn)
+    {
+        sim_.scheduleAt(lane_, charge(cost, cat), std::forward<F>(fn));
+    }
+
+    /** post() with nothing to invoke at completion. */
+    void post(Duration cost, CpuCategory cat);
 
     /** Awaiter of use(); see there. */
     struct [[nodiscard]] Use
@@ -126,6 +134,9 @@ class CpuResource
     Simulator &simulator() { return sim_; }
 
   private:
+    /** Account @p cost in @p cat and return when the work completes. */
+    Time charge(Duration cost, CpuCategory cat);
+
     Simulator &sim_;
     /** FCFS keeps completion times non-decreasing: one lane holds them. */
     Simulator::LaneId lane_;

@@ -129,11 +129,17 @@ Simulator::setPolicy(SchedulePolicy *policy)
         for (Lane &lane : lanes_) {
             while (lane.size > 0) {
                 HeapEntry e = lane.pop();
+                if (event(e.slot).heapPos == kDead) {
+                    freeSlot(e.slot);
+                    continue;
+                }
                 e.lane = kNoLane;
                 heapPush(e);
             }
+            lane.dead = 0;
         }
         laneBacklog_ = 0;
+        deadTimers_ = 0;
         // So do the elided polls: each becomes the event it stands for.
         for (size_t i = chainHead_; i < chains_.size(); ++i) {
             const ChainEntry &e = chains_[i];
@@ -153,14 +159,9 @@ Simulator::setStepBudget(uint64_t steps)
 }
 
 uint32_t
-Simulator::allocSlot()
+Simulator::growPool()
 {
-    if (!freeSlots_.empty()) {
-        uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slot;
-    }
-    REMORA_ASSERT(slotsUsed_ < kNotQueued);
+    REMORA_ASSERT(slotsUsed_ < kInLane);
     if ((slotsUsed_ & kChunkMask) == 0) {
         chunks_.push_back(std::make_unique<Event[]>(size_t{1} << kChunkBits));
     }
@@ -172,6 +173,7 @@ Simulator::freeSlot(uint32_t slot)
 {
     Event &ev = event(slot);
     ev.fn.reset();
+    ev.heapPos = kNotQueued;
     ++ev.gen;
     freeSlots_.push_back(slot);
 }
@@ -358,27 +360,6 @@ Simulator::pickReady(Time when)
     return readyPos_[chosen];
 }
 
-EventId
-Simulator::schedule(Duration delay, Callback fn)
-{
-    REMORA_ASSERT(delay >= 0);
-    return scheduleAt(now_ + delay, std::move(fn));
-}
-
-EventId
-Simulator::scheduleAt(Time when, Callback fn)
-{
-    REMORA_ASSERT(when >= now_);
-    return push(when, nextSeq_++, std::move(fn));
-}
-
-EventId
-Simulator::scheduleAt(EventKey key, Callback fn)
-{
-    REMORA_ASSERT(!passed(key));
-    return push(key.when, key.seq, std::move(fn));
-}
-
 Simulator::LaneId
 Simulator::openLane()
 {
@@ -386,27 +367,39 @@ Simulator::openLane()
     return static_cast<LaneId>(lanes_.size() - 1);
 }
 
-void
-Simulator::scheduleAt(LaneId lane, Time when, Callback fn)
+Simulator::LaneId
+Simulator::laneFor(LaneId lane, Time when)
 {
     REMORA_ASSERT(when >= now_ && when >= lanes_[lane].last);
     lanes_[lane].last = when;
-    push(when, nextSeq_++, std::move(fn),
-         policy_ == nullptr ? lane : kNoLane);
+    return policy_ == nullptr ? lane : kNoLane;
+}
+
+Simulator::LaneId
+Simulator::timerLane(Duration delay)
+{
+    for (const auto &[d, lane] : timerLanes_) {
+        if (d == delay) {
+            return lane;
+        }
+    }
+    timerLanes_.emplace_back(delay, openLane());
+    return timerLanes_.back().second;
 }
 
 // Inline into push(), which every scheduled event takes.
 inline EventId
-Simulator::enqueue(Time when, uint64_t seq, Callback &&fn, const DepHint &hint,
+Simulator::enqueue(uint32_t slot, Time when, uint64_t seq, const DepHint &hint,
                    LaneId lane)
 {
-    uint32_t slot = allocSlot();
     Event &ev = event(slot);
-    ev.fn = std::move(fn);
     ev.hint = hint;
     HeapEntry e{when, seq, slot, lane};
     if (lane != kNoLane && std::exchange(lanes_[lane].headQueued, true)) {
         // Never earlier than the lane's head, which sits in the heap.
+        ev.heapPos = kInLane;
+        ev.seq = seq;
+        ev.lane = lane;
         lanes_[lane].append(e);
         ++laneBacklog_;
     } else {
@@ -416,11 +409,47 @@ Simulator::enqueue(Time when, uint64_t seq, Callback &&fn, const DepHint &hint,
 }
 
 EventId
-Simulator::push(Time when, uint64_t seq, Callback fn, LaneId lane)
+Simulator::push(uint32_t slot, Time when, uint64_t seq, LaneId lane)
 {
-    EventId id = enqueue(when, seq, std::move(fn), currentHint_, lane);
+    EventId id = enqueue(slot, when, seq, currentHint_, lane);
     scheduleDigest_.mixRecord(when, "sched", seq);
     return id;
+}
+
+void
+Simulator::unqueue(size_t pos)
+{
+    LaneId id = heap_[pos].lane;
+    if (id == kNoLane) {
+        heapRemove(pos);
+        return;
+    }
+    Lane &lane = lanes_[id];
+    if (lane.size == 0) {
+        lane.headQueued = false;
+        heapRemove(pos);
+        return;
+    }
+    // The lane's next event takes its head's place. It sorts no earlier
+    // than the head, so one siftDown restores the heap.
+    event(heap_[pos].slot).heapPos = kNotQueued;
+    --laneBacklog_;
+    siftDown(pos, lane.pop());
+    dropDeadFront(lane);
+}
+
+void
+Simulator::dropDeadFront(Lane &lane)
+{
+    if (lane.dead == 0) {
+        return;
+    }
+    while (lane.size > 0 && event(lane.front().slot).heapPos == kDead) {
+        freeSlot(lane.pop().slot);
+        --lane.dead;
+        --laneBacklog_;
+        --deadTimers_;
+    }
 }
 
 void
@@ -448,7 +477,7 @@ Simulator::queueNextPoll(PollChain &c, bool elide)
 void
 Simulator::queuePoll(PollChain &c, Time when, uint64_t seq)
 {
-    c.event = enqueue(when, seq, [&c] { c.fn(); }, c.hint, kNoLane);
+    c.event = enqueue(build([&c] { c.fn(); }), when, seq, c.hint, kNoLane);
 }
 
 void
@@ -485,13 +514,25 @@ Simulator::cancel(EventId id)
     }
     auto slot = static_cast<uint32_t>(slotPlusOne - 1);
     Event &ev = event(slot);
-    if (ev.gen != static_cast<uint32_t>(id >> 32) ||
-        ev.heapPos == kNotQueued) {
+    if (ev.gen != static_cast<uint32_t>(id >> 32) || ev.heapPos >= kDead) {
         return; // already ran, running, or cancelled
     }
-    uint64_t seq = heap_[ev.heapPos].seq;
-    heapRemove(ev.heapPos);
-    freeSlot(slot);
+    uint64_t seq;
+    if (ev.heapPos == kInLane) {
+        // Behind its lane's head: unlinking it from the ring would cost a
+        // search, so it stays there dead until it reaches the front.
+        seq = ev.seq;
+        ev.fn.reset();
+        ev.heapPos = kDead;
+        Lane &lane = lanes_[ev.lane];
+        ++lane.dead;
+        ++deadTimers_;
+        dropDeadFront(lane);
+    } else {
+        seq = heap_[ev.heapPos].seq;
+        unqueue(ev.heapPos);
+        freeSlot(slot);
+    }
     scheduleDigest_.mixRecord(now_, "cancel", seq);
 }
 
@@ -528,18 +569,7 @@ Simulator::step()
         }
     }
     HeapEntry top = heap_[pos];
-    if (top.lane != kNoLane && lanes_[top.lane].size > 0) {
-        // The lane's next event takes its head's place. It sorts no
-        // earlier than the head, so one siftDown restores the heap.
-        event(top.slot).heapPos = kNotQueued;
-        --laneBacklog_;
-        siftDown(pos, lanes_[top.lane].pop());
-    } else {
-        if (top.lane != kNoLane) {
-            lanes_[top.lane].headQueued = false;
-        }
-        heapRemove(pos);
-    }
+    unqueue(pos);
     REMORA_ASSERT(top.when >= now_);
     now_ = top.when;
     runningSeq_ = top.seq;

@@ -24,12 +24,18 @@
  * Every consulted choice is folded into the schedule digest, so a
  * replayed choice vector reproduces a run bit-identically.
  *
+ * Every schedule call builds its callable straight into the event's pool
+ * slot, so a callback is moved at most once on its way there.
+ *
  * A source whose event times never decrease, such as one CPU's
  * first-come-first-served completions, may queue them on a *lane*
  * (openLane): only the lane's earliest event sits in the heap, and the
  * rest wait behind it in a FIFO. Keys still come from the one seq
  * counter, so merging the sorted lanes through the heap yields the
- * same total order as pushing every event.
+ * same total order as pushing every event. Timers of one fixed delay
+ * form such a source too (scheduleTimer): each delay gets a lane whose
+ * entries can be cancelled, a cancelled inner entry staying behind,
+ * dead, until it reaches the front.
  *
  * A spin-wait's polls, which change nothing until a store touches the
  * polled word, may run as a *poll chain* (PollChain): each poll keeps
@@ -62,6 +68,7 @@
 #include "sim/determinism.h"
 #include "sim/time.h"
 #include "sim/waitgraph.h"
+#include "util/panic.h"
 
 namespace remora::sim {
 
@@ -263,9 +270,7 @@ class Callback
                  kFitsInline<std::decay_t<F>>)
     Callback(F &&f)
     {
-        using D = std::decay_t<F>;
-        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-        ops_ = &Inline<D>::kOps;
+        build(std::forward<F>(f));
     }
 
     Callback(Callback &&other) noexcept { take(other); }
@@ -303,7 +308,35 @@ class Callback
         }
     }
 
+    /**
+     * Replace the held callable with @p f, built in place: a callable
+     * is moved (or copied) once, straight into the buffer, and a
+     * Callback hands over what it holds. Takes what the constructors
+     * take, so the same captures fail to compile.
+     */
+    template <typename F>
+        requires std::is_constructible_v<Callback, F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
+            *this = std::move(f);
+        } else {
+            reset();
+            build(std::forward<F>(f));
+        }
+    }
+
   private:
+    template <typename F>
+    void
+    build(F &&f)
+    {
+        using D = std::decay_t<F>;
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &Inline<D>::kOps;
+    }
+
     /**
      * Type-erased operations. A null relocate means the stored bytes
      * move with memcpy (trivially copyable captures); a null destroy
@@ -353,6 +386,13 @@ class Callback
 };
 
 /**
+ * What an event can run: a callable a Callback can hold (moved or
+ * copied in), or a Callback handed over.
+ */
+template <typename F>
+concept EventFn = std::is_constructible_v<Callback, F>;
+
+/**
  * A spin-wait's poll chain: the eager loop `wait(interval); interval =
  * min(2 * interval, cap)` of a coroutine polling a word for a change.
  * Simulator::schedulePoll queues its next poll. While the owner watches
@@ -380,9 +420,6 @@ struct PollChain
 class Simulator
 {
   public:
-    /** Type of all event callbacks. */
-    using Callback = sim::Callback;
-
     /** Applies the REMORA_PERTURB environment seed when set. */
     Simulator();
     Simulator(const Simulator &) = delete;
@@ -397,17 +434,53 @@ class Simulator
      * The event inherits the ambient dependency hint (see HintScope).
      *
      * @param delay Non-negative delay; zero means "later this instant".
-     * @param fn Callback to invoke.
+     * @param fn Callable to invoke, built in the event's slot.
      * @return Handle usable with cancel().
      */
-    EventId schedule(Duration delay, Callback fn);
+    template <EventFn F>
+    EventId
+    schedule(Duration delay, F &&fn)
+    {
+        REMORA_ASSERT(delay >= 0);
+        return scheduleAt(now_ + delay, std::forward<F>(fn));
+    }
 
     /**
      * Schedule @p fn at absolute time @p when (>= now).
      *
      * @return Handle usable with cancel().
      */
-    EventId scheduleAt(Time when, Callback fn);
+    template <EventFn F>
+    EventId
+    scheduleAt(Time when, F &&fn)
+    {
+        REMORA_ASSERT(when >= now_);
+        uint32_t slot = build(std::forward<F>(fn));
+        return push(slot, when, nextSeq_++, kNoLane);
+    }
+
+    /**
+     * Schedule @p fn @p delay after now, as schedule(delay, fn) would:
+     * same key, same `sched` and `cancel` records. Timers of one delay
+     * armed at a never-decreasing now() expire in arming order, so each
+     * distinct delay gets a lane and only its earliest live timer sits
+     * in the heap. Cancelling that one puts the lane's next live timer
+     * in its place; cancelling one behind it destroys its callback at
+     * once and leaves a dead entry, dropped when it reaches the front.
+     * While a SchedulePolicy is installed the timer goes straight onto
+     * the heap.
+     *
+     * @return Handle usable with cancel().
+     */
+    template <EventFn F>
+    EventId
+    scheduleTimer(Duration delay, F &&fn)
+    {
+        REMORA_ASSERT(delay >= 0);
+        LaneId lane = policy_ == nullptr ? timerLane(delay) : kNoLane;
+        uint32_t slot = build(std::forward<F>(fn));
+        return push(slot, now_ + delay, nextSeq_++, lane);
+    }
 
     /** Identifies a lane opened with openLane(). */
     using LaneId = uint32_t;
@@ -422,7 +495,14 @@ class Simulator
      * SchedulePolicy is installed it goes straight onto the heap, from
      * which the policy's ready set is gathered.
      */
-    void scheduleAt(LaneId lane, Time when, Callback fn);
+    template <EventFn F>
+    void
+    scheduleAt(LaneId lane, Time when, F &&fn)
+    {
+        LaneId queued = laneFor(lane, when);
+        uint32_t slot = build(std::forward<F>(fn));
+        push(slot, when, nextSeq_++, queued);
+    }
 
     /**
      * Reserve the key an event scheduled now at @p when (>= now) would
@@ -448,7 +528,14 @@ class Simulator
      *
      * @return Handle usable with cancel().
      */
-    EventId scheduleAt(EventKey key, Callback fn);
+    template <EventFn F>
+    EventId
+    scheduleAt(EventKey key, F &&fn)
+    {
+        REMORA_ASSERT(!passed(key));
+        uint32_t slot = build(std::forward<F>(fn));
+        return push(slot, key.when, key.seq, kNoLane);
+    }
 
     /**
      * True when an event at @p key would already have run: its time is
@@ -481,8 +568,11 @@ class Simulator
     }
 
     /**
-     * Cancel a previously scheduled event: it leaves the queue and its
-     * callback is destroyed at once.
+     * Cancel a previously scheduled event: its callback is destroyed and
+     * its `cancel` record folded at once. It leaves the queue at once
+     * too, except a timer behind its lane's front (scheduleTimer), which
+     * stays there dead, counted by pendingEvents() but not by
+     * livePendingEvents(), until it reaches the front.
      *
      * Cancelling an event that already ran, is running, or was already
      * cancelled is a harmless no-op, which lets timeout guards race
@@ -539,9 +629,8 @@ class Simulator
     uint64_t eventsProcessed() const { return processed_; }
 
     /**
-     * Number of events currently pending: the heap's, those in lane
-     * FIFOs, and one per live poll chain (its elided poll). Cancellation
-     * removes events eagerly, so this always equals livePendingEvents().
+     * Entries the queue holds: the heap's, those in lane FIFOs (dead
+     * timers among them), and one per live poll chain (its elided poll).
      */
     size_t
     pendingEvents() const
@@ -549,8 +638,11 @@ class Simulator
         return heap_.size() + laneBacklog_ + liveChains();
     }
 
-    /** Pending events that are still live (not cancelled). */
-    size_t livePendingEvents() const { return pendingEvents(); }
+    /**
+     * Pending events that will run unless cancelled: pendingEvents()
+     * less the dead timers still waiting in their lanes.
+     */
+    size_t livePendingEvents() const { return pendingEvents() - deadTimers_; }
 
     /**
      * Fold a component-level (now, kind, actor) record into the
@@ -607,7 +699,7 @@ class Simulator
      * Install @p policy (borrowed, not owned) as the same-instant
      * tie-break; replaces any perturbation policy. nullptr restores
      * insertion order. Events queued on lanes, and the pending polls of
-     * live chains, move onto the heap.
+     * live chains, move onto the heap; dead timers are dropped.
      */
     void setPolicy(SchedulePolicy *policy);
 
@@ -680,8 +772,11 @@ class Simulator
 
   private:
     /**
-     * One pool slot. A slot is free, queued (heapPos indexes heap_), or
-     * running; gen advances each time the slot is freed.
+     * One pool slot. A slot is free or running (heapPos kNotQueued),
+     * queued in the heap (heapPos indexes heap_), queued behind its
+     * lane's head (kInLane, and seq and lane say where), or a cancelled
+     * timer waiting to reach its lane's front (kDead); gen advances each
+     * time the slot is freed.
      */
     struct Event
     {
@@ -689,6 +784,8 @@ class Simulator
         DepHint hint;
         uint32_t gen = 0;
         uint32_t heapPos = kNotQueued;
+        uint64_t seq = 0;
+        LaneId lane = kNoLane;
     };
 
     /**
@@ -730,13 +827,15 @@ class Simulator
 
     /**
      * A lane: the FIFO of its events behind the one in the heap, kept in
-     * a ring whose capacity is zero or a power of two.
+     * a ring whose capacity is zero or a power of two. Its front entry,
+     * when it has one, is live.
      */
     struct Lane
     {
         std::vector<HeapEntry> ring;
         size_t first = 0; ///< Ring index of the oldest queued entry.
         size_t size = 0;
+        size_t dead = 0;         ///< Cancelled timers among the entries.
         Time last = 0;           ///< Latest time scheduled on the lane.
         bool headQueued = false; ///< Its earliest event sits in the heap.
 
@@ -755,6 +854,8 @@ class Simulator
     };
 
     static constexpr uint32_t kNotQueued = UINT32_MAX;
+    static constexpr uint32_t kDead = UINT32_MAX - 1;
+    static constexpr uint32_t kInLane = UINT32_MAX - 2;
     static constexpr LaneId kNoLane = UINT32_MAX;
     // Slots live in fixed-size chunks that never move, so a callback
     // runs in place even when the events it schedules grow the pool.
@@ -778,11 +879,44 @@ class Simulator
     /** Live chains: elided polls pending. */
     size_t liveChains() const { return chains_.size() - chainHead_; }
 
-    uint32_t allocSlot();
+    uint32_t
+    allocSlot()
+    {
+        if (freeSlots_.empty()) {
+            return growPool();
+        }
+        uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+
+    /**
+     * A free slot with @p fn built in it. A copy that throws leaves the
+     * slot empty and out of use, nothing worse.
+     */
+    template <typename F>
+    uint32_t
+    build(F &&fn)
+    {
+        uint32_t slot = allocSlot();
+        event(slot).fn.emplace(std::forward<F>(fn));
+        return slot;
+    }
+
+    uint32_t growPool();
     void freeSlot(uint32_t slot);
-    EventId push(Time when, uint64_t seq, Callback fn, LaneId lane = kNoLane);
-    EventId enqueue(Time when, uint64_t seq, Callback &&fn,
+    /** Queue the event built in @p slot at (when, seq), with its record. */
+    EventId push(uint32_t slot, Time when, uint64_t seq, LaneId lane);
+    EventId enqueue(uint32_t slot, Time when, uint64_t seq,
                     const DepHint &hint, LaneId lane);
+    /** Where an event at @p when on @p lane queues: there, or the heap. */
+    LaneId laneFor(LaneId lane, Time when);
+    /** The timer lane of @p delay, opened on first use. */
+    LaneId timerLane(Duration delay);
+    /** Take heap entry @p pos out; a lane head hands over to the next. */
+    void unqueue(size_t pos);
+    /** Free the dead timers at @p lane's front, so its front is live. */
+    void dropDeadFront(Lane &lane);
     void pruneReserved();
     void heapPush(const HeapEntry &e);
     void heapRemove(size_t pos);
@@ -825,6 +959,9 @@ class Simulator
     std::vector<HeapEntry> heap_;
     std::vector<Lane> lanes_;
     size_t laneBacklog_ = 0; ///< Entries in lane FIFOs.
+    size_t deadTimers_ = 0;  ///< Cancelled timers among them.
+    // The timer lane of each delay scheduleTimer has seen.
+    std::vector<std::pair<Duration, LaneId>> timerLanes_;
     // The elided polls of live chains, one per chain, sorted on (when,
     // seq) from chainHead_; the entries before it have run. Empty when
     // no chain is live.

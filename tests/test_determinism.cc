@@ -727,6 +727,117 @@ runSwitchedHy(sim::SchedulePolicy *policy)
     return r;
 }
 
+/**
+ * DX clients of two file servers on a switch. client5 reads attributes
+ * from "server" behind a downlink that drops every cell: its reads get
+ * no reply, so their 100 ms timeouts fire from the head of their timer
+ * lane. Behind it, client3 reads four blocks at a time from "server"
+ * while client4 reads attributes from "mirror": client4's replies
+ * overtake client3's, so some of its timeouts are cancelled behind the
+ * lane's front and wait there dead.
+ */
+RunResult
+runDxReadTimeout(sim::SchedulePolicy *policy)
+{
+    cluster::ClusterSpec spec{
+        .names = {"server", "mirror", "client3", "client4", "client5"},
+        .switched = true};
+    cluster::Cluster c(spec);
+    if (policy != nullptr) {
+        c.sim.setPolicy(policy);
+    }
+    dfs::FileStore stores[2];
+    std::vector<std::unique_ptr<dfs::FileServer>> servers;
+    dfs::FileHandle files[2];
+    for (size_t i = 0; i < 2; ++i) {
+        auto file = stores[i].createFile(stores[i].root(), "hot", 32768);
+        EXPECT_TRUE(file.ok());
+        files[i] = file.value();
+        servers.push_back(std::make_unique<dfs::FileServer>(
+            *c.engines[i], stores[i], dfs::CacheGeometry{},
+            dfs::ServiceTimes{}, rpc::Hybrid1Params{}));
+        servers.back()->warmCaches();
+        servers.back()->start();
+    }
+    c.sim.run();
+    net::FaultPlan dropAll;
+    dropAll.dropRate = 1.0;
+    std::string deadLink = "sw->" + c.nodes[4]->nic().name();
+    net::FaultInjector deadDownlink(c.sim, dropAll, deadLink);
+    for (const auto &link : c.network.links()) {
+        if (link->name() == deadLink) {
+            link->setFaultInjector(&deadDownlink);
+        }
+    }
+
+    RunResult r;
+    std::vector<std::unique_ptr<dfs::DxBackend>> dx;
+    std::vector<sim::Task<void>> loops;
+    auto client = [](sim::Simulator *s, dfs::DxBackend *backend,
+                     dfs::FileHandle fh, int ops, uint32_t readBytes,
+                     std::vector<int64_t> *done) -> sim::Task<void> {
+        for (int op = 0; op < ops; ++op) {
+            util::Status st;
+            if (readBytes == 0) {
+                st = (co_await backend->getattr(fh)).status();
+            } else {
+                st = (co_await backend->read(fh, 0, readBytes)).status();
+            }
+            done->push_back(static_cast<int64_t>(st.code()));
+            done->push_back(s->now());
+        }
+    };
+    // (node, server, ops, read bytes): the dead client starts first, so
+    // its first timeout heads the lane.
+    struct Client
+    {
+        size_t node;
+        size_t server;
+        int ops;
+        uint32_t readBytes;
+    };
+    for (Client cl : {Client{4, 0, 2, 0}, Client{2, 0, 4, 32768},
+                      Client{3, 1, 16, 0}}) {
+        mem::Process &proc = c.nodes[cl.node]->spawnProcess("clerk");
+        dx.push_back(std::make_unique<dfs::DxBackend>(
+            *c.engines[cl.node], proc, servers[cl.server]->areaHandles()));
+        loops.push_back(client(&c.sim, dx.back().get(), files[cl.server],
+                               cl.ops, cl.readBytes, &r.results));
+    }
+    size_t maxDead = 0;
+    while (c.sim.step()) {
+        maxDead = std::max(maxDead, c.sim.pendingEvents() -
+                                        c.sim.livePendingEvents());
+    }
+    c.sim.run();
+    EXPECT_EQ(maxDead > 0, policy == nullptr);
+    for (const auto &loop : loops) {
+        EXPECT_TRUE(loop.done());
+    }
+    for (const auto &engine : c.engines) {
+        r.results.push_back(
+            static_cast<int64_t>(engine->stats().timeouts.value()));
+    }
+    EXPECT_EQ(c.engines[4]->stats().timeouts.value(), 2u);
+    EXPECT_EQ(c.engines[2]->stats().timeouts.value() +
+                  c.engines[3]->stats().timeouts.value(),
+              0u);
+    finish(c.sim, r);
+    return r;
+}
+
+TEST(DeferredEvents, DxReadTimeoutsFireFromTheirTimerLane)
+{
+    // Timer lanes keep every key, record and count: the run is pinned
+    // to the schedule the heap alone gave before timers had lanes.
+    expectDeferralChangesNothing(runDxReadTimeout, 0x6ac8beb0514d0647ull,
+                                 200713000);
+    RunResult r = runDxReadTimeout(nullptr);
+    EXPECT_EQ(r.schedule, 0x2f18688fa5acc35bull);
+    EXPECT_EQ(r.events, 14212u);
+    EXPECT_EQ(r.decisions, 15u);
+}
+
 TEST(DeferredEvents, SwitchedHyClusterKeepsTheEagerPollsKeys)
 {
     // The elided run keeps the eager poll loop's schedule: its digests,

@@ -465,6 +465,20 @@ void arm(sim::Simulator &sim, Counter &c)
     EXPECT_NE(findings[0].message.find("scheduleAt"), std::string::npos);
 }
 
+TEST(LintRefCapture, RefCaptureHandedToScheduleTimerIsError)
+{
+    constexpr std::string_view kFixture = R"cc(
+void arm(sim::Simulator &sim, Counter &c)
+{
+    sim.scheduleTimer(100, [&c] { c.inc(); });
+}
+)cc";
+    auto findings = only(lintSource("fixture.cc", kFixture, coroutineOnly()),
+                         Rule::kRefCaptureDeferred);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_NE(findings[0].message.find("scheduleTimer"), std::string::npos);
+}
+
 TEST(LintRefCapture, ValueCapturesHandedToScheduleAreClean)
 {
     constexpr std::string_view kFixture = R"cc(

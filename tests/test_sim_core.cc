@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <memory>
@@ -294,6 +295,28 @@ TEST(EventCore, MoveOnlyCaptureRunsOnceAndIsDestroyedOnce)
     });
 }
 
+/** How many of the seven ways to hand an event a callable take @p F. */
+template <typename F>
+constexpr int
+sitesTaking()
+{
+    int n = 0;
+    n += requires(Callback &c, F f) { c.emplace(std::move(f)); };
+    n += requires(Simulator &s, F f) { s.schedule(0, std::move(f)); };
+    n += requires(Simulator &s, F f) { s.scheduleAt(Time{0}, std::move(f)); };
+    n += requires(Simulator &s, F f) {
+        s.scheduleAt(EventKey{}, std::move(f));
+    };
+    n += requires(Simulator &s, F f) {
+        s.scheduleAt(Simulator::LaneId{0}, Time{0}, std::move(f));
+    };
+    n += requires(Simulator &s, F f) { s.scheduleTimer(0, std::move(f)); };
+    n += requires(CpuResource &c, F f) {
+        c.post(0, CpuCategory::kOther, std::move(f));
+    };
+    return n;
+}
+
 TEST(EventCore, CallbackRefusesCapturesItCannotHoldInline)
 {
     // A callback stores every capture inline, so one that is too big or
@@ -312,6 +335,68 @@ TEST(EventCore, CallbackRefusesCapturesItCannotHoldInline)
     EXPECT_TRUE((std::is_constructible_v<Callback, decltype(fits)>));
     EXPECT_FALSE((std::is_constructible_v<Callback, decltype(tooBig)>));
     EXPECT_FALSE((std::is_constructible_v<Callback, ThrowingMove>));
+    EXPECT_EQ(sitesTaking<decltype(fits)>(), 7);
+    EXPECT_EQ(sitesTaking<Callback>(), 7);
+    EXPECT_EQ(sitesTaking<decltype(tooBig)>(), 0);
+    EXPECT_EQ(sitesTaking<ThrowingMove>(), 0);
+}
+
+/** Counts the moves and copies made of it into @p moves and @p copies. */
+struct MoveCounter
+{
+    MoveCounter(int *m, int *c) : moves(m), copies(c) {}
+    MoveCounter(MoveCounter &&o) noexcept : moves(o.moves), copies(o.copies)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &o) : moves(o.moves), copies(o.copies)
+    {
+        ++*copies;
+    }
+    MoveCounter &operator=(const MoveCounter &) = delete;
+
+    int *moves;
+    int *copies;
+};
+
+TEST(EventCore, EveryScheduleSiteMovesTheCallableOnce)
+{
+    // Each site builds the callable in its event's slot: a lambda handed
+    // over as a temporary is moved once on its way there, and never
+    // copied. The count is read when the event runs.
+    auto check = [](const char *site, auto schedule) {
+        SCOPED_TRACE(site);
+        Simulator sim;
+        CpuResource cpu(sim, "cpu");
+        int moves = 0;
+        int copies = 0;
+        int ran = -1;
+        schedule(sim, cpu, [c = MoveCounter(&moves, &copies), &ran] {
+            ran = *c.moves + *c.copies;
+        });
+        sim.run();
+        EXPECT_EQ(copies, 0);
+        EXPECT_LE(moves, 1);
+        EXPECT_EQ(ran, moves);
+    };
+    check("schedule", [](Simulator &s, CpuResource &, auto fn) {
+        s.schedule(5, std::move(fn));
+    });
+    check("scheduleAt(Time)", [](Simulator &s, CpuResource &, auto fn) {
+        s.scheduleAt(5, std::move(fn));
+    });
+    check("scheduleAt(EventKey)", [](Simulator &s, CpuResource &, auto fn) {
+        s.scheduleAt(s.reserve(5), std::move(fn));
+    });
+    check("scheduleAt(LaneId)", [](Simulator &s, CpuResource &, auto fn) {
+        s.scheduleAt(s.openLane(), 5, std::move(fn));
+    });
+    check("scheduleTimer", [](Simulator &s, CpuResource &, auto fn) {
+        s.scheduleTimer(5, std::move(fn));
+    });
+    check("post", [](Simulator &, CpuResource &cpu, auto fn) {
+        cpu.post(5, CpuCategory::kOther, std::move(fn));
+    });
 }
 
 TEST(EventCore, CancelLeavesNoTombstones)
@@ -775,21 +860,23 @@ INSTANTIATE_TEST_SUITE_P(Counts, CpuContention,
 // ----------------------------------------------------------------------
 // Lanes
 //
-// A CpuResource queues its completions on a lane, so only its earliest
-// one sits in the heap. Lanes are off while a policy is installed, so
-// an insertion-order RecordReplayPolicy (empty prefix, no fallback)
-// runs the same schedule from the heap alone: each schedule below runs
-// both ways on fresh simulators, and the runs must agree step by step.
+// A CpuResource queues its completions on a lane, and scheduleTimer its
+// timers on the lane of their delay, so only each lane's earliest event
+// sits in the heap. Lanes are off while a policy is installed, so an
+// insertion-order RecordReplayPolicy (empty prefix, no fallback) runs
+// the same schedule from the heap alone: each schedule below runs both
+// ways on fresh simulators, and the runs must agree step by step.
 // ----------------------------------------------------------------------
 
 /** What one run of a lane schedule observed. */
 struct LaneRun
 {
     std::string order;               ///< Event tags, in execution order.
-    std::vector<size_t> pending;     ///< pendingEvents() before each step.
+    std::vector<size_t> live;        ///< livePendingEvents() before each step.
     std::vector<uint64_t> decisions; ///< decisionPoints() after each step.
     uint64_t events = 0;
     Time end = 0;
+    size_t maxDead = 0; ///< Most dead timers waiting in lanes at once.
 };
 
 /**
@@ -806,30 +893,41 @@ runLaneSchedule(SchedulePolicy *policy, Build build)
     CpuResource b(sim, "b");
     LaneRun r;
     build(sim, a, b, r.order);
-    r.pending.push_back(sim.pendingEvents());
+    auto observe = [&] {
+        r.live.push_back(sim.livePendingEvents());
+        r.maxDead = std::max(r.maxDead,
+                             sim.pendingEvents() - sim.livePendingEvents());
+    };
+    observe();
     while (sim.step()) {
-        r.pending.push_back(sim.pendingEvents());
+        observe();
         r.decisions.push_back(sim.decisionPoints());
     }
+    EXPECT_EQ(sim.pendingEvents(), 0u);
     r.events = sim.eventsProcessed();
     r.end = sim.now();
     return r;
 }
 
-/** Require the lane run of @p build to match its insertion-order run. */
+/**
+ * Require the lane run of @p build to match its insertion-order run;
+ * return the most dead timers the lane run held at once.
+ */
 template <typename Build>
-void
+size_t
 expectLanesKeepTheHeapOrder(Build build)
 {
     LaneRun lanes = runLaneSchedule(nullptr, build);
     RecordReplayPolicy insertionOrder;
     LaneRun heap = runLaneSchedule(&insertionOrder, build);
     EXPECT_EQ(lanes.order, heap.order);
-    EXPECT_EQ(lanes.pending, heap.pending);
+    EXPECT_EQ(lanes.live, heap.live);
     EXPECT_EQ(lanes.decisions, heap.decisions);
     EXPECT_EQ(lanes.events, heap.events);
     EXPECT_EQ(lanes.end, heap.end);
+    EXPECT_EQ(heap.maxDead, 0u);
     EXPECT_FALSE(lanes.order.empty());
+    return lanes.maxDead;
 }
 
 /** A callback that appends @p tag to @p order. */
@@ -880,14 +978,18 @@ TEST(Lanes, ZeroCostPostsTieInsideOneLane)
 /**
  * A seeded chain of events: each one records its tag and spawns two
  * more until the count runs out. A spawn is a plain event 0, 5 or 10 us
- * later, or a post costing 0, 5 or 10 us on either CPU.
+ * later, or a post costing 0, 5 or 10 us on either CPU. With timers, a
+ * spawn may also be a timer of 0, 20 or 40 us, and one spawn in three
+ * first cancels a timer armed before it, at random: one that already
+ * ran, its lane's head, or one behind the head.
  */
 class Spawner : public std::enable_shared_from_this<Spawner>
 {
   public:
     Spawner(Simulator &sim, CpuResource &a, CpuResource &b,
-            std::string &order, uint64_t seed, int count)
-        : sim_(sim), cpus_{&a, &b}, order_(order), rng_(seed), left_(count)
+            std::string &order, uint64_t seed, int count, bool timers)
+        : sim_(sim), cpus_{&a, &b}, order_(order), rng_(seed), left_(count),
+          timers_(timers)
     {}
 
     void
@@ -904,8 +1006,14 @@ class Spawner : public std::enable_shared_from_this<Spawner>
             self->spawn();
         };
         Duration d = usec(5) * rng_.uniformInt(3);
-        uint32_t where = rng_.uniformInt(3);
-        if (where == 2) {
+        uint32_t where = rng_.uniformInt(timers_ ? 4 : 3);
+        if (timers_ && !armed_.empty() && rng_.uniformInt(3) == 0) {
+            sim_.cancel(armed_[rng_.uniformInt(
+                static_cast<uint32_t>(armed_.size()))]);
+        }
+        if (where == 3) {
+            armed_.push_back(sim_.scheduleTimer(4 * d, fn));
+        } else if (where == 2) {
             sim_.schedule(d, fn);
         } else {
             cpus_[where]->post(d, CpuCategory::kOther, fn);
@@ -918,15 +1026,18 @@ class Spawner : public std::enable_shared_from_this<Spawner>
     std::string &order_;
     Random rng_;
     int left_;
+    bool timers_;
+    std::vector<EventId> armed_;
 };
 
 /** A lane schedule of @p count spawned events from @p seed. */
 auto
-spawning(uint64_t seed, int count)
+spawning(uint64_t seed, int count, bool timers = false)
 {
-    return [seed, count](Simulator &sim, CpuResource &a, CpuResource &b,
-                         std::string &order) {
-        auto s = std::make_shared<Spawner>(sim, a, b, order, seed, count);
+    return [seed, count, timers](Simulator &sim, CpuResource &a,
+                                 CpuResource &b, std::string &order) {
+        auto s = std::make_shared<Spawner>(sim, a, b, order, seed, count,
+                                           timers);
         s->spawn();
         s->spawn();
     };
@@ -934,10 +1045,14 @@ spawning(uint64_t seed, int count)
 
 TEST(Lanes, SeededSchedulesRunInTheHeapsOrder)
 {
+    size_t dead = 0;
     for (uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE(seed);
         expectLanesKeepTheHeapOrder(spawning(seed, 200));
+        dead += expectLanesKeepTheHeapOrder(spawning(seed, 200, true));
     }
+    // The timer schedules did leave dead entries behind lane heads.
+    EXPECT_GT(dead, 0u);
 }
 
 TEST(Lanes, InstallingAPolicyMovesQueuedLaneEventsOntoTheHeap)
@@ -971,6 +1086,103 @@ TEST(Lanes, InstallingAPolicyMovesQueuedLaneEventsOntoTheHeap)
     sim.run();
     EXPECT_EQ(order, "ef");
     EXPECT_EQ(sim.decisionPoints(), 5u);
+}
+
+TEST(Lanes, TimersTieWithPlainEventsAndWithEachOther)
+{
+    expectLanesKeepTheHeapOrder([](Simulator &sim, CpuResource &a,
+                                   CpuResource &, std::string &order) {
+        // Two delays, each with ties inside its lane and with plain
+        // events and a CPU completion at 10 us; 'c' is cancelled behind
+        // its lane's head, and 'x' as the head of the other lane.
+        sim.scheduleTimer(usec(10), tagged(order, 'a'));
+        sim.schedule(usec(10), tagged(order, 'p'));
+        sim.scheduleTimer(usec(10), tagged(order, 'b'));
+        EventId c = sim.scheduleTimer(usec(10), tagged(order, 'c'));
+        EventId x = sim.scheduleTimer(usec(4), tagged(order, 'x'));
+        sim.scheduleTimer(usec(4), tagged(order, 'y'));
+        a.post(usec(10), CpuCategory::kOther, tagged(order, 'q'));
+        sim.scheduleTimer(usec(10), tagged(order, 'd'));
+        sim.cancel(c);
+        sim.cancel(x);
+        sim.schedule(usec(6), [&sim, &order] {
+            sim.scheduleTimer(usec(4), tagged(order, 'z'));
+        });
+    });
+}
+
+TEST(TimerLanes, DeadInnerTimerIsPendingButNotLive)
+{
+    // Five timers of one delay: 'a' heads the lane and 'b', 'c', 'd' and
+    // 'e' wait behind it. 'd' is cancelled there and stays, dead, until
+    // 'b' runs and 'c' takes the head: then 'd' is at the lane's front,
+    // where it is dropped.
+    Simulator sim;
+    std::string order;
+    sim.scheduleTimer(usec(10), tagged(order, 'a'));
+    sim.scheduleTimer(usec(10), tagged(order, 'b'));
+    sim.scheduleTimer(usec(10), tagged(order, 'c'));
+    EventId d = sim.scheduleTimer(usec(10), tagged(order, 'd'));
+    sim.scheduleTimer(usec(10), tagged(order, 'e'));
+    sim.cancel(d);
+    EXPECT_EQ(sim.pendingEvents(), 5u);
+    EXPECT_EQ(sim.livePendingEvents(), 4u);
+    sim.cancel(d); // a second cancel changes nothing
+    EXPECT_EQ(sim.livePendingEvents(), 4u);
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.pendingEvents(), 4u);
+    EXPECT_EQ(sim.livePendingEvents(), 3u);
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    EXPECT_EQ(sim.livePendingEvents(), 2u);
+    EXPECT_EQ(sim.run(), 2u);
+    EXPECT_EQ(order, "abce");
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_TRUE(sim.allDone());
+}
+
+TEST(TimerLanes, CancelledHeadHandsTheHeapToTheNextLiveTimer)
+{
+    // 'b' is cancelled at the lane's front, so it leaves at once; then
+    // 'a', the head, is cancelled and 'c' takes its place in the heap.
+    Simulator sim;
+    std::string order;
+    EventId a = sim.scheduleTimer(usec(10), tagged(order, 'a'));
+    EventId b = sim.scheduleTimer(usec(10), tagged(order, 'b'));
+    sim.scheduleTimer(usec(10), tagged(order, 'c'));
+    sim.schedule(usec(10), tagged(order, 'p'));
+    sim.cancel(b);
+    EXPECT_EQ(sim.pendingEvents(), 3u);
+    EXPECT_EQ(sim.livePendingEvents(), 3u);
+    sim.cancel(a);
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.run();
+    EXPECT_EQ(order, "cp");
+    EXPECT_EQ(sim.decisionPoints(), 1u);
+}
+
+TEST(TimerLanes, InstallingAPolicyDropsDeadTimers)
+{
+    // The live timers behind the head join the heap, the dead one goes,
+    // and a timer armed under the policy goes straight onto the heap.
+    Simulator sim;
+    std::string order;
+    sim.scheduleTimer(usec(10), tagged(order, 'a'));
+    sim.scheduleTimer(usec(10), tagged(order, 'b'));
+    EventId c = sim.scheduleTimer(usec(10), tagged(order, 'c'));
+    sim.scheduleTimer(usec(10), tagged(order, 'd'));
+    sim.cancel(c);
+    LastReadyPolicy last;
+    sim.setPolicy(&last);
+    EXPECT_EQ(sim.pendingEvents(), 3u);
+    EXPECT_EQ(sim.livePendingEvents(), 3u);
+    EventId e = sim.scheduleTimer(usec(10), tagged(order, 'e'));
+    sim.scheduleTimer(usec(10), tagged(order, 'f'));
+    sim.cancel(e);
+    EXPECT_EQ(sim.pendingEvents(), 4u);
+    sim.run();
+    EXPECT_EQ(order, "fdba");
+    EXPECT_EQ(last.offered.front(), (std::vector<uint64_t>{1, 2, 4, 6}));
 }
 
 // ----------------------------------------------------------------------

@@ -228,6 +228,41 @@ TEST(BatchBuilder, EnforcesFrameBudgetAndOpCount)
     EXPECT_EQ(s.code(), util::ErrorCode::kResource);
 }
 
+TEST(BatchBuilder, ResponseBudgetCountsTheResponseHeader)
+{
+    // The builder admits a READ only if the whole response, its header
+    // included, fits one frame: the largest READ it admits issues and
+    // completes, and one a byte larger is refused when it is added.
+    TwoNodeCluster c;
+    mem::Process &server = c.nodeB.spawnProcess("server");
+    mem::Process &client = c.nodeA.spawnProcess("client");
+    auto remote = makeSegment(c.engineB, server, 65536);
+    auto local = makeSegment(c.engineA, client, 65536);
+    auto read = [&](size_t count) {
+        rmem::BatchBuilder::Read op;
+        op.src = remote;
+        op.dstSeg = local.descriptor;
+        op.count = static_cast<uint16_t>(count);
+        return op;
+    };
+    size_t largest = rmem::kBlockDataMax;
+    while (!rmem::BatchBuilder(c.engineA).addRead(read(largest)).ok()) {
+        --largest;
+    }
+
+    rmem::BatchBuilder b(c.engineA);
+    util::Status over = b.addRead(read(largest + 1));
+    EXPECT_EQ(over.code(), util::ErrorCode::kResource);
+    EXPECT_EQ(over.message(), "vector response exceeds frame budget");
+    ASSERT_TRUE(b.addRead(read(largest)).ok());
+    auto task = b.issue();
+    rmem::VectorOutcome out = runToCompletion(c.sim, task);
+    ASSERT_TRUE(out.status.ok()) << out.status.toString();
+    ASSERT_EQ(out.results.size(), 1u);
+    EXPECT_EQ(out.results[0].status, util::ErrorCode::kOk);
+    EXPECT_EQ(out.results[0].data.size(), largest);
+}
+
 // ----------------------------------------------------------------------
 // End-to-end meta-instructions
 // ----------------------------------------------------------------------

@@ -398,8 +398,9 @@ refCaptureIn(const std::vector<Token> &toks, size_t open, size_t *closeOut)
  * by-reference captures dangle exactly like reference coroutine
  * parameters:
  *
- *  - arguments to `Simulator::schedule(...)` / `scheduleAt(...)`: the
- *    callback runs from the event queue after the caller returned;
+ *  - arguments to `Simulator::schedule(...)`, `scheduleAt(...)` and
+ *    `scheduleTimer(...)`: the callback runs from the event queue after
+ *    the caller returned;
  *  - coroutine lambdas (`[...](...) -> Task<...>`): the frame suspends
  *    past the enclosing scope (the spawned-task case).
  */
@@ -407,10 +408,12 @@ void
 checkRefCaptures(std::string_view path, const SourceModel &s,
                  const std::vector<Token> &toks, std::vector<Finding> &out)
 {
-    // Shape 1: lambdas in schedule/scheduleAt argument lists.
+    // Shape 1: lambdas in schedule/scheduleAt/scheduleTimer argument
+    // lists.
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
         if (!toks[i].ident() ||
-            (!toks[i].is("schedule") && !toks[i].is("scheduleAt")) ||
+            (!toks[i].is("schedule") && !toks[i].is("scheduleAt") &&
+             !toks[i].is("scheduleTimer")) ||
             !toks[i + 1].is("(")) {
             continue;
         }

@@ -62,8 +62,9 @@ enum class Rule
     kCoroutinePtrParam,
     /**
      * By-reference capture on a lambda whose frame outlives the
-     * enclosing scope: handed to Simulator::schedule/scheduleAt, or a
-     * coroutine lambda (`-> Task<...>`) that can suspend (error).
+     * enclosing scope: handed to Simulator::schedule, scheduleAt or
+     * scheduleTimer, or a coroutine lambda (`-> Task<...>`) that can
+     * suspend (error).
      */
     kRefCaptureDeferred,
     /**
