@@ -7,8 +7,9 @@
  * excluded; file handles, communication identifiers (xids), and
  * RPC/XDR marshaling overheads count as *control*; the information the
  * file-system protocol itself needs (file bytes, attributes, names,
- * link targets, directory entries) counts as *data*. Byte counts come
- * from the same encoders the simulated file service transmits with.
+ * link targets, directory entries) counts as *data*. Byte counts are
+ * util::sizeOf over the same call and reply layouts (dfs/nfs_proto.h)
+ * the simulated file service encodes and transmits.
  *
  * The paper's published reference points: the write row's control/data
  * ratio is 0.01, and the overall ratio is 0.14 ("overall, the control

@@ -138,7 +138,7 @@ main()
     auto &cpu = c.nodes[1]->cpu();
 
     // Hybrid-1 pass.
-    trace::WorkloadGen genHy(77, {}, 24);
+    trace::WorkloadGen genHy(77, 24);
     cpu.resetAccounting();
     sim::Time t0 = sim.now();
     auto hyRun = replay(&hy, &genHy, &files, fonts.value());
@@ -152,7 +152,7 @@ main()
     printBreakdown("HY", cpu, hyElapsed);
 
     // Pure-data-transfer pass, identical op stream.
-    trace::WorkloadGen genDx(77, {}, 24);
+    trace::WorkloadGen genDx(77, 24);
     cpu.resetAccounting();
     t0 = sim.now();
     auto dxRun = replay(&dx, &genDx, &files, fonts.value());

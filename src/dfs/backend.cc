@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "rpc/marshal.h"
 #include "util/panic.h"
 
 namespace remora::dfs {
@@ -15,48 +14,6 @@ constexpr sim::Duration kDxReadTimeout = sim::msec(100);
 /** Scratch deposit slots: big enough for a header + unaligned block. */
 constexpr uint32_t kScratchSlotBytes = 20480;
 constexpr uint32_t kScratchSlots = 4;
-
-/** The reply's status word (kMalformed when the body is too short). */
-util::Status
-replyStatus(rpc::Unmarshal &u)
-{
-    uint32_t code = u.getU32();
-    if (!u.ok()) {
-        return util::Status(util::ErrorCode::kMalformed, "short reply");
-    }
-    if (code != 0) {
-        return util::Status(static_cast<util::ErrorCode>(code),
-                            "server-side failure");
-    }
-    return {};
-}
-
-/** A status-only reply (NULL, WRITE), or the call's own failure. */
-util::Status
-statusReply(const util::Result<std::vector<uint8_t>> &reply)
-{
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    rpc::Unmarshal u(reply.value());
-    return replyStatus(u);
-}
-
-/** Decode a reply whose body @p decode reads after the status word. */
-template <typename T, typename Decode>
-util::Result<T>
-decodeReply(const util::Result<std::vector<uint8_t>> &reply, Decode decode)
-{
-    if (!reply.ok()) {
-        return reply.status();
-    }
-    rpc::Unmarshal u(reply.value());
-    util::Status s = replyStatus(u);
-    if (!s.ok()) {
-        return s;
-    }
-    return decode(u);
-}
 
 } // namespace
 
@@ -91,19 +48,27 @@ DxBackend::scratchSlot()
     return (scratchCursor_++ % kScratchSlots) * kScratchSlotBytes;
 }
 
-sim::Task<util::Result<std::vector<uint8_t>>>
-DxBackend::fetch(rmem::ImportedSegment area, uint64_t areaOff,
-                 uint32_t count)
+template <typename R>
+sim::Task<util::Result<DxBackend::Hit<R>>>
+DxBackend::probe(rmem::ImportedSegment area, R want, uint32_t count)
 {
     REMORA_ASSERT(count <= kScratchSlotBytes);
     uint32_t slot = scratchSlot();
     rmem::ReadOutcome out = co_await engine_.read(
-        area, static_cast<uint32_t>(areaOff), scratchSeg_, slot, count,
-        false, kDxReadTimeout);
-    if (!out.status.ok()) {
+        area, static_cast<uint32_t>(want.offset(geo_)), scratchSeg_, slot,
+        count, false, kDxReadTimeout);
+    if (out.status.code() == util::ErrorCode::kTimeout) {
         co_return out.status;
     }
-    co_return std::move(out.data);
+    if (out.status.ok()) {
+        R rec = R::decode(out.data);
+        if (rec.holds(want)) {
+            co_return Hit<R>{std::move(rec), std::move(out.data)};
+        }
+    }
+    ++misses_;
+    co_return util::Status(util::ErrorCode::kNotFound,
+                           "not in server cache");
 }
 
 sim::Task<util::Status>
@@ -116,49 +81,32 @@ DxBackend::null()
 sim::Task<util::Result<FileAttr>>
 DxBackend::getattr(FileHandle fh)
 {
-    uint32_t bucket = attrBucket(fh.key(), geo_.attrBuckets);
-    auto bytes = co_await fetch(areas_.attr,
-                                static_cast<uint64_t>(bucket) * kAttrRecBytes,
-                                kAttrRecBytes);
-    if (bytes.ok()) {
-        AttrRecord rec = AttrRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.fhKey == fh.key()) {
-            co_return rec.attr;
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
+    auto hit = co_await probe(areas_.attr, AttrRecord(fh.key()));
+    if (hit.ok()) {
+        co_return hit.value().rec.attr;
     }
-    ++misses_;
-    if (fallback_) {
+    if (fallback_ && hit.status().code() == util::ErrorCode::kNotFound) {
         co_return co_await fallback_->getattr(fh);
     }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "attr not in server cache");
+    co_return hit.status();
 }
 
 sim::Task<util::Result<LookupReply>>
 DxBackend::lookup(FileHandle dir, std::string name)
 {
-    uint32_t bucket = nameBucket(dir.key(), name, geo_.nameBuckets);
-    auto bytes = co_await fetch(areas_.name,
-                                static_cast<uint64_t>(bucket) * kNameRecBytes,
-                                kNameRecBytes);
-    if (bytes.ok()) {
-        NameLookupRecord rec = NameLookupRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.dirKey == dir.key() &&
-            rec.name == name) {
-            co_return LookupReply{FileHandle::fromKey(rec.childKey),
-                                  rec.childAttr};
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
+    // Named, not a temporary: GCC 12 destroys a temporary that owns
+    // memory twice when it is built inside a co_await operand.
+    NameLookupRecord want(dir.key(), name);
+    auto hit = co_await probe(areas_.name, std::move(want));
+    if (hit.ok()) {
+        const NameLookupRecord &rec = hit.value().rec;
+        co_return LookupReply{FileHandle::fromKey(rec.childKey),
+                              rec.childAttr};
     }
-    ++misses_;
-    if (fallback_) {
+    if (fallback_ && hit.status().code() == util::ErrorCode::kNotFound) {
         co_return co_await fallback_->lookup(dir, std::move(name));
     }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "name not in server cache");
+    co_return hit.status();
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>
@@ -167,21 +115,17 @@ DxBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
     // Plan the per-block fetches covering [offset, offset+count).
     struct BlockFetch
     {
-        uint64_t blockNo;
+        DataSlotHeader want;
         uint32_t blockOff;
         uint32_t chunk;
-        uint64_t slotOff;
     };
     std::vector<BlockFetch> plan;
     for (uint64_t pos = offset, end = offset + count; pos < end;) {
-        uint64_t blockNo = pos / kBlockBytes;
         uint32_t blockOff = static_cast<uint32_t>(pos % kBlockBytes);
         uint32_t chunk = static_cast<uint32_t>(
             std::min<uint64_t>(end - pos, kBlockBytes - blockOff));
-        uint32_t slot = dataSlot(fh.key(), blockNo, geo_.dataSlots);
         plan.push_back(BlockFetch{
-            blockNo, blockOff, chunk,
-            static_cast<uint64_t>(slot) * kDataSlotBytes});
+            DataSlotHeader(fh.key(), pos / kBlockBytes), blockOff, chunk});
         pos += chunk;
     }
 
@@ -208,7 +152,7 @@ DxBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
             const BlockFetch &b = plan[base + i];
             rmem::BatchBuilder::Read op;
             op.src = areas_.data;
-            op.srcOff = static_cast<uint32_t>(b.slotOff);
+            op.srcOff = static_cast<uint32_t>(b.want.offset(geo_));
             op.dstSeg = scratchSeg_;
             op.dstOff = static_cast<uint32_t>(i * kScratchSlotBytes);
             op.count = static_cast<uint16_t>(kDataHeaderBytes + b.blockOff +
@@ -241,8 +185,7 @@ DxBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
                                        "block fetch rejected at server");
             }
             DataSlotHeader hdr = DataSlotHeader::decode(res.data);
-            if (hdr.flag != kSlotValid || hdr.fhKey != fh.key() ||
-                hdr.blockNo != b.blockNo) {
+            if (!hdr.holds(b.want)) {
                 ++misses_;
                 if (fallback_) {
                     // One call serves the whole read and returns.
@@ -279,24 +222,22 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
     // a concurrent reader never sees a valid tag over missing bytes.
     struct BlockPut
     {
-        uint64_t blockNo;
+        /** The header to deposit: the block's key and valid extent. */
+        DataSlotHeader hdr;
         uint32_t blockOff;
         uint32_t chunk;
-        uint64_t slotOff;
         uint64_t pos;
-        uint32_t validBytes;
     };
     std::vector<BlockPut> puts;
     for (uint64_t pos = 0; pos < data.size();) {
         uint64_t abs = offset + pos;
-        uint64_t blockNo = abs / kBlockBytes;
         uint32_t blockOff = static_cast<uint32_t>(abs % kBlockBytes);
         uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(
             data.size() - pos, kBlockBytes - blockOff));
-        uint32_t slot = dataSlot(fh.key(), blockNo, geo_.dataSlots);
-        puts.push_back(BlockPut{blockNo, blockOff, chunk,
-                                static_cast<uint64_t>(slot) * kDataSlotBytes,
-                                pos, blockOff + chunk});
+        BlockPut p{DataSlotHeader(fh.key(), abs / kBlockBytes), blockOff,
+                   chunk, pos};
+        p.hdr.validBytes = blockOff + chunk;
+        puts.push_back(p);
         pos += chunk;
     }
 
@@ -321,7 +262,8 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
             for (size_t k = 0; k < partials.size(); ++k) {
                 rmem::BatchBuilder::Read op;
                 op.src = areas_.data;
-                op.srcOff = static_cast<uint32_t>(puts[partials[k]].slotOff);
+                op.srcOff = static_cast<uint32_t>(
+                    puts[partials[k]].hdr.offset(geo_));
                 op.dstSeg = scratchSeg_;
                 op.dstOff = static_cast<uint32_t>(k * kScratchSlotBytes);
                 op.count = kDataHeaderBytes;
@@ -345,9 +287,8 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
                                        "header fetch rejected at server");
             }
             DataSlotHeader old = DataSlotHeader::decode(res.data);
-            if (old.flag == kSlotValid && old.fhKey == fh.key() &&
-                old.blockNo == p.blockNo) {
-                p.validBytes = std::max(p.validBytes, old.validBytes);
+            if (old.holds(p.hdr)) {
+                p.hdr.validBytes = std::max(p.hdr.validBytes, old.validBytes);
             } else if (p.blockOff > 0) {
                 // The slot holds some other block, so the bytes below
                 // blockOff aren't ours to vouch for; depositing anyway
@@ -368,27 +309,20 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
     }
 
     std::vector<rmem::BatchBuilder::Write> subs;
-    for (const BlockPut &p : puts) {
-        uint64_t blockNo = p.blockNo;
-        uint32_t blockOff = p.blockOff;
-        uint32_t chunk = p.chunk;
-        uint64_t slotOff = p.slotOff;
+    for (BlockPut &p : puts) {
+        uint64_t slotOff = p.hdr.offset(geo_);
 
-        DataSlotHeader hdr;
-        hdr.flag = kSlotValid;
-        hdr.dirty = 1;
-        hdr.fhKey = fh.key();
-        hdr.blockNo = blockNo;
-        hdr.validBytes = p.validBytes;
+        p.hdr.flag = kSlotValid;
+        p.hdr.dirty = 1;
         std::vector<uint8_t> hdrBuf(kDataHeaderBytes);
-        hdr.encode(hdrBuf);
+        p.hdr.encode(hdrBuf);
 
         auto chunkSpan =
-            std::span<const uint8_t>(data).subspan(p.pos, chunk);
-        if (blockOff == 0) {
+            std::span<const uint8_t>(data).subspan(p.pos, p.chunk);
+        if (p.blockOff == 0) {
             // Header and data are contiguous: one sub-op.
             std::vector<uint8_t> buf;
-            buf.reserve(kDataHeaderBytes + chunk);
+            buf.reserve(kDataHeaderBytes + p.chunk);
             buf.insert(buf.end(), hdrBuf.begin(), hdrBuf.end());
             buf.insert(buf.end(), chunkSpan.begin(), chunkSpan.end());
             subs.push_back(rmem::BatchBuilder::Write{
@@ -399,7 +333,7 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
             subs.push_back(rmem::BatchBuilder::Write{
                 areas_.data,
                 static_cast<uint32_t>(slotOff + kDataHeaderBytes +
-                                      blockOff),
+                                      p.blockOff),
                 std::vector<uint8_t>(chunkSpan.begin(), chunkSpan.end()),
                 false});
             subs.push_back(rmem::BatchBuilder::Write{
@@ -436,68 +370,44 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
 sim::Task<util::Result<std::string>>
 DxBackend::readlink(FileHandle fh)
 {
-    uint32_t slot = linkSlot(fh.key(), geo_.linkSlots);
-    auto bytes = co_await fetch(areas_.link,
-                                static_cast<uint64_t>(slot) * kLinkRecBytes,
-                                kLinkRecBytes);
-    if (bytes.ok()) {
-        LinkRecord rec = LinkRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid && rec.fhKey == fh.key()) {
-            co_return rec.target;
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
+    LinkRecord want(fh.key());
+    auto hit = co_await probe(areas_.link, std::move(want));
+    if (hit.ok()) {
+        co_return std::move(hit.value().rec.target);
     }
-    ++misses_;
-    if (fallback_) {
+    if (fallback_ && hit.status().code() == util::ErrorCode::kNotFound) {
         co_return co_await fallback_->readlink(fh);
     }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "symlink not in server cache");
+    co_return hit.status();
 }
 
 sim::Task<util::Result<std::vector<DirEntry>>>
 DxBackend::readdir(FileHandle fh, uint32_t maxBytes)
 {
-    uint32_t slot = dirSlot(fh.key(), geo_.dirSlots);
     uint32_t want = std::min(maxBytes, kDirSlotBytes - kDirHeaderBytes);
-    auto bytes = co_await fetch(areas_.dir,
-                                static_cast<uint64_t>(slot) * kDirSlotBytes,
-                                kDirHeaderBytes + want);
-    if (bytes.ok()) {
-        DirSlotHeader hdr = DirSlotHeader::decode(bytes.value());
-        if (hdr.flag == kSlotValid && hdr.dirKey == fh.key()) {
-            auto packed = std::span<const uint8_t>(bytes.value())
-                              .subspan(kDirHeaderBytes);
-            co_return unpackDirEntries(packed,
-                                       std::min(hdr.bytes, want));
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
+    auto hit = co_await probe(areas_.dir, DirSlotHeader(fh.key()),
+                              kDirHeaderBytes + want);
+    if (hit.ok()) {
+        auto packed = std::span<const uint8_t>(hit.value().bytes)
+                          .subspan(kDirHeaderBytes);
+        co_return unpackDirEntries(packed,
+                                   std::min(hit.value().rec.bytes, want));
     }
-    ++misses_;
-    if (fallback_) {
+    if (fallback_ && hit.status().code() == util::ErrorCode::kNotFound) {
         co_return co_await fallback_->readdir(fh, maxBytes);
     }
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "directory not in server cache");
+    co_return hit.status();
 }
 
 sim::Task<util::Result<FsStat>>
 DxBackend::statfs()
 {
-    auto bytes = co_await fetch(areas_.stat, 0, kStatRecBytes);
-    if (bytes.ok()) {
-        StatRecord rec = StatRecord::decode(bytes.value());
-        if (rec.flag == kSlotValid) {
-            co_return rec.stat;
-        }
-    } else if (bytes.status().code() == util::ErrorCode::kTimeout) {
-        co_return bytes.status();
+    // No fallback: a miss surfaces.
+    auto hit = co_await probe(areas_.stat, StatRecord{});
+    if (!hit.ok()) {
+        co_return hit.status();
     }
-    ++misses_;
-    co_return util::Status(util::ErrorCode::kNotFound,
-                           "statistics not in server cache");
+    co_return hit.value().rec.stat;
 }
 
 // ----------------------------------------------------------------------
@@ -507,66 +417,71 @@ DxBackend::statfs()
 sim::Task<util::Status>
 MarshaledBackend::null()
 {
-    auto reply = co_await roundTrip(encodeNullCall());
-    co_return statusReply(reply);
+    auto reply = co_await roundTrip(encodeCall(NullArgs{}));
+    co_return decodeReply<NullRes>(reply).status();
 }
 
 sim::Task<util::Result<FileAttr>>
 MarshaledBackend::getattr(FileHandle fh)
 {
-    auto reply = co_await roundTrip(encodeGetAttrCall(fh));
-    co_return decodeReply<FileAttr>(reply, util::get<FileAttr>);
+    auto reply = co_await roundTrip(encodeCall(GetAttrArgs{fh}));
+    co_return decodeReply<FileAttr>(reply);
 }
 
 sim::Task<util::Result<LookupReply>>
 MarshaledBackend::lookup(FileHandle dir, std::string name)
 {
-    auto reply = co_await roundTrip(encodeLookupCall(dir, name));
-    co_return decodeReply<LookupReply>(reply, [](rpc::Unmarshal &u) {
-        FileHandle fh = util::get<FileHandle>(u);
-        return LookupReply{fh, util::get<FileAttr>(u)};
-    });
+    // Encoded before the co_await: GCC 12 destroys a temporary that owns
+    // memory twice when it is built inside a co_await operand.
+    std::vector<uint8_t> call = encodeCall(LookupArgs{dir, std::move(name)});
+    auto reply = co_await roundTrip(std::move(call));
+    co_return decodeReply<LookupReply>(reply);
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>
 MarshaledBackend::read(FileHandle fh, uint64_t offset, uint32_t count)
 {
-    auto reply = co_await roundTrip(encodeReadCall(fh, offset, count));
-    co_return decodeReply<std::vector<uint8_t>>(reply, [](rpc::Unmarshal &u) {
-        util::get<FileAttr>(u);
-        return u.getOpaque();
-    });
+    auto reply = co_await roundTrip(encodeCall(ReadArgs{fh, offset, count}));
+    auto res = decodeReply<ReadRes>(reply);
+    if (!res.ok()) {
+        co_return res.status();
+    }
+    co_return std::move(res.value().data);
 }
 
 sim::Task<util::Status>
 MarshaledBackend::write(FileHandle fh, uint64_t offset,
                         std::vector<uint8_t> data)
 {
-    auto reply = co_await roundTrip(encodeWriteCall(fh, offset, data));
-    co_return statusReply(reply);
+    std::vector<uint8_t> call =
+        encodeCall(WriteArgs{fh, offset, std::move(data)});
+    auto reply = co_await roundTrip(std::move(call));
+    co_return decodeReply<FileAttr>(reply).status();
 }
 
 sim::Task<util::Result<std::string>>
 MarshaledBackend::readlink(FileHandle fh)
 {
-    auto reply = co_await roundTrip(encodeReadLinkCall(fh));
-    co_return decodeReply<std::string>(
-        reply, [](rpc::Unmarshal &u) { return u.getString(); });
+    auto reply = co_await roundTrip(encodeCall(ReadLinkArgs{fh}));
+    auto res = decodeReply<ReadLinkRes>(reply);
+    if (!res.ok()) {
+        co_return res.status();
+    }
+    co_return std::move(res.value().target);
 }
 
 sim::Task<util::Result<std::vector<DirEntry>>>
 MarshaledBackend::readdir(FileHandle fh, uint32_t maxBytes)
 {
-    auto reply = co_await roundTrip(encodeReadDirCall(fh, maxBytes));
-    co_return decodeReply<std::vector<DirEntry>>(
-        reply, util::get<std::vector<DirEntry>>);
+    auto reply = co_await roundTrip(encodeCall(ReadDirArgs{fh, maxBytes}));
+    co_return decodeReply<std::vector<DirEntry>>(reply);
 }
 
 sim::Task<util::Result<FsStat>>
 MarshaledBackend::statfs()
 {
-    auto reply = co_await roundTrip(encodeStatFsCall(FileHandle{}));
-    co_return decodeReply<FsStat>(reply, util::get<FsStat>);
+    auto reply = co_await roundTrip(encodeCall(StatFsArgs{FileHandle{}}));
+    co_return decodeReply<FsStat>(reply);
 }
 
 sim::Task<util::Result<std::vector<uint8_t>>>

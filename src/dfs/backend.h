@@ -37,13 +37,6 @@
 
 namespace remora::dfs {
 
-/** Lookup result: handle plus attributes, like NFS diropres. */
-struct LookupReply
-{
-    FileHandle fh;
-    FileAttr attr;
-};
-
 /** Abstract clerk-to-server access path. */
 class FileServiceBackend
 {
@@ -194,11 +187,26 @@ class DxBackend : public FileServiceBackend
     uint64_t windowShrinks() const { return windowShrinks_; }
 
   private:
-    /** Remote-read @p count bytes at @p areaOff of @p area (by value:
-     *  the handle is copied into the coroutine frame, so it stays valid
-     *  across the remote-read suspension). */
-    sim::Task<util::Result<std::vector<uint8_t>>>
-    fetch(rmem::ImportedSegment area, uint64_t areaOff, uint32_t count);
+    /** A record a probe found, and the bytes it read. */
+    template <typename R>
+    struct Hit
+    {
+        R rec;
+        std::vector<uint8_t> bytes;
+    };
+
+    /**
+     * Remote-read the first @p count bytes of @p want's slot of @p area
+     * and decode its record (arguments by value: they are copied into
+     * the coroutine frame, so they stay valid across the remote-read
+     * suspension). A timeout passes through; a record that does not
+     * hold @p want's key, or any other failure, is a miss: counted in
+     * misses() and answered kNotFound.
+     */
+    template <typename R>
+    sim::Task<util::Result<Hit<R>>> probe(rmem::ImportedSegment area,
+                                          R want,
+                                          uint32_t count = R::kBytes);
 
     /** Next scratch deposit slot (rotates for concurrent ops). */
     uint32_t scratchSlot();

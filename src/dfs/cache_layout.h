@@ -1,6 +1,6 @@
 /**
  * @file
- * Layout of the server's exported cache areas (§5.1).
+ * Layout and placement of the server's exported cache areas (§5.1).
  *
  * "Our system model organizes the cache into different distinct areas,
  * each containing different types of information ... This organization
@@ -27,13 +27,20 @@
  * Each record's bytes are its one two-way layout below, which both the
  * server's writes and the clerks' reads go through; the attribute and
  * statistics blocks inside them are the NFS replies' (nfs_proto.h).
+ * Beside each layout the record states its placement once, for the
+ * server's writers, the DX probes, the scavenger and the clerks' push
+ * caches alike: offset(geo), where its slot starts in an area sized by
+ * geo; key(), the fields a record read from that slot must match for
+ * holds(want) to call it a hit of @p want (a record with only its key
+ * set); and tag(), which tells two records of one slot apart when a
+ * writer counts an eviction.
  */
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 
 #include "dfs/file_store.h"
 #include "dfs/nfs_proto.h"
@@ -77,26 +84,10 @@ inline constexpr size_t kMaxCachedNameLen = 79;
 /** Longest target a symlink record holds. */
 inline constexpr size_t kMaxLinkTargetLen = 107;
 
-// ----------------------------------------------------------------------
-// Bucket functions — identical on server and every clerk.
-// ----------------------------------------------------------------------
-
-/** Attribute-area bucket of a file handle key. */
-inline uint32_t
-attrBucket(uint64_t fhKey, uint32_t buckets)
-{
-    return static_cast<uint32_t>(util::mix64(fhKey) % buckets);
-}
-
-/** Name-area bucket of (directory key, component name). */
-inline uint32_t
-nameBucket(uint64_t dirKey, const std::string &name, uint32_t buckets)
-{
-    return static_cast<uint32_t>(
-        util::mix64(dirKey ^ util::fnv1a(name)) % buckets);
-}
-
-/** Data-area slot of (file handle key, block number). */
+/**
+ * Data-area slot of (file handle key, block number). The other areas'
+ * slots are their records' offset() alone.
+ */
 inline uint32_t
 dataSlot(uint64_t fhKey, uint64_t blockNo, uint32_t slots)
 {
@@ -104,33 +95,46 @@ dataSlot(uint64_t fhKey, uint64_t blockNo, uint32_t slots)
         util::mix64(fhKey ^ (blockNo * 0x9e3779b97f4a7c15ull)) % slots);
 }
 
-/** Directory-area slot of a directory key. */
-inline uint32_t
-dirSlot(uint64_t dirKey, uint32_t slots)
-{
-    return static_cast<uint32_t>(util::mix64(dirKey ^ 0xd1b54a32d192ed03ull) %
-                                 slots);
-}
-
-/** Symlink-area slot of a file handle key. */
-inline uint32_t
-linkSlot(uint64_t fhKey, uint32_t slots)
-{
-    return static_cast<uint32_t>(util::mix64(fhKey ^ 0x2545f4914f6cdd1dull) %
-                                 slots);
-}
-
 // ----------------------------------------------------------------------
 // Records: each encode()s into and decode()s from its fixed slot through
 // its layout, zero-filled past the last field.
 // ----------------------------------------------------------------------
 
-/** Attribute record: flag, handle tag, attributes. */
-struct AttrRecord : util::FixedRecord<AttrRecord, kAttrRecBytes>
+/** A cache-area record: a fixed slot of Bytes bytes led by its flag. */
+template <typename R, uint32_t Bytes>
+struct SlotRecord : util::FixedRecord<R, Bytes>
 {
     uint32_t flag = kSlotEmpty;
+
+    /** True when the slot holds a record. */
+    bool valid() const { return flag == kSlotValid; }
+
+    /** The hit test: valid, and exactly @p want's key(). */
+    bool
+    holds(const R &want) const
+    {
+        return valid() && static_cast<const R &>(*this).key() == want.key();
+    }
+};
+
+/** Attribute record: flag, handle tag, attributes. */
+struct AttrRecord : SlotRecord<AttrRecord, kAttrRecBytes>
+{
     uint64_t fhKey = 0;
     FileAttr attr;
+
+    explicit AttrRecord(uint64_t fh = 0) : fhKey(fh) {}
+
+    template <typename G>
+    uint64_t
+    offset(const G &geo) const
+    {
+        return util::mix64(fhKey) % geo.attrBuckets * kAttrRecBytes;
+    }
+
+    auto key() const { return std::tie(fhKey); }
+
+    uint64_t tag() const { return fhKey; }
 };
 
 template <typename Io, util::MaybeConst<AttrRecord> T>
@@ -144,13 +148,28 @@ layout(Io &io, T &rec)
 }
 
 /** Name-lookup record: flag, (dir, name) tag, child handle + attrs. */
-struct NameLookupRecord : util::FixedRecord<NameLookupRecord, kNameRecBytes>
+struct NameLookupRecord : SlotRecord<NameLookupRecord, kNameRecBytes>
 {
-    uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
     uint64_t childKey = 0;
     FileAttr childAttr;
     std::string name;
+
+    explicit NameLookupRecord(uint64_t dir = 0, std::string n = {})
+        : dirKey(dir), name(std::move(n))
+    {}
+
+    template <typename G>
+    uint64_t
+    offset(const G &geo) const
+    {
+        return util::mix64(dirKey ^ util::fnv1a(name)) % geo.nameBuckets *
+               kNameRecBytes;
+    }
+
+    auto key() const { return std::tie(dirKey, name); }
+
+    uint64_t tag() const { return dirKey ^ util::fnv1a(name); }
 };
 
 template <typename Io, util::MaybeConst<NameLookupRecord> T>
@@ -165,14 +184,38 @@ layout(Io &io, T &rec)
     io.bytes8(rec.name, kMaxCachedNameLen);
 }
 
-/** Data-slot header: flag, dirty, (handle, block) tag, valid bytes. */
-struct DataSlotHeader : util::FixedRecord<DataSlotHeader, kDataHeaderBytes>
+/**
+ * Data-slot header: flag, dirty, (handle, block) tag, valid bytes. The
+ * block's bytes follow it in the slot.
+ */
+struct DataSlotHeader : SlotRecord<DataSlotHeader, kDataHeaderBytes>
 {
-    uint32_t flag = kSlotEmpty;
     uint32_t dirty = 0;
     uint64_t fhKey = 0;
     uint64_t blockNo = 0;
     uint32_t validBytes = 0;
+
+    explicit DataSlotHeader(uint64_t fh = 0, uint64_t block = 0)
+        : fhKey(fh), blockNo(block)
+    {}
+
+    /** Byte offset of data slot @p slot. */
+    static uint64_t
+    slotOffset(uint32_t slot)
+    {
+        return static_cast<uint64_t>(slot) * kDataSlotBytes;
+    }
+
+    template <typename G>
+    uint64_t
+    offset(const G &geo) const
+    {
+        return slotOffset(dataSlot(fhKey, blockNo, geo.dataSlots));
+    }
+
+    auto key() const { return std::tie(fhKey, blockNo); }
+
+    uint64_t tag() const { return fhKey ^ blockNo; }
 };
 
 template <typename Io, util::MaybeConst<DataSlotHeader> T>
@@ -186,13 +229,29 @@ layout(Io &io, T &hdr)
     io.u32(hdr.validBytes);
 }
 
-/** Directory-slot header: flag, dir tag, packed-entry byte count. */
-struct DirSlotHeader : util::FixedRecord<DirSlotHeader, kDirHeaderBytes>
+/**
+ * Directory-slot header: flag, dir tag, packed-entry byte count. The
+ * packed entries follow it in the slot.
+ */
+struct DirSlotHeader : SlotRecord<DirSlotHeader, kDirHeaderBytes>
 {
-    uint32_t flag = kSlotEmpty;
     uint64_t dirKey = 0;
     uint32_t bytes = 0;
     uint32_t entryCount = 0;
+
+    explicit DirSlotHeader(uint64_t dir = 0) : dirKey(dir) {}
+
+    template <typename G>
+    uint64_t
+    offset(const G &geo) const
+    {
+        return util::mix64(dirKey ^ 0xd1b54a32d192ed03ull) % geo.dirSlots *
+               kDirSlotBytes;
+    }
+
+    auto key() const { return std::tie(dirKey); }
+
+    uint64_t tag() const { return dirKey; }
 };
 
 template <typename Io, util::MaybeConst<DirSlotHeader> T>
@@ -207,11 +266,24 @@ layout(Io &io, T &hdr)
 }
 
 /** Symlink record: flag, handle tag, target path. */
-struct LinkRecord : util::FixedRecord<LinkRecord, kLinkRecBytes>
+struct LinkRecord : SlotRecord<LinkRecord, kLinkRecBytes>
 {
-    uint32_t flag = kSlotEmpty;
     uint64_t fhKey = 0;
     std::string target;
+
+    explicit LinkRecord(uint64_t fh = 0) : fhKey(fh) {}
+
+    template <typename G>
+    uint64_t
+    offset(const G &geo) const
+    {
+        return util::mix64(fhKey ^ 0x2545f4914f6cdd1dull) % geo.linkSlots *
+               kLinkRecBytes;
+    }
+
+    auto key() const { return std::tie(fhKey); }
+
+    uint64_t tag() const { return fhKey; }
 };
 
 template <typename Io, util::MaybeConst<LinkRecord> T>
@@ -223,11 +295,22 @@ layout(Io &io, T &rec)
     io.bytes32(rec.target, kMaxLinkTargetLen);
 }
 
-/** Statistics record. */
-struct StatRecord : util::FixedRecord<StatRecord, kStatRecBytes>
+/**
+ * Statistics record: the area's one slot, so it has no key and no tag,
+ * and refreshing it is neither an insert nor an eviction.
+ */
+struct StatRecord : SlotRecord<StatRecord, kStatRecBytes>
 {
-    uint32_t flag = kSlotEmpty;
     FsStat stat;
+
+    template <typename G>
+    uint64_t
+    offset(const G &) const
+    {
+        return 0;
+    }
+
+    auto key() const { return std::tuple<>(); }
 };
 
 template <typename Io, util::MaybeConst<StatRecord> T>

@@ -108,10 +108,15 @@ ServerClerk::read(FileHandle fh, uint64_t offset, uint32_t count)
         return backend_.read(fh, offset, count);
     }();
     if (result.ok() && offset % kBlockBytes == 0) {
-        // Cache whole blocks from block-aligned reads.
+        // Cache whole blocks from block-aligned reads, and a short one
+        // only when the read stopped at end of file.
         const auto &data = result.value();
+        bool eof = data.size() < count;
         for (uint64_t p = 0; p < data.size(); p += kBlockBytes) {
             size_t len = std::min<size_t>(kBlockBytes, data.size() - p);
+            if (len < kBlockBytes && !eof) {
+                break;
+            }
             blockCache_[{fh.key(), offset / kBlockBytes + p / kBlockBytes}] =
                 std::vector<uint8_t>(data.begin() + static_cast<long>(p),
                                      data.begin() +
@@ -129,14 +134,21 @@ ServerClerk::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_write");
     co_await lrpc_.enterCallee();
-    if (offset % kBlockBytes == 0) {
-        for (uint64_t p = 0; p < data.size(); p += kBlockBytes) {
-            size_t len = std::min<size_t>(kBlockBytes, data.size() - p);
-            blockCache_[{fh.key(), offset / kBlockBytes + p / kBlockBytes}] =
-                std::vector<uint8_t>(data.begin() + static_cast<long>(p),
-                                     data.begin() +
-                                         static_cast<long>(p + len));
+    // A write that covers a whole block replaces it; any other block it
+    // overlaps is dropped, since its other bytes may have changed too.
+    for (uint64_t pos = 0; pos < data.size();) {
+        uint64_t abs = offset + pos;
+        uint64_t len = std::min<uint64_t>(data.size() - pos,
+                                          kBlockBytes - abs % kBlockBytes);
+        std::pair<uint64_t, uint64_t> key{fh.key(), abs / kBlockBytes};
+        if (len == kBlockBytes) {
+            auto first = data.begin() + static_cast<long>(pos);
+            blockCache_[key] =
+                std::vector<uint8_t>(first, first + static_cast<long>(len));
+        } else {
+            blockCache_.erase(key);
         }
+        pos += len;
     }
     stats_.backendCalls.inc();
     util::Status s = co_await [&] {
@@ -180,7 +192,8 @@ ServerClerk::readdir(FileHandle fh, uint32_t maxBytes)
     stats_.requests.inc();
     ClerkOp op = beginOp("clerk_readdir");
     co_await lrpc_.enterCallee();
-    if (auto it = dirCache_.find(fh.key()); it != dirCache_.end()) {
+    auto key = std::make_pair(fh.key(), maxBytes);
+    if (auto it = dirCache_.find(key); it != dirCache_.end()) {
         stats_.localHits.inc();
         std::vector<DirEntry> entries = it->second;
         co_await lrpc_.returnToCaller();
@@ -193,7 +206,7 @@ ServerClerk::readdir(FileHandle fh, uint32_t maxBytes)
         return backend_.readdir(fh, maxBytes);
     }();
     if (result.ok()) {
-        dirCache_[fh.key()] = result.value();
+        dirCache_[key] = result.value();
     }
     co_await lrpc_.returnToCaller();
     endOp(op, "clerk_readdir");

@@ -103,7 +103,8 @@ class ServerClerk
     std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>>
         blockCache_;
     std::unordered_map<uint64_t, std::string> linkCache_;
-    std::unordered_map<uint64_t, std::vector<DirEntry>> dirCache_;
+    /** Keyed by (directory, byte budget): a budget trims the listing. */
+    std::map<std::pair<uint64_t, uint32_t>, std::vector<DirEntry>> dirCache_;
 
     ClerkStats stats_;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "rpc/marshal.h"
-
 namespace remora::dfs {
 
 const char *
@@ -50,85 +48,12 @@ unpackDirEntries(std::span<const uint8_t> bytes, size_t maxBytes)
     return out;
 }
 
-namespace {
-
-rpc::Marshal
-callHeader(NfsProc proc)
-{
-    rpc::Marshal m;
-    m.putU32(static_cast<uint32_t>(proc));
-    return m;
-}
-
-} // namespace
-
 std::vector<uint8_t>
-encodeNullCall()
+encodeFailure(util::ErrorCode status)
 {
-    return callHeader(NfsProc::kNull).take();
-}
-
-std::vector<uint8_t>
-encodeGetAttrCall(FileHandle fh)
-{
-    rpc::Marshal m = callHeader(NfsProc::kGetAttr);
-    util::put(m, fh);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeLookupCall(FileHandle dir, const std::string &name)
-{
-    rpc::Marshal m = callHeader(NfsProc::kLookup);
-    util::put(m, dir);
-    m.putString(name);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeReadLinkCall(FileHandle fh)
-{
-    rpc::Marshal m = callHeader(NfsProc::kReadLink);
-    util::put(m, fh);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeReadCall(FileHandle fh, uint64_t offset, uint32_t count)
-{
-    rpc::Marshal m = callHeader(NfsProc::kRead);
-    util::put(m, fh);
-    m.putU64(offset);
-    m.putU32(count);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeWriteCall(FileHandle fh, uint64_t offset,
-                std::span<const uint8_t> data)
-{
-    rpc::Marshal m = callHeader(NfsProc::kWrite);
-    util::put(m, fh);
-    m.putU64(offset);
-    m.putOpaque(data);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeReadDirCall(FileHandle fh, uint32_t maxBytes)
-{
-    rpc::Marshal m = callHeader(NfsProc::kReadDir);
-    util::put(m, fh);
-    m.putU32(maxBytes);
-    return m.take();
-}
-
-std::vector<uint8_t>
-encodeStatFsCall(FileHandle fh)
-{
-    rpc::Marshal m = callHeader(NfsProc::kStatFs);
-    util::put(m, fh);
-    return m.take();
+    util::ByteWriter w;
+    util::put(w, ReplyHeader{status});
+    return w.take();
 }
 
 } // namespace remora::dfs

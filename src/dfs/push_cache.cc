@@ -22,12 +22,9 @@ ClerkPushCache::ClerkPushCache(rmem::RmemEngine &engine, mem::Process &owner,
 std::optional<FileAttr>
 ClerkPushCache::findAttr(FileHandle fh) const
 {
-    uint32_t bucket = attrBucket(fh.key(), geo_.attrBuckets);
-    std::vector<uint8_t> buf(kAttrRecBytes);
-    util::Status s = owner_.space().read(base_ + attrOffset(bucket), buf);
-    REMORA_ASSERT(s.ok());
-    AttrRecord rec = AttrRecord::decode(buf);
-    if (rec.flag != kSlotValid || rec.fhKey != fh.key()) {
+    AttrRecord want(fh.key());
+    AttrRecord rec = load(want);
+    if (!rec.holds(want)) {
         return std::nullopt;
     }
     ++hits_;
@@ -38,18 +35,14 @@ bool
 ClerkPushCache::findBlock(FileHandle fh, uint64_t blockNo,
                           std::vector<uint8_t> &out) const
 {
-    uint32_t slot = dataSlot(fh.key(), blockNo, geo_.dataSlots);
-    std::vector<uint8_t> hdrBuf(kDataHeaderBytes);
-    util::Status s = owner_.space().read(base_ + dataOffset(slot), hdrBuf);
-    REMORA_ASSERT(s.ok());
-    DataSlotHeader hdr = DataSlotHeader::decode(hdrBuf);
-    if (hdr.flag != kSlotValid || hdr.fhKey != fh.key() ||
-        hdr.blockNo != blockNo) {
+    DataSlotHeader want(fh.key(), blockNo);
+    DataSlotHeader hdr = load(want);
+    if (!hdr.holds(want)) {
         return false;
     }
     out.resize(hdr.validBytes);
-    s = owner_.space().read(base_ + dataOffset(slot) + kDataHeaderBytes,
-                            out);
+    util::Status s = owner_.space().read(
+        base_ + offsetOf(geo_, want) + kDataHeaderBytes, out);
     REMORA_ASSERT(s.ok());
     ++hits_;
     return true;

@@ -25,6 +25,7 @@
 #include "dfs/cache_layout.h"
 #include "dfs/file_store.h"
 #include "rmem/engine.h"
+#include "util/panic.h"
 
 namespace remora::dfs {
 
@@ -72,19 +73,20 @@ class ClerkPushCache
     /** Local hits served so far. */
     uint64_t hits() const { return hits_; }
 
-    /** Byte offset of attribute bucket @p b within the segment. */
-    uint64_t
-    attrOffset(uint32_t b) const
+    /** Byte offset of @p rec's bucket in a cache of @p geometry. */
+    static uint64_t
+    offsetOf(const PushCacheGeometry &geometry, const AttrRecord &rec)
     {
-        return static_cast<uint64_t>(b) * kAttrRecBytes;
+        return rec.offset(geometry);
     }
 
-    /** Byte offset of data slot @p s within the segment. */
-    uint64_t
-    dataOffset(uint32_t s) const
+    /** Byte offset of @p hdr's slot: the data area follows the
+     *  attribute area. */
+    static uint64_t
+    offsetOf(const PushCacheGeometry &geometry, const DataSlotHeader &hdr)
     {
-        return static_cast<uint64_t>(geo_.attrBuckets) * kAttrRecBytes +
-               static_cast<uint64_t>(s) * kDataSlotBytes;
+        return static_cast<uint64_t>(geometry.attrBuckets) * kAttrRecBytes +
+               hdr.offset(geometry);
     }
 
     /** Total segment bytes for @p geometry. */
@@ -96,6 +98,18 @@ class ClerkPushCache
     }
 
   private:
+    /** The record at @p want's slot of this cache. */
+    template <typename R>
+    R
+    load(const R &want) const
+    {
+        std::vector<uint8_t> buf(R::kBytes);
+        util::Status s =
+            owner_.space().read(base_ + offsetOf(geo_, want), buf);
+        REMORA_ASSERT(s.ok());
+        return R::decode(buf);
+    }
+
     rmem::RmemEngine &engine_;
     mem::Process &owner_;
     PushCacheGeometry geo_;

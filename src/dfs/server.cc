@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace.h"
-#include "rpc/marshal.h"
 #include "util/panic.h"
 
 namespace remora::dfs {
@@ -95,151 +94,116 @@ FileServer::attachRpcTransport(rpc::RpcTransport &transport)
 sim::Task<std::vector<uint8_t>>
 FileServer::handleBody(net::NodeId src, std::vector<uint8_t> body)
 {
-    (void)src;
     stats_.callsServed.inc();
-    rpc::Unmarshal u(body);
-    auto proc = static_cast<NfsProc>(u.getU32());
+    util::ByteReader r(body);
+    NfsProc proc = util::get<CallHeader>(r).proc;
     engine_.node().simulator().noteDigest(
         "dfs.serve",
         static_cast<uint64_t>(src) << 32 | static_cast<uint32_t>(proc));
     // Explicit span: the procedure body suspends on the CPU resource.
     obs::SpanId span = obs::beginSpan(0, engine_.node().name(), "dfs",
                                       nfsProcName(proc), obs::kv("from", src));
-    auto &cpu = engine_.node().cpu();
-
-    rpc::Marshal reply;
-    auto fail = [&reply](util::ErrorCode code) {
-        rpc::Marshal m;
-        m.putU32(static_cast<uint32_t>(code));
-        return m;
+    // The procedure's warm-cache time for @p bytes moved.
+    auto exec = [this, proc](uint64_t bytes) {
+        return engine_.node().cpu().use(times_.timeFor(proc, bytes),
+                                        sim::CpuCategory::kProcExec);
+    };
+    auto attrOf = [this](FileHandle fh) {
+        auto attr = store_.getattr(fh);
+        return attr.ok() ? attr.value() : FileAttr{};
     };
 
+    // Each case decodes its arguments and leaves the store alone when
+    // they do not decode: the call is answered kMalformed below.
+    std::vector<uint8_t> reply;
     switch (proc) {
-      case NfsProc::kNull: {
-        co_await cpu.use(times_.timeFor(proc, 0),
-                         sim::CpuCategory::kProcExec);
-        reply.putU32(0);
-        break;
-      }
-      case NfsProc::kGetAttr: {
-        FileHandle fh = util::get<FileHandle>(u);
-        co_await cpu.use(times_.timeFor(proc, 0),
-                         sim::CpuCategory::kProcExec);
-        auto attr = store_.getattr(fh);
-        if (!attr.ok()) {
-            reply = fail(attr.status().code());
-            break;
+      case NfsProc::kNull:
+        if (util::get<NullArgs>(r); r.ok()) {
+            co_await exec(0);
+            reply = encodeReply(NullRes{});
         }
-        reply.putU32(0);
-        util::put(reply, attr.value());
         break;
-      }
-      case NfsProc::kLookup: {
-        FileHandle dir = util::get<FileHandle>(u);
-        std::string name = u.getString();
-        co_await cpu.use(times_.timeFor(proc, 0),
-                         sim::CpuCategory::kProcExec);
-        auto child = store_.lookup(dir, name);
-        if (!child.ok()) {
-            reply = fail(child.status().code());
-            break;
+      case NfsProc::kGetAttr:
+        if (auto args = util::get<GetAttrArgs>(r); r.ok()) {
+            co_await exec(0);
+            auto attr = store_.getattr(args.fh);
+            reply = attr.ok() ? encodeReply(attr.value())
+                              : encodeFailure(attr.status().code());
         }
-        auto attr = store_.getattr(child.value());
-        reply.putU32(0);
-        util::put(reply, child.value());
-        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
         break;
-      }
-      case NfsProc::kReadLink: {
-        FileHandle fh = util::get<FileHandle>(u);
-        co_await cpu.use(times_.timeFor(proc, 0),
-                         sim::CpuCategory::kProcExec);
-        auto target = store_.readlink(fh);
-        if (!target.ok()) {
-            reply = fail(target.status().code());
-            break;
+      case NfsProc::kLookup:
+        if (auto args = util::get<LookupArgs>(r); r.ok()) {
+            co_await exec(0);
+            auto child = store_.lookup(args.dir, args.name);
+            reply = child.ok() ? encodeReply(LookupReply{
+                                     child.value(), attrOf(child.value())})
+                               : encodeFailure(child.status().code());
         }
-        reply.putU32(0);
-        reply.putString(target.value());
         break;
-      }
-      case NfsProc::kRead: {
-        FileHandle fh = util::get<FileHandle>(u);
-        uint64_t offset = u.getU64();
-        uint32_t count = u.getU32();
-        co_await cpu.use(times_.timeFor(proc, count),
-                         sim::CpuCategory::kProcExec);
-        auto data = store_.read(fh, offset, count);
-        if (!data.ok()) {
-            reply = fail(data.status().code());
-            break;
+      case NfsProc::kReadLink:
+        if (auto args = util::get<ReadLinkArgs>(r); r.ok()) {
+            co_await exec(0);
+            auto target = store_.readlink(args.fh);
+            reply = target.ok() ? encodeReply(ReadLinkRes{target.take()})
+                                : encodeFailure(target.status().code());
         }
-        auto attr = store_.getattr(fh);
-        reply.putU32(0);
-        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
-        reply.putOpaque(data.value());
         break;
-      }
-      case NfsProc::kWrite: {
-        FileHandle fh = util::get<FileHandle>(u);
-        uint64_t offset = u.getU64();
-        std::vector<uint8_t> data = u.getOpaque();
-        co_await cpu.use(times_.timeFor(proc, data.size()),
-                         sim::CpuCategory::kProcExec);
-        util::Status ws = store_.write(fh, offset, data);
-        if (!ws.ok()) {
-            reply = fail(ws.code());
-            break;
+      case NfsProc::kRead:
+        if (auto args = util::get<ReadArgs>(r); r.ok()) {
+            co_await exec(args.count);
+            auto data = store_.read(args.fh, args.offset, args.count);
+            reply = data.ok()
+                        ? encodeReply(ReadRes{attrOf(args.fh), data.take()})
+                        : encodeFailure(data.status().code());
         }
-        // Keep the exported caches coherent with the new contents.
-        cacheAttr(fh);
-        for (uint64_t b = offset / kBlockBytes;
-             b <= (offset + std::max<size_t>(data.size(), 1) - 1) /
-                      kBlockBytes;
-             ++b) {
-            cacheBlock(fh, b);
+        break;
+      case NfsProc::kWrite:
+        if (auto args = util::get<WriteArgs>(r); r.ok()) {
+            co_await exec(args.data.size());
+            util::Status ws = store_.write(args.fh, args.offset, args.data);
+            if (!ws.ok()) {
+                reply = encodeFailure(ws.code());
+                break;
+            }
+            // Keep the exported caches coherent with the new contents.
+            cacheAttr(args.fh);
+            uint64_t end = args.offset + std::max<size_t>(args.data.size(), 1);
+            for (uint64_t b = args.offset / kBlockBytes;
+                 b <= (end - 1) / kBlockBytes; ++b) {
+                cacheBlock(args.fh, b);
+            }
+            reply = encodeReply(attrOf(args.fh));
         }
-        auto attr = store_.getattr(fh);
-        reply.putU32(0);
-        util::put(reply, attr.ok() ? attr.value() : FileAttr{});
         break;
-      }
-      case NfsProc::kReadDir: {
-        FileHandle fh = util::get<FileHandle>(u);
-        uint32_t maxBytes = u.getU32();
-        auto entries = store_.readdir(fh);
-        if (!entries.ok()) {
-            co_await cpu.use(times_.timeFor(proc, 0),
-                             sim::CpuCategory::kProcExec);
-            reply = fail(entries.status().code());
-            break;
+      case NfsProc::kReadDir:
+        if (auto args = util::get<ReadDirArgs>(r); r.ok()) {
+            auto entries = store_.readdir(args.fh);
+            if (!entries.ok()) {
+                co_await exec(0);
+                reply = encodeFailure(entries.status().code());
+                break;
+            }
+            // Trim to the requested byte budget, whole entries only.
+            std::vector<uint8_t> packed = packDirEntries(entries.value());
+            co_await exec(std::min<uint64_t>(packed.size(), args.maxBytes));
+            reply = encodeReply(unpackDirEntries(packed, args.maxBytes));
         }
-        // Trim to the requested byte budget, whole entries only.
-        std::vector<uint8_t> packed = packDirEntries(entries.value());
-        std::vector<DirEntry> trimmed =
-            unpackDirEntries(packed, maxBytes);
-        co_await cpu.use(times_.timeFor(proc, std::min<uint64_t>(
-                                                  packed.size(), maxBytes)),
-                         sim::CpuCategory::kProcExec);
-        reply.putU32(0);
-        util::put(reply, trimmed);
         break;
-      }
-      case NfsProc::kStatFs: {
-        util::get<FileHandle>(u);
-        co_await cpu.use(times_.timeFor(proc, 0),
-                         sim::CpuCategory::kProcExec);
-        reply.putU32(0);
-        util::put(reply, store_.statfs());
+      case NfsProc::kStatFs:
+        if (util::get<StatFsArgs>(r); r.ok()) {
+            co_await exec(0);
+            reply = encodeReply(store_.statfs());
+        }
         break;
-      }
-      default: {
-        reply = fail(util::ErrorCode::kInvalidArgument);
+      default:
+        reply = encodeFailure(util::ErrorCode::kInvalidArgument);
         break;
-      }
+    }
+    if (!r.ok()) {
+        reply = encodeFailure(util::ErrorCode::kMalformed);
     }
     obs::endSpan(span);
-    co_return reply.take();
+    co_return reply;
 }
 
 // ----------------------------------------------------------------------
@@ -266,12 +230,44 @@ FileServer::loadBytes(CacheArea area, uint64_t offset,
     REMORA_ASSERT(s.ok());
 }
 
-void
-FileServer::noteInsert(uint32_t oldFlag, uint64_t oldTag, uint64_t newTag)
+template <typename R>
+std::vector<uint8_t>
+FileServer::install(CacheArea area, R rec, std::span<const uint8_t> tail)
 {
-    stats_.cacheInserts.inc();
-    if (oldFlag == kSlotValid && oldTag != newTag) {
-        stats_.cacheEvictions.inc();
+    uint64_t off = rec.offset(geo_);
+    std::vector<uint8_t> buf(R::kBytes);
+    // A record without a tag (statistics) owns its one slot: refreshing
+    // it is neither an insert nor an eviction.
+    if constexpr (requires { rec.tag(); }) {
+        loadBytes(area, off, buf);
+        R old = R::decode(buf);
+        stats_.cacheInserts.inc();
+        if (old.valid() && old.tag() != rec.tag()) {
+            stats_.cacheEvictions.inc();
+        }
+    }
+    rec.flag = kSlotValid;
+    rec.encode(buf);
+    storeBytes(area, off, buf);
+    if (!tail.empty()) {
+        storeBytes(area, off + R::kBytes, tail);
+    }
+    return buf;
+}
+
+template <typename R>
+void
+FileServer::push(const R &rec, std::span<const uint8_t> bytes)
+{
+    for (const Subscriber &sub : subscribers_) {
+        ++pushes_;
+        // Fire-and-forget remote write: no notification, no reply.
+        engine_
+            .write(sub.seg,
+                   static_cast<uint32_t>(
+                       ClerkPushCache::offsetOf(sub.geo, rec)),
+                   std::vector<uint8_t>(bytes.begin(), bytes.end()))
+            .detach();
     }
 }
 
@@ -282,22 +278,9 @@ FileServer::cacheAttr(FileHandle fh)
     if (!attr.ok()) {
         return;
     }
-    uint32_t bucket = attrBucket(fh.key(), geo_.attrBuckets);
-    uint64_t off = static_cast<uint64_t>(bucket) * kAttrRecBytes;
-
-    std::vector<uint8_t> old(kAttrRecBytes);
-    loadBytes(CacheArea::kAttr, off, old);
-    AttrRecord prev = AttrRecord::decode(old);
-    noteInsert(prev.flag, prev.fhKey, fh.key());
-
-    AttrRecord rec;
-    rec.flag = kSlotValid;
-    rec.fhKey = fh.key();
+    AttrRecord rec(fh.key());
     rec.attr = attr.value();
-    std::vector<uint8_t> buf(kAttrRecBytes);
-    rec.encode(buf);
-    storeBytes(CacheArea::kAttr, off, buf);
-    pushAttrToSubscribers(fh, buf);
+    push(rec, install(CacheArea::kAttr, rec));
 }
 
 void
@@ -308,24 +291,10 @@ FileServer::cacheName(FileHandle dir, const std::string &name)
         return;
     }
     auto attr = store_.getattr(child.value());
-    uint32_t bucket = nameBucket(dir.key(), name, geo_.nameBuckets);
-    uint64_t off = static_cast<uint64_t>(bucket) * kNameRecBytes;
-
-    std::vector<uint8_t> old(kNameRecBytes);
-    loadBytes(CacheArea::kName, off, old);
-    NameLookupRecord prev = NameLookupRecord::decode(old);
-    noteInsert(prev.flag, prev.dirKey ^ util::fnv1a(prev.name),
-               dir.key() ^ util::fnv1a(name));
-
-    NameLookupRecord rec;
-    rec.flag = kSlotValid;
-    rec.dirKey = dir.key();
+    NameLookupRecord rec(dir.key(), name);
     rec.childKey = child.value().key();
     rec.childAttr = attr.ok() ? attr.value() : FileAttr{};
-    rec.name = name;
-    std::vector<uint8_t> buf(kNameRecBytes);
-    rec.encode(buf);
-    storeBytes(CacheArea::kName, off, buf);
+    install(CacheArea::kName, std::move(rec));
 }
 
 void
@@ -335,34 +304,14 @@ FileServer::cacheBlock(FileHandle fh, uint64_t blockNo)
     if (!data.ok()) {
         return;
     }
-    uint32_t slot = dataSlot(fh.key(), blockNo, geo_.dataSlots);
-    uint64_t off = static_cast<uint64_t>(slot) * kDataSlotBytes;
-
-    std::vector<uint8_t> old(kDataHeaderBytes);
-    loadBytes(CacheArea::kData, off, old);
-    DataSlotHeader prev = DataSlotHeader::decode(old);
-    noteInsert(prev.flag, prev.fhKey ^ prev.blockNo,
-               fh.key() ^ blockNo);
-
-    DataSlotHeader hdr;
-    hdr.flag = kSlotValid;
-    hdr.dirty = 0;
-    hdr.fhKey = fh.key();
-    hdr.blockNo = blockNo;
+    DataSlotHeader hdr(fh.key(), blockNo);
     hdr.validBytes = static_cast<uint32_t>(data.value().size());
-    std::vector<uint8_t> buf(kDataHeaderBytes);
-    hdr.encode(buf);
-    storeBytes(CacheArea::kData, off, buf);
-    if (!data.value().empty()) {
-        storeBytes(CacheArea::kData, off + kDataHeaderBytes, data.value());
-    }
+    std::vector<uint8_t> slotBytes =
+        install(CacheArea::kData, hdr, data.value());
     if (!subscribers_.empty()) {
-        std::vector<uint8_t> slotBytes;
-        slotBytes.reserve(kDataHeaderBytes + data.value().size());
-        slotBytes.insert(slotBytes.end(), buf.begin(), buf.end());
         slotBytes.insert(slotBytes.end(), data.value().begin(),
                          data.value().end());
-        pushBlockToSubscribers(fh, blockNo, slotBytes);
+        push(hdr, slotBytes);
     }
 }
 
@@ -377,25 +326,10 @@ FileServer::cacheDir(FileHandle dir)
     if (packed.size() > kDirSlotBytes - kDirHeaderBytes) {
         packed.resize(kDirSlotBytes - kDirHeaderBytes);
     }
-    uint32_t slot = dirSlot(dir.key(), geo_.dirSlots);
-    uint64_t off = static_cast<uint64_t>(slot) * kDirSlotBytes;
-
-    std::vector<uint8_t> old(kDirHeaderBytes);
-    loadBytes(CacheArea::kDir, off, old);
-    DirSlotHeader prev = DirSlotHeader::decode(old);
-    noteInsert(prev.flag, prev.dirKey, dir.key());
-
-    DirSlotHeader hdr;
-    hdr.flag = kSlotValid;
-    hdr.dirKey = dir.key();
+    DirSlotHeader hdr(dir.key());
     hdr.bytes = static_cast<uint32_t>(packed.size());
     hdr.entryCount = static_cast<uint32_t>(entries.value().size());
-    std::vector<uint8_t> buf(kDirHeaderBytes);
-    hdr.encode(buf);
-    storeBytes(CacheArea::kDir, off, buf);
-    if (!packed.empty()) {
-        storeBytes(CacheArea::kDir, off + kDirHeaderBytes, packed);
-    }
+    install(CacheArea::kDir, hdr, packed);
 }
 
 void
@@ -405,32 +339,17 @@ FileServer::cacheLink(FileHandle fh)
     if (!target.ok() || target.value().size() > kMaxLinkTargetLen) {
         return;
     }
-    uint32_t slot = linkSlot(fh.key(), geo_.linkSlots);
-    uint64_t off = static_cast<uint64_t>(slot) * kLinkRecBytes;
-
-    std::vector<uint8_t> old(kLinkRecBytes);
-    loadBytes(CacheArea::kLink, off, old);
-    LinkRecord prev = LinkRecord::decode(old);
-    noteInsert(prev.flag, prev.fhKey, fh.key());
-
-    LinkRecord rec;
-    rec.flag = kSlotValid;
-    rec.fhKey = fh.key();
-    rec.target = target.value();
-    std::vector<uint8_t> buf(kLinkRecBytes);
-    rec.encode(buf);
-    storeBytes(CacheArea::kLink, off, buf);
+    LinkRecord rec(fh.key());
+    rec.target = target.take();
+    install(CacheArea::kLink, std::move(rec));
 }
 
 void
 FileServer::cacheStat()
 {
     StatRecord rec;
-    rec.flag = kSlotValid;
     rec.stat = store_.statfs();
-    std::vector<uint8_t> buf(kStatRecBytes);
-    rec.encode(buf);
-    storeBytes(CacheArea::kStat, 0, buf);
+    install(CacheArea::kStat, rec);
 }
 
 uint32_t
@@ -477,11 +396,11 @@ FileServer::scavengeDirtyBlocks()
 {
     uint64_t applied = 0;
     for (uint32_t slot = 0; slot < geo_.dataSlots; ++slot) {
-        uint64_t off = static_cast<uint64_t>(slot) * kDataSlotBytes;
+        uint64_t off = DataSlotHeader::slotOffset(slot);
         std::vector<uint8_t> hdrBuf(kDataHeaderBytes);
         loadBytes(CacheArea::kData, off, hdrBuf);
         DataSlotHeader hdr = DataSlotHeader::decode(hdrBuf);
-        if (hdr.flag != kSlotValid || hdr.dirty == 0) {
+        if (!hdr.valid() || hdr.dirty == 0) {
             continue;
         }
         std::vector<uint8_t> data(hdr.validBytes);
@@ -511,39 +430,6 @@ FileServer::subscribe(const rmem::ImportedSegment &clerkCache,
     REMORA_ASSERT(clerkCache.size >=
                   ClerkPushCache::segmentBytes(geometry));
     subscribers_.push_back(Subscriber{clerkCache, geometry});
-}
-
-void
-FileServer::pushAttrToSubscribers(FileHandle fh,
-                                  std::span<const uint8_t> record)
-{
-    for (const Subscriber &sub : subscribers_) {
-        uint32_t bucket = attrBucket(fh.key(), sub.geo.attrBuckets);
-        uint64_t off = static_cast<uint64_t>(bucket) * kAttrRecBytes;
-        ++pushes_;
-        // Fire-and-forget remote write: no notification, no reply.
-        engine_
-            .write(sub.seg, static_cast<uint32_t>(off),
-                   std::vector<uint8_t>(record.begin(), record.end()))
-            .detach();
-    }
-}
-
-void
-FileServer::pushBlockToSubscribers(FileHandle fh, uint64_t blockNo,
-                                   std::span<const uint8_t> slotBytes)
-{
-    for (const Subscriber &sub : subscribers_) {
-        uint32_t slot = dataSlot(fh.key(), blockNo, sub.geo.dataSlots);
-        uint64_t off =
-            static_cast<uint64_t>(sub.geo.attrBuckets) * kAttrRecBytes +
-            static_cast<uint64_t>(slot) * kDataSlotBytes;
-        ++pushes_;
-        engine_
-            .write(sub.seg, static_cast<uint32_t>(off),
-                   std::vector<uint8_t>(slotBytes.begin(), slotBytes.end()))
-            .detach();
-    }
 }
 
 void

@@ -185,16 +185,19 @@ class FileServer
     void loadBytes(CacheArea area, uint64_t offset,
                    std::span<uint8_t> out) const;
 
-    /** Track insert vs. eviction for a slot whose old flag word is @p old. */
-    void noteInsert(uint32_t oldFlag, uint64_t oldTag, uint64_t newTag);
+    /**
+     * Write @p rec, flagged valid, into its slot of @p area and @p tail
+     * right after it, counting the insert and any eviction of another
+     * tag. @return The record's bytes.
+     */
+    template <typename R>
+    std::vector<uint8_t> install(CacheArea area, R rec,
+                                 std::span<const uint8_t> tail = {});
 
-    /** Eagerly push an attribute record to every subscriber. */
-    void pushAttrToSubscribers(FileHandle fh,
-                               std::span<const uint8_t> record);
-
-    /** Eagerly push a data slot (header + block) to every subscriber. */
-    void pushBlockToSubscribers(FileHandle fh, uint64_t blockNo,
-                                std::span<const uint8_t> slotBytes);
+    /** Eagerly remote-write @p bytes to @p rec's slot in every
+     *  subscriber's push cache. */
+    template <typename R>
+    void push(const R &rec, std::span<const uint8_t> bytes);
 
     rmem::RmemEngine &engine_;
     FileStore &store_;

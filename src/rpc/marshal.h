@@ -5,9 +5,9 @@
  * Everything is encoded in 4-byte-aligned units, the way ONC RPC stubs
  * did; the padding and length words this adds are exactly the
  * "marshaling overheads imposed by the RPC system" that Table 1b counts
- * as control traffic, so the traffic classifier reads sizes off these
- * encoders. The marshaling cursors are the byte cursors themselves:
- * putString/putOpaque/putFixed and their getters add the XDR padding.
+ * as control traffic. The marshaling cursors are the byte cursors
+ * themselves: putString/putOpaque and their getters (the string() and
+ * opaque() fields of a layout) add the XDR padding.
  */
 #pragma once
 

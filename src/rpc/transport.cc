@@ -3,16 +3,46 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "rpc/marshal.h"
+#include "util/bytes.h"
 #include "util/panic.h"
 
 namespace remora::rpc {
 
 namespace {
 
-/** Response status octet values. */
-constexpr uint8_t kStatusOk = 0;
-constexpr uint8_t kStatusBadProc = 1;
+/** Reply status values. */
+constexpr uint32_t kStatusOk = 0;
+constexpr uint32_t kStatusBadProc = 1;
+
+/** A call's body: the procedure, then its arguments as XDR opaque. */
+struct CallBody
+{
+    uint32_t proc = 0;
+    std::vector<uint8_t> args;
+};
+
+template <typename Io, util::MaybeConst<CallBody> T>
+void
+layout(Io &io, T &body)
+{
+    io.u32(body.proc);
+    io.opaque(body.args);
+}
+
+/** A reply's body: the status, then the results as XDR opaque. */
+struct ReplyBody
+{
+    uint32_t status = kStatusOk;
+    std::vector<uint8_t> results;
+};
+
+template <typename Io, util::MaybeConst<ReplyBody> T>
+void
+layout(Io &io, T &body)
+{
+    io.u32(body.status);
+    io.opaque(body.results);
+}
 
 } // namespace
 
@@ -52,10 +82,9 @@ RpcTransport::call(net::NodeId dst, uint32_t proc, std::vector<uint8_t> args,
     obs::endSpan(blockSpan);
 
     // Marshal the request body once: every attempt sends it verbatim.
-    Marshal m;
-    m.putU32(proc);
-    m.putOpaque(args);
-    std::vector<uint8_t> body = m.take();
+    util::ByteWriter w;
+    util::put(w, CallBody{proc, std::move(args)});
+    std::vector<uint8_t> body = w.take();
 
     // A retryable call carries a cluster-unique idempotency key so the
     // server can collapse duplicate attempts into one execution.
@@ -189,16 +218,14 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
     co_await cpu.use(costs_.serverDispatch,
                      sim::CpuCategory::kControlTransfer);
 
-    Unmarshal u(body);
-    uint32_t proc = u.getU32();
-    std::vector<uint8_t> args = u.getOpaque();
+    util::ByteReader r(body);
+    auto call = util::get<CallBody>(r);
 
-    Marshal reply;
-    auto it = procs_.find(proc);
-    if (it == procs_.end() || !u.ok()) {
+    ReplyBody reply;
+    auto it = procs_.find(call.proc);
+    if (it == procs_.end() || !r.ok()) {
         stats_.badProc.inc();
-        reply.putU32(kStatusBadProc);
-        reply.putOpaque({});
+        reply.status = kStatusBadProc;
     } else {
         // Copy the handler out of procs_ before suspending: a
         // registerProc() during the awaited dispatch cost can rehash
@@ -206,16 +233,15 @@ RpcTransport::serve(net::NodeId src, uint32_t xid, uint64_t idemKey,
         Handler handler = it->second;
         // Stub invocation overhead around the handler body.
         co_await cpu.use(costs_.procInvoke, sim::CpuCategory::kProcInvoke);
-        std::vector<uint8_t> results =
-            co_await handler(src, std::move(args));
-        reply.putU32(kStatusOk);
-        reply.putOpaque(results);
+        reply.results = co_await handler(src, std::move(call.args));
     }
 
     rmem::RpcMsg msg;
     msg.xid = xid;
     msg.isResponse = true;
-    msg.body = reply.take();
+    util::ByteWriter w;
+    util::put(w, reply);
+    msg.body = w.take();
 
     // Cache the reply and answer the freshest attempt: duplicates that
     // raced in while the handler ran updated latestXid above. Re-find
@@ -272,14 +298,13 @@ RpcTransport::completeCall(uint32_t xid, std::vector<uint8_t> body)
               node = &wire_.node()]() mutable {
                  obs::endSpan(resumeSpan);
                  obs::asyncEnd(p.traceOp, node->name(), "rpc", "call");
-                 Unmarshal u(body);
-                 uint32_t status = u.getU32();
-                 std::vector<uint8_t> results = u.getOpaque();
-                 if (status != kStatusOk || !u.ok()) {
+                 util::ByteReader r(body);
+                 auto reply = util::get<ReplyBody>(r);
+                 if (reply.status != kStatusOk || !r.ok()) {
                      p.done.set(util::Status(util::ErrorCode::kInternal,
                                              "RPC failed remotely"));
                  } else {
-                     p.done.set(std::move(results));
+                     p.done.set(std::move(reply.results));
                  }
              });
 }

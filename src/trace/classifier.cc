@@ -9,21 +9,23 @@ namespace remora::trace {
 
 namespace {
 
-/** RPC communication identifier (xid), present on call and reply. */
-constexpr uint64_t kXidBytes = 4;
+/** RPC communication identifiers (xids): one on the call, one on the
+ *  reply. */
+constexpr uint64_t kXidBytes = 2 * 4;
 
-/** Wire size of a string marshaled by XDR. */
-uint64_t
-xdrString(uint64_t len)
+/**
+ * One exchange as the file service sends it: the call carrying @p args
+ * and the successful reply carrying @p res. @p data of its bytes are
+ * data; the rest, with both xids, is control.
+ */
+template <typename A>
+Traffic
+exchange(const A &args, const typename A::Res &res, uint64_t data)
 {
-    return 4 + ((len + 3) / 4) * 4;
-}
-
-/** Wire size of opaque bytes marshaled by XDR. */
-uint64_t
-xdrOpaque(uint64_t len)
-{
-    return 4 + ((len + 3) / 4) * 4;
+    uint64_t total = util::sizeOf(dfs::CallHeader{}) + util::sizeOf(args) +
+                     util::sizeOf(dfs::ReplyHeader{}) + util::sizeOf(res) +
+                     kXidBytes;
+    return Traffic{total > data ? total - data : 0, data};
 }
 
 } // namespace
@@ -32,80 +34,51 @@ Traffic
 classifyOp(OpClass cls, const OpShape &shape)
 {
     const uint64_t attr = util::sizeOf(dfs::FileAttr{});
-    const uint64_t statBlock = util::sizeOf(dfs::FsStat{});
-    const uint64_t fh = dfs::kWireFileHandleBytes;
-    const uint64_t proc = 4;   // procedure number word
-    const uint64_t status = 4; // reply status word
-    const uint64_t xids = 2 * kXidBytes;
-
-    uint64_t req = 0;
-    uint64_t resp = 0;
-    uint64_t data = 0;
+    const std::string name(shape.nameLen, 'n');
+    auto payload = [&shape] {
+        return std::vector<uint8_t>(shape.payloadBytes);
+    };
 
     switch (cls) {
       case OpClass::kGetAttr:
-        req = proc + fh;
-        resp = status + attr;
-        data = attr;
-        break;
+        return exchange(dfs::GetAttrArgs{}, {}, attr);
       case OpClass::kLookup:
-        req = proc + fh + xdrString(shape.nameLen);
-        resp = status + fh + attr;
-        data = shape.nameLen + attr;
-        break;
+        return exchange(dfs::LookupArgs{{}, name}, {}, shape.nameLen + attr);
       case OpClass::kRead:
-        req = proc + fh + 8 /*offset*/ + 4 /*count*/;
-        resp = status + attr + xdrOpaque(shape.payloadBytes);
-        data = shape.payloadBytes + attr;
-        break;
+        return exchange(dfs::ReadArgs{}, {{}, payload()},
+                        shape.payloadBytes + attr);
       case OpClass::kNullPing:
-        req = proc;
-        resp = status;
-        data = 0;
-        break;
+        return exchange(dfs::NullArgs{}, {}, 0);
       case OpClass::kReadLink:
-        req = proc + fh;
-        resp = status + xdrString(shape.targetLen);
-        data = shape.targetLen;
-        break;
+        return exchange(dfs::ReadLinkArgs{},
+                        {std::string(shape.targetLen, 't')}, shape.targetLen);
       case OpClass::kReadDir: {
-        req = proc + fh + 4 /*maxBytes*/;
-        // Packed entries average 9 bytes + name per entry; marshaled
-        // entries carry a fileid, a length word, and name padding.
-        uint64_t perPacked = 9 + shape.nameLen;
-        uint64_t entries =
-            perPacked ? shape.payloadBytes / perPacked : 0;
-        uint64_t perWire = 8 + xdrString(shape.nameLen);
-        resp = status + 4 /*count*/ + entries * perWire;
-        data = shape.payloadBytes;
-        break;
+        // The payload is the packed-entry budget: the reply marshals as
+        // many whole entries as fit in it packed, as the server trims.
+        dfs::DirEntry entry{0, name};
+        uint64_t packed = dfs::packDirEntries({entry}).size();
+        std::vector<dfs::DirEntry> entries(shape.payloadBytes / packed,
+                                           entry);
+        return exchange(dfs::ReadDirArgs{}, entries, shape.payloadBytes);
       }
       case OpClass::kStatFs:
-        req = proc + fh;
-        resp = status + statBlock;
-        data = statBlock;
-        break;
+        return exchange(dfs::StatFsArgs{}, {},
+                        util::sizeOf(dfs::FsStat{}));
       case OpClass::kWrite:
-        req = proc + fh + 8 /*offset*/ + xdrOpaque(shape.payloadBytes);
-        resp = status + attr;
-        data = shape.payloadBytes + attr;
-        break;
-      case OpClass::kOther:
-        // Miscellaneous mutating ops (setattr, create, remove, ...):
-        // handle + a small argument block in, attributes back.
-        req = proc + fh + 32;
-        resp = status + attr;
-        data = attr + 16;
-        break;
+        return exchange(dfs::WriteArgs{{}, 0, payload()}, {},
+                        shape.payloadBytes + attr);
+      case OpClass::kOther: {
+        // Miscellaneous mutating ops (setattr, create, remove, ...) have
+        // no procedure here: a handle and a 32-byte argument block in,
+        // attributes back.
+        Traffic t = exchange(dfs::GetAttrArgs{}, {}, attr + 16);
+        t.controlBytes += 32;
+        return t;
+      }
       case OpClass::kNumClasses:
         break;
     }
-
-    uint64_t total = req + resp + xids;
-    Traffic t;
-    t.dataBytes = data;
-    t.controlBytes = total > data ? total - data : 0;
-    return t;
+    return Traffic{kXidBytes, 0};
 }
 
 } // namespace remora::trace

@@ -14,9 +14,9 @@
  *    length/padding words the XDR marshaling imposes.
  *
  * Network-protocol-specific headers (UDP/IP) are excluded, exactly as
- * in the paper. Sizes are not estimated: they are measured off the same
- * encoders (dfs/nfs_proto) the file service actually sends, so the
- * classification is of real wire bytes.
+ * in the paper. Sizes are not estimated: each call and reply is counted
+ * with util::sizeOf() over the layouts (dfs/nfs_proto.h) the file
+ * service actually sends, so the classification is of real wire bytes.
  */
 #pragma once
 
@@ -52,15 +52,20 @@ struct Traffic
     }
 };
 
+/** Average component-name length of the modelled file set. */
+inline constexpr uint32_t kNameLen = 12;
+/** Average symlink-target length of the modelled file set. */
+inline constexpr uint32_t kTargetLen = 24;
+
 /** Per-operation parameters that determine its wire size. */
 struct OpShape
 {
     /** Payload bytes moved (file data, packed entries, etc.). */
     uint32_t payloadBytes = 0;
-    /** Component-name length (lookup). */
-    uint32_t nameLen = 12;
+    /** Component-name length (lookup, readdir entries). */
+    uint32_t nameLen = kNameLen;
     /** Symlink-target length (readlink). */
-    uint32_t targetLen = 24;
+    uint32_t targetLen = kTargetLen;
 };
 
 /**

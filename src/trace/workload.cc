@@ -32,16 +32,14 @@ TrafficSummary::total() const
     return t;
 }
 
-WorkloadGen::WorkloadGen(uint64_t seed, const SizeModel &sizes,
-                         uint32_t fileCount)
-    : rng_(seed), sizes_(sizes), fileCount_(fileCount),
-      classDist_(mixWeights()), filePick_(fileCount, 0.95)
+WorkloadGen::WorkloadGen(uint64_t seed, uint32_t fileCount)
+    : rng_(seed), classDist_(mixWeights()), filePick_(fileCount, 0.95)
 {
     REMORA_ASSERT(fileCount > 0);
 }
 
 uint32_t
-WorkloadGen::drawSize(const std::vector<std::pair<uint32_t, double>> &table)
+WorkloadGen::drawSize(SizeTable table)
 {
     REMORA_ASSERT(!table.empty());
     std::vector<double> w;
@@ -56,17 +54,6 @@ WorkloadGen::drawSize(const std::vector<std::pair<uint32_t, double>> &table)
     return table[dist.sample(rng_)].first;
 }
 
-OpShape
-WorkloadGen::shapeFor(OpClass cls, uint32_t bytes) const
-{
-    OpShape s;
-    s.payloadBytes = bytes;
-    s.nameLen = sizes_.nameLen;
-    s.targetLen = sizes_.targetLen;
-    (void)cls;
-    return s;
-}
-
 Op
 WorkloadGen::next()
 {
@@ -75,13 +62,13 @@ WorkloadGen::next()
     op.fileIdx = static_cast<uint32_t>(filePick_.sample(rng_));
     switch (op.cls) {
       case OpClass::kRead:
-        op.bytes = drawSize(sizes_.readSizes);
+        op.bytes = drawSize(kReadSizes);
         break;
       case OpClass::kWrite:
-        op.bytes = drawSize(sizes_.writeSizes);
+        op.bytes = drawSize(kWriteSizes);
         break;
       case OpClass::kReadDir:
-        op.bytes = drawSize(sizes_.readdirSizes);
+        op.bytes = drawSize(kReaddirSizes);
         break;
       default:
         op.bytes = 0;
@@ -99,7 +86,7 @@ WorkloadGen::replay(uint64_t ops)
         Op op = next();
         size_t idx = static_cast<size_t>(op.cls);
         ++sum.opCount[idx];
-        sum.perClass[idx] += classifyOp(op.cls, shapeFor(op.cls, op.bytes));
+        sum.perClass[idx] += classifyOp(op.cls, OpShape{op.bytes});
         ++sum.totalOps;
     }
     return sum;
@@ -116,16 +103,14 @@ WorkloadGen::replayPaperPopulation()
         // Average the size distribution exactly instead of sampling
         // millions of draws: classify one op per distinct size and
         // weight by probability.
-        auto addWeighted =
-            [&](const std::vector<std::pair<uint32_t, double>> &table) {
+        auto addWeighted = [&](SizeTable table) {
                 double wsum = 0;
                 for (const auto &[bytes, weight] : table) {
                     (void)bytes;
                     wsum += weight;
                 }
                 for (const auto &[bytes, weight] : table) {
-                    Traffic t =
-                        classifyOp(row.cls, shapeFor(row.cls, bytes));
+                    Traffic t = classifyOp(row.cls, OpShape{bytes});
                     double scale =
                         weight / wsum * static_cast<double>(row.count);
                     sum.perClass[idx].controlBytes += static_cast<uint64_t>(
@@ -136,16 +121,16 @@ WorkloadGen::replayPaperPopulation()
             };
         switch (row.cls) {
           case OpClass::kRead:
-            addWeighted(sizes_.readSizes);
+            addWeighted(kReadSizes);
             break;
           case OpClass::kWrite:
-            addWeighted(sizes_.writeSizes);
+            addWeighted(kWriteSizes);
             break;
           case OpClass::kReadDir:
-            addWeighted(sizes_.readdirSizes);
+            addWeighted(kReaddirSizes);
             break;
           default: {
-            Traffic t = classifyOp(row.cls, shapeFor(row.cls, 0));
+            Traffic t = classifyOp(row.cls, OpShape{});
             sum.perClass[idx].controlBytes += t.controlBytes * row.count;
             sum.perClass[idx].dataBytes += t.dataBytes * row.count;
             break;

@@ -3,7 +3,7 @@
  * Synthetic NFS workload generator.
  *
  * Draws an operation stream whose class distribution follows Table 1a
- * and whose transfer sizes follow a configurable model of the
+ * and whose transfer sizes follow a fixed model of the
  * departmental server's exported partitions (mostly read-only fonts,
  * source trees, and /usr binaries). Two uses:
  *
@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dfs/file_store.h"
@@ -26,28 +28,22 @@
 
 namespace remora::trace {
 
-/** Transfer-size model of the workload. */
-struct SizeModel
-{
-    /**
-     * Read sizes (bytes) and their weights. Mean ~2.2 KB, calibrated so
-     * the Table 1b overall control/data ratio lands at the published
-     * 0.14 (the 1994 server's size distribution is unpublished; see
-     * EXPERIMENTS.md).
-     */
-    std::vector<std::pair<uint32_t, double>> readSizes = {
-        {512, 0.30}, {1024, 0.25}, {2048, 0.20}, {4096, 0.15}, {8192, 0.10}};
-    /** Write sizes (bytes) and their weights. */
-    std::vector<std::pair<uint32_t, double>> writeSizes = {{4096, 0.5},
-                                                           {8192, 0.5}};
-    /** Readdir reply sizes (bytes) and their weights. */
-    std::vector<std::pair<uint32_t, double>> readdirSizes = {
-        {512, 0.4}, {1024, 0.35}, {4096, 0.25}};
-    /** Average component-name length. */
-    uint32_t nameLen = 12;
-    /** Average symlink-target length. */
-    uint32_t targetLen = 24;
-};
+/** A weighted table of transfer sizes: (bytes, weight) rows. */
+using SizeTable = std::span<const std::pair<uint32_t, double>>;
+
+/**
+ * Read sizes (bytes) and their weights. Mean ~2.2 KB, calibrated so the
+ * Table 1b overall control/data ratio lands at the published 0.14 (the
+ * 1994 server's size distribution is unpublished; see EXPERIMENTS.md).
+ */
+inline constexpr std::pair<uint32_t, double> kReadSizes[] = {
+    {512, 0.30}, {1024, 0.25}, {2048, 0.20}, {4096, 0.15}, {8192, 0.10}};
+/** Write sizes (bytes) and their weights. */
+inline constexpr std::pair<uint32_t, double> kWriteSizes[] = {{4096, 0.5},
+                                                             {8192, 0.5}};
+/** Readdir reply sizes (bytes) and their weights. */
+inline constexpr std::pair<uint32_t, double> kReaddirSizes[] = {
+    {512, 0.4}, {1024, 0.35}, {4096, 0.25}};
 
 /** One drawn operation. */
 struct Op
@@ -78,12 +74,10 @@ class WorkloadGen
   public:
     /**
      * @param seed Deterministic stream seed.
-     * @param sizes Transfer-size model.
      * @param fileCount Size of the synthetic file population (targets
      *        are drawn Zipf-skewed, hot files first).
      */
-    explicit WorkloadGen(uint64_t seed, const SizeModel &sizes = {},
-                         uint32_t fileCount = 64);
+    explicit WorkloadGen(uint64_t seed, uint32_t fileCount = 64);
 
     /** Draw the next operation. */
     Op next();
@@ -96,24 +90,16 @@ class WorkloadGen
 
     /**
      * Classify the *exact* Table 1a population: every published call,
-     * with sizes drawn from the size model per class (this is how the
+     * with sizes weighted by the size tables per class (this is how the
      * Table 1b reproduction is computed; no sampling noise on counts).
      */
     TrafficSummary replayPaperPopulation();
 
-    /** The size model in force. */
-    const SizeModel &sizes() const { return sizes_; }
-
   private:
     /** Draw a size from a weighted table. */
-    uint32_t drawSize(const std::vector<std::pair<uint32_t, double>> &table);
-
-    /** Shape for one op of @p cls. */
-    OpShape shapeFor(OpClass cls, uint32_t bytes) const;
+    uint32_t drawSize(SizeTable table);
 
     sim::Random rng_;
-    SizeModel sizes_;
-    uint32_t fileCount_;
     sim::Random::Discrete classDist_;
     sim::Random::Zipf filePick_;
 };

@@ -47,12 +47,6 @@ void
 ByteWriter::putOpaque(std::span<const uint8_t> data)
 {
     putU32(static_cast<uint32_t>(data.size()));
-    putFixed(data);
-}
-
-void
-ByteWriter::putFixed(std::span<const uint8_t> data)
-{
     putBytes(data);
     putZeros((4 - (data.size() % 4)) % 4);
 }
@@ -147,12 +141,7 @@ ByteReader::getString()
 std::vector<uint8_t>
 ByteReader::getOpaque()
 {
-    return getFixed(getU32());
-}
-
-std::vector<uint8_t>
-ByteReader::getFixed(size_t len)
-{
+    uint32_t len = getU32();
     auto view = viewBytes(len);
     std::vector<uint8_t> out(view.begin(), view.end());
     skip((4 - (len % 4)) % 4);

@@ -75,9 +75,6 @@ class ByteWriter
     /** Append length-prefixed (u32) opaque bytes, padded to 4 bytes. */
     void putOpaque(std::span<const uint8_t> data);
 
-    /** Append fixed-length opaque bytes, padded to 4 bytes. */
-    void putFixed(std::span<const uint8_t> data);
-
     /** Number of bytes encoded so far. */
     size_t size() const { return buf_.size(); }
 
@@ -102,6 +99,7 @@ class ByteCounter
     void putBytes(std::span<const uint8_t> data) { size_ += data.size(); }
     void putZeros(size_t count) { size_ += count; }
     void putString(const std::string &s) { size_ += 4 + padded(s.size()); }
+    void putOpaque(std::span<const uint8_t> d) { size_ += 4 + padded(d.size()); }
 
     /** Bytes counted so far. */
     size_t size() const { return size_; }
@@ -147,9 +145,6 @@ class ByteReader
 
     /** Decode u32-length-prefixed, 4-byte-padded opaque bytes. */
     std::vector<uint8_t> getOpaque();
-
-    /** Decode @p len fixed-length opaque bytes and their padding. */
-    std::vector<uint8_t> getFixed(size_t len);
 
     /** Skip @p count bytes. */
     void skip(size_t count);
@@ -237,6 +232,9 @@ class PutTo
 
     /** An XDR string: u32 length, the bytes, zeros to a 4-byte boundary. */
     void string(const std::string &s) { w_.putString(s); }
+
+    /** XDR opaque bytes: laid out as string() lays out a string. */
+    void opaque(std::span<const uint8_t> v) { w_.putOpaque(v); }
 
     /** @p n bytes of zeros; decoding skips them. */
     void pad(size_t n) { w_.putZeros(n); }
@@ -357,6 +355,8 @@ class Get
     void bytes32(C &c, size_t max = SIZE_MAX) { take(c, r_.getU32(), max); }
 
     void string(std::string &s) { s = r_.getString(); }
+
+    void opaque(std::vector<uint8_t> &v) { v = r_.getOpaque(); }
 
     void pad(size_t n) { r_.skip(n); }
 

@@ -188,9 +188,12 @@ TEST(CacheLayout, EveryRecordKeepsItsBytes)
 
 TEST(CacheLayout, BucketFunctionsAreDeterministic)
 {
-    EXPECT_EQ(dfs::attrBucket(7, 128), dfs::attrBucket(7, 128));
-    EXPECT_EQ(dfs::nameBucket(1, "x", 64), dfs::nameBucket(1, "x", 64));
-    EXPECT_NE(dfs::nameBucket(1, "x", 1024), dfs::nameBucket(1, "y", 1024));
+    dfs::CacheGeometry geo;
+    EXPECT_EQ(dfs::AttrRecord(7).offset(geo), dfs::AttrRecord(7).offset(geo));
+    EXPECT_EQ(dfs::NameLookupRecord(1, "x").offset(geo),
+              dfs::NameLookupRecord(1, "x").offset(geo));
+    EXPECT_NE(dfs::NameLookupRecord(1, "x").offset(geo),
+              dfs::NameLookupRecord(1, "y").offset(geo));
     EXPECT_LT(dfs::dataSlot(3, 5, 16), 16u);
 }
 
@@ -215,14 +218,14 @@ struct DfsFixture
     dfs::FileHandle dir;
     dfs::FileHandle link;
 
-    DfsFixture()
-        : server(cluster.engineB, store),
+    explicit DfsFixture(const dfs::CacheGeometry &geometry = {})
+        : server(cluster.engineB, store, geometry),
           clerkProc(cluster.nodeA.spawnProcess("clerk")),
           hyClient(cluster.engineA, clerkProc, server.hybridHandle(),
                    server.allocClientSlot()),
           hy(hyClient),
-          dx(cluster.engineA, clerkProc, server.areaHandles(),
-             dfs::CacheGeometry{}, &hyClient),
+          dx(cluster.engineA, clerkProc, server.areaHandles(), geometry,
+             &hyClient),
           clientRpc(cluster.engineA.wire()),
           serverRpc(cluster.engineB.wire()), rpc(clientRpc, 2)
     {
@@ -248,6 +251,151 @@ struct DfsFixture
         cluster.sim.run();
     }
 };
+
+/**
+ * A MarshaledBackend wired straight to a server's dispatcher. It keeps
+ * the last call and reply bodies, can cut each reply short, and with
+ * dispatch off only records the call.
+ */
+class TapBackend : public dfs::MarshaledBackend
+{
+  public:
+    explicit TapBackend(dfs::FileServer &server) : server_(server) {}
+
+    const char *name() const override { return "tap"; }
+
+    /** The last call body sent. */
+    std::vector<uint8_t> call;
+    /** The last reply body the server gave. */
+    std::vector<uint8_t> reply;
+    /** Bytes to drop from the end of each reply before decoding. */
+    size_t cut = 0;
+    /** False: record the call, answer with an empty body. */
+    bool dispatch = true;
+
+  protected:
+    sim::Task<util::Result<std::vector<uint8_t>>>
+    roundTrip(std::vector<uint8_t> body) override
+    {
+        call = body;
+        reply.clear();
+        if (dispatch) {
+            reply = co_await server_.handleBody(1, std::move(body));
+        }
+        co_return std::vector<uint8_t>(
+            reply.begin(),
+            reply.end() - static_cast<long>(std::min(cut, reply.size())));
+    }
+
+  private:
+    dfs::FileServer &server_;
+};
+
+// ----------------------------------------------------------------------
+// NFS call and reply bytes
+// ----------------------------------------------------------------------
+
+TEST(NfsProto, EveryCallAndReplyKeepsItsBytes)
+{
+    using test::hexOf;
+    DfsFixture f;
+    TapBackend tap(f.server);
+    // Run @p task; compare the call it sent and the reply it got.
+    auto check = [&](auto task, const std::string &call,
+                     const std::string &reply) {
+        auto got = runToCompletion(f.cluster.sim, task);
+        EXPECT_EQ(hexOf(tap.call), call);
+        EXPECT_EQ(hexOf(tap.reply), reply);
+        return got;
+    };
+    // The 17-word attributes of paper.ps (before and after the write).
+    const std::string attr =
+        "01000000a4010000010000000000000000000000204e00000000000000600000"
+        "00000000020000000000000043420f0043420f0043420f00";
+    const std::string fh =
+        "0200000001000000000000000000000000000000000000000000000000000000";
+
+    EXPECT_TRUE(check(tap.null(), "00000000", "00000000").ok());
+    EXPECT_EQ(check(tap.getattr(f.file), "01000000" + fh, "00000000" + attr)
+                  .value()
+                  .size,
+              20000u);
+    EXPECT_EQ(check(tap.lookup(f.dir, "paper.ps"),
+                    "04000000"
+                    "0100000001000000000000000000000000000000000000000000"
+                    "000000000000"
+                    "0800000070617065722e7073",
+                    "00000000" + fh + attr)
+                  .value()
+                  .fh,
+              f.file);
+    EXPECT_EQ(check(tap.readlink(f.link),
+                    "05000000"
+                    "0900000001000000000000000000000000000000000000000000"
+                    "000000000000",
+                    "000000000d000000646f63732f70617065722e7073000000")
+                  .value(),
+              "docs/paper.ps");
+    EXPECT_EQ(check(tap.read(f.file, 100, 12),
+                    "06000000" + fh + "64000000000000000c000000",
+                    "00000000" + attr + "0c0000004f4c6864b484d70f4f4c6864")
+                  .value(),
+              f.store.read(f.file, 100, 12).value());
+    EXPECT_EQ(check(tap.readdir(f.dir, 40),
+                    "10000000"
+                    "0100000001000000000000000000000000000000000000000000"
+                    "000000000000"
+                    "28000000",
+                    "0000000003000000"
+                    "0100000000000000010000002e000000"
+                    "0000000000000000020000002e2e0000"
+                    "03000000000000000400000066696730")
+                  .value()
+                  .size(),
+              3u);
+    EXPECT_EQ(check(tap.statfs(),
+                    "11000000"
+                    "0000000000000000000000000000000000000000000000000000"
+                    "000000000000",
+                    "00000000"
+                    "000000800000000019a6ff7f000000000a0000000000000000200000")
+                  .value()
+                  .totalFiles,
+              10u);
+    std::string written = attr;
+    written.replace(written.size() - 16, 8, "53420f00"); // the new mtime
+    EXPECT_TRUE(check(tap.write(f.file, 8190, {0xa1, 0xa2, 0xa3, 0xa4, 0xa5}),
+                      "08000000" + fh + "fe1f000000000000" +
+                          "05000000a1a2a3a4a5000000",
+                      "00000000" + written)
+                    .ok());
+    // A failure is the status word alone.
+    EXPECT_EQ(check(tap.getattr(dfs::FileHandle{9999, 1}),
+                    "010000000f270000010000000000000000000000000000000000"
+                    "00000000000000000000",
+                    "01000000")
+                  .status()
+                  .code(),
+              util::ErrorCode::kBadDescriptor);
+}
+
+TEST(NfsProto, ReplyCutShortIsMalformed)
+{
+    DfsFixture f;
+    TapBackend tap(f.server);
+    tap.cut = 4;
+    auto getattr = tap.getattr(f.file);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, getattr).status().code(),
+              util::ErrorCode::kMalformed);
+    auto read = tap.read(f.file, 0, 100);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, read).status().code(),
+              util::ErrorCode::kMalformed);
+    // Cut inside the status word: nothing decodes.
+    tap.cut = 2;
+    auto null = tap.null();
+    EXPECT_EQ(runToCompletion(f.cluster.sim, null).code(),
+              util::ErrorCode::kMalformed);
+}
 
 // ----------------------------------------------------------------------
 // The core equivalence property: all three backends agree with the
@@ -455,6 +603,36 @@ TEST(DfsServer, StaleHandleErrorsPropagate)
               util::ErrorCode::kNotFound);
 }
 
+TEST(DfsServer, CallThatDoesNotDecodeIsMalformedAndTouchesNothing)
+{
+    DfsFixture f;
+    TapBackend tap(f.server);
+    tap.dispatch = false;
+    // Answer @p body cut @p cut bytes short; the status word alone.
+    auto answer = [&f](std::vector<uint8_t> body, size_t cut) {
+        body.resize(body.size() - cut);
+        auto t = f.server.handleBody(1, std::move(body));
+        return test::hexOf(runToCompletion(f.cluster.sim, t));
+    };
+    const std::string malformed = "07000000";
+    ASSERT_EQ(static_cast<uint32_t>(util::ErrorCode::kMalformed), 7u);
+
+    auto w = tap.write(f.file, 0, std::vector<uint8_t>(100, 0x5a));
+    runToCompletion(f.cluster.sim, w);
+    std::vector<uint8_t> before = f.store.read(f.file, 0, 100).value();
+    uint64_t inserts = f.server.stats().cacheInserts.value();
+    EXPECT_EQ(answer(tap.call, 40), malformed);
+    EXPECT_EQ(f.store.read(f.file, 0, 100).value(), before);
+    EXPECT_EQ(f.server.stats().cacheInserts.value(), inserts);
+
+    // A name cut short is not looked up.
+    auto l = tap.lookup(f.dir, "paper.ps");
+    runToCompletion(f.cluster.sim, l);
+    EXPECT_EQ(answer(tap.call, 4), malformed);
+    // Nor is a call without a whole procedure word.
+    EXPECT_EQ(answer({0x01, 0x00}, 0), malformed);
+}
+
 TEST(DfsServer, WriteThroughHyRefreshesExportedCaches)
 {
     DfsFixture f;
@@ -521,6 +699,69 @@ TEST(ServerClerk, WriteUpdatesCachedBlocks)
     EXPECT_EQ(clerk.stats().backendCalls.value(), calls);
 }
 
+TEST(ServerClerk, ShortAlignedWriteKeepsTheRestOfTheBlock)
+{
+    DfsFixture f;
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
+    auto w = clerk.write(f.file, 0, std::vector<uint8_t>(100, 0x77));
+    ASSERT_TRUE(runToCompletion(f.cluster.sim, w).ok());
+    auto r = clerk.read(f.file, 0, 8192);
+    auto got = runToCompletion(f.cluster.sim, r);
+    auto fresh = f.dx.read(f.file, 0, 8192);
+    auto want = runToCompletion(f.cluster.sim, fresh);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(got.value().size(), 8192u);
+    EXPECT_EQ(got.value(), want.value());
+}
+
+TEST(ServerClerk, UnalignedWriteDoesNotLeaveTheCachedBlockStale)
+{
+    DfsFixture f;
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
+    auto r1 = clerk.read(f.file, 0, 8192);
+    ASSERT_TRUE(runToCompletion(f.cluster.sim, r1).ok());
+    auto w = clerk.write(f.file, 100, std::vector<uint8_t>(50, 0x77));
+    ASSERT_TRUE(runToCompletion(f.cluster.sim, w).ok());
+    auto r2 = clerk.read(f.file, 0, 8192);
+    auto got = runToCompletion(f.cluster.sim, r2);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), 8192u);
+    EXPECT_EQ(got.value()[100], 0x77);
+    auto fresh = f.dx.read(f.file, 0, 8192);
+    EXPECT_EQ(got.value(), runToCompletion(f.cluster.sim, fresh).value());
+}
+
+TEST(ServerClerk, ShortReadDoesNotStandInForItsBlock)
+{
+    DfsFixture f;
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
+    auto r1 = clerk.read(f.file, 0, 1024);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, r1).value().size(), 1024u);
+    auto r2 = clerk.read(f.file, 0, 8192);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, r2).value(),
+              f.store.read(f.file, 0, 8192).value());
+    // The tail block, short at end of file, is cached and served.
+    auto tail = clerk.read(f.file, 16384, 8192);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, tail).value().size(), 3616u);
+    uint64_t calls = clerk.stats().backendCalls.value();
+    auto again = clerk.read(f.file, 16384, 8192);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, again).value().size(), 3616u);
+    EXPECT_EQ(clerk.stats().backendCalls.value(), calls);
+}
+
+TEST(ServerClerk, ReaddirAnswersEachBudgetWithItsOwnListing)
+{
+    DfsFixture f;
+    dfs::ServerClerk clerk(f.cluster.nodeA.cpu(), f.dx);
+    auto small = clerk.readdir(f.dir, 24);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, small).value().size(), 2u);
+    auto full = clerk.readdir(f.dir, 4096);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, full).value().size(), 9u);
+    auto again = clerk.readdir(f.dir, 24);
+    EXPECT_EQ(runToCompletion(f.cluster.sim, again).value().size(), 2u);
+    EXPECT_EQ(clerk.stats().localHits.value(), 1u);
+}
+
 TEST(ServerClerk, LocalRpcChargedWhenEnabled)
 {
     DfsFixture f;
@@ -534,6 +775,112 @@ TEST(ServerClerk, LocalRpcChargedWhenEnabled)
         f.cluster.nodeA.cpu().busyIn(sim::CpuCategory::kProcInvoke);
     rpc::LocalRpcCosts costs;
     EXPECT_GE(after - before, costs.callPath + costs.returnPath);
+}
+
+// ----------------------------------------------------------------------
+// Placement: with one slot per area, the datum cached last holds it and
+// a probe for any other datum of the area reads a valid record of
+// another tag.
+// ----------------------------------------------------------------------
+
+TEST(CacheLayout, EachAreaHitsItsKeyAndMissesAnother)
+{
+    DfsFixture f(dfs::CacheGeometry{1, 1, 1, 1, 1});
+    uint64_t files = f.store.statfs().totalFiles;
+    auto other = f.store.symlink(f.store.root(), "older", "docs");
+    ASSERT_TRUE(other.ok());
+    // Run @p task, check its value against @p truth, and count a miss
+    // unless @p hit.
+    uint64_t misses = 0;
+    auto expect = [&](auto task, const auto &truth, bool hit) {
+        auto got = runToCompletion(f.cluster.sim, task);
+        EXPECT_TRUE(got.ok()) << got.status().toString();
+        misses += hit ? 0 : 1;
+        EXPECT_EQ(f.dx.misses(), misses);
+        if (got.ok()) {
+            EXPECT_TRUE(got.value() == truth);
+        }
+    };
+    auto size = [](const auto &r) { return r.value().size; };
+
+    f.server.cacheAttr(f.file);
+    auto fileAttr = f.dx.getattr(f.file);
+    EXPECT_EQ(size(runToCompletion(f.cluster.sim, fileAttr)), 20000u);
+    EXPECT_EQ(f.dx.misses(), misses);
+    auto dirAttr = f.dx.getattr(f.dir);
+    EXPECT_EQ(size(runToCompletion(f.cluster.sim, dirAttr)),
+              size(f.store.getattr(f.dir)));
+    EXPECT_EQ(f.dx.misses(), ++misses);
+
+    f.server.cacheName(f.dir, "paper.ps");
+    auto hit = f.dx.lookup(f.dir, "paper.ps");
+    EXPECT_EQ(runToCompletion(f.cluster.sim, hit).value().fh, f.file);
+    EXPECT_EQ(f.dx.misses(), misses);
+    auto miss = f.dx.lookup(f.dir, "fig0");
+    EXPECT_EQ(runToCompletion(f.cluster.sim, miss).value().fh,
+              f.store.lookup(f.dir, "fig0").value());
+    EXPECT_EQ(f.dx.misses(), ++misses);
+
+    f.server.cacheBlock(f.file, 0);
+    expect(f.dx.read(f.file, 0, 100), f.store.read(f.file, 0, 100).value(),
+           true);
+    expect(f.dx.read(f.file, 8192, 100),
+           f.store.read(f.file, 8192, 100).value(), false);
+
+    f.server.cacheDir(f.dir);
+    auto names = [](const std::vector<dfs::DirEntry> &entries) {
+        std::vector<std::string> out;
+        for (const dfs::DirEntry &e : entries) {
+            out.push_back(e.name);
+        }
+        return out;
+    };
+    auto dirHit = f.dx.readdir(f.dir, 4096);
+    EXPECT_EQ(names(runToCompletion(f.cluster.sim, dirHit).value()),
+              names(f.store.readdir(f.dir).value()));
+    EXPECT_EQ(f.dx.misses(), misses);
+    auto dirMiss = f.dx.readdir(f.store.root(), 4096);
+    EXPECT_EQ(names(runToCompletion(f.cluster.sim, dirMiss).value()),
+              names(f.store.readdir(f.store.root()).value()));
+    EXPECT_EQ(f.dx.misses(), ++misses);
+
+    f.server.cacheLink(f.link);
+    expect(f.dx.readlink(f.link), std::string("docs/paper.ps"), true);
+    expect(f.dx.readlink(other.value()), std::string("docs"), false);
+
+    // The statistics area has one slot and no key: always a hit.
+    auto stat = f.dx.statfs();
+    EXPECT_EQ(runToCompletion(f.cluster.sim, stat).value().totalFiles,
+              files);
+    EXPECT_EQ(f.dx.misses(), misses);
+}
+
+TEST(CacheLayout, RecordsHoldOnlyTheirValidExactKey)
+{
+    dfs::CacheGeometry geo;
+    dfs::AttrRecord attr(7);
+    EXPECT_FALSE(attr.holds(dfs::AttrRecord(7))); // not yet valid
+    attr.flag = dfs::kSlotValid;
+    EXPECT_TRUE(attr.holds(dfs::AttrRecord(7)));
+    EXPECT_FALSE(attr.holds(dfs::AttrRecord(8)));
+    EXPECT_EQ(attr.offset(geo),
+              util::mix64(7) % geo.attrBuckets * dfs::kAttrRecBytes);
+
+    dfs::NameLookupRecord name(3, "a");
+    name.flag = dfs::kSlotValid;
+    EXPECT_TRUE(name.holds(dfs::NameLookupRecord(3, "a")));
+    EXPECT_FALSE(name.holds(dfs::NameLookupRecord(3, "b")));
+    EXPECT_FALSE(name.holds(dfs::NameLookupRecord(4, "a")));
+
+    dfs::DataSlotHeader block(5, 1);
+    block.flag = dfs::kSlotValid;
+    EXPECT_TRUE(block.holds(dfs::DataSlotHeader(5, 1)));
+    EXPECT_FALSE(block.holds(dfs::DataSlotHeader(5, 2)));
+    EXPECT_EQ(block.offset(geo), dfs::DataSlotHeader::slotOffset(
+                                     dfs::dataSlot(5, 1, geo.dataSlots)));
+    // The eviction tag is the one the server always counted with.
+    EXPECT_EQ(block.tag(), 5u ^ 1u);
+    EXPECT_EQ(name.tag(), 3u ^ util::fnv1a("a"));
 }
 
 } // namespace

@@ -107,6 +107,53 @@ TEST(RpcTransport, EchoCallRoundTrip)
     EXPECT_EQ(f.server.stats().callsServed.value(), 1u);
 }
 
+TEST(RpcTransport, CallBodyKeepsItsBytes)
+{
+    // [proc u32][args as XDR opaque], as the server's wire receives it.
+    TwoNodeCluster cluster;
+    rpc::RpcTransport client(cluster.engineA.wire());
+    std::vector<uint8_t> body;
+    cluster.engineB.wire().setRpcHandler(
+        [&body](net::NodeId, rmem::Message &&msg) {
+            body = std::get<rmem::RpcMsg>(msg).body;
+        });
+    auto t = client.call(2, 5, {1, 2, 3}, sim::msec(1));
+    EXPECT_EQ(runToCompletion(cluster.sim, t).status().code(),
+              util::ErrorCode::kTimeout);
+    EXPECT_EQ(test::hexOf(body), "050000000300000001020300");
+}
+
+TEST(RpcTransport, ReplyBodiesKeepTheirBytes)
+{
+    // [status u32][results as XDR opaque]: status 0 with the handler's
+    // results, or 1 with none for a procedure nobody registered.
+    TwoNodeCluster cluster;
+    rpc::RpcTransport server(cluster.engineB.wire());
+    server.registerProc(5, [](net::NodeId, std::vector<uint8_t>)
+                               -> sim::Task<std::vector<uint8_t>> {
+        co_return std::vector<uint8_t>{9, 8, 7, 6, 5};
+    });
+    std::vector<std::string> replies;
+    cluster.engineA.wire().setRpcHandler(
+        [&replies](net::NodeId, rmem::Message &&msg) {
+            replies.push_back(
+                test::hexOf(std::get<rmem::RpcMsg>(msg).body));
+        });
+    auto send = [&cluster](uint32_t xid, const std::string &body) {
+        rmem::RpcMsg m;
+        m.xid = xid;
+        m.body = test::bytesOf(body);
+        cluster.engineA.wire().send(2, rmem::Message(std::move(m)),
+                                    sim::CpuCategory::kDataReply);
+    };
+    send(1, "050000000300000001020300");
+    send(2, "9401000000000000");
+    cluster.sim.run();
+    EXPECT_EQ(replies, (std::vector<std::string>{
+                           "00000000050000000908070605000000",
+                           "0100000000000000"}));
+}
+
 TEST(RpcTransport, UnknownProcFails)
 {
     RpcFixture f;

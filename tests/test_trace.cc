@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "dfs/nfs_proto.h"
 #include "trace/classifier.h"
 #include "trace/mix.h"
 #include "trace/workload.h"
@@ -85,6 +86,61 @@ TEST(Classifier, WriteIsTheLeastControlHeavyBulkOp)
     EXPECT_GT(getattrRatio, 0.5);
 }
 
+TEST(Classifier, SizesEqualTheEncodedCallAndReply)
+{
+    // Control plus data is every byte of the exchange: the call and the
+    // successful reply the file service encodes, and both xids.
+    auto expect = [](OpClass cls, const OpShape &shape, size_t call,
+                     size_t reply) {
+        Traffic t = classifyOp(cls, shape);
+        EXPECT_EQ(t.controlBytes + t.dataBytes, call + reply + 8)
+            << opClassName(cls) << " payload " << shape.payloadBytes
+            << " name " << shape.nameLen << " target " << shape.targetLen;
+    };
+    using dfs::encodeCall;
+    using dfs::encodeReply;
+    for (uint32_t nameLen : {1u, 5u, 12u, 13u}) {
+        for (uint32_t payload : {512u, 1024u, 2048u, 4096u, 8192u}) {
+            for (uint32_t targetLen : {1u, 24u, 25u}) {
+                OpShape shape{payload, nameLen, targetLen};
+                std::string name(nameLen, 'x');
+                std::vector<uint8_t> bytes(payload, 0xab);
+                expect(OpClass::kGetAttr, shape,
+                       encodeCall(dfs::GetAttrArgs{}).size(),
+                       encodeReply(dfs::FileAttr{}).size());
+                expect(OpClass::kLookup, shape,
+                       encodeCall(dfs::LookupArgs{{}, name}).size(),
+                       encodeReply(dfs::LookupReply{}).size());
+                expect(OpClass::kRead, shape,
+                       encodeCall(dfs::ReadArgs{{}, 0, payload}).size(),
+                       encodeReply(dfs::ReadRes{{}, bytes}).size());
+                expect(OpClass::kNullPing, shape,
+                       encodeCall(dfs::NullArgs{}).size(),
+                       encodeReply(dfs::NullRes{}).size());
+                expect(OpClass::kReadLink, shape,
+                       encodeCall(dfs::ReadLinkArgs{}).size(),
+                       encodeReply(dfs::ReadLinkRes{
+                                       std::string(targetLen, 't')})
+                           .size());
+                // The server trims a listing to whole packed entries.
+                std::vector<dfs::DirEntry> all(
+                    payload, dfs::DirEntry{7, name});
+                expect(OpClass::kReadDir, shape,
+                       encodeCall(dfs::ReadDirArgs{{}, payload}).size(),
+                       encodeReply(dfs::unpackDirEntries(
+                                       dfs::packDirEntries(all), payload))
+                           .size());
+                expect(OpClass::kStatFs, shape,
+                       encodeCall(dfs::StatFsArgs{}).size(),
+                       encodeReply(dfs::FsStat{}).size());
+                expect(OpClass::kWrite, shape,
+                       encodeCall(dfs::WriteArgs{{}, 0, bytes}).size(),
+                       encodeReply(dfs::FileAttr{}).size());
+            }
+        }
+    }
+}
+
 TEST(Classifier, TrafficAccumulates)
 {
     Traffic a{100, 400};
@@ -134,7 +190,7 @@ TEST(Workload, SizesComeFromTheConfiguredTables)
         Op op = gen.next();
         if (op.cls == OpClass::kRead) {
             bool known = false;
-            for (auto [bytes, w] : gen.sizes().readSizes) {
+            for (auto [bytes, w] : kReadSizes) {
                 (void)w;
                 known = known || op.bytes == bytes;
             }
@@ -179,7 +235,7 @@ TEST(Workload, BuildPaperFileSetShape)
 
 TEST(Workload, ZipfSkewPrefersHotFiles)
 {
-    WorkloadGen gen(19, {}, 64);
+    WorkloadGen gen(19, 64);
     std::vector<int> hits(64, 0);
     for (int i = 0; i < 50000; ++i) {
         ++hits[gen.next().fileIdx];
