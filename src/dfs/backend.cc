@@ -289,11 +289,13 @@ DxBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
             DataSlotHeader old = DataSlotHeader::decode(res.data);
             if (old.holds(p.hdr)) {
                 p.hdr.validBytes = std::max(p.hdr.validBytes, old.validBytes);
-            } else if (p.blockOff > 0) {
-                // The slot holds some other block, so the bytes below
-                // blockOff aren't ours to vouch for; depositing anyway
-                // would mark a foreign prefix valid under our key. Let
-                // the server do the read-modify-write instead.
+            } else {
+                // The slot does not hold our block, so we know neither
+                // its bytes outside our range nor its valid extent:
+                // depositing anyway would mark a foreign prefix valid
+                // under our key, or stamp a short extent the next read
+                // takes for end-of-file. Let the server do the
+                // read-modify-write instead.
                 ++misses_;
                 if (fallback_) {
                     // One call serves the whole write and returns.

@@ -77,7 +77,7 @@ AddressSpace::read(Vaddr va, std::span<uint8_t> out) const
         }
         size_t pageOff = cur & (kPageBytes - 1);
         size_t chunk = std::min(out.size() - done, kPageBytes - pageOff);
-        auto frame = phys_.frameData(pte->frame);
+        auto frame = phys_.readData(pte->frame);
         std::memcpy(out.data() + done, frame.data() + pageOff, chunk);
         done += chunk;
     }

@@ -1,10 +1,15 @@
 #include "mem/phys_mem.h"
 
-#include <cstring>
-
 #include "util/panic.h"
 
 namespace remora::mem {
+
+namespace {
+
+/** What every frame reads as until its first write. */
+constexpr uint8_t kZeroPage[kPageBytes] = {};
+
+} // namespace
 
 PhysMem::PhysMem(size_t maxFrames) : maxFrames_(maxFrames)
 {
@@ -17,7 +22,6 @@ PhysMem::allocFrame()
     if (!freeList_.empty()) {
         Frame f = freeList_.back();
         freeList_.pop_back();
-        std::memset(frames_[f].get(), 0, kPageBytes);
         ++framesInUse_;
         return f;
     }
@@ -25,7 +29,7 @@ PhysMem::allocFrame()
         REMORA_FATAL("physical memory exhausted (" +
                      std::to_string(maxFrames_) + " frames)");
     }
-    frames_.push_back(std::make_unique<uint8_t[]>(kPageBytes));
+    frames_.emplace_back();
     ++framesInUse_;
     return static_cast<Frame>(frames_.size() - 1);
 }
@@ -34,15 +38,31 @@ void
 PhysMem::freeFrame(Frame f)
 {
     REMORA_ASSERT(f < frames_.size());
+    if (frames_[f]) {
+        frames_[f].reset();
+        --framesMaterialised_;
+    }
     freeList_.push_back(f);
     REMORA_ASSERT(framesInUse_ > 0);
     --framesInUse_;
+}
+
+std::span<const uint8_t>
+PhysMem::readData(Frame f) const
+{
+    REMORA_ASSERT(f < frames_.size());
+    const uint8_t *bytes = frames_[f] ? frames_[f].get() : kZeroPage;
+    return {bytes, kPageBytes};
 }
 
 std::span<uint8_t>
 PhysMem::frameData(Frame f)
 {
     REMORA_ASSERT(f < frames_.size());
+    if (!frames_[f]) {
+        frames_[f] = std::make_unique<uint8_t[]>(kPageBytes);
+        ++framesMaterialised_;
+    }
     return {frames_[f].get(), kPageBytes};
 }
 

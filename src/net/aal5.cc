@@ -14,51 +14,57 @@ aal5Segment(uint16_t vpi, uint16_t vci, std::span<const uint8_t> frame)
 {
     REMORA_ASSERT(frame.size() <= kMaxFrameBytes);
 
-    // Build the CS-PDU: payload | pad | UU CPI LEN(2) CRC32(4).
-    size_t pduNoPad = frame.size() + 8;
-    size_t cells = (pduNoPad + Cell::kPayloadBytes - 1) / Cell::kPayloadBytes;
-    size_t pduBytes = cells * Cell::kPayloadBytes;
-    size_t padBytes = pduBytes - pduNoPad;
+    // The CS-PDU (payload | pad | UU CPI LEN(2) CRC32(4)) is laid
+    // straight into the cells, whose payloads start zeroed, so the pad
+    // needs no writes. The CRC covers everything before its own field.
+    size_t cells = aal5CellCount(frame.size());
+    size_t padBytes = cells * Cell::kPayloadBytes - frame.size() - 8;
+    uint8_t trailer[8] = {0, 0, // CPCS-UU, CPI
+                          static_cast<uint8_t>(frame.size()),
+                          static_cast<uint8_t>(frame.size() >> 8)};
+    static constexpr uint8_t kZeros[Cell::kPayloadBytes] = {};
+    util::Crc32 crc;
+    crc.update(frame);
+    crc.update(std::span<const uint8_t>(kZeros, padBytes));
+    crc.update(std::span<const uint8_t>(trailer, 4));
+    uint32_t sum = crc.value();
+    for (int i = 0; i < 4; ++i) {
+        trailer[4 + i] = static_cast<uint8_t>(sum >> (8 * i));
+    }
 
-    util::ByteWriter w(pduBytes);
-    w.putBytes(frame);
-    w.putZeros(padBytes);
-    w.putU8(0);                                        // CPCS-UU
-    w.putU8(0);                                        // CPI
-    w.putU16(static_cast<uint16_t>(frame.size()));     // length
-    // CRC over everything before the CRC field itself.
-    uint32_t crc = util::crc32Ieee(w.bytes());
-    w.putU32(crc);
-
-    std::vector<uint8_t> pdu = w.take();
-    REMORA_ASSERT(pdu.size() == pduBytes);
-
-    std::vector<Cell> out;
-    out.reserve(cells);
+    std::vector<Cell> out(cells);
     for (size_t i = 0; i < cells; ++i) {
-        Cell c;
+        Cell &c = out[i];
         c.vpi = vpi;
         c.vci = vci;
-        std::memcpy(c.payload.data(), pdu.data() + i * Cell::kPayloadBytes,
-                    Cell::kPayloadBytes);
-        c.setLastOfFrame(i + 1 == cells);
-        out.push_back(c);
+        size_t at = i * Cell::kPayloadBytes;
+        if (at < frame.size()) {
+            std::memcpy(c.payload.data(), frame.data() + at,
+                        std::min(Cell::kPayloadBytes, frame.size() - at));
+        }
     }
+    Cell &last = out.back();
+    std::memcpy(last.payload.data() + Cell::kPayloadBytes - 8, trailer, 8);
+    last.setLastOfFrame(true);
     return out;
 }
 
 std::optional<Aal5Reassembler::Frame>
 Aal5Reassembler::feed(const Cell &cell)
 {
-    auto &buf = partial_[cell.vci];
+    std::vector<uint8_t> &buf = partial_[cell.vci];
     buf.insert(buf.end(), cell.payload.begin(), cell.payload.end());
     if (!cell.lastOfFrame()) {
         return std::nullopt;
     }
+    std::optional<Frame> f = complete(cell, buf);
+    buf.clear(); // keeps its capacity for the source's next frame
+    return f;
+}
 
-    std::vector<uint8_t> pdu = std::move(buf);
-    partial_.erase(cell.vci);
-
+std::optional<Aal5Reassembler::Frame>
+Aal5Reassembler::complete(const Cell &cell, const std::vector<uint8_t> &pdu)
+{
     if (pdu.size() < 8) {
         crcErrors_.inc();
         return std::nullopt;

@@ -104,11 +104,19 @@ class Aal5Reassembler
                        const std::string &prefix) const;
 
   private:
+    /** Check and unwrap the CS-PDU @p pdu that @p cell completed. */
+    std::optional<Frame> complete(const Cell &cell,
+                                  const std::vector<uint8_t> &pdu);
+
     /** Attempt tail recovery of a glued PDU after a CRC failure. */
     std::optional<Frame> resync(const Cell &cell,
                                 const std::vector<uint8_t> &pdu,
                                 uint16_t length);
 
+    /**
+     * Each source's frame so far. A source keeps its buffer between
+     * frames, so reassembly allocates only while a buffer grows.
+     */
     std::unordered_map<uint16_t, std::vector<uint8_t>> partial_;
     sim::Counter crcErrors_;
     sim::Counter lengthErrors_;

@@ -66,7 +66,7 @@ HostInterface::acceptCell(const Cell &cell)
         REMORA_PANIC("RX FIFO overflow on " + name_ +
                      " (credit misconfiguration)");
     }
-    rxFifo_.push_back(cell);
+    rxFifo_.push(cell);
     cellsRx_.inc();
     sim_.noteDigest("net.rx",
                     static_cast<uint64_t>(cell.vpi) << 16 | cell.vci);
@@ -111,7 +111,7 @@ HostInterface::popRx()
         return std::nullopt;
     }
     Cell c = rxFifo_.front();
-    rxFifo_.pop_front();
+    rxFifo_.pop();
     if (upstream_ != nullptr) {
         upstream_->returnCredit();
     }

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -32,6 +31,7 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
+#include "util/ring.h"
 
 namespace remora::net {
 
@@ -116,7 +116,7 @@ class HostInterface : public CellSink
     std::string traceNode_;
     Link *txLink_ = nullptr;
     std::function<void()> rxInterrupt_;
-    std::deque<Cell> rxFifo_;
+    util::RingFifo<Cell> rxFifo_;
     bool interruptPending_ = false;
     bool draining_ = false;
     /** Key of the interrupt raised while draining, if any. */

@@ -31,7 +31,7 @@ void
 Link::send(const Cell &cell)
 {
     REMORA_ASSERT(sink_ != nullptr);
-    queue_.push_back(cell);
+    queue_.push(cell);
     pump();
 }
 
@@ -49,7 +49,7 @@ Link::returnCredit(size_t n)
         });
         return;
     }
-    arrivals_.push_back(CreditArrival{sim_.reserve(at), n});
+    arrivals_.push(CreditArrival{sim_.reserve(at), n});
     wakeOnCredit();
 }
 
@@ -58,7 +58,7 @@ Link::absorbCredits()
 {
     while (!arrivals_.empty() && sim_.passed(arrivals_.front().key)) {
         credits_ += arrivals_.front().n;
-        arrivals_.pop_front();
+        arrivals_.pop();
     }
 }
 
@@ -76,7 +76,7 @@ Link::wakeOnCredit()
     sim_.scheduleAt(arrivals_.front().key, [this] {
         creditWake_ = false;
         credits_ += arrivals_.front().n;
-        arrivals_.pop_front();
+        arrivals_.pop();
         pump();
     });
 }
@@ -100,7 +100,7 @@ Link::pump()
             return;
         }
         Cell cell = queue_.front();
-        queue_.pop_front();
+        queue_.pop();
         --credits_;
         wireFreeAt_ = now + cellTime_;
         cellsSent_.inc();

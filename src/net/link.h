@@ -23,12 +23,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "net/cell.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
+#include "util/ring.h"
 
 namespace remora::net {
 
@@ -143,9 +143,9 @@ class Link
     CellSink *sink_ = nullptr;
     FaultInjector *faults_ = nullptr;
     sim::Duration cellTime_;
-    std::deque<Cell> queue_;
+    util::RingFifo<Cell> queue_;
     size_t credits_;
-    std::deque<CreditArrival> arrivals_; ///< In key order.
+    util::RingFifo<CreditArrival> arrivals_; ///< In key order.
     sim::Time wireFreeAt_ = 0;
     bool pumpScheduled_ = false;
     bool creditWake_ = false; ///< arrivals_.front() is queued.

@@ -18,7 +18,6 @@ Switch::addPort(Link &outputLink)
     auto port = std::make_unique<PortState>();
     port->output = &outputLink;
     port->input.parent = this;
-    port->input.port = port.get();
     ports_.push_back(std::move(port));
     return ports_.size() - 1;
 }
@@ -34,7 +33,10 @@ void
 Switch::route(NodeId dst, size_t port)
 {
     REMORA_ASSERT(port < ports_.size());
-    routes_[dst] = port;
+    if (routes_.size() <= dst) {
+        routes_.resize(size_t{dst} + 1, nullptr);
+    }
+    routes_[dst] = ports_[port]->output;
 }
 
 void
@@ -45,19 +47,17 @@ Switch::InSink::acceptCell(const Cell &cell)
     if (upstream_ != nullptr) {
         upstream_->returnCredit();
     }
-    parent->forward(cell, *port);
+    parent->forward(cell);
 }
 
 void
-Switch::forward(const Cell &cell, PortState &from)
+Switch::forward(const Cell &cell)
 {
-    (void)from;
-    auto it = routes_.find(cell.vpi);
-    if (it == routes_.end()) {
+    Link *out = cell.vpi < routes_.size() ? routes_[cell.vpi] : nullptr;
+    if (out == nullptr) {
         REMORA_PANIC("switch " + name_ + ": no route for node " +
                      std::to_string(cell.vpi));
     }
-    Link *out = ports_[it->second]->output;
     forwarded_.inc();
     obs::instant(0, name_, "net", "hop", obs::kv("dst", cell.vpi),
                  obs::kv("src", cell.vci));

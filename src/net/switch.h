@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/cell.h"
@@ -64,19 +63,16 @@ class Switch
     uint64_t cellsForwarded() const { return forwarded_.value(); }
 
   private:
-    /** One attachment point. */
-    struct PortState;
-
     /** Look up the route and enqueue on the output link. */
-    void forward(const Cell &cell, PortState &from);
+    void forward(const Cell &cell);
 
     struct InSink : CellSink
     {
         Switch *parent = nullptr;
-        PortState *port = nullptr;
         void acceptCell(const Cell &cell) override;
     };
 
+    /** One attachment point. */
     struct PortState
     {
         Link *output = nullptr;
@@ -87,7 +83,8 @@ class Switch
     sim::Duration fabricLatency_;
     std::string name_;
     std::vector<std::unique_ptr<PortState>> ports_;
-    std::unordered_map<NodeId, size_t> routes_;
+    /** Output link per destination node id; nullptr where unrouted. */
+    std::vector<Link *> routes_;
     sim::Counter forwarded_;
 };
 

@@ -50,6 +50,26 @@ envelopeCrc(uint32_t seq, uint8_t lastFrag, std::span<const uint8_t> inner)
 
 } // namespace
 
+struct Wire::TxFrame
+{
+    TxFrame(std::vector<net::Cell> frameCells, sim::Simulator &sim,
+            obs::SpanId txSpan)
+        : cells(std::move(frameCells)), accepted(sim), span(txSpan)
+    {
+        ++txFramesLive_;
+    }
+
+    TxFrame(const TxFrame &) = delete;
+    TxFrame &operator=(const TxFrame &) = delete;
+
+    ~TxFrame() { --txFramesLive_; }
+
+    std::vector<net::Cell> cells;
+    /** Set when the last cell enters the TX FIFO. */
+    sim::Promise<void> accepted;
+    obs::SpanId span;
+};
+
 Wire::Wire(mem::Node &node, const CostModel &costs)
     : node_(node), costs_(costs)
 {
@@ -114,31 +134,31 @@ Wire::transmitBytes(net::NodeId dst, const std::vector<uint8_t> &bytes,
         traceOp, node_.name(), "net", "tx_frame", what, obs::kv("dst", dst),
         obs::kv("bytes", bytes.size()), obs::kv("cells", cells.size()));
 
-    // One object per frame holds what the per-cell completions share,
-    // so each captures only an index and its event stays allocation-free.
-    struct TxFrame
-    {
-        std::vector<net::Cell> cells;
-        sim::Promise<void> accepted;
-        obs::SpanId span;
-    };
-    auto frame = std::make_shared<TxFrame>(TxFrame{
-        std::move(cells), sim::Promise<void>(node_.simulator()), txSpan});
+    // One object per frame holds what the per-cell completions share.
+    // The last cell's completion owns it: the CPU runs a frame's cells
+    // in post order at strictly increasing instants, so every earlier
+    // completion, holding only the pointer, has run by then. If the
+    // simulator is destroyed first, the owner's callback frees it.
+    REMORA_ASSERT(cells.size() == 1 || perCell > 0);
+    auto owned =
+        std::make_unique<TxFrame>(std::move(cells), node_.simulator(), txSpan);
+    TxFrame *frame = owned.get();
+    sim::Future<void> accepted = frame->accepted.future();
     auto &cpu = node_.cpu();
+    net::HostInterface *nic = &node_.nic();
     cpu.post(costs_.sendFormatCost, category);
-    for (size_t i = 0; i < frame->cells.size(); ++i) {
-        // Each cell enters the TX FIFO as its PIO completes, so the wire
-        // overlaps with the CPU filling subsequent cells.
-        auto push = [this, frame, i] {
-            node_.nic().pushTx(frame->cells[i]);
-            if (i + 1 == frame->cells.size()) {
-                obs::endSpan(frame->span);
-                frame->accepted.set();
-            }
-        };
-        cpu.post(perCell, category, std::move(push));
+    // Each cell enters the TX FIFO as its PIO completes, so the wire
+    // overlaps with the CPU filling subsequent cells.
+    for (size_t i = 0; i + 1 < frame->cells.size(); ++i) {
+        cpu.post(perCell, category,
+                 [nic, frame, i] { nic->pushTx(frame->cells[i]); });
     }
-    return frame->accepted.future();
+    cpu.post(perCell, category, [nic, frame = std::move(owned)] {
+        nic->pushTx(frame->cells.back());
+        obs::endSpan(frame->span);
+        frame->accepted.set();
+    });
+    return accepted;
 }
 
 void

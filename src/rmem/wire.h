@@ -122,6 +122,14 @@ class Wire
     void registerStats(obs::MetricRegistry &reg,
                        const std::string &prefix) const;
 
+    /**
+     * Frames, across every Wire in the process, whose last cell's PIO
+     * has not completed: each holds its cells until then. Tests check
+     * with it that a frame is freed once, whether its last cell runs
+     * or its simulator is destroyed first.
+     */
+    static size_t txFramesLive() { return txFramesLive_; }
+
   private:
     /** PTI bit marking a raw (non-AAL5) single-cell message. */
     static constexpr uint8_t kPtiRaw = 0x2;
@@ -178,6 +186,12 @@ class Wire
         /** In-order fragments of a message still being reassembled. */
         std::vector<uint8_t> fragBuf;
     };
+
+    /** One frame's cells and what its per-cell completions share. */
+    struct TxFrame;
+
+    /** TxFrames constructed and not yet destroyed. */
+    inline static size_t txFramesLive_ = 0;
 
     /** Wrap @p inner in a SeqMsg, record it, arm its retransmit. */
     sim::Future<void> sendReliable(net::NodeId dst,

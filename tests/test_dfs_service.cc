@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <type_traits>
 
 #include "cluster_fixture.h"
@@ -546,6 +547,33 @@ TEST(DfsWrite, DxMultiBlockWrite)
     f.cluster.sim.run();
     EXPECT_EQ(f.server.scavengeDirtyBlocks(), 3u);
     EXPECT_EQ(f.store.read(f.file, 0, 20000).value(), data);
+}
+
+TEST(DfsWrite, DxPartialWriteAtBlockStartIntoAForeignSlotGoesToServer)
+{
+    // One data slot, holding block 1: a 100-byte DX write to block 0's
+    // first bytes must not claim the slot with a 100-byte extent, or
+    // the next 8 KB DX read of block 0 comes back 100 bytes long.
+    dfs::CacheGeometry geo;
+    geo.dataSlots = 1;
+    DfsFixture f(geo);
+    f.server.cacheBlock(f.file, 1);
+    f.cluster.sim.run();
+
+    uint64_t misses = f.dx.misses();
+    std::vector<uint8_t> data(100, 0x7c);
+    auto w = f.dx.write(f.file, 0, data);
+    ASSERT_TRUE(runToCompletion(f.cluster.sim, w).ok());
+    f.cluster.sim.run();
+    EXPECT_EQ(f.dx.misses(), misses + 1); // served by the fallback
+
+    auto rd = f.dx.read(f.file, 0, 8192);
+    auto got = runToCompletion(f.cluster.sim, rd);
+    ASSERT_TRUE(got.ok());
+    std::vector<uint8_t> want = f.store.read(f.file, 0, 8192).value();
+    ASSERT_EQ(want.size(), 8192u);
+    EXPECT_TRUE(std::equal(data.begin(), data.end(), want.begin()));
+    EXPECT_EQ(got.value(), want);
 }
 
 // ----------------------------------------------------------------------

@@ -1462,6 +1462,79 @@ TEST(LintLayers, ApplicationLayerAndRelativeIncludesAreExempt)
 }
 
 // ----------------------------------------------------------------------
+// Braced temporaries in co_await operands
+// ----------------------------------------------------------------------
+
+TEST(LintCoawaitTemporary, OwningBracedTemporaryInOperandIsError)
+{
+    // The GCC 12.2 double-destruction shape: the WriteArgs temporary
+    // owns the moved-in buffer and is destroyed twice.
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<util::Status>
+RpcBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
+{
+    auto reply =
+        co_await roundTrip(encodeCall(WriteArgs{fh, offset, std::move(data)}));
+    co_return decodeStatus(reply);
+}
+
+sim::Task<void>
+Sender::blast()
+{
+    co_await send(std::vector<uint8_t>{1, 2, 3});
+}
+)cc";
+    auto found = only(lintSource("src/dfs/backend.cc", kFixture,
+                                 coroutineOnly()),
+                      Rule::kCoawaitBracedTemporary);
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0].line, 6);
+    EXPECT_NE(found[0].message.find("WriteArgs{...}"), std::string::npos);
+    EXPECT_EQ(found[1].line, 13);
+    EXPECT_NE(found[1].message.find("std::vector<uint8_t>{...}"),
+              std::string::npos);
+    EXPECT_TRUE(ruleIsError(Rule::kCoawaitBracedTemporary));
+}
+
+TEST(LintCoawaitTemporary, NamedLocalAndPlainDataTemporariesAreClean)
+{
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<util::Status>
+RpcBackend::write(FileHandle fh, uint64_t offset, std::vector<uint8_t> data)
+{
+    std::vector<uint8_t> call =
+        encodeCall(WriteArgs{fh, offset, std::move(data)});
+    auto reply = co_await roundTrip(std::move(call));
+    auto more = co_await roundTrip(encodeCall(ReadArgs{fh, offset, 8}));
+    co_await Waiter{this};
+    auto result = co_await [&]() -> sim::Task<Reply> {
+        co_return Reply{std::move(more)};
+    }();
+    co_return decodeStatus(reply);
+}
+)cc";
+    EXPECT_TRUE(only(lintSource("src/dfs/backend.cc", kFixture,
+                                coroutineOnly()),
+                     Rule::kCoawaitBracedTemporary)
+                    .empty());
+}
+
+TEST(LintCoawaitTemporary, NolintSuppresses)
+{
+    constexpr std::string_view kFixture = R"cc(
+sim::Task<void>
+Sender::blast()
+{
+    // NOLINTNEXTLINE(remora-coawait-braced-temporary)
+    co_await send(std::vector<uint8_t>{1, 2, 3});
+}
+)cc";
+    EXPECT_TRUE(only(lintSource("src/x.cc", kFixture, coroutineOnly()),
+                     Rule::kCoawaitBracedTemporary)
+                    .empty());
+}
+
+// ----------------------------------------------------------------------
 // Rule metadata and machine-readable output
 // ----------------------------------------------------------------------
 

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/address_space.h"
 #include "mem/node.h"
 #include "mem/page_table.h"
@@ -40,6 +42,71 @@ TEST(PhysMem, FreedFramesAreReusedZeroed)
     Frame g = pm.allocFrame();
     EXPECT_EQ(g, f);
     EXPECT_EQ(pm.frameData(g)[0], 0);
+}
+
+TEST(PhysMem, UnwrittenFrameReadsZerosWithoutStorage)
+{
+    PhysMem pm(8);
+    Frame f = pm.allocFrame();
+    auto data = pm.readData(f);
+    ASSERT_EQ(data.size(), kPageBytes);
+    for (uint8_t b : data) {
+        ASSERT_EQ(b, 0);
+    }
+    EXPECT_EQ(pm.framesMaterialised(), 0u);
+}
+
+TEST(PhysMem, OneWriteMaterialisesOneFrame)
+{
+    PhysMem pm(8);
+    AddressSpace space(pm);
+    Vaddr va = space.allocRegion(4 * kPageBytes);
+    EXPECT_EQ(pm.framesInUse(), 4u);
+    EXPECT_EQ(pm.framesMaterialised(), 0u);
+
+    uint8_t buf[16] = {};
+    ASSERT_TRUE(space.read(va, buf).ok()); // reading materialises nothing
+    EXPECT_EQ(pm.framesMaterialised(), 0u);
+
+    ASSERT_TRUE(space.writeWord(va + kPageBytes + 8, 0xfeedf00du).ok());
+    EXPECT_EQ(pm.framesMaterialised(), 1u);
+    EXPECT_EQ(space.readWord(va + kPageBytes + 8).value(), 0xfeedf00du);
+    EXPECT_EQ(space.readWord(va + kPageBytes + 12).value(), 0u);
+    EXPECT_EQ(space.readWord(va + 8).value(), 0u);
+}
+
+TEST(PhysMem, FreedThenReallocatedFrameReadsZeros)
+{
+    PhysMem pm(4);
+    Frame f = pm.allocFrame();
+    pm.frameData(f)[100] = 0xab;
+    EXPECT_EQ(pm.framesMaterialised(), 1u);
+    pm.freeFrame(f);
+    EXPECT_EQ(pm.framesMaterialised(), 0u);
+    Frame g = pm.allocFrame();
+    ASSERT_EQ(g, f);
+    EXPECT_EQ(pm.readData(g)[100], 0);
+    EXPECT_EQ(pm.framesMaterialised(), 0u);
+}
+
+TEST(PhysMem, WriteSpanningTwoFramesMaterialisesBoth)
+{
+    PhysMem pm(8);
+    AddressSpace space(pm);
+    Vaddr va = space.allocRegion(3 * kPageBytes);
+    std::vector<uint8_t> data(100);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i + 1);
+    }
+    Vaddr at = va + kPageBytes - 40; // 40 bytes in frame 0, 60 in frame 1
+    ASSERT_TRUE(space.write(at, data).ok());
+    EXPECT_EQ(pm.framesMaterialised(), 2u);
+    std::vector<uint8_t> back(140);
+    ASSERT_TRUE(space.read(at - 20, back).ok());
+    for (size_t i = 0; i < back.size(); ++i) {
+        uint8_t want = (i >= 20 && i < 120) ? data[i - 20] : 0;
+        ASSERT_EQ(back[i], want) << "byte " << i;
+    }
 }
 
 // ----------------------------------------------------------------------

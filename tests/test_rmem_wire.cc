@@ -64,6 +64,58 @@ TEST(Wire, BlockWriteCellCountMatchesAal5)
     EXPECT_EQ(c.nodeA.nic().cellsTx() - cells0, net::aal5CellCount(4106));
 }
 
+/** A WRITE whose encoding spans many AAL5 cells. */
+rmem::Message
+multiCellWrite()
+{
+    rmem::WriteReq w;
+    w.descriptor = 1;
+    w.data.assign(4096, 0x5a);
+    return w;
+}
+
+TEST(Wire, FrameIsFreedOnceWhenItsLastCellRuns)
+{
+    TwoNodeCluster c;
+    c.sim.run();
+    size_t live = rmem::Wire::txFramesLive();
+    uint64_t cells0 = c.nodeA.nic().cellsTx();
+    sim::Future<void> accepted = c.engineA.wire().send(
+        c.nodeB.id(), multiCellWrite(), sim::CpuCategory::kOther);
+    EXPECT_EQ(rmem::Wire::txFramesLive(), live + 1);
+
+    // Until the last cell's PIO completes, the frame stays alive.
+    while (c.nodeA.nic().cellsTx() - cells0 + 1 < net::aal5CellCount(4106)) {
+        ASSERT_TRUE(c.sim.step());
+        ASSERT_EQ(rmem::Wire::txFramesLive(), live + 1);
+    }
+    EXPECT_FALSE(accepted.operator co_await().await_ready());
+    c.sim.run();
+    EXPECT_EQ(c.nodeA.nic().cellsTx() - cells0, net::aal5CellCount(4106));
+    EXPECT_TRUE(accepted.operator co_await().await_ready());
+    EXPECT_EQ(rmem::Wire::txFramesLive(), live);
+}
+
+TEST(Wire, FrameIsFreedOnceWhenTheSimulatorDiesWithCellsPending)
+{
+    size_t live = rmem::Wire::txFramesLive();
+    {
+        TwoNodeCluster c;
+        c.sim.run();
+        uint64_t cells0 = c.nodeA.nic().cellsTx();
+        (void)c.engineA.wire().send(c.nodeB.id(), multiCellWrite(),
+                                    sim::CpuCategory::kOther);
+        // Some cells out, most still queued on the CPU behind them.
+        while (c.nodeA.nic().cellsTx() - cells0 < 2) {
+            ASSERT_TRUE(c.sim.step());
+        }
+        EXPECT_EQ(rmem::Wire::txFramesLive(), live + 1);
+    }
+    // The pending completions died with the simulator; the one that
+    // owned the frame freed it (ASan reports a second free, LSan none).
+    EXPECT_EQ(rmem::Wire::txFramesLive(), live);
+}
+
 TEST(Wire, MalformedRawCellCountedAndDropped)
 {
     TwoNodeCluster c;

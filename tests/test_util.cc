@@ -10,6 +10,7 @@
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/panic.h"
+#include "util/ring.h"
 #include "util/status.h"
 #include "util/strings.h"
 
@@ -95,6 +96,110 @@ TEST(Crc32, UpdateSplitAtEveryOffsetEqualsOneCall)
         c.update(all.subspan(cut));
         EXPECT_EQ(c.value(), whole) << "cut at " << cut;
     }
+}
+
+/** slicing-by-8 over @p data from the initial register: the reference. */
+uint32_t
+sliceBy8Reference(std::span<const uint8_t> data)
+{
+    return ~detail::crc32Slice8(0xffffffffu, data);
+}
+
+TEST(Crc32, FoldEqualsSliceBy8AtEveryLengthAndOffset)
+{
+    std::vector<uint8_t> data(9000 + 16);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 131 + 7 + (i >> 9));
+    }
+    bool fold = detail::crc32FoldAvailable();
+    for (size_t start = 0; start < 16; ++start) {
+        for (size_t len = 0; len <= 9000; ++len) {
+            std::span<const uint8_t> s(data.data() + start, len);
+            uint32_t want = sliceBy8Reference(s);
+            ASSERT_EQ(crc32Ieee(s), want)
+                << "start " << start << " length " << len;
+            if (fold && len >= kFoldMinBytes) {
+                ASSERT_EQ(~detail::crc32Fold(0xffffffffu, s), want)
+                    << "start " << start << " length " << len;
+            }
+        }
+    }
+}
+
+TEST(Crc32, UpdateSplitAtEveryPointOfOneKilobyteEqualsSliceBy8)
+{
+    std::vector<uint8_t> data(1024);
+    for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 29 + 11 + (i >> 7));
+    }
+    std::span<const uint8_t> all(data);
+    uint32_t want = sliceBy8Reference(all);
+    for (size_t cut = 0; cut <= data.size(); ++cut) {
+        // Either side may take the fold or the short path, and the
+        // fold must pick up from any register the first part left.
+        Crc32 c;
+        c.update(all.first(cut));
+        c.update(all.subspan(cut));
+        ASSERT_EQ(c.value(), want) << "cut at " << cut;
+    }
+}
+
+// ----------------------------------------------------------------------
+// Ring FIFO
+// ----------------------------------------------------------------------
+
+TEST(RingFifo, KeepsOrderAcrossWrapAround)
+{
+    RingFifo<int> q;
+    int next = 0;
+    int expect = 0;
+    for (int i = 0; i < 6; ++i) {
+        q.push(next++);
+    }
+    size_t cap = q.capacity();
+    // Hold the depth at 5 or 6 while 1000 values pass: the head laps
+    // the ring many times and it never needs to grow.
+    for (int round = 0; round < 1000; ++round) {
+        ASSERT_EQ(q.front(), expect++);
+        q.pop();
+        q.push(next++);
+    }
+    EXPECT_EQ(q.capacity(), cap);
+    while (!q.empty()) {
+        ASSERT_EQ(q.front(), expect++);
+        q.pop();
+    }
+    EXPECT_EQ(expect, next);
+}
+
+TEST(RingFifo, GrowingWhileWrappedKeepsOrder)
+{
+    RingFifo<int> q;
+    int next = 0;
+    int expect = 0;
+    for (int i = 0; i < 8; ++i) {
+        q.push(next++);
+    }
+    size_t cap = q.capacity();
+    ASSERT_EQ(q.size(), cap); // full
+    // Move the head to the middle, so the live values wrap the end.
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(q.front(), expect++);
+        q.pop();
+        q.push(next++);
+    }
+    // Full and wrapped: the next push has to unwrap into a larger ring.
+    q.push(next++);
+    EXPECT_GT(q.capacity(), cap);
+    for (int i = 0; i < 40; ++i) {
+        q.push(next++);
+    }
+    EXPECT_EQ(q.size(), static_cast<size_t>(next - expect));
+    while (!q.empty()) {
+        ASSERT_EQ(q.front(), expect++);
+        q.pop();
+    }
+    EXPECT_EQ(expect, next);
 }
 
 // ----------------------------------------------------------------------

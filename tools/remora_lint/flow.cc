@@ -29,23 +29,6 @@ isKeyword(const std::string &t)
     return kw.count(t) != 0;
 }
 
-/** Index of the token matching the opener at @p open ((), {}, []). */
-size_t
-matchTok(const Toks &toks, size_t open, const char *o, const char *c)
-{
-    int depth = 0;
-    for (size_t i = open; i < toks.size(); ++i) {
-        if (toks[i].is(o)) {
-            ++depth;
-        } else if (toks[i].is(c)) {
-            if (--depth == 0) {
-                return i;
-            }
-        }
-    }
-    return toks.size();
-}
-
 /** True when '[' at @p idx starts a lambda introducer (vs. subscript). */
 bool
 lambdaIntroAt(const Toks &toks, size_t idx)

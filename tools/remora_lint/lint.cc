@@ -697,6 +697,138 @@ checkScalarOpLoops(std::string_view path, const SourceModel &s,
     }
 }
 
+/**
+ * The qualified type name ending just before the `{` at @p brace, as
+ * its first token's index, or npos when that `{` opens no braced
+ * temporary: a block, a lambda body (after `]`, `)`, a specifier or a
+ * trailing return type) or an initializer list with no type.
+ */
+size_t
+bracedTypeStart(const std::vector<Token> &toks, size_t brace)
+{
+    static const std::set<std::string> kNotAType = {
+        "return", "co_return", "else",  "do",       "try",
+        "mutable", "noexcept", "const", "override", "final"};
+    if (brace == 0) {
+        return std::string::npos;
+    }
+    size_t k = brace - 1;
+    if (toks[k].is(">")) {
+        // Skip a template argument list back to its '<'.
+        int angle = 0;
+        for (;; --k) {
+            if (toks[k].is(">")) {
+                ++angle;
+            } else if (toks[k].is(">>")) {
+                angle += 2;
+            } else if (toks[k].is("<") && --angle == 0) {
+                break;
+            }
+            if (k == 0) {
+                return std::string::npos;
+            }
+        }
+        if (k == 0) {
+            return std::string::npos;
+        }
+        --k;
+    }
+    if (!toks[k].ident() || kNotAType.count(toks[k].text) != 0) {
+        return std::string::npos;
+    }
+    while (k >= 2 && toks[k - 1].is("::") && toks[k - 2].ident()) {
+        k -= 2;
+    }
+    if (k > 0 && toks[k - 1].is("->")) {
+        return std::string::npos; // a lambda's trailing return type
+    }
+    return k;
+}
+
+/**
+ * True when the braced temporary whose type starts at @p type and
+ * whose initializer spans [@p open, @p close] visibly owns memory: an
+ * owning std type, or an initializer that moves something in.
+ */
+bool
+ownsMemory(const std::vector<Token> &toks, size_t type, size_t open,
+           size_t close)
+{
+    static const std::set<std::string> kOwningTypes = {
+        "vector", "string",        "basic_string", "unique_ptr",
+        "shared_ptr", "function",  "map",          "unordered_map",
+        "set",    "unordered_set", "deque",        "list"};
+    for (size_t k = type; k < open; ++k) {
+        if (toks[k].ident() && kOwningTypes.count(toks[k].text) != 0 &&
+            (toks[k + 1].is("<") || toks[k + 1].is("{"))) {
+            return true;
+        }
+    }
+    for (size_t k = open + 1; k + 1 < close; ++k) {
+        if ((toks[k].is("move") || toks[k].is("make_unique") ||
+             toks[k].is("make_shared")) &&
+            (toks[k + 1].is("(") || toks[k + 1].is("<"))) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * GCC 12.2 destroys a temporary built with braces inside a `co_await`
+ * operand twice: `co_await call(WriteArgs{fh, off, std::move(data)})`
+ * frees `data`'s buffer twice. Scan each co_await's operand (to the
+ * end of its statement or enclosing expression) for braced temporaries
+ * that own memory; lambda bodies inside it are separate functions and
+ * are skipped. Each co_await is reported once.
+ */
+void
+checkCoawaitBracedTemporaries(std::string_view path, const SourceModel &s,
+                              const std::vector<Token> &toks,
+                              std::vector<Finding> &out)
+{
+    for (size_t i = 0; i < toks.size(); ++i) {
+        if (!toks[i].is("co_await")) {
+            continue;
+        }
+        int depth = 0;
+        for (size_t k = i + 1; k < toks.size(); ++k) {
+            const Token &t = toks[k];
+            if (t.is("(") || t.is("[")) {
+                ++depth;
+            } else if (t.is(")") || t.is("]") || t.is("}")) {
+                if (--depth < 0) {
+                    break;
+                }
+            } else if (depth == 0 && (t.is(";") || t.is(","))) {
+                break;
+            } else if (t.is("{")) {
+                size_t close = matchTok(toks, k, "{", "}");
+                size_t type = bracedTypeStart(toks, k);
+                if (type == std::string::npos) {
+                    k = close; // a lambda body or block: not the operand
+                    continue;
+                }
+                if (ownsMemory(toks, type, k, close)) {
+                    std::string name;
+                    for (size_t n = type; n < k; ++n) {
+                        name += toks[n].text;
+                    }
+                    addFinding(out, s, Rule::kCoawaitBracedTemporary, path,
+                               toks[type].line,
+                               "braced temporary " + name +
+                                   "{...} owns memory inside a co_await "
+                                   "operand, and GCC 12 destroys it twice; "
+                                   "name it in a local before the "
+                                   "co_await");
+                    break;
+                }
+                ++depth;
+            }
+        }
+    }
+}
+
 /** Minimal JSON string escaping (control chars, quotes, backslash). */
 std::string
 jsonEscape(std::string_view in)
@@ -773,6 +905,8 @@ ruleName(Rule rule)
         return "remora-unchecked-vector-status";
     case Rule::kIncludeLayer:
         return "remora-include-layer";
+    case Rule::kCoawaitBracedTemporary:
+        return "remora-coawait-braced-temporary";
     }
     // Unreachable: the switch is exhaustive (-Werror=switch) and every
     // case returns (-Werror=return-type).
@@ -791,6 +925,7 @@ ruleIsError(Rule rule)
     case Rule::kLockAcrossSuspension:
     case Rule::kUseAfterSuspension:
     case Rule::kIncludeLayer:
+    case Rule::kCoawaitBracedTemporary:
         return true;
     case Rule::kCoroutinePtrParam:
     case Rule::kDetachedCoroutineDetach:
@@ -843,6 +978,9 @@ ruleDescription(Rule rule)
     case Rule::kIncludeLayer:
         return "include edge climbs the module layer diagram upward, or "
                "the include DAG has a cycle";
+    case Rule::kCoawaitBracedTemporary:
+        return "memory-owning braced temporary inside a co_await operand, "
+               "which GCC 12 destroys twice; name it first";
     }
     __builtin_unreachable();
 }
@@ -865,6 +1003,7 @@ ruleIsFlow(Rule rule)
     case Rule::kNondeterminism:
     case Rule::kIncludeHygiene:
     case Rule::kIncludeLayer:
+    case Rule::kCoawaitBracedTemporary:
         return false;
     }
     __builtin_unreachable();
@@ -924,6 +1063,7 @@ lintSource(std::string_view path, std::string_view text, const Options &opts)
     if (opts.checkScalarOpLoops) {
         checkScalarOpLoops(path, s, toks, out);
     }
+    checkCoawaitBracedTemporaries(path, s, toks, out);
     if (opts.checkFlowRules) {
         checkFlowRules(path, s, opts, out);
     }

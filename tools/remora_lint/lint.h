@@ -28,6 +28,10 @@
  *    replay, so wall-clock and platform randomness (`std::rand`,
  *    `time(nullptr)`, `std::chrono::system_clock`, `std::random_device`)
  *    are banned outside `sim/random`, which wraps seeding explicitly.
+ *  - co_await temporaries: GCC 12 destroys a braced temporary built
+ *    inside a `co_await` operand twice, so one that owns memory (an
+ *    owning std type, or an initializer that moves something in) must
+ *    be named in a local before the `co_await`.
  *  - include hygiene: no relative `../`/`./` includes, and quoted
  *    project includes must carry their module prefix ("sim/task.h",
  *    never "task.h") so the include graph mirrors the layer diagram.
@@ -127,6 +131,13 @@ enum class Rule
      * diagram upward, or a cycle in the include DAG (error).
      */
     kIncludeLayer,
+    /**
+     * A memory-owning temporary built with braces inside a `co_await`
+     * operand, e.g. `co_await call(WriteArgs{fh, off, std::move(data)})`:
+     * GCC 12 destroys such a temporary twice, freeing what it owns
+     * twice. Name it in a local before the `co_await` (error).
+     */
+    kCoawaitBracedTemporary,
 };
 
 /**
@@ -143,7 +154,7 @@ inline constexpr Rule kAllRules[] = {
     Rule::kNondeterminism,       Rule::kIncludeHygiene,
     Rule::kLockAcrossSuspension, Rule::kUseAfterSuspension,
     Rule::kReleaseOnAllPaths,    Rule::kUncheckedVectorStatus,
-    Rule::kIncludeLayer,
+    Rule::kIncludeLayer,         Rule::kCoawaitBracedTemporary,
 };
 
 /** remora-lint's name for @p rule, as used in NOLINT(...) lists. */

@@ -278,4 +278,21 @@ suppressedAt(const SourceModel &model, int line, Rule rule)
     return false;
 }
 
+size_t
+matchTok(const std::vector<Token> &toks, size_t open, const char *o,
+         const char *c)
+{
+    int depth = 0;
+    for (size_t i = open; i < toks.size(); ++i) {
+        if (toks[i].is(o)) {
+            ++depth;
+        } else if (toks[i].is(c)) {
+            if (--depth == 0) {
+                return i;
+            }
+        }
+    }
+    return toks.size();
+}
+
 } // namespace remora::lint

@@ -70,4 +70,11 @@ bool suppressedAt(const SourceModel &model, int line, Rule rule);
 /** True for identifier characters ([A-Za-z0-9_]). */
 bool isIdentChar(char c);
 
+/**
+ * Index of the token matching the opener @p o at @p open ((), {}, []),
+ * closed by @p c; toks.size() when it never closes.
+ */
+size_t matchTok(const std::vector<Token> &toks, size_t open, const char *o,
+                const char *c);
+
 } // namespace remora::lint
